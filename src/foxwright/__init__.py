@@ -54,9 +54,7 @@ from .hfun import (
     MeasureEvaluator,
     atom_mellin,
     get_evaluator,
-    hfun_moment,
     hfun_nonneg_scan,
-    hfun_value,
     moment_identity_check,
 )
 from .representations import (
@@ -86,7 +84,6 @@ from .catalog import (
     IDENTITY,
     NAMED_SETS,
     TWIN_QUARTER,
-    get_named_set,
 )
 
 __all__ = [
@@ -112,8 +109,6 @@ __all__ = [
     "HfunEvalConfig",
     "MeasureEvaluator",
     "get_evaluator",
-    "hfun_value",
-    "hfun_moment",
     "atom_mellin",
     "hfun_nonneg_scan",
     "moment_identity_check",
@@ -139,7 +134,6 @@ __all__ = [
     "DOUBLE_POLE",
     "IDENTITY",
     "NAMED_SETS",
-    "get_named_set",
     "FoxwrightError",
     "ParameterError",
     "PoleError",

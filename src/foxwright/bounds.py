@@ -21,11 +21,9 @@ in its argument whenever the density is nonnegative.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from math import comb
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .errors import (
     ConstraintError,
@@ -76,9 +74,6 @@ class BoundsReport:
     hypothesis_nonneg: bool
     lower_ok: bool
     upper_ok: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _atomic_mass(params: ParameterSet):
@@ -177,9 +172,6 @@ class StieltjesLowerBoundReport:
     mean_power_rhs: float
     mean_power_direction: str
     mean_power_ok: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def stieltjes_lower_bound(
@@ -313,9 +305,6 @@ class RatioValue:
     series_route: float
     quadrature_route: float
     rel_gap: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ __all__ = [
     "DOUBLE_POLE",
     "IDENTITY",
     "NAMED_SETS",
-    "get_named_set",
 ]
 
 EXP_COLLAPSE = ParameterSet(upper=[(1.0, 1.0)], lower=[(0.5, 0.5), (1.0, 0.5)])
@@ -37,12 +36,3 @@ NAMED_SETS: dict[str, ParameterSet] = {
     "double-pole": DOUBLE_POLE,
     "identity": IDENTITY,
 }
-
-
-def get_named_set(name: str) -> ParameterSet:
-    """Look up a catalog set by name; KeyError lists the valid names."""
-    try:
-        return NAMED_SETS[name]
-    except KeyError:
-        valid = ", ".join(sorted(NAMED_SETS))
-        raise KeyError(f"unknown parameter set {name!r}; catalog has: {valid}") from None

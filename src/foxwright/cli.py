@@ -26,7 +26,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,15 +40,15 @@ from .bounds import (
 from .catalog import NAMED_SETS
 from .errors import FoxwrightError
 from .hfun import get_evaluator
-from .params import ParameterSet, derive_constants, gamma_ratio
+from .params import ParameterSet, gamma_ratio
 from .representations import (
     laplace_lift_check,
     verify_representation,
     verify_stieltjes,
 )
-from .series import SeriesStatus, fox_wright
+from .series import SeriesStatus, fox_wright, fox_wright_value
 
-__all__ = ["RunConfig", "main", "run", "parse_grid", "parse_k_list"]
+__all__ = ["main", "run", "parse_grid", "parse_k_list"]
 
 _FIELDS = ("command", "params_hash", "z", "value_or_verdict", "abs_err", "rel_err", "status")
 
@@ -60,28 +60,15 @@ _CM_FUNCTIONS = {
     / math.sqrt(math.pi),
 }
 
+_SERIES_STATUS = {
+    SeriesStatus.CONVERGED: "ok",
+    SeriesStatus.OUTSIDE_DOMAIN: "error:OutsideDomainError",
+    SeriesStatus.MAX_TERMS: "error:NonConvergentError",
+}
+
 
 class CliUsageError(Exception):
     """Bad flags, unreadable files, malformed grids: exit code 1."""
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs, normalized out of argv."""
-
-    command: str
-    params_path: str | None = None
-    z_spec: str | None = None
-    k_spec: str | None = None
-    tol: float = 1e-6
-    output: str = "json"
-    out_path: str | None = None
-    sigma: float | None = None
-    delta: float | None = None
-    lift: float | None = None
-    function: str | None = None
-    h_step: float = 0.05
-    max_order: int = 6
 
 
 def parse_grid(spec: str) -> list[float]:
@@ -138,140 +125,69 @@ def _load_params(spec: str) -> ParameterSet:
         raise CliUsageError(f"could not parse parameter file {spec}: {exc}") from None
 
 
-def _row(command, params_hash, z, value, abs_err, rel_err, status) -> dict:
-    return {
-        "command": command,
-        "params_hash": params_hash,
-        "z": z,
-        "value_or_verdict": value,
-        "abs_err": abs_err,
-        "rel_err": rel_err,
-        "status": status,
-    }
-
-
-def _guarded(rows: list, command: str, phash: str, z: float, fn) -> None:
-    """Append fn()'s row; convert any numerical exception into an error row."""
-    try:
-        rows.append(fn())
-    except FoxwrightError as exc:
-        rows.append(_row(command, phash, z, None, None, None, f"error:{type(exc).__name__}"))
+def _verdict(ok: bool) -> str:
+    return "pass" if ok else "fail"
 
 
 # ---------------------------------------------------------------------------
-# per-command walkers
+# point functions: (ns, params, x) -> (value, abs_err, rel_err, status)
 # ---------------------------------------------------------------------------
 
 
-def _cmd_eval(cfg: RunConfig, params: ParameterSet, phash: str) -> list[dict]:
-    rows: list[dict] = []
-    for z in _grid_or_fail(cfg):
-
-        def one(z=z):
-            res = fox_wright(params, z)
-            value = complex(res.value).real
-            if res.status is SeriesStatus.CONVERGED:
-                status = "ok"
-            elif res.status is SeriesStatus.OUTSIDE_DOMAIN:
-                status = "error:OutsideDomainError"
-            else:
-                status = "error:NonConvergentError"
-            if math.isnan(value):
-                value = None
-            return _row("eval", phash, z, value, None, None, status)
-
-        _guarded(rows, "eval", phash, z, one)
-    return rows
+def _eval_point(ns, params, z):
+    res = fox_wright(params, z)
+    value = complex(res.value).real
+    return (None if math.isnan(value) else value), None, None, _SERIES_STATUS[res.status]
 
 
-def _cmd_hfun(cfg: RunConfig, params: ParameterSet, phash: str) -> list[dict]:
+def _hfun_point(ns, params, t):
+    return float(get_evaluator(params).density(np.array([t]))[0]), None, None, "ok"
+
+
+def _moments_point(ns, params, k):
     ev = get_evaluator(params)
-    rows: list[dict] = []
-    for t in _grid_or_fail(cfg):
-
-        def one(t=t):
-            value = float(ev.density(np.array([t]))[0])
-            return _row("hfun", phash, t, value, None, None, "ok")
-
-        _guarded(rows, "hfun", phash, t, one)
-    return rows
+    lhs = gamma_ratio(params, k)
+    rhs = ev.moment(k) + ev.atom_mellin(k)
+    abs_err = abs(lhs - rhs)
+    rel_err = abs_err / max(1.0, abs(lhs))
+    return lhs, abs_err, rel_err, _verdict(rel_err <= ns.tol)
 
 
-def _cmd_moments(cfg: RunConfig, params: ParameterSet, phash: str) -> list[dict]:
-    if not cfg.k_spec:
-        raise CliUsageError("moments needs --k (e.g. --k 0..8)")
-    ev = get_evaluator(params)
-    rows: list[dict] = []
-    for k in parse_k_list(cfg.k_spec):
+def _identity_point(check):
+    def point(ns, params, z):
+        rec = check(ns, params, z)
+        return rec.verdict, rec.abs_err, rec.rel_err, _verdict(rec.verdict == "pass")
 
-        def one(k=k):
-            lhs = gamma_ratio(params, k)
-            rhs = ev.moment(k) + ev.atom_mellin(k)
-            abs_err = abs(lhs - rhs)
-            rel_err = abs_err / max(1.0, abs(lhs))
-            status = "pass" if rel_err <= cfg.tol else "fail"
-            return _row("moments", phash, k, lhs, abs_err, rel_err, status)
-
-        _guarded(rows, "moments", phash, k, one)
-    return rows
+    return point
 
 
-def _identity_rows(cfg: RunConfig, phash: str, command: str, check) -> list[dict]:
-    rows: list[dict] = []
-    for z in _grid_or_fail(cfg):
-
-        def one(z=z):
-            rec = check(z)
-            status = "pass" if rec.verdict == "pass" else "fail"
-            return _row(command, phash, z, rec.verdict, rec.abs_err, rec.rel_err, status)
-
-        _guarded(rows, command, phash, z, one)
-    return rows
-
-
-def _cmd_bounds(cfg: RunConfig, params: ParameterSet, phash: str) -> list[dict]:
-    rows: list[dict] = []
-    for z in _grid_or_fail(cfg):
-
-        def one(z=z):
-            if cfg.sigma is not None:
-                rep = stieltjes_lower_bound(params, cfg.sigma, z)
-                ok = rep.bound_ok and rep.mean_power_ok
-                return _row(
-                    "bounds",
-                    phash,
-                    z,
-                    rep.value,
-                    rep.margin,
-                    rep.margin / (1.0 + abs(rep.value)),
-                    "pass" if ok else "fail",
-                )
-            if cfg.lift is not None:
-                rep = lifted_kernel_bounds(params, cfg.lift, z)
-            else:
-                rep = exp_kernel_bounds(params, z)
-            ok = rep.lower_ok and rep.upper_ok
-            return _row(
-                "bounds",
-                phash,
-                z,
-                rep.value,
-                rep.value - rep.lower,
-                rep.upper - rep.value,
-                "pass" if ok else "fail",
-            )
-
-        _guarded(rows, "bounds", phash, z, one)
-    return rows
+def _bounds_point(ns, params, z):
+    if ns.sigma is not None:
+        rep = stieltjes_lower_bound(params, ns.sigma, z)
+        ok = rep.bound_ok and rep.mean_power_ok
+        return rep.value, rep.margin, rep.margin / (1.0 + abs(rep.value)), _verdict(ok)
+    if ns.lift is not None:
+        rep = lifted_kernel_bounds(params, ns.lift, z)
+    else:
+        rep = exp_kernel_bounds(params, z)
+    ok = rep.lower_ok and rep.upper_ok
+    return rep.value, rep.value - rep.lower, rep.upper - rep.value, _verdict(ok)
 
 
-def _cmd_cm_check(cfg: RunConfig, params: ParameterSet | None, phash: str) -> list[dict]:
-    name = cfg.function or "series"
+# ---------------------------------------------------------------------------
+# scan functions: (ns, params, None) -> [(z, value, abs_err, rel_err, status)]
+# ---------------------------------------------------------------------------
+
+
+def _scan_grid(ns, default: np.ndarray) -> list[float]:
+    return parse_grid(ns.z) if ns.z else [float(v) for v in default]
+
+
+def _cm_scan(ns, params, _):
+    name = ns.function or "series"
     if name == "series":
         if params is None:
             raise CliUsageError("cm-check --function series needs --params")
-        from .series import fox_wright_value
-
         f = lambda x: complex(fox_wright_value(params, -x)).real  # noqa: E731
     elif name in _CM_FUNCTIONS:
         f = _CM_FUNCTIONS[name]
@@ -279,69 +195,109 @@ def _cmd_cm_check(cfg: RunConfig, params: ParameterSet | None, phash: str) -> li
         raise CliUsageError(
             f"unknown --function {name!r}; choices: series, " + ", ".join(_CM_FUNCTIONS)
         )
-    if cfg.z_spec:
-        grid = parse_grid(cfg.z_spec)
-    else:
-        grid = [float(v) for v in np.logspace(math.log10(0.01), math.log10(10.0), 30)]
-    rows: list[dict] = []
+    grid = _scan_grid(ns, np.logspace(math.log10(0.01), math.log10(10.0), 30))
+    rep = cm_check(f, grid, ns.h_step, ns.max_order)
+    if rep.first_violation is None:
+        return [(None, "clean", None, None, "pass")]
+    order, x = rep.first_violation
+    return [(x, f"order-{order}-defect", None, None, "fail")]
 
-    def one():
-        rep = cm_check(f, grid, cfg.h_step, cfg.max_order)
-        if rep.first_violation is None:
-            return _row("cm-check", phash, None, "clean", None, None, "pass")
-        order, x = rep.first_violation
-        return _row("cm-check", phash, x, f"order-{order}-defect", None, None, "fail")
 
-    _guarded(rows, "cm-check", phash, None, one)
+def _ratio_scan(ns, params, _):
+    grid = _scan_grid(ns, np.linspace(0.05, 0.95, 17))
+    rep = ratio_monotonicity_scan(params, ns.sigma, ns.delta, grid, tol=ns.tol)
+    rows = []
+    for z, quad, series in zip(rep.z_grid, rep.values, rep.series_values):
+        gap = abs(series - quad) / (1.0 + max(abs(series), abs(quad)))
+        rows.append((z, quad, abs(series - quad), gap, "ok"))
+    rows.append((None, rep.expected, rep.max_violation, rep.max_route_gap, _verdict(rep.ok())))
     return rows
 
 
-def _cmd_ratio_scan(cfg: RunConfig, params: ParameterSet, phash: str) -> list[dict]:
-    sigma = 1.0 if cfg.sigma is None else cfg.sigma
-    delta = 1.0 if cfg.delta is None else cfg.delta
-    if cfg.z_spec:
-        grid = parse_grid(cfg.z_spec)
-    else:
-        grid = [float(v) for v in np.linspace(0.05, 0.95, 17)]
-    rows: list[dict] = []
-
-    def scan():
-        rep = ratio_monotonicity_scan(params, sigma, delta, grid, tol=cfg.tol)
-        out = []
-        for z, quad, series in zip(rep.z_grid, rep.values, rep.series_values):
-            gap = abs(series - quad) / (1.0 + max(abs(series), abs(quad)))
-            out.append(_row("ratio-scan", phash, z, quad, abs(series - quad), gap, "ok"))
-        out.append(
-            _row(
-                "ratio-scan",
-                phash,
-                None,
-                rep.expected,
-                rep.max_violation,
-                rep.max_route_gap,
-                "pass" if rep.ok() else "fail",
-            )
-        )
-        return out
-
-    try:
-        rows.extend(scan())
-    except FoxwrightError as exc:
-        rows.append(
-            _row("ratio-scan", phash, None, None, None, None, f"error:{type(exc).__name__}")
-        )
-    return rows
-
-
-def _grid_or_fail(cfg: RunConfig) -> list[float]:
-    if not cfg.z_spec:
-        raise CliUsageError(f"{cfg.command} needs --z (grid start:stop:count or list)")
-    return parse_grid(cfg.z_spec)
-
-
 # ---------------------------------------------------------------------------
-# rendering and dispatch
+# the command table
 # ---------------------------------------------------------------------------
+
+_Z_HELP = ("grid: start:stop:count, comma list, or scalar "
+           "(use --z=-3:3:7 when the grid starts negative)")
+
+# Every optional flag a command may take, in the order --help lists them.
+_FLAGS = {
+    "--z": dict(help=_Z_HELP),
+    "--k": dict(help="moment orders: lo..hi, comma list, or scalar"),
+    "--sigma": dict(type=float, help="power-kernel exponent"),
+    "--delta": dict(type=float, help="parameter shift"),
+    "--lift": dict(type=float, help="gamma-lift exponent"),
+    "--function": dict(help="series (default) or one of: " + ", ".join(_CM_FUNCTIONS)),
+    "--h": dict(type=float, dest="h_step", help="forward-difference step"),
+    "--max-order": dict(type=int, dest="max_order", help="highest difference order checked"),
+}
+
+
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand.  ``flags`` maps each extra flag to its default.
+    ``grid`` names the option whose values the point function is walked
+    over (``z`` or ``k``); a scan (``grid=None``) runs once and returns all
+    of its rows."""
+
+    help: str
+    flags: dict
+    point: Callable
+    grid: str | None = "z"
+    needs_params: bool = True
+
+
+_COMMANDS = {
+    "eval": _Command("evaluate the series over a z grid", {"--z": None}, _eval_point),
+    "hfun": _Command("evaluate the representing density over a t grid", {"--z": None},
+                     _hfun_point),
+    "moments": _Command("check gamma-ratio moments against the measure", {"--k": None},
+                        _moments_point, grid="k"),
+    "verify-representation": _Command(
+        "series vs exponential-kernel integral", {"--z": None},
+        _identity_point(lambda ns, p, z: verify_representation(p, z, tol=ns.tol))),
+    "verify-stieltjes": _Command(
+        "lifted series vs power-kernel integral", {"--z": None, "--sigma": 1.0},
+        _identity_point(lambda ns, p, z: verify_stieltjes(p, ns.sigma, z, tol=ns.tol))),
+    "verify-laplace": _Command(
+        "gamma-weighted transform vs lifted series", {"--z": None, "--lift": 1.0},
+        _identity_point(lambda ns, p, z: laplace_lift_check(p, ns.lift, z, tol=ns.tol))),
+    "bounds": _Command("two-sided kernel bounds (default exponential; --lift or --sigma)",
+                       {"--z": None, "--sigma": None, "--lift": None}, _bounds_point),
+    "cm-check": _Command("finite-difference complete-monotonicity scan",
+                         {"--z": None, "--function": "series", "--h": 0.05, "--max-order": 6},
+                         _cm_scan, grid=None, needs_params=False),
+    "ratio-scan": _Command("shifted-ratio monotonicity scan",
+                           {"--z": None, "--sigma": 1.0, "--delta": 1.0}, _ratio_scan,
+                           grid=None),
+}
+
+_GRID_HINTS = {"z": "--z (grid start:stop:count or list)", "k": "--k (e.g. --k 0..8)"}
+
+
+def _points(cmd: _Command, ns: argparse.Namespace) -> list:
+    """The values the point function is walked over; one ``None`` for a scan."""
+    if cmd.grid is None:
+        return [None]
+    spec = getattr(ns, cmd.grid)
+    if not spec:
+        raise CliUsageError(f"{ns.command} needs {_GRID_HINTS[cmd.grid]}")
+    return parse_grid(spec) if cmd.grid == "z" else parse_k_list(spec)
+
+
+def _walk(ns: argparse.Namespace, params: ParameterSet | None) -> list[dict]:
+    """Build every row under one guard: a numerical error becomes an error row."""
+    cmd = _COMMANDS[ns.command]
+    rows = []
+    for x in _points(cmd, ns):
+        try:
+            out = cmd.point(ns, params, x)
+            rows.extend([(x, *out)] if cmd.grid else out)
+        except FoxwrightError as exc:
+            rows.append((x, None, None, None, f"error:{type(exc).__name__}"))
+    phash = params.hash_key() if params is not None else ""
+    return [dict(zip(_FIELDS, (ns.command, phash, *row))) for row in rows]
 
 
 def _render(rows: list[dict], output: str) -> str:
@@ -358,62 +314,21 @@ def _render(rows: list[dict], output: str) -> str:
     return buf.getvalue()
 
 
-def run(cfg: RunConfig) -> int:
-    """Dispatch one configured invocation; returns the exit status."""
-    if cfg.tol <= 0:
+def run(ns: argparse.Namespace) -> int:
+    """Run one parsed invocation; returns the exit status."""
+    if ns.tol <= 0:
         raise CliUsageError("tol must be positive")
-    if cfg.output not in ("json", "csv"):
-        raise CliUsageError(f"unknown output format {cfg.output!r}")
+    params = None if ns.params is None else _load_params(ns.params)
+    if params is None and _COMMANDS[ns.command].needs_params:
+        raise CliUsageError(f"{ns.command} needs --params (catalog name or JSON path)")
 
-    params = None
-    phash = ""
-    if cfg.params_path is not None:
-        params = _load_params(cfg.params_path)
-        phash = params.hash_key()
-
-    if params is None and cfg.command != "cm-check":
-        raise CliUsageError(f"{cfg.command} needs --params (catalog name or JSON path)")
-
-    if cfg.command == "eval":
-        rows = _cmd_eval(cfg, params, phash)
-    elif cfg.command == "hfun":
-        rows = _cmd_hfun(cfg, params, phash)
-    elif cfg.command == "moments":
-        rows = _cmd_moments(cfg, params, phash)
-    elif cfg.command == "verify-representation":
-        rows = _identity_rows(
-            cfg, phash, "verify-representation",
-            lambda z: verify_representation(params, z, tol=cfg.tol),
-        )
-    elif cfg.command == "verify-stieltjes":
-        sigma = 1.0 if cfg.sigma is None else cfg.sigma
-        rows = _identity_rows(
-            cfg, phash, "verify-stieltjes",
-            lambda z: verify_stieltjes(params, sigma, z, tol=cfg.tol),
-        )
-    elif cfg.command == "verify-laplace":
-        lam = 1.0 if cfg.lift is None else cfg.lift
-        rows = _identity_rows(
-            cfg, phash, "verify-laplace",
-            lambda z: laplace_lift_check(params, lam, z, tol=cfg.tol),
-        )
-    elif cfg.command == "bounds":
-        rows = _cmd_bounds(cfg, params, phash)
-    elif cfg.command == "cm-check":
-        rows = _cmd_cm_check(cfg, params, phash)
-    elif cfg.command == "ratio-scan":
-        rows = _cmd_ratio_scan(cfg, params, phash)
-    else:
-        raise CliUsageError(f"unknown command {cfg.command!r}")
-
-    text = _render(rows, cfg.output)
-    if cfg.out_path:
-        Path(cfg.out_path).write_text(text)
+    rows = _walk(ns, params)
+    text = _render(rows, ns.output)
+    if ns.out_path:
+        Path(ns.out_path).write_text(text)
     else:
         sys.stdout.write(text)
-
-    ok = all(r["status"] in ("ok", "pass") for r in rows)
-    return 0 if ok else 2
+    return 0 if all(r["status"] in ("ok", "pass") for r in rows) else 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -424,72 +339,21 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="foxwright", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, *, grid=True, k=False, sigma=False,
-            delta=False, lift=False, cm=False):
-        p = sub.add_parser(name, help=help_text)
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
         p.add_argument("--params", help="catalog name or JSON file with upper/lower rows")
-        if grid:
-            p.add_argument("--z", help="grid: start:stop:count, comma list, or scalar "
-                                       "(use --z=-3:3:7 when the grid starts negative)")
-        if k:
-            p.add_argument("--k", help="moment orders: lo..hi, comma list, or scalar")
-        if sigma:
-            p.add_argument("--sigma", type=float, help="power-kernel exponent")
-        if delta:
-            p.add_argument("--delta", type=float, help="parameter shift")
-        if lift:
-            p.add_argument("--lift", type=float, help="gamma-lift exponent")
-        if cm:
-            p.add_argument(
-                "--function",
-                default="series",
-                help="series (default) or one of: " + ", ".join(_CM_FUNCTIONS),
-            )
-            p.add_argument("--h", type=float, default=0.05, dest="h_step",
-                           help="forward-difference step")
-            p.add_argument("--max-order", type=int, default=6, dest="max_order",
-                           help="highest difference order checked")
+        for flag, kwargs in _FLAGS.items():
+            if flag in cmd.flags:
+                p.add_argument(flag, default=cmd.flags[flag], **kwargs)
         p.add_argument("--tol", type=float, default=1e-6, help="verdict tolerance")
         p.add_argument("--output", choices=("json", "csv"), default="json")
         p.add_argument("--out", dest="out_path", help="write report here instead of stdout")
-        return p
-
-    add("eval", "evaluate the series over a z grid")
-    add("hfun", "evaluate the representing density over a t grid")
-    add("moments", "check gamma-ratio moments against the measure", grid=False, k=True)
-    add("verify-representation", "series vs exponential-kernel integral")
-    add("verify-stieltjes", "lifted series vs power-kernel integral", sigma=True)
-    add("verify-laplace", "gamma-weighted transform vs lifted series", lift=True)
-    add("bounds", "two-sided kernel bounds (default exponential; --lift or --sigma)",
-        sigma=True, lift=True)
-    add("cm-check", "finite-difference complete-monotonicity scan", cm=True)
-    add("ratio-scan", "shifted-ratio monotonicity scan", sigma=True, delta=True)
     return parser
-
-
-def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=ns.command,
-        params_path=getattr(ns, "params", None),
-        z_spec=getattr(ns, "z", None),
-        k_spec=getattr(ns, "k", None),
-        tol=ns.tol,
-        output=ns.output,
-        out_path=ns.out_path,
-        sigma=getattr(ns, "sigma", None),
-        delta=getattr(ns, "delta", None),
-        lift=getattr(ns, "lift", None),
-        function=getattr(ns, "function", None),
-        h_step=getattr(ns, "h_step", 0.05),
-        max_order=getattr(ns, "max_order", 6),
-    )
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        ns = _build_parser().parse_args(argv)
-        return run(_config_from_args(ns))
+        return run(_build_parser().parse_args(argv))
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

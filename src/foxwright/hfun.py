@@ -59,7 +59,6 @@ from .errors import (
 )
 from .params import ParameterSet, correction_coeffs, derive_constants
 from .quadrature import gauss_legendre, integrate_adaptive
-from .series import EvalResult, SeriesStatus
 from .special import gamma_real, log_gamma_complex_vec
 
 __all__ = [
@@ -67,14 +66,11 @@ __all__ = [
     "HfunEvalConfig",
     "MeasureEvaluator",
     "get_evaluator",
-    "hfun_value",
-    "hfun_moment",
     "atom_mellin",
     "moment_identity_check",
     "MomentIdentityReport",
     "hfun_nonneg_scan",
     "NonnegReport",
-    "measure_integral",
 ]
 
 _MERGE_GAP = 1e-8
@@ -154,7 +150,6 @@ class MeasureEvaluator:
         self._g: np.ndarray = np.empty(0, dtype=complex)
         self._sub_peak = 0.0
         self._g_peak = 0.0
-        self._contour_built = False
         self.degenerate = False
 
         # residue state
@@ -273,7 +268,6 @@ class MeasureEvaluator:
         self._tau = np.concatenate(taus)
         self._gl_w = np.concatenate(ws)
         self._g = np.concatenate(gs)
-        self._contour_built = True
         self.degenerate = self._g_peak <= _DEGENERATE_RATIO * self._sub_peak
 
     def _addback(self, t: np.ndarray) -> np.ndarray:
@@ -500,24 +494,6 @@ def _cexpm1(w: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def hfun_value(
-    params: ParameterSet, t: float, config: HfunEvalConfig | None = None
-) -> EvalResult:
-    """Point value of the regular density, as an EvalResult."""
-    ev = get_evaluator(params, config)
-    if not (0.0 < t < ev.rho):
-        raise OutsideDomainError(f"t={t} outside the support interval (0, {ev.rho:.6g})")
-    value = float(ev.density(np.array([t]))[0])
-    work = ev._res_nodes_used + int(ev._tau.size)
-    return EvalResult(value, work, 0.0, SeriesStatus.CONVERGED)
-
-
-def hfun_moment(params: ParameterSet, k: float, config: HfunEvalConfig | None = None) -> float:
-    """k-th Mellin moment of the regular density over (0, rho)."""
-    ev = get_evaluator(params, config)
-    return ev.moment(k)
-
-
 def atom_mellin(params: ParameterSet, s: float, config: HfunEvalConfig | None = None) -> float:
     return get_evaluator(params, config).atom_mellin(s)
 
@@ -599,11 +575,3 @@ def hfun_nonneg_scan(
         nonneg=bool(vals[idx] >= -tol_abs),
         tol_abs=tol_abs,
     )
-
-
-def measure_integral(
-    params: ParameterSet,
-    fn: Callable[[np.ndarray], np.ndarray],
-    config: HfunEvalConfig | None = None,
-) -> float:
-    return get_evaluator(params, config).measure_integral(fn)

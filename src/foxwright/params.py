@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import ParameterError
+from .errors import ParameterError, PoleError
 from .special import bernoulli_poly, log_abs_gamma_signed
 
 __all__ = [
@@ -93,8 +93,7 @@ class ParameterSet:
             # k can land on a non-positive argument, so scan exactly those.
             k_max = int(math.floor(-shift / scale)) if shift <= 0.0 else -1
             for k in range(0, min(k_max, _POLE_SCAN_CAP) + 1):
-                arg = shift + k * scale
-                if abs(arg - round(arg)) < _INT_TOL and round(arg) <= 0:
+                if _pole_order(shift + k * scale, scale) is not None:
                     raise ParameterError(
                         f"upper pair ({shift}, {scale}) hits a gamma pole at term k={k}"
                     )
@@ -246,26 +245,55 @@ def shift_parameters(params: ParameterSet, delta: float) -> ParameterSet:
     )
 
 
+def _pole_order(arg: float, scale: float) -> int | None:
+    """n when gamma(arg) sits at its pole -n, to within _INT_TOL in the index
+    (|arg + n| < _INT_TOL * scale); None away from every pole."""
+    if arg >= 0.5:
+        return None
+    n = round(arg)
+    return -n if abs(arg - n) < _INT_TOL * scale else None
+
+
+def _pole_weight(n: int, scale: float) -> tuple[float, float]:
+    """(log|w|, sign) of w = (-1)^n / (n! * scale): gamma(c + k*scale) near
+    its pole -n at k0 behaves like w / (k - k0)."""
+    return -math.lgamma(n + 1.0) - math.log(scale), (-1.0) ** n
+
+
 def gamma_ratio_log_signed(params: ParameterSet, k: float) -> tuple[float, float]:
     """(log|r|, sign) of the coefficient ratio prod gamma(a+kA) / prod gamma(b+kB).
 
-    A pole in a denominator gamma makes the ratio zero, reported as
-    (-inf, 1.0).  A numerator pole raises ValueError, since the ratio is
-    genuinely infinite there.
+    Gammas at a pole are counted in each row.  More poles below than above
+    make the ratio zero, reported as (-inf, 1.0); more above make it
+    infinite and raise PoleError.  Equal counts cancel, and the ratio is
+    its finite limit at k: each pole factor contributes its residue weight
+    (``_pole_weight``) once the common 1/(k - k0) is divided out.
     """
     log_acc = 0.0
     sign = 1.0
+    excess = 0
     for a, s in params.upper:
-        la, sg = log_abs_gamma_signed(a + k * s)
+        arg = a + k * s
+        if arg < 0.5 and (n := _pole_order(arg, s)) is not None:
+            la, sg = _pole_weight(n, s)
+            excess += 1
+        else:
+            la, sg = log_abs_gamma_signed(arg)
         log_acc += la
         sign *= sg
     for b, s in params.lower:
         arg = b + k * s
-        if arg <= 0.0 and abs(arg - round(arg)) < _INT_TOL:
-            return -math.inf, 1.0
-        la, sg = log_abs_gamma_signed(arg)
+        if arg < 0.5 and (n := _pole_order(arg, s)) is not None:
+            la, sg = _pole_weight(n, s)
+            excess -= 1
+        else:
+            la, sg = log_abs_gamma_signed(arg)
         log_acc -= la
         sign *= sg
+    if excess < 0:
+        return -math.inf, 1.0
+    if excess > 0:
+        raise PoleError(f"gamma ratio has a numerator pole at k={k}")
     return log_acc, sign
 
 

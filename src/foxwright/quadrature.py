@@ -13,7 +13,6 @@ panel-based Gauss-Legendre helper used by the contour integrator.
 from __future__ import annotations
 
 import heapq
-import math
 from functools import lru_cache
 from typing import Callable
 

@@ -20,11 +20,8 @@ discrepancies; nothing here asserts, callers decide what counts as failure.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,8 +56,6 @@ __all__ = [
     "laplace_lift_check",
     "finite_laplace_identity",
     "four_param_representation",
-    "records_to_json_lines",
-    "records_to_csv",
 ]
 
 _BALANCE_TOL = 1e-9
@@ -78,9 +73,6 @@ class IdentityRecord:
     abs_err: float
     rel_err: float
     verdict: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _record(
@@ -330,9 +322,6 @@ class FiniteLaplaceReport:
     verdict: str
     series_verdict: str
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _adjudicate(value: float, form_a: float, form_b: float, tol: float) -> str:
     scale = 1.0 + max(abs(value), abs(form_a), abs(form_b))
@@ -422,25 +411,3 @@ def four_param_representation(
     lhs = complex(four_param_wright(mu1, a, nu1, b, z).value).real
     rhs = float(eval_via_representation(ps, z, config).value)
     return _record(f"four-param[m={m}]", ps.hash_key(), z, lhs, rhs, tol)
-
-
-# ---------------------------------------------------------------------------
-# report emission
-# ---------------------------------------------------------------------------
-
-
-def records_to_json_lines(records) -> str:
-    """One JSON object per line, keys sorted, shortest-roundtrip floats."""
-    return "\n".join(json.dumps(r.to_dict(), sort_keys=True) for r in records)
-
-
-def records_to_csv(records) -> str:
-    """CSV mirror of the JSON records with a fixed header row."""
-    fields = ["identity", "params_hash", "z", "lhs", "rhs", "abs_err", "rel_err", "verdict"]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fields)
-    for r in records:
-        d = r.to_dict()
-        writer.writerow([d[k] if isinstance(d[k], str) else repr(d[k]) for k in fields])
-    return buf.getvalue()

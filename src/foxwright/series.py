@@ -7,9 +7,10 @@ The main entry point is :func:`fox_wright`, which sums
 in signed log space so that huge gamma ratios and huge factorials cancel
 before anything is exponentiated.  Classical specialisations (generalized
 hypergeometric, the two-parameter Wright function, Mittag-Leffler) are thin
-wrappers.  The four-parameter Wright function gets its own loop because its
-scales may be negative, which the row-based model deliberately rejects;
+wrappers.  The four-parameter Wright function supplies its own terms because
+its scales may be negative, which the row-based model deliberately rejects;
 reciprocal-gamma semantics (zeros at poles) make the sum well defined there.
+Both sum through one private loop, :func:`_sum_terms`.
 
 Summation is honest about its own failure modes: every call returns an
 :class:`EvalResult` carrying the term count, a truncation estimate, and a
@@ -90,6 +91,9 @@ class EvalResult:
         return self.status is SeriesStatus.CONVERGED
 
 
+_OUTSIDE = EvalResult(complex("nan"), 0, math.inf, SeriesStatus.OUTSIDE_DOMAIN)
+
+
 def fox_wright(
     params: ParameterSet,
     z: complex,
@@ -105,59 +109,71 @@ def fox_wright(
     near-boundary evaluations are never silently trusted.
     """
     if not in_domain(params, z):
-        return EvalResult(complex("nan"), 0, math.inf, SeriesStatus.OUTSIDE_DOMAIN)
+        return _OUTSIDE
+    log_abs_z = _log_abs(complex(z))
 
+    def log_term(k: int) -> tuple[float, float]:
+        log_ratio, sign = gamma_ratio_log_signed(params, k)
+        if k == 0 or log_ratio == -math.inf:
+            return log_ratio, sign
+        return log_ratio + k * log_abs_z - log_gamma(k + 1.0), sign
+
+    return _sum_terms(log_term, z, tol, max_terms)
+
+
+def _log_abs(z: complex) -> float:
+    return math.log(abs(z)) if z != 0 else -math.inf
+
+
+def _sum_terms(log_term, z: complex, tol: float, max_terms: int | None) -> EvalResult:
+    """Sum the terms t_k = sign_k * exp(log_k) * e^(i k arg z), where
+    ``log_term(k)`` gives (log_k, sign_k): log|t_k| and the sign of the
+    coefficient, log_k = -inf for a zero term.
+
+    Stops after three consecutive terms below ``tol`` relative to the running
+    sum; otherwise reports ``MAX_TERMS`` with the last term's relative size.
+    A real z sums in floats and returns a float.
+    """
     limit = _max_terms_limit(max_terms)
     zc = complex(z)
     is_real = zc.imag == 0.0
-    log_abs_z = math.log(abs(zc)) if zc != 0 else -math.inf
+    alternating = is_real and zc.real < 0
     arg_z = cmath.phase(zc)
 
-    total = 0.0 + 0.0j
+    total = 0.0 if is_real else 0.0 + 0.0j
     small_streak = 0
     last_mag = math.inf
     terms = 0
     for k in range(limit):
-        log_ratio, sign = gamma_ratio_log_signed(params, k)
+        log_mag, sign = log_term(k)
         terms = k + 1
-        if log_ratio == -math.inf:
-            term = 0.0 + 0.0j
-            mag = 0.0
-        elif k == 0:
-            mag = math.exp(log_ratio)
-            term = complex(sign * mag)
+        if log_mag == -math.inf:
+            term = mag = 0.0
         else:
-            log_mag = log_ratio + k * log_abs_z - log_gamma(k + 1.0)
             mag = math.exp(log_mag)
             if is_real:
-                term = complex(sign * mag * (1.0 if zc.real >= 0 or k % 2 == 0 else -1.0))
+                term = sign * mag * (-1.0 if alternating and k % 2 else 1.0)
+            elif k == 0:
+                term = complex(sign * mag)
             else:
                 term = sign * mag * cmath.exp(1j * k * arg_z)
         total += term
         last_mag = mag
         if zc == 0:
-            return EvalResult(_narrow(total, is_real), 1, 0.0, SeriesStatus.CONVERGED)
+            return EvalResult(total, 1, 0.0, SeriesStatus.CONVERGED)
         scale = max(abs(total), 1e-300)
         if mag <= tol * scale:
             small_streak += 1
             if small_streak >= _STOP_STREAK:
-                return EvalResult(
-                    _narrow(total, is_real), terms, mag / scale, SeriesStatus.CONVERGED
-                )
+                return EvalResult(total, terms, mag / scale, SeriesStatus.CONVERGED)
         else:
             small_streak = 0
     return EvalResult(
-        _narrow(total, is_real),
+        total,
         terms,
         last_mag / max(abs(total), 1e-300),
         SeriesStatus.MAX_TERMS,
     )
-
-
-def _narrow(value: complex, is_real: bool) -> complex:
-    if is_real:
-        return value.real
-    return value
 
 
 def fox_wright_value(
@@ -242,68 +258,31 @@ def four_param_wright(
     zc = complex(z)
     balance = mu1 + nu1
     if balance < -1e-12:
-        return EvalResult(complex("nan"), 0, math.inf, SeriesStatus.OUTSIDE_DOMAIN)
+        return _OUTSIDE
     if abs(balance) <= 1e-12 and zc != 0:
         radius = abs(mu1) ** mu1 * abs(nu1) ** nu1
         r = abs(zc)
         if r > radius * (1 + 1e-12):
-            return EvalResult(complex("nan"), 0, math.inf, SeriesStatus.OUTSIDE_DOMAIN)
+            return _OUTSIDE
         if abs(r - radius) <= radius * 1e-12 and not (a + b > 2.0):
-            return EvalResult(complex("nan"), 0, math.inf, SeriesStatus.OUTSIDE_DOMAIN)
+            return _OUTSIDE
+    log_abs_z = _log_abs(zc)
 
-    limit = _max_terms_limit(max_terms)
-    is_real = zc.imag == 0.0
-    log_abs_z = math.log(abs(zc)) if zc != 0 else -math.inf
-    arg_z = cmath.phase(zc)
-
-    total = 0.0 + 0.0j
-    streak = 0
-    last_mag = math.inf
-    terms = 0
-    for k in range(limit):
-        terms = k + 1
+    def log_term(k: int) -> tuple[float, float]:
         log_den = 0.0
         sign = 1.0
-        pole = False
         for shift, scl in ((a, mu1), (b, nu1)):
             arg = shift + k * scl
             if arg <= 0 and abs(arg - round(arg)) < 1e-9:
-                pole = True
-                break
+                return -math.inf, 1.0  # reciprocal gamma vanishes at its poles
             la, sg = log_abs_gamma_signed(arg)
             log_den += la
             sign *= sg
-        if pole:
-            term = 0.0 + 0.0j
-            mag = 0.0
-        elif k == 0:
-            mag = math.exp(-log_den)
-            term = complex(sign * mag)
-        else:
-            mag = math.exp(k * log_abs_z - log_den)
-            if is_real:
-                term = complex(sign * mag * (1.0 if zc.real >= 0 or k % 2 == 0 else -1.0))
-            else:
-                term = sign * mag * cmath.exp(1j * k * arg_z)
-        total += term
-        last_mag = mag
-        if zc == 0:
-            return EvalResult(_narrow(total, is_real), 1, 0.0, SeriesStatus.CONVERGED)
-        scale = max(abs(total), 1e-300)
-        if mag <= tol * scale:
-            streak += 1
-            if streak >= _STOP_STREAK:
-                return EvalResult(
-                    _narrow(total, is_real), terms, mag / scale, SeriesStatus.CONVERGED
-                )
-        else:
-            streak = 0
-    return EvalResult(
-        _narrow(total, is_real),
-        terms,
-        last_mag / max(abs(total), 1e-300),
-        SeriesStatus.MAX_TERMS,
-    )
+        if k == 0:
+            return -log_den, sign
+        return k * log_abs_z - log_den, sign
+
+    return _sum_terms(log_term, zc, tol, max_terms)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from foxwright.catalog import EXP_COLLAPSE
+from foxwright.catalog import DOUBLE_POLE, EXP_COLLAPSE
 from foxwright.cli import CliUsageError, main, parse_grid, parse_k_list
 
 
@@ -17,6 +20,30 @@ def run_cli(capsys, *argv):
 
 def json_rows(out):
     return [json.loads(line) for line in out.strip().splitlines()]
+
+
+def readme_cli_examples():
+    """Every ``foxwright ...`` line of the README's CLI code block, as argv."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = [line.split("#", 1)[0].strip() for line in block.splitlines()]
+    return [shlex.split(line)[1:] for line in lines if line.startswith("foxwright ")]
+
+
+@pytest.mark.parametrize("argv", readme_cli_examples(), ids=" ".join)
+def test_readme_example_exits_0(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert out and err == ""
+
+
+def test_readme_examples_cover_every_command():
+    commands = {argv[0] for argv in readme_cli_examples()}
+    assert commands == {
+        "eval", "hfun", "moments", "verify-representation", "verify-stieltjes",
+        "verify-laplace", "bounds", "cm-check", "ratio-scan",
+    }
 
 
 class TestGridParsing:
@@ -88,6 +115,34 @@ class TestMoments:
         code, _, err = run_cli(capsys, "moments", "--params", "twin-quarter")
         assert code == 1
         assert "--k" in err
+
+    def test_double_pole_numerator_pole_is_an_error_row(self, capsys):
+        # gamma_ratio(double-pole, -1) has an uncancelled numerator pole
+        code, out, _ = run_cli(capsys, "moments", "--params", "double-pole", "--k=-1,0")
+        assert code == 2
+        assert [r["status"] for r in json_rows(out)] == ["error:PoleError", "pass"]
+
+    def test_exp_collapse_coincident_poles_pass(self, capsys):
+        # numerator and denominator poles cancel at k = -3 and -1
+        code, out, _ = run_cli(capsys, "moments", "--params", "exp-collapse", "--k=-3,-1")
+        assert code == 0
+        rows = json_rows(out)
+        assert [r["status"] for r in rows] == ["pass", "pass"]
+        assert rows[1]["value_or_verdict"] == pytest.approx(0.5 / math.sqrt(math.pi), rel=1e-12)
+
+
+class TestUnbalancedSetErrorRows:
+    @pytest.mark.parametrize("argv", [["hfun", "--z", "0.5,1"], ["moments", "--k", "0..1"]])
+    def test_constraint_error_rows_exit_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "unbalanced.json"
+        path.write_text('{"upper": [[1, 1]], "lower": [[1, 2]]}')
+        code, out, err = run_cli(capsys, argv[0], "--params", str(path), *argv[1:])
+        assert code == 2
+        assert err == ""
+        rows = json_rows(out)
+        assert len(rows) == 2
+        assert all(r["status"] == "error:ConstraintError" for r in rows)
+        assert all(r["value_or_verdict"] is None for r in rows)
 
 
 class TestVerifyCommands:
@@ -178,6 +233,19 @@ class TestOutputFormats:
         assert lines[0] == "command,params_hash,z,value_or_verdict,abs_err,rel_err,status"
         assert len(lines) == 4
         assert lines[1].startswith("eval,")
+
+    def test_csv_summary_row_has_empty_z(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "ratio-scan", "--params", "double-pole", "--z", "0.1,0.5", "--output", "csv"
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 4  # header, 2 grid rows, summary
+        command, phash, z, verdict, violation, gap, status = lines[-1].split(",")
+        assert (command, z, verdict, status) == ("ratio-scan", "", "nonincreasing", "pass")
+        assert phash == DOUBLE_POLE.hash_key()
+        assert float(violation) >= 0.0 and float(gap) >= 0.0
+        assert lines[1].split(",")[2] == "0.1"
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.jsonl"

@@ -15,7 +15,7 @@ from foxwright import (
     shift_parameters,
 )
 from foxwright.catalog import DOUBLE_POLE, EXP_COLLAPSE, IDENTITY, TWIN_QUARTER
-from foxwright.errors import ParameterError
+from foxwright.errors import ParameterError, PoleError
 from foxwright.params import gamma_ratio_log_signed
 
 
@@ -191,3 +191,21 @@ class TestGammaRatio:
         log_mag, sign = gamma_ratio_log_signed(ps, 0.0)
         assert sign == -1.0
         assert math.exp(log_mag) == pytest.approx(2.0 * math.sqrt(math.pi), rel=1e-13)
+
+    @pytest.mark.parametrize("s", [-1.0, -3.0, -3.0 + 1e-9])
+    def test_coincident_poles_cancel(self, s):
+        # exp-collapse: gamma(1+s) / (gamma(1/2+s/2) gamma(1+s/2)) = 2^s/sqrt(pi)
+        # by the duplication formula; at s = -1, -3 a numerator and a
+        # denominator pole coincide and the ratio is their finite limit
+        assert gamma_ratio(EXP_COLLAPSE, s) == pytest.approx(
+            2.0**s / math.sqrt(math.pi), rel=1e-12
+        )
+
+    def test_denominator_pole_gives_zero(self):
+        # twin-quarter at s = -1/2: gamma(0)^2 below, gamma(1/2) above
+        assert gamma_ratio(TWIN_QUARTER, -0.5) == 0.0
+
+    def test_uncancelled_numerator_pole_raises(self):
+        # double-pole at s = -1: gamma(0) above, gamma(1/2)^2 below
+        with pytest.raises(PoleError):
+            gamma_ratio(DOUBLE_POLE, -1.0)

@@ -1,6 +1,5 @@
 """Integral representations and identity verifiers."""
 
-import json
 import math
 
 import numpy as np
@@ -21,7 +20,6 @@ from foxwright import (
 )
 from foxwright.catalog import DOUBLE_POLE, EXP_COLLAPSE, IDENTITY, TWIN_QUARTER
 from foxwright.errors import ConstraintError, OutsideDomainError
-from foxwright.representations import records_to_csv, records_to_json_lines
 
 
 class TestExponentialKernel:
@@ -159,21 +157,3 @@ class TestFourParamRepresentation:
     def test_constraint_violation_rejected(self):
         with pytest.raises(ConstraintError):
             four_param_representation(0.5, 0.6, 0.5, 0.6, z=1.0)  # a+b = 1.2
-
-
-class TestRecordSerialization:
-    def test_json_lines_and_csv(self):
-        recs = [
-            verify_representation(DOUBLE_POLE, 1.0),
-            verify_representation(EXP_COLLAPSE, -1.0),
-        ]
-        lines = records_to_json_lines(recs).strip().splitlines()
-        assert len(lines) == 2
-        parsed = json.loads(lines[0])
-        assert parsed["verdict"] == "pass"
-        assert parsed["params_hash"] == DOUBLE_POLE.hash_key()
-
-        csv_text = records_to_csv(recs)
-        rows = csv_text.strip().splitlines()
-        assert rows[0].split(",")[0] == "identity"
-        assert len(rows) == 3  # header + 2 records
