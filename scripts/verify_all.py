@@ -33,6 +33,7 @@ from foxwright import (
     verify_stieltjes,
 )
 from foxwright.catalog import NAMED_SETS
+from foxwright.quadrature import integrate_adaptive
 
 FAILURES: list[str] = []
 
@@ -47,6 +48,23 @@ def check(name: str, ok: bool, detail: str = "") -> None:
 
 def section(title: str) -> None:
     print(f"\n== {title} ==")
+
+
+def _gk15_moment(ev, k: float) -> float:
+    """integral_0^rho t^(k-1) H(t) dt by adaptive GK15 on the AUTO density,
+    with t = rho u^2 below rho/2: shares no node or weight with the rule."""
+    rho = ev.rho
+
+    def left(u):
+        t = rho * u * u
+        return t ** (k - 1.0) * ev.density(t) * 2.0 * rho * u
+
+    def right(t):
+        return t ** (k - 1.0) * ev.density(t)
+
+    return integrate_adaptive(left, 0.0, math.sqrt(0.5), 1e-14, 1e-12) + integrate_adaptive(
+        right, rho / 2.0, rho, 1e-14, 1e-12
+    )
 
 
 def main() -> int:
@@ -68,6 +86,17 @@ def main() -> int:
             for k in ks
         )
         check(f"{name}: worst rel err {worst:.2e}", worst < 1e-6)
+
+    section("cached tanh-sinh rule vs adaptive GK15 (same moments)")
+    for name, ps in NAMED_SETS.items():
+        ev = get_evaluator(ps)
+        if ev.degenerate:
+            continue
+        worst = 0.0
+        for k in ks:
+            gk = _gk15_moment(ev, k)
+            worst = max(worst, abs(ev.moment(k) - gk) / (1.0 + abs(gk)))
+        check(f"{name}: worst rel gap {worst:.2e}", worst < 1e-9)
 
     section("density: dual-route agreement and nonnegativity")
     for name, ps in NAMED_SETS.items():

@@ -263,32 +263,60 @@ def _pole_weight(n: int, scale: float) -> tuple[float, float]:
 def gamma_ratio_log_signed(params: ParameterSet, k: float) -> tuple[float, float]:
     """(log|r|, sign) of the coefficient ratio prod gamma(a+kA) / prod gamma(b+kB).
 
-    Gammas at a pole are counted in each row.  More poles below than above
-    make the ratio zero, reported as (-inf, 1.0); more above make it
-    infinite and raise PoleError.  Equal counts cancel, and the ratio is
-    its finite limit at k: each pole factor contributes its residue weight
-    (``_pole_weight``) once the common 1/(k - k0) is divided out.
+    Away from every pole this is a plain sum of log-gammas.  As soon as one
+    factor is within tolerance of a pole the ratio is handed to
+    ``_ratio_at_pole``, which counts pole factors in each row: more below
+    than above make the ratio zero, reported as (-inf, 1.0); more above make
+    it infinite and raise PoleError; equal counts cancel to the finite limit.
     """
     log_acc = 0.0
     sign = 1.0
-    excess = 0
     for a, s in params.upper:
         arg = a + k * s
-        if arg < 0.5 and (n := _pole_order(arg, s)) is not None:
-            la, sg = _pole_weight(n, s)
-            excess += 1
-        else:
-            la, sg = log_abs_gamma_signed(arg)
+        if arg < 0.5 and _pole_order(arg, s) is not None:
+            return _ratio_at_pole(params, k)
+        la, sg = log_abs_gamma_signed(arg)
         log_acc += la
         sign *= sg
     for b, s in params.lower:
         arg = b + k * s
-        if arg < 0.5 and (n := _pole_order(arg, s)) is not None:
-            la, sg = _pole_weight(n, s)
-            excess -= 1
+        if arg < 0.5 and _pole_order(arg, s) is not None:
+            return _ratio_at_pole(params, k)
+        la, sg = log_abs_gamma_signed(arg)
+        log_acc -= la
+        sign *= sg
+    return log_acc, sign
+
+
+def _ratio_at_pole(params: ParameterSet, k: float) -> tuple[float, float]:
+    """``gamma_ratio_log_signed`` at a k within tolerance of some factor's pole.
+
+    Each factor's nearest pole -n sits at index k0 = (-n - shift)/scale.
+    Poles are decided per coincident group, not per factor: every factor
+    whose k0 lies within _INT_TOL of the k0 of a factor that is within
+    tolerance of k counts as a pole.  Rounding can put two coincident poles
+    on either side of the tolerance; deciding them apart would leave one
+    uncancelled.  A pole factor contributes its residue weight
+    (``_pole_weight``) once the common 1/(k - k0) is divided out.
+    """
+    factors = []  # (row sign, scale, argument, pole order n, pole index k0)
+    for side, row in ((1, params.upper), (-1, params.lower)):
+        for shift, scale in row:
+            arg = shift + k * scale
+            n = -round(arg) if arg < 0.5 else None
+            k0 = (-n - shift) / scale if n is not None else math.nan
+            factors.append((side, scale, arg, n, k0))
+    hits = [k0 for _, scale, arg, _, k0 in factors if _pole_order(arg, scale) is not None]
+    log_acc = 0.0
+    sign = 1.0
+    excess = 0
+    for side, scale, arg, n, k0 in factors:
+        if n is not None and any(abs(k0 - h) <= _INT_TOL for h in hits):
+            la, sg = _pole_weight(n, scale)
+            excess += side
         else:
             la, sg = log_abs_gamma_signed(arg)
-        log_acc -= la
+        log_acc += side * la
         sign *= sg
     if excess < 0:
         return -math.inf, 1.0

@@ -118,10 +118,10 @@ def eval_via_representation(
         )
     zr = float(z)
     ev = get_evaluator(params, config)
-    integral = ev.measure_integral(lambda t: np.exp(zr * t) / t)
+    integral, err = ev._integral(lambda t: np.exp(zr * t) / t)
     corr = complex(correction_series(params, zr)).real if c.m_order is not None else 0.0
     work = ev._res_nodes_used + int(ev._tau.size)
-    return EvalResult(integral + corr, work, 0.0, SeriesStatus.CONVERGED)
+    return EvalResult(integral + corr, work, err, SeriesStatus.CONVERGED)
 
 
 def verify_representation(
@@ -161,10 +161,10 @@ def stieltjes_eval(
             f"kernel 1+tz vanishes inside the support: z={z} <= {-1.0 / c.rho:.6g}"
         )
     ev = get_evaluator(params, config)
-    integral = ev.measure_integral(lambda t: (1.0 + t * z) ** (-sigma) / t)
-    value = gamma_real(sigma) * integral
+    integral, err = ev._integral(lambda t: (1.0 + t * z) ** (-sigma) / t)
+    g = gamma_real(sigma)
     work = ev._res_nodes_used + int(ev._tau.size)
-    return EvalResult(value, work, 0.0, SeriesStatus.CONVERGED)
+    return EvalResult(g * integral, work, g * err, SeriesStatus.CONVERGED)
 
 
 def verify_stieltjes(

@@ -75,7 +75,9 @@ class EvalResult:
 
     ``trunc_estimate`` is the magnitude of the last computed term relative
     to the accumulated value, i.e. an a-posteriori bound stand-in, not a
-    rigorous error bound.
+    rigorous error bound.  Results rebuilt from the representing measure
+    (``eval_via_representation``, ``stieltjes_eval``) carry instead the
+    absolute difference of the last two quadrature levels.
     """
 
     value: complex

@@ -21,8 +21,10 @@ from foxwright.errors import (
     ConstraintError,
     OutsideDomainError,
     PoleCollisionError,
+    QuadratureFailure,
 )
 from foxwright.hfun import MeasureEvaluator
+from foxwright.quadrature import integrate_adaptive
 
 # an upper/lower pair one step apart has the classical beta density
 # t^alpha (1-t)^(beta-alpha-1) / gamma(beta-alpha) as its measure
@@ -124,6 +126,97 @@ class TestNonnegScan:
         report = hfun_nonneg_scan(params)
         assert report.nonneg
         assert report.min_value >= -report.tol_abs
+
+    def test_default_scan_memoised(self, monkeypatch):
+        first = hfun_nonneg_scan(DOUBLE_POLE)
+        calls = _count_density_calls(monkeypatch, get_evaluator(DOUBLE_POLE))
+        assert hfun_nonneg_scan(DOUBLE_POLE) is first
+        assert calls == []
+
+    def test_explicit_grid_bypasses_memo(self, monkeypatch):
+        memo = hfun_nonneg_scan(DOUBLE_POLE)
+        ev = get_evaluator(DOUBLE_POLE)
+        calls = _count_density_calls(monkeypatch, ev)
+        grid = np.linspace(ev.rho * 1e-3, ev.rho * (1 - 1e-3), 50)
+        fresh = hfun_nonneg_scan(DOUBLE_POLE, grid)
+        assert fresh is not memo and fresh == memo
+        assert calls == [50]
+        assert hfun_nonneg_scan(DOUBLE_POLE) is memo
+
+
+def _count_density_calls(monkeypatch, ev):
+    """Record the point count of every density call on ``ev`` from now on."""
+    calls = []
+    inner = ev.density
+
+    def counting(t, method=None):
+        calls.append(np.size(t))
+        return inner(t, method)
+
+    monkeypatch.setattr(ev, "density", counting)
+    return calls
+
+
+def _gk15_integral(ev, fn):
+    """integral_0^rho fn H dt by adaptive GK15 on AUTO density, split at rho/2
+    with t = rho u^2 on the left: an independent check of the cached rule."""
+    rho = ev.rho
+
+    def left(u):
+        t = rho * u * u
+        return fn(t) * ev.density(t) * 2.0 * rho * u
+
+    def right(t):
+        return fn(t) * ev.density(t)
+
+    return integrate_adaptive(
+        left, 0.0, math.sqrt(0.5), tol_abs=1e-15, tol_rel=1e-13
+    ) + integrate_adaptive(right, rho / 2.0, rho, tol_abs=1e-15, tol_rel=1e-13)
+
+
+def _kernels(rho):
+    out = [(f"exp z={z}", lambda t, z=z: np.exp(z * t) / t) for z in (-400.0, -40.0, -5.0, 0.0, 5.0)]
+    out += [
+        (f"stieltjes sigma={sigma} x={x}", lambda t, s=sigma, z=x / rho: (1.0 + t * z) ** (-s) / t)
+        for sigma, x in ((0.5, 0.3), (2.0, 0.9), (1.0, -0.9), (3.0, -0.5))
+    ]
+    out += [(f"moment k={k}", lambda t, k=k: t ** (k - 1.0)) for k in (0.0, 0.5, 1.0, 2.5, 8.0)]
+    return out
+
+
+class TestCachedRule:
+    @pytest.mark.parametrize("params", [DOUBLE_POLE, TWIN_QUARTER])
+    def test_agrees_with_adaptive_gk15(self, params):
+        ev = get_evaluator(params)
+        for name, fn in _kernels(ev.rho):
+            want = _gk15_integral(ev, fn)
+            assert ev.measure_integral(fn) == pytest.approx(want, rel=1e-10), name
+
+    def test_density_alone_builds_no_rule(self):
+        ev = MeasureEvaluator(DOUBLE_POLE)
+        ev.density(np.linspace(0.01, 0.99, 100))
+        assert ev._rule == []
+
+    def test_second_integral_evaluates_no_density(self, monkeypatch):
+        ev = MeasureEvaluator(DOUBLE_POLE)
+        ev.measure_integral(lambda t: np.exp(-40.0 * t) / t)
+        levels = len(ev._rule)
+        calls = _count_density_calls(monkeypatch, ev)
+        ev.moment(1.5)
+        assert calls == []
+        assert len(ev._rule) == levels
+
+    def test_unreachable_tolerance_raises(self):
+        ev = MeasureEvaluator(DOUBLE_POLE, HfunEvalConfig(tol=1e-30))
+        with pytest.raises(QuadratureFailure):
+            ev.moment(1.0)
+
+    def test_singular_kernel_near_zero(self):
+        # t^-1.5 H ~ t^-0.5 near 0 weighs H down to the rule's smallest node;
+        # moment(-0.5) = gamma_ratio(-0.5) - atom, with no pole of the ratio there
+        ev = get_evaluator(DOUBLE_POLE)
+        want = gamma_ratio(DOUBLE_POLE, -0.5) - ev.atom_mellin(-0.5)
+        assert ev.moment(-0.5) == pytest.approx(want, rel=1e-12)
 
 
 class TestGuards:

@@ -201,6 +201,31 @@ class TestGammaRatio:
             2.0**s / math.sqrt(math.pi), rel=1e-12
         )
 
+    # Gauss multiplication (n = 3): gamma(1+s) / (gamma(1/3+s/3) gamma(2/3+s/3)
+    # gamma(1+s/3)) = 3^(s+1/2) / (2 pi); at s = -1, -4, -7 the numerator pole
+    # coincides with a pole of gamma(1/3+s/3)
+    GAUSS_TRIPLE = ParameterSet([(1.0, 1.0)], [(1 / 3, 1 / 3), (2 / 3, 1 / 3), (1.0, 1 / 3)])
+
+    @staticmethod
+    def gauss_triple(s):
+        return 3.0 ** (s + 0.5) / (2.0 * math.pi)
+
+    def test_coincident_group_decided_once(self):
+        # rounding puts the lower (1/3, 1/3) factor just inside the pole
+        # tolerance and the upper (1, 1) factor just outside it
+        s = -7.0 - 1e-9
+        assert gamma_ratio(self.GAUSS_TRIPLE, s) == pytest.approx(self.gauss_triple(s), rel=1e-8)
+
+    @pytest.mark.parametrize("centre", [-1.0, -4.0])
+    def test_points_near_coincident_poles(self, centre):
+        # 1e-10 steps across +-3e-9: inside the tolerance the finite limit,
+        # outside it plain log-gammas, which lose ~7 digits this close to a pole
+        for j in range(-30, 31):
+            s = centre + j * 1e-10
+            assert gamma_ratio(self.GAUSS_TRIPLE, s) == pytest.approx(
+                self.gauss_triple(s), rel=1e-6
+            ), s
+
     def test_denominator_pole_gives_zero(self):
         # twin-quarter at s = -1/2: gamma(0)^2 below, gamma(1/2) above
         assert gamma_ratio(TWIN_QUARTER, -0.5) == 0.0

@@ -35,6 +35,12 @@ class TestExponentialKernel:
         got = eval_via_representation(IDENTITY, z).value
         assert got == pytest.approx(math.exp(z), rel=1e-12)
 
+    @pytest.mark.parametrize("z", [-5.0, 0.0, 2.0])
+    def test_trunc_estimate_is_last_level_difference(self, z):
+        # the quadrature's own estimate, below tol relative to the integral
+        res = eval_via_representation(DOUBLE_POLE, z)
+        assert 0.0 < res.trunc_estimate <= 1e-9 * abs(res.value)
+
     def test_beta_like_set_without_atom(self):
         # mu > 0: representation is the plain integral, no polynomial part
         ps = ParameterSet([(0.7, 1.0)], [(2.3, 1.0)])
@@ -58,6 +64,10 @@ class TestStieltjesKernel:
         rec = verify_stieltjes(params, sigma, z, tol=1e-6)
         assert rec.verdict == "pass"
         assert rec.rel_err < 1e-9
+
+    def test_trunc_estimate_is_last_level_difference(self):
+        res = stieltjes_eval(DOUBLE_POLE, 2.0, 0.5)
+        assert 0.0 < res.trunc_estimate <= 1e-9 * abs(res.value)
 
     def test_gamma_factor_required_for_zero_z_equality(self):
         # at z = 0 the identity forces the gamma(sigma) prefactor on the
