@@ -110,7 +110,7 @@ def main() -> int:
                 )
             )
         )
-        check(f"{name}: residue vs contour diff {diff:.2e}", diff < 1e-7)
+        check(f"{name}: residue vs contour diff {diff:.2e}", diff < 1e-10)
         scan = hfun_nonneg_scan(ps)
         check(f"{name}: density nonnegative (min {scan.min_value:.2e})", scan.nonneg)
 

@@ -16,12 +16,14 @@ Two evaluation routes are implemented and cross-checked:
 
 * Residue route: H(t) is the sum of residues of gamma_ratio(s) * t^(-s)
   over the poles of the numerator gammas at s = -(alpha_i + n)/A_i.  Poles
-  closer than 1e-8 are treated as one multiple pole and their joint residue
-  is extracted by a small circular contour (midpoint rule, spectrally
-  accurate), which is agnostic to multiplicity.  Distinct poles separated
-  by less than 1e-6 are refused: the circle radius cannot be chosen safely.
-  Convergence is geometric in (t/rho)^sigma, so the route is used away
-  from rho.
+  closer than 1e-8 are treated as one multiple pole.  A 32-node circle
+  around each such cluster (midpoint rule, spectrally accurate, agnostic to
+  multiplicity) gives the Laurent coefficients of its principal part once
+  per evaluator; the residue at any t then follows in closed form as
+  t^sigma times a polynomial in ln t.  No circle sum of t^(-s) is taken,
+  so nothing aliases at small t.  Distinct poles separated by less than
+  1e-6 are refused: the circle radius cannot be chosen safely.  Convergence
+  is geometric in (t/rho)^sigma, so the route is used away from rho.
 
 * Contour route: H(t) = (1/2 pi) Integral ratio(c+i tau) t^(-c-i tau) dtau
   along a vertical line right of every pole.  The integrand only decays
@@ -34,6 +36,11 @@ Two evaluation routes are implemented and cross-checked:
   nodes.  The cancellation ratio - subtraction is computed in log space
   with a complex expm1 so the accuracy survives where the two agree to
   ten digits.
+
+AUTO takes residues up to 0.8 rho and the contour above.  When the residue
+table's node budget runs out before its terms are negligible at the
+switch, the switch drops to the table's reach, the t below which its last
+term has decayed past 1e-3 tol.
 
 A parameter set whose ratio IS its polynomial part (upper == lower rows,
 or duplication-formula collapses) has H identically zero; that degeneracy
@@ -50,10 +57,7 @@ weights w_i H(t_i), so the density is evaluated once per node for the life
 of the evaluator and an integral is a dot product fn(t) @ (w H) per level.
 The rule is built lazily, level by level, the first time an integral needs
 it; evaluators that only serve density calls never build it.  Its H values
-come from the contour route above rho/2 and, below, from each pole
-cluster's principal part (the residue route's circle samples turned into
-Laurent coefficients), which unlike the circle sum stays exact at the
-rule's smallest nodes.
+come from the same residue/contour split as AUTO, switched at rho/2.
 """
 
 from __future__ import annotations
@@ -93,7 +97,6 @@ _MERGE_GAP = 1e-8
 _COLLISION_GAP = 1e-6
 _CIRCLE_NODES = 32
 _EXTRA_ORDERS = 6  # extra subtracted 1/s^j terms on the contour
-_RESIDUE_SWITCH = 0.8  # Auto: residues for t <= 0.8 rho
 _DEGENERATE_RATIO = 1e-12
 _PANEL_POINTS = 16
 _MAX_PANELS = 400
@@ -106,11 +109,14 @@ _DE_STEP = 0.5
 _DE_TINY = 1e-29
 _DE_FLOOR = 1e-300
 _DE_MAX_LEVEL = 7
-# The rule takes H from residues up to rho/2 and from the contour above,
-# where the two routes agree to ~1e-12; AUTO's switch at 0.8 rho leaves a
-# ~1e-10 step in H that tanh-sinh integrates only to first order in h.
+# Where H switches from principal-part residues to the contour.  AUTO stays
+# on residues up to 0.8 rho: the contour is up to 1.4e-7 off at 0.5-0.7 rho
+# on mu ~ 2.5 sets.  The rule switches at rho/2: at 0.8 rho the step between the
+# routes, which tanh-sinh integrates only to first order in h, cost moment
+# digits on double-pole and on a mu = -1 set.
+_AUTO_SWITCH = 0.8
 _RULE_SWITCH = 0.5
-_RULE_CHUNK = 64
+_CONTOUR_CHUNK = 64
 
 
 class HfunMethod(enum.Enum):
@@ -182,9 +188,9 @@ class MeasureEvaluator:
         self._g_peak = 0.0
         self.degenerate = False
 
-        # residue state
-        # (center, circle nodes, log circle weights, number of merged poles)
-        self._clusters: list[tuple[float, np.ndarray, np.ndarray, int]] = []
+        # residue state: (center, Laurent coefficients c_0..c_(m-1)) per pole
+        # cluster of m merged poles
+        self._clusters: list[tuple[float, np.ndarray]] = []
         self._res_sigma_built = 0.0
         self._res_nodes_used = 0
         self._pole_gen_exhausted = False
@@ -325,11 +331,16 @@ class MeasureEvaluator:
         return self.eta * acc
 
     def _contour_density(self, t: np.ndarray) -> np.ndarray:
+        """H(t) from the contour, _CONTOUR_CHUNK points at a time: each chunk
+        holds a complex (points x tau) array."""
         if self.degenerate:
             return np.zeros_like(t)
-        phase = np.exp(-1j * np.outer(np.log(t), self._tau))
-        integral = (phase * (self._gl_w * self._g)).sum(axis=1)
-        return t ** (-self._c) / math.pi * integral.real + self._addback(t)
+        weighted = self._gl_w * self._g
+        integral = np.empty_like(t)
+        for i in range(0, t.size, _CONTOUR_CHUNK):
+            phase = np.exp(-1j * np.outer(np.log(t[i : i + _CONTOUR_CHUNK]), self._tau))
+            integral[i : i + _CONTOUR_CHUNK] = (phase * weighted).sum(axis=1).real
+        return t ** (-self._c) / math.pi * integral + self._addback(t)
 
     # ------------------------------------------------------------------
     # residue route
@@ -348,14 +359,27 @@ class MeasureEvaluator:
         out.sort()
         return out
 
-    def _ensure_residue_table(self, sigma_target: float) -> None:
-        # quantise upward so creeping t_max values don't trigger a rebuild per call
-        sigma_target = 10.0 * math.ceil(sigma_target / 10.0)
-        if self.degenerate or sigma_target <= self._res_sigma_built:
+    def _ensure_residue_table(self, t_max: float) -> None:
+        """Laurent coefficients of every pole cluster that H(t <= t_max) needs.
+
+        Residue terms decay like (t/rho)^sigma, so the table runs out to the
+        pole abscissa where that falls below 1e-3 tol, or until the circle
+        nodes of ``max_residue_terms`` are spent (``_pole_gen_exhausted``).
+        """
+        if self.degenerate or self._pole_gen_exhausted:
             return
-        if self._pole_gen_exhausted:
-            return
+        first = -self.constants.gamma_abscissa  # smallest pole abscissa
+        sigma_target = first + math.log(1e-3 * self.config.tol) / math.log(t_max / self.rho)
+        # quantise upward so creeping t_max values don't trigger a rebuild per
+        # call; stop where one upper row alone has more poles than the budget
+        # has clusters, which near rho keeps the pole list finite
         budget = self.config.max_residue_terms
+        sigma_target = min(
+            10.0 * math.ceil(sigma_target / 10.0),
+            min((a + budget // _CIRCLE_NODES) / sc for a, sc in self.params.upper),
+        )
+        if sigma_target <= self._res_sigma_built:
+            return
         sigmas = self._generate_poles(sigma_target)
         # cluster identical (within merge gap) pole positions
         clusters: list[list[float]] = []
@@ -375,7 +399,7 @@ class MeasureEvaluator:
 
         theta = 2.0 * math.pi * (np.arange(_CIRCLE_NODES) + 0.5) / _CIRCLE_NODES
         unit = np.exp(1j * theta)
-        new_clusters: list[tuple[float, np.ndarray, np.ndarray, int]] = []
+        table: list[tuple[float, np.ndarray]] = []
         nodes_used = 0
         for idx, center in enumerate(centers):
             gap = math.inf
@@ -387,46 +411,65 @@ class MeasureEvaluator:
             if nodes_used + _CIRCLE_NODES > budget:
                 self._pole_gen_exhausted = True
                 break
-            s_nodes = -center + radius * unit
-            log_w = (
-                self._log_ratio(s_nodes)
-                + math.log(radius / _CIRCLE_NODES)
-                + 1j * theta
-            )
-            new_clusters.append((center, s_nodes, log_w, len(clusters[idx])))
+            # c_j = (1/2 pi i) oint ratio(s) (s - s0)^j ds by the midpoint rule
+            # on |s - s0| = radius, s0 = -center
+            d = radius * unit
+            w = np.exp(self._log_ratio(-center + d) + math.log(radius / _CIRCLE_NODES) + 1j * theta)
+            coeffs = np.array([float(np.sum(w * d**j).real) for j in range(len(clusters[idx]))])
+            table.append((center, coeffs))
             nodes_used += _CIRCLE_NODES
-        self._clusters = new_clusters
+        self._clusters = table
         self._res_nodes_used = nodes_used
         self._res_sigma_built = sigma_target
 
-    def _residue_density(self, t: np.ndarray) -> tuple[np.ndarray, bool]:
-        """(values, converged) by streaming pole clusters outward."""
-        if self.degenerate:
-            return np.zeros_like(t), True
-        t_max = float(np.max(t))
-        ratio_log = math.log(t_max / self.rho)
-        if ratio_log >= 0:
-            return np.full_like(t, np.nan), False
-        first = -self.constants.gamma_abscissa  # smallest pole abscissa
-        sigma_target = first + math.log(1e-3 * self.config.tol) / ratio_log
-        self._ensure_residue_table(sigma_target)
+    def _principal_density(self, t: np.ndarray) -> np.ndarray:
+        """H(t) as the sum of every pole cluster's principal-part residue.
 
+        With the Laurent coefficients c_j of ratio(s) at s0 = -center, the
+        residue of ratio(s) t^-s there is t^center sum_{j<m} c_j (-ln t)^j / j!
+        for m merged poles: exact at any t, where a circle sum of
+        ratio(s) t^-s would alias once radius |ln t| passes ~5.  Raises
+        NonConvergentError when the node budget ends the table before the
+        last cluster's term is negligible.
+        """
+        if t.size == 0:
+            return np.zeros_like(t)
+        self._ensure_residue_table(float(np.max(t)))
         log_t = np.log(t)
         acc = np.zeros_like(t)
-        scale = 0.0
-        streak = 0
+        term = acc
+        for center, coeffs in self._clusters:
+            poly = np.zeros_like(t)
+            for j in reversed(range(coeffs.size)):
+                poly = poly * -log_t / (j + 1) + coeffs[j]
+            term = np.exp(center * log_t) * poly
+            acc += term
         tol = self.config.tol
-        for _center, s_nodes, log_w, _order in self._clusters:
-            contrib = np.exp(log_w[None, :] - np.outer(log_t, s_nodes)).sum(axis=1).real
-            acc += contrib
-            scale = max(scale, float(np.max(np.abs(acc))))
-            if float(np.max(np.abs(contrib))) <= tol * max(scale, 1e-300):
-                streak += 1
-                if streak >= 3:
-                    return acc, True
-            else:
-                streak = 0
-        return acc, False
+        if self._pole_gen_exhausted and np.max(np.abs(term)) > tol * np.max(np.abs(acc)):
+            raise NonConvergentError(
+                "residue clusters failed to decay within the node budget; "
+                "use the contour method this close to the support endpoint"
+            )
+        return acc
+
+    def _split_density(self, t: np.ndarray, switch: float) -> np.ndarray:
+        """H from principal-part residues up to switch * rho, contour above.
+
+        When the node budget ends the residue table at sigma_last, the cut
+        drops to the table's reach rho (1e-3 tol)^(1/(sigma_last - first)),
+        below which its last term has decayed past 1e-3 tol.
+        """
+        low = t <= switch * self.rho
+        if np.any(low):
+            self._ensure_residue_table(float(np.max(t[low])))
+            if self._pole_gen_exhausted:
+                span = self._clusters[-1][0] + self.constants.gamma_abscissa
+                reach = self.rho * (1e-3 * self.config.tol) ** (1.0 / span) if span > 0 else 0.0
+                low &= t <= reach
+        out = np.empty_like(t)
+        out[low] = self._principal_density(t[low])
+        out[~low] = self._contour_density(t[~low])
+        return out
 
     # ------------------------------------------------------------------
     # public surface
@@ -445,23 +488,8 @@ class MeasureEvaluator:
         if method is HfunMethod.REGULARIZED_CONTOUR:
             return self._contour_density(t)
         if method is HfunMethod.RESIDUE_SERIES:
-            vals, ok = self._residue_density(t)
-            if not ok:
-                raise NonConvergentError(
-                    "residue shells failed to decay within the node budget; "
-                    "use the contour method this close to the support endpoint"
-                )
-            return vals
-        near = t > _RESIDUE_SWITCH * self.rho
-        out = np.empty_like(t)
-        if np.any(~near):
-            vals, ok = self._residue_density(t[~near])
-            if not ok:
-                vals = self._contour_density(t[~near])
-            out[~near] = vals
-        if np.any(near):
-            out[near] = self._contour_density(t[near])
-        return out
+            return self._principal_density(t)
+        return self._split_density(t, _AUTO_SWITCH)
 
     def atom_mellin(self, s: float) -> float:
         """Mellin transform of the endpoint atoms: eta rho^s sum_r l_r s^(m-r).
@@ -493,7 +521,7 @@ class MeasureEvaluator:
             w = h * 0.25 * math.pi * self.rho * np.cosh(x) / np.cosh(u) ** 2
             inside = t < self.rho
             t = t[inside]
-            self._rule.append((t, w[inside] * self._rule_density(t)))
+            self._rule.append((t, w[inside] * self._split_density(t, _RULE_SWITCH)))
         return self._rule[level]
 
     def _rule_span(self) -> float:
@@ -503,57 +531,6 @@ class MeasureEvaluator:
         if first > 0.0:
             tiny = max(min(tiny, (1e-3 * self.config.tol) ** (1.0 / first)), _DE_FLOOR)
         return math.asinh(-math.log(tiny) / math.pi)
-
-    def _rule_density(self, t: np.ndarray) -> np.ndarray:
-        """H at rule nodes: principal-part residues up to rho/2, contour above.
-
-        The contour nodes go in chunks of _RULE_CHUNK: a fine level has
-        hundreds of them, and the contour route holds a complex
-        (nodes x tau) array per call.
-        """
-        low = t <= _RULE_SWITCH * self.rho
-        out = np.empty_like(t)
-        out[low] = self._principal_density(t[low])
-        high = np.flatnonzero(~low)
-        for i in range(0, high.size, _RULE_CHUNK):
-            idx = high[i : i + _RULE_CHUNK]
-            out[idx] = self.density(t[idx], HfunMethod.REGULARIZED_CONTOUR)
-        return out
-
-    def _principal_density(self, t: np.ndarray) -> np.ndarray:
-        """H(t) for t <= rho/2 from each pole cluster's principal part.
-
-        A cluster's circle samples give its Laurent coefficients
-        c_j = (1/2 pi i) oint ratio(s) (s - s0)^j ds, which do not depend on
-        t, and the residue of ratio(s) t^-s at s0 = -center is then
-        t^center sum_{j<m} c_j (-ln t)^j / j! for m merged poles.  The circle
-        sum of ratio(s) t^-s itself aliases once r |ln t| passes ~5 (relative
-        error 8e-6 at t = 1e-15 and 7e-2 at 1e-20 on double-pole), while the
-        rule's nodes reach t ~ 1e-29 rho, where kernels like t^-1.5 still
-        weigh H.  Every cluster of the table is summed; the table reaches the
-        pole abscissa where (t/rho)^sigma falls below 1e-3 tol.
-        """
-        tol = self.config.tol
-        first = -self.constants.gamma_abscissa
-        self._ensure_residue_table(
-            first + math.log(1e-3 * tol) / math.log(float(np.max(t)) / self.rho)
-        )
-        log_t = np.log(t)
-        acc = np.zeros_like(t)
-        term = acc
-        for center, s_nodes, log_w, order in self._clusters:
-            w = np.exp(log_w)
-            d = s_nodes + center
-            poly = np.zeros_like(t)
-            for j in reversed(range(order)):
-                poly = poly * -log_t / (j + 1) + float(np.sum(w * d**j).real)
-            term = np.exp(center * log_t) * poly
-            acc += term
-        if self._pole_gen_exhausted and np.max(np.abs(term)) > tol * np.max(np.abs(acc)):
-            raise NonConvergentError(
-                "residue clusters failed to decay within the node budget at t <= rho/2"
-            )
-        return acc
 
     def _integral(self, fn: Callable[[np.ndarray], np.ndarray]) -> tuple[float, float]:
         """(integral_0^rho fn(t) H(t) dt, |difference of the last two levels|).
@@ -604,15 +581,20 @@ class MeasureEvaluator:
         return self.measure_integral(lambda t: t ** (s - 1.0))
 
 
+# Evaluators by (params, config), least recently used first; at most
+# _EVALUATOR_CAP are kept, so a stream of new sets holds bounded memory.
 _EVALUATORS: dict[tuple[ParameterSet, HfunEvalConfig], MeasureEvaluator] = {}
+_EVALUATOR_CAP = 32
 
 
 def get_evaluator(params: ParameterSet, config: HfunEvalConfig | None = None) -> MeasureEvaluator:
     key = (params, config or HfunEvalConfig())
-    ev = _EVALUATORS.get(key)
+    ev = _EVALUATORS.pop(key, None)
     if ev is None:
         ev = MeasureEvaluator(key[0], key[1])
-        _EVALUATORS[key] = ev
+        if len(_EVALUATORS) >= _EVALUATOR_CAP:
+            del _EVALUATORS[next(iter(_EVALUATORS))]
+    _EVALUATORS[key] = ev
     return ev
 
 

@@ -262,4 +262,4 @@ def test_criterion_10_dual_method_agreement(acceptance):
         res = ev.density(ts, method=HfunMethod.RESIDUE_SERIES)
         con = ev.density(ts, method=HfunMethod.REGULARIZED_CONTOUR)
         worst = max(worst, float(np.max(np.abs(res - con))))
-    assert acceptance("dual-method-agreement", worst <= 1e-7), f"worst abs diff {worst:.3e}"
+    assert acceptance("dual-method-agreement", worst <= 1e-10), f"worst abs diff {worst:.3e}"

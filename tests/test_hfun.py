@@ -16,9 +16,11 @@ from foxwright import (
     moment_identity_check,
     shift_parameters,
 )
+from foxwright import hfun
 from foxwright.catalog import DOUBLE_POLE, EXP_COLLAPSE, IDENTITY, TWIN_QUARTER
 from foxwright.errors import (
     ConstraintError,
+    NonConvergentError,
     OutsideDomainError,
     PoleCollisionError,
     QuadratureFailure,
@@ -42,7 +44,7 @@ class TestRouteAgreement:
         ts = np.array([0.1, 0.5, 0.8]) * ev.rho
         res = ev.density(ts, method=HfunMethod.RESIDUE_SERIES)
         con = ev.density(ts, method=HfunMethod.REGULARIZED_CONTOUR)
-        assert np.max(np.abs(res - con)) < 1e-7
+        assert np.max(np.abs(res - con)) < 1e-10
 
     def test_degenerate_set_both_routes_zero(self):
         ev = get_evaluator(EXP_COLLAPSE)
@@ -52,12 +54,61 @@ class TestRouteAgreement:
         assert np.all(ev.density(ts, method=HfunMethod.REGULARIZED_CONTOUR) == 0.0)
 
 
+class TestResidueRoute:
+    """The principal-part residue route where the circle sum of t^-s failed."""
+
+    @staticmethod
+    def double_pole_oracle(t):
+        # H(t) = 2 G^{2,0}_{2,2}(t^2 | ; 1,1 / 1/2,3/2 ;), (2/pi) t below 1e-12
+        if t <= 1e-12:
+            return 2.0 * t / math.pi
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            return float(2 * mpmath.meijerg([[], [1, 1]], [[0.5, 1.5], []], mpmath.mpf(t) ** 2))
+
+    def test_auto_fresh_batch_with_tiny_t(self):
+        # the residue table for t_max = 0.23 once ended before the stop rule
+        # was met, and AUTO fell back to the contour for the whole batch
+        ts = np.array([1e-12, 1e-6, 0.23])
+        got = MeasureEvaluator(DOUBLE_POLE).density(ts)
+        for t, value in zip(ts, got):
+            want = self.double_pole_oracle(t)
+            assert value == pytest.approx(want, rel=1e-12, abs=0.0), t
+
+    def test_residue_route_at_small_table(self):
+        ev = MeasureEvaluator(DOUBLE_POLE)
+        got = float(ev.density(np.array([0.01]), HfunMethod.RESIDUE_SERIES)[0])
+        assert got == pytest.approx(self.double_pole_oracle(0.01), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("t", [1e-15, 1e-20])
+    def test_residue_route_exact_at_tiny_t(self, t):
+        ev = get_evaluator(DOUBLE_POLE)
+        got = float(ev.density(np.array([t]), HfunMethod.RESIDUE_SERIES)[0])
+        assert got == pytest.approx(2.0 * t / math.pi, rel=1e-12, abs=0.0)
+
+    def test_auto_cut_drops_to_table_reach(self):
+        # four clusters per unit of sigma spend the node budget at sigma ~ 62,
+        # short of what 0.79 rho needs: AUTO must hand those t to the contour
+        params = ParameterSet([(0.3, 2.0), (0.9, 2.0)], [(1.0, 2.0), (0.7, 2.0)])
+        ev = MeasureEvaluator(params)
+        ts = np.array([0.05, 0.3, 0.5, 0.79]) * ev.rho
+        got = ev.density(ts)
+        assert ev._pole_gen_exhausted
+        con = ev.density(ts, HfunMethod.REGULARIZED_CONTOUR)
+        assert np.max(np.abs(got - con) / np.abs(con)) < 1e-12
+
+    @pytest.mark.parametrize("method", list(HfunMethod))
+    def test_empty_input_gives_empty_output(self, method):
+        got = get_evaluator(DOUBLE_POLE).density(np.array([]), method)
+        assert got.shape == (0,)
+
+
 class TestKnownDensities:
     @pytest.mark.parametrize("t", [0.05, 0.2, 0.5, 0.8, 0.95])
     def test_beta_density_oracle(self, t):
         ev = get_evaluator(BETA_LIKE)
         got = float(ev.density(np.array([t]))[0])
-        assert got == pytest.approx(beta_density(t), rel=2e-7)
+        assert got == pytest.approx(beta_density(t), rel=1e-10)
 
     def test_double_pole_small_t_slope(self):
         # H(t) ~ (2/pi) t as t -> 0 for the double-pole set
@@ -246,6 +297,13 @@ class TestGuards:
         with pytest.raises(PoleCollisionError):
             ev.density(np.array([0.3]), method=HfunMethod.RESIDUE_SERIES)
 
+    def test_residue_route_near_rho_raises_typed_error(self):
+        # the table stops at the node budget rather than listing every pole
+        # out to the sigma ~ 3e13 that (t/rho)^sigma < 1e-12 asks for here
+        ev = MeasureEvaluator(DOUBLE_POLE)
+        with pytest.raises(NonConvergentError):
+            ev.density(np.array([1.0 - 1e-12]), method=HfunMethod.RESIDUE_SERIES)
+
     def test_config_validation(self):
         from foxwright.errors import ParameterError
 
@@ -264,6 +322,17 @@ class TestGuards:
 class TestEvaluatorCache:
     def test_same_params_same_object(self):
         assert get_evaluator(DOUBLE_POLE) is get_evaluator(DOUBLE_POLE)
+
+    def test_cache_bounded_least_recently_used_first(self):
+        keep = get_evaluator(DOUBLE_POLE)
+        cap = hfun._EVALUATOR_CAP
+        sets = [shift_parameters(DOUBLE_POLE, 0.01 * (i + 1)) for i in range(cap + 8)]
+        oldest = get_evaluator(sets[0])
+        for ps in sets[1:]:
+            get_evaluator(ps)
+            assert get_evaluator(DOUBLE_POLE) is keep
+        assert len(hfun._EVALUATORS) == cap
+        assert get_evaluator(sets[0]) is not oldest
 
     def test_custom_config_not_cached_into_default(self):
         custom = get_evaluator(DOUBLE_POLE, HfunEvalConfig(contour_cutoff=8.0))
