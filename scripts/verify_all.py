@@ -16,6 +16,8 @@ import numpy as np
 
 from foxwright import (
     HfunMethod,
+    MeasureEvaluator,
+    ParameterSet,
     cm_check,
     derive_constants,
     eval_via_representation,
@@ -101,16 +103,17 @@ def main() -> int:
     section("density: dual-route agreement and nonnegativity")
     for name, ps in NAMED_SETS.items():
         ev = get_evaluator(ps)
-        ts = np.array([0.1, 0.5, 0.8]) * ev.rho
+        # 0.3 rho and 0.5 rho: both the residue and the endpoint series converge
+        ts = np.array([0.3, 0.5]) * ev.rho
         diff = float(
             np.max(
                 np.abs(
                     ev.density(ts, method=HfunMethod.RESIDUE_SERIES)
-                    - ev.density(ts, method=HfunMethod.REGULARIZED_CONTOUR)
+                    - ev.density(ts, method=HfunMethod.ENDPOINT_SERIES)
                 )
             )
         )
-        check(f"{name}: residue vs contour diff {diff:.2e}", diff < 1e-10)
+        check(f"{name}: residue vs endpoint series diff {diff:.2e}", diff < 1e-12)
         scan = hfun_nonneg_scan(ps)
         check(f"{name}: density nonnegative (min {scan.min_value:.2e})", scan.nonneg)
 
@@ -201,6 +204,21 @@ def main() -> int:
         f"delta=-0.5 nondecreasing (viol {down.max_violation:.2e}, routes {down.max_route_gap:.2e})",
         down.monotone_ok and down.max_route_gap < 1e-6,
     )
+
+    section("degeneracy from the residue table")
+    entire = {
+        "exp-collapse": NAMED_SETS["exp-collapse"],
+        "identity": NAMED_SETS["identity"],
+        "gauss (1,1)/(1/3,1/3)(2/3,1/3)(1,1/3)": ParameterSet(
+            [(1.0, 1.0)], [(1 / 3, 1 / 3), (2 / 3, 1 / 3), (1.0, 1 / 3)]
+        ),
+    }
+    for name, ps in entire.items():
+        ev = MeasureEvaluator(ps)
+        zeros = bool(np.all(ev.density(np.linspace(0.05, 0.95, 19) * ev.rho) == 0.0))
+        check(f"{name}: degenerate, AUTO density exactly 0", ev.degenerate and zeros)
+    near = MeasureEvaluator(ParameterSet([(1.0, 1.0)], [(0.5, 0.5), (1.0 + 1e-6, 0.5)]))
+    check("(1,1)/(1/2,1/2)(1+1e-6,1/2), 1e-6 from entire: not degenerate", not near.degenerate)
 
     section("degenerate collapse")
     ev = get_evaluator(NAMED_SETS["exp-collapse"])

@@ -5,7 +5,8 @@ The package is organised in layers:
 * :mod:`foxwright.special` - scalar/vector log-gamma, Bernoulli, Stirling.
 * :mod:`foxwright.params` - parameter rows, derived constants, domains.
 * :mod:`foxwright.series` - direct summation and named specialisations.
-* :mod:`foxwright.hfun` - the representing density on (0, rho), two ways.
+* :mod:`foxwright.hfun` - the representing density on (0, rho), from the
+  pole residues and from the endpoint series.
 * :mod:`foxwright.representations` - integral representations and identity
   verifiers built from the density.
 * :mod:`foxwright.bounds` - two-sided exponential/Stieltjes bounds, complete
@@ -22,7 +23,6 @@ from .errors import (
     NonConvergentError,
     OutsideDomainError,
     ParameterError,
-    PoleCollisionError,
     PoleError,
     QuadratureFailure,
 )
@@ -139,7 +139,6 @@ __all__ = [
     "PoleError",
     "OutsideDomainError",
     "DomainError",
-    "PoleCollisionError",
     "NonConvergentError",
     "QuadratureFailure",
     "DegenerateError",

@@ -25,10 +25,6 @@ class DomainError(FoxwrightError, ValueError):
     """A precondition on auxiliary arguments (sigma, kernel positivity, ...) fails."""
 
 
-class PoleCollisionError(FoxwrightError):
-    """Two distinct pole ladders come too close to separate numerically."""
-
-
 class NonConvergentError(FoxwrightError):
     """An iterative evaluation hit its term budget without the tail decaying."""
 

@@ -12,52 +12,58 @@ t = rho.  The atoms are always handled in closed form elsewhere
 (``atom_mellin`` here, ``correction_series`` in the series module); nothing
 in this file ever tries to integrate across them.
 
-Two evaluation routes are implemented and cross-checked:
+H has two series, one converging at each end of the support:
 
-* Residue route: H(t) is the sum of residues of gamma_ratio(s) * t^(-s)
-  over the poles of the numerator gammas at s = -(alpha_i + n)/A_i.  Poles
-  closer than 1e-8 are treated as one multiple pole.  A 32-node circle
-  around each such cluster (midpoint rule, spectrally accurate, agnostic to
-  multiplicity) gives the Laurent coefficients of its principal part once
-  per evaluator; the residue at any t then follows in closed form as
-  t^sigma times a polynomial in ln t.  No circle sum of t^(-s) is taken,
-  so nothing aliases at small t.  Distinct poles separated by less than
-  1e-6 are refused: the circle radius cannot be chosen safely.  Convergence
-  is geometric in (t/rho)^sigma, so the route is used away from rho.
+* Residue route, away from rho: H(t) is the sum of the residues of
+  gamma_ratio(s) t^(-s) at the poles s = -(alpha_i + n)/A_i of the
+  numerator gammas.  Poles closer than 1e-3 of the smallest ladder spacing
+  form one group with nodes s_0..s_(m-1), coincident ones included.  A
+  midpoint rule on a circle around the group (spectrally accurate) gives
+  its Newton moments c_k = (1/2 pi i) oint ratio(s) prod_(j<k) (s - s_j) ds
+  once per evaluator, and the group's residues sum to
+  sum_k c_k f[s_0..s_k] for f(s) = t^(-s) (McCurdy, Ng & Parlett, Math.
+  Comp. 43, 1984).  The divided differences come from the Taylor series of
+  exp about the group's centre, so they do not cancel however close the
+  nodes are, and reduce to c_k (-ln t)^k / k! when the nodes coincide.  Per
+  group that is t^centre times a fixed power series in ln t: no circle sum
+  of t^(-s) is taken, so nothing aliases at small t.  The terms decay like
+  (t/rho)^sigma.
 
-* Contour route: H(t) = (1/2 pi) Integral ratio(c+i tau) t^(-c-i tau) dtau
-  along a vertical line right of every pole.  The integrand only decays
-  algebraically, so the known asymptotic eta * rho^s * sum l_r s^(m-r) is
-  subtracted through order m+6; the subtracted terms with non-negative
-  powers of s transform to atoms at rho (zero on the open interval) while
-  the 1/s^j terms transform back analytically as
-  eta * l_(m+j) * ln(rho/t)^(j-1)/(j-1)!.  What remains decays like
-  |tau|^(-7) and is integrated on cached unit panels of Gauss-Legendre
-  nodes.  The cancellation ratio - subtraction is computed in log space
-  with a complex expm1 so the accuracy survives where the two agree to
-  ten digits.
+* Endpoint route, away from 0: H(t) = eta sum_r l_r u^(mu+r-1) / gamma(mu+r)
+  with u = ln(rho/t) and the l_r of ``correction_coeffs`` through r = 40
+  (Buhring, SIAM J. Math. Anal. 23, 1992).  Terms with mu + r a
+  non-positive integer are the endpoint atoms and are left out.  It
+  converges in u with a radius that depends on the set.
 
-AUTO takes residues up to 0.8 rho and the contour above.  When the residue
-table's node budget runs out before its terms are negligible at the
-switch, the switch drops to the table's reach, the t below which its last
-term has decayed past 1e-3 tol.
+Each route reports an error estimate: its last two terms (so that a
+vanishing coefficient does not hide the tail) plus its rounding floor
+eps * sum |terms|.  The endpoint estimate falls as t grows, so one cut
+per evaluator follows from it: the residue table is built so that its
+tail is at the rounding level just above the last t (on a rho/32 grid)
+where the endpoint estimate exceeds 16 eps |H|, or as far as the node
+budget allows.  Out to the table's reach AUTO and the integration rule
+take, per t, the route with the smaller estimate; above it the endpoint
+series serves.  No switch point is measured or configured.
 
 A parameter set whose ratio IS its polynomial part (upper == lower rows,
-or duplication-formula collapses) has H identically zero; that degeneracy
-is detected from the contour integrand and both routes then return exact
-zeros rather than integrating noise.
+duplication- or multiplication-formula collapses) has H identically zero.
+That degeneracy is read off the residue table: every Newton moment of its
+first step sits at rounding level against its circle's largest
+|ratio(s)| * radius.  Both routes then return exact zeros.
 
 Every integral against the measure, integral_0^rho fn(t) H(t) dt, runs on
 one nested tanh-sinh rule (Takahasi & Mori, 1974) cached on the evaluator.
 The substitution t = rho/2 (1 + tanh(pi/2 sinh x)) makes the integrand
 decay double-exponentially in x at both ends, which absorbs the algebraic
-small-t behaviour of H and the log(rho/t) powers at rho alike.  Each level
-of the rule halves the step and stores only its new nodes t_i with their
-weights w_i H(t_i), so the density is evaluated once per node for the life
-of the evaluator and an integral is a dot product fn(t) @ (w H) per level.
-The rule is built lazily, level by level, the first time an integral needs
-it; evaluators that only serve density calls never build it.  Its H values
-come from the same residue/contour split as AUTO, switched at rho/2.
+behaviour of H at 0 and at rho alike.  Each level of the rule halves the
+step and stores only its new nodes t_i with their weights w_i H(t_i), so
+the density is evaluated once per node for the life of the evaluator and
+an integral is a dot product fn(t) @ (w H) per level.  The rule is built
+lazily, level by level, the first time an integral needs it; evaluators
+that only serve density calls never build it.  Its H values come from the
+same per-t route choice as AUTO, with u = ln(rho/t) taken from the
+complement of the substitution, so nodes where t rounds onto rho keep an
+exact u.
 """
 
 from __future__ import annotations
@@ -74,12 +80,10 @@ from .errors import (
     NonConvergentError,
     OutsideDomainError,
     ParameterError,
-    PoleCollisionError,
     QuadratureFailure,
 )
 from .params import ParameterSet, correction_coeffs, derive_constants
-from .quadrature import gauss_legendre
-from .special import gamma_real, log_gamma_complex_vec
+from .special import log_gamma_complex_vec
 
 __all__ = [
     "HfunMethod",
@@ -93,35 +97,30 @@ __all__ = [
     "NonnegReport",
 ]
 
-_MERGE_GAP = 1e-8
-_COLLISION_GAP = 1e-6
+_EPS = float(np.finfo(float).eps)
 _CIRCLE_NODES = 32
-_EXTRA_ORDERS = 6  # extra subtracted 1/s^j terms on the contour
+_GROUP_GAP = 1e-3  # of the smallest ladder spacing: closer poles share a circle
+_TABLE_STEP = 10.0  # the residue table grows to multiples of this sigma
 _DEGENERATE_RATIO = 1e-12
-_PANEL_POINTS = 16
-_MAX_PANELS = 400
-# tanh-sinh rule on (0, rho): x runs over [-X, X] with step _DE_STEP / 2^level.
+_ENDPOINT_ORDER = 40
+# the endpoint series alone serves where its estimate is below this many eps |H|
+_ENDPOINT_ULPS = 16.0
+_RESIDUE_CHUNK = 128  # points per (points x groups) block of the residue sum
+# tanh-sinh rule on (0, rho): x runs over [-X_lo, X_hi] with step _DE_STEP / 2^level.
 # The smallest node sits at t = rho * _DE_TINY, or lower when H ~ t^a decays
 # slowly near 0 (a = min shift/scale), so that the tail t^a / a left out stays
 # below 1e-3 tol; never below rho * _DE_FLOOR, where 1/t and t H still fit
-# in a double.  Nodes near x = +X round onto rho and are dropped.
+# in a double.  The same holds for rho - t when H ~ (rho - t)^(mu - 1) with
+# 0 < mu < 1.
 _DE_STEP = 0.5
 _DE_TINY = 1e-29
 _DE_FLOOR = 1e-300
 _DE_MAX_LEVEL = 7
-# Where H switches from principal-part residues to the contour.  AUTO stays
-# on residues up to 0.8 rho: the contour is up to 1.4e-7 off at 0.5-0.7 rho
-# on mu ~ 2.5 sets.  The rule switches at rho/2: at 0.8 rho the step between the
-# routes, which tanh-sinh integrates only to first order in h, cost moment
-# digits on double-pole and on a mu = -1 set.
-_AUTO_SWITCH = 0.8
-_RULE_SWITCH = 0.5
-_CONTOUR_CHUNK = 64
 
 
 class HfunMethod(enum.Enum):
     RESIDUE_SERIES = "residue-series"
-    REGULARIZED_CONTOUR = "regularized-contour"
+    ENDPOINT_SERIES = "endpoint-series"
     AUTO = "auto"
 
 
@@ -129,27 +128,20 @@ class HfunMethod(enum.Enum):
 class HfunEvalConfig:
     """Knobs for the density evaluator.
 
-    contour_abscissa: real part c of the vertical line (must exceed the
-        rightmost pole abscissa); None picks max(gamma, 0) + 1 bumped so
-        every gamma argument stays in the right half-plane.
-    contour_cutoff: truncation T of the tau integral; None grows panels
-        until the integrand has decayed below 1e-12 of its peak.
-    max_residue_terms: budget of circle nodes across all pole clusters.
+    method: the route ``density`` takes when the call names none.
+    max_residue_terms: budget of circle nodes across all pole groups.
+    tol: accuracy the residue table and the integration rule aim at.
     """
 
     method: HfunMethod = HfunMethod.AUTO
-    contour_abscissa: float | None = None
-    contour_cutoff: float | None = None
     max_residue_terms: int = 8000
     tol: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.tol <= 0:
             raise ParameterError("tol must be positive")
-        if self.contour_cutoff is not None and self.contour_cutoff <= 0:
-            raise ParameterError("contour_cutoff must be positive")
         if self.max_residue_terms < _CIRCLE_NODES:
-            raise ParameterError("max_residue_terms below a single cluster's node count")
+            raise ParameterError("max_residue_terms below a single circle's node count")
 
 
 class MeasureEvaluator:
@@ -176,52 +168,45 @@ class MeasureEvaluator:
         self.mu = self.constants.mu
         self.rho = self.constants.rho
         self.eta = self.constants.eta
-        self._n_sub = (self.m or 0) + _EXTRA_ORDERS
-        self._ell = correction_coeffs(params, self._n_sub)
-        self._c = self._pick_abscissa()
+        self._first = -self.constants.gamma_abscissa  # smallest pole abscissa
 
-        # contour state
-        self._tau: np.ndarray = np.empty(0)
-        self._gl_w: np.ndarray = np.empty(0)
-        self._g: np.ndarray = np.empty(0, dtype=complex)
-        self._sub_peak = 0.0
-        self._g_peak = 0.0
-        self.degenerate = False
+        # endpoint series H = u^power * sum_i coef_i u^i, from the l_r with
+        # r = m+1..order (r <= m are the atoms), or r = 0..order when mu > 0
+        # at least the two terms the tail estimate reads
+        order = max(_ENDPOINT_ORDER, (self.m or 0) + 2)
+        self._ell = correction_coeffs(params, order)
+        lead = 0 if self.m is None else self.m + 1
+        self._end_power = self.mu + lead - 1.0
+        self._end_coef = np.array(
+            [self.eta * self._ell[r] / math.gamma(self.mu + r) for r in range(lead, order + 1)]
+        )
 
-        # residue state: (center, Laurent coefficients c_0..c_(m-1)) per pole
-        # cluster of m merged poles
-        self._clusters: list[tuple[float, np.ndarray]] = []
+        # residue table, grown by _extend_table: row g of keys is the
+        # (centre, radius, nodes) of group g's circle, its residues at t sum
+        # to t^centre sum_n coeffs[g, n] (-ln t)^n, and scale[g] is
+        # max |c_k| / (max |ratio| * radius) on its circle
+        self._res_keys = np.empty((0, 3))
+        self._res_coeffs = np.empty((0, 0))
+        self._res_scale = np.empty(0)
         self._res_sigma_built = 0.0
         self._res_nodes_used = 0
         self._pole_gen_exhausted = False
+        # the part of the table AUTO reads, fixed by _place_cut
+        self._auto_groups = 0
+        self._auto_reach = 0.0
+        # the benchmark counts work as _res_nodes_used + _tau.size; every node
+        # is spent on the residue table, so _tau stays empty
+        self._tau = np.empty(0)
 
         # integration state, filled lazily: tanh-sinh levels of (t_i, w_i H(t_i))
         # and the default nonnegativity scan
         self._rule: list[tuple[np.ndarray, np.ndarray]] = []
         self._default_scan: NonnegReport | None = None
 
-        self._build_contour()
-
-    # ------------------------------------------------------------------
-    # shared helpers
-    # ------------------------------------------------------------------
-
-    def _pick_abscissa(self) -> float:
-        g = self.constants.gamma_abscissa
-        c = max(g, 0.0) + 1.0
-        # keep every gamma argument's real part >= 0.6 along the line so the
-        # vectorised log-gamma never reflects (reflection would meet
-        # sin(pi z) overflow for large |Im z|)
-        for shift, scale in self.params.upper + self.params.lower:
-            c = max(c, (0.6 - shift) / scale)
-        explicit = self.config.contour_abscissa
-        if explicit is not None:
-            if explicit <= g:
-                raise ParameterError(
-                    f"contour abscissa {explicit} does not clear the pole front {g}"
-                )
-            return float(explicit)
-        return c
+        self._extend_table(self._first + _TABLE_STEP)
+        self.degenerate = bool(np.all(self._res_scale <= _DEGENERATE_RATIO))
+        if not self.degenerate:
+            self._place_cut()
 
     def _log_ratio(self, s: np.ndarray) -> np.ndarray:
         acc = np.zeros_like(s, dtype=complex)
@@ -232,115 +217,21 @@ class MeasureEvaluator:
         return acc
 
     # ------------------------------------------------------------------
-    # contour route
+    # endpoint route
     # ------------------------------------------------------------------
 
-    def _g_values(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """ratio(s) minus its subtracted asymptotic part, plus |subtraction|.
-
-        Returned as (g, |sub|); the second array feeds the degeneracy and
-        truncation heuristics.
-        """
-        log_ratio = self._log_ratio(s)
-        w_inv = 1.0 / s
-        poly = np.zeros_like(s, dtype=complex)
-        for r in range(self._n_sub, -1, -1):
-            poly = poly * w_inv + self._ell[r]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_sub = (
-                math.log(self.eta)
-                + s * math.log(self.rho)
-                - self.mu * np.log(s)
-                + np.log(poly)
-            )
-            w = log_ratio - log_sub
-            w = w - 2j * math.pi * np.round(w.imag / (2.0 * math.pi))
-            sub = np.exp(log_sub)
-            g_accurate = sub * _cexpm1(w)
-            g_plain = np.exp(log_ratio) - sub
-        g = np.where(np.abs(w) < 0.5, g_accurate, g_plain)
-        g = np.where(np.isfinite(g), g, g_plain)
-        return g, np.abs(sub)
-
-    def _build_contour(self) -> None:
-        nodes, weights = gauss_legendre(_PANEL_POINTS)
-        explicit_t = self.config.contour_cutoff
-        n_panels = _MAX_PANELS if explicit_t is None else max(1, int(math.ceil(explicit_t)))
-
-        taus: list[np.ndarray] = []
-        gs: list[np.ndarray] = []
-        ws: list[np.ndarray] = []
-        prev_peak = math.inf
-        floor_streak = 0
-        for j in range(n_panels):
-            lo, hi = float(j), float(j + 1)
-            if explicit_t is not None:
-                hi = min(hi, explicit_t)
-                if hi <= lo:
-                    break
-            half = 0.5 * (hi - lo)
-            tau = 0.5 * (lo + hi) + half * nodes
-            s = self._c + 1j * tau
-            g, sub = self._g_values(s)
-            taus.append(tau)
-            gs.append(g)
-            ws.append(weights * half)
-            self._sub_peak = max(self._sub_peak, float(np.max(sub)))
-            panel_peak = float(np.max(np.abs(g)))
-            self._g_peak = max(self._g_peak, panel_peak)
-            if explicit_t is None and j >= 20:
-                if panel_peak <= 1e-12 * self._g_peak:
-                    break
-                if self._g_peak <= _DEGENERATE_RATIO * self._sub_peak:
-                    # the gamma-product ratio matches its asymptotic form
-                    # exactly on the whole grid: nothing left to integrate
-                    break
-                # Past the panel where rounding noise in the log-space
-                # subtraction overtakes the true tau^-(n_sub+1) decay, panel
-                # peaks stop shrinking and further panels only add noise.
-                deep_tail = panel_peak <= 1e-6 * self._g_peak
-                if deep_tail and panel_peak >= 0.9 * prev_peak:
-                    floor_streak += 1
-                    if floor_streak >= 3:
-                        break
-                else:
-                    floor_streak = 0
-            prev_peak = panel_peak
-
-        self._tau = np.concatenate(taus)
-        self._gl_w = np.concatenate(ws)
-        self._g = np.concatenate(gs)
-        self.degenerate = self._g_peak <= _DEGENERATE_RATIO * self._sub_peak
-
-    def _addback(self, t: np.ndarray) -> np.ndarray:
-        """Analytic inverse transform of the subtracted 1/s-power terms.
-
-        Each subtracted term eta rho^s s^(-(mu+r)) transforms back to
-        eta ln(rho/t)^(mu+r-1) / gamma(mu+r) on (0, rho).  Terms whose
-        exponent mu+r is a non-positive integer are the endpoint atoms:
-        the reciprocal gamma kills them here, which is exactly right since
-        atoms contribute nothing on the open interval.
-        """
-        u = np.log(self.rho / t)
-        acc = np.zeros_like(t)
-        for r in range(self._n_sub + 1):
-            x = self.mu + r
-            if x < 1e-9:
-                continue
-            acc += self._ell[r] * u ** (x - 1.0) / gamma_real(x)
-        return self.eta * acc
-
-    def _contour_density(self, t: np.ndarray) -> np.ndarray:
-        """H(t) from the contour, _CONTOUR_CHUNK points at a time: each chunk
-        holds a complex (points x tau) array."""
-        if self.degenerate:
-            return np.zeros_like(t)
-        weighted = self._gl_w * self._g
-        integral = np.empty_like(t)
-        for i in range(0, t.size, _CONTOUR_CHUNK):
-            phase = np.exp(-1j * np.outer(np.log(t[i : i + _CONTOUR_CHUNK]), self._tau))
-            integral[i : i + _CONTOUR_CHUNK] = (phase * weighted).sum(axis=1).real
-        return t ** (-self._c) / math.pi * integral + self._addback(t)
+    def _endpoint(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(H, |last two terms|, sum |terms|) of the endpoint series at u = ln(rho/t)."""
+        value = np.zeros_like(u)
+        mass = np.zeros_like(u)
+        for coef in self._end_coef[::-1]:
+            value = value * u + coef
+            mass = mass * u + abs(coef)
+        lead = u**self._end_power
+        n = self._end_coef.size
+        last = np.abs(self._end_coef[-2:])
+        tail = lead * u ** (n - 2) * (last[0] + last[1] * u)
+        return lead * value, tail, lead * mass
 
     # ------------------------------------------------------------------
     # residue route
@@ -359,124 +250,202 @@ class MeasureEvaluator:
         out.sort()
         return out
 
-    def _ensure_residue_table(self, t_max: float) -> None:
-        """Laurent coefficients of every pole cluster that H(t <= t_max) needs.
+    def _ensure_residue_table(self, t_max: float, target: float | None = None) -> None:
+        """The residue table that H(t <= t_max) needs: out to the pole
+        abscissa where (t_max/rho)^(sigma - first) falls below target,
+        1e-3 tol unless given."""
+        target = 1e-3 * self.config.tol if target is None else target
+        self._extend_table(self._first + math.log(target) / math.log(t_max / self.rho))
 
-        Residue terms decay like (t/rho)^sigma, so the table runs out to the
-        pole abscissa where that falls below 1e-3 tol, or until the circle
-        nodes of ``max_residue_terms`` are spent (``_pole_gen_exhausted``).
+    def _extend_table(self, sigma_target: float) -> None:
+        """Newton moments of every pole group with centre up to sigma_target.
+
+        The target is rounded up to a multiple of _TABLE_STEP so creeping
+        t_max values don't trigger a rebuild per call.  The table stops
+        early (``_pole_gen_exhausted``) when the groups' circle nodes would
+        overrun ``max_residue_terms``, and at the sigma where one upper row
+        alone has more poles than the budget has circles.  The leading
+        groups whose circles are unchanged keep their coefficients.
         """
-        if self.degenerate or self._pole_gen_exhausted:
+        if self._pole_gen_exhausted:
             return
-        first = -self.constants.gamma_abscissa  # smallest pole abscissa
-        sigma_target = first + math.log(1e-3 * self.config.tol) / math.log(t_max / self.rho)
-        # quantise upward so creeping t_max values don't trigger a rebuild per
-        # call; stop where one upper row alone has more poles than the budget
-        # has clusters, which near rho keeps the pole list finite
         budget = self.config.max_residue_terms
-        sigma_target = min(
-            10.0 * math.ceil(sigma_target / 10.0),
-            min((a + budget // _CIRCLE_NODES) / sc for a, sc in self.params.upper),
-        )
+        sigma_target = _TABLE_STEP * math.ceil(sigma_target / _TABLE_STEP)
+        cap = min((a + budget // _CIRCLE_NODES) / sc for a, sc in self.params.upper)
         if sigma_target <= self._res_sigma_built:
             return
-        sigmas = self._generate_poles(sigma_target)
-        # cluster identical (within merge gap) pole positions
-        clusters: list[list[float]] = []
-        for sg in sigmas:
-            if clusters and sg - clusters[-1][-1] <= _MERGE_GAP:
-                clusters[-1].append(sg)
+        if sigma_target > cap:
+            sigma_target = cap
+            self._pole_gen_exhausted = True
+        # one ladder spacing past the target, so the last group's neighbour is known
+        spacing = min(1.0 / sc for _, sc in self.params.upper)
+        limit = sigma_target + spacing
+        members: list[list[float]] = []
+        for sg in self._generate_poles(limit):
+            if members and sg - members[-1][-1] <= _GROUP_GAP * spacing:
+                members[-1].append(sg)
             else:
-                clusters.append([sg])
-        centers = [sum(c) / len(c) for c in clusters]
-        for left, right in zip(centers, centers[1:]):
-            gap = right - left
-            if gap < _COLLISION_GAP:
-                raise PoleCollisionError(
-                    f"numerator pole ladders nearly collide (gap {gap:.2e} at sigma ~ {left:.6g}); "
-                    "neither a merged multiple pole nor separated circles is numerically safe"
-                )
-
-        theta = 2.0 * math.pi * (np.arange(_CIRCLE_NODES) + 0.5) / _CIRCLE_NODES
-        unit = np.exp(1j * theta)
-        table: list[tuple[float, np.ndarray]] = []
-        nodes_used = 0
-        for idx, center in enumerate(centers):
-            gap = math.inf
-            if idx > 0:
-                gap = min(gap, center - centers[idx - 1])
-            if idx + 1 < len(centers):
-                gap = min(gap, centers[idx + 1] - center)
-            radius = min(0.3 * gap, 0.25)
-            if nodes_used + _CIRCLE_NODES > budget:
+                members.append([sg])
+        plan = []
+        used = 0
+        for i, group in enumerate(members):
+            centre = sum(group) / len(group)
+            if centre > sigma_target:
+                break
+            half = max(abs(sg - centre) for sg in group)
+            left = centre - members[i - 1][-1] if i else math.inf
+            right = members[i + 1][0] - centre if i + 1 < len(members) else limit - centre
+            near = min(left, right)
+            # the midpoint rule aliases at the rates half/radius (poles inside)
+            # and radius/near (poles outside); both are <= 0.3 for a tight group
+            radius = min(0.25, max(0.3 * near, math.sqrt(half * near)))
+            rate = max(half / radius, radius / near)
+            nodes = max(_CIRCLE_NODES, math.ceil(math.log(1e-17) / math.log(rate)))
+            if used + nodes > budget:
                 self._pole_gen_exhausted = True
                 break
-            # c_j = (1/2 pi i) oint ratio(s) (s - s0)^j ds by the midpoint rule
-            # on |s - s0| = radius, s0 = -center
-            d = radius * unit
-            w = np.exp(self._log_ratio(-center + d) + math.log(radius / _CIRCLE_NODES) + 1j * theta)
-            coeffs = np.array([float(np.sum(w * d**j).real) for j in range(len(clusters[idx]))])
-            table.append((center, coeffs))
-            nodes_used += _CIRCLE_NODES
-        self._clusters = table
-        self._res_nodes_used = nodes_used
-        self._res_sigma_built = sigma_target
+            used += nodes
+            plan.append((group, centre, radius, nodes))
+        keys = np.array([p[1:] for p in plan], dtype=float).reshape(-1, 3)
+        built = self._res_keys
+        changed = np.flatnonzero(np.any(built[: len(keys)] != keys[: len(built)], axis=1))
+        keep = int(changed[0]) if changed.size else min(len(built), len(keys))
+        new, scale = self._circle_moments(plan[keep:])
+        old = self._res_coeffs[:keep]
+        coeffs = np.zeros((len(plan), max(old.shape[1], new.shape[1])))
+        coeffs[:keep, : old.shape[1]] = old
+        coeffs[keep:, : new.shape[1]] = new
+        self._res_keys = keys
+        self._res_coeffs = coeffs
+        self._res_scale = np.concatenate([self._res_scale[:keep], scale])
+        self._res_nodes_used = used
+        # an exhausted table reaches only as far as its last group
+        self._res_sigma_built = plan[-1][1] if self._pole_gen_exhausted and plan else sigma_target
+
+    def _circle_moments(self, plan: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+        """Residue power series of the planned groups, one row each, and the
+        scale of their Newton moments.  Groups with the same size and node
+        count are done together, from one log-gamma evaluation."""
+        coeffs = np.zeros((len(plan), 0))
+        scale = np.empty(len(plan))
+        # largest |ln t| any caller of the table can ask for
+        log_span = -math.log(_DE_FLOOR) + abs(math.log(self.rho))
+        for m, n in sorted({(len(p[0]), p[3]) for p in plan}):
+            idx = [i for i, p in enumerate(plan) if (len(p[0]), p[3]) == (m, n)]
+            centre = np.array([plan[i][1] for i in idx])
+            radius = np.array([plan[i][2] for i in idx])
+            nodes = centre[:, None] - np.array([plan[i][0] for i in idx])  # s_j - s_c
+            theta = 2.0 * math.pi * (np.arange(n) + 0.5) / n
+            d = radius[:, None] * np.exp(1j * theta)
+            log_ratio = self._log_ratio(d - centre[:, None])
+            # c_k = (1/2 pi i) oint ratio(s) prod_(j<k) (s - s_j) ds by the
+            # midpoint rule on |s - s_c| = radius, s_c = -centre
+            w = np.exp(log_ratio + np.log(radius / n)[:, None] + 1j * theta)
+            moments = np.empty((len(idx), m))
+            basis = np.ones_like(d)
+            for k in range(m):
+                moments[:, k] = np.sum(w * basis, axis=1).real
+                basis = basis * (d - nodes[:, k : k + 1])
+            peak = np.exp(np.max(log_ratio.real, axis=1)) * radius
+            scale[idx] = np.max(np.abs(moments), axis=1) / peak
+            # Taylor terms of exp(-(s - s_c) ln t) past the group size, until
+            # (max |s_j - s_c| |ln t|)^j / j! < 1e-17
+            reach = float(np.max(np.abs(nodes))) * log_span
+            extra, term = 0, reach
+            while term > 1e-17:
+                extra += 1
+                term *= reach / (extra + 1)
+            rows = _newton_to_power(moments, nodes, extra)
+            if rows.shape[1] > coeffs.shape[1]:
+                coeffs = np.pad(coeffs, ((0, 0), (0, rows.shape[1] - coeffs.shape[1])))
+            coeffs[idx, : rows.shape[1]] = rows
+        return coeffs, scale
+
+    def _residues(
+        self, log_t: np.ndarray, count: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(H, |last two group terms|, sum |group terms|) from the first
+        ``count`` groups of the residue table (all by default)."""
+        value = np.zeros_like(log_t)
+        tail = np.zeros_like(log_t)
+        mass = np.zeros_like(log_t)
+        centres = self._res_keys[:count, 0]
+        coeffs = self._res_coeffs[:count]
+        powers = np.arange(coeffs.shape[1])
+        for i in range(0, log_t.size, _RESIDUE_CHUNK):
+            lt = log_t[i : i + _RESIDUE_CHUNK]
+            terms = np.exp(np.outer(lt, centres)) * (np.power.outer(-lt, powers) @ coeffs.T)
+            value[i : i + _RESIDUE_CHUNK] = terms.sum(axis=1)
+            tail[i : i + _RESIDUE_CHUNK] = np.abs(terms[:, -2:]).sum(axis=1)
+            mass[i : i + _RESIDUE_CHUNK] = np.abs(terms).sum(axis=1)
+        return value, tail, mass
 
     def _principal_density(self, t: np.ndarray) -> np.ndarray:
-        """H(t) as the sum of every pole cluster's principal-part residue.
+        """H(t) from the residue table alone.
 
-        With the Laurent coefficients c_j of ratio(s) at s0 = -center, the
-        residue of ratio(s) t^-s there is t^center sum_{j<m} c_j (-ln t)^j / j!
-        for m merged poles: exact at any t, where a circle sum of
-        ratio(s) t^-s would alias once radius |ln t| passes ~5.  Raises
-        NonConvergentError when the node budget ends the table before the
-        last cluster's term is negligible.
+        Raises NonConvergentError when the node budget ends the table
+        before the last groups' terms are negligible.
         """
         if t.size == 0:
             return np.zeros_like(t)
         self._ensure_residue_table(float(np.max(t)))
-        log_t = np.log(t)
-        acc = np.zeros_like(t)
-        term = acc
-        for center, coeffs in self._clusters:
-            poly = np.zeros_like(t)
-            for j in reversed(range(coeffs.size)):
-                poly = poly * -log_t / (j + 1) + coeffs[j]
-            term = np.exp(center * log_t) * poly
-            acc += term
-        tol = self.config.tol
-        if self._pole_gen_exhausted and np.max(np.abs(term)) > tol * np.max(np.abs(acc)):
+        value, tail, _ = self._residues(np.log(t))
+        if self._pole_gen_exhausted and np.max(tail) > self.config.tol * np.max(np.abs(value)):
             raise NonConvergentError(
-                "residue clusters failed to decay within the node budget; "
-                "use the contour method this close to the support endpoint"
+                "residue groups failed to decay within the node budget; "
+                "use the endpoint series this close to the support endpoint"
             )
-        return acc
+        return value
 
-    def _split_density(self, t: np.ndarray, switch: float) -> np.ndarray:
-        """H from principal-part residues up to switch * rho, contour above.
+    def _place_cut(self) -> None:
+        """Build the residue table that AUTO and the rule use, once.
 
-        When the node budget ends the residue table at sigma_last, the cut
-        drops to the table's reach rho (1e-3 tol)^(1/(sigma_last - first)),
-        below which its last term has decayed past 1e-3 tol.
+        The endpoint series' estimate falls as t grows.  On the probes
+        t = k rho / 32 find the first one above the last where it exceeds
+        _ENDPOINT_ULPS eps |H|, and build the table so that its tail there
+        is at the rounding level, or as far as the node budget allows.  The
+        residues then serve out to the table's reach, the t where its tail
+        meets 1e-3 tol, wherever their estimate is the smaller.  Later
+        growth of the table for RESIDUE_SERIES calls does not change what
+        AUTO returns.
         """
-        low = t <= switch * self.rho
-        if np.any(low):
-            self._ensure_residue_table(float(np.max(t[low])))
-            if self._pole_gen_exhausted:
-                span = self._clusters[-1][0] + self.constants.gamma_abscissa
-                reach = self.rho * (1e-3 * self.config.tol) ** (1.0 / span) if span > 0 else 0.0
-                low &= t <= reach
-        out = np.empty_like(t)
-        out[low] = self._principal_density(t[low])
-        out[~low] = self._contour_density(t[~low])
-        return out
+        probe = self.rho * np.arange(1, 32) / 32.0
+        value, tail, mass = self._endpoint(np.log1p((self.rho - probe) / probe))
+        miss = np.flatnonzero(tail + _EPS * mass > _ENDPOINT_ULPS * _EPS * np.abs(value))
+        cut = probe[min(miss[-1] + 1, probe.size - 1)] if miss.size else probe[0]
+        self._ensure_residue_table(float(cut), _EPS)
+        span = self._res_sigma_built - self._first
+        self._auto_groups = len(self._res_keys)
+        self._auto_reach = self.rho * (1e-3 * self.config.tol) ** (1.0 / span) if span > 0 else 0.0
+
+    def _split_density(self, t: np.ndarray, log_t: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """H from whichever route has the smaller error estimate at each t.
+
+        The residues of the table ``_place_cut`` built are consulted out to
+        its reach, and wherever the endpoint series misses 1e-3 tol of H;
+        the endpoint series serves the rest.
+        """
+        value, tail, mass = self._endpoint(u)
+        est = tail + _EPS * mass
+        miss = est > 1e-3 * self.config.tol * np.abs(value)
+        idx = np.flatnonzero((t <= self._auto_reach) | miss)
+        res, res_tail, res_mass = self._residues(log_t[idx], self._auto_groups)
+        better = res_tail + _EPS * res_mass < est[idx]
+        value[idx[better]] = res[better]
+        return value
 
     # ------------------------------------------------------------------
     # public surface
     # ------------------------------------------------------------------
 
     def density(self, t: np.ndarray, method: HfunMethod | None = None) -> np.ndarray:
-        """Regular part H(t) on the open support interval, vectorised."""
+        """Regular part H(t) on the open support interval, vectorised.
+
+        AUTO takes each t from the series with the smaller error estimate.
+        RESIDUE_SERIES and ENDPOINT_SERIES use one series throughout and
+        raise NonConvergentError where it has not converged to
+        ``config.tol``.
+        """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(t <= 0.0) or np.any(t >= self.rho):
             raise OutsideDomainError(
@@ -485,11 +454,18 @@ class MeasureEvaluator:
         method = method or self.config.method
         if self.degenerate:
             return np.zeros_like(t)
-        if method is HfunMethod.REGULARIZED_CONTOUR:
-            return self._contour_density(t)
         if method is HfunMethod.RESIDUE_SERIES:
             return self._principal_density(t)
-        return self._split_density(t, _AUTO_SWITCH)
+        u = np.log1p((self.rho - t) / t)
+        if method is HfunMethod.ENDPOINT_SERIES:
+            value, tail, mass = self._endpoint(u)
+            if np.any(tail > self.config.tol * mass):
+                raise NonConvergentError(
+                    "endpoint series has not converged this far from the support "
+                    "endpoint; use the residue series"
+                )
+            return value
+        return self._split_density(t, np.log(t), u)
 
     def atom_mellin(self, s: float) -> float:
         """Mellin transform of the endpoint atoms: eta rho^s sum_r l_r s^(m-r).
@@ -508,29 +484,35 @@ class MeasureEvaluator:
 
         Level 0 holds x = j h with h = _DE_STEP; level l > 0 holds only the
         odd multiples of h / 2^l, so the levels nest and each node's density
-        value is computed once.
+        value is computed once.  u = ln(rho/t) = log1p(e^(-2v)) comes from
+        the complement, so the nodes where t rounds onto rho keep their
+        exact u and stay in the rule.
         """
         while len(self._rule) <= level:
             lev = len(self._rule)
             h = _DE_STEP / 2**lev
-            n = int(self._rule_span() / h)
-            j = np.arange(-n, n + 1)
+            lo, hi = self._rule_span()
+            j = np.arange(-int(lo / h), int(hi / h) + 1)
             x = h * (j if lev == 0 else j[j % 2 == 1])
-            u = 0.5 * math.pi * np.sinh(x)
-            t = self.rho / (1.0 + np.exp(-2.0 * u))
-            w = h * 0.25 * math.pi * self.rho * np.cosh(x) / np.cosh(u) ** 2
-            inside = t < self.rho
-            t = t[inside]
-            self._rule.append((t, w[inside] * self._split_density(t, _RULE_SWITCH)))
+            v = 0.5 * math.pi * np.sinh(x)
+            t = self.rho / (1.0 + np.exp(-2.0 * v))
+            u = np.where(v < 0.0, np.log1p(np.exp(2.0 * v)) - 2.0 * v, np.log1p(np.exp(-2.0 * v)))
+            w = h * 0.25 * math.pi * self.rho * np.cosh(x) / np.cosh(v) ** 2
+            self._rule.append((t, w * self._split_density(t, math.log(self.rho) - u, u)))
         return self._rule[level]
 
-    def _rule_span(self) -> float:
-        """X such that the rule's smallest node, t = rho e^(pi sinh(-X)), is t_min."""
-        tiny = _DE_TINY
-        first = -self.constants.gamma_abscissa  # H ~ t^first near 0
-        if first > 0.0:
-            tiny = max(min(tiny, (1e-3 * self.config.tol) ** (1.0 / first)), _DE_FLOOR)
-        return math.asinh(-math.log(tiny) / math.pi)
+    def _rule_span(self) -> tuple[float, float]:
+        """(X_lo, X_hi): the rule's nodes run from t = rho e^(pi sinh(-X_lo))
+        up to rho - t = rho e^(-pi sinh X_hi)."""
+
+        def span(a: float) -> float:
+            # for H ~ t^a near 0, or H ~ (rho - t)^(a - 1) near rho
+            tiny = _DE_TINY
+            if a > 0.0:
+                tiny = max(min(tiny, (1e-3 * self.config.tol) ** (1.0 / a)), _DE_FLOOR)
+            return math.asinh(-math.log(tiny) / math.pi)
+
+        return span(self._first), span(self.mu)
 
     def _integral(self, fn: Callable[[np.ndarray], np.ndarray]) -> tuple[float, float]:
         """(integral_0^rho fn(t) H(t) dt, |difference of the last two levels|).
@@ -598,13 +580,26 @@ def get_evaluator(params: ParameterSet, config: HfunEvalConfig | None = None) ->
     return ev
 
 
-def _cexpm1(w: np.ndarray) -> np.ndarray:
-    """exp(w) - 1 for complex w without cancellation near w = 0."""
-    re = w.real
-    im = w.imag
-    real = np.expm1(re) * np.cos(im) - 2.0 * np.sin(0.5 * im) ** 2
-    imag = np.exp(re) * np.sin(im)
-    return real + 1j * imag
+def _newton_to_power(moments: np.ndarray, nodes: np.ndarray, extra: int) -> np.ndarray:
+    """b_n with sum_k c_k f[s_0..s_k] = t^centre sum_n b_n (-ln t)^n, f = t^-s,
+    one row per group of ``moments`` c_k and node offsets e_k = s_k - s_c.
+
+    About the centre, f = t^centre sum_n (-ln t)^n (s - s_c)^n / n!, and the
+    divided difference of (s - s_c)^n over s_0..s_k is the complete
+    homogeneous polynomial h_(n-k) of e_0..e_k.  So
+    b_n = sum_(k<=n) c_k h_(n-k)(e_0..e_k) / n!, for n < size + extra.
+    """
+    groups, size = moments.shape
+    width = size + extra
+    out = np.zeros((groups, width))
+    h = np.zeros((groups, width))
+    h[:, 0] = 1.0
+    for k in range(size):
+        # h_j(e_0..e_k) = h_j(e_0..e_(k-1)) + e_k h_(j-1)(e_0..e_k)
+        for j in range(1, width):
+            h[:, j] += nodes[:, k] * h[:, j - 1]
+        out[:, k:] += moments[:, k : k + 1] * h[:, : width - k]
+    return out / np.array([math.factorial(n) for n in range(width)], dtype=float)
 
 
 # ---------------------------------------------------------------------------

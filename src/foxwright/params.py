@@ -352,15 +352,14 @@ def gamma_ratio(params: ParameterSet, k: float) -> float:
 # recurrence l_0 = 1, r*l_r = sum_{n=1}^{r} q_n * l_{r-n}.
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=32)
 def _q_sequence(params: ParameterSet, count: int) -> tuple[float, ...]:
     out = []
     for n in range(1, count + 1):
-        acc = 0.0
-        for a, s in params.upper:
-            acc += bernoulli_poly(n + 1, a) / s**n
-        for b, s in params.lower:
-            acc -= bernoulli_poly(n + 1, b) / s**n
+        acc = math.fsum(
+            [bernoulli_poly(n + 1, a) / s**n for a, s in params.upper]
+            + [-bernoulli_poly(n + 1, b) / s**n for b, s in params.lower]
+        )
         out.append(((-1.0) ** (n + 1) / (n + 1.0)) * acc)
     return tuple(out)
 
@@ -376,8 +375,5 @@ def correction_coeffs(params: ParameterSet, order: int) -> tuple[float, ...]:
     q = _q_sequence(params, order)
     ell = [1.0]
     for r in range(1, order + 1):
-        acc = 0.0
-        for n in range(1, r + 1):
-            acc += q[n - 1] * ell[r - n]
-        ell.append(acc / r)
+        ell.append(math.fsum(q[n - 1] * ell[r - n] for n in range(1, r + 1)) / r)
     return tuple(ell)

@@ -4,16 +4,14 @@ The core rule is the classic 7-15 pair (same nodes and weights QUADPACK's
 dqk15 uses).  Integrands must accept numpy arrays; every caller in this
 package evaluates vectorised kernels, and the rule exploits that.
 
-On top of the adaptive driver sit two wrappers the rest of the package
-needs: a gamma-weighted integral over (0, inf) with the t = u^(1/sigma)
-substitution that removes the endpoint singularity for sigma < 1, and a
-panel-based Gauss-Legendre helper used by the contour integrator.
+On top of the adaptive driver sits the gamma-weighted integral over
+(0, inf) the rest of the package needs, with the t = u^(1/sigma)
+substitution that removes the endpoint singularity for sigma < 1.
 """
 
 from __future__ import annotations
 
 import heapq
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -24,7 +22,6 @@ __all__ = [
     "kronrod15",
     "integrate_adaptive",
     "integrate_gamma_weighted",
-    "gauss_legendre",
 ]
 
 # 15-point Kronrod abscissae on [-1, 1] (positive half; symmetric).
@@ -153,10 +150,3 @@ def integrate_gamma_weighted(
     return integrate_adaptive(left, 0.0, 1.0, tol_abs / 2) + integrate_adaptive(
         right, 1.0, upper, tol_abs / 2
     )
-
-
-@lru_cache(maxsize=32)
-def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached Gauss-Legendre nodes/weights on [-1, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w

@@ -120,8 +120,7 @@ def eval_via_representation(
     ev = get_evaluator(params, config)
     integral, err = ev._integral(lambda t: np.exp(zr * t) / t)
     corr = complex(correction_series(params, zr)).real if c.m_order is not None else 0.0
-    work = ev._res_nodes_used + int(ev._tau.size)
-    return EvalResult(integral + corr, work, err, SeriesStatus.CONVERGED)
+    return EvalResult(integral + corr, ev._res_nodes_used, err, SeriesStatus.CONVERGED)
 
 
 def verify_representation(
@@ -163,8 +162,7 @@ def stieltjes_eval(
     ev = get_evaluator(params, config)
     integral, err = ev._integral(lambda t: (1.0 + t * z) ** (-sigma) / t)
     g = gamma_real(sigma)
-    work = ev._res_nodes_used + int(ev._tau.size)
-    return EvalResult(g * integral, work, g * err, SeriesStatus.CONVERGED)
+    return EvalResult(g * integral, ev._res_nodes_used, g * err, SeriesStatus.CONVERGED)
 
 
 def verify_stieltjes(

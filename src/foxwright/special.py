@@ -3,7 +3,7 @@
 Contents:
 
 * Lanczos log-gamma for real and complex scalars, plus a numpy-vectorised
-  complex variant used by the contour and residue engines.
+  complex variant used by the residue engine's circle quadrature.
 * A signed real log-gamma (value and sign of gamma(x)) that stays finite
   for negative non-integer arguments.
 * Exact Bernoulli numbers and Bernoulli polynomials over ``fractions.Fraction``.
@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -117,8 +118,8 @@ def gamma_real(x: float) -> float:
 def log_gamma_complex_vec(z: np.ndarray) -> np.ndarray:
     """Vectorised principal-branch log-gamma over a complex numpy array.
 
-    Callers (the contour integrator in particular) guarantee Re z is bounded
-    away from the poles; arguments with Re z < 0.5 go through reflection.
+    Callers (the residue circles in particular) keep z away from the poles;
+    arguments with Re z < 0.5 go through reflection.
     """
     z = np.asarray(z, dtype=np.complex128)
     out = np.empty_like(z)
@@ -175,18 +176,36 @@ def bernoulli_number(n: int) -> Fraction:
     return value
 
 
-def bernoulli_poly(n: int, x: float) -> float:
-    """Bernoulli polynomial B_n(x) = sum_k C(n,k) B_k x^(n-k).
+@lru_cache(maxsize=None)
+def _bernoulli_row(n: int) -> tuple[float, ...]:
+    """C(n,k) B_k(1/2) for k = 0..n, B_k(1/2) = (2^(1-k) - 1) B_k, each
+    rounded once: the coefficients of B_n(x) in powers of x - 1/2."""
+    return tuple(
+        float(Fraction(math.comb(n, k)) * (Fraction(2) ** (1 - k) - 1) * bernoulli_number(k))
+        for k in range(n + 1)
+    )
 
-    Coefficients are exact rationals; only the final evaluation at x is
-    floating point.
+
+def bernoulli_poly(n: int, x: float) -> float:
+    """Bernoulli polynomial B_n(x) = sum_k C(n,k) B_k(1/2) (x - 1/2)^(n-k).
+
+    x is first reduced to y in [0, 1) by B_n(x + 1) = B_n(x) + n x^(n-1).
+    On [0, 1) the powers of y - 1/2 stay below 2^-(n-k), so the sum loses
+    no digits to cancellation; the expansion about 0 loses about six at
+    n = 41.  The exact rational coefficients are rounded once per degree
+    and cached.
     """
     if n < 0:
         raise ValueError("Bernoulli polynomial degree must be non-negative")
+    whole = math.floor(x)
+    y = x - whole
     acc = 0.0
-    for k in range(n + 1):
-        coeff = Fraction(math.comb(n, k)) * bernoulli_number(k)
-        acc += float(coeff) * x ** (n - k)
+    for coeff in _bernoulli_row(n):
+        acc = acc * (y - 0.5) + coeff
+    if whole > 0:
+        acc += n * sum((y + j) ** (n - 1) for j in range(whole))
+    elif whole < 0:
+        acc -= n * sum((y + j) ** (n - 1) for j in range(whole, 0))
     return acc
 
 

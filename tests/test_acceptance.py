@@ -255,11 +255,13 @@ def test_criterion_09_small_t_slope(acceptance):
 
 
 def test_criterion_10_dual_method_agreement(acceptance):
+    # the residue series against the endpoint series, at 0.3 rho and 0.5 rho
+    # where both converge
     worst = 0.0
     for ps in NAMED.values():
         ev = get_evaluator(ps)
-        ts = np.array([0.1, 0.5, 0.8]) * ev.rho
+        ts = np.array([0.3, 0.5]) * ev.rho
         res = ev.density(ts, method=HfunMethod.RESIDUE_SERIES)
-        con = ev.density(ts, method=HfunMethod.REGULARIZED_CONTOUR)
-        worst = max(worst, float(np.max(np.abs(res - con))))
-    assert acceptance("dual-method-agreement", worst <= 1e-10), f"worst abs diff {worst:.3e}"
+        end = ev.density(ts, method=HfunMethod.ENDPOINT_SERIES)
+        worst = max(worst, float(np.max(np.abs(res - end))))
+    assert acceptance("dual-method-agreement", worst <= 1e-12), f"worst abs diff {worst:.3e}"

@@ -1,4 +1,4 @@
-"""The representing density: residue route, contour route, moments, atoms."""
+"""The representing density: residue route, endpoint series, moments, atoms."""
 
 import math
 
@@ -22,7 +22,6 @@ from foxwright.errors import (
     ConstraintError,
     NonConvergentError,
     OutsideDomainError,
-    PoleCollisionError,
     QuadratureFailure,
 )
 from foxwright.hfun import MeasureEvaluator
@@ -37,21 +36,50 @@ def beta_density(t, alpha=0.7, beta=2.3):
     return t**alpha * (1.0 - t) ** (beta - alpha - 1.0) / math.gamma(beta - alpha)
 
 
+def meijer_g(t, a, b, scale=1.0):
+    """scale * G^{2,0}_{2,2}(t | ; a / b ;) to 40 digits, as a float."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        return float(scale * mpmath.meijerg([[], a], [b, []], mpmath.mpf(t)))
+
+
 class TestRouteAgreement:
     @pytest.mark.parametrize("params", [TWIN_QUARTER, DOUBLE_POLE, BETA_LIKE])
-    def test_residue_vs_contour(self, params):
+    def test_residue_vs_endpoint(self, params):
+        # 0.3 rho and 0.5 rho: both series converge there
         ev = get_evaluator(params)
-        ts = np.array([0.1, 0.5, 0.8]) * ev.rho
+        ts = np.array([0.3, 0.5]) * ev.rho
         res = ev.density(ts, method=HfunMethod.RESIDUE_SERIES)
-        con = ev.density(ts, method=HfunMethod.REGULARIZED_CONTOUR)
-        assert np.max(np.abs(res - con)) < 1e-10
+        end = ev.density(ts, method=HfunMethod.ENDPOINT_SERIES)
+        assert np.max(np.abs(res - end)) < 1e-12
 
     def test_degenerate_set_both_routes_zero(self):
         ev = get_evaluator(EXP_COLLAPSE)
         assert ev.degenerate
         ts = np.array([0.2, 1.0, 1.8])
         assert np.all(ev.density(ts, method=HfunMethod.RESIDUE_SERIES) == 0.0)
-        assert np.all(ev.density(ts, method=HfunMethod.REGULARIZED_CONTOUR) == 0.0)
+        assert np.all(ev.density(ts, method=HfunMethod.ENDPOINT_SERIES) == 0.0)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            EXP_COLLAPSE,
+            IDENTITY,
+            # Gauss multiplication: the ratio is 3^(s+1/2) / (2 pi)
+            ParameterSet([(1.0, 1.0)], [(1 / 3, 1 / 3), (2 / 3, 1 / 3), (1.0, 1 / 3)]),
+            # the polynomial (s+1)(s+2)...(s+40): mu = -40, all atoms
+            ParameterSet([(41.0, 1.0)], [(1.0, 1.0)]),
+        ],
+    )
+    def test_entire_ratio_is_degenerate(self, params):
+        ev = MeasureEvaluator(params)
+        assert ev.degenerate
+        assert np.all(ev.density(np.array([0.3, 0.7]) * ev.rho) == 0.0)
+
+    def test_near_entire_ratio_is_not_degenerate(self):
+        # 1e-6 from exp-collapse: every residue is ~1e-6, not rounding noise
+        ev = MeasureEvaluator(ParameterSet([(1.0, 1.0)], [(0.5, 0.5), (1.0 + 1e-6, 0.5)]))
+        assert not ev.degenerate
 
 
 class TestResidueRoute:
@@ -68,7 +96,7 @@ class TestResidueRoute:
 
     def test_auto_fresh_batch_with_tiny_t(self):
         # the residue table for t_max = 0.23 once ended before the stop rule
-        # was met, and AUTO fell back to the contour for the whole batch
+        # was met, and AUTO fell back to another route for the whole batch
         ts = np.array([1e-12, 1e-6, 0.23])
         got = MeasureEvaluator(DOUBLE_POLE).density(ts)
         for t, value in zip(ts, got):
@@ -88,14 +116,18 @@ class TestResidueRoute:
 
     def test_auto_cut_drops_to_table_reach(self):
         # four clusters per unit of sigma spend the node budget at sigma ~ 62,
-        # short of what 0.79 rho needs: AUTO must hand those t to the contour
+        # short of what 0.79 rho needs: the residue route gives up there,
+        # and AUTO, which reads only its own cut of the table, still matches
+        # the endpoint series
         params = ParameterSet([(0.3, 2.0), (0.9, 2.0)], [(1.0, 2.0), (0.7, 2.0)])
         ev = MeasureEvaluator(params)
         ts = np.array([0.05, 0.3, 0.5, 0.79]) * ev.rho
-        got = ev.density(ts)
+        with pytest.raises(NonConvergentError):
+            ev.density(ts, HfunMethod.RESIDUE_SERIES)
         assert ev._pole_gen_exhausted
-        con = ev.density(ts, HfunMethod.REGULARIZED_CONTOUR)
-        assert np.max(np.abs(got - con) / np.abs(con)) < 1e-12
+        got = ev.density(ts)
+        end = ev.density(ts, HfunMethod.ENDPOINT_SERIES)
+        assert np.max(np.abs(got - end) / np.abs(end)) < 1e-12
 
     @pytest.mark.parametrize("method", list(HfunMethod))
     def test_empty_input_gives_empty_output(self, method):
@@ -116,6 +148,15 @@ class TestKnownDensities:
         ts = np.array([1e-4, 3e-4, 1e-3, 3e-3, 1e-2])
         hs = ev.density(ts)
         assert np.max(np.abs(hs / ts - 2.0 / math.pi)) < 0.02
+
+    @pytest.mark.parametrize("t", [0.7, 0.8])
+    def test_twin_quarter_meijer_g(self, t):
+        # H(t) = 2/sqrt(pi) G^{2,0}_{2,2}((t/2)^2 | ; 1/4,1/4 / 1/2,1), rho = 2;
+        # AUTO there once took residues that cancel to 6e-11
+        ev = get_evaluator(TWIN_QUARTER)
+        got = float(ev.density(np.array([t * ev.rho]))[0])
+        want = meijer_g(t * t, [0.25, 0.25], [0.5, 1.0], 2.0 / math.sqrt(math.pi))
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_log_log_slope_matches_gamma_abscissa(self):
         # the small-t exponent of H equals min(alpha_i / A_i)
@@ -141,6 +182,25 @@ class TestMomentIdentity:
             want = gamma_ratio(BETA_LIKE, k)  # = gamma(0.7+k)/gamma(2.3+k)
             assert ev.moment(k) == pytest.approx(want, rel=1e-9)
             assert ev.atom_mellin(k) == 0.0  # mu > 0: no endpoint atom
+
+    @pytest.mark.parametrize("lower", [1.5, 1.2])
+    def test_singular_endpoint_moments(self, lower):
+        # mu = lower - 1 in (0, 1): H ~ (1 - t)^(mu - 1) at rho = 1, whose
+        # tail the rule reaches through the complement 1 - t
+        ps = ParameterSet([(1.0, 1.0)], [(lower, 1.0)])
+        ev = MeasureEvaluator(ps)
+        for k in (0.5, 1.0, 2.0, 4.0):
+            assert ev.moment(k) == pytest.approx(gamma_ratio(ps, k), rel=1e-11, abs=0.0), k
+
+    @pytest.mark.parametrize("delta", [0.0, 0.3, 0.7])
+    def test_mu_above_two_moments(self, delta):
+        # upper (0.5, 1/2) (1.7, 1/2) over lower (2.0, 1/2) (2.7, 1/2), mu = 2.5,
+        # shifted by delta times the scale
+        base = ParameterSet([(0.5, 0.5), (1.7, 0.5)], [(2.0, 0.5), (2.7, 0.5)])
+        ps = shift_parameters(base, delta)
+        ev = MeasureEvaluator(ps)
+        for k in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0):
+            assert ev.moment(k) == pytest.approx(gamma_ratio(ps, k), rel=1e-13, abs=0.0), k
 
     def test_atom_mellin_twin_quarter(self):
         # m = 1 atom transform: eta rho^s (s + l1) with l1 = 1/8
@@ -258,9 +318,11 @@ class TestCachedRule:
         assert len(ev._rule) == levels
 
     def test_unreachable_tolerance_raises(self):
-        ev = MeasureEvaluator(DOUBLE_POLE, HfunEvalConfig(tol=1e-30))
+        # a kernel that jumps inside the support converges only to first
+        # order in h, so even the finest level misses tol
+        ev = MeasureEvaluator(DOUBLE_POLE)
         with pytest.raises(QuadratureFailure):
-            ev.moment(1.0)
+            ev.measure_integral(lambda t: (t < 0.3).astype(float))
 
     def test_singular_kernel_near_zero(self):
         # t^-1.5 H ~ t^-0.5 near 0 weighs H down to the rule's smallest node;
@@ -288,14 +350,23 @@ class TestGuards:
             ev.density(np.array([-0.1]))
 
     def test_pole_collision_detected(self):
-        # two upper rows 5e-7 apart put residue clusters closer than the
-        # resolvable gap but farther than the merge threshold
-        params = ParameterSet(
-            [(1.0, 1.0), (1.0 + 5e-7, 1.0)], [(1.5, 1.0), (1.5, 1.0)]
-        )
+        # two upper rows 5e-7 apart put their poles in one Newton group,
+        # whose divided differences of t^-s do not cancel
+        params = ParameterSet([(1.0, 1.0), (1.0 + 5e-7, 1.0)], [(1.5, 1.0), (1.5, 1.0)])
         ev = get_evaluator(params)
-        with pytest.raises(PoleCollisionError):
-            ev.density(np.array([0.3]), method=HfunMethod.RESIDUE_SERIES)
+        for t in (1e-20, 1e-6, 0.05, 0.3, 0.5):
+            got = float(ev.density(np.array([t]))[0])
+            want = meijer_g(t, [1.5, 1.5], [1.0, 1.0 + 5e-7])
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0), t
+
+    @pytest.mark.parametrize("t", [1e-20, 1e-6, 0.05, 0.3, 0.5])
+    def test_half_scale_pole_collision(self, t):
+        # upper (0.5, 1/2) (0.5 + 3e-7, 1/2) over lower (1, 1/2) (1, 1/2):
+        # H(t) = 2 G^{2,0}_{2,2}(t^2 | ; 1,1 / 1/2, 1/2 + 3e-7)
+        params = ParameterSet([(0.5, 0.5), (0.5 + 3e-7, 0.5)], [(1.0, 0.5), (1.0, 0.5)])
+        got = float(get_evaluator(params).density(np.array([t]))[0])
+        want = meijer_g(t * t, [1.0, 1.0], [0.5, 0.5 + 3e-7], 2.0)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_residue_route_near_rho_raises_typed_error(self):
         # the table stops at the node budget rather than listing every pole
@@ -310,13 +381,7 @@ class TestGuards:
         with pytest.raises(ParameterError):
             HfunEvalConfig(tol=0.0)
         with pytest.raises(ParameterError):
-            HfunEvalConfig(contour_cutoff=-1.0)
-        with pytest.raises(ParameterError):
             HfunEvalConfig(max_residue_terms=8)
-
-    def test_explicit_cutoff_sets_panel_count(self):
-        ev = MeasureEvaluator(DOUBLE_POLE, HfunEvalConfig(contour_cutoff=12.0))
-        assert len(ev._tau) == 12 * 16  # 16 Gauss-Legendre points per unit panel
 
 
 class TestEvaluatorCache:
@@ -335,6 +400,6 @@ class TestEvaluatorCache:
         assert get_evaluator(sets[0]) is not oldest
 
     def test_custom_config_not_cached_into_default(self):
-        custom = get_evaluator(DOUBLE_POLE, HfunEvalConfig(contour_cutoff=8.0))
+        custom = get_evaluator(DOUBLE_POLE, HfunEvalConfig(tol=1e-10))
         default = get_evaluator(DOUBLE_POLE)
         assert custom is not default

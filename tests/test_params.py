@@ -84,6 +84,39 @@ class TestCorrectionCoeffs:
         )
         assert correction_coeffs(ps, 1)[1] == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "ps",
+        [
+            TWIN_QUARTER,
+            DOUBLE_POLE,
+            IDENTITY,
+            ParameterSet([(0.7, 1.0)], [(2.3, 1.0)]),
+            ParameterSet([(0.5, 0.5), (1.7, 0.5)], [(2.0, 0.5), (2.7, 0.5)]),
+        ],
+    )
+    def test_order_40_matches_mpmath(self, ps):
+        # the endpoint series uses l_0..l_40.  exp-collapse is left out: its
+        # exact l_r vanish for r >= 1, and the float q_n that cancel to 0
+        # there carry ~1e-16 of terms of size 2^n B_(n+1)
+        mpmath = pytest.importorskip("mpmath")
+        order = 40
+        with mpmath.workdps(60):
+            q = []
+            for n in range(1, order + 1):
+                acc = mpmath.fsum(
+                    mpmath.bernpoly(n + 1, a) / mpmath.mpf(s) ** n for a, s in ps.upper
+                ) - mpmath.fsum(
+                    mpmath.bernpoly(n + 1, b) / mpmath.mpf(s) ** n for b, s in ps.lower
+                )
+                q.append((-1) ** (n + 1) * acc / (n + 1))
+            want = [mpmath.mpf(1)]
+            for r in range(1, order + 1):
+                want.append(mpmath.fsum(q[n - 1] * want[r - n] for n in range(1, r + 1)) / r)
+            want = [float(w) for w in want]
+        got = correction_coeffs(ps, order)
+        for r, (g, w) in enumerate(zip(got, want)):
+            assert g == pytest.approx(w, rel=1e-13, abs=0.0), r
+
 
 class TestValidation:
     def test_nonpositive_scale_rejected(self):

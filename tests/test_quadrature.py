@@ -7,7 +7,6 @@ import pytest
 
 from foxwright.errors import QuadratureFailure
 from foxwright.quadrature import (
-    gauss_legendre,
     integrate_adaptive,
     integrate_gamma_weighted,
     kronrod15,
@@ -73,12 +72,3 @@ class TestGammaWeighted:
         got = integrate_gamma_weighted(_vec(lambda t: t * t), sigma)
         assert got == pytest.approx(math.gamma(sigma + 2.0), rel=1e-11)
 
-
-class TestGaussLegendre:
-    def test_nodes_integrate_cubics(self):
-        nodes, weights = gauss_legendre(2)
-        got = float(sum(w * (x**3 + x**2) for x, w in zip(nodes, weights)))
-        assert got == pytest.approx(2.0 / 3.0, rel=1e-14)
-
-    def test_cached_identity(self):
-        assert gauss_legendre(16) is gauss_legendre(16)
