@@ -47,9 +47,9 @@ series serves.  No switch point is measured or configured.
 
 A parameter set whose ratio IS its polynomial part (upper == lower rows,
 duplication- or multiplication-formula collapses) has H identically zero.
-That degeneracy is read off the residue table: every Newton moment of its
-first step sits at rounding level against its circle's largest
-|ratio(s)| * radius.  Both routes then return exact zeros.
+That degeneracy is read off the residue table: every Newton moment of the
+groups within _TABLE_STEP of the first pole sits at rounding level against
+its circle's largest |ratio(s)| * radius.  Both routes then return exact zeros.
 
 Every integral against the measure, integral_0^rho fn(t) H(t) dt, runs on
 one nested tanh-sinh rule (Takahasi & Mori, 1974) cached on the evaluator.
@@ -100,7 +100,7 @@ __all__ = [
 _EPS = float(np.finfo(float).eps)
 _CIRCLE_NODES = 32
 _GROUP_GAP = 1e-3  # of the smallest ladder spacing: closer poles share a circle
-_TABLE_STEP = 10.0  # the residue table grows to multiples of this sigma
+_TABLE_STEP = 10.0  # sigma step of the residue table's growth and degeneracy check
 _DEGENERATE_RATIO = 1e-12
 _ENDPOINT_ORDER = 40
 # the endpoint series alone serves where its estimate is below this many eps |H|
@@ -181,11 +181,10 @@ class MeasureEvaluator:
             [self.eta * self._ell[r] / math.gamma(self.mu + r) for r in range(lead, order + 1)]
         )
 
-        # residue table, grown by _extend_table: row g of keys is the
-        # (centre, radius, nodes) of group g's circle, its residues at t sum
-        # to t^centre sum_n coeffs[g, n] (-ln t)^n, and scale[g] is
+        # residue table, grown by _extend_table: group g's residues at t sum
+        # to t^centres[g] sum_n coeffs[g, n] (-ln t)^n, and scale[g] is
         # max |c_k| / (max |ratio| * radius) on its circle
-        self._res_keys = np.empty((0, 3))
+        self._res_centres = np.empty(0)
         self._res_coeffs = np.empty((0, 0))
         self._res_scale = np.empty(0)
         self._res_sigma_built = 0.0
@@ -203,10 +202,11 @@ class MeasureEvaluator:
         self._rule: list[tuple[np.ndarray, np.ndarray]] = []
         self._default_scan: NonnegReport | None = None
 
-        self._extend_table(self._first + _TABLE_STEP)
-        self.degenerate = bool(np.all(self._res_scale <= _DEGENERATE_RATIO))
-        if not self.degenerate:
-            self._place_cut()
+        self._place_cut()
+        if self._res_centres.size == 0:
+            raise NonConvergentError("the first pole group needs more than max_residue_terms")
+        leading = self._res_centres <= self._first + _TABLE_STEP
+        self.degenerate = bool(np.all(self._res_scale[leading] <= _DEGENERATE_RATIO))
 
     def _log_ratio(self, s: np.ndarray) -> np.ndarray:
         acc = np.zeros_like(s, dtype=complex)
@@ -264,8 +264,8 @@ class MeasureEvaluator:
         t_max values don't trigger a rebuild per call.  The table stops
         early (``_pole_gen_exhausted``) when the groups' circle nodes would
         overrun ``max_residue_terms``, and at the sigma where one upper row
-        alone has more poles than the budget has circles.  The leading
-        groups whose circles are unchanged keep their coefficients.
+        alone has more poles than the budget has circles.  Each extension
+        rebuilds the whole table.
         """
         if self._pole_gen_exhausted:
             return
@@ -306,18 +306,8 @@ class MeasureEvaluator:
                 break
             used += nodes
             plan.append((group, centre, radius, nodes))
-        keys = np.array([p[1:] for p in plan], dtype=float).reshape(-1, 3)
-        built = self._res_keys
-        changed = np.flatnonzero(np.any(built[: len(keys)] != keys[: len(built)], axis=1))
-        keep = int(changed[0]) if changed.size else min(len(built), len(keys))
-        new, scale = self._circle_moments(plan[keep:])
-        old = self._res_coeffs[:keep]
-        coeffs = np.zeros((len(plan), max(old.shape[1], new.shape[1])))
-        coeffs[:keep, : old.shape[1]] = old
-        coeffs[keep:, : new.shape[1]] = new
-        self._res_keys = keys
-        self._res_coeffs = coeffs
-        self._res_scale = np.concatenate([self._res_scale[:keep], scale])
+        self._res_centres = np.array([p[1] for p in plan])
+        self._res_coeffs, self._res_scale = self._circle_moments(plan)
         self._res_nodes_used = used
         # an exhausted table reaches only as far as its last group
         self._res_sigma_built = plan[-1][1] if self._pole_gen_exhausted and plan else sigma_target
@@ -369,7 +359,7 @@ class MeasureEvaluator:
         value = np.zeros_like(log_t)
         tail = np.zeros_like(log_t)
         mass = np.zeros_like(log_t)
-        centres = self._res_keys[:count, 0]
+        centres = self._res_centres[:count]
         coeffs = self._res_coeffs[:count]
         powers = np.arange(coeffs.shape[1])
         for i in range(0, log_t.size, _RESIDUE_CHUNK):
@@ -415,7 +405,7 @@ class MeasureEvaluator:
         cut = probe[min(miss[-1] + 1, probe.size - 1)] if miss.size else probe[0]
         self._ensure_residue_table(float(cut), _EPS)
         span = self._res_sigma_built - self._first
-        self._auto_groups = len(self._res_keys)
+        self._auto_groups = self._res_centres.size
         self._auto_reach = self.rho * (1e-3 * self.config.tol) ** (1.0 / span) if span > 0 else 0.0
 
     def _split_density(self, t: np.ndarray, log_t: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -423,14 +413,21 @@ class MeasureEvaluator:
 
         The residues of the table ``_place_cut`` built are consulted out to
         its reach, and wherever the endpoint series misses 1e-3 tol of H;
-        the endpoint series serves the rest.
+        the endpoint series serves the rest.  NonConvergentError where
+        neither estimate is within max(tol, _ENDPOINT_ULPS eps) of its sum
+        of |terms|: the node budget ended the residues short of the endpoint
+        series' reach.
         """
         value, tail, mass = self._endpoint(u)
         est = tail + _EPS * mass
         miss = est > 1e-3 * self.config.tol * np.abs(value)
         idx = np.flatnonzero((t <= self._auto_reach) | miss)
         res, res_tail, res_mass = self._residues(log_t[idx], self._auto_groups)
-        better = res_tail + _EPS * res_mass < est[idx]
+        res_est = res_tail + _EPS * res_mass
+        better = res_est < est[idx]
+        tol = max(self.config.tol, _ENDPOINT_ULPS * _EPS)
+        if np.any(np.minimum(res_est, est[idx]) > tol * np.where(better, res_mass, mass[idx])):
+            raise NonConvergentError("neither series converges at some t; raise max_residue_terms")
         value[idx[better]] = res[better]
         return value
 
@@ -515,12 +512,14 @@ class MeasureEvaluator:
         return span(self._first), span(self.mu)
 
     def _integral(self, fn: Callable[[np.ndarray], np.ndarray]) -> tuple[float, float]:
-        """(integral_0^rho fn(t) H(t) dt, |difference of the last two levels|).
+        """(integral_0^rho fn(t) H(t) dt, error estimate).
 
-        Halves the step until two successive tanh-sinh sums agree to
-        ``config.tol`` relative to the integral of |fn H|, which is also the
-        rounding floor of the sum; raises QuadratureFailure when the finest
-        level still disagrees or the sum is not finite.
+        The estimate is the difference of the last two tanh-sinh levels, but
+        never below the rounding floor eps * integral of |fn H|: two levels
+        that agree to the last bit have not shown an error of 0.  Halves the
+        step until the estimate is within ``config.tol`` of the integral of
+        |fn H|; raises QuadratureFailure when the finest level still misses
+        it or the sum is not finite.
         """
         if self.degenerate:
             return 0.0, 0.0
@@ -537,7 +536,7 @@ class MeasureEvaluator:
             if not math.isfinite(total):
                 break
             if level:
-                diff = abs(total - prev)
+                diff = max(abs(total - prev), _EPS * mass)
                 if diff <= tol * mass:
                     return total, diff
         raise QuadratureFailure(

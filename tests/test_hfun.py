@@ -318,6 +318,11 @@ class TestCachedRule:
         assert len(ev._rule) == levels
 
     def test_unreachable_tolerance_raises(self):
+        ev = MeasureEvaluator(DOUBLE_POLE, HfunEvalConfig(tol=1e-30))
+        with pytest.raises(QuadratureFailure):
+            ev.moment(1.0)
+
+    def test_kernel_jump_inside_support_raises(self):
         # a kernel that jumps inside the support converges only to first
         # order in h, so even the finest level misses tol
         ev = MeasureEvaluator(DOUBLE_POLE)
@@ -374,6 +379,23 @@ class TestGuards:
         ev = MeasureEvaluator(DOUBLE_POLE)
         with pytest.raises(NonConvergentError):
             ev.density(np.array([1.0 - 1e-12]), method=HfunMethod.RESIDUE_SERIES)
+
+    def test_small_budget_gap_raises_typed_error(self):
+        # 64 circle nodes end the table at sigma 2, so the residues reach
+        # only ~1e-12 rho, and at 0.1 rho the endpoint series has not
+        # converged either: AUTO and the rule raise rather than guess
+        ev = MeasureEvaluator(TWIN_QUARTER, HfunEvalConfig(max_residue_terms=64))
+        with pytest.raises(NonConvergentError):
+            ev.density(np.array([0.1 * ev.rho]))
+        with pytest.raises(NonConvergentError):
+            ev.moment(1.0)
+
+    def test_first_group_over_budget_raises_typed_error(self):
+        # the first group's neighbour sits 0.3 away, so its circle needs 33
+        # nodes; a 32-node budget must not read as an empty, degenerate table
+        params = ParameterSet([(0.3, 2.0), (0.9, 2.0)], [(1.0, 2.0), (0.7, 2.0)])
+        with pytest.raises(NonConvergentError):
+            MeasureEvaluator(params, HfunEvalConfig(max_residue_terms=32))
 
     def test_config_validation(self):
         from foxwright.errors import ParameterError

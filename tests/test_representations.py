@@ -12,7 +12,6 @@ from foxwright import (
     finite_laplace_identity,
     four_param_representation,
     fox_wright_value,
-    get_evaluator,
     laplace_lift_check,
     lifted_value,
     stieltjes_eval,
@@ -38,11 +37,9 @@ class TestExponentialKernel:
 
     @pytest.mark.parametrize("z", [-5.0, 0.0, 2.0])
     def test_trunc_estimate_is_last_level_difference(self, z):
-        # the quadrature's own estimate, below tol relative to the integral;
-        # two levels may agree to the last bit, so it can be exactly 0
+        # the quadrature's own estimate, below tol relative to the integral
         res = eval_via_representation(DOUBLE_POLE, z)
-        _, diff = get_evaluator(DOUBLE_POLE)._integral(lambda t: np.exp(z * t) / t)
-        assert res.trunc_estimate == diff <= 1e-9 * abs(res.value)
+        assert 0.0 < res.trunc_estimate <= 1e-9 * abs(res.value)
 
     def test_beta_like_set_without_atom(self):
         # mu > 0: representation is the plain integral, no polynomial part
