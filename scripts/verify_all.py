@@ -145,6 +145,16 @@ def main() -> int:
         check(f"{name} lam={lam:g} z={z:g}: rel err {rec.rel_err:.2e}",
               rec.verdict == "pass")
 
+    section("Laplace lift beyond the disk")
+    for name, lam, z in (
+        ("exp-collapse", 1.5, -1.0),  # rho |z| = 2
+        ("double-pole", 1.5, -3.0),  # rho |z| = 3
+        ("identity", 1.0, 0.9),  # integrand decays only like e^(-0.1 t)
+    ):
+        rec = laplace_lift_check(NAMED_SETS[name], lam, z)
+        check(f"{name} lam={lam:g} z={z:g}: rel err {rec.rel_err:.2e}",
+              rec.verdict == "pass")
+
     section("finite-transform adjudication (measured verdicts)")
     rep0 = finite_laplace_identity(0.0)
     check("z=0: both candidates match", rep0.verdict == "both")

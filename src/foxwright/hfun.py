@@ -511,7 +511,7 @@ class MeasureEvaluator:
 
         return span(self._first), span(self.mu)
 
-    def _integral(self, fn: Callable[[np.ndarray], np.ndarray]) -> tuple[float, float]:
+    def _integral(self, fn: Callable[[np.ndarray], np.ndarray]) -> tuple:
         """(integral_0^rho fn(t) H(t) dt, error estimate).
 
         The estimate is the difference of the last two tanh-sinh levels, but
@@ -520,9 +520,14 @@ class MeasureEvaluator:
         step until the estimate is within ``config.tol`` of the integral of
         |fn H|; raises QuadratureFailure when the finest level still misses
         it or the sum is not finite.
+
+        ``fn`` may return a (k, n) array for n nodes, k integrands at once:
+        the totals and estimates are then length-k arrays, and the step is
+        halved until every row meets the tolerance.
         """
         if self.degenerate:
-            return 0.0, 0.0
+            zero = np.zeros(np.shape(fn(np.empty(0)))[:-1])
+            return (0.0, 0.0) if zero.ndim == 0 else (zero, np.zeros_like(zero))
         tol = self.config.tol
         total = mass = 0.0
         diff = math.inf
@@ -531,16 +536,19 @@ class MeasureEvaluator:
             t, wh = self._rule_level(level)
             f = np.asarray(fn(t))
             prev = total
-            total = 0.5 * total + float(f @ wh)
-            mass = 0.5 * mass + float(np.abs(f) @ np.abs(wh))
-            if not math.isfinite(total):
+            total = 0.5 * total + f @ wh
+            mass = 0.5 * mass + np.abs(f) @ np.abs(wh)
+            if not np.all(np.isfinite(total)):
                 break
             if level:
-                diff = max(abs(total - prev), _EPS * mass)
-                if diff <= tol * mass:
+                diff = np.maximum(abs(total - prev), _EPS * mass)
+                if np.all(diff <= tol * mass):
+                    if f.ndim == 1:
+                        return float(total), float(diff)
                     return total, diff
         raise QuadratureFailure(
-            f"tanh-sinh levels disagree by {diff:.2e} (tol {tol:g} of {mass:.3e})",
+            f"tanh-sinh levels disagree by {np.max(diff):.2e} "
+            f"(tol {tol:g} of {np.min(mass):.3e})",
             interval=(0.0, self.rho),
             estimate=total,
             err_estimate=diff,

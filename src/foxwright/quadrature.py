@@ -12,11 +12,12 @@ substitution that removes the endpoint singularity for sigma < 1.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureFailure
+from .errors import OutsideDomainError, QuadratureFailure
 
 __all__ = [
     "kronrod15",
@@ -52,6 +53,9 @@ _WG = np.array([
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
 ])
+
+# log of the largest double: e^x overflows beyond it
+_LOG_MAX = math.log(np.finfo(float).max)
 
 _NODES = np.concatenate([-_XGK[:7], _XGK[::-1]])  # 15 ascending nodes
 _KW = np.concatenate([_WGK[:7], _WGK[::-1]])
@@ -125,16 +129,29 @@ def integrate_gamma_weighted(
     f: Callable[[np.ndarray], np.ndarray],
     sigma: float,
     tol_abs: float = 1e-12,
+    decay: float = 1.0,
 ) -> float:
     """integral_0^inf t^(sigma-1) e^(-t) f(t) dt for sigma > 0.
 
     Split at t = 1.  On (0, 1) the substitution t = u^(1/sigma) absorbs the
     algebraic endpoint factor exactly, so the transformed integrand is
-    smooth even for small sigma.  The far tail is cut where the weight
-    alone drops below 1e-24; f is assumed at most polynomially growing.
+    smooth even for small sigma.  f may grow like e^((1 - decay) t) times
+    a polynomial, so the integrand decays like e^(-decay t); the far tail
+    is cut where e^(-decay t) t^(sigma-1) drops below about 1e-24, at
+    t = (60 + 5 max(sigma - 1, 0)) / decay.  Raises OutsideDomainError
+    when f would overflow a double before that cut.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
+    if not 0.0 < decay <= 1.0:
+        raise ValueError("decay must lie in (0, 1]")
+    # weight t^(sigma-1) e^(-decay t) < 1e-24 beyond this point for moderate sigma
+    upper = (60.0 + 5.0 * max(sigma - 1.0, 0.0)) / decay
+    if (1.0 - decay) * upper > _LOG_MAX:
+        raise OutsideDomainError(
+            f"the integrand decays only like e^(-{decay:.3g} t): f reaches "
+            f"e^{(1.0 - decay) * upper:.4g} before the tail cut at t = {upper:.4g}"
+        )
 
     inv = 1.0 / sigma
 
@@ -145,8 +162,6 @@ def integrate_gamma_weighted(
     def right(t: np.ndarray) -> np.ndarray:
         return t ** (sigma - 1.0) * np.exp(-t) * np.asarray(f(t))
 
-    # weight t^(sigma-1) e^(-t) < 1e-24 beyond this point for moderate sigma
-    upper = 60.0 + 5.0 * max(sigma - 1.0, 0.0)
     return integrate_adaptive(left, 0.0, 1.0, tol_abs / 2) + integrate_adaptive(
         right, 1.0, upper, tol_abs / 2
     )

@@ -84,6 +84,11 @@ def _record(
     return IdentityRecord(identity, params_hash, float(z), lhs, rhs, abs_err, rel_err, verdict)
 
 
+def _representable(c) -> bool:
+    """Whether the measure represents the series: mu == -m or mu > 0."""
+    return c.m_order is not None or c.mu > _BALANCE_TOL
+
+
 def _require_balanced(params: ParameterSet):
     c = derive_constants(params)
     if abs(c.delta) > _BALANCE_TOL:
@@ -101,25 +106,27 @@ def _require_balanced(params: ParameterSet):
 
 
 def eval_via_representation(
-    params: ParameterSet, z: float, config: HfunEvalConfig | None = None
+    params: ParameterSet, z: float | np.ndarray, config: HfunEvalConfig | None = None
 ) -> EvalResult:
     """Series value rebuilt from the representing measure.
 
     ``integral_0^rho e^(zt) H(t) dt/t`` plus the endpoint-atom polynomial
     ``eta e^(rho z) sum_j l_(m-j) * (Touchard_j at rho z)``.  Works for the
     atomic regimes ``mu == -m`` and for the pure-density regime ``mu > 0``
-    (where the atom part is identically zero).
+    (where the atom part is identically zero).  An array of real z is
+    served by one pass over the cached rule, refined until every point
+    meets the tolerance; value and estimate are then arrays.
     """
     c = _require_balanced(params)
-    if c.m_order is None and not c.mu > _BALANCE_TOL:
+    if not _representable(c):
         raise ConstraintError(
             "representation needs mu to be a non-positive integer or mu > 0; "
             f"got mu={c.mu:.6g}"
         )
-    zr = float(z)
+    zr = np.asarray(z, dtype=float) if np.ndim(z) else float(z)
     ev = get_evaluator(params, config)
-    integral, err = ev._integral(lambda t: np.exp(zr * t) / t)
-    corr = complex(correction_series(params, zr)).real if c.m_order is not None else 0.0
+    integral, err = ev._integral(lambda t: np.exp(np.multiply.outer(zr, t)) / t)
+    corr = correction_series(params, zr) if c.m_order is not None else 0.0
     return EvalResult(integral + corr, ev._res_nodes_used, err, SeriesStatus.CONVERGED)
 
 
@@ -256,36 +263,38 @@ def laplace_lift_check(
     """Gamma-weighted integral of the series vs the lifted series.
 
     ``integral_0^inf t^(lam-1) e^(-t) F(zt) dt`` where ``F`` is the base
-    series, against ``lifted_value(params, lam, z)``.  The integrand only
-    decays for ``z < 1/rho``; past that the lift diverges and the check
-    refuses to run.
+    series, against ``lifted_value(params, lam, z)``.  F(zt) grows like
+    e^(rho z t) for z > 0, so the integrand decays like
+    e^(-(1 - rho max(z, 0)) t) and the tail cut scales with the inverse of
+    that rate; the lift diverges for z >= 1/rho, and the check refuses to
+    run there or where F would overflow before the cut.  The right-hand
+    side is computed first, so a lifted value out of reach costs no
+    quadrature.
+
+    F comes from the representing measure wherever it exists (mu == -m or
+    mu > 0): one vectorised pass over the rule per quadrature panel, adding
+    only same-sign quantities however negative zt is.  Other balanced sets
+    sum the series node by node.
     """
     if lam <= 0:
         raise ParameterError("lam must be positive")
     c = _require_balanced(params)
-    if z * c.rho >= 1.0 - 1e-9:
+    decay = 1.0 - c.rho * max(z, 0.0)
+    if decay <= 1e-9:
         raise OutsideDomainError(
             f"the gamma-weighted integrand grows like e^(-(1 - rho z) t); "
             f"z={z} with rho={c.rho:g} does not decay"
         )
-
-    # Deep on the negative axis the alternating series cancels down to
-    # rounding noise of order e^(rho |w|) * eps, so past rho|w| ~ 20 the
-    # integrand switches to the measure route, which only ever adds
-    # same-sign quantities.
-    switch = 20.0 / max(c.rho, 1e-12)
-    representable = c.m_order is not None or c.mu > _BALANCE_TOL
-
-    def f_point(w: float) -> float:
-        if w < -switch and representable:
-            return float(eval_via_representation(params, w, config).value)
-        return complex(fox_wright_value(params, w)).real
-
-    def f(t: np.ndarray) -> np.ndarray:
-        return np.array([f_point(z * ti) for ti in np.atleast_1d(t)])
-
-    lhs = integrate_gamma_weighted(f, lam)
     rhs = lifted_value(params, lam, z, config=config)
+
+    if _representable(c):
+        def f(t: np.ndarray) -> np.ndarray:
+            return eval_via_representation(params, z * t, config).value
+    else:
+        def f(t: np.ndarray) -> np.ndarray:
+            return np.array([complex(fox_wright_value(params, z * ti)).real for ti in t])
+
+    lhs = integrate_gamma_weighted(f, lam, decay=decay)
     return _record(f"laplace-lift[lam={lam:g}]", params.hash_key(), z, lhs, rhs, tol)
 
 

@@ -25,6 +25,8 @@ import math
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NonConvergentError, OutsideDomainError
 from .params import (
     ParameterSet,
@@ -33,7 +35,7 @@ from .params import (
     gamma_ratio_log_signed,
     in_domain,
 )
-from .special import log_abs_gamma_signed, log_gamma, touchard_sum
+from .special import log_abs_gamma_signed, log_gamma, touchard_poly
 
 __all__ = [
     "EvalResult",
@@ -77,7 +79,8 @@ class EvalResult:
     to the accumulated value, i.e. an a-posteriori bound stand-in, not a
     rigorous error bound.  Results rebuilt from the representing measure
     (``eval_via_representation``, ``stieltjes_eval``) carry instead the
-    absolute difference of the last two quadrature levels.
+    absolute difference of the last two quadrature levels; for an array of
+    z, value and estimate are arrays.
     """
 
     value: complex
@@ -292,13 +295,14 @@ def four_param_wright(
 # ---------------------------------------------------------------------------
 
 
-def correction_series(params: ParameterSet, z: complex) -> complex:
+def correction_series(params: ParameterSet, z: complex | np.ndarray) -> complex | np.ndarray:
     """eta * sum_k rho^k P(k) z^k / k!  where P(k) = sum_j l_{m-j} k^j.
 
     This is the part of the series contributed by the endpoint atoms when
     the scale sums balance and mu == -m for an integer m >= 0.  Each power
-    k^j collapses through the Stirling transform, so the whole thing costs
-    a handful of exp calls.
+    k^j collapses through the Stirling transform to e^(rho z) times a
+    degree-j Touchard polynomial, so the whole thing costs one exp.  An
+    array of real z gives the array of values.
     """
     c = derive_constants(params)
     if abs(c.delta) > 1e-9:
@@ -307,24 +311,17 @@ def correction_series(params: ParameterSet, z: complex) -> complex:
         raise OutsideDomainError("correction series requires mu to be a non-positive integer")
     m = c.m_order
     ell = correction_coeffs(params, m)
-    w = c.rho * z
-    if isinstance(z, complex) and z.imag != 0:
-        acc: complex = 0.0
-        for j in range(m + 1):
-            acc += ell[m - j] * _touchard_complex(j, w)
+    if np.ndim(z):
+        w = c.rho * np.asarray(z, dtype=float)
+        exp_w = np.exp(w)
+    elif isinstance(z, complex) and z.imag != 0:
+        w = c.rho * z
+        exp_w = cmath.exp(w)
     else:
-        acc = 0.0
-        for j in range(m + 1):
-            acc += ell[m - j] * touchard_sum(j, (w.real if isinstance(w, complex) else w))
+        w = (c.rho * z).real
+        exp_w = math.exp(w)
+    acc = 0.0
+    for j in range(m + 1):
+        acc += ell[m - j] * (exp_w * touchard_poly(j, w))
     return c.eta * acc
 
-
-def _touchard_complex(j: int, w: complex) -> complex:
-    from .special import stirling2_row
-
-    row = stirling2_row(j)
-    poly: complex = 0.0
-    for i, s in enumerate(row):
-        if s:
-            poly += s * w**i
-    return cmath.exp(w) * poly

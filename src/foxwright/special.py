@@ -33,6 +33,7 @@ __all__ = [
     "bernoulli_number",
     "bernoulli_poly",
     "stirling2_row",
+    "touchard_poly",
     "touchard_sum",
 ]
 
@@ -233,6 +234,15 @@ def stirling2_row(n: int) -> tuple[int, ...]:
     return out
 
 
+def touchard_poly(j: int, x: complex | np.ndarray) -> complex | np.ndarray:
+    """The Touchard polynomial sum_i S(j,i) x^i, for a float, complex or array x."""
+    poly = 0.0
+    for i, s in enumerate(stirling2_row(j)):
+        if s:
+            poly += s * x**i
+    return poly
+
+
 def touchard_sum(j: int, x: float) -> float:
     """sum_{k>=0} k^j x^k / k!  =  e^x * sum_i S(j,i) x^i.
 
@@ -241,9 +251,4 @@ def touchard_sum(j: int, x: float) -> float:
     """
     if j < 0:
         raise ValueError("power j must be non-negative")
-    row = stirling2_row(j)
-    poly = 0.0
-    for i, s in enumerate(row):
-        if s:
-            poly += s * x**i
-    return math.exp(x) * poly
+    return math.exp(x) * touchard_poly(j, x)

@@ -170,6 +170,23 @@ class TestVerifyCommands:
         rows = json_rows(out)
         assert rows[0]["status"].startswith("error:")
 
+    def test_laplace_beyond_the_disk_passes(self, capsys):
+        # rho |z| = 2 on exp-collapse: the measure route, not the series
+        code, out, _ = run_cli(
+            capsys, "verify-laplace", "--params", "exp-collapse", "--lift", "1.5", "--z=-1"
+        )
+        assert code == 0
+        rows = json_rows(out)
+        assert [r["value_or_verdict"] for r in rows] == ["pass"]
+
+    def test_laplace_without_continuation_is_typed_error(self, capsys):
+        # twin-quarter (m = 1) has no lifted value past the disk
+        code, out, _ = run_cli(
+            capsys, "verify-laplace", "--params", "twin-quarter", "--lift", "2", "--z=-1"
+        )
+        assert code == 2
+        assert json_rows(out)[0]["status"] == "error:OutsideDomainError"
+
 
 class TestBoundsCommand:
     def test_exponential_bounds_pass(self, capsys):

@@ -317,6 +317,27 @@ class TestCachedRule:
         assert calls == []
         assert len(ev._rule) == levels
 
+    @pytest.mark.parametrize("params", [EXP_COLLAPSE, TWIN_QUARTER, DOUBLE_POLE, IDENTITY])
+    def test_rows_match_scalar_calls(self, params):
+        # a (k, n) integrand refines until every row meets tol: the level
+        # the slowest row needs, where each row equals its scalar call up
+        # to the matrix product's summation order
+        ws = np.array([-40.0, -8.0, -1.0, 0.0, 0.5, 2.0, 20.0])
+        scalar, levels = [], []
+        for w in ws:
+            ev = MeasureEvaluator(params)
+            scalar.append(ev._integral(lambda t: np.exp(w * t) / t))
+            levels.append(len(ev._rule))
+        ev = MeasureEvaluator(params)
+        total, err = ev._integral(lambda t: np.exp(np.multiply.outer(ws, t)) / t)
+        assert total.shape == err.shape == ws.shape
+        assert len(ev._rule) == max(levels)
+        for (want, want_err), level, got in zip(scalar, levels, total):
+            if level == max(levels):
+                assert abs(got - want) <= 2.0 * np.spacing(abs(want))
+            else:
+                assert abs(got - want) <= want_err
+
     def test_unreachable_tolerance_raises(self):
         ev = MeasureEvaluator(DOUBLE_POLE, HfunEvalConfig(tol=1e-30))
         with pytest.raises(QuadratureFailure):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from foxwright.errors import QuadratureFailure
+from foxwright.errors import OutsideDomainError, QuadratureFailure
 from foxwright.quadrature import (
     integrate_adaptive,
     integrate_gamma_weighted,
@@ -71,4 +71,16 @@ class TestGammaWeighted:
         sigma = 1.5
         got = integrate_gamma_weighted(_vec(lambda t: t * t), sigma)
         assert got == pytest.approx(math.gamma(sigma + 2.0), rel=1e-11)
+
+    @pytest.mark.parametrize("grow", [0.5, 0.9])
+    def test_growing_integrand_keeps_its_tail(self, grow):
+        # integral e^(-t) e^(grow t) dt = 1/(1-grow): the cut moves out as
+        # the decay rate 1 - grow falls
+        got = integrate_gamma_weighted(lambda t: np.exp(grow * t), 1.0, decay=1.0 - grow)
+        assert got == pytest.approx(1.0 / (1.0 - grow), rel=1e-11)
+
+    def test_overflow_before_cut_raises(self):
+        # f = e^(0.99 t) would pass e^709 long before the cut at t = 6000
+        with pytest.raises(OutsideDomainError):
+            integrate_gamma_weighted(lambda t: np.exp(0.99 * t), 1.0, decay=0.01)
 

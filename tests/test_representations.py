@@ -18,8 +18,11 @@ from foxwright import (
     verify_representation,
     verify_stieltjes,
 )
+from foxwright import representations
 from foxwright.catalog import DOUBLE_POLE, EXP_COLLAPSE, IDENTITY, TWIN_QUARTER
-from foxwright.errors import ConstraintError, OutsideDomainError
+from foxwright.errors import ConstraintError, FoxwrightError, OutsideDomainError
+
+EPS = float(np.finfo(float).eps)
 
 
 class TestExponentialKernel:
@@ -40,6 +43,18 @@ class TestExponentialKernel:
         # the quadrature's own estimate, below tol relative to the integral
         res = eval_via_representation(DOUBLE_POLE, z)
         assert 0.0 < res.trunc_estimate <= 1e-9 * abs(res.value)
+
+    @pytest.mark.parametrize("params", [EXP_COLLAPSE, TWIN_QUARTER, DOUBLE_POLE, IDENTITY])
+    def test_array_z_matches_scalar_calls(self, params):
+        # one pass for all z refines to the level the slowest point needs:
+        # each value within its scalar call's own estimate, plus the atom
+        # part's exp rounding
+        zs = np.linspace(-60.0, 20.0, 33)
+        res = eval_via_representation(params, zs)
+        assert res.value.shape == res.trunc_estimate.shape == zs.shape
+        for z, got in zip(zs, res.value):
+            one = eval_via_representation(params, z)
+            assert abs(got - one.value) <= one.trunc_estimate + 4.0 * EPS * abs(one.value)
 
     def test_beta_like_set_without_atom(self):
         # mu > 0: representation is the plain integral, no polynomial part
@@ -108,6 +123,8 @@ class TestLiftedValue:
 
 
 class TestLaplaceLift:
+    # a tail cut at t = 60 whatever F does leaves e^(-0.3 t) = 1.5e-8 of
+    # the identity case out; the cut follows the decay rate instead
     @pytest.mark.parametrize(
         "params,lam,z",
         [
@@ -120,7 +137,50 @@ class TestLaplaceLift:
     def test_weighted_transform_matches_lift(self, params, lam, z):
         rec = laplace_lift_check(params, lam, z, tol=1e-6)
         assert rec.verdict == "pass"
-        assert rec.rel_err < 1e-5
+        assert rec.rel_err < 1e-11
+
+    @pytest.mark.parametrize(
+        "params,lam,z",
+        [
+            (EXP_COLLAPSE, 1.5, -1.0),  # rho |z| = 2
+            (DOUBLE_POLE, 1.5, -3.0),  # rho |z| = 3
+        ],
+    )
+    def test_lift_beyond_the_disk(self, params, lam, z):
+        rec = laplace_lift_check(params, lam, z, tol=1e-6)
+        assert rec.verdict == "pass"
+        assert rec.rel_err < 1e-11
+
+    def test_set_without_measure_sums_the_series(self):
+        # mu = -1/2: no representing measure, so F comes from the series
+        ps = ParameterSet([(1.0, 1.0)], [(0.5, 0.5), (0.5, 0.5)])
+        rec = laplace_lift_check(ps, 1.0, -0.3, tol=1e-6)
+        assert rec.verdict == "pass"
+        assert rec.rel_err < 1e-11
+
+    def test_growing_integrand_keeps_its_tail(self):
+        # F = e^z: integral e^(-t) e^(0.9 t) dt = 10
+        rec = laplace_lift_check(IDENTITY, 1.0, 0.9, tol=1e-6)
+        assert rec.verdict == "pass"
+        assert rec.lhs == pytest.approx(10.0, rel=1e-9)
+
+    def test_near_divergent_lift_never_fails(self):
+        # z = 0.99: F would overflow before the tail cut; a typed error or a
+        # pass, never a "fail" verdict blamed on the identity
+        try:
+            rec = laplace_lift_check(IDENTITY, 1.0, 0.99, tol=1e-6)
+        except FoxwrightError:
+            return
+        assert rec.verdict == "pass"
+
+    def test_lifted_value_out_of_reach_costs_no_quadrature(self, monkeypatch):
+        # twin-quarter has m = 1: no kernel continuation past the disk
+        def boom(*args, **kwargs):
+            raise AssertionError("quadrature ran before the lifted value")
+
+        monkeypatch.setattr(representations, "integrate_gamma_weighted", boom)
+        with pytest.raises(OutsideDomainError):
+            laplace_lift_check(TWIN_QUARTER, 2.0, -1.0)
 
     def test_divergent_weight_rejected(self):
         # z rho >= 1 makes the weighted integrand non-decaying

@@ -157,3 +157,12 @@ class TestCorrectionSeries:
             lhs = complex(fox_wright_value(EXP_COLLAPSE, z)).real
             rhs = complex(correction_series(EXP_COLLAPSE, z)).real
             assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    @pytest.mark.parametrize("params", [EXP_COLLAPSE, TWIN_QUARTER, DOUBLE_POLE, IDENTITY])
+    def test_array_z_matches_scalar_calls(self, params):
+        # np.exp and math.exp may round apart by an ulp each
+        zs = np.linspace(-60.0, 20.0, 33)
+        got = correction_series(params, zs)
+        want = [correction_series(params, float(z)) for z in zs]
+        assert got.shape == zs.shape
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
