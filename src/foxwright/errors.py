@@ -30,7 +30,7 @@ class NonConvergentError(FoxwrightError):
 
 
 class QuadratureFailure(FoxwrightError):
-    """Adaptive quadrature exceeded its refinement depth before reaching tolerance."""
+    """A quadrature rule reached its finest level before meeting its tolerance."""
 
     def __init__(self, message, interval=None, estimate=None, err_estimate=None):
         super().__init__(message)

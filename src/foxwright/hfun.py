@@ -52,18 +52,17 @@ groups within _TABLE_STEP of the first pole sits at rounding level against
 its circle's largest |ratio(s)| * radius.  Both routes then return exact zeros.
 
 Every integral against the measure, integral_0^rho fn(t) H(t) dt, runs on
-one nested tanh-sinh rule (Takahasi & Mori, 1974) cached on the evaluator.
-The substitution t = rho/2 (1 + tanh(pi/2 sinh x)) makes the integrand
-decay double-exponentially in x at both ends, which absorbs the algebraic
-behaviour of H at 0 and at rho alike.  Each level of the rule halves the
-step and stores only its new nodes t_i with their weights w_i H(t_i), so
-the density is evaluated once per node for the life of the evaluator and
-an integral is a dot product fn(t) @ (w H) per level.  The rule is built
-lazily, level by level, the first time an integral needs it; evaluators
-that only serve density calls never build it.  Its H values come from the
-same per-t route choice as AUTO, with u = ln(rho/t) taken from the
-complement of the substitution, so nodes where t rounds onto rho keep an
-exact u.
+one nested tanh-sinh rule (``quadrature.tanh_sinh``) cached on the
+evaluator.  The substitution makes the integrand decay double-exponentially
+in x at both ends, which absorbs the algebraic behaviour of H at 0 and at
+rho alike.  Each level of the rule stores only its new nodes t_i with their
+weights w_i H(t_i), so the density is evaluated once per node for the life
+of the evaluator and an integral is a dot product fn(t) @ (w H) per level
+of ``quadrature.integrate_levels``.  The rule is built lazily, level by
+level, the first time an integral needs it; evaluators that only serve
+density calls never build it.  Its H values come from the same per-t route
+choice as AUTO, with u = ln(rho/t) taken from the complement of the
+substitution, so nodes where t rounds onto rho keep an exact u.
 """
 
 from __future__ import annotations
@@ -80,9 +79,9 @@ from .errors import (
     NonConvergentError,
     OutsideDomainError,
     ParameterError,
-    QuadratureFailure,
 )
 from .params import ParameterSet, correction_coeffs, derive_constants
+from .quadrature import integrate_levels, tanh_sinh, tanh_sinh_reach
 from .special import log_gamma_complex_vec
 
 __all__ = [
@@ -106,16 +105,13 @@ _ENDPOINT_ORDER = 40
 # the endpoint series alone serves where its estimate is below this many eps |H|
 _ENDPOINT_ULPS = 16.0
 _RESIDUE_CHUNK = 128  # points per (points x groups) block of the residue sum
-# tanh-sinh rule on (0, rho): x runs over [-X_lo, X_hi] with step _DE_STEP / 2^level.
-# The smallest node sits at t = rho * _DE_TINY, or lower when H ~ t^a decays
-# slowly near 0 (a = min shift/scale), so that the tail t^a / a left out stays
-# below 1e-3 tol; never below rho * _DE_FLOOR, where 1/t and t H still fit
-# in a double.  The same holds for rho - t when H ~ (rho - t)^(mu - 1) with
-# 0 < mu < 1.
-_DE_STEP = 0.5
+# tanh-sinh rule on (0, rho): the smallest node sits at t = rho * _DE_TINY,
+# or lower when H ~ t^a decays slowly near 0 (a = min shift/scale), so that
+# the tail t^a / a left out stays below 1e-3 tol; never below rho * _DE_FLOOR,
+# where 1/t and t H still fit in a double.  The same holds for rho - t when
+# H ~ (rho - t)^(mu - 1) with 0 < mu < 1.
 _DE_TINY = 1e-29
 _DE_FLOOR = 1e-300
-_DE_MAX_LEVEL = 7
 
 
 class HfunMethod(enum.Enum):
@@ -479,22 +475,11 @@ class MeasureEvaluator:
     def _rule_level(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights w_i H(t_i) of one tanh-sinh level, built on first use.
 
-        Level 0 holds x = j h with h = _DE_STEP; level l > 0 holds only the
-        odd multiples of h / 2^l, so the levels nest and each node's density
-        value is computed once.  u = ln(rho/t) = log1p(e^(-2v)) comes from
-        the complement, so the nodes where t rounds onto rho keep their
-        exact u and stay in the rule.
+        H takes u = ln(rho/t) from the rule's complement, so the nodes where
+        t rounds onto rho stay in the rule.
         """
         while len(self._rule) <= level:
-            lev = len(self._rule)
-            h = _DE_STEP / 2**lev
-            lo, hi = self._rule_span()
-            j = np.arange(-int(lo / h), int(hi / h) + 1)
-            x = h * (j if lev == 0 else j[j % 2 == 1])
-            v = 0.5 * math.pi * np.sinh(x)
-            t = self.rho / (1.0 + np.exp(-2.0 * v))
-            u = np.where(v < 0.0, np.log1p(np.exp(2.0 * v)) - 2.0 * v, np.log1p(np.exp(-2.0 * v)))
-            w = h * 0.25 * math.pi * self.rho * np.cosh(x) / np.cosh(v) ** 2
+            t, u, w = tanh_sinh(len(self._rule), self.rho, *self._rule_span())
             self._rule.append((t, w * self._split_density(t, math.log(self.rho) - u, u)))
         return self._rule[level]
 
@@ -507,52 +492,26 @@ class MeasureEvaluator:
             tiny = _DE_TINY
             if a > 0.0:
                 tiny = max(min(tiny, (1e-3 * self.config.tol) ** (1.0 / a)), _DE_FLOOR)
-            return math.asinh(-math.log(tiny) / math.pi)
+            return tanh_sinh_reach(tiny)
 
         return span(self._first), span(self.mu)
 
     def _integral(self, fn: Callable[[np.ndarray], np.ndarray]) -> tuple:
-        """(integral_0^rho fn(t) H(t) dt, error estimate).
-
-        The estimate is the difference of the last two tanh-sinh levels, but
-        never below the rounding floor eps * integral of |fn H|: two levels
-        that agree to the last bit have not shown an error of 0.  Halves the
-        step until the estimate is within ``config.tol`` of the integral of
-        |fn H|; raises QuadratureFailure when the finest level still misses
-        it or the sum is not finite.
+        """(integral_0^rho fn(t) H(t) dt, error estimate) by
+        ``integrate_levels`` at ``config.tol`` on the cached rule.
 
         ``fn`` may return a (k, n) array for n nodes, k integrands at once:
-        the totals and estimates are then length-k arrays, and the step is
-        halved until every row meets the tolerance.
+        the totals and estimates are then length-k arrays.
         """
         if self.degenerate:
             zero = np.zeros(np.shape(fn(np.empty(0)))[:-1])
             return (0.0, 0.0) if zero.ndim == 0 else (zero, np.zeros_like(zero))
-        tol = self.config.tol
-        total = mass = 0.0
-        diff = math.inf
-        for level in range(_DE_MAX_LEVEL + 1):
-            # the level-l sum is half the previous one plus the new nodes
+
+        def terms(level: int) -> tuple[np.ndarray, np.ndarray]:
             t, wh = self._rule_level(level)
-            f = np.asarray(fn(t))
-            prev = total
-            total = 0.5 * total + f @ wh
-            mass = 0.5 * mass + np.abs(f) @ np.abs(wh)
-            if not np.all(np.isfinite(total)):
-                break
-            if level:
-                diff = np.maximum(abs(total - prev), _EPS * mass)
-                if np.all(diff <= tol * mass):
-                    if f.ndim == 1:
-                        return float(total), float(diff)
-                    return total, diff
-        raise QuadratureFailure(
-            f"tanh-sinh levels disagree by {np.max(diff):.2e} "
-            f"(tol {tol:g} of {np.min(mass):.3e})",
-            interval=(0.0, self.rho),
-            estimate=total,
-            err_estimate=diff,
-        )
+            return fn(t), wh
+
+        return integrate_levels(terms, self.config.tol, (0.0, self.rho))
 
     def measure_integral(self, fn: Callable[[np.ndarray], np.ndarray]) -> float:
         """integral_0^rho fn(t) H(t) dt on the evaluator's cached tanh-sinh rule.
@@ -561,7 +520,7 @@ class MeasureEvaluator:
         with the stored weights w_i H(t_i); no density is evaluated once the
         levels it needs exist.  Levels are refined until two successive sums
         agree to ``config.tol``; QuadratureFailure when the finest level
-        (step _DE_STEP / 2^_DE_MAX_LEVEL) still does not.
+        still does not.
         """
         return self._integral(fn)[0]
 

@@ -1,17 +1,21 @@
-"""Adaptive Gauss-Kronrod quadrature and a few purpose-built transforms.
+"""The package's one quadrature engine: nested double-exponential rules.
 
-The core rule is the classic 7-15 pair (same nodes and weights QUADPACK's
-dqk15 uses).  Integrands must accept numpy arrays; every caller in this
-package evaluates vectorised kernels, and the rule exploits that.
+Every integral is a trapezoidal sum in x on nested levels (Takahasi & Mori,
+Publ. RIMS 9, 1974).  Level 0 holds x = j h with h = _DE_STEP; level l > 0
+holds only the odd multiples of h / 2^l, so each level's sum is half the
+previous one plus its new nodes and no node is evaluated twice.  Two maps
+carry x onto t:
 
-On top of the adaptive driver sits the gamma-weighted integral over
-(0, inf) the rest of the package needs, with the t = u^(1/sigma)
-substitution that removes the endpoint singularity for sigma < 1.
+* tanh-sinh, t = b / (1 + e^(-2v)) with v = (pi/2) sinh x, onto (0, b);
+* exp-sinh, t = exp((pi/2) sinh x), onto (0, inf).
+
+``integrate_levels`` is the one level loop; the measure's cached rule
+(``hfun``), the gamma-weighted integral below and the finite Laplace
+integral (``representations``) all run on it.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Callable
 
@@ -20,124 +24,122 @@ import numpy as np
 from .errors import OutsideDomainError, QuadratureFailure
 
 __all__ = [
-    "kronrod15",
-    "integrate_adaptive",
+    "tanh_sinh",
+    "tanh_sinh_reach",
+    "exp_sinh",
+    "integrate_levels",
     "integrate_gamma_weighted",
 ]
 
-# 15-point Kronrod abscissae on [-1, 1] (positive half; symmetric).
-_XGK = np.array([
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-    0.000000000000000000000000000000000,
-])
-_WGK = np.array([
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-])
-# Embedded 7-point Gauss weights (for xgk indices 1, 3, 5, 7).
-_WG = np.array([
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-])
-
+_DE_STEP = 0.5
+_DE_MAX_LEVEL = 7
+_EPS = float(np.finfo(float).eps)
 # log of the largest double: e^x overflows beyond it
 _LOG_MAX = math.log(np.finfo(float).max)
-
-_NODES = np.concatenate([-_XGK[:7], _XGK[::-1]])  # 15 ascending nodes
-_KW = np.concatenate([_WGK[:7], _WGK[::-1]])
-_GW = np.zeros(15)
-_GW[1::2] = np.concatenate([_WG[:3], _WG[::-1]])  # Gauss points sit at odd slots
+# relative accuracy the gamma-weighted integral refines to
+_GAMMA_TOL = 1e-12
 
 
-def kronrod15(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:
-    """One application of the 7-15 pair on [a, b]: (K15 value, |K15 - G7|)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = mid + half * _NODES
-    y = np.asarray(f(x), dtype=float)
-    k15 = half * float(_KW @ y)
-    g7 = half * float(_GW @ y)
-    return k15, abs(k15 - g7)
+def _grid(level: int, lo: float, hi: float) -> tuple[np.ndarray, float]:
+    """The x nodes new at ``level`` on [-lo, hi], and the level's step."""
+    h = _DE_STEP / 2**level
+    j = np.arange(-int(lo / h), int(hi / h) + 1)
+    return h * (j if level == 0 else j[j % 2 == 1]), h
 
 
-def integrate_adaptive(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    tol_abs: float = 1e-12,
-    tol_rel: float = 1e-10,
-    max_panels: int = 2000,
-) -> float:
-    """Globally adaptive bisection on the 7-15 pair.
+def tanh_sinh_reach(tiny: float) -> float:
+    """The x at which tanh-sinh nodes come within ``tiny * b`` of an end of (0, b)."""
+    return math.asinh(-math.log(tiny) / math.pi)
 
-    The panel with the largest local error estimate is split until the
-    summed error meets ``max(tol_abs, tol_rel * |integral|)``.  Accounting
-    for the error globally (instead of handing each subinterval a share of
-    the budget) keeps integrands with a rounding-noise floor from driving
-    refinement forever: once the noise-dominated panels stop improving,
-    their summed error is already far below any meaningful tolerance.
 
-    Raises :class:`QuadratureFailure` when the panel budget runs out or a
-    panel shrinks to machine width while still carrying a significant share
-    of the error, which in practice means a genuine singularity the caller
-    should have transformed away.
+def tanh_sinh(
+    level: int, b: float, lo: float, hi: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes t, complements u = ln(b/t) and weights of one tanh-sinh level on
+    (0, b), over x in [-lo, hi].
+
+    u = log1p(e^(-2v)) comes from the complement, so the nodes where t
+    rounds onto b keep their exact u: an integrand singular at b can be
+    evaluated there from u.
     """
-    if a == b:
-        return 0.0
+    x, h = _grid(level, lo, hi)
+    v = 0.5 * math.pi * np.sinh(x)
+    t = b / (1.0 + np.exp(-2.0 * v))
+    u = np.where(v < 0.0, np.log1p(np.exp(2.0 * v)) - 2.0 * v, np.log1p(np.exp(-2.0 * v)))
+    w = h * 0.25 * math.pi * b * np.cosh(x) / np.cosh(v) ** 2
+    return t, u, w
 
-    val, err = kronrod15(f, float(a), float(b))
-    heap = [(-err, float(a), float(b), val, err)]
-    total_val, total_err = val, err
-    panels = 1
-    while total_err > max(tol_abs, tol_rel * abs(total_val)):
-        neg_err, lo, hi, v, e = heapq.heappop(heap)
-        width = hi - lo
-        if panels >= max_panels or width <= 4e-16 * (abs(lo) + abs(hi)) + 1e-300:
-            raise QuadratureFailure(
-                f"refinement exhausted on [{lo}, {hi}] "
-                f"(panel err ~ {e:.2e}, total err ~ {total_err:.2e})",
-                interval=(lo, hi),
-                estimate=total_val + v,
-                err_estimate=total_err,
-            )
-        mid = 0.5 * (lo + hi)
-        v1, e1 = kronrod15(f, lo, mid)
-        v2, e2 = kronrod15(f, mid, hi)
-        total_val += v1 + v2 - v
-        total_err += e1 + e2 - e
-        heapq.heappush(heap, (-e1, lo, mid, v1, e1))
-        heapq.heappush(heap, (-e2, mid, hi, v2, e2))
-        panels += 1
-    return total_val
+
+def exp_sinh(level: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes t, ln t and weights of one exp-sinh level on (0, inf), over x in
+    [-lo, hi].
+
+    The weights are those of d(ln t): dt = t * w.  Keeping ln t lets a
+    caller form a weight t^a exactly where t itself underflows.
+    """
+    x, h = _grid(level, lo, hi)
+    log_t = 0.5 * math.pi * np.sinh(x)
+    return np.exp(log_t), log_t, h * 0.5 * math.pi * np.cosh(x)
+
+
+def integrate_levels(
+    terms: Callable[[int], tuple[np.ndarray, np.ndarray]],
+    tol: float,
+    interval: tuple[float, float],
+) -> tuple:
+    """(integral, error estimate) from nested levels of a double-exponential rule.
+
+    ``terms(level)`` returns (f, w): the integrand at the level's new nodes
+    and their weights.  The estimate is the difference of the last two
+    levels, but never below the rounding floor eps * integral of |f|: two
+    levels that agree to the last bit have not shown an error of 0.  Halves
+    the step until the estimate is within ``tol`` of the integral of |f|;
+    raises QuadratureFailure when the finest level (step
+    _DE_STEP / 2^_DE_MAX_LEVEL) still misses it or the sum is not finite.
+
+    f may be a (k, n) array for n nodes, k integrands at once: the totals
+    and estimates are then length-k arrays, and the step is halved until
+    every row meets the tolerance.
+    """
+    total = mass = 0.0
+    diff = math.inf
+    for level in range(_DE_MAX_LEVEL + 1):
+        f, w = terms(level)
+        f = np.asarray(f)
+        prev = total
+        total = 0.5 * total + f @ w
+        mass = 0.5 * mass + np.abs(f) @ np.abs(w)
+        if not np.all(np.isfinite(total)):
+            break
+        if level:
+            diff = np.maximum(abs(total - prev), _EPS * mass)
+            if np.all(diff <= tol * mass):
+                if f.ndim == 1:
+                    return float(total), float(diff)
+                return total, diff
+    raise QuadratureFailure(
+        f"double-exponential levels disagree by {np.max(diff):.2e} "
+        f"(tol {tol:g} of {np.min(mass):.3e})",
+        interval=interval,
+        estimate=total,
+        err_estimate=diff,
+    )
 
 
 def integrate_gamma_weighted(
     f: Callable[[np.ndarray], np.ndarray],
     sigma: float,
-    tol_abs: float = 1e-12,
     decay: float = 1.0,
 ) -> float:
-    """integral_0^inf t^(sigma-1) e^(-t) f(t) dt for sigma > 0.
+    """integral_0^inf t^(sigma-1) e^(-t) f(t) dt for sigma > 0, to 1e-12 relative.
 
-    Split at t = 1.  On (0, 1) the substitution t = u^(1/sigma) absorbs the
-    algebraic endpoint factor exactly, so the transformed integrand is
-    smooth even for small sigma.  f may grow like e^((1 - decay) t) times
-    a polynomial, so the integrand decays like e^(-decay t); the far tail
-    is cut where e^(-decay t) t^(sigma-1) drops below about 1e-24, at
+    Runs on exp-sinh levels, one call of f per level on that level's new
+    nodes; the weight t^sigma e^(-t) is formed from ln t, so the algebraic
+    endpoint factor costs nothing for small sigma.  The nodes start where
+    t^sigma is 1e-24: below that t, a bounded f contributes about t^sigma /
+    gamma(sigma + 1) of its integral.  f may grow like e^((1 - decay) t)
+    times a polynomial, so the integrand decays like e^(-decay t); the far
+    tail is cut where e^(-decay t) t^(sigma-1) drops below about 1e-24, at
     t = (60 + 5 max(sigma - 1, 0)) / decay.  Raises OutsideDomainError
     when f would overflow a double before that cut.
     """
@@ -152,16 +154,11 @@ def integrate_gamma_weighted(
             f"the integrand decays only like e^(-{decay:.3g} t): f reaches "
             f"e^{(1.0 - decay) * upper:.4g} before the tail cut at t = {upper:.4g}"
         )
+    lo = math.asinh(-math.log(1e-24) / (0.5 * math.pi * sigma))
+    hi = math.asinh(math.log(upper) / (0.5 * math.pi))
 
-    inv = 1.0 / sigma
+    def terms(level: int) -> tuple[np.ndarray, np.ndarray]:
+        t, log_t, w = exp_sinh(level, lo, hi)
+        return f(t), np.exp(sigma * log_t - t) * w
 
-    def left(u: np.ndarray) -> np.ndarray:
-        t = u**inv
-        return np.exp(-t) * np.asarray(f(t)) * inv
-
-    def right(t: np.ndarray) -> np.ndarray:
-        return t ** (sigma - 1.0) * np.exp(-t) * np.asarray(f(t))
-
-    return integrate_adaptive(left, 0.0, 1.0, tol_abs / 2) + integrate_adaptive(
-        right, 1.0, upper, tol_abs / 2
-    )
+    return integrate_levels(terms, _GAMMA_TOL, (0.0, upper))[0]

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .hfun import HfunEvalConfig, get_evaluator
 from .params import ParameterSet, derive_constants
-from .quadrature import integrate_adaptive, integrate_gamma_weighted
+from .quadrature import integrate_gamma_weighted, integrate_levels, tanh_sinh, tanh_sinh_reach
 from .series import (
     EvalResult,
     SeriesStatus,
@@ -272,7 +272,7 @@ def laplace_lift_check(
     quadrature.
 
     F comes from the representing measure wherever it exists (mu == -m or
-    mu > 0): one vectorised pass over the rule per quadrature panel, adding
+    mu > 0): one vectorised pass over the rule per exp-sinh level, adding
     only same-sign quantities however negative zt is.  Other balanced sets
     sum the series node by node.
     """
@@ -358,12 +358,13 @@ def finite_laplace_identity(
     c = derive_constants(ps)
     ev = get_evaluator(ps, config)
     hi = 0.5
+    reach = tanh_sinh_reach(1e-29)
 
-    def left(u: np.ndarray) -> np.ndarray:
-        t = hi * u * u
-        return np.exp(-z * t) / t * ev.density(t) * 2.0 * hi * u
+    def terms(level: int) -> tuple[np.ndarray, np.ndarray]:
+        t, _, w = tanh_sinh(level, hi, reach, reach)
+        return np.exp(-z * t) / t * ev.density(t), w
 
-    quadrature = integrate_adaptive(left, 0.0, 1.0, tol_abs=1e-12, tol_rel=1e-10)
+    quadrature = integrate_levels(terms, 1e-10, (0.0, hi))[0]
     series_side = complex(fox_wright_value(ps, -z)).real - c.eta * math.exp(-c.rho * z)
     rt_pi = math.sqrt(math.pi)
     form_a = (math.exp(-2.0 * z) - math.exp(-z)) / rt_pi

@@ -135,9 +135,12 @@ def _sum_terms(log_term, z: complex, tol: float, max_terms: int | None) -> EvalR
     ``log_term(k)`` gives (log_k, sign_k): log|t_k| and the sign of the
     coefficient, log_k = -inf for a zero term.
 
-    Stops after three consecutive terms below ``tol`` relative to the running
-    sum; otherwise reports ``MAX_TERMS`` with the last term's relative size.
-    A real z sums in floats and returns a float.
+    Stops after three consecutive small terms: each below ``tol`` relative
+    to the running sum, and so is the geometric tail mag r / (1 - r) it
+    starts, r < 1 being its ratio to the term before.  A slowly converging
+    series thus runs on until what it leaves out is small, not only its
+    next term.  Otherwise reports ``MAX_TERMS`` with the last term's
+    relative size.  A real z sums in floats and returns a float.
     """
     limit = _max_terms_limit(max_terms)
     zc = complex(z)
@@ -163,16 +166,17 @@ def _sum_terms(log_term, z: complex, tol: float, max_terms: int | None) -> EvalR
             else:
                 term = sign * mag * cmath.exp(1j * k * arg_z)
         total += term
-        last_mag = mag
         if zc == 0:
             return EvalResult(total, 1, 0.0, SeriesStatus.CONVERGED)
         scale = max(abs(total), 1e-300)
-        if mag <= tol * scale:
+        # mag r / (1 - r) = mag^2 / (last_mag - mag) for r = mag / last_mag
+        if mag <= tol * scale and mag * mag <= tol * scale * (last_mag - mag):
             small_streak += 1
             if small_streak >= _STOP_STREAK:
                 return EvalResult(total, terms, mag / scale, SeriesStatus.CONVERGED)
         else:
             small_streak = 0
+        last_mag = mag
     return EvalResult(
         total,
         terms,

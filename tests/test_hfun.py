@@ -25,7 +25,6 @@ from foxwright.errors import (
     QuadratureFailure,
 )
 from foxwright.hfun import MeasureEvaluator
-from foxwright.quadrature import integrate_adaptive
 
 # an upper/lower pair one step apart has the classical beta density
 # t^alpha (1-t)^(beta-alpha-1) / gamma(beta-alpha) as its measure
@@ -268,21 +267,20 @@ def _count_density_calls(monkeypatch, ev):
     return calls
 
 
-def _gk15_integral(ev, fn):
-    """integral_0^rho fn H dt by adaptive GK15 on AUTO density, split at rho/2
-    with t = rho u^2 on the left: an independent check of the cached rule."""
+def _mpmath_integral(ev, fn):
+    """integral_0^rho fn H dt by mpmath.quad on the AUTO density over
+    [0, rho/2, rho], one float node at a time: an independent check of the
+    cached rule.  Nodes that round onto 0 or rho carry 0."""
+    mpmath = pytest.importorskip("mpmath")
     rho = ev.rho
 
-    def left(u):
-        t = rho * u * u
-        return fn(t) * ev.density(t) * 2.0 * rho * u
+    def integrand(t):
+        t = np.array([float(t)])
+        if not 0.0 < t[0] < rho:
+            return 0.0
+        return float(fn(t)[0] * ev.density(t)[0])
 
-    def right(t):
-        return fn(t) * ev.density(t)
-
-    return integrate_adaptive(
-        left, 0.0, math.sqrt(0.5), tol_abs=1e-15, tol_rel=1e-13
-    ) + integrate_adaptive(right, rho / 2.0, rho, tol_abs=1e-15, tol_rel=1e-13)
+    return float(mpmath.quad(integrand, [0.0, rho / 2.0, rho]))
 
 
 def _kernels(rho):
@@ -297,11 +295,11 @@ def _kernels(rho):
 
 class TestCachedRule:
     @pytest.mark.parametrize("params", [DOUBLE_POLE, TWIN_QUARTER])
-    def test_agrees_with_adaptive_gk15(self, params):
+    def test_agrees_with_mpmath_quad(self, params):
         ev = get_evaluator(params)
         for name, fn in _kernels(ev.rho):
-            want = _gk15_integral(ev, fn)
-            assert ev.measure_integral(fn) == pytest.approx(want, rel=1e-10), name
+            want = _mpmath_integral(ev, fn)
+            assert ev.measure_integral(fn) == pytest.approx(want, rel=1e-12), name
 
     def test_density_alone_builds_no_rule(self):
         ev = MeasureEvaluator(DOUBLE_POLE)

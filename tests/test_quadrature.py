@@ -1,4 +1,4 @@
-"""Gauss-Kronrod panels, adaptive refinement, gamma-weighted transforms."""
+"""The double-exponential engine: nested levels, the level loop, gamma-weighted transforms."""
 
 import math
 
@@ -7,9 +7,10 @@ import pytest
 
 from foxwright.errors import OutsideDomainError, QuadratureFailure
 from foxwright.quadrature import (
-    integrate_adaptive,
     integrate_gamma_weighted,
-    kronrod15,
+    integrate_levels,
+    tanh_sinh,
+    tanh_sinh_reach,
 )
 
 
@@ -17,45 +18,35 @@ def _vec(f):
     return lambda t: np.asarray([f(x) for x in np.atleast_1d(t)], dtype=float)
 
 
-class TestKronrod:
-    def test_polynomial_exactness(self):
-        # the 15-point rule integrates degree <= 22 exactly; try degree 10
-        val, err = kronrod15(_vec(lambda x: x**10), 0.0, 1.0)
-        assert val == pytest.approx(1.0 / 11.0, rel=1e-14)
-        assert err < 1e-12
+class TestLevels:
+    def test_tanh_sinh_absorbs_endpoint_singularities(self):
+        # integral_0^2 dt / sqrt(t (2 - t)) = pi, singular at both ends;
+        # the complement u = ln(2/t) gives 2 - t = t (e^u - 1) exactly
+        reach = tanh_sinh_reach(1e-29)
 
-    def test_error_estimate_reflects_roughness(self):
-        _, smooth_err = kronrod15(_vec(math.cos), 0.0, 1.0)
-        _, rough_err = kronrod15(_vec(lambda x: abs(x - 0.37) ** 0.2), 0.0, 1.0)
-        assert smooth_err < rough_err
+        def terms(level):
+            t, u, w = tanh_sinh(level, 2.0, reach, reach)
+            return 1.0 / np.sqrt(t * t * np.expm1(u)), w
 
+        got, err = integrate_levels(terms, 1e-12, (0.0, 2.0))
+        assert got == pytest.approx(math.pi, rel=1e-12)
+        assert err < 1e-11
 
-class TestAdaptive:
-    def test_smooth_integrand(self):
-        got = integrate_adaptive(_vec(math.exp), 0.0, 2.0)
-        assert got == pytest.approx(math.exp(2.0) - 1.0, rel=1e-12)
+    def test_jump_raises_with_interval(self):
+        reach = tanh_sinh_reach(1e-29)
 
-    def test_sqrt_singularity(self):
-        got = integrate_adaptive(_vec(lambda x: 1.0 / math.sqrt(x)), 0.0, 1.0, tol_rel=1e-9)
-        assert got == pytest.approx(2.0, rel=1e-8)
+        def terms(level):
+            t, _, w = tanh_sinh(level, 1.0, reach, reach)
+            return np.sign(t - 0.3), w
 
-    def test_oscillatory(self):
-        got = integrate_adaptive(_vec(lambda x: math.sin(40.0 * x)), 0.0, math.pi)
-        want = (1.0 - math.cos(40.0 * math.pi)) / 40.0
-        assert got == pytest.approx(want, abs=1e-11)
-
-    def test_empty_interval(self):
-        assert integrate_adaptive(_vec(math.exp), 1.0, 1.0) == 0.0
-
-    def test_nonintegrable_raises(self):
         with pytest.raises(QuadratureFailure) as exc_info:
-            integrate_adaptive(_vec(lambda x: 1.0 / x), 0.0, 1.0)
-        # failure carries the offending interval for diagnosis
-        assert exc_info.value.interval is not None
+            integrate_levels(terms, 1e-12, (0.0, 1.0))
+        # failure carries the interval for diagnosis
+        assert exc_info.value.interval == (0.0, 1.0)
 
 
 class TestGammaWeighted:
-    @pytest.mark.parametrize("sigma", [0.5, 1.0, 1.5, 3.0, 7.5])
+    @pytest.mark.parametrize("sigma", [0.05, 0.5, 1.0, 1.5, 3.0, 7.5])
     def test_unit_function_gives_gamma(self, sigma):
         got = integrate_gamma_weighted(_vec(lambda t: 1.0), sigma)
         assert got == pytest.approx(math.gamma(sigma), rel=1e-11)
@@ -84,3 +75,18 @@ class TestGammaWeighted:
         with pytest.raises(OutsideDomainError):
             integrate_gamma_weighted(lambda t: np.exp(0.99 * t), 1.0, decay=0.01)
 
+    def test_one_call_per_level_on_new_nodes(self):
+        seen = []
+
+        def f(t):
+            seen.append(t)
+            return np.exp(-0.5 * t)
+
+        got = integrate_gamma_weighted(f, 1.5)
+        assert got == pytest.approx(math.gamma(1.5) / 1.5**1.5, rel=1e-12)
+        nodes = np.concatenate(seen)
+        assert np.unique(nodes).size == nodes.size
+        # together the calls hold the finest level's whole grid, evenly
+        # spaced in x = asinh(ln t / (pi/2)): call l held level l's new nodes
+        x = np.sort(np.arcsinh(np.log(nodes) / (0.5 * math.pi)))
+        assert np.allclose(np.diff(x), 0.5 / 2 ** (len(seen) - 1), rtol=0, atol=1e-9)
