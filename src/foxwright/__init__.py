@@ -49,10 +49,8 @@ from .series import (
     wright_function,
 )
 from .hfun import (
-    HfunEvalConfig,
     HfunMethod,
     MeasureEvaluator,
-    atom_mellin,
     get_evaluator,
     hfun_nonneg_scan,
     moment_identity_check,
@@ -106,10 +104,8 @@ __all__ = [
     "four_param_wright",
     "correction_series",
     "HfunMethod",
-    "HfunEvalConfig",
     "MeasureEvaluator",
     "get_evaluator",
-    "atom_mellin",
     "hfun_nonneg_scan",
     "moment_identity_check",
     "eval_via_representation",

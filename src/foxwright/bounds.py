@@ -32,7 +32,7 @@ from .errors import (
     DomainError,
     ParameterError,
 )
-from .hfun import HfunEvalConfig, get_evaluator, hfun_nonneg_scan
+from .hfun import get_evaluator, hfun_nonneg_scan
 from .params import ParameterSet, derive_constants, gamma_ratio, shift_parameters
 from .representations import lifted_value
 from .special import gamma_real
@@ -51,7 +51,6 @@ __all__ = [
     "ratio_monotonicity_scan",
 ]
 
-_BALANCE_TOL = 1e-9
 _OK_SLACK = 1e-9
 _DENOM_FLOOR = 1e-14
 
@@ -79,7 +78,7 @@ class BoundsReport:
 def _atomic_mass(params: ParameterSet):
     """(psi0, psi1, constants) for single-endpoint-atom sets, validated."""
     c = derive_constants(params)
-    if abs(c.delta) > _BALANCE_TOL or c.m_order != 0:
+    if not c.balanced or c.m_order != 0:
         raise ConstraintError(
             "kernel bounds need a balanced set with a single endpoint atom "
             f"(mu == 0); got delta={c.delta:.3g}, mu={c.mu:.6g}"
@@ -100,9 +99,7 @@ def _flags(lower: float, value: float, upper: float, nonneg: bool) -> tuple[bool
     return (nonneg and lower <= value + slack, nonneg and value <= upper + slack)
 
 
-def exp_kernel_bounds(
-    params: ParameterSet, z: float, config: HfunEvalConfig | None = None
-) -> BoundsReport:
+def exp_kernel_bounds(params: ParameterSet, z: float) -> BoundsReport:
     """Two-sided bounds for the series at ``-z`` from the exponential kernel.
 
     ``psi0 e^(-(psi1/psi0) z) + eta e^(-rho z) <= F(-z) <=
@@ -117,14 +114,12 @@ def exp_kernel_bounds(
     from .series import fox_wright_value
 
     value = complex(fox_wright_value(params, -z)).real
-    nonneg = hfun_nonneg_scan(params, config=config).nonneg
+    nonneg = hfun_nonneg_scan(params).nonneg
     lower_ok, upper_ok = _flags(lower, value, upper, nonneg)
     return BoundsReport(psi0, psi1, lower, upper, value, nonneg, lower_ok, upper_ok)
 
 
-def lifted_kernel_bounds(
-    params: ParameterSet, lam: float, z: float, config: HfunEvalConfig | None = None
-) -> BoundsReport:
+def lifted_kernel_bounds(params: ParameterSet, lam: float, z: float) -> BoundsReport:
     """Bounds for the gamma-lifted series at ``-z`` from the power kernel.
 
     Same measure split, kernel ``gamma(lam) (1+tz)^(-lam)`` instead of
@@ -143,8 +138,8 @@ def lifted_kernel_bounds(
     upper = g * (psi0 - psi1 / c.rho) + g * (c.eta + psi1 / c.rho) * (
         1.0 + c.rho * z
     ) ** (-lam)
-    value = lifted_value(params, lam, -z, config=config)
-    nonneg = hfun_nonneg_scan(params, config=config).nonneg
+    value = lifted_value(params, lam, -z)
+    nonneg = hfun_nonneg_scan(params).nonneg
     lower_ok, upper_ok = _flags(lower, value, upper, nonneg)
     return BoundsReport(psi0, psi1, lower, upper, value, nonneg, lower_ok, upper_ok)
 
@@ -175,26 +170,15 @@ class StieltjesLowerBoundReport:
 
 
 def stieltjes_lower_bound(
-    params: ParameterSet, sigma: float, z: float, config: HfunEvalConfig | None = None
+    params: ParameterSet, sigma: float, z: float
 ) -> StieltjesLowerBoundReport:
     """``gamma(sigma)[psi0 (1+(psi1/psi0) z)^(-sigma) + eta (1+rho z)^(-sigma)]``
-    as a lower bound for the sigma-lifted series at ``-z``, plus the
-    power-mean intermediate comparison."""
-    if sigma <= 0:
-        raise ParameterError("sigma must be positive")
-    if z < 0:
-        raise ParameterError("z must be nonnegative")
-    psi0, psi1, c = _atomic_mass(params)
-    g = gamma_real(sigma)
-    lower = g * psi0 * (1.0 + (psi1 / psi0) * z) ** (-sigma) + g * c.eta * (
-        1.0 + c.rho * z
-    ) ** (-sigma)
-    value = lifted_value(params, sigma, -z, config=config)
-    nonneg = hfun_nonneg_scan(params, config=config).nonneg
-    slack = _OK_SLACK * (1.0 + abs(value))
-    bound_ok = nonneg and lower <= value + slack
-
-    ev = get_evaluator(params, config)
+    as a lower bound for the sigma-lifted series at ``-z``: the lower half
+    of :func:`lifted_kernel_bounds` at ``lam = sigma``, plus the power-mean
+    intermediate comparison."""
+    rep = lifted_kernel_bounds(params, sigma, z)
+    psi0, nonneg = rep.psi0, rep.hypothesis_nonneg
+    ev = get_evaluator(params)
     mean_sigma = ev.measure_integral(lambda t: (1.0 + t * z) ** (-sigma) / t) / psi0
     mean_one = ev.measure_integral(lambda t: (1.0 + t * z) ** (-1.0) / t) / psi0
     mean_rhs = mean_one**sigma
@@ -210,11 +194,11 @@ def stieltjes_lower_bound(
     return StieltjesLowerBoundReport(
         sigma=float(sigma),
         z=float(z),
-        lower=lower,
-        value=value,
-        margin=value - lower,
+        lower=rep.lower,
+        value=rep.value,
+        margin=rep.value - rep.lower,
         hypothesis_nonneg=nonneg,
-        bound_ok=bound_ok,
+        bound_ok=rep.lower_ok,
         mean_power_lhs=mean_sigma,
         mean_power_rhs=mean_rhs,
         mean_power_direction=direction,
@@ -326,11 +310,7 @@ class RatioScanReport:
 
 
 def shifted_stieltjes_ratio(
-    params: ParameterSet,
-    sigma: float,
-    delta: float,
-    z: float,
-    config: HfunEvalConfig | None = None,
+    params: ParameterSet, sigma: float, delta: float, z: float
 ) -> RatioValue:
     """Quotient ``integral t^(delta-1) H/(1+tz)^sigma dt  over  the same at
     delta = 0``, computed two independent ways.
@@ -346,7 +326,7 @@ def shifted_stieltjes_ratio(
     psi0, psi1, c = _atomic_mass(params)
     if 1.0 + c.rho * z <= 0.0:
         raise DomainError(f"kernel 1+tz vanishes inside the support for z={z}")
-    ev = get_evaluator(params, config)
+    ev = get_evaluator(params)
     num_q = ev.measure_integral(lambda t: t ** (delta - 1.0) * (1.0 + t * z) ** (-sigma))
     den_q = ev.measure_integral(lambda t: (1.0 + t * z) ** (-sigma) / t)
     if abs(den_q) < _DENOM_FLOOR:
@@ -358,12 +338,8 @@ def shifted_stieltjes_ratio(
     shifted = shift_parameters(params, delta)
     cs = derive_constants(shifted)
     g = gamma_real(sigma)
-    num_s = lifted_value(shifted, sigma, -z, config=config) - g * cs.eta * (
-        1.0 + cs.rho * z
-    ) ** (-sigma)
-    den_s = lifted_value(params, sigma, -z, config=config) - g * c.eta * (
-        1.0 + c.rho * z
-    ) ** (-sigma)
+    num_s = lifted_value(shifted, sigma, -z) - g * cs.eta * (1.0 + cs.rho * z) ** (-sigma)
+    den_s = lifted_value(params, sigma, -z) - g * c.eta * (1.0 + c.rho * z) ** (-sigma)
     if abs(den_s) < _DENOM_FLOOR:
         raise DivisionError(f"series denominator ~ {den_s:.2e}: quotient undefined")
     series = num_s / den_s
@@ -377,7 +353,6 @@ def ratio_monotonicity_scan(
     delta: float,
     z_grid: Sequence[float],
     tol: float = 1e-8,
-    config: HfunEvalConfig | None = None,
     expected: str | None = None,
 ) -> RatioScanReport:
     """Evaluate the quotient across ``z_grid`` and test its direction.
@@ -399,7 +374,7 @@ def ratio_monotonicity_scan(
         expected = "nonincreasing" if delta >= 0 else "nondecreasing"
     if expected not in ("nondecreasing", "nonincreasing"):
         raise ParameterError("expected must be 'nondecreasing' or 'nonincreasing'")
-    rows = [shifted_stieltjes_ratio(params, sigma, delta, z, config) for z in zs]
+    rows = [shifted_stieltjes_ratio(params, sigma, delta, z) for z in zs]
     values = tuple(r.quadrature_route for r in rows)
     series_values = tuple(r.series_route for r in rows)
     if expected == "nondecreasing":

@@ -72,7 +72,8 @@ class CliUsageError(Exception):
 
 
 def parse_grid(spec: str) -> list[float]:
-    """``start:stop:count`` (inclusive, count >= 1), comma list, or scalar."""
+    """``start:stop:count`` (inclusive, count >= 1), comma list, or scalar;
+    every value finite."""
     spec = spec.strip()
     if ":" in spec:
         parts = spec.split(":")
@@ -85,17 +86,16 @@ def parse_grid(spec: str) -> list[float]:
             raise CliUsageError(f"bad grid {spec!r}: {exc}") from None
         if count < 1:
             raise CliUsageError("grid count must be >= 1")
-        if count == 1:
-            return [start]
-        return [float(v) for v in np.linspace(start, stop, count)]
-    try:
-        return [float(tok) for tok in spec.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise CliUsageError(f"bad grid {spec!r}: {exc}") from None
+        _finite([start, stop], spec)
+        # finite ends can still overflow the step, so the points are checked too
+        values = [start] if count == 1 else [float(v) for v in np.linspace(start, stop, count)]
+    else:
+        values = _float_list(spec, "grid")
+    return _finite(values, spec)
 
 
 def parse_k_list(spec: str) -> list[float]:
-    """``lo..hi`` (inclusive integers), comma list, or scalar."""
+    """``lo..hi`` (inclusive integers), comma list, or scalar; every value finite."""
     spec = spec.strip()
     if ".." in spec:
         lo_s, _, hi_s = spec.partition("..")
@@ -106,10 +106,20 @@ def parse_k_list(spec: str) -> list[float]:
         if hi < lo:
             raise CliUsageError(f"empty k-range {spec!r}")
         return [float(k) for k in range(lo, hi + 1)]
+    return _finite(_float_list(spec, "k-list"), spec)
+
+
+def _float_list(spec: str, what: str) -> list[float]:
     try:
         return [float(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError as exc:
-        raise CliUsageError(f"bad k-list {spec!r}: {exc}") from None
+        raise CliUsageError(f"bad {what} {spec!r}: {exc}") from None
+
+
+def _finite(values: list[float], spec: str) -> list[float]:
+    if not all(math.isfinite(v) for v in values):
+        raise CliUsageError(f"non-finite value in {spec!r}")
+    return values
 
 
 def _load_params(spec: str) -> ParameterSet:

@@ -9,8 +9,8 @@ with mu equal to a non-positive integer -m, the gamma ratio splits into
 where H is the regular density this module computes and the polynomial part
 is the Mellin transform of an atom (plus derivative atoms) sitting at
 t = rho.  The atoms are always handled in closed form elsewhere
-(``atom_mellin`` here, ``correction_series`` in the series module); nothing
-in this file ever tries to integrate across them.
+(``MeasureEvaluator.atom_mellin``, ``correction_series`` in the series
+module); nothing in this file ever tries to integrate across them.
 
 H has two series, one converging at each end of the support:
 
@@ -74,22 +74,15 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    ConstraintError,
-    NonConvergentError,
-    OutsideDomainError,
-    ParameterError,
-)
+from .errors import ConstraintError, NonConvergentError, OutsideDomainError
 from .params import ParameterSet, correction_coeffs, derive_constants
 from .quadrature import integrate_levels, tanh_sinh, tanh_sinh_reach
 from .special import log_gamma_complex_vec
 
 __all__ = [
     "HfunMethod",
-    "HfunEvalConfig",
     "MeasureEvaluator",
     "get_evaluator",
-    "atom_mellin",
     "moment_identity_check",
     "MomentIdentityReport",
     "hfun_nonneg_scan",
@@ -97,6 +90,8 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+_TOL = 1e-9  # accuracy the residue table and the integration rule aim at
+_NODE_BUDGET = 8000  # circle nodes across all pole groups of the residue table
 _CIRCLE_NODES = 32
 _GROUP_GAP = 1e-3  # of the smallest ladder spacing: closer poles share a circle
 _TABLE_STEP = 10.0  # sigma step of the residue table's growth and degeneracy check
@@ -120,34 +115,13 @@ class HfunMethod(enum.Enum):
     AUTO = "auto"
 
 
-@dataclass(frozen=True)
-class HfunEvalConfig:
-    """Knobs for the density evaluator.
-
-    method: the route ``density`` takes when the call names none.
-    max_residue_terms: budget of circle nodes across all pole groups.
-    tol: accuracy the residue table and the integration rule aim at.
-    """
-
-    method: HfunMethod = HfunMethod.AUTO
-    max_residue_terms: int = 8000
-    tol: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if self.tol <= 0:
-            raise ParameterError("tol must be positive")
-        if self.max_residue_terms < _CIRCLE_NODES:
-            raise ParameterError("max_residue_terms below a single circle's node count")
-
-
 class MeasureEvaluator:
     """Cached per-parameter-set machinery for H(t) and its integrals."""
 
-    def __init__(self, params: ParameterSet, config: HfunEvalConfig | None = None):
+    def __init__(self, params: ParameterSet):
         self.params = params
-        self.config = config or HfunEvalConfig()
         self.constants = derive_constants(params)
-        if abs(self.constants.delta) > 1e-9:
+        if not self.constants.balanced:
             raise ConstraintError(
                 "density machinery requires balanced scale sums "
                 f"(delta = {self.constants.delta:.3g})"
@@ -155,7 +129,7 @@ class MeasureEvaluator:
         # mu > 0 has a pure density (no endpoint atoms); mu = -m adds the
         # polynomial atom part.  Negative non-integer mu would need
         # fractional-derivative atoms, which nothing downstream wants.
-        if self.constants.m_order is None and self.constants.mu <= 1e-9:
+        if not self.constants.represented:
             raise ConstraintError(
                 "density machinery requires mu > 0 or mu equal to a non-positive "
                 f"integer (mu = {self.constants.mu:.6g})"
@@ -200,7 +174,7 @@ class MeasureEvaluator:
 
         self._place_cut()
         if self._res_centres.size == 0:
-            raise NonConvergentError("the first pole group needs more than max_residue_terms")
+            raise NonConvergentError("the first pole group needs more than the node budget")
         leading = self._res_centres <= self._first + _TABLE_STEP
         self.degenerate = bool(np.all(self._res_scale[leading] <= _DEGENERATE_RATIO))
 
@@ -250,7 +224,7 @@ class MeasureEvaluator:
         """The residue table that H(t <= t_max) needs: out to the pole
         abscissa where (t_max/rho)^(sigma - first) falls below target,
         1e-3 tol unless given."""
-        target = 1e-3 * self.config.tol if target is None else target
+        target = 1e-3 * _TOL if target is None else target
         self._extend_table(self._first + math.log(target) / math.log(t_max / self.rho))
 
     def _extend_table(self, sigma_target: float) -> None:
@@ -259,13 +233,13 @@ class MeasureEvaluator:
         The target is rounded up to a multiple of _TABLE_STEP so creeping
         t_max values don't trigger a rebuild per call.  The table stops
         early (``_pole_gen_exhausted``) when the groups' circle nodes would
-        overrun ``max_residue_terms``, and at the sigma where one upper row
+        overrun ``_NODE_BUDGET``, and at the sigma where one upper row
         alone has more poles than the budget has circles.  Each extension
         rebuilds the whole table.
         """
         if self._pole_gen_exhausted:
             return
-        budget = self.config.max_residue_terms
+        budget = _NODE_BUDGET
         sigma_target = _TABLE_STEP * math.ceil(sigma_target / _TABLE_STEP)
         cap = min((a + budget // _CIRCLE_NODES) / sc for a, sc in self.params.upper)
         if sigma_target <= self._res_sigma_built:
@@ -376,7 +350,7 @@ class MeasureEvaluator:
             return np.zeros_like(t)
         self._ensure_residue_table(float(np.max(t)))
         value, tail, _ = self._residues(np.log(t))
-        if self._pole_gen_exhausted and np.max(tail) > self.config.tol * np.max(np.abs(value)):
+        if self._pole_gen_exhausted and np.max(tail) > _TOL * np.max(np.abs(value)):
             raise NonConvergentError(
                 "residue groups failed to decay within the node budget; "
                 "use the endpoint series this close to the support endpoint"
@@ -402,7 +376,7 @@ class MeasureEvaluator:
         self._ensure_residue_table(float(cut), _EPS)
         span = self._res_sigma_built - self._first
         self._auto_groups = self._res_centres.size
-        self._auto_reach = self.rho * (1e-3 * self.config.tol) ** (1.0 / span) if span > 0 else 0.0
+        self._auto_reach = self.rho * (1e-3 * _TOL) ** (1.0 / span) if span > 0 else 0.0
 
     def _split_density(self, t: np.ndarray, log_t: np.ndarray, u: np.ndarray) -> np.ndarray:
         """H from whichever route has the smaller error estimate at each t.
@@ -416,14 +390,17 @@ class MeasureEvaluator:
         """
         value, tail, mass = self._endpoint(u)
         est = tail + _EPS * mass
-        miss = est > 1e-3 * self.config.tol * np.abs(value)
+        miss = est > 1e-3 * _TOL * np.abs(value)
         idx = np.flatnonzero((t <= self._auto_reach) | miss)
         res, res_tail, res_mass = self._residues(log_t[idx], self._auto_groups)
         res_est = res_tail + _EPS * res_mass
         better = res_est < est[idx]
-        tol = max(self.config.tol, _ENDPOINT_ULPS * _EPS)
+        tol = max(_TOL, _ENDPOINT_ULPS * _EPS)
         if np.any(np.minimum(res_est, est[idx]) > tol * np.where(better, res_mass, mass[idx])):
-            raise NonConvergentError("neither series converges at some t; raise max_residue_terms")
+            raise NonConvergentError(
+                "neither series converges at some t: the node budget ended the "
+                "residues short of the endpoint series' reach"
+            )
         value[idx[better]] = res[better]
         return value
 
@@ -431,20 +408,19 @@ class MeasureEvaluator:
     # public surface
     # ------------------------------------------------------------------
 
-    def density(self, t: np.ndarray, method: HfunMethod | None = None) -> np.ndarray:
+    def density(self, t: np.ndarray, method: HfunMethod = HfunMethod.AUTO) -> np.ndarray:
         """Regular part H(t) on the open support interval, vectorised.
 
         AUTO takes each t from the series with the smaller error estimate.
         RESIDUE_SERIES and ENDPOINT_SERIES use one series throughout and
-        raise NonConvergentError where it has not converged to
-        ``config.tol``.
+        raise NonConvergentError where it has not converged to ``_TOL``.
+        OutsideDomainError unless every t satisfies 0 < t < rho, NaN included.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t <= 0.0) or np.any(t >= self.rho):
+        if not np.all((t > 0.0) & (t < self.rho)):
             raise OutsideDomainError(
                 f"density is defined on the open interval (0, {self.rho:.6g})"
             )
-        method = method or self.config.method
         if self.degenerate:
             return np.zeros_like(t)
         if method is HfunMethod.RESIDUE_SERIES:
@@ -452,7 +428,7 @@ class MeasureEvaluator:
         u = np.log1p((self.rho - t) / t)
         if method is HfunMethod.ENDPOINT_SERIES:
             value, tail, mass = self._endpoint(u)
-            if np.any(tail > self.config.tol * mass):
+            if np.any(tail > _TOL * mass):
                 raise NonConvergentError(
                     "endpoint series has not converged this far from the support "
                     "endpoint; use the residue series"
@@ -491,14 +467,14 @@ class MeasureEvaluator:
             # for H ~ t^a near 0, or H ~ (rho - t)^(a - 1) near rho
             tiny = _DE_TINY
             if a > 0.0:
-                tiny = max(min(tiny, (1e-3 * self.config.tol) ** (1.0 / a)), _DE_FLOOR)
+                tiny = max(min(tiny, (1e-3 * _TOL) ** (1.0 / a)), _DE_FLOOR)
             return tanh_sinh_reach(tiny)
 
         return span(self._first), span(self.mu)
 
     def _integral(self, fn: Callable[[np.ndarray], np.ndarray]) -> tuple:
         """(integral_0^rho fn(t) H(t) dt, error estimate) by
-        ``integrate_levels`` at ``config.tol`` on the cached rule.
+        ``integrate_levels`` at ``_TOL`` on the cached rule.
 
         ``fn`` may return a (k, n) array for n nodes, k integrands at once:
         the totals and estimates are then length-k arrays.
@@ -511,7 +487,7 @@ class MeasureEvaluator:
             t, wh = self._rule_level(level)
             return fn(t), wh
 
-        return integrate_levels(terms, self.config.tol, (0.0, self.rho))
+        return integrate_levels(terms, _TOL, (0.0, self.rho))
 
     def measure_integral(self, fn: Callable[[np.ndarray], np.ndarray]) -> float:
         """integral_0^rho fn(t) H(t) dt on the evaluator's cached tanh-sinh rule.
@@ -519,7 +495,7 @@ class MeasureEvaluator:
         ``fn`` is evaluated on the rule's nodes, level by level, and dotted
         with the stored weights w_i H(t_i); no density is evaluated once the
         levels it needs exist.  Levels are refined until two successive sums
-        agree to ``config.tol``; QuadratureFailure when the finest level
+        agree to ``_TOL``; QuadratureFailure when the finest level
         still does not.
         """
         return self._integral(fn)[0]
@@ -529,20 +505,19 @@ class MeasureEvaluator:
         return self.measure_integral(lambda t: t ** (s - 1.0))
 
 
-# Evaluators by (params, config), least recently used first; at most
+# Evaluators by parameter set, least recently used first; at most
 # _EVALUATOR_CAP are kept, so a stream of new sets holds bounded memory.
-_EVALUATORS: dict[tuple[ParameterSet, HfunEvalConfig], MeasureEvaluator] = {}
+_EVALUATORS: dict[ParameterSet, MeasureEvaluator] = {}
 _EVALUATOR_CAP = 32
 
 
-def get_evaluator(params: ParameterSet, config: HfunEvalConfig | None = None) -> MeasureEvaluator:
-    key = (params, config or HfunEvalConfig())
-    ev = _EVALUATORS.pop(key, None)
+def get_evaluator(params: ParameterSet) -> MeasureEvaluator:
+    ev = _EVALUATORS.pop(params, None)
     if ev is None:
-        ev = MeasureEvaluator(key[0], key[1])
+        ev = MeasureEvaluator(params)
         if len(_EVALUATORS) >= _EVALUATOR_CAP:
             del _EVALUATORS[next(iter(_EVALUATORS))]
-    _EVALUATORS[key] = ev
+    _EVALUATORS[params] = ev
     return ev
 
 
@@ -573,10 +548,6 @@ def _newton_to_power(moments: np.ndarray, nodes: np.ndarray, extra: int) -> np.n
 # ---------------------------------------------------------------------------
 
 
-def atom_mellin(params: ParameterSet, s: float, config: HfunEvalConfig | None = None) -> float:
-    return get_evaluator(params, config).atom_mellin(s)
-
-
 @dataclass(frozen=True)
 class MomentIdentityReport:
     rows: tuple[dict, ...]
@@ -586,11 +557,7 @@ class MomentIdentityReport:
         return self.max_rel_err <= threshold
 
 
-def moment_identity_check(
-    params: ParameterSet,
-    k_list: list[float],
-    config: HfunEvalConfig | None = None,
-) -> MomentIdentityReport:
+def moment_identity_check(params: ParameterSet, k_list: list[float]) -> MomentIdentityReport:
     """Compare gamma_ratio(k) against moment(k) + atom part, per k.
 
     The relative error is normalised by 1 + |gamma_ratio| so tiny ratios
@@ -598,7 +565,7 @@ def moment_identity_check(
     """
     from .params import gamma_ratio
 
-    ev = get_evaluator(params, config)
+    ev = get_evaluator(params)
     rows = []
     worst = 0.0
     for k in k_list:
@@ -632,9 +599,7 @@ class NonnegReport:
 
 
 def hfun_nonneg_scan(
-    params: ParameterSet,
-    grid: np.ndarray | list[float] | None = None,
-    config: HfunEvalConfig | None = None,
+    params: ParameterSet, grid: np.ndarray | list[float] | None = None
 ) -> NonnegReport:
     """Scan the density over a grid and report whether it stays nonnegative.
 
@@ -643,7 +608,7 @@ def hfun_nonneg_scan(
     default grid (50 points over [1e-3 rho, (1 - 1e-3) rho]) is scanned once
     per evaluator and its report reused; an explicit grid is always scanned.
     """
-    ev = get_evaluator(params, config)
+    ev = get_evaluator(params)
     if grid is not None:
         return _scan(ev, np.asarray(grid, dtype=float))
     if ev._default_scan is None:

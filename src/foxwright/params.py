@@ -49,6 +49,7 @@ __all__ = [
 Pair = tuple[float, float]
 
 _INT_TOL = 1e-9
+_BALANCE_TOL = 1e-9  # |delta| and mu > 0 tolerance of the measure's regimes
 _POLE_SCAN_CAP = 10_000
 
 
@@ -136,9 +137,6 @@ class ParameterSet:
         """16-hex-char digest of the canonical JSON form, for report rows."""
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
 
-    def constants(self) -> "DerivedConstants":
-        return derive_constants(self)
-
 
 @dataclass(frozen=True)
 class DerivedConstants:
@@ -160,6 +158,17 @@ class DerivedConstants:
     eta: float
     gamma_abscissa: float
     m_order: int | None
+
+    @property
+    def balanced(self) -> bool:
+        """The scale sums agree: |delta| <= 1e-9."""
+        return abs(self.delta) <= _BALANCE_TOL
+
+    @property
+    def represented(self) -> bool:
+        """Balanced, with mu == -m (density plus endpoint atoms) or mu > 0
+        (a pure density): the regimes the representing measure covers."""
+        return self.balanced and (self.m_order is not None or self.mu > _BALANCE_TOL)
 
 
 @lru_cache(maxsize=256)

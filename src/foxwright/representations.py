@@ -32,7 +32,7 @@ from .errors import (
     OutsideDomainError,
     ParameterError,
 )
-from .hfun import HfunEvalConfig, get_evaluator
+from .hfun import get_evaluator
 from .params import ParameterSet, derive_constants
 from .quadrature import integrate_gamma_weighted, integrate_levels, tanh_sinh, tanh_sinh_reach
 from .series import (
@@ -58,8 +58,6 @@ __all__ = [
     "four_param_representation",
 ]
 
-_BALANCE_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class IdentityRecord:
@@ -84,14 +82,9 @@ def _record(
     return IdentityRecord(identity, params_hash, float(z), lhs, rhs, abs_err, rel_err, verdict)
 
 
-def _representable(c) -> bool:
-    """Whether the measure represents the series: mu == -m or mu > 0."""
-    return c.m_order is not None or c.mu > _BALANCE_TOL
-
-
 def _require_balanced(params: ParameterSet):
     c = derive_constants(params)
-    if abs(c.delta) > _BALANCE_TOL:
+    if not c.balanced:
         raise ConstraintError(
             "integral representations require balanced scale sums "
             f"(sum of upper scales {sum(s for _, s in params.upper):.6g} != "
@@ -105,9 +98,7 @@ def _require_balanced(params: ParameterSet):
 # ---------------------------------------------------------------------------
 
 
-def eval_via_representation(
-    params: ParameterSet, z: float | np.ndarray, config: HfunEvalConfig | None = None
-) -> EvalResult:
+def eval_via_representation(params: ParameterSet, z: float | np.ndarray) -> EvalResult:
     """Series value rebuilt from the representing measure.
 
     ``integral_0^rho e^(zt) H(t) dt/t`` plus the endpoint-atom polynomial
@@ -118,27 +109,22 @@ def eval_via_representation(
     meets the tolerance; value and estimate are then arrays.
     """
     c = _require_balanced(params)
-    if not _representable(c):
+    if not c.represented:
         raise ConstraintError(
             "representation needs mu to be a non-positive integer or mu > 0; "
             f"got mu={c.mu:.6g}"
         )
     zr = np.asarray(z, dtype=float) if np.ndim(z) else float(z)
-    ev = get_evaluator(params, config)
+    ev = get_evaluator(params)
     integral, err = ev._integral(lambda t: np.exp(np.multiply.outer(zr, t)) / t)
     corr = correction_series(params, zr) if c.m_order is not None else 0.0
     return EvalResult(integral + corr, ev._res_nodes_used, err, SeriesStatus.CONVERGED)
 
 
-def verify_representation(
-    params: ParameterSet,
-    z: float,
-    tol: float = 1e-6,
-    config: HfunEvalConfig | None = None,
-) -> IdentityRecord:
+def verify_representation(params: ParameterSet, z: float, tol: float = 1e-6) -> IdentityRecord:
     """Direct series vs the measure-rebuilt value, as an IdentityRecord."""
     lhs = complex(fox_wright_value(params, z)).real
-    rhs = float(eval_via_representation(params, z, config).value)
+    rhs = float(eval_via_representation(params, z).value)
     return _record("exp-kernel-representation", params.hash_key(), z, lhs, rhs, tol)
 
 
@@ -147,12 +133,7 @@ def verify_representation(
 # ---------------------------------------------------------------------------
 
 
-def stieltjes_eval(
-    params: ParameterSet,
-    sigma: float,
-    z: float,
-    config: HfunEvalConfig | None = None,
-) -> EvalResult:
+def stieltjes_eval(params: ParameterSet, sigma: float, z: float) -> EvalResult:
     """``gamma(sigma) * integral_0^rho H(t) / (t (1+tz)^sigma) dt``.
 
     Only the regular (density) part of the measure; the endpoint atom's
@@ -166,18 +147,14 @@ def stieltjes_eval(
         raise DomainError(
             f"kernel 1+tz vanishes inside the support: z={z} <= {-1.0 / c.rho:.6g}"
         )
-    ev = get_evaluator(params, config)
+    ev = get_evaluator(params)
     integral, err = ev._integral(lambda t: (1.0 + t * z) ** (-sigma) / t)
     g = gamma_real(sigma)
     return EvalResult(g * integral, ev._res_nodes_used, g * err, SeriesStatus.CONVERGED)
 
 
 def verify_stieltjes(
-    params: ParameterSet,
-    sigma: float,
-    z: float,
-    tol: float = 1e-6,
-    config: HfunEvalConfig | None = None,
+    params: ParameterSet, sigma: float, z: float, tol: float = 1e-6
 ) -> IdentityRecord:
     """Stieltjes quadrature vs the lifted series minus its atom term.
 
@@ -192,9 +169,9 @@ def verify_stieltjes(
             "the Stieltjes identity needs a single endpoint atom (mu == 0); "
             f"got mu={c.mu:.6g}"
         )
-    lhs = float(stieltjes_eval(params, sigma, z, config).value)
+    lhs = float(stieltjes_eval(params, sigma, z).value)
     atom = gamma_real(sigma) * c.eta * (1.0 + c.rho * z) ** (-sigma)
-    rhs = lifted_value(params, sigma, -z, config=config) - atom
+    rhs = lifted_value(params, sigma, -z) - atom
     return _record(
         f"stieltjes-kernel[sigma={sigma:g}]", params.hash_key(), z, lhs, rhs, tol
     )
@@ -205,13 +182,7 @@ def verify_stieltjes(
 # ---------------------------------------------------------------------------
 
 
-def lifted_value(
-    params: ParameterSet,
-    lam: float,
-    z: float,
-    route: str = "auto",
-    config: HfunEvalConfig | None = None,
-) -> float:
+def lifted_value(params: ParameterSet, lam: float, z: float, route: str = "auto") -> float:
     """``sum_k gamma(lam + k) ratio(k) z^k / k!`` with analytic continuation.
 
     Adding an upper row ``(lam, 1)`` to a balanced set drops the scale
@@ -240,10 +211,9 @@ def lifted_value(
                 )
             raise OutsideDomainError(f"z={z} outside the lifted series disk")
 
-    atomic_ok = c.m_order == 0 or (c.m_order is None and c.mu > _BALANCE_TOL)
-    if z < 0 and abs(c.delta) <= _BALANCE_TOL and atomic_ok:
+    if z < 0 and c.represented and c.m_order in (0, None):
         x = -z
-        ev = get_evaluator(params, config)
+        ev = get_evaluator(params)
         integral = ev.measure_integral(lambda t: (1.0 + t * x) ** (-lam) / t)
         atom = c.eta * (1.0 + c.rho * x) ** (-lam) if c.m_order == 0 else 0.0
         return gamma_real(lam) * (integral + atom)
@@ -254,11 +224,7 @@ def lifted_value(
 
 
 def laplace_lift_check(
-    params: ParameterSet,
-    lam: float,
-    z: float,
-    tol: float = 1e-6,
-    config: HfunEvalConfig | None = None,
+    params: ParameterSet, lam: float, z: float, tol: float = 1e-6
 ) -> IdentityRecord:
     """Gamma-weighted integral of the series vs the lifted series.
 
@@ -285,11 +251,11 @@ def laplace_lift_check(
             f"the gamma-weighted integrand grows like e^(-(1 - rho z) t); "
             f"z={z} with rho={c.rho:g} does not decay"
         )
-    rhs = lifted_value(params, lam, z, config=config)
+    rhs = lifted_value(params, lam, z)
 
-    if _representable(c):
+    if c.represented:
         def f(t: np.ndarray) -> np.ndarray:
-            return eval_via_representation(params, z * t, config).value
+            return eval_via_representation(params, z * t).value
     else:
         def f(t: np.ndarray) -> np.ndarray:
             return np.array([complex(fox_wright_value(params, z * ti)).real for ti in t])
@@ -343,9 +309,7 @@ def _adjudicate(value: float, form_a: float, form_b: float, tol: float) -> str:
     return "neither"
 
 
-def finite_laplace_identity(
-    z: float, tol: float = 1e-6, config: HfunEvalConfig | None = None
-) -> FiniteLaplaceReport:
+def finite_laplace_identity(z: float, tol: float = 1e-6) -> FiniteLaplaceReport:
     """Numerically adjudicate a finite Laplace-type integral evaluation.
 
     Two closed forms are candidates for
@@ -356,7 +320,7 @@ def finite_laplace_identity(
     """
     ps = _COLLAPSED_SET
     c = derive_constants(ps)
-    ev = get_evaluator(ps, config)
+    ev = get_evaluator(ps)
     hi = 0.5
     reach = tanh_sinh_reach(1e-29)
 
@@ -394,7 +358,6 @@ def four_param_representation(
     b: float,
     z: float,
     tol: float = 1e-6,
-    config: HfunEvalConfig | None = None,
 ) -> IdentityRecord:
     """Representation check for ``sum_k z^k / (gamma(a+k mu1) gamma(b+k nu1))``.
 
@@ -405,17 +368,15 @@ def four_param_representation(
     """
     if mu1 <= 0 or nu1 <= 0:
         raise ParameterError("mu1 and nu1 must be positive")
-    if abs(mu1 + nu1 - 1.0) > _BALANCE_TOL:
+    ps = ParameterSet([(1.0, 1.0)], [(a, mu1), (b, nu1)])
+    # delta = mu1 + nu1 - 1 and mu = a + b - 3/2
+    c = derive_constants(ps)
+    if not c.balanced:
         raise ConstraintError(f"need mu1 + nu1 == 1, got {mu1 + nu1!r}")
-    if abs(a + b - 1.5) <= _BALANCE_TOL:
-        m = 0
-    elif abs(a + b - 0.5) <= _BALANCE_TOL:
-        m = 1
-    else:
+    if c.m_order not in (0, 1):
         raise ConstraintError(
             f"need a + b == 3/2 (single atom) or a + b == 1/2 (linear atom); got {a + b!r}"
         )
-    ps = ParameterSet([(1.0, 1.0)], [(a, mu1), (b, nu1)])
     lhs = complex(four_param_wright(mu1, a, nu1, b, z).value).real
-    rhs = float(eval_via_representation(ps, z, config).value)
-    return _record(f"four-param[m={m}]", ps.hash_key(), z, lhs, rhs, tol)
+    rhs = float(eval_via_representation(ps, z).value)
+    return _record(f"four-param[m={c.m_order}]", ps.hash_key(), z, lhs, rhs, tol)

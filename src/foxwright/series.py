@@ -22,7 +22,6 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,20 +48,8 @@ __all__ = [
     "correction_series",
 ]
 
-_DEFAULT_MAX_TERMS = 10_000
+_TERM_CAP = 10_000
 _STOP_STREAK = 3
-
-
-def _max_terms_limit(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("FOXWRIGHT_MAX_TERMS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return _DEFAULT_MAX_TERMS
 
 
 class SeriesStatus(enum.Enum):
@@ -99,19 +86,13 @@ class EvalResult:
 _OUTSIDE = EvalResult(complex("nan"), 0, math.inf, SeriesStatus.OUTSIDE_DOMAIN)
 
 
-def fox_wright(
-    params: ParameterSet,
-    z: complex,
-    tol: float = 1e-12,
-    max_terms: int | None = None,
-) -> EvalResult:
+def fox_wright(params: ParameterSet, z: complex, tol: float = 1e-12) -> EvalResult:
     """Sum the series at z, stopping after three consecutive negligible terms.
 
     Outside the convergence domain no summation is attempted and the result
     carries ``SeriesStatus.OUTSIDE_DOMAIN`` with a NaN value.  Hitting the
-    term cap (10000 by default, FOXWRIGHT_MAX_TERMS overrides) reports
-    ``MAX_TERMS`` along with the relative size of the last term, so
-    near-boundary evaluations are never silently trusted.
+    10000-term cap reports ``MAX_TERMS`` along with the relative size of the
+    last term, so near-boundary evaluations are never silently trusted.
     """
     if not in_domain(params, z):
         return _OUTSIDE
@@ -123,14 +104,14 @@ def fox_wright(
             return log_ratio, sign
         return log_ratio + k * log_abs_z - log_gamma(k + 1.0), sign
 
-    return _sum_terms(log_term, z, tol, max_terms)
+    return _sum_terms(log_term, z, tol)
 
 
 def _log_abs(z: complex) -> float:
     return math.log(abs(z)) if z != 0 else -math.inf
 
 
-def _sum_terms(log_term, z: complex, tol: float, max_terms: int | None) -> EvalResult:
+def _sum_terms(log_term, z: complex, tol: float) -> EvalResult:
     """Sum the terms t_k = sign_k * exp(log_k) * e^(i k arg z), where
     ``log_term(k)`` gives (log_k, sign_k): log|t_k| and the sign of the
     coefficient, log_k = -inf for a zero term.
@@ -142,7 +123,6 @@ def _sum_terms(log_term, z: complex, tol: float, max_terms: int | None) -> EvalR
     next term.  Otherwise reports ``MAX_TERMS`` with the last term's
     relative size.  A real z sums in floats and returns a float.
     """
-    limit = _max_terms_limit(max_terms)
     zc = complex(z)
     is_real = zc.imag == 0.0
     alternating = is_real and zc.real < 0
@@ -152,7 +132,7 @@ def _sum_terms(log_term, z: complex, tol: float, max_terms: int | None) -> EvalR
     small_streak = 0
     last_mag = math.inf
     terms = 0
-    for k in range(limit):
+    for k in range(_TERM_CAP):
         log_mag, sign = log_term(k)
         terms = k + 1
         if log_mag == -math.inf:
@@ -185,14 +165,9 @@ def _sum_terms(log_term, z: complex, tol: float, max_terms: int | None) -> EvalR
     )
 
 
-def fox_wright_value(
-    params: ParameterSet,
-    z: complex,
-    tol: float = 1e-12,
-    max_terms: int | None = None,
-) -> complex:
+def fox_wright_value(params: ParameterSet, z: complex, tol: float = 1e-12) -> complex:
     """Like :func:`fox_wright` but raises instead of returning a bad status."""
-    res = fox_wright(params, z, tol=tol, max_terms=max_terms)
+    res = fox_wright(params, z, tol=tol)
     if res.status is SeriesStatus.OUTSIDE_DOMAIN:
         raise OutsideDomainError(f"z={z} lies outside the convergence domain")
     if res.status is SeriesStatus.MAX_TERMS:
@@ -251,7 +226,6 @@ def four_param_wright(
     b: float,
     z: complex,
     tol: float = 1e-12,
-    max_terms: int | None = None,
 ) -> EvalResult:
     """sum_k z^k / (gamma(a + mu1*k) * gamma(b + nu1*k)) with rgamma semantics.
 
@@ -291,7 +265,7 @@ def four_param_wright(
             return -log_den, sign
         return k * log_abs_z - log_den, sign
 
-    return _sum_terms(log_term, zc, tol, max_terms)
+    return _sum_terms(log_term, zc, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +283,7 @@ def correction_series(params: ParameterSet, z: complex | np.ndarray) -> complex 
     array of real z gives the array of values.
     """
     c = derive_constants(params)
-    if abs(c.delta) > 1e-9:
+    if not c.balanced:
         raise OutsideDomainError("correction series requires balanced scale sums")
     if c.m_order is None:
         raise OutsideDomainError("correction series requires mu to be a non-positive integer")

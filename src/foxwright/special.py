@@ -2,8 +2,8 @@
 
 Contents:
 
-* Lanczos log-gamma for real and complex scalars, plus a numpy-vectorised
-  complex variant used by the residue engine's circle quadrature.
+* Lanczos log-gamma for real scalars, and a numpy-vectorised complex
+  variant used by the residue engine's circle quadrature.
 * A signed real log-gamma (value and sign of gamma(x)) that stays finite
   for negative non-integer arguments.
 * Exact Bernoulli numbers and Bernoulli polynomials over ``fractions.Fraction``.
@@ -17,7 +17,6 @@ the higher layers.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -26,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "log_gamma",
-    "log_gamma_complex",
     "log_gamma_complex_vec",
     "log_abs_gamma_signed",
     "gamma_real",
@@ -54,27 +52,6 @@ _LANCZOS_C = (
 )
 
 _LOG_SQRT_2PI = 0.9189385332046727  # log(sqrt(2*pi))
-
-
-def log_gamma_complex(z: complex) -> complex:
-    """Principal branch of log(gamma(z)) for complex z.
-
-    Uses reflection for Re z < 0.5 so the Lanczos sum only ever sees
-    arguments in the well-conditioned right half-plane.  Raises
-    :class:`ValueError` at the poles (z a non-positive integer).
-    """
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
-        raise ValueError(f"log_gamma pole at z={z.real}")
-    if z.real < 0.5:
-        # log Gamma(z) = log(pi / sin(pi z)) - log Gamma(1 - z)
-        return cmath.log(math.pi) - cmath.log(cmath.sin(math.pi * z)) - log_gamma_complex(1.0 - z)
-    zz = z - 1.0
-    acc = _LANCZOS_C[0]
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        acc += c / (zz + i)
-    t = zz + _LANCZOS_G + 0.5
-    return _LOG_SQRT_2PI + (zz + 0.5) * cmath.log(t) - t + cmath.log(acc)
 
 
 def log_gamma(x: float) -> float:
@@ -117,10 +94,13 @@ def gamma_real(x: float) -> float:
 
 
 def log_gamma_complex_vec(z: np.ndarray) -> np.ndarray:
-    """Vectorised principal-branch log-gamma over a complex numpy array.
+    """Vectorised log-gamma over a complex numpy array.
 
-    Callers (the residue circles in particular) keep z away from the poles;
-    arguments with Re z < 0.5 go through reflection.
+    Callers (the residue circles in particular) keep z away from the poles.
+    Arguments with Re z < 0.5 go through reflection,
+    log gamma(z) = log(pi / sin(pi z)) - log gamma(1 - z), so the Lanczos
+    sum only sees the right half-plane; there the result may differ from
+    the principal branch by a multiple of 2 pi i.
     """
     z = np.asarray(z, dtype=np.complex128)
     out = np.empty_like(z)

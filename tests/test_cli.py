@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from foxwright import series
 from foxwright.catalog import DOUBLE_POLE, EXP_COLLAPSE
 from foxwright.cli import CliUsageError, main, parse_grid, parse_k_list
 
@@ -65,11 +66,32 @@ class TestGridParsing:
         with pytest.raises(CliUsageError):
             parse_grid("a,b")
 
+    @pytest.mark.parametrize("spec", ["0:inf:3", "nan", "0.1,inf", "-inf:0:1"])
+    def test_non_finite_grids(self, spec):
+        with pytest.raises(CliUsageError):
+            parse_grid(spec)
+
     def test_k_range(self):
         assert parse_k_list("0..3") == [0.0, 1.0, 2.0, 3.0]
         assert parse_k_list("0.5,1.5") == [0.5, 1.5]
         with pytest.raises(CliUsageError):
             parse_k_list("5..2")
+
+    @pytest.mark.parametrize("spec", ["nan", "1,inf", "-inf"])
+    def test_non_finite_k_lists(self, spec):
+        with pytest.raises(CliUsageError):
+            parse_k_list(spec)
+
+    @pytest.mark.parametrize("argv", [
+        ("hfun", "--params", "double-pole", "--z=nan"),
+        ("eval", "--params", "double-pole", "--z=0:inf:3"),
+        ("moments", "--params", "double-pole", "--k", "nan"),
+    ])
+    def test_non_finite_input_exits_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "non-finite" in err
 
 
 class TestEval:
@@ -286,12 +308,12 @@ class TestOutputFormats:
         assert float(repr(row["value_or_verdict"])) == row["value_or_verdict"]
 
 
-class TestEnvOverride:
-    def test_max_terms_env_produces_error_rows(self, capsys, monkeypatch):
-        monkeypatch.setenv("FOXWRIGHT_MAX_TERMS", "4")
+class TestTermCap:
+    def test_term_cap_produces_error_rows(self, capsys, monkeypatch):
+        monkeypatch.setattr(series, "_TERM_CAP", 4)
         code, out, _ = run_cli(capsys, "eval", "--params", "identity", "--z", "25")
         assert code == 2
         assert json_rows(out)[0]["status"] == "error:NonConvergentError"
-        monkeypatch.delenv("FOXWRIGHT_MAX_TERMS")
+        monkeypatch.undo()
         code, _, _ = run_cli(capsys, "eval", "--params", "identity", "--z", "25")
         assert code == 0

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from foxwright import (
-    HfunEvalConfig,
     HfunMethod,
     ParameterSet,
     derive_constants,
@@ -336,8 +335,9 @@ class TestCachedRule:
             else:
                 assert abs(got - want) <= want_err
 
-    def test_unreachable_tolerance_raises(self):
-        ev = MeasureEvaluator(DOUBLE_POLE, HfunEvalConfig(tol=1e-30))
+    def test_unreachable_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(hfun, "_TOL", 1e-30)
+        ev = MeasureEvaluator(DOUBLE_POLE)
         with pytest.raises(QuadratureFailure):
             ev.moment(1.0)
 
@@ -373,6 +373,18 @@ class TestGuards:
         with pytest.raises(OutsideDomainError):
             ev.density(np.array([-0.1]))
 
+    def test_density_rejects_nan(self):
+        # NaN fails every comparison, so it must not slip past the domain check
+        ev = get_evaluator(DOUBLE_POLE)
+        with pytest.raises(OutsideDomainError):
+            ev.density(np.array([0.1, math.nan, 0.5]))
+        with pytest.raises(OutsideDomainError):
+            ev.density(math.nan, method=HfunMethod.ENDPOINT_SERIES)
+
+    def test_nonneg_scan_rejects_nan_grid(self):
+        with pytest.raises(OutsideDomainError):
+            hfun_nonneg_scan(DOUBLE_POLE, grid=[0.1, math.nan, 0.5])
+
     def test_pole_collision_detected(self):
         # two upper rows 5e-7 apart put their poles in one Newton group,
         # whose divided differences of t^-s do not cancel
@@ -399,30 +411,24 @@ class TestGuards:
         with pytest.raises(NonConvergentError):
             ev.density(np.array([1.0 - 1e-12]), method=HfunMethod.RESIDUE_SERIES)
 
-    def test_small_budget_gap_raises_typed_error(self):
+    def test_small_budget_gap_raises_typed_error(self, monkeypatch):
         # 64 circle nodes end the table at sigma 2, so the residues reach
         # only ~1e-12 rho, and at 0.1 rho the endpoint series has not
         # converged either: AUTO and the rule raise rather than guess
-        ev = MeasureEvaluator(TWIN_QUARTER, HfunEvalConfig(max_residue_terms=64))
+        monkeypatch.setattr(hfun, "_NODE_BUDGET", 64)
+        ev = MeasureEvaluator(TWIN_QUARTER)
         with pytest.raises(NonConvergentError):
             ev.density(np.array([0.1 * ev.rho]))
         with pytest.raises(NonConvergentError):
             ev.moment(1.0)
 
-    def test_first_group_over_budget_raises_typed_error(self):
+    def test_first_group_over_budget_raises_typed_error(self, monkeypatch):
         # the first group's neighbour sits 0.3 away, so its circle needs 33
         # nodes; a 32-node budget must not read as an empty, degenerate table
         params = ParameterSet([(0.3, 2.0), (0.9, 2.0)], [(1.0, 2.0), (0.7, 2.0)])
+        monkeypatch.setattr(hfun, "_NODE_BUDGET", 32)
         with pytest.raises(NonConvergentError):
-            MeasureEvaluator(params, HfunEvalConfig(max_residue_terms=32))
-
-    def test_config_validation(self):
-        from foxwright.errors import ParameterError
-
-        with pytest.raises(ParameterError):
-            HfunEvalConfig(tol=0.0)
-        with pytest.raises(ParameterError):
-            HfunEvalConfig(max_residue_terms=8)
+            MeasureEvaluator(params)
 
 
 class TestEvaluatorCache:
@@ -439,8 +445,3 @@ class TestEvaluatorCache:
             assert get_evaluator(DOUBLE_POLE) is keep
         assert len(hfun._EVALUATORS) == cap
         assert get_evaluator(sets[0]) is not oldest
-
-    def test_custom_config_not_cached_into_default(self):
-        custom = get_evaluator(DOUBLE_POLE, HfunEvalConfig(tol=1e-10))
-        default = get_evaluator(DOUBLE_POLE)
-        assert custom is not default

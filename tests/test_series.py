@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from foxwright import series
 from foxwright import (
     ParameterSet,
     SeriesStatus,
@@ -120,13 +121,14 @@ class TestDomainGates:
         outside = four_param_wright(0.5, 1.0, -0.5, 1.0, 1.5)
         assert outside.status is SeriesStatus.OUTSIDE_DOMAIN
 
-    def test_max_terms_env_override(self, monkeypatch):
-        monkeypatch.setenv("FOXWRIGHT_MAX_TERMS", "5")
+    def test_term_cap_reports_max_terms(self, monkeypatch):
+        monkeypatch.setattr(series, "_TERM_CAP", 5)
         res = fox_wright(IDENTITY, 30.0)
         assert res.status is SeriesStatus.MAX_TERMS
+        assert res.terms_used == 5
         with pytest.raises(NonConvergentError):
             fox_wright_value(IDENTITY, 30.0)
-        monkeypatch.delenv("FOXWRIGHT_MAX_TERMS")
+        monkeypatch.undo()
         assert fox_wright(IDENTITY, 30.0).status is SeriesStatus.CONVERGED
 
 
