@@ -53,7 +53,6 @@ from .hfun import (
     MeasureEvaluator,
     get_evaluator,
     hfun_nonneg_scan,
-    moment_identity_check,
 )
 from .representations import (
     eval_via_representation,
@@ -61,6 +60,7 @@ from .representations import (
     four_param_representation,
     laplace_lift_check,
     lifted_value,
+    moment_identity_check,
     stieltjes_eval,
     verify_representation,
     verify_stieltjes,

@@ -34,14 +34,14 @@ from .errors import (
 )
 from .hfun import get_evaluator, hfun_nonneg_scan
 from .params import ParameterSet, derive_constants, gamma_ratio, shift_parameters
-from .representations import lifted_value
+from .representations import IdentityRecord, _record, lifted_value
+from .series import fox_wright_value
 from .special import gamma_real
 
 __all__ = [
     "BoundsReport",
     "StieltjesLowerBoundReport",
     "CmReport",
-    "RatioValue",
     "RatioScanReport",
     "exp_kernel_bounds",
     "lifted_kernel_bounds",
@@ -53,6 +53,7 @@ __all__ = [
 
 _OK_SLACK = 1e-9
 _DENOM_FLOOR = 1e-14
+_ROUTE_TOL = 1e-6  # relative gap at which the quotient's two routes disagree
 
 
 @dataclass(frozen=True)
@@ -111,8 +112,6 @@ def exp_kernel_bounds(params: ParameterSet, z: float) -> BoundsReport:
     psi0, psi1, c = _atomic_mass(params)
     lower = psi0 * math.exp(-(psi1 / psi0) * z) + c.eta * math.exp(-c.rho * z)
     upper = (psi0 - psi1 / c.rho) + (c.eta + psi1 / c.rho) * math.exp(-c.rho * z)
-    from .series import fox_wright_value
-
     value = complex(fox_wright_value(params, -z)).real
     nonneg = hfun_nonneg_scan(params).nonneg
     lower_ok, upper_ok = _flags(lower, value, upper, nonneg)
@@ -282,44 +281,41 @@ def cm_check(
 
 
 @dataclass(frozen=True)
-class RatioValue:
-    """The shifted/unshifted Stieltjes quotient computed along both routes."""
-
-    z: float
-    series_route: float
-    quadrature_route: float
-    rel_gap: float
-
-
-@dataclass(frozen=True)
 class RatioScanReport:
-    """Monotonicity verdict of the quotient across a grid."""
+    """Monotonicity verdict of the quotient across a grid.
+
+    ``records`` holds the :func:`shifted_stieltjes_ratio` record of each
+    grid point, in increasing z; ``values`` are their quadrature routes.
+    """
 
     sigma: float
     delta: float
-    z_grid: tuple[float, ...]
-    values: tuple[float, ...]
-    series_values: tuple[float, ...]
+    records: tuple[IdentityRecord, ...]
     expected: str
     max_violation: float
     max_route_gap: float
     monotone_ok: bool
 
-    def ok(self, route_tol: float = 1e-6) -> bool:
-        return self.monotone_ok and self.max_route_gap <= route_tol
+    @property
+    def values(self) -> tuple[float, ...]:
+        return tuple(r.rhs for r in self.records)
+
+    def ok(self) -> bool:
+        return self.monotone_ok and all(r.verdict == "pass" for r in self.records)
 
 
 def shifted_stieltjes_ratio(
     params: ParameterSet, sigma: float, delta: float, z: float
-) -> RatioValue:
+) -> IdentityRecord:
     """Quotient ``integral t^(delta-1) H/(1+tz)^sigma dt  over  the same at
     delta = 0``, computed two independent ways.
 
-    Route one goes through series space: shifting every row by ``delta``
-    times its scale multiplies the density by ``t^delta`` (and the atom
-    weight by ``rho^delta``), so the numerator is the shifted set's lifted
-    series minus its own atom term.  Route two integrates the density
-    directly.  The gamma(sigma) factors cancel in the quotient.
+    Route one (lhs) goes through series space: shifting every row by
+    ``delta`` times its scale multiplies the density by ``t^delta`` (and
+    the atom weight by ``rho^delta``), so the numerator is the shifted
+    set's lifted series minus its own atom term.  Route two (rhs)
+    integrates the density directly.  The gamma(sigma) factors cancel in
+    the quotient.  The record passes when the routes agree to 1e-6.
     """
     if sigma <= 0:
         raise ParameterError("sigma must be positive")
@@ -342,9 +338,10 @@ def shifted_stieltjes_ratio(
     den_s = lifted_value(params, sigma, -z) - g * c.eta * (1.0 + c.rho * z) ** (-sigma)
     if abs(den_s) < _DENOM_FLOOR:
         raise DivisionError(f"series denominator ~ {den_s:.2e}: quotient undefined")
-    series = num_s / den_s
-    rel_gap = abs(series - quad) / (1.0 + max(abs(series), abs(quad)))
-    return RatioValue(float(z), series, quad, rel_gap)
+    return _record(
+        f"shifted-ratio[sigma={sigma:g},delta={delta:g}]",
+        params.hash_key(), z, num_s / den_s, quad, _ROUTE_TOL,
+    )
 
 
 def ratio_monotonicity_scan(
@@ -374,9 +371,8 @@ def ratio_monotonicity_scan(
         expected = "nonincreasing" if delta >= 0 else "nondecreasing"
     if expected not in ("nondecreasing", "nonincreasing"):
         raise ParameterError("expected must be 'nondecreasing' or 'nonincreasing'")
-    rows = [shifted_stieltjes_ratio(params, sigma, delta, z) for z in zs]
-    values = tuple(r.quadrature_route for r in rows)
-    series_values = tuple(r.series_route for r in rows)
+    records = tuple(shifted_stieltjes_ratio(params, sigma, delta, z) for z in zs)
+    values = [r.rhs for r in records]
     if expected == "nondecreasing":
         violations = [values[i] - values[i + 1] for i in range(len(values) - 1)]
     else:
@@ -385,11 +381,9 @@ def ratio_monotonicity_scan(
     return RatioScanReport(
         sigma=float(sigma),
         delta=float(delta),
-        z_grid=tuple(zs),
-        values=values,
-        series_values=series_values,
+        records=records,
         expected=expected,
         max_violation=max_violation,
-        max_route_gap=max(r.rel_gap for r in rows),
+        max_route_gap=max(r.rel_err for r in records),
         monotone_ok=max_violation <= tol,
     )

@@ -87,8 +87,11 @@ def parse_grid(spec: str) -> list[float]:
         if count < 1:
             raise CliUsageError("grid count must be >= 1")
         _finite([start, stop], spec)
-        # finite ends can still overflow the step, so the points are checked too
-        values = [start] if count == 1 else [float(v) for v in np.linspace(start, stop, count)]
+        if count == 1:
+            return [start]
+        # finite ends can still overflow their span, which linspace would warn about
+        _finite([stop - start], spec)
+        values = [float(v) for v in np.linspace(start, stop, count)]
     else:
         values = _float_list(spec, "grid")
     return _finite(values, spec)
@@ -216,10 +219,7 @@ def _cm_scan(ns, params, _):
 def _ratio_scan(ns, params, _):
     grid = _scan_grid(ns, np.linspace(0.05, 0.95, 17))
     rep = ratio_monotonicity_scan(params, ns.sigma, ns.delta, grid, tol=ns.tol)
-    rows = []
-    for z, quad, series in zip(rep.z_grid, rep.values, rep.series_values):
-        gap = abs(series - quad) / (1.0 + max(abs(series), abs(quad)))
-        rows.append((z, quad, abs(series - quad), gap, "ok"))
+    rows = [(r.z, r.rhs, r.abs_err, r.rel_err, "ok") for r in rep.records]
     rows.append((None, rep.expected, rep.max_violation, rep.max_route_gap, _verdict(rep.ok())))
     return rows
 

@@ -83,8 +83,6 @@ __all__ = [
     "HfunMethod",
     "MeasureEvaluator",
     "get_evaluator",
-    "moment_identity_check",
-    "MomentIdentityReport",
     "hfun_nonneg_scan",
     "NonnegReport",
 ]
@@ -544,50 +542,8 @@ def _newton_to_power(moments: np.ndarray, nodes: np.ndarray, extra: int) -> np.n
 
 
 # ---------------------------------------------------------------------------
-# functional wrappers
+# nonnegativity scan
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MomentIdentityReport:
-    rows: tuple[dict, ...]
-    max_rel_err: float
-
-    def ok(self, threshold: float = 1e-6) -> bool:
-        return self.max_rel_err <= threshold
-
-
-def moment_identity_check(params: ParameterSet, k_list: list[float]) -> MomentIdentityReport:
-    """Compare gamma_ratio(k) against moment(k) + atom part, per k.
-
-    The relative error is normalised by 1 + |gamma_ratio| so tiny ratios
-    don't blow up the report.
-    """
-    from .params import gamma_ratio
-
-    ev = get_evaluator(params)
-    rows = []
-    worst = 0.0
-    for k in k_list:
-        lhs = gamma_ratio(params, k)
-        integral = ev.moment(k)
-        atoms = ev.atom_mellin(k)
-        rhs = integral + atoms
-        abs_err = abs(lhs - rhs)
-        rel_err = abs_err / (1.0 + abs(lhs))
-        worst = max(worst, rel_err)
-        rows.append(
-            {
-                "k": k,
-                "gamma_ratio": lhs,
-                "moment": integral,
-                "atom": atoms,
-                "rhs": rhs,
-                "abs_err": abs_err,
-                "rel_err": rel_err,
-            }
-        )
-    return MomentIdentityReport(tuple(rows), worst)
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,7 @@ Pair = tuple[float, float]
 
 _INT_TOL = 1e-9
 _BALANCE_TOL = 1e-9  # |delta| and mu > 0 tolerance of the measure's regimes
+_EDGE_RTOL = 1e-12  # |z| this close to the radius, relatively, is on the disk's edge
 _POLE_SCAN_CAP = 10_000
 
 
@@ -226,7 +227,7 @@ def classify_convergence(params: ParameterSet) -> Convergence:
     return Convergence.DIVERGENT
 
 
-def in_domain(params: ParameterSet, z: complex, rel_tol: float = 1e-12) -> bool:
+def in_domain(params: ParameterSet, z: complex) -> bool:
     """Whether the series at z converges for this parameter set."""
     kind = classify_convergence(params)
     if kind is Convergence.ENTIRE_PLANE:
@@ -235,9 +236,9 @@ def in_domain(params: ParameterSet, z: complex, rel_tol: float = 1e-12) -> bool:
         return z == 0
     radius = derive_constants(params).conv_radius
     r = abs(z)
-    if r < radius * (1.0 - rel_tol):
+    if r < radius * (1.0 - _EDGE_RTOL):
         return True
-    on_boundary = abs(r - radius) <= radius * rel_tol
+    on_boundary = abs(r - radius) <= radius * _EDGE_RTOL
     return on_boundary and kind is Convergence.BOUNDARY_SUMMABLE
 
 

@@ -11,8 +11,10 @@ split three different ways and cross-checks the results:
 * Laplace lift: the gamma-weighted integral of the series equals the series
   of the lifted parameter set
 
-plus a numerical adjudication between two candidate closed forms for a
-finite Laplace-type integral of the collapsed example set.
+plus the moment identity (the gamma ratio at s against the measure's
+Mellin transform) and a numerical adjudication between two candidate
+closed forms for a finite Laplace-type integral of the collapsed example
+set.
 
 All checks emit :class:`IdentityRecord` rows with signed and relative
 discrepancies; nothing here asserts, callers decide what counts as failure.
@@ -25,15 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConstraintError,
-    DomainError,
-    NonConvergentError,
-    OutsideDomainError,
-    ParameterError,
-)
+from .catalog import EXP_COLLAPSE
+from .errors import ConstraintError, DomainError, OutsideDomainError, ParameterError
 from .hfun import get_evaluator
-from .params import ParameterSet, derive_constants
+from .params import ParameterSet, derive_constants, gamma_ratio
 from .quadrature import integrate_gamma_weighted, integrate_levels, tanh_sinh, tanh_sinh_reach
 from .series import (
     EvalResult,
@@ -47,9 +44,11 @@ from .special import gamma_real
 
 __all__ = [
     "IdentityRecord",
+    "MomentIdentityReport",
     "FiniteLaplaceReport",
     "eval_via_representation",
     "verify_representation",
+    "moment_identity_check",
     "stieltjes_eval",
     "verify_stieltjes",
     "lifted_value",
@@ -104,20 +103,15 @@ def eval_via_representation(params: ParameterSet, z: float | np.ndarray) -> Eval
     ``integral_0^rho e^(zt) H(t) dt/t`` plus the endpoint-atom polynomial
     ``eta e^(rho z) sum_j l_(m-j) * (Touchard_j at rho z)``.  Works for the
     atomic regimes ``mu == -m`` and for the pure-density regime ``mu > 0``
-    (where the atom part is identically zero).  An array of real z is
-    served by one pass over the cached rule, refined until every point
-    meets the tolerance; value and estimate are then arrays.
+    (where the atom part is identically zero); ``get_evaluator`` raises
+    ConstraintError for any other set.  An array of real z is served by
+    one pass over the cached rule, refined until every point meets the
+    tolerance; value and estimate are then arrays.
     """
-    c = _require_balanced(params)
-    if not c.represented:
-        raise ConstraintError(
-            "representation needs mu to be a non-positive integer or mu > 0; "
-            f"got mu={c.mu:.6g}"
-        )
-    zr = np.asarray(z, dtype=float) if np.ndim(z) else float(z)
     ev = get_evaluator(params)
+    zr = np.asarray(z, dtype=float) if np.ndim(z) else float(z)
     integral, err = ev._integral(lambda t: np.exp(np.multiply.outer(zr, t)) / t)
-    corr = correction_series(params, zr) if c.m_order is not None else 0.0
+    corr = correction_series(params, zr) if ev.m is not None else 0.0
     return EvalResult(integral + corr, ev._res_nodes_used, err, SeriesStatus.CONVERGED)
 
 
@@ -126,6 +120,38 @@ def verify_representation(params: ParameterSet, z: float, tol: float = 1e-6) -> 
     lhs = complex(fox_wright_value(params, z)).real
     rhs = float(eval_via_representation(params, z).value)
     return _record("exp-kernel-representation", params.hash_key(), z, lhs, rhs, tol)
+
+
+# ---------------------------------------------------------------------------
+# moments
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MomentIdentityReport:
+    """One moment-identity record per order k, and the worst relative error."""
+
+    rows: tuple[IdentityRecord, ...]
+    max_rel_err: float
+
+    def ok(self) -> bool:
+        return all(r.verdict == "pass" for r in self.rows)
+
+
+def moment_identity_check(params: ParameterSet, k_list: list[float]) -> MomentIdentityReport:
+    """gamma_ratio(k) against moment(k) + atom part, per k, judged at 1e-6.
+
+    Each row is an IdentityRecord at z = k with lhs the gamma ratio and rhs
+    the measure's Mellin transform.
+    """
+    ev = get_evaluator(params)
+    key = params.hash_key()
+    rows = tuple(
+        _record("moment-identity", key, k, gamma_ratio(params, k),
+                ev.moment(k) + ev.atom_mellin(k), 1e-6)
+        for k in k_list
+    )
+    return MomentIdentityReport(rows, max((r.rel_err for r in rows), default=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -182,35 +208,22 @@ def verify_stieltjes(
 # ---------------------------------------------------------------------------
 
 
-def lifted_value(params: ParameterSet, lam: float, z: float, route: str = "auto") -> float:
+def lifted_value(params: ParameterSet, lam: float, z: float) -> float:
     """``sum_k gamma(lam + k) ratio(k) z^k / k!`` with analytic continuation.
 
     Adding an upper row ``(lam, 1)`` to a balanced set drops the scale
     balance to -1, so the lifted series only converges on a disk of radius
-    ``1/rho``.  On the negative real axis the same function extends through
-    the measure as ``gamma(lam) [ integral (1-tz)^(-lam) H dt/t +
-    eta (1-rho z)^(-lam) ]``, which this helper uses once the series is out
-    of reach (or on request via ``route="kernel"``).
+    ``1/rho``.  Inside it the series is summed.  Where it does not converge,
+    on the negative real axis, the same function extends through the measure
+    as ``gamma(lam) [ integral (1-tz)^(-lam) H dt/t + eta (1-rho z)^(-lam) ]``.
     """
     if lam <= 0:
         raise ParameterError("lam must be positive")
-    if route not in ("auto", "series", "kernel"):
-        raise ParameterError(f"unknown route {route!r}")
+    lifted = ParameterSet([(lam, 1.0), *params.upper], list(params.lower))
+    res = fox_wright(lifted, z)
+    if res.status is SeriesStatus.CONVERGED:
+        return complex(res.value).real
     c = derive_constants(params)
-
-    if route in ("auto", "series"):
-        lifted = ParameterSet([(lam, 1.0), *params.upper], list(params.lower))
-        res = fox_wright(lifted, z)
-        if res.status is SeriesStatus.CONVERGED:
-            return complex(res.value).real
-        if route == "series":
-            if res.status is SeriesStatus.MAX_TERMS:
-                raise NonConvergentError(
-                    f"lifted series did not settle at z={z} "
-                    f"(last relative term ~ {res.trunc_estimate:.3e})"
-                )
-            raise OutsideDomainError(f"z={z} outside the lifted series disk")
-
     if z < 0 and c.represented and c.m_order in (0, None):
         x = -z
         ev = get_evaluator(params)
@@ -268,18 +281,13 @@ def laplace_lift_check(
 # finite Laplace adjudication for the collapsed example set
 # ---------------------------------------------------------------------------
 
-# upper=(1,1) over lower=(1/2,1/2),(1,1/2): the series is e^(2z)/sqrt(pi)
-# and the representing density vanishes identically (gamma duplication
-# collapses the full mass into the endpoint atom).
-_COLLAPSED_SET = ParameterSet([(1.0, 1.0)], [(0.5, 0.5), (1.0, 0.5)])
-
-
 @dataclass(frozen=True)
 class FiniteLaplaceReport:
     """Adjudication of two candidate closed forms for one finite integral.
 
     ``quadrature`` is ``integral_0^(1/2) e^(-zt) H(t) dt/t`` for the
-    collapsed example set, evaluated blind.  ``series_side`` is the
+    collapsed example set ``EXP_COLLAPSE`` (series e^(2z)/sqrt(pi), density
+    identically zero), evaluated blind.  ``series_side`` is the
     independent oracle: the closed-form series value minus the endpoint-atom
     term.  Each is compared against both candidates; a verdict names which
     candidate (if any) it matches.
@@ -318,7 +326,7 @@ def finite_laplace_identity(z: float, tol: float = 1e-6) -> FiniteLaplaceReport:
     The report states what the quadrature and an independent series-route
     oracle actually give, and which candidate (if either) each matches.
     """
-    ps = _COLLAPSED_SET
+    ps = EXP_COLLAPSE
     c = derive_constants(ps)
     ev = get_evaluator(ps)
     hi = 0.5

@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import NonConvergentError, OutsideDomainError
 from .params import (
+    _EDGE_RTOL,
     ParameterSet,
     correction_coeffs,
     derive_constants,
@@ -49,6 +50,7 @@ __all__ = [
 ]
 
 _TERM_CAP = 10_000
+_TOL = 1e-12  # a term this far below the running sum is negligible
 _STOP_STREAK = 3
 
 
@@ -75,10 +77,6 @@ class EvalResult:
     trunc_estimate: float
     status: SeriesStatus
 
-    @property
-    def real(self) -> float:
-        return self.value.real if isinstance(self.value, complex) else float(self.value)
-
     def ok(self) -> bool:
         return self.status is SeriesStatus.CONVERGED
 
@@ -86,7 +84,7 @@ class EvalResult:
 _OUTSIDE = EvalResult(complex("nan"), 0, math.inf, SeriesStatus.OUTSIDE_DOMAIN)
 
 
-def fox_wright(params: ParameterSet, z: complex, tol: float = 1e-12) -> EvalResult:
+def fox_wright(params: ParameterSet, z: complex) -> EvalResult:
     """Sum the series at z, stopping after three consecutive negligible terms.
 
     Outside the convergence domain no summation is attempted and the result
@@ -104,19 +102,19 @@ def fox_wright(params: ParameterSet, z: complex, tol: float = 1e-12) -> EvalResu
             return log_ratio, sign
         return log_ratio + k * log_abs_z - log_gamma(k + 1.0), sign
 
-    return _sum_terms(log_term, z, tol)
+    return _sum_terms(log_term, z)
 
 
 def _log_abs(z: complex) -> float:
     return math.log(abs(z)) if z != 0 else -math.inf
 
 
-def _sum_terms(log_term, z: complex, tol: float) -> EvalResult:
+def _sum_terms(log_term, z: complex) -> EvalResult:
     """Sum the terms t_k = sign_k * exp(log_k) * e^(i k arg z), where
     ``log_term(k)`` gives (log_k, sign_k): log|t_k| and the sign of the
     coefficient, log_k = -inf for a zero term.
 
-    Stops after three consecutive small terms: each below ``tol`` relative
+    Stops after three consecutive small terms: each below ``_TOL`` relative
     to the running sum, and so is the geometric tail mag r / (1 - r) it
     starts, r < 1 being its ratio to the term before.  A slowly converging
     series thus runs on until what it leaves out is small, not only its
@@ -128,6 +126,7 @@ def _sum_terms(log_term, z: complex, tol: float) -> EvalResult:
     alternating = is_real and zc.real < 0
     arg_z = cmath.phase(zc)
 
+    tol = _TOL  # a local: the loop reads it on every term
     total = 0.0 if is_real else 0.0 + 0.0j
     small_streak = 0
     last_mag = math.inf
@@ -165,9 +164,9 @@ def _sum_terms(log_term, z: complex, tol: float) -> EvalResult:
     )
 
 
-def fox_wright_value(params: ParameterSet, z: complex, tol: float = 1e-12) -> complex:
+def fox_wright_value(params: ParameterSet, z: complex) -> complex:
     """Like :func:`fox_wright` but raises instead of returning a bad status."""
-    res = fox_wright(params, z, tol=tol)
+    res = fox_wright(params, z)
     if res.status is SeriesStatus.OUTSIDE_DOMAIN:
         raise OutsideDomainError(f"z={z} lies outside the convergence domain")
     if res.status is SeriesStatus.MAX_TERMS:
@@ -183,7 +182,7 @@ def fox_wright_value(params: ParameterSet, z: complex, tol: float = 1e-12) -> co
 # ---------------------------------------------------------------------------
 
 
-def hyper_pfq(a: list[float], b: list[float], z: complex, tol: float = 1e-12) -> complex:
+def hyper_pfq(a: list[float], b: list[float], z: complex) -> complex:
     """Generalized hypergeometric pFq via the unit-scale series.
 
     pFq multiplies each term by a Pochhammer ratio instead of a gamma ratio,
@@ -201,22 +200,22 @@ def hyper_pfq(a: list[float], b: list[float], z: complex, tol: float = 1e-12) ->
         la, sg = log_abs_gamma_signed(x)
         log_pref -= la
         sign *= sg
-    return sign * math.exp(log_pref) * fox_wright_value(params, z, tol=tol)
+    return sign * math.exp(log_pref) * fox_wright_value(params, z)
 
 
-def wright_function(alpha: float, beta: float, z: complex, tol: float = 1e-12) -> complex:
+def wright_function(alpha: float, beta: float, z: complex) -> complex:
     """Two-parameter Wright function  sum_k z^k / (k! gamma(alpha*k + beta))."""
     params = ParameterSet([], [(beta, alpha)])
-    return fox_wright_value(params, z, tol=tol)
+    return fox_wright_value(params, z)
 
 
-def mittag_leffler(alpha: float, beta: float, z: complex, tol: float = 1e-12) -> complex:
+def mittag_leffler(alpha: float, beta: float, z: complex) -> complex:
     """Two-parameter Mittag-Leffler  sum_k z^k / gamma(alpha*k + beta).
 
     The k! in the row-based series is cancelled by an upper pair (1, 1).
     """
     params = ParameterSet([(1.0, 1.0)], [(beta, alpha)])
-    return fox_wright_value(params, z, tol=tol)
+    return fox_wright_value(params, z)
 
 
 def four_param_wright(
@@ -225,7 +224,6 @@ def four_param_wright(
     nu1: float,
     b: float,
     z: complex,
-    tol: float = 1e-12,
 ) -> EvalResult:
     """sum_k z^k / (gamma(a + mu1*k) * gamma(b + nu1*k)) with rgamma semantics.
 
@@ -245,9 +243,9 @@ def four_param_wright(
     if abs(balance) <= 1e-12 and zc != 0:
         radius = abs(mu1) ** mu1 * abs(nu1) ** nu1
         r = abs(zc)
-        if r > radius * (1 + 1e-12):
+        if r > radius * (1 + _EDGE_RTOL):
             return _OUTSIDE
-        if abs(r - radius) <= radius * 1e-12 and not (a + b > 2.0):
+        if abs(r - radius) <= radius * _EDGE_RTOL and not (a + b > 2.0):
             return _OUTSIDE
     log_abs_z = _log_abs(zc)
 
@@ -265,7 +263,7 @@ def four_param_wright(
             return -log_den, sign
         return k * log_abs_z - log_den, sign
 
-    return _sum_terms(log_term, zc, tol)
+    return _sum_terms(log_term, zc)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """The public surface: every exported name resolves, and no tuning knob is left.
 
 Each parameter set has one measure and one evaluator, so no public callable
-takes an evaluator configuration or a series term cap.  The benchmark's
-traced run wraps each layer by ``getattr`` on every name of its
-``__all__``, so a stale entry there would crash it.
+takes an evaluator configuration, a series term cap, a route, or a
+tolerance that only decides when to stop or where a disk ends.  The
+series functions take no stop tolerance either.  The benchmark's traced
+run wraps each layer by ``getattr`` on every name of its ``__all__``, so a
+stale entry there would crash it.
 """
 
 import importlib
@@ -13,11 +15,21 @@ import pkgutil
 import pytest
 
 import foxwright
+from foxwright import series
 
 MODULES = ["foxwright"] + [
     f"foxwright.{info.name}" for info in pkgutil.iter_modules(foxwright.__path__)
 ]
 REMOVED_PARAMETERS = {"config", "max_terms"}
+REMOVED_KNOBS = {"route", "rel_tol", "route_tol", "threshold"}
+SERIES_FUNCTIONS = [
+    series.fox_wright,
+    series.fox_wright_value,
+    series.hyper_pfq,
+    series.wright_function,
+    series.mittag_leffler,
+    series.four_param_wright,
+]
 
 
 def _public_callables(module):
@@ -41,14 +53,26 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
-@pytest.mark.parametrize("name", MODULES)
-def test_no_config_or_term_cap_parameters(name):
-    module = importlib.import_module(name)
-    found = [
+def _parameters_named(module_name, names):
+    module = importlib.import_module(module_name)
+    return [
         (qualname, param)
         for qualname, fn in _public_callables(module)
         for param in inspect.signature(fn).parameters
-        if param in REMOVED_PARAMETERS
+        if param in names
     ]
-    assert found == []
 
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_config_or_term_cap_parameters(name):
+    assert _parameters_named(name, REMOVED_PARAMETERS) == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_route_or_tolerance_knobs(name):
+    assert _parameters_named(name, REMOVED_KNOBS) == []
+
+
+@pytest.mark.parametrize("fn", SERIES_FUNCTIONS, ids=lambda fn: fn.__name__)
+def test_series_functions_take_no_stop_tolerance(fn):
+    assert "tol" not in inspect.signature(fn).parameters

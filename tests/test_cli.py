@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import foxwright
 from foxwright import series
 from foxwright.catalog import DOUBLE_POLE, EXP_COLLAPSE
 from foxwright.cli import CliUsageError, main, parse_grid, parse_k_list
@@ -92,6 +96,19 @@ class TestGridParsing:
         assert code == 1
         assert out == ""
         assert "non-finite" in err
+
+    def test_overflowing_span_prints_only_the_error(self):
+        # finite ends whose difference overflows a double: rejected before
+        # np.linspace, which would print RuntimeWarnings to stderr first
+        src = Path(foxwright.__file__).resolve().parents[1]
+        spec = "--z=-1.7e308:1.7e308:3"
+        proc = subprocess.run(
+            [sys.executable, "-m", "foxwright.cli", "eval", "--params", "identity", spec],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: non-finite value in '-1.7e308:1.7e308:3'\n"
 
 
 class TestEval:

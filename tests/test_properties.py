@@ -52,7 +52,7 @@ class TestSeriesInvariants:
     @given(balanced_sets(), st.floats(-2.0, 2.0, allow_nan=False))
     @settings(max_examples=30, deadline=None)
     def test_balanced_series_converges_everywhere(self, ps, z):
-        assert fox_wright(ps, z).ok
+        assert fox_wright(ps, z).ok()
 
     @given(
         st.floats(0.1, 0.9),
@@ -64,7 +64,7 @@ class TestSeriesInvariants:
     def test_four_param_equals_general_row_form(self, mu1, a, b, z):
         nu1 = 1.0 - mu1
         got = four_param_wright(mu1, a, nu1, b, z)
-        assume(got.ok)
+        assume(got.ok())
         ps = ParameterSet([(1.0, 1.0)], [(a, mu1), (b, nu1)])
         want = complex(fox_wright_value(ps, z)).real
         assert complex(got.value).real == pytest.approx(want, rel=1e-9, abs=1e-12)

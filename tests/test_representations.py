@@ -104,11 +104,14 @@ class TestStieltjesKernel:
 class TestLiftedValue:
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     def test_series_and_kernel_routes_agree(self, lam):
-        # inside the disk both routes are available
+        # inside the disk lifted_value sums the series; the kernel
+        # continuation gamma(lam) [ integral (1+0.4t)^(-lam) H dt/t
+        # + eta (1+0.4 rho)^(-lam) ] must give the same value there
         z = -0.4  # |z| < 1/rho = 1 for the double-pole set
-        s = lifted_value(DOUBLE_POLE, lam, z, route="series")
-        k = lifted_value(DOUBLE_POLE, lam, z, route="kernel")
-        assert s == pytest.approx(k, rel=1e-9)
+        c = derive_constants(DOUBLE_POLE)
+        atom = math.gamma(lam) * c.eta * (1.0 + c.rho * -z) ** (-lam)
+        kernel = stieltjes_eval(DOUBLE_POLE, lam, -z).value + atom
+        assert lifted_value(DOUBLE_POLE, lam, z) == pytest.approx(kernel, rel=1e-9)
 
     @pytest.mark.parametrize("z", [0.7, 0.9])
     def test_slow_series_keeps_its_tail(self, z):
