@@ -237,8 +237,8 @@ def cm_check(
     then smallest grid point) is reported with a note that no nonnegative
     representing density is compatible with it.
     """
-    if h <= 0:
-        raise ParameterError("h must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise ParameterError("h must be positive and finite")
     if not 0 <= max_order <= 8:
         raise ParameterError("max_order must lie in 0..8")
     xs = sorted(float(x) for x in grid)

@@ -14,12 +14,17 @@ serialized as JSON lines (default) or CSV with a header row.  Floats are
 written with ``repr``, i.e. shortest round-trip form, so identical inputs
 produce byte-identical reports.  ``params_hash`` is the content hash of the
 canonicalized parameter JSON, making reports joinable across runs.
+
+``main`` may be called any number of times in one process: the argument
+parser is built on the first call and reused, and each call parses into a
+fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -40,9 +45,10 @@ from .bounds import (
 from .catalog import NAMED_SETS
 from .errors import FoxwrightError
 from .hfun import get_evaluator
-from .params import ParameterSet, gamma_ratio
+from .params import ParameterSet
 from .representations import (
     laplace_lift_check,
+    moment_identity_check,
     verify_representation,
     verify_stieltjes,
 )
@@ -125,6 +131,17 @@ def _finite(values: list[float], spec: str) -> list[float]:
     return values
 
 
+def _finite_float(text: str) -> float:
+    """argparse ``type`` of the float flags: NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"non-finite value {text!r}")
+    return value
+
+
 def _load_params(spec: str) -> ParameterSet:
     """Catalog name, or path to a JSON file with upper/lower rows."""
     if spec in NAMED_SETS:
@@ -158,12 +175,8 @@ def _hfun_point(ns, params, t):
 
 
 def _moments_point(ns, params, k):
-    ev = get_evaluator(params)
-    lhs = gamma_ratio(params, k)
-    rhs = ev.moment(k) + ev.atom_mellin(k)
-    abs_err = abs(lhs - rhs)
-    rel_err = abs_err / max(1.0, abs(lhs))
-    return lhs, abs_err, rel_err, _verdict(rel_err <= ns.tol)
+    rec = moment_identity_check(params, [k]).rows[0]
+    return rec.lhs, rec.abs_err, rec.rel_err, _verdict(rec.rel_err <= ns.tol)
 
 
 def _identity_point(check):
@@ -235,11 +248,11 @@ _Z_HELP = ("grid: start:stop:count, comma list, or scalar "
 _FLAGS = {
     "--z": dict(help=_Z_HELP),
     "--k": dict(help="moment orders: lo..hi, comma list, or scalar"),
-    "--sigma": dict(type=float, help="power-kernel exponent"),
-    "--delta": dict(type=float, help="parameter shift"),
-    "--lift": dict(type=float, help="gamma-lift exponent"),
+    "--sigma": dict(type=_finite_float, help="power-kernel exponent"),
+    "--delta": dict(type=_finite_float, help="parameter shift"),
+    "--lift": dict(type=_finite_float, help="gamma-lift exponent"),
     "--function": dict(help="series (default) or one of: " + ", ".join(_CM_FUNCTIONS)),
-    "--h": dict(type=float, dest="h_step", help="forward-difference step"),
+    "--h": dict(type=_finite_float, dest="h_step", help="forward-difference step"),
     "--max-order": dict(type=int, dest="max_order", help="highest difference order checked"),
 }
 
@@ -335,7 +348,10 @@ def run(ns: argparse.Namespace) -> int:
     rows = _walk(ns, params)
     text = _render(rows, ns.output)
     if ns.out_path:
-        Path(ns.out_path).write_text(text)
+        try:
+            Path(ns.out_path).write_text(text)
+        except OSError as exc:
+            raise CliUsageError(f"could not write {ns.out_path}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
     return 0 if all(r["status"] in ("ok", "pass") for r in rows) else 2
@@ -346,7 +362,9 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process; ``parse_args`` leaves it unchanged."""
     parser = _Parser(prog="foxwright", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, cmd in _COMMANDS.items():
@@ -355,7 +373,7 @@ def _build_parser() -> _Parser:
         for flag, kwargs in _FLAGS.items():
             if flag in cmd.flags:
                 p.add_argument(flag, default=cmd.flags[flag], **kwargs)
-        p.add_argument("--tol", type=float, default=1e-6, help="verdict tolerance")
+        p.add_argument("--tol", type=_finite_float, default=1e-6, help="verdict tolerance")
         p.add_argument("--output", choices=("json", "csv"), default="json")
         p.add_argument("--out", dest="out_path", help="write report here instead of stdout")
     return parser

@@ -27,7 +27,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .errors import ParameterError, PoleError
@@ -136,6 +136,12 @@ class ParameterSet:
 
     def hash_key(self) -> str:
         """16-hex-char digest of the canonical JSON form, for report rows."""
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
+        # computed on the first hash_key call and kept in the instance: every
+        # report row asks for it, and a frozen set never changes
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
 
 

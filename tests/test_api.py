@@ -11,11 +11,12 @@ stale entry there would crash it.
 import importlib
 import inspect
 import pkgutil
+import re
 
 import pytest
 
 import foxwright
-from foxwright import series
+from foxwright import cli, series
 
 MODULES = ["foxwright"] + [
     f"foxwright.{info.name}" for info in pkgutil.iter_modules(foxwright.__path__)
@@ -76,3 +77,21 @@ def test_no_route_or_tolerance_knobs(name):
 @pytest.mark.parametrize("fn", SERIES_FUNCTIONS, ids=lambda fn: fn.__name__)
 def test_series_functions_take_no_stop_tolerance(fn):
     assert "tol" not in inspect.signature(fn).parameters
+
+
+def test_cli_has_no_switch():
+    """The CLI builds its parser once per process, and nothing turns that off
+    or tunes it: ``main`` takes only ``argv``, the parser builder takes
+    nothing, no environment variable is read, and the module holds no value
+    beyond its command tables."""
+    assert list(inspect.signature(cli.main).parameters) == ["argv"]
+    assert list(inspect.signature(cli._build_parser).parameters) == []
+    assert not re.search(r"\bos\b|environ|getenv", inspect.getsource(cli))
+    values = {
+        name for name, value in vars(cli).items()
+        if not name.startswith("__") and not (callable(value) or inspect.ismodule(value))
+    }
+    assert values == {
+        "annotations", "NAMED_SETS", "_CM_FUNCTIONS", "_COMMANDS", "_FIELDS", "_FLAGS",
+        "_GRID_HINTS", "_SERIES_STATUS", "_Z_HELP",
+    }

@@ -150,6 +150,12 @@ class TestCmCheck:
         with pytest.raises(ParameterError):
             cm_check(math.exp, CM_GRID, 0.05, max_order=9)
 
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_non_finite_step_raises(self, h):
+        # NaN slipped past an ``h <= 0`` guard and every difference compared False
+        with pytest.raises(ParameterError):
+            cm_check(lambda x: x, CM_GRID, h)
+
 
 class TestShiftedRatio:
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])

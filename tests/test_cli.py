@@ -12,15 +12,26 @@ from pathlib import Path
 import pytest
 
 import foxwright
-from foxwright import series
-from foxwright.catalog import DOUBLE_POLE, EXP_COLLAPSE
+from foxwright import cli, series
+from foxwright.catalog import DOUBLE_POLE, EXP_COLLAPSE, TWIN_QUARTER
 from foxwright.cli import CliUsageError, main, parse_grid, parse_k_list
+from foxwright.representations import moment_identity_check
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(*argv):
+    """One ``python -m foxwright.cli`` process, so its parser is built anew."""
+    src = Path(foxwright.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "foxwright.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def json_rows(out):
@@ -100,15 +111,31 @@ class TestGridParsing:
     def test_overflowing_span_prints_only_the_error(self):
         # finite ends whose difference overflows a double: rejected before
         # np.linspace, which would print RuntimeWarnings to stderr first
-        src = Path(foxwright.__file__).resolve().parents[1]
-        spec = "--z=-1.7e308:1.7e308:3"
-        proc = subprocess.run(
-            [sys.executable, "-m", "foxwright.cli", "eval", "--params", "identity", spec],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        assert run_fresh("eval", "--params", "identity", "--z=-1.7e308:1.7e308:3") == (
+            1, "", "error: non-finite value in '-1.7e308:1.7e308:3'\n"
         )
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert proc.stderr == "error: non-finite value in '-1.7e308:1.7e308:3'\n"
+
+
+class TestFloatFlags:
+    @pytest.mark.parametrize("argv", [
+        # before, this printed ``clean``/``pass``: every NaN difference compared False
+        ("cm-check", "--function", "linear", "--z", "0.5", "--h", "nan"),
+        ("bounds", "--params", "double-pole", "--lift", "nan", "--z", "0.5"),
+        ("bounds", "--params", "double-pole", "--sigma=-inf", "--z", "0.5"),
+        ("verify-stieltjes", "--params", "double-pole", "--sigma", "inf", "--z", "0.5"),
+        ("verify-laplace", "--params", "exp-collapse", "--lift", "inf", "--z", "0.5"),
+        ("ratio-scan", "--params", "double-pole", "--delta", "nan"),
+        ("moments", "--params", "twin-quarter", "--k", "0..2", "--tol", "nan"),
+        ("eval", "--params", "identity", "--z", "0", "--tol", "inf"),
+    ])
+    def test_non_finite_flag_exits_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert re.fullmatch(r"error: argument --\w+: non-finite value '-?(nan|inf)'\n", err)
+
+    def test_malformed_float_message_unchanged(self, capsys):
+        argv = ("bounds", "--params", "double-pole", "--sigma", "abc", "--z", "0.5")
+        assert run_cli(capsys, *argv) == (1, "", "error: argument --sigma: invalid float value: 'abc'\n")
 
 
 class TestEval:
@@ -149,6 +176,13 @@ class TestMoments:
         assert len(rows) == 9
         assert all(r["status"] == "pass" for r in rows)
         assert all(r["rel_err"] <= 1e-6 for r in rows)
+
+    def test_rows_are_the_library_records(self, capsys):
+        code, out, _ = run_cli(capsys, "moments", "--params", "twin-quarter", "--k", "0..8")
+        assert code == 0
+        report = moment_identity_check(TWIN_QUARTER, [float(k) for k in range(9)])
+        got = [(r["z"], r["value_or_verdict"], r["abs_err"], r["rel_err"]) for r in json_rows(out)]
+        assert got == [(rec.z, rec.lhs, rec.abs_err, rec.rel_err) for rec in report.rows]
 
     def test_missing_k_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "moments", "--params", "twin-quarter")
@@ -313,6 +347,14 @@ class TestOutputFormats:
         rows = [json.loads(line) for line in target.read_text().splitlines()]
         assert rows[0]["value_or_verdict"] == pytest.approx(math.e, rel=1e-12)
 
+    def test_unwritable_out_path_exits_1(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.jsonl"
+        code, out, err = run_cli(
+            capsys, "eval", "--params", "identity", "--z", "0", "--out", str(target)
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: could not write {target}: No such file or directory\n"
+
     def test_byte_identical_determinism(self, capsys):
         argv = ["moments", "--params", "double-pole", "--k", "0..5", "--output", "csv"]
         _, out1, _ = run_cli(capsys, *argv)
@@ -323,6 +365,46 @@ class TestOutputFormats:
         _, out, _ = run_cli(capsys, "eval", "--params", "identity", "--z", "0.1")
         row = json_rows(out)[0]
         assert float(repr(row["value_or_verdict"])) == row["value_or_verdict"]
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process, so every call must start
+    again from the defaults and leave nothing behind."""
+
+    def test_one_parser_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_omitted_flag_gets_its_default_back(self, capsys):
+        base = ("verify-stieltjes", "--params", "double-pole", "--z", "0.25,0.5")
+        first = run_cli(capsys, *base)
+        shifted = run_cli(capsys, *base, "--sigma", "3")
+        assert shifted[0] == 0 and shifted != first
+        assert run_cli(capsys, *base) == first
+        assert cli._build_parser().parse_args(base).sigma == 1.0
+
+    def test_usage_error_then_good_call(self, capsys):
+        bad = ("eval", "--params", "identity", "--z", "1", "--sigma", "2")
+        first = run_cli(capsys, *bad)
+        assert first[:2] == (1, "") and first[2].startswith("error: unrecognized arguments")
+        assert run_cli(capsys, *bad) == first
+        code, out, err = run_cli(capsys, "eval", "--params", "identity", "--z", "1")
+        assert (code, err) == (0, "")
+        assert json_rows(out)[0]["value_or_verdict"] == pytest.approx(math.e, rel=1e-12)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["bounds", "--help"]])
+    def test_help_exits_0_every_time(self, capsys, argv):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and texts[0].startswith("usage: foxwright")
+
+    @pytest.mark.parametrize("argv", readme_cli_examples(), ids=" ".join)
+    def test_readme_example_same_bytes_reused_and_fresh(self, capsys, argv):
+        first = run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv) == first == run_fresh(*argv)
 
 
 class TestTermCap:

@@ -1,5 +1,6 @@
 """Parameter rows, derived constants, convergence classes, shifts."""
 
+import hashlib
 import math
 
 import pytest
@@ -149,6 +150,27 @@ class TestSerialization:
         assert len(EXP_COLLAPSE.hash_key()) == 16
         hashes = {ps.hash_key() for ps in (EXP_COLLAPSE, TWIN_QUARTER, DOUBLE_POLE, IDENTITY)}
         assert len(hashes) == 4
+
+    @pytest.mark.parametrize("ps, key", [
+        (EXP_COLLAPSE, "1f3c7bc8c20c7326"),
+        (TWIN_QUARTER, "55d3a95139b192da"),
+        (DOUBLE_POLE, "0427ae0a7ebdbf5c"),
+        (IDENTITY, "d1cee74c5b64f2c8"),
+    ])
+    def test_hash_is_the_digest_of_the_canonical_json(self, ps, key):
+        # a fresh set, so the kept digest is computed here, not inherited
+        fresh = ParameterSet(ps.upper, ps.lower)
+        assert fresh.hash_key() == key
+        assert fresh.hash_key() == hashlib.sha256(ps.to_json().encode()).hexdigest()[:16]
+        assert ParameterSet.from_json(ps.to_json()).hash_key() == ps.hash_key() == key
+
+    def test_hash_kept_out_of_equality_and_construction(self):
+        a = ParameterSet(DOUBLE_POLE.upper, DOUBLE_POLE.lower)
+        b = ParameterSet(DOUBLE_POLE.upper, DOUBLE_POLE.lower)
+        assert "_digest" not in vars(a)  # building a set hashes nothing
+        a.hash_key()
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert b.hash_key() == a.hash_key()
 
     def test_malformed_json_raises(self):
         with pytest.raises(ParameterError):
