@@ -113,7 +113,7 @@ def main() -> int:
         )
         check(f"{name}: residue vs endpoint series diff {diff:.2e}", diff < 1e-12)
         scan = hfun_nonneg_scan(ps)
-        check(f"{name}: density nonnegative (min {scan.min_value:.2e})", scan.nonneg)
+        check(f"{name}: density nonnegative (min {scan.lhs:.2e})", scan.ok())
 
     section("exponential-kernel representation vs series")
     for name, ps in NAMED_SETS.items():
@@ -154,64 +154,67 @@ def main() -> int:
               rec.verdict == "pass")
 
     section("finite-transform adjudication (measured verdicts)")
-    rep0 = finite_laplace_identity(0.0)
-    check("z=0: both candidates match", rep0.verdict == "both")
+    # records: quadrature vs a, quadrature vs b, series side vs a, series side vs b
+    quad_a, quad_b, _, _ = finite_laplace_identity(0.0)
+    check("z=0: both candidates match", quad_a.ok() and quad_b.ok())
     for z in (-1.0, 0.5, 1.0, 2.0):
-        rep = finite_laplace_identity(z)
+        recs = finite_laplace_identity(z)
+        quad_a, quad_b = recs[:2]
         check(
-            f"z={z:g}: quadrature {rep.quadrature:g} matches neither candidate "
-            f"(errs {rep.err_a:.2e}, {rep.err_b:.2e})",
-            rep.verdict == "neither" and rep.series_verdict == "neither",
+            f"z={z:g}: quadrature {quad_a.lhs:g} matches neither candidate "
+            f"(errs {quad_a.abs_err:.2e}, {quad_b.abs_err:.2e})",
+            not any(r.ok() for r in recs),
         )
 
     section("two-sided bounds on the double-pole set")
     dp = NAMED_SETS["double-pole"]
     for z in (0.0, 0.1, 0.5, 1.0, 2.0):
-        rep = exp_kernel_bounds(dp, z)
+        lower, upper = exp_kernel_bounds(dp, z)
         check(
-            f"exp kernel z={z:g}: {rep.lower:.6f} <= {rep.value:.6f} <= {rep.upper:.6f}",
-            rep.lower_ok and rep.upper_ok,
+            f"exp kernel z={z:g}: {lower.lhs:.6f} <= {lower.rhs:.6f} <= {upper.rhs:.6f}",
+            lower.ok() and upper.ok(),
         )
     for lam in (1.0, 2.0):
         for z in (0.1, 0.5, 1.0, 2.0):
-            rep = lifted_kernel_bounds(dp, lam, z)
-            check(f"lifted lam={lam:g} z={z:g}: sandwich width {rep.upper - rep.lower:.2e}",
-                  rep.lower_ok and rep.upper_ok)
+            lower, upper = lifted_kernel_bounds(dp, lam, z)
+            check(f"lifted lam={lam:g} z={z:g}: sandwich width {upper.rhs - lower.lhs:.2e}",
+                  lower.ok() and upper.ok())
     for sigma in (0.5, 3.0):
         for z in (0.1, 0.3):
-            rep = stieltjes_lower_bound(dp, sigma, z)
-            check(f"sigma={sigma:g} z={z:g}: margin {rep.margin:.2e}",
-                  rep.bound_ok and rep.mean_power_ok)
+            lower, step = stieltjes_lower_bound(dp, sigma, z)
+            check(f"sigma={sigma:g} z={z:g}: margin {lower.rhs - lower.lhs:.2e}",
+                  lower.ok() and step.ok())
 
     section("complete monotonicity")
     grid = [float(v) for v in np.logspace(math.log10(0.01), math.log10(10.0), 30)]
-    check("e^(-z) clean", cm_check(lambda x: math.exp(-x), grid, 0.05, 6).clean)
-    check("1/(1+z) clean", cm_check(lambda x: 1.0 / (1.0 + x), grid, 0.05, 6).clean)
+
+    def first_defect(f):
+        return next((r.identity for r in cm_check(f, grid, 0.05, 6) if not r.ok()), None)
+
+    check("e^(-z) clean", first_defect(lambda x: math.exp(-x)) is None)
+    check("1/(1+z) clean", first_defect(lambda x: 1.0 / (1.0 + x)) is None)
     check(
         "double-pole series value clean",
-        cm_check(lambda x: complex(fox_wright_value(dp, -x)).real, grid, 0.05, 6).clean,
+        first_defect(lambda x: complex(fox_wright_value(dp, -x)).real) is None,
     )
-    lin = cm_check(lambda x: x, grid, 0.05, 6)
-    check("z flagged at order 1", lin.first_violation is not None and lin.first_violation[0] == 1)
-    rem = cm_check(
-        lambda x: (math.exp(-2.0 * x) - math.exp(-x / 2.0)) / math.sqrt(math.pi),
-        grid, 0.05, 6,
+    check("z flagged at order 1", first_defect(lambda x: x) == "cm-order-1")
+    check(
+        "sign-crossing remainder flagged at order 0",
+        first_defect(lambda x: (math.exp(-2.0 * x) - math.exp(-x / 2.0)) / math.sqrt(math.pi))
+        == "cm-order-0",
     )
-    check("sign-crossing remainder flagged at order 0",
-          rem.first_violation is not None and rem.first_violation[0] == 0)
 
     section("shifted-ratio monotonicity (measured directions)")
     grid17 = [float(v) for v in np.linspace(0.05, 0.95, 17)]
-    up = ratio_monotonicity_scan(dp, 1.0, 1.0, grid17)
-    check(
-        f"delta=+1 nonincreasing (viol {up.max_violation:.2e}, routes {up.max_route_gap:.2e})",
-        up.monotone_ok and up.max_route_gap < 1e-6,
-    )
-    down = ratio_monotonicity_scan(dp, 1.0, -0.5, grid17)
-    check(
-        f"delta=-0.5 nondecreasing (viol {down.max_violation:.2e}, routes {down.max_route_gap:.2e})",
-        down.monotone_ok and down.max_route_gap < 1e-6,
-    )
+    for delta, direction in ((1.0, "+1 nonincreasing"), (-0.5, "-0.5 nondecreasing")):
+        recs = ratio_monotonicity_scan(dp, 1.0, delta, grid17)
+        routes, steps = recs[:17], recs[17:]
+        viol = max(0.0, max(r.lhs for r in steps))
+        gap = max(r.rel_err for r in routes)
+        check(
+            f"delta={direction} (viol {viol:.2e}, routes {gap:.2e})",
+            all(r.ok() for r in steps) and gap < 1e-6,
+        )
 
     section("degeneracy from the residue table")
     entire = {

@@ -4,7 +4,9 @@ The package is organised in layers:
 
 * :mod:`foxwright.special` - scalar/vector log-gamma, Bernoulli, Stirling.
 * :mod:`foxwright.params` - parameter rows, derived constants, domains.
-* :mod:`foxwright.series` - direct summation and named specialisations.
+* :mod:`foxwright.series` - direct summation and named specialisations, and
+  the two result types: :class:`EvalResult` for a value and
+  :class:`IdentityRecord` for a comparison.
 * :mod:`foxwright.hfun` - the representing density on (0, rho), from the
   pole residues and from the endpoint series.
 * :mod:`foxwright.representations` - integral representations and identity
@@ -39,6 +41,7 @@ from .params import (
 )
 from .series import (
     EvalResult,
+    IdentityRecord,
     SeriesStatus,
     correction_series,
     four_param_wright,
@@ -66,9 +69,6 @@ from .representations import (
     verify_stieltjes,
 )
 from .bounds import (
-    BoundsReport,
-    CmReport,
-    RatioScanReport,
     cm_check,
     exp_kernel_bounds,
     lifted_kernel_bounds,
@@ -95,6 +95,7 @@ __all__ = [
     "in_domain",
     "shift_parameters",
     "EvalResult",
+    "IdentityRecord",
     "SeriesStatus",
     "fox_wright",
     "fox_wright_value",
@@ -116,9 +117,6 @@ __all__ = [
     "laplace_lift_check",
     "finite_laplace_identity",
     "four_param_representation",
-    "BoundsReport",
-    "CmReport",
-    "RatioScanReport",
     "exp_kernel_bounds",
     "lifted_kernel_bounds",
     "stieltjes_lower_bound",

@@ -9,8 +9,8 @@ of the kernels gives computable envelopes:
 * the chord (secant) bound of the convex kernel over ``[0, rho]`` yields the
   upper halves.
 
-Everything is conditional on ``H >= 0``, which is only scanned numerically,
-so every report carries the scan verdict alongside the bound verdicts.
+Everything is conditional on ``H >= 0``, which is only scanned numerically:
+where the scan fails, each bound record carries the verdict ``n/a``.
 
 The module also hosts a finite-difference complete-monotonicity checker and
 the shifted-ratio scan: the quotient of two Stieltjes transforms against a
@@ -21,7 +21,6 @@ in its argument whenever the density is nonnegative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import comb
 from typing import Callable, Sequence
 
@@ -33,16 +32,18 @@ from .errors import (
     ParameterError,
 )
 from .hfun import get_evaluator, hfun_nonneg_scan
-from .params import ParameterSet, derive_constants, gamma_ratio, shift_parameters
-from .representations import IdentityRecord, _record, lifted_value
-from .series import fox_wright_value
+from .params import (
+    ParameterSet,
+    _require_positive,
+    derive_constants,
+    gamma_ratio,
+    shift_parameters,
+)
+from .representations import lifted_value
+from .series import IdentityRecord, _record, fox_wright_value
 from .special import gamma_real
 
 __all__ = [
-    "BoundsReport",
-    "StieltjesLowerBoundReport",
-    "CmReport",
-    "RatioScanReport",
     "exp_kernel_bounds",
     "lifted_kernel_bounds",
     "stieltjes_lower_bound",
@@ -51,29 +52,9 @@ __all__ = [
     "ratio_monotonicity_scan",
 ]
 
-_OK_SLACK = 1e-9
+_OK_SLACK = 1e-9  # rel_err within which a bound or power-mean step still passes
 _DENOM_FLOOR = 1e-14
 _ROUTE_TOL = 1e-6  # relative gap at which the quotient's two routes disagree
-
-
-@dataclass(frozen=True)
-class BoundsReport:
-    """One two-sided bound evaluation.
-
-    ``lower_ok``/``upper_ok`` are asserted only when the nonnegativity scan
-    of the density passed; with ``hypothesis_nonneg`` false they stay false
-    regardless of how the numbers compare, because the inequalities are
-    conditional statements.
-    """
-
-    psi0: float
-    psi1: float
-    lower: float
-    upper: float
-    value: float
-    hypothesis_nonneg: bool
-    lower_ok: bool
-    upper_ok: bool
 
 
 def _atomic_mass(params: ParameterSet):
@@ -95,17 +76,26 @@ def _atomic_mass(params: ParameterSet):
     return psi0, psi1, c
 
 
-def _flags(lower: float, value: float, upper: float, nonneg: bool) -> tuple[bool, bool]:
-    slack = _OK_SLACK * (1.0 + abs(value))
-    return (nonneg and lower <= value + slack, nonneg and value <= upper + slack)
+def _bound_pair(
+    name: str, params: ParameterSet, z: float, lower: float, value: float, upper: float
+) -> tuple[IdentityRecord, IdentityRecord]:
+    """``lower <= value`` and ``value <= upper``, each ``n/a`` unless the
+    density scans nonnegative."""
+    key = params.hash_key()
+    nonneg = hfun_nonneg_scan(params).ok()
+    return (
+        _record(f"{name}-lower", key, z, lower, value, _OK_SLACK, "<=", applies=nonneg),
+        _record(f"{name}-upper", key, z, value, upper, _OK_SLACK, "<=", applies=nonneg),
+    )
 
 
-def exp_kernel_bounds(params: ParameterSet, z: float) -> BoundsReport:
+def exp_kernel_bounds(params: ParameterSet, z: float) -> tuple[IdentityRecord, IdentityRecord]:
     """Two-sided bounds for the series at ``-z`` from the exponential kernel.
 
     ``psi0 e^(-(psi1/psi0) z) + eta e^(-rho z) <= F(-z) <=
-    (psi0 - psi1/rho) + (eta + psi1/rho) e^(-rho z)`` for ``z >= 0``;
-    both sides collapse to ``ratio(0)`` at ``z = 0``.
+    (psi0 - psi1/rho) + (eta + psi1/rho) e^(-rho z)`` for ``z >= 0``, as two
+    ``<=`` records (lower, F) and (F, upper); both sides collapse to
+    ``ratio(0)`` at ``z = 0``.
     """
     if z < 0:
         raise ParameterError("z must be nonnegative")
@@ -113,20 +103,20 @@ def exp_kernel_bounds(params: ParameterSet, z: float) -> BoundsReport:
     lower = psi0 * math.exp(-(psi1 / psi0) * z) + c.eta * math.exp(-c.rho * z)
     upper = (psi0 - psi1 / c.rho) + (c.eta + psi1 / c.rho) * math.exp(-c.rho * z)
     value = complex(fox_wright_value(params, -z)).real
-    nonneg = hfun_nonneg_scan(params).nonneg
-    lower_ok, upper_ok = _flags(lower, value, upper, nonneg)
-    return BoundsReport(psi0, psi1, lower, upper, value, nonneg, lower_ok, upper_ok)
+    return _bound_pair("exp-kernel", params, z, lower, value, upper)
 
 
-def lifted_kernel_bounds(params: ParameterSet, lam: float, z: float) -> BoundsReport:
+def lifted_kernel_bounds(
+    params: ParameterSet, lam: float, z: float
+) -> tuple[IdentityRecord, IdentityRecord]:
     """Bounds for the gamma-lifted series at ``-z`` from the power kernel.
 
     Same measure split, kernel ``gamma(lam) (1+tz)^(-lam)`` instead of
     ``e^(-tz)``; the lifted value itself comes from the series inside its
-    disk and from the kernel continuation beyond it.
+    disk and from the kernel continuation beyond it.  Two ``<=`` records, as
+    for :func:`exp_kernel_bounds`.
     """
-    if lam <= 0:
-        raise ParameterError("lam must be positive")
+    _require_positive("lam", lam)
     if z < 0:
         raise ParameterError("z must be nonnegative")
     psi0, psi1, c = _atomic_mass(params)
@@ -138,71 +128,36 @@ def lifted_kernel_bounds(params: ParameterSet, lam: float, z: float) -> BoundsRe
         1.0 + c.rho * z
     ) ** (-lam)
     value = lifted_value(params, lam, -z)
-    nonneg = hfun_nonneg_scan(params).nonneg
-    lower_ok, upper_ok = _flags(lower, value, upper, nonneg)
-    return BoundsReport(psi0, psi1, lower, upper, value, nonneg, lower_ok, upper_ok)
-
-
-@dataclass(frozen=True)
-class StieltjesLowerBoundReport:
-    """Jensen lower bound for the power kernel, with the intermediate step.
-
-    ``mean_power_lhs`` is the normalized integral of ``(1+tz)^(-sigma)``
-    against the density, ``mean_power_rhs`` the sigma-th power of the
-    normalized integral of ``(1+tz)^(-1)``.  Jensen on ``x^sigma`` relates
-    them with a direction that flips at ``sigma = 1`` (convex above,
-    concave below); the final lower bound holds for every ``sigma > 0``
-    because the kernel itself stays convex in ``t``.
-    """
-
-    sigma: float
-    z: float
-    lower: float
-    value: float
-    margin: float
-    hypothesis_nonneg: bool
-    bound_ok: bool
-    mean_power_lhs: float
-    mean_power_rhs: float
-    mean_power_direction: str
-    mean_power_ok: bool
+    return _bound_pair(f"lifted-kernel[lam={lam:g}]", params, z, lower, value, upper)
 
 
 def stieltjes_lower_bound(
     params: ParameterSet, sigma: float, z: float
-) -> StieltjesLowerBoundReport:
+) -> tuple[IdentityRecord, IdentityRecord]:
     """``gamma(sigma)[psi0 (1+(psi1/psi0) z)^(-sigma) + eta (1+rho z)^(-sigma)]``
-    as a lower bound for the sigma-lifted series at ``-z``: the lower half
+    as a lower bound for the sigma-lifted series at ``-z``: the lower record
     of :func:`lifted_kernel_bounds` at ``lam = sigma``, plus the power-mean
-    intermediate comparison."""
-    rep = lifted_kernel_bounds(params, sigma, z)
-    psi0, nonneg = rep.psi0, rep.hypothesis_nonneg
+    intermediate step.
+
+    The step compares the normalized integral of ``(1+tz)^(-sigma)`` against
+    the density (lhs) with the sigma-th power of the normalized integral of
+    ``(1+tz)^(-1)`` (rhs).  Jensen on ``x^sigma`` relates them with a
+    direction that flips at ``sigma = 1`` (``>=`` above, ``<=`` below, ``==``
+    at 1); the final lower bound holds for every ``sigma > 0`` because the
+    kernel itself stays convex in ``t``.  Only the equality holds without
+    a nonnegative density.
+    """
+    bound = lifted_kernel_bounds(params, sigma, z)[0]
+    psi0 = _atomic_mass(params)[0]
     ev = get_evaluator(params)
     mean_sigma = ev.measure_integral(lambda t: (1.0 + t * z) ** (-sigma) / t) / psi0
     mean_one = ev.measure_integral(lambda t: (1.0 + t * z) ** (-1.0) / t) / psi0
-    mean_rhs = mean_one**sigma
-    if abs(sigma - 1.0) <= 1e-12:
-        direction = "=="
-        mid_ok = abs(mean_sigma - mean_rhs) <= 1e-9 * (1.0 + abs(mean_rhs))
-    elif sigma > 1.0:
-        direction = ">="
-        mid_ok = nonneg and mean_sigma >= mean_rhs - 1e-9 * (1.0 + abs(mean_rhs))
-    else:
-        direction = "<="
-        mid_ok = nonneg and mean_sigma <= mean_rhs + 1e-9 * (1.0 + abs(mean_rhs))
-    return StieltjesLowerBoundReport(
-        sigma=float(sigma),
-        z=float(z),
-        lower=rep.lower,
-        value=rep.value,
-        margin=rep.value - rep.lower,
-        hypothesis_nonneg=nonneg,
-        bound_ok=rep.lower_ok,
-        mean_power_lhs=mean_sigma,
-        mean_power_rhs=mean_rhs,
-        mean_power_direction=direction,
-        mean_power_ok=mid_ok,
+    relation = "==" if abs(sigma - 1.0) <= 1e-12 else ">=" if sigma > 1.0 else "<="
+    step = _record(
+        f"power-mean[sigma={sigma:g}]", bound.params_hash, z, mean_sigma, mean_one**sigma,
+        _OK_SLACK, relation, applies=relation == "==" or bound.verdict != "n/a",
     )
+    return bound, step
 
 
 # ---------------------------------------------------------------------------
@@ -210,98 +165,53 @@ def stieltjes_lower_bound(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CmReport:
-    """Outcome of the forward-difference complete-monotonicity scan."""
-
-    orders_checked: int
-    first_violation: tuple[int, float] | None
-    note: str | None
-
-    @property
-    def clean(self) -> bool:
-        return self.first_violation is None
-
-
 def cm_check(
     f: Callable[[float], float],
     grid: Sequence[float],
     h: float,
     max_order: int = 6,
-) -> CmReport:
+) -> tuple[IdentityRecord, ...]:
     """Check ``(-1)^n * forward_diff_h^n f(x) >= -eps_n`` for n = 0..max_order.
 
     ``eps_n = 1e-7 * (2/h)^n * max|f|`` absorbs the worst-case noise growth
     of order-n differencing, so this is a consistency check on numerically
-    evaluated functions, not a proof.  The first violation (lowest order,
-    then smallest grid point) is reported with a note that no nonnegative
-    representing density is compatible with it.
+    evaluated functions, not a proof.  One ``>=`` record per (order, x),
+    named ``cm-order-<n>``, lowest order first and then increasing x: the
+    first that fails is a sign defect no nonnegative representing density
+    is compatible with.  A non-finite value of f leaves max|f| undefined,
+    so every record fails.
     """
-    if not (math.isfinite(h) and h > 0):
-        raise ParameterError("h must be positive and finite")
+    _require_positive("h", h)
     if not 0 <= max_order <= 8:
         raise ParameterError("max_order must lie in 0..8")
-    xs = sorted(float(x) for x in grid)
+    xs = [float(x) for x in grid]
     if not xs:
         raise ParameterError("grid must be non-empty")
+    if not all(map(math.isfinite, xs)):
+        raise ParameterError("grid points must be finite")
+    xs.sort()
     if xs[0] <= 0:
         raise ParameterError("grid points must be positive")
 
     table = [[float(f(x + j * h)) for j in range(max_order + 1)] for x in xs]
-    fmax = max(abs(v) for row in table for v in row)
+    mags = [abs(v) for row in table for v in row]
+    fmax = max(mags) if all(map(math.isfinite, mags)) else math.nan
     if fmax == 0.0:
         fmax = 1.0
 
-    first_violation: tuple[int, float] | None = None
+    records = []
     for n in range(max_order + 1):
         eps = 1e-7 * (2.0 / h) ** n * fmax
         sign = -1.0 if n % 2 else 1.0
         for x, row in zip(xs, table):
             diff = sum((-1) ** (n - j) * comb(n, j) * row[j] for j in range(n + 1))
-            if sign * diff < -eps:
-                first_violation = (n, x)
-                break
-        if first_violation is not None:
-            break
-
-    note = None
-    if first_violation is not None:
-        n, x = first_violation
-        note = (
-            f"order-{n} sign defect at x={x:g}: incompatible with any "
-            "nonnegative representing density (complete-monotonicity "
-            "hypothesis unmet)"
-        )
-    return CmReport(orders_checked=max_order, first_violation=first_violation, note=note)
+            records.append(_record(f"cm-order-{n}", "", x, sign * diff, -eps, 0.0, ">="))
+    return tuple(records)
 
 
 # ---------------------------------------------------------------------------
 # shifted-ratio monotonicity
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RatioScanReport:
-    """Monotonicity verdict of the quotient across a grid.
-
-    ``records`` holds the :func:`shifted_stieltjes_ratio` record of each
-    grid point, in increasing z; ``values`` are their quadrature routes.
-    """
-
-    sigma: float
-    delta: float
-    records: tuple[IdentityRecord, ...]
-    expected: str
-    max_violation: float
-    max_route_gap: float
-    monotone_ok: bool
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(r.rhs for r in self.records)
-
-    def ok(self) -> bool:
-        return self.monotone_ok and all(r.verdict == "pass" for r in self.records)
 
 
 def shifted_stieltjes_ratio(
@@ -317,8 +227,7 @@ def shifted_stieltjes_ratio(
     integrates the density directly.  The gamma(sigma) factors cancel in
     the quotient.  The record passes when the routes agree to 1e-6.
     """
-    if sigma <= 0:
-        raise ParameterError("sigma must be positive")
+    _require_positive("sigma", sigma)
     psi0, psi1, c = _atomic_mass(params)
     if 1.0 + c.rho * z <= 0.0:
         raise DomainError(f"kernel 1+tz vanishes inside the support for z={z}")
@@ -351,7 +260,7 @@ def ratio_monotonicity_scan(
     z_grid: Sequence[float],
     tol: float = 1e-8,
     expected: str | None = None,
-) -> RatioScanReport:
+) -> tuple[IdentityRecord, ...]:
     """Evaluate the quotient across ``z_grid`` and test its direction.
 
     Increasing ``z`` sharpens the kernel ``(1+tz)^(-sigma)`` against large
@@ -360,9 +269,13 @@ def ratio_monotonicity_scan(
     nondecreasing for ``delta < 0``.  (Chebyshev's integral inequality on
     the synchronous pair ``t^delta``, ``t/(1+tz)`` fixes the sign of the
     z-derivative of the quotient.)  Pass ``expected`` to probe a different
-    direction claim.  Violations are measured on successive differences of
-    the quadrature-route values; the series route rides along as a
-    cross-check.
+    direction claim.
+
+    Returns the :func:`shifted_stieltjes_ratio` record of each grid point in
+    increasing z (rhs the quadrature route, lhs the series route as a
+    cross-check), then one ``<=`` record per step z_i -> z_(i+1), at z_i,
+    named after ``expected``: lhs is the step of the quadrature route
+    against the expected direction, rhs ``tol``.
     """
     zs = sorted(float(z) for z in z_grid)
     if len(zs) < 2:
@@ -377,13 +290,8 @@ def ratio_monotonicity_scan(
         violations = [values[i] - values[i + 1] for i in range(len(values) - 1)]
     else:
         violations = [values[i + 1] - values[i] for i in range(len(values) - 1)]
-    max_violation = max(0.0, max(violations))
-    return RatioScanReport(
-        sigma=float(sigma),
-        delta=float(delta),
-        records=records,
-        expected=expected,
-        max_violation=max_violation,
-        max_route_gap=max(r.rel_err for r in records),
-        monotone_ok=max_violation <= tol,
+    name = f"{expected}[sigma={sigma:g},delta={delta:g}]"
+    key = records[0].params_hash
+    return records + tuple(
+        _record(name, key, z, v, tol, 0.0, "<=") for z, v in zip(zs, violations)
     )

@@ -175,29 +175,32 @@ def _hfun_point(ns, params, t):
 
 
 def _moments_point(ns, params, k):
-    rec = moment_identity_check(params, [k]).rows[0]
+    (rec,) = moment_identity_check(params, [k])
     return rec.lhs, rec.abs_err, rec.rel_err, _verdict(rec.rel_err <= ns.tol)
 
 
 def _identity_point(check):
     def point(ns, params, z):
         rec = check(ns, params, z)
-        return rec.verdict, rec.abs_err, rec.rel_err, _verdict(rec.verdict == "pass")
+        return rec.verdict, rec.abs_err, rec.rel_err, _verdict(rec.ok())
 
     return point
 
 
 def _bounds_point(ns, params, z):
+    """The bounded value; its margin over the lower bound; and the margin to
+    the upper bound, or for --sigma the lower margin relative to 1 + |value|."""
     if ns.sigma is not None:
-        rep = stieltjes_lower_bound(params, ns.sigma, z)
-        ok = rep.bound_ok and rep.mean_power_ok
-        return rep.value, rep.margin, rep.margin / (1.0 + abs(rep.value)), _verdict(ok)
+        lower, step = stieltjes_lower_bound(params, ns.sigma, z)
+        margin = lower.rhs - lower.lhs
+        return (lower.rhs, margin, margin / (1.0 + abs(lower.rhs)),
+                _verdict(lower.ok() and step.ok()))
     if ns.lift is not None:
-        rep = lifted_kernel_bounds(params, ns.lift, z)
+        lower, upper = lifted_kernel_bounds(params, ns.lift, z)
     else:
-        rep = exp_kernel_bounds(params, z)
-    ok = rep.lower_ok and rep.upper_ok
-    return rep.value, rep.value - rep.lower, rep.upper - rep.value, _verdict(ok)
+        lower, upper = exp_kernel_bounds(params, z)
+    return (lower.rhs, lower.rhs - lower.lhs, upper.rhs - upper.lhs,
+            _verdict(lower.ok() and upper.ok()))
 
 
 # ---------------------------------------------------------------------------
@@ -222,18 +225,20 @@ def _cm_scan(ns, params, _):
             f"unknown --function {name!r}; choices: series, " + ", ".join(_CM_FUNCTIONS)
         )
     grid = _scan_grid(ns, np.logspace(math.log10(0.01), math.log10(10.0), 30))
-    rep = cm_check(f, grid, ns.h_step, ns.max_order)
-    if rep.first_violation is None:
+    defect = next((r for r in cm_check(f, grid, ns.h_step, ns.max_order) if not r.ok()), None)
+    if defect is None:
         return [(None, "clean", None, None, "pass")]
-    order, x = rep.first_violation
-    return [(x, f"order-{order}-defect", None, None, "fail")]
+    return [(defect.z, defect.identity.removeprefix("cm-") + "-defect", None, None, "fail")]
 
 
 def _ratio_scan(ns, params, _):
     grid = _scan_grid(ns, np.linspace(0.05, 0.95, 17))
-    rep = ratio_monotonicity_scan(params, ns.sigma, ns.delta, grid, tol=ns.tol)
-    rows = [(r.z, r.rhs, r.abs_err, r.rel_err, "ok") for r in rep.records]
-    rows.append((None, rep.expected, rep.max_violation, rep.max_route_gap, _verdict(rep.ok())))
+    records = ratio_monotonicity_scan(params, ns.sigma, ns.delta, grid, tol=ns.tol)
+    routes = [r for r in records if r.relation == "=="]
+    steps = [r for r in records if r.relation == "<="]
+    rows = [(r.z, r.rhs, r.abs_err, r.rel_err, "ok") for r in routes]
+    rows.append((None, steps[0].identity.partition("[")[0], max(0.0, max(r.lhs for r in steps)),
+                 max(r.rel_err for r in routes), _verdict(all(r.ok() for r in records))))
     return rows
 
 

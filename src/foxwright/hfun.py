@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -77,6 +76,7 @@ import numpy as np
 from .errors import ConstraintError, NonConvergentError, OutsideDomainError
 from .params import ParameterSet, correction_coeffs, derive_constants
 from .quadrature import integrate_levels, tanh_sinh, tanh_sinh_reach
+from .series import IdentityRecord, _record
 from .special import log_gamma_complex_vec
 
 __all__ = [
@@ -84,7 +84,6 @@ __all__ = [
     "MeasureEvaluator",
     "get_evaluator",
     "hfun_nonneg_scan",
-    "NonnegReport",
 ]
 
 _EPS = float(np.finfo(float).eps)
@@ -168,7 +167,7 @@ class MeasureEvaluator:
         # integration state, filled lazily: tanh-sinh levels of (t_i, w_i H(t_i))
         # and the default nonnegativity scan
         self._rule: list[tuple[np.ndarray, np.ndarray]] = []
-        self._default_scan: NonnegReport | None = None
+        self._default_scan: IdentityRecord | None = None
 
         self._place_cut()
         if self._res_centres.size == 0:
@@ -546,23 +545,16 @@ def _newton_to_power(moments: np.ndarray, nodes: np.ndarray, extra: int) -> np.n
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NonnegReport:
-    min_value: float
-    min_location: float
-    nonneg: bool
-    tol_abs: float
-
-
 def hfun_nonneg_scan(
     params: ParameterSet, grid: np.ndarray | list[float] | None = None
-) -> NonnegReport:
-    """Scan the density over a grid and report whether it stays nonnegative.
+) -> IdentityRecord:
+    """Scan the density over a grid: a ``>=`` record at its minimum.
 
-    The tolerance scales with the largest magnitude seen so an all-zero
-    degenerate density reports nonnegative without special-casing.  The
+    lhs is the smallest H on the grid, z the t where it sits, and rhs is
+    -1e-9 max |H|, a floor that scales with the largest magnitude seen, so
+    an all-zero degenerate density passes without special-casing.  The
     default grid (50 points over [1e-3 rho, (1 - 1e-3) rho]) is scanned once
-    per evaluator and its report reused; an explicit grid is always scanned.
+    per evaluator and its record reused; an explicit grid is always scanned.
     """
     ev = get_evaluator(params)
     if grid is not None:
@@ -572,13 +564,9 @@ def hfun_nonneg_scan(
     return ev._default_scan
 
 
-def _scan(ev: MeasureEvaluator, grid: np.ndarray) -> NonnegReport:
+def _scan(ev: MeasureEvaluator, grid: np.ndarray) -> IdentityRecord:
     vals = ev.density(grid)
     idx = int(np.argmin(vals))
-    tol_abs = 1e-9 * float(np.max(np.abs(vals)))
-    return NonnegReport(
-        min_value=float(vals[idx]),
-        min_location=float(grid[idx]),
-        nonneg=bool(vals[idx] >= -tol_abs),
-        tol_abs=tol_abs,
-    )
+    floor = -1e-9 * float(np.max(np.abs(vals)))
+    return _record("density-nonneg", ev.params.hash_key(), grid[idx], float(vals[idx]), floor,
+                   0.0, ">=")

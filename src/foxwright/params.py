@@ -22,6 +22,7 @@ Keeping both as named fields avoids a whole class of sign errors.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import hashlib
 import json
@@ -234,7 +235,10 @@ def classify_convergence(params: ParameterSet) -> Convergence:
 
 
 def in_domain(params: ParameterSet, z: complex) -> bool:
-    """Whether the series at z converges for this parameter set."""
+    """Whether the series at z converges for this parameter set; never at a
+    non-finite z."""
+    if not cmath.isfinite(z):
+        return False
     kind = classify_convergence(params)
     if kind is Convergence.ENTIRE_PLANE:
         return True
@@ -246,6 +250,12 @@ def in_domain(params: ParameterSet, z: complex) -> bool:
         return True
     on_boundary = abs(r - radius) <= radius * _EDGE_RTOL
     return on_boundary and kind is Convergence.BOUNDARY_SUMMABLE
+
+
+def _require_positive(name: str, value: float) -> None:
+    """ParameterError unless ``value`` is a positive, finite number."""
+    if not (math.isfinite(value) and value > 0):
+        raise ParameterError(f"{name} must be positive and finite")
 
 
 def shift_parameters(params: ParameterSet, delta: float) -> ParameterSet:

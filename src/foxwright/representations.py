@@ -23,18 +23,19 @@ discrepancies; nothing here asserts, callers decide what counts as failure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .catalog import EXP_COLLAPSE
 from .errors import ConstraintError, DomainError, OutsideDomainError, ParameterError
 from .hfun import get_evaluator
-from .params import ParameterSet, derive_constants, gamma_ratio
+from .params import ParameterSet, _require_positive, derive_constants, gamma_ratio
 from .quadrature import integrate_gamma_weighted, integrate_levels, tanh_sinh, tanh_sinh_reach
 from .series import (
     EvalResult,
+    IdentityRecord,
     SeriesStatus,
+    _record,
     correction_series,
     four_param_wright,
     fox_wright,
@@ -43,9 +44,6 @@ from .series import (
 from .special import gamma_real
 
 __all__ = [
-    "IdentityRecord",
-    "MomentIdentityReport",
-    "FiniteLaplaceReport",
     "eval_via_representation",
     "verify_representation",
     "moment_identity_check",
@@ -56,29 +54,6 @@ __all__ = [
     "finite_laplace_identity",
     "four_param_representation",
 ]
-
-
-@dataclass(frozen=True)
-class IdentityRecord:
-    """One identity evaluated at one point, with both sides and the verdict."""
-
-    identity: str
-    params_hash: str
-    z: float
-    lhs: float
-    rhs: float
-    abs_err: float
-    rel_err: float
-    verdict: str
-
-
-def _record(
-    identity: str, params_hash: str, z: float, lhs: float, rhs: float, tol: float
-) -> IdentityRecord:
-    abs_err = abs(lhs - rhs)
-    rel_err = abs_err / (1.0 + max(abs(lhs), abs(rhs)))
-    verdict = "pass" if rel_err <= tol else "fail"
-    return IdentityRecord(identity, params_hash, float(z), lhs, rhs, abs_err, rel_err, verdict)
 
 
 def _require_balanced(params: ParameterSet):
@@ -127,31 +102,20 @@ def verify_representation(params: ParameterSet, z: float, tol: float = 1e-6) -> 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MomentIdentityReport:
-    """One moment-identity record per order k, and the worst relative error."""
-
-    rows: tuple[IdentityRecord, ...]
-    max_rel_err: float
-
-    def ok(self) -> bool:
-        return all(r.verdict == "pass" for r in self.rows)
-
-
-def moment_identity_check(params: ParameterSet, k_list: list[float]) -> MomentIdentityReport:
-    """gamma_ratio(k) against moment(k) + atom part, per k, judged at 1e-6.
-
-    Each row is an IdentityRecord at z = k with lhs the gamma ratio and rhs
-    the measure's Mellin transform.
-    """
+def moment_identity_check(
+    params: ParameterSet, k_list: list[float]
+) -> tuple[IdentityRecord, ...]:
+    """gamma_ratio(k) against moment(k) + atom part, one record per k, judged
+    at 1e-6: z = k, lhs the gamma ratio, rhs the measure's Mellin transform."""
+    if not all(math.isfinite(k) for k in k_list):
+        raise ParameterError("moment orders must be finite")
     ev = get_evaluator(params)
     key = params.hash_key()
-    rows = tuple(
+    return tuple(
         _record("moment-identity", key, k, gamma_ratio(params, k),
                 ev.moment(k) + ev.atom_mellin(k), 1e-6)
         for k in k_list
     )
-    return MomentIdentityReport(rows, max((r.rel_err for r in rows), default=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +130,7 @@ def stieltjes_eval(params: ParameterSet, sigma: float, z: float) -> EvalResult:
     matching term ``gamma(sigma) eta (1+rho z)^(-sigma)`` is what separates
     this from the lifted series, see :func:`verify_stieltjes`.
     """
-    if sigma <= 0:
-        raise ParameterError("sigma must be positive")
+    _require_positive("sigma", sigma)
     c = _require_balanced(params)
     if 1.0 + c.rho * z <= 0.0:
         raise DomainError(
@@ -217,8 +180,7 @@ def lifted_value(params: ParameterSet, lam: float, z: float) -> float:
     on the negative real axis, the same function extends through the measure
     as ``gamma(lam) [ integral (1-tz)^(-lam) H dt/t + eta (1-rho z)^(-lam) ]``.
     """
-    if lam <= 0:
-        raise ParameterError("lam must be positive")
+    _require_positive("lam", lam)
     lifted = ParameterSet([(lam, 1.0), *params.upper], list(params.lower))
     res = fox_wright(lifted, z)
     if res.status is SeriesStatus.CONVERGED:
@@ -255,8 +217,7 @@ def laplace_lift_check(
     only same-sign quantities however negative zt is.  Other balanced sets
     sum the series node by node.
     """
-    if lam <= 0:
-        raise ParameterError("lam must be positive")
+    _require_positive("lam", lam)
     c = _require_balanced(params)
     decay = 1.0 - c.rho * max(z, 0.0)
     if decay <= 1e-9:
@@ -281,50 +242,17 @@ def laplace_lift_check(
 # finite Laplace adjudication for the collapsed example set
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FiniteLaplaceReport:
-    """Adjudication of two candidate closed forms for one finite integral.
-
-    ``quadrature`` is ``integral_0^(1/2) e^(-zt) H(t) dt/t`` for the
-    collapsed example set ``EXP_COLLAPSE`` (series e^(2z)/sqrt(pi), density
-    identically zero), evaluated blind.  ``series_side`` is the
-    independent oracle: the closed-form series value minus the endpoint-atom
-    term.  Each is compared against both candidates; a verdict names which
-    candidate (if any) it matches.
-    """
-
-    z: float
-    quadrature: float
-    series_side: float
-    closed_form_a: float  # (e^(-2z) - e^(-z)) / sqrt(pi)
-    closed_form_b: float  # (e^(-2z) - e^(-z/2)) / sqrt(pi)
-    err_a: float
-    err_b: float
-    verdict: str
-    series_verdict: str
-
-
-def _adjudicate(value: float, form_a: float, form_b: float, tol: float) -> str:
-    scale = 1.0 + max(abs(value), abs(form_a), abs(form_b))
-    match_a = abs(value - form_a) <= tol * scale
-    match_b = abs(value - form_b) <= tol * scale
-    if match_a and match_b:
-        return "both"
-    if match_a:
-        return "a"
-    if match_b:
-        return "b"
-    return "neither"
-
-
-def finite_laplace_identity(z: float, tol: float = 1e-6) -> FiniteLaplaceReport:
+def finite_laplace_identity(z: float, tol: float = 1e-6) -> tuple[IdentityRecord, ...]:
     """Numerically adjudicate a finite Laplace-type integral evaluation.
 
     Two closed forms are candidates for
-    ``integral_0^(1/2) e^(-zt) H(t) dt/t`` on the collapsed example set:
-    ``(e^(-2z) - e^(-z))/sqrt(pi)`` and ``(e^(-2z) - e^(-z/2))/sqrt(pi)``.
-    The report states what the quadrature and an independent series-route
-    oracle actually give, and which candidate (if either) each matches.
+    ``integral_0^(1/2) e^(-zt) H(t) dt/t`` on the collapsed example set
+    ``EXP_COLLAPSE`` (series e^(2z)/sqrt(pi), density identically zero):
+    (a) ``(e^(-2z) - e^(-z))/sqrt(pi)`` and (b) ``(e^(-2z) - e^(-z/2))/sqrt(pi)``.
+    Four ``==`` records state what the blind quadrature and an independent
+    series-side oracle (the closed-form series value minus the endpoint-atom
+    term) actually give against each: quadrature vs a, quadrature vs b,
+    series side vs a, series side vs b.
     """
     ps = EXP_COLLAPSE
     c = derive_constants(ps)
@@ -339,18 +267,15 @@ def finite_laplace_identity(z: float, tol: float = 1e-6) -> FiniteLaplaceReport:
     quadrature = integrate_levels(terms, 1e-10, (0.0, hi))[0]
     series_side = complex(fox_wright_value(ps, -z)).real - c.eta * math.exp(-c.rho * z)
     rt_pi = math.sqrt(math.pi)
-    form_a = (math.exp(-2.0 * z) - math.exp(-z)) / rt_pi
-    form_b = (math.exp(-2.0 * z) - math.exp(-0.5 * z)) / rt_pi
-    return FiniteLaplaceReport(
-        z=float(z),
-        quadrature=quadrature,
-        series_side=series_side,
-        closed_form_a=form_a,
-        closed_form_b=form_b,
-        err_a=abs(quadrature - form_a),
-        err_b=abs(quadrature - form_b),
-        verdict=_adjudicate(quadrature, form_a, form_b, tol),
-        series_verdict=_adjudicate(series_side, form_a, form_b, tol),
+    forms = {
+        "a": (math.exp(-2.0 * z) - math.exp(-z)) / rt_pi,
+        "b": (math.exp(-2.0 * z) - math.exp(-0.5 * z)) / rt_pi,
+    }
+    key = ps.hash_key()
+    return tuple(
+        _record(f"finite-laplace[{side}~{name}]", key, z, value, form, tol)
+        for side, value in (("quadrature", quadrature), ("series", series_side))
+        for name, form in forms.items()
     )
 
 

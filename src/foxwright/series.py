@@ -15,6 +15,10 @@ Both sum through one private loop, :func:`_sum_terms`.
 Summation is honest about its own failure modes: every call returns an
 :class:`EvalResult` carrying the term count, a truncation estimate, and a
 status flag, and the strict wrappers turn bad statuses into exceptions.
+
+:class:`IdentityRecord` is the package's other result type: one comparison
+``lhs <relation> rhs`` at one point, built by :func:`_record`.  It lives here,
+beside :class:`EvalResult`, so that every layer above can build one.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .special import log_abs_gamma_signed, log_gamma, touchard_poly
 
 __all__ = [
     "EvalResult",
+    "IdentityRecord",
     "SeriesStatus",
     "fox_wright",
     "fox_wright_value",
@@ -84,6 +89,56 @@ class EvalResult:
 _OUTSIDE = EvalResult(complex("nan"), 0, math.inf, SeriesStatus.OUTSIDE_DOMAIN)
 
 
+@dataclass(frozen=True)
+class IdentityRecord:
+    """One comparison ``lhs <relation> rhs`` at one point, with the verdict.
+
+    ``relation`` is ``==``, ``<=`` or ``>=``.  ``abs_err`` is |lhs - rhs| and
+    ``rel_err`` is abs_err / (1 + max(|lhs|, |rhs|)).  ``verdict`` is
+    ``pass``, ``fail``, or ``n/a`` for a conditional statement whose
+    hypothesis does not hold.
+    """
+
+    identity: str
+    params_hash: str
+    z: float
+    lhs: float
+    relation: str
+    rhs: float
+    abs_err: float
+    rel_err: float
+    verdict: str
+
+    def ok(self) -> bool:
+        return self.verdict == "pass"
+
+
+def _record(
+    identity: str,
+    params_hash: str,
+    z: float,
+    lhs: float,
+    rhs: float,
+    tol: float,
+    relation: str = "==",
+    applies: bool = True,
+) -> IdentityRecord:
+    """Judge ``lhs <relation> rhs``: it passes when the two sides agree to
+    ``tol`` in rel_err or, for an inequality, when it holds outright.  Every
+    comparison with a NaN side is false, so a NaN fails.  ``applies=False``
+    marks a hypothesis that fails: the verdict is ``n/a``."""
+    abs_err = abs(lhs - rhs)
+    rel_err = abs_err / (1.0 + max(abs(lhs), abs(rhs)))
+    if not applies:
+        verdict = "n/a"
+    elif rel_err <= tol or (relation == "<=" and lhs <= rhs) or (relation == ">=" and lhs >= rhs):
+        verdict = "pass"
+    else:
+        verdict = "fail"
+    return IdentityRecord(identity, params_hash, float(z), lhs, relation, rhs, abs_err, rel_err,
+                          verdict)
+
+
 def fox_wright(params: ParameterSet, z: complex) -> EvalResult:
     """Sum the series at z, stopping after three consecutive negligible terms.
 
@@ -119,7 +174,8 @@ def _sum_terms(log_term, z: complex) -> EvalResult:
     starts, r < 1 being its ratio to the term before.  A slowly converging
     series thus runs on until what it leaves out is small, not only its
     next term.  Otherwise reports ``MAX_TERMS`` with the last term's
-    relative size.  A real z sums in floats and returns a float.
+    relative size, or with a NaN value when a term or the sum overflows a
+    double.  A real z sums in floats and returns a float.
     """
     zc = complex(z)
     is_real = zc.imag == 0.0
@@ -131,31 +187,37 @@ def _sum_terms(log_term, z: complex) -> EvalResult:
     small_streak = 0
     last_mag = math.inf
     terms = 0
-    for k in range(_TERM_CAP):
-        log_mag, sign = log_term(k)
-        terms = k + 1
-        if log_mag == -math.inf:
-            term = mag = 0.0
-        else:
-            mag = math.exp(log_mag)
-            if is_real:
-                term = sign * mag * (-1.0 if alternating and k % 2 else 1.0)
-            elif k == 0:
-                term = complex(sign * mag)
+    try:
+        for k in range(_TERM_CAP):
+            log_mag, sign = log_term(k)
+            terms = k + 1
+            if log_mag == -math.inf:
+                term = mag = 0.0
             else:
-                term = sign * mag * cmath.exp(1j * k * arg_z)
-        total += term
-        if zc == 0:
-            return EvalResult(total, 1, 0.0, SeriesStatus.CONVERGED)
-        scale = max(abs(total), 1e-300)
-        # mag r / (1 - r) = mag^2 / (last_mag - mag) for r = mag / last_mag
-        if mag <= tol * scale and mag * mag <= tol * scale * (last_mag - mag):
-            small_streak += 1
-            if small_streak >= _STOP_STREAK:
-                return EvalResult(total, terms, mag / scale, SeriesStatus.CONVERGED)
-        else:
-            small_streak = 0
-        last_mag = mag
+                mag = math.exp(log_mag)
+                if is_real:
+                    term = sign * mag * (-1.0 if alternating and k % 2 else 1.0)
+                elif k == 0:
+                    term = complex(sign * mag)
+                else:
+                    term = sign * mag * cmath.exp(1j * k * arg_z)
+            total += term
+            if zc == 0:
+                return EvalResult(total, 1, 0.0, SeriesStatus.CONVERGED)
+            scale = max(abs(total), 1e-300)
+            # mag r / (1 - r) = mag^2 / (last_mag - mag) for r = mag / last_mag
+            if mag <= tol * scale and mag * mag <= tol * scale * (last_mag - mag):
+                small_streak += 1
+                if small_streak >= _STOP_STREAK:
+                    if not cmath.isfinite(total):  # every term fits a double, their sum not
+                        raise OverflowError
+                    return EvalResult(total, terms, mag / scale, SeriesStatus.CONVERGED)
+            else:
+                small_streak = 0
+            last_mag = mag
+    except OverflowError:  # a term or the sum left the double range: no value to report
+        return EvalResult(math.nan if is_real else complex(math.nan, math.nan), terms,
+                          math.inf, SeriesStatus.MAX_TERMS)
     return EvalResult(
         total,
         terms,
@@ -238,7 +300,7 @@ def four_param_wright(
     """
     zc = complex(z)
     balance = mu1 + nu1
-    if balance < -1e-12:
+    if balance < -1e-12 or not cmath.isfinite(zc):
         return _OUTSIDE
     if abs(balance) <= 1e-12 and zc != 0:
         radius = abs(mu1) ** mu1 * abs(nu1) ** nu1

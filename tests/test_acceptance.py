@@ -104,23 +104,27 @@ def test_criterion_04_finite_laplace_adjudication(acceptance):
     # transform is 0 (measured exactly 0; series side <= 4.4e-15; a 40-digit
     # mpmath nsum of the series gives 0), while each candidate is >= 0.066
     # in size, far from the 1e-6 matching tolerance.
+    # Records per z: quadrature vs a, quadrature vs b, series side vs a,
+    # series side vs b.
     ok = True
     rows = []
     for z in (-1.0, 0.5, 1.0, 2.0):
-        rep = finite_laplace_identity(z, tol=1e-6)
-        rows.append((z, rep.verdict, rep.series_verdict, rep.quadrature, rep.series_side))
-        ok &= rep.verdict == rep.series_verdict == "neither"
-        ok &= abs(rep.quadrature) <= 1e-12 and abs(rep.series_side) <= 1e-12
-        ok &= min(rep.err_a, rep.err_b) > 1e-3
+        quad_a, quad_b, series_a, series_b = finite_laplace_identity(z, tol=1e-6)
+        rows.append((z, [r.verdict for r in (quad_a, quad_b, series_a, series_b)],
+                     quad_a.lhs, series_a.lhs))
+        # neither candidate matches, on either side
+        ok &= not any(r.ok() for r in (quad_a, quad_b, series_a, series_b))
+        ok &= abs(quad_a.lhs) <= 1e-12 and abs(series_a.lhs) <= 1e-12
+        ok &= min(quad_a.abs_err, quad_b.abs_err) > 1e-3
         atom = math.exp(-2.0 * z) / math.sqrt(math.pi)
         series = complex(fox_wright_value(EXP_COLLAPSE, -z)).real
         ok &= abs(series - atom) <= 1e-12 * (1.0 + atom)
     zero = finite_laplace_identity(0.0, tol=1e-6)
-    ok &= zero.verdict == zero.series_verdict == "both"
+    ok &= all(r.ok() for r in zero)  # both candidates match, on both sides
     assert acceptance("finite-laplace-adjudication", bool(ok)), (
-        f"(z, verdict, series verdict, quadrature, series side): {rows}; "
-        f"z = 0 verdict {zero.verdict}/{zero.series_verdict} — expected "
-        "'neither' with a zero transform at z != 0 and 'both' at z = 0"
+        f"(z, verdicts, quadrature, series side): {rows}; "
+        f"z = 0 verdicts {[r.verdict for r in zero]} — expected every comparison "
+        "to fail with a zero transform at z != 0 and to pass at z = 0"
     )
 
 
@@ -144,27 +148,26 @@ def test_criterion_05_correction_coefficient_closed_form(acceptance):
 
 
 def test_criterion_06_two_sided_bounds(acceptance):
-    ok = hfun_nonneg_scan(DOUBLE_POLE).nonneg
+    # each bound is two <= records, (lower, value) and (value, upper)
+    ok = hfun_nonneg_scan(DOUBLE_POLE).ok()
     for z in (0.1, 0.5, 1.0, 2.0):
-        rep = exp_kernel_bounds(DOUBLE_POLE, z)
-        ok &= rep.lower_ok and rep.upper_ok
+        ok &= all(r.ok() for r in exp_kernel_bounds(DOUBLE_POLE, z))
         for lam in (1.0, 2.0):
-            lrep = lifted_kernel_bounds(DOUBLE_POLE, lam, z)
-            ok &= lrep.lower_ok and lrep.upper_ok
+            ok &= all(r.ok() for r in lifted_kernel_bounds(DOUBLE_POLE, lam, z))
     for sigma in (0.5, 3.0):
         for z in (0.1, 0.3):
-            srep = stieltjes_lower_bound(DOUBLE_POLE, sigma, z)
-            ok &= srep.bound_ok
+            ok &= stieltjes_lower_bound(DOUBLE_POLE, sigma, z)[0].ok()
     # collapse to equality at z = 0
-    zero = exp_kernel_bounds(DOUBLE_POLE, 0.0)
-    ok &= abs(zero.upper - zero.lower) <= 1e-12 * (1.0 + abs(zero.value))
-    ok &= abs(zero.value - zero.lower) <= 1e-12 * (1.0 + abs(zero.value))
+    lower, upper = exp_kernel_bounds(DOUBLE_POLE, 0.0)
+    value = lower.rhs
+    ok &= abs(upper.rhs - lower.lhs) <= 1e-12 * (1.0 + abs(value))
+    ok &= abs(value - lower.lhs) <= 1e-12 * (1.0 + abs(value))
     for lam in (1.0, 2.0):
-        zl = lifted_kernel_bounds(DOUBLE_POLE, lam, 0.0)
-        ok &= abs(zl.upper - zl.lower) <= 1e-12 * (1.0 + abs(zl.value))
+        lower, upper = lifted_kernel_bounds(DOUBLE_POLE, lam, 0.0)
+        ok &= abs(upper.rhs - lower.lhs) <= 1e-12 * (1.0 + abs(lower.rhs))
     for sigma in (0.5, 3.0):
-        zs = stieltjes_lower_bound(DOUBLE_POLE, sigma, 0.0)
-        ok &= abs(zs.margin) <= 1e-12 * (1.0 + abs(zs.value))
+        bound, _ = stieltjes_lower_bound(DOUBLE_POLE, sigma, 0.0)
+        ok &= abs(bound.rhs - bound.lhs) <= 1e-12 * (1.0 + abs(bound.rhs))
     assert acceptance("two-sided-bounds", bool(ok))
 
 
@@ -187,19 +190,29 @@ def test_criterion_07_ratio_monotonicity(acceptance):
         1.0: (0.474657049710, 0.423938705881),
         -0.5: (2.099166045794, 2.346952547264),
     }
+    # A scan is 17 route records (rhs the quadrature value) and 16 step
+    # records named after the direction (lhs the step against it).
+    def summary(records):
+        routes, steps = records[:17], records[17:]
+        return (steps[0].identity.partition("[")[0], all(r.ok() for r in steps),
+                max(0.0, max(r.lhs for r in steps)), max(r.rel_err for r in routes),
+                [r.rhs for r in routes])
+
     ok = True
     found = {}
     for delta, direction in claimed.items():
-        probe = ratio_monotonicity_scan(DOUBLE_POLE, 1.0, delta, grid, expected=direction)
-        ok &= not probe.monotone_ok and probe.max_violation >= 4e-4
-        default = ratio_monotonicity_scan(DOUBLE_POLE, 1.0, delta, grid)
-        ok &= default.expected != direction and default.monotone_ok
-        ok &= probe.max_route_gap <= 1e-6 and default.max_route_gap <= 1e-6
-        ends = (default.values[0], default.values[-1])
+        _, probe_ok, probe_viol, probe_gap, _ = summary(
+            ratio_monotonicity_scan(DOUBLE_POLE, 1.0, delta, grid, expected=direction))
+        ok &= not probe_ok and probe_viol >= 4e-4
+        expected, default_ok, default_viol, default_gap, values = summary(
+            ratio_monotonicity_scan(DOUBLE_POLE, 1.0, delta, grid))
+        ok &= expected != direction and default_ok
+        ok &= probe_gap <= 1e-6 and default_gap <= 1e-6
+        ends = (values[0], values[-1])
         ok &= all(
             abs(got - want) <= 1e-9 * abs(want) for got, want in zip(ends, oracle_ends[delta])
         )
-        found[delta] = (probe.max_violation, default.max_violation, default.max_route_gap, ends)
+        found[delta] = (probe_viol, default_viol, default_gap, ends)
     assert acceptance("ratio-monotonicity", bool(ok)), (
         f"per delta (claimed-direction violation, default-direction violation, "
         f"route gap, endpoint values): {found} — expected the claimed "
@@ -209,16 +222,21 @@ def test_criterion_07_ratio_monotonicity(acceptance):
 
 def test_criterion_08_cm_checker_sanity(acceptance):
     grid = [float(v) for v in np.logspace(math.log10(0.01), math.log10(10.0), 30)]
-    ok = cm_check(lambda x: math.exp(-x), grid, 0.05, 6).clean
-    ok &= cm_check(lambda x: 1.0 / (1.0 + x), grid, 0.05, 6).clean
-    linear = cm_check(lambda x: x, grid, 0.05, 6)
-    ok &= linear.first_violation is not None and linear.first_violation[0] == 1
-    remainder = cm_check(
-        lambda x: (math.exp(-2.0 * x) - math.exp(-x / 2.0)) / math.sqrt(math.pi),
-        grid, 0.05, 6,
+
+    def first_defect(f):
+        """The first failing record: the lowest order, then the smallest x."""
+        return next((r for r in cm_check(f, grid, 0.05, 6) if not r.ok()), None)
+
+    ok = first_defect(lambda x: math.exp(-x)) is None
+    ok &= first_defect(lambda x: 1.0 / (1.0 + x)) is None
+    linear = first_defect(lambda x: x)
+    ok &= linear is not None and linear.identity == "cm-order-1"
+    remainder = first_defect(
+        lambda x: (math.exp(-2.0 * x) - math.exp(-x / 2.0)) / math.sqrt(math.pi)
     )
-    ok &= remainder.first_violation is not None and remainder.first_violation[0] == 0
-    ok &= remainder.note is not None and "hypothesis" in remainder.note
+    # the order-0 defect is a negative value: no nonnegative measure gives it
+    ok &= (remainder is not None and remainder.identity == "cm-order-0"
+           and remainder.lhs < remainder.rhs < 0.0)
     assert acceptance("cm-checker-sanity", bool(ok))
 
 

@@ -1,4 +1,8 @@
-"""The public surface: every exported name resolves, and no tuning knob is left.
+"""The public surface: every exported name resolves, two result types, and no
+tuning knob is left.
+
+A value is an ``EvalResult`` and a comparison is an ``IdentityRecord``: every
+check returns one record or a tuple of them, and no report class is left.
 
 Each parameter set has one measure and one evaluator, so no public callable
 takes an evaluator configuration, a series term cap, a route, or a
@@ -8,21 +12,37 @@ run wraps each layer by ``getattr`` on every name of its ``__all__``, so a
 stale entry there would crash it.
 """
 
+import dataclasses
 import importlib
 import inspect
+import math
 import pkgutil
 import re
+import typing
 
 import pytest
 
 import foxwright
-from foxwright import cli, series
+from foxwright import IdentityRecord, cli, series
+from foxwright.series import _record
 
 MODULES = ["foxwright"] + [
     f"foxwright.{info.name}" for info in pkgutil.iter_modules(foxwright.__path__)
 ]
 REMOVED_PARAMETERS = {"config", "max_terms"}
 REMOVED_KNOBS = {"route", "rel_tol", "route_tol", "threshold"}
+DELETED_TYPES = {
+    "BoundsReport", "StieltjesLowerBoundReport", "CmReport", "RatioScanReport",
+    "MomentIdentityReport", "FiniteLaplaceReport", "NonnegReport",
+}
+# the parameter types are inputs, not results
+PARAMETER_TYPES = {"ParameterSet", "DerivedConstants"}
+CHECK_FUNCTIONS = {
+    "verify_representation", "moment_identity_check", "verify_stieltjes",
+    "laplace_lift_check", "finite_laplace_identity", "four_param_representation",
+    "exp_kernel_bounds", "lifted_kernel_bounds", "stieltjes_lower_bound", "cm_check",
+    "shifted_stieltjes_ratio", "ratio_monotonicity_scan", "hfun_nonneg_scan",
+}
 SERIES_FUNCTIONS = [
     series.fox_wright,
     series.fox_wright_value,
@@ -95,3 +115,90 @@ def test_cli_has_no_switch():
         "annotations", "NAMED_SETS", "_CM_FUNCTIONS", "_COMMANDS", "_FIELDS", "_FLAGS",
         "_GRID_HINTS", "_SERIES_STATUS", "_Z_HELP",
     }
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_report_types(name):
+    module = importlib.import_module(name)
+    assert DELETED_TYPES.isdisjoint(getattr(module, "__all__", ()))
+    assert [attr for attr in dir(module) if attr.endswith("Report")] == []
+
+
+def test_two_result_types():
+    exported = {
+        attr: getattr(importlib.import_module(name), attr)
+        for name in MODULES
+        for attr in getattr(importlib.import_module(name), "__all__", ())
+    }
+    results = {attr for attr, obj in exported.items()
+               if inspect.isclass(obj) and dataclasses.is_dataclass(obj)}
+    assert results - PARAMETER_TYPES == {"EvalResult", "IdentityRecord"}
+    assert foxwright.IdentityRecord is series.IdentityRecord
+    assert "IdentityRecord" in foxwright.__all__
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_FUNCTIONS))
+def test_checks_return_records(name):
+    ret = typing.get_type_hints(getattr(foxwright, name))["return"]
+    if ret is not IdentityRecord:
+        assert typing.get_origin(ret) is tuple
+        assert set(typing.get_args(ret)) <= {IdentityRecord, Ellipsis}
+
+
+def test_every_record_returner_is_listed():
+    """A public function that returns records is one of the checks above."""
+    returners = set()
+    for name in foxwright.__all__:
+        obj = getattr(foxwright, name)
+        if inspect.isfunction(obj):
+            ret = typing.get_type_hints(obj).get("return")
+            if ret is IdentityRecord or IdentityRecord in typing.get_args(ret):
+                returners.add(name)
+    assert returners == CHECK_FUNCTIONS
+
+
+class TestRecordVerdicts:
+    """``_record`` judges ``==``, ``<=`` and ``>=`` with a tolerance on
+    rel_err = |lhs - rhs| / (1 + max(|lhs|, |rhs|)); a NaN side fails."""
+
+    def verdict(self, lhs, rhs, tol, relation="==", applies=True):
+        return _record("t", "", 0.0, lhs, rhs, tol, relation, applies).verdict
+
+    def test_fields(self):
+        rec = _record("t", "key", 2, 3.0, 1.0, 0.5, "<=")
+        assert (rec.z, rec.lhs, rec.relation, rec.rhs) == (2.0, 3.0, "<=", 1.0)
+        assert (rec.abs_err, rec.rel_err) == (2.0, 0.5)
+        assert rec.verdict == "pass" and rec.ok()  # rel_err == tol
+
+    def test_equality_at_the_boundary(self):
+        # rel_err of (3, 1) is exactly 2 / 4
+        assert self.verdict(3.0, 1.0, 0.5) == "pass"
+        assert self.verdict(3.0, 1.0, math.nextafter(0.5, 0.0)) == "fail"
+        assert self.verdict(1.0, 1.0, 0.0) == "pass"
+
+    def test_less_equal_at_the_boundary(self):
+        assert self.verdict(1.0, 1.0, 0.0, "<=") == "pass"
+        assert self.verdict(math.nextafter(1.0, 2.0), 1.0, 0.0, "<=") == "fail"
+        assert self.verdict(-5.0, 1.0, 0.0, "<=") == "pass"  # holds outright
+        assert self.verdict(3.0, 1.0, 0.5, "<=") == "pass"  # within tol
+        assert self.verdict(3.0, 1.0, 0.49, "<=") == "fail"
+
+    def test_greater_equal_at_the_boundary(self):
+        assert self.verdict(-1e-9, -1e-9, 0.0, ">=") == "pass"
+        assert self.verdict(math.nextafter(-1e-9, -1.0), -1e-9, 0.0, ">=") == "fail"
+        assert self.verdict(5.0, 1.0, 0.0, ">=") == "pass"
+        assert self.verdict(1.0, 3.0, 0.5, ">=") == "pass"
+        assert self.verdict(1.0, 3.0, 0.49, ">=") == "fail"
+
+    @pytest.mark.parametrize("relation", ["==", "<=", ">="])
+    @pytest.mark.parametrize("sides", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
+    def test_nan_side_fails(self, relation, sides):
+        assert self.verdict(*sides, math.inf, relation) == "fail"
+
+    @pytest.mark.parametrize("relation", ["==", "<=", ">="])
+    @pytest.mark.parametrize("sides", [(1.0, 1.0), (math.nan, 1.0), (5.0, 1.0)])
+    def test_not_applicable(self, relation, sides):
+        rec = _record("t", "", 0.0, *sides, 0.0, relation, applies=False)
+        assert rec.verdict == "n/a" and not rec.ok()
+        # the comparison is still recorded
+        assert rec.lhs is sides[0] and rec.rhs == sides[1] and rec.relation == relation

@@ -7,6 +7,7 @@ import pytest
 
 from foxwright import (
     ParameterSet,
+    bounds,
     cm_check,
     exp_kernel_bounds,
     lifted_kernel_bounds,
@@ -14,6 +15,7 @@ from foxwright import (
     shifted_stieltjes_ratio,
     stieltjes_lower_bound,
 )
+from foxwright.bounds import _atomic_mass
 from foxwright.catalog import DOUBLE_POLE, EXP_COLLAPSE, TWIN_QUARTER
 from foxwright.errors import (
     ConstraintError,
@@ -21,32 +23,59 @@ from foxwright.errors import (
     DomainError,
     ParameterError,
 )
+from foxwright.series import _record
 
 GRID_17 = [float(v) for v in np.linspace(0.05, 0.95, 17)]
+NON_FINITE = [math.nan, math.inf, -math.inf]
 CM_GRID = [float(v) for v in np.logspace(math.log10(0.01), math.log10(10.0), 30)]
+
+
+def first_defect(records):
+    """(order, x) of the first failing cm_check record, or None when clean."""
+    bad = next((r for r in records if not r.ok()), None)
+    return None if bad is None else (int(bad.identity.removeprefix("cm-order-")), bad.z)
 
 
 class TestExpKernelBounds:
     @pytest.mark.parametrize("z", [0.1, 0.5, 1.0, 2.0])
     def test_sandwich_holds(self, z):
-        rep = exp_kernel_bounds(DOUBLE_POLE, z)
-        assert rep.hypothesis_nonneg
-        assert rep.lower_ok and rep.upper_ok
-        assert rep.lower <= rep.value <= rep.upper
-        assert rep.lower < rep.upper  # strict away from z = 0
+        lower, upper = exp_kernel_bounds(DOUBLE_POLE, z)
+        assert lower.relation == upper.relation == "<="
+        assert lower.verdict == upper.verdict == "pass"  # not n/a: the scan passed
+        assert lower.rhs == upper.lhs  # the series value F(-z), bounded on both sides
+        assert lower.lhs <= lower.rhs <= upper.rhs
+        assert lower.lhs < upper.rhs  # strict away from z = 0
 
     def test_collapse_at_zero(self):
-        rep = exp_kernel_bounds(DOUBLE_POLE, 0.0)
-        assert rep.upper - rep.lower == pytest.approx(0.0, abs=1e-12)
-        assert rep.value == pytest.approx(rep.lower, abs=1e-12)
-        assert rep.value == pytest.approx(math.pi / 2.0, rel=1e-12)
+        lower, upper = exp_kernel_bounds(DOUBLE_POLE, 0.0)
+        assert upper.rhs - lower.lhs == pytest.approx(0.0, abs=1e-12)
+        assert lower.rhs == pytest.approx(lower.lhs, abs=1e-12)
+        assert lower.rhs == pytest.approx(math.pi / 2.0, rel=1e-12)
 
     def test_mass_split_values(self):
-        rep = exp_kernel_bounds(DOUBLE_POLE, 1.0)
-        assert rep.psi0 == pytest.approx(math.pi / 2.0 - 1.0, rel=1e-12)
+        psi0, psi1, c = _atomic_mass(DOUBLE_POLE)
+        assert psi0 == pytest.approx(math.pi / 2.0 - 1.0, rel=1e-12)
         # psi1 = ratio(1) - eta rho = gamma(1)gamma(2)/gamma(1.5)^2 - 1
         want = 1.0 / math.gamma(1.5) ** 2 - 1.0
-        assert rep.psi1 == pytest.approx(want, rel=1e-11)
+        assert psi1 == pytest.approx(want, rel=1e-11)
+        # the bounds at z = 1 are built from exactly these masses
+        lower, upper = exp_kernel_bounds(DOUBLE_POLE, 1.0)
+        e = math.exp(-c.rho)
+        assert lower.lhs == pytest.approx(psi0 * math.exp(-psi1 / psi0) + c.eta * e, rel=1e-14)
+        assert upper.rhs == pytest.approx(psi0 - psi1 / c.rho + (c.eta + psi1 / c.rho) * e,
+                                          rel=1e-14)
+
+    def test_failed_scan_gives_not_applicable(self, monkeypatch):
+        # the bounds are conditional on H >= 0: a failed scan is n/a, not fail
+        failed = _record("density-nonneg", "", 0.5, -1.0, 0.0, 0.0, ">=")
+        monkeypatch.setattr(bounds, "hfun_nonneg_scan", lambda params: failed)
+        for records in (exp_kernel_bounds(DOUBLE_POLE, 0.5),
+                        lifted_kernel_bounds(DOUBLE_POLE, 2.0, 0.5),
+                        stieltjes_lower_bound(DOUBLE_POLE, 3.0, 0.5)):
+            assert [r.verdict for r in records] == ["n/a", "n/a"]
+            assert not any(r.ok() for r in records)
+        # the power-mean equality at sigma = 1 needs no hypothesis
+        assert [r.verdict for r in stieltjes_lower_bound(DOUBLE_POLE, 1.0, 0.5)] == ["n/a", "pass"]
 
     def test_degenerate_measure_rejected(self):
         with pytest.raises(DegenerateError):
@@ -65,80 +94,80 @@ class TestLiftedKernelBounds:
     @pytest.mark.parametrize("lam", [1.0, 2.0])
     @pytest.mark.parametrize("z", [0.1, 0.5, 1.0, 2.0])
     def test_sandwich_holds(self, lam, z):
-        rep = lifted_kernel_bounds(DOUBLE_POLE, lam, z)
-        assert rep.lower_ok and rep.upper_ok
-        assert rep.lower <= rep.value <= rep.upper
+        lower, upper = lifted_kernel_bounds(DOUBLE_POLE, lam, z)
+        assert lower.ok() and upper.ok()
+        assert lower.lhs <= lower.rhs == upper.lhs <= upper.rhs
 
     @pytest.mark.parametrize("lam", [1.0, 2.0])
     def test_collapse_at_zero(self, lam):
-        rep = lifted_kernel_bounds(DOUBLE_POLE, lam, 0.0)
-        assert rep.upper - rep.lower == pytest.approx(0.0, abs=1e-12)
+        lower, upper = lifted_kernel_bounds(DOUBLE_POLE, lam, 0.0)
+        assert upper.rhs - lower.lhs == pytest.approx(0.0, abs=1e-12)
         want = math.gamma(lam) * math.pi / 2.0
-        assert rep.value == pytest.approx(want, rel=1e-12)
+        assert lower.rhs == pytest.approx(want, rel=1e-12)
 
     def test_continuation_points_beyond_disk(self):
         # z in {1, 2} lies beyond the lifted series radius (1/rho = 1);
         # the bound evaluation relies on the kernel continuation
         for z in (1.0, 2.0):
-            rep = lifted_kernel_bounds(DOUBLE_POLE, 2.0, z)
-            assert rep.lower <= rep.value <= rep.upper
+            lower, upper = lifted_kernel_bounds(DOUBLE_POLE, 2.0, z)
+            assert lower.lhs <= lower.rhs <= upper.rhs
 
 
 class TestStieltjesLowerBound:
     @pytest.mark.parametrize("sigma", [0.5, 3.0])
     @pytest.mark.parametrize("z", [0.1, 0.3])
     def test_bound_holds(self, sigma, z):
-        rep = stieltjes_lower_bound(DOUBLE_POLE, sigma, z)
-        assert rep.bound_ok
-        assert rep.margin >= 0.0
-        assert rep.mean_power_ok
+        bound, step = stieltjes_lower_bound(DOUBLE_POLE, sigma, z)
+        assert bound.ok()
+        assert bound.rhs - bound.lhs >= 0.0  # the margin of the value over the bound
+        assert step.ok()
 
     @pytest.mark.parametrize("sigma", [0.5, 3.0])
     def test_equality_at_zero(self, sigma):
-        rep = stieltjes_lower_bound(DOUBLE_POLE, sigma, 0.0)
-        assert rep.margin == pytest.approx(0.0, abs=1e-12)
+        bound, _ = stieltjes_lower_bound(DOUBLE_POLE, sigma, 0.0)
+        assert bound.rhs - bound.lhs == pytest.approx(0.0, abs=1e-12)
 
     def test_power_mean_direction_flips(self):
-        above = stieltjes_lower_bound(DOUBLE_POLE, 3.0, 0.2)
-        below = stieltjes_lower_bound(DOUBLE_POLE, 0.5, 0.2)
-        assert above.mean_power_direction == ">="
-        assert above.mean_power_lhs >= above.mean_power_rhs
-        assert below.mean_power_direction == "<="
-        assert below.mean_power_lhs <= below.mean_power_rhs
+        _, above = stieltjes_lower_bound(DOUBLE_POLE, 3.0, 0.2)
+        _, below = stieltjes_lower_bound(DOUBLE_POLE, 0.5, 0.2)
+        assert above.relation == ">="
+        assert above.lhs >= above.rhs
+        assert below.relation == "<="
+        assert below.lhs <= below.rhs
 
 
 class TestCmCheck:
     def test_exponential_clean(self):
-        rep = cm_check(lambda x: math.exp(-x), CM_GRID, 0.05, 6)
-        assert rep.clean and rep.note is None
+        records = cm_check(lambda x: math.exp(-x), CM_GRID, 0.05, 6)
+        assert first_defect(records) is None
+        assert len(records) == 7 * len(CM_GRID)
+        assert all(r.relation == ">=" and r.ok() for r in records)
 
     def test_inverse_linear_clean(self):
-        rep = cm_check(lambda x: 1.0 / (1.0 + x), CM_GRID, 0.05, 6)
-        assert rep.clean
+        assert first_defect(cm_check(lambda x: 1.0 / (1.0 + x), CM_GRID, 0.05, 6)) is None
 
     def test_sum_of_cm_clean(self):
-        rep = cm_check(lambda x: math.exp(-x) + 0.5 / (1.0 + x), CM_GRID, 0.05, 6)
-        assert rep.clean
+        f = lambda x: math.exp(-x) + 0.5 / (1.0 + x)
+        assert first_defect(cm_check(f, CM_GRID, 0.05, 6)) is None
 
     def test_linear_fails_first_order(self):
-        rep = cm_check(lambda x: x, CM_GRID, 0.05, 6)
-        assert rep.first_violation is not None
-        assert rep.first_violation[0] == 1
-        assert "hypothesis" in rep.note
+        records = cm_check(lambda x: x, CM_GRID, 0.05, 6)
+        assert first_defect(records) == (1, CM_GRID[0])
+        # the defect is a sign: -(f(x + h) - f(x)) = -h falls below -eps_1
+        bad = next(r for r in records if not r.ok())
+        assert bad.lhs == pytest.approx(-0.05) and bad.lhs < bad.rhs < 0.0
 
     def test_sign_crossing_fails_order_zero(self):
         f = lambda x: (math.exp(-2.0 * x) - math.exp(-x / 2.0)) / math.sqrt(math.pi)
-        rep = cm_check(f, CM_GRID, 0.05, 6)
-        assert rep.first_violation is not None
-        assert rep.first_violation[0] == 0
-        assert "hypothesis" in rep.note
+        order, x = first_defect(cm_check(f, CM_GRID, 0.05, 6))
+        assert order == 0
+        assert f(x) < 0.0
 
     def test_series_value_completely_monotone(self):
         from foxwright import fox_wright_value
 
         f = lambda x: complex(fox_wright_value(DOUBLE_POLE, -x)).real
-        rep = cm_check(f, CM_GRID, 0.05, 6)
-        assert rep.clean
+        assert first_defect(cm_check(f, CM_GRID, 0.05, 6)) is None
 
     def test_bad_inputs(self):
         with pytest.raises(ParameterError):
@@ -155,6 +184,24 @@ class TestCmCheck:
         # NaN slipped past an ``h <= 0`` guard and every difference compared False
         with pytest.raises(ParameterError):
             cm_check(lambda x: x, CM_GRID, h)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_grid_point_raises(self, x):
+        # a NaN point sorted anywhere and failed no comparison
+        with pytest.raises(ParameterError):
+            cm_check(math.exp, [1.0, x, 2.0], 0.05)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_fail(self, value):
+        # NaN differences compared False against -eps_n and passed for clean
+        for grid in ([1.0, 2.0], [1.0]):
+            records = cm_check(lambda x: value, grid, 0.05)
+            assert first_defect(records) == (0, 1.0)
+            assert not any(r.ok() for r in records)
+
+    def test_one_nan_value_fails_the_scan(self):
+        records = cm_check(lambda x: math.nan if x == 2.0 else math.exp(-x), [1.0, 2.0], 0.05, 0)
+        assert [r.verdict for r in records] == ["fail", "fail"]  # max|f| is undefined
 
 
 class TestShiftedRatio:
@@ -179,27 +226,66 @@ class TestShiftedRatio:
             shifted_stieltjes_ratio(DOUBLE_POLE, 1.0, 1.0, -1.5)
 
 
+def scan_summary(records):
+    """(expected direction, max violation, max route gap, every record passes)."""
+    routes = [r for r in records if r.relation == "=="]
+    steps = [r for r in records if r.relation == "<="]
+    assert len(steps) == len(routes) - 1
+    return (steps[0].identity.partition("[")[0], max(0.0, max(r.lhs for r in steps)),
+            max(r.rel_err for r in routes), all(r.ok() for r in records))
+
+
 class TestRatioScan:
     def test_positive_shift_nonincreasing(self):
-        rep = ratio_monotonicity_scan(DOUBLE_POLE, 1.0, 1.0, GRID_17)
-        assert rep.expected == "nonincreasing"
-        assert rep.monotone_ok
-        assert rep.max_violation <= 1e-8
-        assert rep.max_route_gap < 1e-6
+        records = ratio_monotonicity_scan(DOUBLE_POLE, 1.0, 1.0, GRID_17)
+        expected, max_violation, max_route_gap, ok = scan_summary(records)
+        assert expected == "nonincreasing"
+        assert ok
+        assert max_violation <= 1e-8
+        assert max_route_gap < 1e-6
 
     def test_negative_shift_nondecreasing(self):
-        rep = ratio_monotonicity_scan(DOUBLE_POLE, 1.0, -0.5, GRID_17)
-        assert rep.expected == "nondecreasing"
-        assert rep.monotone_ok
-        assert rep.max_route_gap < 1e-6
+        records = ratio_monotonicity_scan(DOUBLE_POLE, 1.0, -0.5, GRID_17)
+        expected, _, max_route_gap, ok = scan_summary(records)
+        assert expected == "nondecreasing"
+        assert ok
+        assert max_route_gap < 1e-6
 
     def test_probing_opposite_direction_fails(self):
-        rep = ratio_monotonicity_scan(
+        records = ratio_monotonicity_scan(
             DOUBLE_POLE, 1.0, 1.0, GRID_17, expected="nondecreasing"
         )
-        assert not rep.monotone_ok
-        assert rep.max_violation > 1e-4
+        _, max_violation, _, ok = scan_summary(records)
+        assert not ok
+        assert max_violation > 1e-4
+        # the route records all pass: only the direction fails
+        assert all(r.ok() for r in records[:17]) and not any(r.ok() for r in records[17:])
 
     def test_scan_needs_two_points(self):
         with pytest.raises(ParameterError):
             ratio_monotonicity_scan(DOUBLE_POLE, 1.0, 1.0, [0.5])
+
+
+class TestNonFiniteArguments:
+    """NaN and infinite exponents are ParameterErrors; each used to slip past
+    a ``<= 0`` guard into an untyped ValueError or a NaN."""
+
+    @pytest.mark.parametrize("lam", NON_FINITE)
+    def test_lifted_kernel_bounds(self, lam):
+        with pytest.raises(ParameterError):
+            lifted_kernel_bounds(DOUBLE_POLE, lam, 0.5)
+
+    @pytest.mark.parametrize("sigma", NON_FINITE)
+    def test_stieltjes_lower_bound(self, sigma):
+        with pytest.raises(ParameterError):
+            stieltjes_lower_bound(DOUBLE_POLE, sigma, 0.5)
+
+    @pytest.mark.parametrize("sigma", NON_FINITE)
+    def test_shifted_stieltjes_ratio(self, sigma):
+        with pytest.raises(ParameterError):
+            shifted_stieltjes_ratio(DOUBLE_POLE, sigma, 1.0, 0.5)
+
+    @pytest.mark.parametrize("sigma", NON_FINITE)
+    def test_ratio_monotonicity_scan(self, sigma):
+        with pytest.raises(ParameterError):
+            ratio_monotonicity_scan(DOUBLE_POLE, sigma, 1.0, [0.2, 0.5])

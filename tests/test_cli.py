@@ -54,6 +54,21 @@ def test_readme_example_exits_0(capsys, argv):
     assert out and err == ""
 
 
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "readme_cli.json").read_text())
+
+
+def test_golden_argvs_are_the_readme_lines():
+    assert [entry["argv"] for entry in GOLDEN] == readme_cli_examples()
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=lambda entry: " ".join(entry["argv"]))
+def test_readme_example_matches_golden(capsys, entry):
+    """The README lines print the bytes and exit with the code captured in
+    ``tests/golden/readme_cli.json``, so a refactor cannot move a report."""
+    code, out, _ = run_cli(capsys, *entry["argv"])
+    assert (code, out) == (entry["exit"], entry["stdout"])
+
+
 def test_readme_examples_cover_every_command():
     commands = {argv[0] for argv in readme_cli_examples()}
     assert commands == {
@@ -180,9 +195,9 @@ class TestMoments:
     def test_rows_are_the_library_records(self, capsys):
         code, out, _ = run_cli(capsys, "moments", "--params", "twin-quarter", "--k", "0..8")
         assert code == 0
-        report = moment_identity_check(TWIN_QUARTER, [float(k) for k in range(9)])
+        records = moment_identity_check(TWIN_QUARTER, [float(k) for k in range(9)])
         got = [(r["z"], r["value_or_verdict"], r["abs_err"], r["rel_err"]) for r in json_rows(out)]
-        assert got == [(rec.z, rec.lhs, rec.abs_err, rec.rel_err) for rec in report.rows]
+        assert got == [(rec.z, rec.lhs, rec.abs_err, rec.rel_err) for rec in records]
 
     def test_missing_k_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "moments", "--params", "twin-quarter")
@@ -405,6 +420,27 @@ class TestParserReuse:
     def test_readme_example_same_bytes_reused_and_fresh(self, capsys, argv):
         first = run_cli(capsys, *argv)
         assert run_cli(capsys, *argv) == first == run_fresh(*argv)
+
+
+class TestSeriesOverflow:
+    """A term that leaves the double range is an error row, exit 2, where an
+    OverflowError traceback used to end the run with exit 1."""
+
+    @pytest.mark.parametrize("z", ["-800", "710"])
+    def test_eval_row(self, capsys, z):
+        # at 710 the terms fit a double and their sum does not: the row read
+        # status ok with a value of Infinity, which is not JSON
+        code, out, err = run_cli(capsys, "eval", "--params", "identity", f"--z={z}")
+        assert (code, err) == (2, "")
+        (row,) = json_rows(out)
+        assert row["status"] == "error:NonConvergentError"
+        assert row["value_or_verdict"] is None
+
+    def test_cm_check_row(self, capsys):
+        code, out, err = run_cli(capsys, "cm-check", "--params", "double-pole", "--z=700:800:3")
+        assert (code, err) == (2, "")
+        (row,) = json_rows(out)
+        assert row["status"] == "error:NonConvergentError"
 
 
 class TestTermCap:

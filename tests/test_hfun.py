@@ -170,9 +170,10 @@ class TestMomentIdentity:
     @pytest.mark.parametrize("params", [EXP_COLLAPSE, TWIN_QUARTER, DOUBLE_POLE, IDENTITY])
     def test_integer_and_half_integer_orders(self, params):
         ks = [float(k) for k in range(9)] + [0.5, 1.5, 2.5]
-        report = moment_identity_check(params, ks)
-        assert report.max_rel_err < 1e-6
-        assert report.ok()
+        records = moment_identity_check(params, ks)
+        assert [r.z for r in records] == ks
+        assert max(r.rel_err for r in records) < 1e-6
+        assert all(r.ok() for r in records)
 
     def test_beta_like_moments_exact(self):
         ev = get_evaluator(BETA_LIKE)
@@ -232,9 +233,9 @@ class TestShiftLaw:
 class TestNonnegScan:
     @pytest.mark.parametrize("params", [EXP_COLLAPSE, TWIN_QUARTER, DOUBLE_POLE, BETA_LIKE])
     def test_catalog_densities_nonnegative(self, params):
-        report = hfun_nonneg_scan(params)
-        assert report.nonneg
-        assert report.min_value >= -report.tol_abs
+        record = hfun_nonneg_scan(params)
+        assert record.ok() and record.relation == ">="
+        assert record.lhs >= record.rhs  # the minimum against -1e-9 max |H|
 
     def test_default_scan_memoised(self, monkeypatch):
         first = hfun_nonneg_scan(DOUBLE_POLE)

@@ -105,8 +105,8 @@ class TestCmProperty:
     @settings(max_examples=25, deadline=None)
     def test_scaled_exponential_always_clean(self, a):
         grid = [0.01 * 1.26**i for i in range(30)]
-        rep = cm_check(lambda x: math.exp(-a * x), grid, 0.05, 6)
-        assert rep.clean
+        records = cm_check(lambda x: math.exp(-a * x), grid, 0.05, 6)
+        assert all(r.ok() for r in records)
 
 
 class TestMeasureProperty:

@@ -14,15 +14,17 @@ from foxwright import (
     fox_wright_value,
     laplace_lift_check,
     lifted_value,
+    moment_identity_check,
     stieltjes_eval,
     verify_representation,
     verify_stieltjes,
 )
 from foxwright import representations
 from foxwright.catalog import DOUBLE_POLE, EXP_COLLAPSE, IDENTITY, TWIN_QUARTER
-from foxwright.errors import ConstraintError, FoxwrightError, OutsideDomainError
+from foxwright.errors import ConstraintError, FoxwrightError, OutsideDomainError, ParameterError
 
 EPS = float(np.finfo(float).eps)
+NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 class TestExponentialKernel:
@@ -198,25 +200,29 @@ class TestLaplaceLift:
 
 
 class TestFiniteLaplaceAdjudication:
+    # records: quadrature vs a, quadrature vs b, series side vs a, series side vs b
     def test_trivial_point_matches_both(self):
-        rep = finite_laplace_identity(0.0)
-        assert rep.verdict == "both"
-        assert rep.series_verdict == "both"
+        records = finite_laplace_identity(0.0)
+        assert [r.identity for r in records] == [
+            "finite-laplace[quadrature~a]", "finite-laplace[quadrature~b]",
+            "finite-laplace[series~a]", "finite-laplace[series~b]",
+        ]
+        assert all(r.relation == "==" and r.verdict == "pass" for r in records)
 
     @pytest.mark.parametrize("z", [-1.0, 0.5, 1.0, 2.0])
     def test_nonzero_argument_matches_neither(self, z):
         # the density vanishes identically, so the finite integral is 0,
         # while both closed-form candidates are nonzero: neither matches
-        rep = finite_laplace_identity(z)
-        assert rep.quadrature == 0.0
-        assert rep.verdict == "neither"
-        assert rep.series_verdict == "neither"
-        assert min(rep.err_a, rep.err_b) > 1e-3
+        quad_a, quad_b, series_a, series_b = finite_laplace_identity(z)
+        assert quad_a.lhs == 0.0
+        assert quad_a.verdict == quad_b.verdict == "fail"
+        assert series_a.verdict == series_b.verdict == "fail"
+        assert min(quad_a.abs_err, quad_b.abs_err) > 1e-3
 
     def test_series_side_consistent_with_quadrature(self):
         for z in (-1.0, 0.5, 2.0):
-            rep = finite_laplace_identity(z)
-            assert abs(rep.series_side - rep.quadrature) < 1e-12
+            quad_a, _, series_a, _ = finite_laplace_identity(z)
+            assert abs(series_a.lhs - quad_a.lhs) < 1e-12
 
 
 class TestFourParamRepresentation:
@@ -236,3 +242,33 @@ class TestFourParamRepresentation:
     def test_constraint_violation_rejected(self):
         with pytest.raises(ConstraintError):
             four_param_representation(0.5, 0.6, 0.5, 0.6, z=1.0)  # a+b = 1.2
+
+
+class TestNonFiniteArguments:
+    """NaN and infinite exponents and orders are ParameterErrors; each used
+    to slip past a ``<= 0`` guard into an untyped ValueError or a NaN."""
+
+    @pytest.mark.parametrize("k", NON_FINITE)
+    def test_moment_identity_check(self, k):
+        with pytest.raises(ParameterError):
+            moment_identity_check(DOUBLE_POLE, [1.0, k])
+
+    @pytest.mark.parametrize("sigma", NON_FINITE)
+    def test_stieltjes_eval(self, sigma):
+        with pytest.raises(ParameterError):
+            stieltjes_eval(DOUBLE_POLE, sigma, 0.5)
+
+    @pytest.mark.parametrize("sigma", NON_FINITE)
+    def test_verify_stieltjes(self, sigma):
+        with pytest.raises(ParameterError):
+            verify_stieltjes(DOUBLE_POLE, sigma, 0.5)
+
+    @pytest.mark.parametrize("lam", NON_FINITE)
+    def test_lifted_value(self, lam):
+        with pytest.raises(ParameterError):
+            lifted_value(DOUBLE_POLE, lam, -0.5)
+
+    @pytest.mark.parametrize("lam", NON_FINITE)
+    def test_laplace_lift_check(self, lam):
+        with pytest.raises(ParameterError):
+            laplace_lift_check(DOUBLE_POLE, lam, -0.5)

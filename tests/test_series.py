@@ -131,6 +131,26 @@ class TestDomainGates:
         monkeypatch.undo()
         assert fox_wright(IDENTITY, 30.0).status is SeriesStatus.CONVERGED
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, complex(0.5, math.nan),
+                                   complex(math.inf, 0.0)])
+    def test_non_finite_z_outside_domain(self, z):
+        # an entire series used to run all 10,000 terms on NaN before MAX_TERMS
+        for res in (fox_wright(DOUBLE_POLE, z), four_param_wright(0.5, 1.0, 0.5, 1.0, z)):
+            assert res.status is SeriesStatus.OUTSIDE_DOMAIN and res.terms_used == 0
+        with pytest.raises(OutsideDomainError):
+            fox_wright_value(DOUBLE_POLE, z)
+
+    @pytest.mark.parametrize("params,z", [(IDENTITY, -800.0), (IDENTITY, 800j),
+                                          (DOUBLE_POLE, -800.0), (IDENTITY, 710.0)])
+    def test_overflowing_term_is_max_terms(self, params, z):
+        # a term past the double range used to raise an untyped OverflowError;
+        # at e^710 every term fits and the sum, inf, was reported converged
+        res = fox_wright(params, z)
+        assert res.status is SeriesStatus.MAX_TERMS
+        assert cmath.isnan(res.value) and res.trunc_estimate == math.inf
+        with pytest.raises(NonConvergentError):
+            fox_wright_value(params, z)
+
 
 class TestCorrectionSeries:
     @pytest.mark.parametrize("z", [-1.5, -0.25, 0.0, 0.5, 2.0])
