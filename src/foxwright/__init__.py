@@ -14,7 +14,13 @@ The package is organised in layers:
 * :mod:`foxwright.bounds` - two-sided exponential/Stieltjes bounds, complete
   monotonicity checks, quotient monotonicity scans.
 * :mod:`foxwright.cli` - batch front end emitting JSON lines or CSV.
+
+``import foxwright`` loads the series layers only.  The names exported from
+``hfun``, ``representations`` and ``bounds`` load their module, and numpy
+with it, on first access (PEP 562 module ``__getattr__``).
 """
+
+import importlib
 
 from .errors import (
     ConstraintError,
@@ -50,31 +56,6 @@ from .series import (
     hyper_pfq,
     mittag_leffler,
     wright_function,
-)
-from .hfun import (
-    HfunMethod,
-    MeasureEvaluator,
-    get_evaluator,
-    hfun_nonneg_scan,
-)
-from .representations import (
-    eval_via_representation,
-    finite_laplace_identity,
-    four_param_representation,
-    laplace_lift_check,
-    lifted_value,
-    moment_identity_check,
-    stieltjes_eval,
-    verify_representation,
-    verify_stieltjes,
-)
-from .bounds import (
-    cm_check,
-    exp_kernel_bounds,
-    lifted_kernel_bounds,
-    ratio_monotonicity_scan,
-    shifted_stieltjes_ratio,
-    stieltjes_lower_bound,
 )
 from .catalog import (
     DOUBLE_POLE,
@@ -141,3 +122,33 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# The measure layer's exports, by module: each loads on first access.
+_LAZY_EXPORTS = {
+    "hfun": ("HfunMethod", "MeasureEvaluator", "get_evaluator", "hfun_nonneg_scan"),
+    "representations": (
+        "eval_via_representation", "verify_representation", "moment_identity_check",
+        "stieltjes_eval", "verify_stieltjes", "lifted_value", "laplace_lift_check",
+        "finite_laplace_identity", "four_param_representation",
+    ),
+    "bounds": (
+        "exp_kernel_bounds", "lifted_kernel_bounds", "stieltjes_lower_bound", "cm_check",
+        "shifted_stieltjes_ratio", "ratio_monotonicity_scan",
+    ),
+}
+_LAZY = {name: module for module, names in _LAZY_EXPORTS.items() for name in names}
+
+
+def __getattr__(name):
+    """Import a measure-layer export's module on first access and keep the
+    name, so later lookups are plain attribute reads."""
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -21,6 +21,7 @@ in its argument whenever the density is nonnegative.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from math import comb
 from typing import Callable, Sequence
 
@@ -41,7 +42,6 @@ from .params import (
 )
 from .representations import lifted_value
 from .series import IdentityRecord, _record, fox_wright_value
-from .special import gamma_real
 
 __all__ = [
     "exp_kernel_bounds",
@@ -57,8 +57,11 @@ _DENOM_FLOOR = 1e-14
 _ROUTE_TOL = 1e-6  # relative gap at which the quotient's two routes disagree
 
 
+@lru_cache(maxsize=256)
 def _atomic_mass(params: ParameterSet):
-    """(psi0, psi1, constants) for single-endpoint-atom sets, validated."""
+    """(psi0, psi1, constants) for single-endpoint-atom sets, validated.
+    The set fixes them, so like :func:`derive_constants` they are computed
+    once per set."""
     c = derive_constants(params)
     if not c.balanced or c.m_order != 0:
         raise ConstraintError(
@@ -120,7 +123,7 @@ def lifted_kernel_bounds(
     if z < 0:
         raise ParameterError("z must be nonnegative")
     psi0, psi1, c = _atomic_mass(params)
-    g = gamma_real(lam)
+    g = math.gamma(lam)
     lower = g * c.eta * (1.0 + c.rho * z) ** (-lam) + g * psi0 * (
         1.0 + (psi1 / psi0) * z
     ) ** (-lam)
@@ -242,7 +245,7 @@ def shifted_stieltjes_ratio(
 
     shifted = shift_parameters(params, delta)
     cs = derive_constants(shifted)
-    g = gamma_real(sigma)
+    g = math.gamma(sigma)
     num_s = lifted_value(shifted, sigma, -z) - g * cs.eta * (1.0 + cs.rho * z) ** (-sigma)
     den_s = lifted_value(params, sigma, -z) - g * c.eta * (1.0 + c.rho * z) ** (-sigma)
     if abs(den_s) < _DENOM_FLOOR:

@@ -41,7 +41,6 @@ from .series import (
     fox_wright,
     fox_wright_value,
 )
-from .special import gamma_real
 
 __all__ = [
     "eval_via_representation",
@@ -138,7 +137,7 @@ def stieltjes_eval(params: ParameterSet, sigma: float, z: float) -> EvalResult:
         )
     ev = get_evaluator(params)
     integral, err = ev._integral(lambda t: (1.0 + t * z) ** (-sigma) / t)
-    g = gamma_real(sigma)
+    g = math.gamma(sigma)
     return EvalResult(g * integral, ev._res_nodes_used, g * err, SeriesStatus.CONVERGED)
 
 
@@ -159,7 +158,7 @@ def verify_stieltjes(
             f"got mu={c.mu:.6g}"
         )
     lhs = float(stieltjes_eval(params, sigma, z).value)
-    atom = gamma_real(sigma) * c.eta * (1.0 + c.rho * z) ** (-sigma)
+    atom = math.gamma(sigma) * c.eta * (1.0 + c.rho * z) ** (-sigma)
     rhs = lifted_value(params, sigma, -z) - atom
     return _record(
         f"stieltjes-kernel[sigma={sigma:g}]", params.hash_key(), z, lhs, rhs, tol
@@ -191,7 +190,7 @@ def lifted_value(params: ParameterSet, lam: float, z: float) -> float:
         ev = get_evaluator(params)
         integral = ev.measure_integral(lambda t: (1.0 + t * x) ** (-lam) / t)
         atom = c.eta * (1.0 + c.rho * x) ** (-lam) if c.m_order == 0 else 0.0
-        return gamma_real(lam) * (integral + atom)
+        return math.gamma(lam) * (integral + atom)
     raise OutsideDomainError(
         f"z={z} is outside the lifted series disk and the kernel continuation "
         "needs a balanced set with a single endpoint atom and z < 0"

@@ -27,8 +27,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Any
 
 from .errors import NonConvergentError, OutsideDomainError
 from .params import (
@@ -39,7 +38,7 @@ from .params import (
     gamma_ratio_log_signed,
     in_domain,
 )
-from .special import log_abs_gamma_signed, log_gamma, touchard_poly
+from .special import log_abs_gamma_signed, touchard_poly
 
 __all__ = [
     "EvalResult",
@@ -155,7 +154,7 @@ def fox_wright(params: ParameterSet, z: complex) -> EvalResult:
         log_ratio, sign = gamma_ratio_log_signed(params, k)
         if k == 0 or log_ratio == -math.inf:
             return log_ratio, sign
-        return log_ratio + k * log_abs_z - log_gamma(k + 1.0), sign
+        return log_ratio + k * log_abs_z - math.lgamma(k + 1.0), sign
 
     return _sum_terms(log_term, z)
 
@@ -333,15 +332,17 @@ def four_param_wright(
 # ---------------------------------------------------------------------------
 
 
-def correction_series(params: ParameterSet, z: complex | np.ndarray) -> complex | np.ndarray:
+def correction_series(params: ParameterSet, z: Any) -> Any:
     """eta * sum_k rho^k P(k) z^k / k!  where P(k) = sum_j l_{m-j} k^j.
 
     This is the part of the series contributed by the endpoint atoms when
     the scale sums balance and mu == -m for an integer m >= 0.  Each power
     k^j collapses through the Stirling transform to e^(rho z) times a
-    degree-j Touchard polynomial, so the whole thing costs one exp.  An
-    array of real z gives the array of values.
+    degree-j Touchard polynomial, so the whole thing costs one exp.  A
+    numpy array of real z gives the array of values.
     """
+    import numpy as np  # here, not at module level: the series needs no numpy
+
     c = derive_constants(params)
     if not c.balanced:
         raise OutsideDomainError("correction series requires balanced scale sums")

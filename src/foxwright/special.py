@@ -2,17 +2,19 @@
 
 Contents:
 
-* Lanczos log-gamma for real scalars, and a numpy-vectorised complex
-  variant used by the residue engine's circle quadrature.
-* A signed real log-gamma (value and sign of gamma(x)) that stays finite
-  for negative non-integer arguments.
+* A signed real log-gamma (value and sign of gamma(x)) for every non-pole
+  real x: ``math.lgamma`` and the sign of gamma.  Elsewhere the package
+  calls ``math.lgamma`` and ``math.gamma`` directly.
+* A numpy-vectorised complex Lanczos log-gamma, the residue engine's only
+  complex-gamma path.  It imports numpy when called.
 * Exact Bernoulli numbers and Bernoulli polynomials over ``fractions.Fraction``.
 * Stirling numbers of the second kind and the weighted exponential sums
   built from them (sum_k k^j x^k / k!).
 
 Everything here is dependency-light on purpose: the rest of the package
 treats this module as its numerical bedrock, so it must not import any of
-the higher layers.
+the higher layers, and it loads no numpy until a complex log-gamma is
+asked for.
 """
 
 from __future__ import annotations
@@ -20,14 +22,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
+from typing import Any
 
 __all__ = [
-    "log_gamma",
     "log_gamma_complex_vec",
     "log_abs_gamma_signed",
-    "gamma_real",
     "bernoulli_number",
     "bernoulli_poly",
     "stirling2_row",
@@ -35,9 +34,9 @@ __all__ = [
     "touchard_sum",
 ]
 
-# Lanczos approximation, g = 7, 9 coefficients.  Classic table; accurate to
-# roughly 1e-13 relative over the right half-plane, which is more than the
-# quadratures downstream can resolve anyway.
+# Lanczos approximation for the complex kernel, g = 7, 9 coefficients.
+# Classic table; accurate to roughly 1e-13 relative over the right
+# half-plane, which is more than the quadratures downstream can resolve.
 _LANCZOS_G = 7.0
 _LANCZOS_C = (
     0.99999999999980993,
@@ -54,54 +53,34 @@ _LANCZOS_C = (
 _LOG_SQRT_2PI = 0.9189385332046727  # log(sqrt(2*pi))
 
 
-def log_gamma(x: float) -> float:
-    """log(gamma(x)) for real x > 0."""
-    if x <= 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    xx = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        acc += c / (xx + i)
-    t = xx + _LANCZOS_G + 0.5
-    return _LOG_SQRT_2PI + (xx + 0.5) * math.log(t) - t + math.log(acc)
-
-
 def log_abs_gamma_signed(x: float) -> tuple[float, float]:
     """Return (log|gamma(x)|, sign of gamma(x)) for real non-pole x.
 
-    For x > 0 this is just (log_gamma(x), +1).  For negative non-integer x
-    the reflection formula gives both magnitude and sign.  The sine factor
-    is evaluated on the reduced argument x - round(x) so that large negative
-    inputs don't lose precision in sin(pi*x).
+    The magnitude is ``math.lgamma``; gamma(x) is negative exactly when
+    x < 0 and floor(x) is odd.  A pole (x a non-positive integer) raises
+    ``ValueError``.
     """
     if x > 0.0:
-        return log_gamma(x), 1.0
-    if x == int(x):
+        return math.lgamma(x), 1.0
+    whole = math.floor(x)
+    if x == whole:
         raise ValueError(f"gamma pole at x={x}")
-    # gamma(x) = pi / (sin(pi x) * gamma(1 - x))
-    r = x - round(x)
-    sin_val = math.sin(math.pi * r)
-    if round(x) % 2 != 0:
-        sin_val = -sin_val
-    log_abs = math.log(math.pi) - math.log(abs(sin_val)) - log_gamma(1.0 - x)
-    return log_abs, math.copysign(1.0, sin_val)
+    return math.lgamma(x), -1.0 if whole % 2 else 1.0
 
 
-def gamma_real(x: float) -> float:
-    """gamma(x) for real non-pole x, via the signed log form."""
-    log_abs, sign = log_abs_gamma_signed(x)
-    return sign * math.exp(log_abs)
-
-
-def log_gamma_complex_vec(z: np.ndarray) -> np.ndarray:
+def log_gamma_complex_vec(z: Any) -> Any:
     """Vectorised log-gamma over a complex numpy array.
 
     Callers (the residue circles in particular) keep z away from the poles.
     Arguments with Re z < 0.5 go through reflection,
     log gamma(z) = log(pi / sin(pi z)) - log gamma(1 - z), so the Lanczos
     sum only sees the right half-plane; there the result may differ from
-    the principal branch by a multiple of 2 pi i.
+    the principal branch by a multiple of 2 pi i.  z and the result are
+    numpy arrays; numpy is imported in here so that the real-argument
+    layers never load it.
     """
+    import numpy as np
+
     z = np.asarray(z, dtype=np.complex128)
     out = np.empty_like(z)
     left = z.real < 0.5
@@ -214,8 +193,9 @@ def stirling2_row(n: int) -> tuple[int, ...]:
     return out
 
 
-def touchard_poly(j: int, x: complex | np.ndarray) -> complex | np.ndarray:
-    """The Touchard polynomial sum_i S(j,i) x^i, for a float, complex or array x."""
+def touchard_poly(j: int, x: Any) -> Any:
+    """The Touchard polynomial sum_i S(j,i) x^i, for a float, complex or numpy
+    array x."""
     poly = 0.0
     for i, s in enumerate(stirling2_row(j)):
         if s:

@@ -10,15 +10,23 @@ tolerance that only decides when to stop or where a disk ends.  The
 series functions take no stop tolerance either.  The benchmark's traced
 run wraps each layer by ``getattr`` on every name of its ``__all__``, so a
 stale entry there would crash it.
+
+``import foxwright`` loads the series layers only; the measure layer's names
+(and numpy with them) load on first access.
 """
 
 import dataclasses
 import importlib
 import inspect
 import math
+import os
 import pkgutil
 import re
+import subprocess
+import sys
+import textwrap
 import typing
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +80,53 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+def _run_fresh(code):
+    """Run ``code`` in a fresh interpreter, so no foxwright module is loaded yet."""
+    src = Path(foxwright.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_leaves_numpy_unloaded():
+    """``import foxwright`` and a series evaluation load no numpy; the first
+    measure-layer name loads its module."""
+    _run_fresh("""
+        import sys
+        import foxwright
+        assert "numpy" not in sys.modules
+        assert foxwright.fox_wright(foxwright.DOUBLE_POLE, 0.5).ok()
+        assert "numpy" not in sys.modules and "foxwright.hfun" not in sys.modules
+        foxwright.get_evaluator
+        assert "foxwright.hfun" in sys.modules and "numpy" in sys.modules
+    """)
+
+
+def test_every_export_is_listed_and_star_importable():
+    """Before any measure-layer name is touched, ``dir`` lists every export
+    and ``from foxwright import *`` binds each one."""
+    _run_fresh("""
+        import foxwright
+        assert set(foxwright.__all__) <= set(dir(foxwright))
+        namespace = {}
+        exec("from foxwright import *", namespace)
+        assert all(namespace[name] is getattr(foxwright, name) for name in foxwright.__all__)
+    """)
+
+
+def test_lazy_table_is_the_measure_layer_exports():
+    assert {name: set(names) for name, names in foxwright._LAZY_EXPORTS.items()} == {
+        name: set(importlib.import_module(f"foxwright.{name}").__all__)
+        for name in ("hfun", "representations", "bounds")
+    }
+    assert foxwright._LAZY.keys() <= set(foxwright.__all__)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        foxwright.no_such_name
 
 
 def _parameters_named(module_name, names):

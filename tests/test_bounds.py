@@ -65,6 +65,21 @@ class TestExpKernelBounds:
         assert upper.rhs == pytest.approx(psi0 - psi1 / c.rho + (c.eta + psi1 / c.rho) * e,
                                           rel=1e-14)
 
+    def test_mass_split_computed_once_per_set(self, monkeypatch):
+        # the set fixes psi0 and psi1: after the first call no bound or
+        # ratio point does gamma_ratio work for them again
+        bounds._atomic_mass.cache_clear()
+        first = _atomic_mass(DOUBLE_POLE)
+
+        def no_gamma_ratio(*args):
+            raise AssertionError("gamma_ratio called again")
+
+        monkeypatch.setattr(bounds, "gamma_ratio", no_gamma_ratio)
+        assert _atomic_mass(DOUBLE_POLE) is first
+        exp_kernel_bounds(DOUBLE_POLE, 0.5)
+        stieltjes_lower_bound(DOUBLE_POLE, 2.0, 0.5)
+        shifted_stieltjes_ratio(DOUBLE_POLE, 1.0, 1.0, 0.5)
+
     def test_failed_scan_gives_not_applicable(self, monkeypatch):
         # the bounds are conditional on H >= 0: a failed scan is n/a, not fail
         failed = _record("density-nonneg", "", 0.5, -1.0, 0.0, 0.0, ">=")

@@ -1,4 +1,7 @@
-"""Scalar special-function layer: log-gamma, Bernoulli, Stirling, Touchard."""
+"""Scalar special-function layer: log-gamma, Bernoulli, Stirling, Touchard.
+
+The real log-gamma is ``math.lgamma``; ``log_abs_gamma_signed`` adds the sign
+of gamma and rejects the poles."""
 
 import math
 from fractions import Fraction
@@ -9,9 +12,7 @@ import pytest
 from foxwright.special import (
     bernoulli_number,
     bernoulli_poly,
-    gamma_real,
     log_abs_gamma_signed,
-    log_gamma,
     log_gamma_complex_vec,
     stirling2_row,
     touchard_sum,
@@ -21,7 +22,7 @@ from foxwright.special import (
 class TestLogGamma:
     @pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 1.5, 2.0, 3.7, 10.0, 42.5, 171.0])
     def test_matches_stdlib_on_positive_axis(self, x):
-        assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-14)
+        assert log_abs_gamma_signed(x) == (pytest.approx(math.lgamma(x), rel=1e-14), 1.0)
 
     @pytest.mark.parametrize("z", [0.3 + 0.7j, 2.5 - 1.25j, -1.5 + 0.5j, 5.0 + 5.0j])
     def test_reflection_identity(self, z):
@@ -55,8 +56,28 @@ class TestLogGamma:
         assert math.exp(mag) == pytest.approx(2.0 * math.sqrt(math.pi), rel=1e-13)
 
     def test_gamma_real_half_integers(self):
-        assert gamma_real(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-        assert gamma_real(5.0) == pytest.approx(24.0, rel=1e-14)
+        for x, want in ((0.5, math.sqrt(math.pi)), (5.0, 24.0)):
+            mag, sign = log_abs_gamma_signed(x)
+            assert sign * math.exp(mag) == pytest.approx(want, rel=1e-14)
+            assert math.gamma(x) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("x", [-0.5, -1.5, -2.5, -170.5, -1000.3, 1.0 - 1e-9])
+    def test_signed_log_gamma_against_mpmath(self, x):
+        # |gamma| to 1e-14 relative is log|gamma| to 1e-14 absolute; past
+        # |log| = 1 the log itself to 1e-14 relative, since a double cannot
+        # hold log|gamma(-1000.3)| ~ -5913 to 1e-14 absolute
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            want = mpmath.gamma(x)
+            want_mag = mpmath.log(abs(want))
+        mag, sign = log_abs_gamma_signed(x)
+        assert abs(mag - want_mag) <= 1e-14 * max(1.0, abs(want_mag))
+        assert sign == (1.0 if want > 0 else -1.0)
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, -7.0])
+    def test_signed_log_gamma_rejects_poles(self, x):
+        with pytest.raises(ValueError, match="pole"):
+            log_abs_gamma_signed(x)
 
 
 class TestBernoulli:
