@@ -55,6 +55,7 @@ __all__ = [
 _OK_SLACK = 1e-9  # rel_err within which a bound or power-mean step still passes
 _DENOM_FLOOR = 1e-14
 _ROUTE_TOL = 1e-6  # relative gap at which the quotient's two routes disagree
+_CM_ORDER = "cm-order-"  # cm_check's record identity, followed by the order
 
 
 @lru_cache(maxsize=256)
@@ -208,8 +209,13 @@ def cm_check(
         sign = -1.0 if n % 2 else 1.0
         for x, row in zip(xs, table):
             diff = sum((-1) ** (n - j) * comb(n, j) * row[j] for j in range(n + 1))
-            records.append(_record(f"cm-order-{n}", "", x, sign * diff, -eps, 0.0, ">="))
+            records.append(_record(f"{_CM_ORDER}{n}", "", x, sign * diff, -eps, 0.0, ">="))
     return tuple(records)
+
+
+def _cm_order(record: IdentityRecord) -> int:
+    """The differencing order n of a :func:`cm_check` record."""
+    return int(record.identity.removeprefix(_CM_ORDER))
 
 
 # ---------------------------------------------------------------------------
@@ -298,3 +304,9 @@ def ratio_monotonicity_scan(
     return records + tuple(
         _record(name, key, z, v, tol, 0.0, "<=") for z, v in zip(zs, violations)
     )
+
+
+def _scan_direction(record: IdentityRecord) -> str:
+    """The direction, ``nondecreasing`` or ``nonincreasing``, that a step
+    record of :func:`ratio_monotonicity_scan` tests."""
+    return record.identity.partition("[")[0]

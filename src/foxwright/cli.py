@@ -36,6 +36,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bounds import (
+    _cm_order,
+    _scan_direction,
     cm_check,
     exp_kernel_bounds,
     lifted_kernel_bounds,
@@ -228,7 +230,7 @@ def _cm_scan(ns, params, _):
     defect = next((r for r in cm_check(f, grid, ns.h_step, ns.max_order) if not r.ok()), None)
     if defect is None:
         return [(None, "clean", None, None, "pass")]
-    return [(defect.z, defect.identity.removeprefix("cm-") + "-defect", None, None, "fail")]
+    return [(defect.z, f"order-{_cm_order(defect)}-defect", None, None, "fail")]
 
 
 def _ratio_scan(ns, params, _):
@@ -237,7 +239,7 @@ def _ratio_scan(ns, params, _):
     routes = [r for r in records if r.relation == "=="]
     steps = [r for r in records if r.relation == "<="]
     rows = [(r.z, r.rhs, r.abs_err, r.rel_err, "ok") for r in routes]
-    rows.append((None, steps[0].identity.partition("[")[0], max(0.0, max(r.lhs for r in steps)),
+    rows.append((None, _scan_direction(steps[0]), max(0.0, max(r.lhs for r in steps)),
                  max(r.rel_err for r in routes), _verdict(all(r.ok() for r in records))))
     return rows
 

@@ -45,6 +45,7 @@ from foxwright import (
     ratio_monotonicity_scan,
     stieltjes_lower_bound,
 )
+from foxwright.bounds import _scan_direction
 from foxwright.catalog import DOUBLE_POLE, EXP_COLLAPSE, IDENTITY, TWIN_QUARTER
 
 NAMED = {
@@ -194,7 +195,7 @@ def test_criterion_07_ratio_monotonicity(acceptance):
     # records named after the direction (lhs the step against it).
     def summary(records):
         routes, steps = records[:17], records[17:]
-        return (steps[0].identity.partition("[")[0], all(r.ok() for r in steps),
+        return (_scan_direction(steps[0]), all(r.ok() for r in steps),
                 max(0.0, max(r.lhs for r in steps)), max(r.rel_err for r in routes),
                 [r.rhs for r in routes])
 

@@ -15,7 +15,7 @@ from foxwright import (
     shifted_stieltjes_ratio,
     stieltjes_lower_bound,
 )
-from foxwright.bounds import _atomic_mass
+from foxwright.bounds import _atomic_mass, _cm_order, _scan_direction
 from foxwright.catalog import DOUBLE_POLE, EXP_COLLAPSE, TWIN_QUARTER
 from foxwright.errors import (
     ConstraintError,
@@ -33,7 +33,7 @@ CM_GRID = [float(v) for v in np.logspace(math.log10(0.01), math.log10(10.0), 30)
 def first_defect(records):
     """(order, x) of the first failing cm_check record, or None when clean."""
     bad = next((r for r in records if not r.ok()), None)
-    return None if bad is None else (int(bad.identity.removeprefix("cm-order-")), bad.z)
+    return None if bad is None else (_cm_order(bad), bad.z)
 
 
 class TestExpKernelBounds:
@@ -246,7 +246,7 @@ def scan_summary(records):
     routes = [r for r in records if r.relation == "=="]
     steps = [r for r in records if r.relation == "<="]
     assert len(steps) == len(routes) - 1
-    return (steps[0].identity.partition("[")[0], max(0.0, max(r.lhs for r in steps)),
+    return (_scan_direction(steps[0]), max(0.0, max(r.lhs for r in steps)),
             max(r.rel_err for r in routes), all(r.ok() for r in records))
 
 

@@ -30,12 +30,17 @@ from foxwright.hfun import MeasureEvaluator
 BETA_LIKE = ParameterSet([(0.7, 1.0)], [(2.3, 1.0)])
 
 
+# p = 3 sets with all scales 1: mu = 2.45, and mu = -1 (an endpoint atom)
+P3_MU_245 = ParameterSet([(0.5, 1.0), (1.3, 1.0), (2.15, 1.0)], [(1.38, 1.0), (1.98, 1.0), (3.04, 1.0)])
+P3_MU_MINUS_1 = ParameterSet([(0.7, 1.0), (1.25, 1.0), (2.05, 1.0)], [(0.15, 1.0), (0.95, 1.0), (1.9, 1.0)])
+
+
 def beta_density(t, alpha=0.7, beta=2.3):
     return t**alpha * (1.0 - t) ** (beta - alpha - 1.0) / math.gamma(beta - alpha)
 
 
 def meijer_g(t, a, b, scale=1.0):
-    """scale * G^{2,0}_{2,2}(t | ; a / b ;) to 40 digits, as a float."""
+    """scale * G^{p,0}_{p,p}(t | ; a / b ;) to 40 digits, as a float."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         return float(scale * mpmath.meijerg([[], a], [b, []], mpmath.mpf(t)))
@@ -154,6 +159,16 @@ class TestKnownDensities:
         ev = get_evaluator(TWIN_QUARTER)
         got = float(ev.density(np.array([t * ev.rho]))[0])
         want = meijer_g(t * t, [0.25, 0.25], [0.5, 1.0], 2.0 / math.sqrt(math.pi))
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("params", [P3_MU_245, P3_MU_MINUS_1], ids=["mu=2.45", "mu=-1"])
+    @pytest.mark.parametrize("t", [0.3, 0.5, 0.7])
+    def test_p3_meijer_g(self, params, t):
+        # scale 1, rho = 1: H(t) = G^{3,0}_{3,3}(t | ; b / a ;), the shape of
+        # the benchmark's slowest cold-density class; mu = -1 adds atoms at
+        # rho, which leave H on (0, rho) as it is
+        got = float(get_evaluator(params).density(np.array([t]))[0])
+        want = meijer_g(t, [b for b, _ in params.lower], [a for a, _ in params.upper])
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_log_log_slope_matches_gamma_abscissa(self):
@@ -430,6 +445,25 @@ class TestGuards:
         monkeypatch.setattr(hfun, "_NODE_BUDGET", 32)
         with pytest.raises(NonConvergentError):
             MeasureEvaluator(params)
+
+
+class TestKernelWork:
+    @pytest.mark.parametrize("params", [DOUBLE_POLE, P3_MU_245], ids=["double-pole", "p=3"])
+    def test_kernel_elements_are_circle_nodes(self, monkeypatch, params):
+        # every complex log-gamma the build asks for is one circle node of
+        # one gamma factor, so the benchmark's element count is kernel work
+        seen = []
+        kernel = hfun.log_gamma_complex_vec
+
+        def counting(z):
+            seen.append(np.size(z))
+            return kernel(z)
+
+        monkeypatch.setattr(hfun, "log_gamma_complex_vec", counting)
+        ev = MeasureEvaluator(params)
+        ev.density(np.linspace(0.25, 0.7, 20) * ev.rho)
+        pq = len(params.upper) + len(params.lower)
+        assert seen and sum(seen) == ev._res_nodes_used * pq
 
 
 class TestEvaluatorCache:

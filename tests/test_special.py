@@ -46,6 +46,52 @@ class TestLogGamma:
         for got, z in zip(vec, zs):
             assert got == pytest.approx(complex(mpmath.loggamma(z)), rel=1e-13)
 
+    def test_complex_kernel_against_mpmath(self):
+        # the residue circles' geometry: the strip left of the reflection
+        # line out to Re z = -300, radius-0.3 circles around the poles -n,
+        # the right half-plane and |Im z| up to 50, all in one call; then
+        # two points 1e-6 from the poles -1e6 and -1e6 - 1, where pi z
+        # without the exact reduction of x mod 2 is off by ~4000 units.  The
+        # imaginary part may differ from mpmath's principal branch by a
+        # multiple of 2 pi
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(14)
+        theta = rng.uniform(0.0, 2.0 * np.pi, 50)
+        zs = np.concatenate([
+            rng.uniform(-300.0, 0.5, 50) + 1j * rng.uniform(-0.5, 0.5, 50),
+            -rng.integers(0, 301, 50) + 0.3 * np.exp(1j * theta),
+            rng.uniform(0.5, 300.0, 50) + 1j * rng.uniform(-50.0, 50.0, 50),
+            rng.uniform(-300.0, 0.5, 50) + 1j * rng.uniform(-50.0, 50.0, 50),
+            [-1e6 + 1e-6, -1e6 - 1.0 + 1e-6 + 1e-6j],
+        ])
+        got = log_gamma_complex_vec(zs)
+        eps = np.finfo(float).eps
+        with mpmath.workdps(40):
+            for g, z in zip(got, zs):
+                want = mpmath.loggamma(mpmath.mpc(z.real, z.imag))
+                re_err = abs(g.real - want.real)
+                im_err = (g.imag - want.imag) % (2 * mpmath.pi)
+                im_err = min(im_err, 2 * mpmath.pi - im_err)
+                bound = 32 * eps * max(1.0, abs(want))
+                assert re_err <= bound and im_err <= bound, z
+
+    def test_complex_kernel_keeps_shape(self):
+        z = 0.3 - 2.5j
+        scalar = log_gamma_complex_vec(z)
+        assert scalar.shape == ()
+        grid = np.array([[z, -3.2 + 0.1j, 4.0], [1.0 - 1e-3j, -0.5j, 7.5 + 40j]])
+        table = log_gamma_complex_vec(grid)
+        assert table.shape == (2, 3)
+        assert table[0, 0] == pytest.approx(complex(scalar), rel=1e-15)
+        np.testing.assert_array_equal(table.ravel(), log_gamma_complex_vec(grid.ravel()))
+
+    @pytest.mark.parametrize("z", [1e300, 1e300 + 1e300j, 3e299 - 1e300j, -1e300 + 1e300j, -0.5 - 1e300j])
+    def test_complex_kernel_finite_at_large_modulus(self, z):
+        # |t|^2 and sinh(pi y) overflow long before this; hypot and the
+        # e^(-pi |y|) scaling keep the log finite
+        value = log_gamma_complex_vec(np.array([z]))[0]
+        assert np.isfinite(value.real) and np.isfinite(value.imag)
+
     def test_signed_log_gamma_negative_axis(self):
         # gamma(-1.5) = 4 sqrt(pi) / 3 > 0, gamma(-0.5) = -2 sqrt(pi) < 0
         mag, sign = log_abs_gamma_signed(-1.5)
