@@ -268,37 +268,34 @@ def ratio_monotonicity_scan(
     delta: float,
     z_grid: Sequence[float],
     tol: float = 1e-8,
-    expected: str | None = None,
 ) -> tuple[IdentityRecord, ...]:
     """Evaluate the quotient across ``z_grid`` and test its direction.
 
     Increasing ``z`` sharpens the kernel ``(1+tz)^(-sigma)`` against large
     ``t``, so the kernel-weighted mean of ``t^delta`` drifts toward the
-    origin: the quotient is nonincreasing in ``z`` for ``delta > 0`` and
+    origin: the quotient is nonincreasing in ``z`` for ``delta >= 0`` and
     nondecreasing for ``delta < 0``.  (Chebyshev's integral inequality on
     the synchronous pair ``t^delta``, ``t/(1+tz)`` fixes the sign of the
-    z-derivative of the quotient.)  Pass ``expected`` to probe a different
-    direction claim.
+    z-derivative of the quotient.)
 
     Returns the :func:`shifted_stieltjes_ratio` record of each grid point in
     increasing z (rhs the quadrature route, lhs the series route as a
     cross-check), then one ``<=`` record per step z_i -> z_(i+1), at z_i,
-    named after ``expected``: lhs is the step of the quadrature route
-    against the expected direction, rhs ``tol``.
+    named after that direction: lhs is the step of the quadrature route
+    against it, rhs ``tol``.  A different direction claim can be probed
+    from the route records' rhs values.
     """
     zs = sorted(float(z) for z in z_grid)
     if len(zs) < 2:
         raise ParameterError("z_grid needs at least two points")
-    if expected is None:
-        expected = "nonincreasing" if delta >= 0 else "nondecreasing"
-    if expected not in ("nondecreasing", "nonincreasing"):
-        raise ParameterError("expected must be 'nondecreasing' or 'nonincreasing'")
     records = tuple(shifted_stieltjes_ratio(params, sigma, delta, z) for z in zs)
     values = [r.rhs for r in records]
-    if expected == "nondecreasing":
-        violations = [values[i] - values[i + 1] for i in range(len(values) - 1)]
-    else:
+    if delta >= 0:
+        expected = "nonincreasing"
         violations = [values[i + 1] - values[i] for i in range(len(values) - 1)]
+    else:
+        expected = "nondecreasing"
+        violations = [values[i] - values[i + 1] for i in range(len(values) - 1)]
     name = f"{expected}[sigma={sigma:g},delta={delta:g}]"
     key = records[0].params_hash
     return records + tuple(

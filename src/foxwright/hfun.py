@@ -38,12 +38,12 @@ H has two series, one converging at each end of the support:
 Each route reports an error estimate: its last two terms (so that a
 vanishing coefficient does not hide the tail) plus its rounding floor
 eps * sum |terms|.  The endpoint estimate falls as t grows, so one cut
-per evaluator follows from it: the residue table is built so that its
-tail is at the rounding level just above the last t (on a rho/32 grid)
-where the endpoint estimate exceeds 16 eps |H|, or as far as the node
-budget allows.  Out to the table's reach AUTO and the integration rule
-take, per t, the route with the smaller estimate; above it the endpoint
-series serves.  No switch point is measured or configured.
+per evaluator follows from it: the evaluator builds its residue table
+once, so that its tail is at the rounding level just above the last t (on
+a rho/32 grid) where the endpoint estimate exceeds 16 eps |H|, or as far
+as the node budget allows.  Out to the table's reach AUTO and the
+integration rule take, per t, the route with the smaller estimate; above
+it the endpoint series serves.  No switch point is measured or configured.
 
 A parameter set whose ratio IS its polynomial part (upper == lower rows,
 duplication- or multiplication-formula collapses) has H identically zero.
@@ -148,32 +148,38 @@ class MeasureEvaluator:
             [self.eta * self._ell[r] / math.gamma(self.mu + r) for r in range(lead, order + 1)]
         )
 
-        # residue table, grown by _extend_table: group g's residues at t sum
-        # to t^centres[g] sum_n coeffs[g, n] (-ln t)^n, and scale[g] is
-        # max |c_k| / (max |ratio| * radius) on its circle
-        self._res_centres = np.empty(0)
-        self._res_coeffs = np.empty((0, 0))
-        self._res_scale = np.empty(0)
-        self._res_sigma_built = 0.0
-        self._res_nodes_used = 0
-        self._pole_gen_exhausted = False
-        # the part of the table AUTO reads, fixed by _place_cut
-        self._auto_groups = 0
-        self._auto_reach = 0.0
         # the benchmark counts work as _res_nodes_used + _tau.size; every node
         # is spent on the residue table, so _tau stays empty
         self._tau = np.empty(0)
 
         # integration state, filled lazily: tanh-sinh levels of (t_i, w_i H(t_i))
-        # and the default nonnegativity scan
+        # and the nonnegativity scan
         self._rule: list[tuple[np.ndarray, np.ndarray]] = []
-        self._default_scan: IdentityRecord | None = None
+        self._scan: IdentityRecord | None = None
 
-        self._place_cut()
+        # The residue table AUTO and the rule read.  The endpoint estimate
+        # falls as t grows: on the probes t = k rho / 32 take the first one
+        # above the last where it exceeds _ENDPOINT_ULPS eps |H|, and build
+        # the table so that its tail there is at the rounding level.  Group
+        # g's residues at t sum to t^centres[g] sum_n coeffs[g, n] (-ln t)^n.
+        probe = self.rho * np.arange(1, 32) / 32.0
+        value, tail, mass = self._endpoint(np.log1p((self.rho - probe) / probe))
+        miss = np.flatnonzero(tail + _EPS * mass > _ENDPOINT_ULPS * _EPS * np.abs(value))
+        cut = probe[min(miss[-1] + 1, probe.size - 1)] if miss.size else probe[0]
+        sigma = self._table_sigma(float(cut), _EPS)
+        self._res_centres, self._res_coeffs, scale, self._res_nodes_used, exhausted = (
+            self._build_table(sigma)
+        )
         if self._res_centres.size == 0:
             raise NonConvergentError("the first pole group needs more than the node budget")
+        # the largest sigma target RESIDUE_SERIES reads this table for (an
+        # exhausted table cannot grow, so every one), and the table's reach:
+        # the t where its tail meets 1e-3 tol
+        self._res_sigma = math.inf if exhausted else sigma
+        span = (float(self._res_centres[-1]) if exhausted else sigma) - self._first
+        self._reach = self.rho * (1e-3 * _TOL) ** (1.0 / span) if span > 0 else 0.0
         leading = self._res_centres <= self._first + _TABLE_STEP
-        self.degenerate = bool(np.all(self._res_scale[leading] <= _DEGENERATE_RATIO))
+        self.degenerate = bool(np.all(scale[leading] <= _DEGENERATE_RATIO))
 
     def _log_ratio(self, s: np.ndarray) -> np.ndarray:
         acc = np.zeros_like(s, dtype=complex)
@@ -217,36 +223,29 @@ class MeasureEvaluator:
         out.sort()
         return out
 
-    def _ensure_residue_table(self, t_max: float, target: float | None = None) -> None:
-        """The residue table that H(t <= t_max) needs: out to the pole
-        abscissa where (t_max/rho)^(sigma - first) falls below target,
-        1e-3 tol unless given."""
-        target = 1e-3 * _TOL if target is None else target
-        self._extend_table(self._first + math.log(target) / math.log(t_max / self.rho))
+    def _table_sigma(self, t_max: float, target: float) -> float:
+        """The pole abscissa where (t_max/rho)^(sigma - first) falls below
+        target, rounded up to a multiple of _TABLE_STEP so that nearby t_max
+        values share one table."""
+        sigma = self._first + math.log(target) / math.log(t_max / self.rho)
+        return _TABLE_STEP * math.ceil(sigma / _TABLE_STEP)
 
-    def _extend_table(self, sigma_target: float) -> None:
-        """Newton moments of every pole group with centre up to sigma_target.
+    def _build_table(self, sigma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
+        """Residue table of every pole group with centre up to sigma:
+        (centres, power-series rows, moment scales, circle nodes, exhausted).
 
-        The target is rounded up to a multiple of _TABLE_STEP so creeping
-        t_max values don't trigger a rebuild per call.  The table stops
-        early (``_pole_gen_exhausted``) when the groups' circle nodes would
-        overrun ``_NODE_BUDGET``, and at the sigma where one upper row
-        alone has more poles than the budget has circles.  Each extension
-        rebuilds the whole table.
+        A group's scale is max |c_k| / (max |ratio| * radius) on its circle.
+        The table is exhausted, and ends early, when the groups' circle
+        nodes would overrun ``_NODE_BUDGET``, or at the sigma where one
+        upper row alone has more poles than the budget has circles.
         """
-        if self._pole_gen_exhausted:
-            return
         budget = _NODE_BUDGET
-        sigma_target = _TABLE_STEP * math.ceil(sigma_target / _TABLE_STEP)
         cap = min((a + budget // _CIRCLE_NODES) / sc for a, sc in self.params.upper)
-        if sigma_target <= self._res_sigma_built:
-            return
-        if sigma_target > cap:
-            sigma_target = cap
-            self._pole_gen_exhausted = True
+        exhausted = sigma > cap
+        sigma = min(sigma, cap)
         # one ladder spacing past the target, so the last group's neighbour is known
         spacing = min(1.0 / sc for _, sc in self.params.upper)
-        limit = sigma_target + spacing
+        limit = sigma + spacing
         members: list[list[float]] = []
         for sg in self._generate_poles(limit):
             if members and sg - members[-1][-1] <= _GROUP_GAP * spacing:
@@ -257,7 +256,7 @@ class MeasureEvaluator:
         used = 0
         for i, group in enumerate(members):
             centre = sum(group) / len(group)
-            if centre > sigma_target:
+            if centre > sigma:
                 break
             half = max(abs(sg - centre) for sg in group)
             left = centre - members[i - 1][-1] if i else math.inf
@@ -269,15 +268,12 @@ class MeasureEvaluator:
             rate = max(half / radius, radius / near)
             nodes = max(_CIRCLE_NODES, math.ceil(math.log(1e-17) / math.log(rate)))
             if used + nodes > budget:
-                self._pole_gen_exhausted = True
+                exhausted = True
                 break
             used += nodes
             plan.append((group, centre, radius, nodes))
-        self._res_centres = np.array([p[1] for p in plan])
-        self._res_coeffs, self._res_scale = self._circle_moments(plan)
-        self._res_nodes_used = used
-        # an exhausted table reaches only as far as its last group
-        self._res_sigma_built = plan[-1][1] if self._pole_gen_exhausted and plan else sigma_target
+        coeffs, scale = self._circle_moments(plan)
+        return np.array([p[1] for p in plan]), coeffs, scale, used, exhausted
 
     def _circle_moments(self, plan: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
         """Residue power series of the planned groups, one row each, and the
@@ -319,15 +315,13 @@ class MeasureEvaluator:
         return coeffs, scale
 
     def _residues(
-        self, log_t: np.ndarray, count: int | None = None
+        self, log_t: np.ndarray, centres: np.ndarray, coeffs: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(H, |last two group terms|, sum |group terms|) from the first
-        ``count`` groups of the residue table (all by default)."""
+        """(H, |last two group terms|, sum |group terms|) from the residue
+        table rows ``centres`` and ``coeffs``."""
         value = np.zeros_like(log_t)
         tail = np.zeros_like(log_t)
         mass = np.zeros_like(log_t)
-        centres = self._res_centres[:count]
-        coeffs = self._res_coeffs[:count]
         powers = np.arange(coeffs.shape[1])
         for i in range(0, log_t.size, _RESIDUE_CHUNK):
             lt = log_t[i : i + _RESIDUE_CHUNK]
@@ -337,50 +331,36 @@ class MeasureEvaluator:
             mass[i : i + _RESIDUE_CHUNK] = np.abs(terms).sum(axis=1)
         return value, tail, mass
 
-    def _principal_density(self, t: np.ndarray) -> np.ndarray:
-        """H(t) from the residue table alone.
+    def _residue_density(self, t: np.ndarray) -> np.ndarray:
+        """H(t) from the residues alone: the evaluator's table where its
+        tail at max t is below 1e-3 tol, else a table built for max t and
+        dropped after the call.
 
         Raises NonConvergentError when the node budget ends the table
         before the last groups' terms are negligible.
         """
         if t.size == 0:
             return np.zeros_like(t)
-        self._ensure_residue_table(float(np.max(t)))
-        value, tail, _ = self._residues(np.log(t))
-        if self._pole_gen_exhausted and np.max(tail) > _TOL * np.max(np.abs(value)):
+        sigma = self._table_sigma(float(np.max(t)), 1e-3 * _TOL)
+        if sigma <= self._res_sigma:
+            centres, coeffs = self._res_centres, self._res_coeffs
+            exhausted = self._res_sigma == math.inf
+        else:
+            centres, coeffs, _, _, exhausted = self._build_table(sigma)
+        value, tail, _ = self._residues(np.log(t), centres, coeffs)
+        if exhausted and np.max(tail) > _TOL * np.max(np.abs(value)):
             raise NonConvergentError(
                 "residue groups failed to decay within the node budget; "
                 "use the endpoint series this close to the support endpoint"
             )
         return value
 
-    def _place_cut(self) -> None:
-        """Build the residue table that AUTO and the rule use, once.
-
-        The endpoint series' estimate falls as t grows.  On the probes
-        t = k rho / 32 find the first one above the last where it exceeds
-        _ENDPOINT_ULPS eps |H|, and build the table so that its tail there
-        is at the rounding level, or as far as the node budget allows.  The
-        residues then serve out to the table's reach, the t where its tail
-        meets 1e-3 tol, wherever their estimate is the smaller.  Later
-        growth of the table for RESIDUE_SERIES calls does not change what
-        AUTO returns.
-        """
-        probe = self.rho * np.arange(1, 32) / 32.0
-        value, tail, mass = self._endpoint(np.log1p((self.rho - probe) / probe))
-        miss = np.flatnonzero(tail + _EPS * mass > _ENDPOINT_ULPS * _EPS * np.abs(value))
-        cut = probe[min(miss[-1] + 1, probe.size - 1)] if miss.size else probe[0]
-        self._ensure_residue_table(float(cut), _EPS)
-        span = self._res_sigma_built - self._first
-        self._auto_groups = self._res_centres.size
-        self._auto_reach = self.rho * (1e-3 * _TOL) ** (1.0 / span) if span > 0 else 0.0
-
     def _split_density(self, t: np.ndarray, log_t: np.ndarray, u: np.ndarray) -> np.ndarray:
         """H from whichever route has the smaller error estimate at each t.
 
-        The residues of the table ``_place_cut`` built are consulted out to
-        its reach, and wherever the endpoint series misses 1e-3 tol of H;
-        the endpoint series serves the rest.  NonConvergentError where
+        The residues of the evaluator's table are consulted out to its
+        reach, and wherever the endpoint series misses 1e-3 tol of H; the
+        endpoint series serves the rest.  NonConvergentError where
         neither estimate is within max(tol, _ENDPOINT_ULPS eps) of its sum
         of |terms|: the node budget ended the residues short of the endpoint
         series' reach.
@@ -388,8 +368,8 @@ class MeasureEvaluator:
         value, tail, mass = self._endpoint(u)
         est = tail + _EPS * mass
         miss = est > 1e-3 * _TOL * np.abs(value)
-        idx = np.flatnonzero((t <= self._auto_reach) | miss)
-        res, res_tail, res_mass = self._residues(log_t[idx], self._auto_groups)
+        idx = np.flatnonzero((t <= self._reach) | miss)
+        res, res_tail, res_mass = self._residues(log_t[idx], self._res_centres, self._res_coeffs)
         res_est = res_tail + _EPS * res_mass
         better = res_est < est[idx]
         tol = max(_TOL, _ENDPOINT_ULPS * _EPS)
@@ -421,7 +401,7 @@ class MeasureEvaluator:
         if self.degenerate:
             return np.zeros_like(t)
         if method is HfunMethod.RESIDUE_SERIES:
-            return self._principal_density(t)
+            return self._residue_density(t)
         u = np.log1p((self.rho - t) / t)
         if method is HfunMethod.ENDPOINT_SERIES:
             value, tail, mass = self._endpoint(u)
@@ -545,28 +525,20 @@ def _newton_to_power(moments: np.ndarray, nodes: np.ndarray, extra: int) -> np.n
 # ---------------------------------------------------------------------------
 
 
-def hfun_nonneg_scan(
-    params: ParameterSet, grid: np.ndarray | list[float] | None = None
-) -> IdentityRecord:
-    """Scan the density over a grid: a ``>=`` record at its minimum.
+def hfun_nonneg_scan(params: ParameterSet) -> IdentityRecord:
+    """Scan the density over 50 points of [1e-3 rho, (1 - 1e-3) rho]: a
+    ``>=`` record at its minimum, built once per evaluator.
 
     lhs is the smallest H on the grid, z the t where it sits, and rhs is
     -1e-9 max |H|, a floor that scales with the largest magnitude seen, so
-    an all-zero degenerate density passes without special-casing.  The
-    default grid (50 points over [1e-3 rho, (1 - 1e-3) rho]) is scanned once
-    per evaluator and its record reused; an explicit grid is always scanned.
+    an all-zero degenerate density passes without special-casing.
     """
     ev = get_evaluator(params)
-    if grid is not None:
-        return _scan(ev, np.asarray(grid, dtype=float))
-    if ev._default_scan is None:
-        ev._default_scan = _scan(ev, np.linspace(ev.rho * 1e-3, ev.rho * (1 - 1e-3), 50))
-    return ev._default_scan
-
-
-def _scan(ev: MeasureEvaluator, grid: np.ndarray) -> IdentityRecord:
-    vals = ev.density(grid)
-    idx = int(np.argmin(vals))
-    floor = -1e-9 * float(np.max(np.abs(vals)))
-    return _record("density-nonneg", ev.params.hash_key(), grid[idx], float(vals[idx]), floor,
-                   0.0, ">=")
+    if ev._scan is None:
+        grid = np.linspace(ev.rho * 1e-3, ev.rho * (1 - 1e-3), 50)
+        vals = ev.density(grid)
+        idx = int(np.argmin(vals))
+        floor = -1e-9 * float(np.max(np.abs(vals)))
+        ev._scan = _record("density-nonneg", params.hash_key(), grid[idx], float(vals[idx]),
+                           floor, 0.0, ">=")
+    return ev._scan

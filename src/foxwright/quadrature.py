@@ -10,8 +10,7 @@ carry x onto t:
 * exp-sinh, t = exp((pi/2) sinh x), onto (0, inf).
 
 ``integrate_levels`` is the one level loop; the measure's cached rule
-(``hfun``), the gamma-weighted integral below and the finite Laplace
-integral (``representations``) all run on it.
+(``hfun``) and the gamma-weighted integral below run on it.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from typing import Any
 
 __all__ = [
@@ -92,7 +92,8 @@ def log_gamma_complex_vec(z: Any) -> Any:
       and pi |y| is added back to its log, so nothing overflows at large
       |y|.  r = x - 2 rint(x / 2) in [-1, 1] is x reduced mod 2 exactly
       (each step is exact in binary floating point), so pi r loses nothing
-      to the size of x.
+      to the size of x.  sin(pi r) is taken as exactly 0 where r is an
+      integer, so log gamma is +inf at every pole, odd ones included.
 
     Against mpmath over Re z in [-300, 300], |Im z| <= 50 and radius-0.3
     circles around the poles, the real part and the imaginary part mod
@@ -131,10 +132,13 @@ def log_gamma_complex_vec(z: Any) -> Any:
     im = h * log_t_im + y * (log_t_re - 1.0) + np.arctan2(acc_im, acc_re)
 
     if left.any():
-        pi_r = math.pi * (x - 2.0 * np.rint(0.5 * x))
+        r = x - 2.0 * np.rint(0.5 * x)
+        pi_r = math.pi * r
         pi_y = math.pi * np.abs(y)
         em = np.expm1(-2.0 * pi_y)
-        sin_re = np.sin(pi_r) * (1.0 + 0.5 * em)
+        # sin(pi r) is exactly 0 at an integer r, so every pole gives +inf
+        sin_pi_r = np.where(r == np.rint(r), 0.0, np.sin(pi_r))
+        sin_re = sin_pi_r * (1.0 + 0.5 * em)
         sin_im = np.cos(pi_r) * np.copysign(-0.5 * em, y)
         # the unused right-hand elements may sit on a zero of sin(pi z)
         with np.errstate(divide="ignore"):
@@ -151,11 +155,10 @@ def log_gamma_complex_vec(z: Any) -> Any:
 # Bernoulli numbers / polynomials (exact rational arithmetic)
 # ---------------------------------------------------------------------------
 
-_BERNOULLI_CACHE: dict[int, Fraction] = {0: Fraction(1), 1: Fraction(-1, 2)}
-
 _BERNOULLI_MAX = 64
 
 
+@cache
 def bernoulli_number(n: int) -> Fraction:
     """Exact Bernoulli number B_n with the B_1 = -1/2 convention.
 
@@ -168,20 +171,17 @@ def bernoulli_number(n: int) -> Fraction:
         raise ValueError("Bernoulli index must be non-negative")
     if n > _BERNOULLI_MAX:
         raise OverflowError(f"Bernoulli numbers capped at n={_BERNOULLI_MAX}")
-    if n in _BERNOULLI_CACHE:
-        return _BERNOULLI_CACHE[n]
-    if n % 2 == 1:
-        _BERNOULLI_CACHE[n] = Fraction(0)
-        return _BERNOULLI_CACHE[n]
+    if n == 0:
+        return Fraction(1)
+    if n > 1 and n % 2 == 1:
+        return Fraction(0)
     total = Fraction(0)
     for k in range(n):
         total += Fraction(math.comb(n + 1, k)) * bernoulli_number(k)
-    value = -total / (n + 1)
-    _BERNOULLI_CACHE[n] = value
-    return value
+    return -total / (n + 1)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _bernoulli_row(n: int) -> tuple[float, ...]:
     """C(n,k) B_k(1/2) for k = 0..n, B_k(1/2) = (2^(1-k) - 1) B_k, each
     rounded once: the coefficients of B_n(x) in powers of x - 1/2."""
@@ -218,24 +218,20 @@ def bernoulli_poly(n: int, x: float) -> float:
 # Stirling numbers of the second kind and weighted exponential sums
 # ---------------------------------------------------------------------------
 
-_STIRLING_CACHE: dict[int, tuple[int, ...]] = {0: (1,)}
-
-
+@cache
 def stirling2_row(n: int) -> tuple[int, ...]:
     """Row n of the Stirling-second-kind triangle: (S(n,0), ..., S(n,n))."""
     if n < 0:
         raise ValueError("Stirling row index must be non-negative")
-    if n in _STIRLING_CACHE:
-        return _STIRLING_CACHE[n]
+    if n == 0:
+        return (1,)
     prev = stirling2_row(n - 1)
     row = [0] * (n + 1)
     for k in range(1, n + 1):
         left = prev[k - 1]
         right = prev[k] if k < n else 0
         row[k] = left + k * right
-    out = tuple(row)
-    _STIRLING_CACHE[n] = out
-    return out
+    return tuple(row)
 
 
 def touchard_poly(j: int, x: Any) -> Any:

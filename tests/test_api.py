@@ -13,8 +13,12 @@ stale entry there would crash it.
 
 ``import foxwright`` loads the series layers only; the measure layer's names
 (and numpy with them) load on first access.
+
+The defaulted parameters left are pinned, each with the caller outside the
+tests that sets it, and so are the library names the benchmark reads.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -31,7 +35,7 @@ from pathlib import Path
 import pytest
 
 import foxwright
-from foxwright import IdentityRecord, cli, series
+from foxwright import IdentityRecord, cli, hfun, series
 from foxwright.series import _record
 
 MODULES = ["foxwright"] + [
@@ -50,6 +54,26 @@ CHECK_FUNCTIONS = {
     "laplace_lift_check", "finite_laplace_identity", "four_param_representation",
     "exp_kernel_bounds", "lifted_kernel_bounds", "stieltjes_lower_bound", "cm_check",
     "shifted_stieltjes_ratio", "ratio_monotonicity_scan", "hfun_nonneg_scan",
+}
+# Every defaulted parameter of a public callable, exception types aside,
+# with the caller outside the tests that sets it.
+DEFAULTED_PARAMETERS = {
+    # scripts/verify_all.py and perfbench/test_perfbench.py name a single series
+    "MeasureEvaluator.density.method",
+    # the CLI's --tol
+    "verify_representation.tol", "verify_stieltjes.tol", "laplace_lift_check.tol",
+    "ratio_monotonicity_scan.tol",
+    # the CLI's --max-order
+    "cm_check.max_order",
+    # laplace_lift_check passes the decay rate of its integrand
+    "integrate_gamma_weighted.decay",
+    # the benchmark's identity-cli worker passes each argument list
+    "main.argv",
+}
+EXCEPTION_TYPES = {
+    name for name in foxwright.__all__
+    if inspect.isclass(getattr(foxwright, name))
+    and issubclass(getattr(foxwright, name), BaseException)
 }
 SERIES_FUNCTIONS = [
     series.fox_wright,
@@ -147,6 +171,45 @@ def test_no_config_or_term_cap_parameters(name):
 @pytest.mark.parametrize("name", MODULES)
 def test_no_route_or_tolerance_knobs(name):
     assert _parameters_named(name, REMOVED_KNOBS) == []
+
+
+def test_defaulted_parameters_are_pinned():
+    defaulted = {
+        f"{qualname}.{name}"
+        for module in MODULES
+        for qualname, fn in _public_callables(importlib.import_module(module))
+        if qualname.split(".")[0] not in EXCEPTION_TYPES
+        for name, param in inspect.signature(fn).parameters.items()
+        if param.default is not inspect.Parameter.empty
+    }
+    assert defaulted == DEFAULTED_PARAMETERS
+
+
+def test_benchmark_reads_resolve():
+    """perfbench reads the evaluator cache, the table's node count and the
+    empty ``_tau`` for its work figure, and checks the residue series alone
+    against its oracle."""
+    import numpy as np
+
+    ev = foxwright.get_evaluator(foxwright.DOUBLE_POLE)
+    assert hfun._EVALUATORS[foxwright.DOUBLE_POLE] is ev
+    assert isinstance(ev._res_nodes_used, int) and ev._res_nodes_used > 0
+    assert ev._tau.size == 0
+    t = np.array([0.2, 0.5])
+    residue = ev.density(t, method=foxwright.HfunMethod.RESIDUE_SERIES)
+    assert np.allclose(residue, ev.density(t), rtol=1e-12, atol=0.0)
+
+
+def test_residue_table_is_built_once():
+    """Only ``MeasureEvaluator.__init__`` assigns the residue table."""
+    writers = set()
+    for fn in ast.walk(ast.parse(inspect.getsource(hfun))):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and node.attr.startswith("_res_")):
+                    writers.add(fn.name)
+    assert writers == {"__init__"}
 
 
 @pytest.mark.parametrize("fn", SERIES_FUNCTIONS, ids=lambda fn: fn.__name__)

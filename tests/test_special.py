@@ -75,6 +75,24 @@ class TestLogGamma:
                 bound = 32 * eps * max(1.0, abs(want))
                 assert re_err <= bound and im_err <= bound, z
 
+    @pytest.mark.parametrize("n", [-4, -3, -2, -1, 0, -1000001])
+    def test_complex_kernel_infinite_at_poles(self, n):
+        # sin(pi z) at an odd pole once rounded to 1.2e-16, not 0, and gave
+        # a finite value (35.99 at -3)
+        value = log_gamma_complex_vec(np.array([complex(n)]))[0]
+        assert value.real == math.inf
+
+    def test_complex_kernel_beside_odd_pole(self):
+        # sin(pi x) is exactly 0 at x = -3, while cos(pi x) sinh(pi y) is not
+        mpmath = pytest.importorskip("mpmath")
+        z = -3.0 + 0.5j
+        got = log_gamma_complex_vec(np.array([z]))[0]
+        want = complex(mpmath.loggamma(z))
+        eps = np.finfo(float).eps
+        assert abs(got.real - want.real) <= 8 * eps * max(1.0, abs(want))
+        im_err = (got.imag - want.imag) % (2 * math.pi)
+        assert min(im_err, 2 * math.pi - im_err) <= 8 * eps * max(1.0, abs(want))
+
     def test_complex_kernel_keeps_shape(self):
         z = 0.3 - 2.5j
         scalar = log_gamma_complex_vec(z)
