@@ -4,7 +4,7 @@ The package is organised in layers:
 
 * :mod:`foxwright.special` - scalar/vector log-gamma, Bernoulli, Stirling.
 * :mod:`foxwright.params` - parameter rows, derived constants, domains.
-* :mod:`foxwright.series` - direct summation and named specialisations, and
+* :mod:`foxwright.series` - direct summation, the four-parameter form, and
   the two result types: :class:`EvalResult` for a value and
   :class:`IdentityRecord` for a comparison.
 * :mod:`foxwright.hfun` - the representing density on (0, rho), from the
@@ -35,10 +35,8 @@ from .errors import (
     QuadratureFailure,
 )
 from .params import (
-    Convergence,
     DerivedConstants,
     ParameterSet,
-    classify_convergence,
     correction_coeffs,
     derive_constants,
     gamma_ratio,
@@ -53,9 +51,6 @@ from .series import (
     four_param_wright,
     fox_wright,
     fox_wright_value,
-    hyper_pfq,
-    mittag_leffler,
-    wright_function,
 )
 from .catalog import (
     DOUBLE_POLE,
@@ -68,9 +63,7 @@ from .catalog import (
 __all__ = [
     "ParameterSet",
     "DerivedConstants",
-    "Convergence",
     "derive_constants",
-    "classify_convergence",
     "correction_coeffs",
     "gamma_ratio",
     "in_domain",
@@ -80,9 +73,6 @@ __all__ = [
     "SeriesStatus",
     "fox_wright",
     "fox_wright_value",
-    "hyper_pfq",
-    "wright_function",
-    "mittag_leffler",
     "four_param_wright",
     "correction_series",
     "HfunMethod",

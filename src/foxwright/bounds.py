@@ -40,7 +40,7 @@ from .params import (
     gamma_ratio,
     shift_parameters,
 )
-from .representations import lifted_value
+from .representations import _lifted_regular, lifted_value
 from .series import IdentityRecord, _record, fox_wright_value
 
 __all__ = [
@@ -249,11 +249,8 @@ def shifted_stieltjes_ratio(
         )
     quad = num_q / den_q
 
-    shifted = shift_parameters(params, delta)
-    cs = derive_constants(shifted)
-    g = math.gamma(sigma)
-    num_s = lifted_value(shifted, sigma, -z) - g * cs.eta * (1.0 + cs.rho * z) ** (-sigma)
-    den_s = lifted_value(params, sigma, -z) - g * c.eta * (1.0 + c.rho * z) ** (-sigma)
+    num_s = _lifted_regular(shift_parameters(params, delta), sigma, z)
+    den_s = _lifted_regular(params, sigma, z)
     if abs(den_s) < _DENOM_FLOOR:
         raise DivisionError(f"series denominator ~ {den_s:.2e}: quotient undefined")
     return _record(

@@ -192,6 +192,8 @@ def _identity_point(check):
 def _bounds_point(ns, params, z):
     """The bounded value; its margin over the lower bound; and the margin to
     the upper bound, or for --sigma the lower margin relative to 1 + |value|."""
+    if ns.sigma is not None and ns.lift is not None:
+        raise CliUsageError("bounds takes --sigma or --lift, not both")
     if ns.sigma is not None:
         lower, step = stieltjes_lower_bound(params, ns.sigma, z)
         margin = lower.rhs - lower.lhs

@@ -23,7 +23,6 @@ Keeping both as named fields avoids a whole class of sign errors.
 from __future__ import annotations
 
 import cmath
-import enum
 import hashlib
 import json
 import math
@@ -37,9 +36,7 @@ from .special import bernoulli_poly, log_abs_gamma_signed
 __all__ = [
     "ParameterSet",
     "DerivedConstants",
-    "Convergence",
     "derive_constants",
-    "classify_convergence",
     "in_domain",
     "correction_coeffs",
     "gamma_ratio",
@@ -53,15 +50,6 @@ _INT_TOL = 1e-9
 _BALANCE_TOL = 1e-9  # |delta| and mu > 0 tolerance of the measure's regimes
 _EDGE_RTOL = 1e-12  # |z| this close to the radius, relatively, is on the disk's edge
 _POLE_SCAN_CAP = 10_000
-
-
-class Convergence(enum.Enum):
-    """Domain type of the series as a function of the scale balance."""
-
-    ENTIRE_PLANE = "entire-plane"
-    DISK = "disk"
-    BOUNDARY_SUMMABLE = "boundary-summable"
-    DIVERGENT = "divergent"
 
 
 @dataclass(frozen=True)
@@ -217,39 +205,32 @@ def derive_constants(params: ParameterSet) -> DerivedConstants:
     )
 
 
-def classify_convergence(params: ParameterSet) -> Convergence:
-    """Domain trichotomy driven by the scale balance delta.
+def _converges(delta: float, radius: float, mu: float, z: complex) -> bool:
+    """Whether a series with scale balance ``delta``, disk radius ``radius``
+    and second-order exponent ``mu`` converges at z; never at a non-finite z.
 
-    delta > -1 gives an entire function; delta == -1 a disk of radius
-    ``conv_radius``, whose boundary is summable exactly when mu > 1/2;
-    delta < -1 leaves only z = 0.
+    delta > -1 gives an entire function; delta == -1 (to within _INT_TOL) a
+    disk of that radius, whose edge is summable exactly when mu > 1/2;
+    delta < -1 leaves only z = 0.  The row series and the four-parameter
+    form both decide their domain here.
     """
-    c = derive_constants(params)
-    if c.delta > -1.0 + _INT_TOL:
-        return Convergence.ENTIRE_PLANE
-    if c.delta > -1.0 - _INT_TOL:
-        if c.mu > 0.5:
-            return Convergence.BOUNDARY_SUMMABLE
-        return Convergence.DISK
-    return Convergence.DIVERGENT
+    if not cmath.isfinite(z):
+        return False
+    if delta > -1.0 + _INT_TOL:
+        return True
+    if not delta > -1.0 - _INT_TOL:
+        return z == 0
+    r = abs(z)
+    if r < radius * (1.0 - _EDGE_RTOL):
+        return True
+    return abs(r - radius) <= radius * _EDGE_RTOL and mu > 0.5
 
 
 def in_domain(params: ParameterSet, z: complex) -> bool:
     """Whether the series at z converges for this parameter set; never at a
     non-finite z."""
-    if not cmath.isfinite(z):
-        return False
-    kind = classify_convergence(params)
-    if kind is Convergence.ENTIRE_PLANE:
-        return True
-    if kind is Convergence.DIVERGENT:
-        return z == 0
-    radius = derive_constants(params).conv_radius
-    r = abs(z)
-    if r < radius * (1.0 - _EDGE_RTOL):
-        return True
-    on_boundary = abs(r - radius) <= radius * _EDGE_RTOL
-    return on_boundary and kind is Convergence.BOUNDARY_SUMMABLE
+    c = derive_constants(params)
+    return _converges(c.delta, c.conv_radius, c.mu, z)
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -273,11 +254,12 @@ def shift_parameters(params: ParameterSet, delta: float) -> ParameterSet:
 
 def _pole_order(arg: float, scale: float) -> int | None:
     """n when gamma(arg) sits at its pole -n, to within _INT_TOL in the index
-    (|arg + n| < _INT_TOL * scale); None away from every pole."""
+    (|arg + n| <= _INT_TOL * scale); None away from every pole.  A zero scale
+    (a constant factor of the four-parameter form) admits the exact pole only."""
     if arg >= 0.5:
         return None
     n = round(arg)
-    return -n if abs(arg - n) < _INT_TOL * scale else None
+    return -n if abs(arg - n) <= _INT_TOL * scale else None
 
 
 def _pole_weight(n: int, scale: float) -> tuple[float, float]:

@@ -161,8 +161,7 @@ def verify_stieltjes(
             f"got mu={c.mu:.6g}"
         )
     lhs = float(stieltjes_eval(params, sigma, z).value)
-    atom = math.gamma(sigma) * c.eta * (1.0 + c.rho * z) ** (-sigma)
-    rhs = lifted_value(params, sigma, -z) - atom
+    rhs = _lifted_regular(params, sigma, z)
     return _record(
         f"stieltjes-kernel[sigma={sigma:g}]", params.hash_key(), z, lhs, rhs, tol
     )
@@ -198,6 +197,16 @@ def lifted_value(params: ParameterSet, lam: float, z: float) -> float:
         f"z={z} is outside the lifted series disk and the kernel continuation "
         "needs a balanced set with a single endpoint atom and z < 0"
     )
+
+
+def _lifted_regular(params: ParameterSet, sigma: float, z: float) -> float:
+    """The lifted series at ``-z`` minus its atom term
+    ``gamma(sigma) eta (1+rho z)^(-sigma)``: the regular (density) part of
+    the power-kernel transform, ``gamma(sigma) integral (1+tz)^(-sigma) H dt/t``,
+    for a set with a single endpoint atom."""
+    c = derive_constants(params)
+    atom = math.gamma(sigma) * c.eta * (1.0 + c.rho * z) ** (-sigma)
+    return lifted_value(params, sigma, -z) - atom
 
 
 def laplace_lift_check(

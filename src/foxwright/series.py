@@ -6,15 +6,17 @@ The main entry point is :func:`fox_wright`, which sums
 
 in signed log space so that huge gamma ratios and huge factorials cancel
 before anything is exponentiated.  Classical specialisations (generalized
-hypergeometric, the two-parameter Wright function, Mittag-Leffler) are thin
-wrappers.  The four-parameter Wright function supplies its own terms because
-its scales may be negative, which the row-based model deliberately rejects;
-reciprocal-gamma semantics (zeros at poles) make the sum well defined there.
-Both sum through one private loop, :func:`_sum_terms`.
+hypergeometric, the two-parameter Wright function, Mittag-Leffler) are
+parameter sets; the README lists their rows.  The four-parameter Wright
+function supplies its own terms because its scales may be negative, which
+the row-based model deliberately rejects; reciprocal-gamma semantics (zeros
+at poles) make the sum well defined there.  Both sum through one private
+loop, :func:`_sum_terms`, and decide their domain by one rule,
+``params._converges``.
 
 Summation is honest about its own failure modes: every call returns an
 :class:`EvalResult` carrying the term count, a truncation estimate, and a
-status flag, and the strict wrappers turn bad statuses into exceptions.
+status flag, and the strict wrapper turns bad statuses into exceptions.
 
 :class:`IdentityRecord` is the package's other result type: one comparison
 ``lhs <relation> rhs`` at one point, built by :func:`_record`.  It lives here,
@@ -31,8 +33,9 @@ from typing import Any
 
 from .errors import NonConvergentError, OutsideDomainError
 from .params import (
-    _EDGE_RTOL,
     ParameterSet,
+    _converges,
+    _pole_order,
     correction_coeffs,
     derive_constants,
     gamma_ratio_log_signed,
@@ -46,9 +49,6 @@ __all__ = [
     "SeriesStatus",
     "fox_wright",
     "fox_wright_value",
-    "hyper_pfq",
-    "wright_function",
-    "mittag_leffler",
     "four_param_wright",
     "correction_series",
 ]
@@ -238,47 +238,6 @@ def fox_wright_value(params: ParameterSet, z: complex) -> complex:
     return res.value
 
 
-# ---------------------------------------------------------------------------
-# Classical specialisations
-# ---------------------------------------------------------------------------
-
-
-def hyper_pfq(a: list[float], b: list[float], z: complex) -> complex:
-    """Generalized hypergeometric pFq via the unit-scale series.
-
-    pFq multiplies each term by a Pochhammer ratio instead of a gamma ratio,
-    so the row-based sum needs the constant prefactor prod gamma(b)/prod
-    gamma(a) stripped back out.
-    """
-    params = ParameterSet([(x, 1.0) for x in a], [(x, 1.0) for x in b])
-    log_pref = 0.0
-    sign = 1.0
-    for x in b:
-        la, sg = log_abs_gamma_signed(x)
-        log_pref += la
-        sign *= sg
-    for x in a:
-        la, sg = log_abs_gamma_signed(x)
-        log_pref -= la
-        sign *= sg
-    return sign * math.exp(log_pref) * fox_wright_value(params, z)
-
-
-def wright_function(alpha: float, beta: float, z: complex) -> complex:
-    """Two-parameter Wright function  sum_k z^k / (k! gamma(alpha*k + beta))."""
-    params = ParameterSet([], [(beta, alpha)])
-    return fox_wright_value(params, z)
-
-
-def mittag_leffler(alpha: float, beta: float, z: complex) -> complex:
-    """Two-parameter Mittag-Leffler  sum_k z^k / gamma(alpha*k + beta).
-
-    The k! in the row-based series is cancelled by an upper pair (1, 1).
-    """
-    params = ParameterSet([(1.0, 1.0)], [(beta, alpha)])
-    return fox_wright_value(params, z)
-
-
 def four_param_wright(
     mu1: float,
     a: float,
@@ -294,20 +253,18 @@ def four_param_wright(
     scales this equals the row series with upper=[(1,1)],
     lower=[(a,mu1),(b,nu1)] since gamma(1+k)/k! = 1.
 
-    Domain: entire for mu1 + nu1 > 0; for mu1 + nu1 == 0 a disk of radius
-    |mu1|^mu1 * |nu1|^nu1, boundary included when a + b > 2; empty otherwise.
+    Its domain follows the row series' rule with that set's constants:
+    balance mu1 + nu1 - 1, radius |mu1|^mu1 * |nu1|^nu1 and mu = a + b - 3/2.
+    So it is entire for mu1 + nu1 > 0, a disk for mu1 + nu1 == 0 (edge
+    included when a + b > 2), and only z = 0 otherwise.
     """
     zc = complex(z)
-    balance = mu1 + nu1
-    if balance < -1e-12 or not cmath.isfinite(zc):
+    # |mu1|^mu1 * |nu1|^nu1 from logs: one factor alone may overflow, while
+    # the product is near 1 wherever mu1 + nu1 == 0 makes it the radius
+    log_radius = sum(s * math.log(abs(s)) for s in (mu1, nu1) if s)
+    radius = math.exp(min(log_radius, 700.0))
+    if not _converges(mu1 + nu1 - 1.0, radius, a + b - 1.5, zc):
         return _OUTSIDE
-    if abs(balance) <= 1e-12 and zc != 0:
-        radius = abs(mu1) ** mu1 * abs(nu1) ** nu1
-        r = abs(zc)
-        if r > radius * (1 + _EDGE_RTOL):
-            return _OUTSIDE
-        if abs(r - radius) <= radius * _EDGE_RTOL and not (a + b > 2.0):
-            return _OUTSIDE
     log_abs_z = _log_abs(zc)
 
     def log_term(k: int) -> tuple[float, float]:
@@ -315,7 +272,7 @@ def four_param_wright(
         sign = 1.0
         for shift, scl in ((a, mu1), (b, nu1)):
             arg = shift + k * scl
-            if arg <= 0 and abs(arg - round(arg)) < 1e-9:
+            if _pole_order(arg, abs(scl)) is not None:
                 return -math.inf, 1.0  # reciprocal gamma vanishes at its poles
             la, sg = log_abs_gamma_signed(arg)
             log_den += la

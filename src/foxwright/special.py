@@ -10,8 +10,8 @@ Contents:
   (real log, atan2, hypot, sin and cos of pi x reduced exactly mod 2) and
   imports numpy when called.
 * Exact Bernoulli numbers and Bernoulli polynomials over ``fractions.Fraction``.
-* Stirling numbers of the second kind and the weighted exponential sums
-  built from them (sum_k k^j x^k / k!).
+* Stirling numbers of the second kind and the Touchard polynomials built
+  from them (sum_k k^j x^k / k! is e^x times one).
 
 Everything here is dependency-light on purpose: the rest of the package
 treats this module as its numerical bedrock, so it must not import any of
@@ -33,7 +33,6 @@ __all__ = [
     "bernoulli_poly",
     "stirling2_row",
     "touchard_poly",
-    "touchard_sum",
 ]
 
 # Lanczos approximation for the complex kernel, g = 7, 9 coefficients
@@ -242,14 +241,3 @@ def touchard_poly(j: int, x: Any) -> Any:
         if s:
             poly += s * x**i
     return poly
-
-
-def touchard_sum(j: int, x: float) -> float:
-    """sum_{k>=0} k^j x^k / k!  =  e^x * sum_i S(j,i) x^i.
-
-    The right-hand closed form (Dobinski-style) turns the infinite sum into
-    a degree-j polynomial in x times e^x, exact up to rounding.
-    """
-    if j < 0:
-        raise ValueError("power j must be non-negative")
-    return math.exp(x) * touchard_poly(j, x)

@@ -1,5 +1,6 @@
-"""The public surface: every exported name resolves, two result types, and no
-tuning knob is left.
+"""The public surface: the 48 exported names, pinned, every one resolving, two
+result types, and no tuning knob is left.  Every ``python`` block of the
+README runs.
 
 A value is an ``EvalResult`` and a comparison is an ``IdentityRecord``: every
 check returns one record or a tuple of them, and no report class is left.
@@ -41,6 +42,30 @@ from foxwright.series import _record
 MODULES = ["foxwright"] + [
     f"foxwright.{info.name}" for info in pkgutil.iter_modules(foxwright.__path__)
 ]
+# foxwright.__all__, in order
+EXPORTS = [
+    "ParameterSet", "DerivedConstants", "derive_constants", "correction_coeffs",
+    "gamma_ratio", "in_domain", "shift_parameters",
+    "EvalResult", "IdentityRecord", "SeriesStatus", "fox_wright", "fox_wright_value",
+    "four_param_wright", "correction_series",
+    "HfunMethod", "MeasureEvaluator", "get_evaluator", "hfun_nonneg_scan",
+    "moment_identity_check", "eval_via_representation", "verify_representation",
+    "stieltjes_eval", "verify_stieltjes", "lifted_value", "laplace_lift_check",
+    "finite_laplace_identity", "four_param_representation",
+    "exp_kernel_bounds", "lifted_kernel_bounds", "stieltjes_lower_bound", "cm_check",
+    "shifted_stieltjes_ratio", "ratio_monotonicity_scan",
+    "EXP_COLLAPSE", "TWIN_QUARTER", "DOUBLE_POLE", "IDENTITY", "NAMED_SETS",
+    "FoxwrightError", "ParameterError", "PoleError", "OutsideDomainError", "DomainError",
+    "NonConvergentError", "QuadratureFailure", "DegenerateError", "ConstraintError",
+    "DivisionError",
+]
+# module -> names it no longer defines: the convergence classes, which one
+# private rule replaces, and wrappers whose values the row series gives
+REMOVED_NAMES = {
+    "foxwright.params": {"Convergence", "classify_convergence"},
+    "foxwright.series": {"hyper_pfq", "wright_function", "mittag_leffler"},
+    "foxwright.special": {"touchard_sum"},
+}
 REMOVED_PARAMETERS = {"config", "max_terms"}
 REMOVED_KNOBS = {"route", "rel_tol", "route_tol", "threshold"}
 DELETED_TYPES = {
@@ -78,9 +103,6 @@ EXCEPTION_TYPES = {
 SERIES_FUNCTIONS = [
     series.fox_wright,
     series.fox_wright_value,
-    series.hyper_pfq,
-    series.wright_function,
-    series.mittag_leffler,
     series.four_param_wright,
 ]
 
@@ -104,6 +126,34 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_exports_are_pinned():
+    assert foxwright.__all__ == EXPORTS
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED_NAMES))
+def test_removed_names_are_gone(name):
+    module = importlib.import_module(name)
+    gone = REMOVED_NAMES[name]
+    assert gone.isdisjoint(vars(module)) and gone.isdisjoint(module.__all__)
+    assert gone.isdisjoint(dir(foxwright))
+
+
+README_PYTHON = re.findall(
+    r"^```python\n(.*?)^```", (Path(__file__).resolve().parents[1] / "README.md").read_text(),
+    re.S | re.M,
+)
+
+
+def test_readme_has_python_blocks():
+    assert len(README_PYTHON) >= 2
+
+
+@pytest.mark.parametrize("index", range(len(README_PYTHON)))
+def test_readme_python_block_runs(index):
+    """Each ``python`` block of the README runs on its own; its asserts hold."""
+    exec(compile(README_PYTHON[index], f"README.md python block {index}", "exec"), {})
 
 
 def _run_fresh(code):

@@ -297,6 +297,14 @@ class TestBoundsCommand:
         assert code == 0
         assert all(r["status"] == "pass" for r in json_rows(out))
 
+    def test_sigma_and_lift_together_is_usage_error(self, capsys):
+        # the --sigma bound used to run and --lift was dropped without a word
+        code, out, err = run_cli(
+            capsys, "bounds", "--params", "double-pole", "--z", "1", "--sigma", "2", "--lift", "1"
+        )
+        assert (code, out) == (1, "")
+        assert "--sigma or --lift" in err
+
 
 class TestCmCheckCommand:
     def test_series_clean_exit_0(self, capsys):

@@ -1,4 +1,4 @@
-"""Parameter rows, derived constants, convergence classes, shifts."""
+"""Parameter rows, derived constants, the convergence rule, shifts."""
 
 import hashlib
 import math
@@ -6,9 +6,7 @@ import math
 import pytest
 
 from foxwright import (
-    Convergence,
     ParameterSet,
-    classify_convergence,
     correction_coeffs,
     derive_constants,
     gamma_ratio,
@@ -180,25 +178,40 @@ class TestSerialization:
 
 
 class TestConvergence:
+    """delta > -1: entire; delta == -1: the disk |z| < conv_radius, with its
+    edge when mu > 1/2; delta < -1: z = 0 only."""
+
     def test_balanced_sets_entire(self):
         for ps in (EXP_COLLAPSE, TWIN_QUARTER, DOUBLE_POLE, IDENTITY):
-            assert classify_convergence(ps) is Convergence.ENTIRE_PLANE
-            assert in_domain(ps, 100.0)
+            assert derive_constants(ps).delta == 0.0
+            assert in_domain(ps, 100.0) and in_domain(ps, -1e6 + 3e5j)
 
     def test_disk_case(self):
         # lifting by an extra (1,1) upper row moves the balance to -1
         lifted = ParameterSet([(1.0, 1.0), *DOUBLE_POLE.upper], list(DOUBLE_POLE.lower))
-        cls = classify_convergence(lifted)
-        assert cls in (Convergence.DISK, Convergence.BOUNDARY_SUMMABLE)
         c = derive_constants(lifted)
+        assert c.delta == -1.0 and c.mu == -0.5
         assert c.conv_radius == pytest.approx(1.0, rel=1e-13)
-        assert in_domain(lifted, 0.5)
+        assert in_domain(lifted, 0.5) and in_domain(lifted, 0.0)
         assert not in_domain(lifted, 1.5)
+        assert not in_domain(lifted, c.conv_radius)  # mu <= 1/2: the edge diverges
+
+    @pytest.mark.parametrize("b,edge", [(3.0, True), (2.0, False)])
+    def test_disk_edge_needs_mu_above_half(self, b, edge):
+        # 2F1(1, 1; b; z) rows: radius 1, mu = b - 3/2
+        ps = ParameterSet([(1.0, 1.0), (1.0, 1.0)], [(b, 1.0)])
+        c = derive_constants(ps)
+        assert (c.delta, c.conv_radius, c.mu) == (-1.0, 1.0, b - 1.5)
+        for z in (1.0, -1.0, 1j, 1.0 + 1e-13):
+            assert in_domain(ps, z) is edge
+        assert in_domain(ps, 1.0 - 1e-11)
+        assert not in_domain(ps, 1.0 + 1e-11)
 
     def test_divergent_case(self):
         ps = ParameterSet([(1.0, 2.0)], [(1.0, 0.5)])
-        assert classify_convergence(ps) is Convergence.DIVERGENT
+        assert derive_constants(ps).delta == -1.5
         assert not in_domain(ps, 0.1)
+        assert not in_domain(ps, 1e-300)
         assert in_domain(ps, 0.0)
 
 

@@ -1,4 +1,8 @@
-"""Direct series summation and its named specializations."""
+"""Direct series summation, and the classical functions as parameter rows.
+
+pFq(a; b; z) is the unit-scale row series times prod gamma(b)/prod gamma(a),
+the Mittag-Leffler function E_{alpha,beta} has rows [(1,1)] / [(beta,alpha)]
+and the Wright function rows [] / [(beta,alpha)]."""
 
 import cmath
 import math
@@ -16,9 +20,6 @@ from foxwright import (
     fox_wright,
     fox_wright_value,
     gamma_ratio,
-    hyper_pfq,
-    mittag_leffler,
-    wright_function,
 )
 from foxwright.catalog import DOUBLE_POLE, EXP_COLLAPSE, IDENTITY, TWIN_QUARTER
 from foxwright.errors import NonConvergentError, OutsideDomainError
@@ -48,41 +49,46 @@ class TestClosedForms:
         assert got == pytest.approx(cmath.exp(z), rel=1e-12)
 
 
+def mittag_leffler_rows(alpha, beta):
+    return ParameterSet([(1.0, 1.0)], [(beta, alpha)])
+
+
 class TestSpecializations:
     def test_hyper_1f1_closed_form(self):
-        # 1F1(1; 2; z) = (e^z - 1)/z
+        # 1F1(1; 2; z) = (e^z - 1)/z; the prefactor gamma(2)/gamma(1) is 1
         z = 0.8
-        assert hyper_pfq([1.0], [2.0], z) == pytest.approx(
+        assert fox_wright_value(ParameterSet([(1.0, 1.0)], [(2.0, 1.0)]), z) == pytest.approx(
             (math.exp(z) - 1.0) / z, rel=1e-12
         )
 
     def test_hyper_2f1_log_form(self):
-        # 2F1(1, 1; 2; z) = -ln(1-z)/z inside the unit disk
+        # 2F1(1, 1; 2; z) = -ln(1-z)/z inside the unit disk; the prefactor is 1
         z = 0.4
-        assert hyper_pfq([1.0, 1.0], [2.0], z) == pytest.approx(
-            -math.log(1.0 - z) / z, rel=1e-12
-        )
+        ps = ParameterSet([(1.0, 1.0), (1.0, 1.0)], [(2.0, 1.0)])
+        assert fox_wright_value(ps, z) == pytest.approx(-math.log(1.0 - z) / z, rel=1e-12)
 
     def test_mittag_leffler_exponential(self):
-        assert mittag_leffler(1.0, 1.0, 1.3) == pytest.approx(math.exp(1.3), rel=1e-12)
+        got = fox_wright_value(mittag_leffler_rows(1.0, 1.0), 1.3)
+        assert got == pytest.approx(math.exp(1.3), rel=1e-12)
 
     def test_mittag_leffler_cosh(self):
         # E_{2,1}(z^2) = cosh(z)
         z = 0.9
-        assert mittag_leffler(2.0, 1.0, z * z) == pytest.approx(math.cosh(z), rel=1e-12)
+        got = fox_wright_value(mittag_leffler_rows(2.0, 1.0), z * z)
+        assert got == pytest.approx(math.cosh(z), rel=1e-12)
 
     def test_mittag_leffler_shifted(self):
         # E_{1,2}(z) = (e^z - 1)/z
         z = 0.6
-        assert mittag_leffler(1.0, 2.0, z) == pytest.approx(
-            (math.exp(z) - 1.0) / z, rel=1e-12
-        )
+        got = fox_wright_value(mittag_leffler_rows(1.0, 2.0), z)
+        assert got == pytest.approx((math.exp(z) - 1.0) / z, rel=1e-12)
 
     @pytest.mark.parametrize("alpha,beta,z", [(1.0, 1.0, 0.7), (0.5, 1.5, -0.9), (2.0, 0.5, 1.2)])
     def test_wright_matches_brute_force(self, alpha, beta, z):
         brute = sum(z**k / (math.factorial(k) * math.gamma(alpha * k + beta))
                     for k in range(60))
-        assert wright_function(alpha, beta, z) == pytest.approx(brute, rel=1e-12)
+        got = fox_wright_value(ParameterSet([], [(beta, alpha)]), z)
+        assert got == pytest.approx(brute, rel=1e-12)
 
     def test_four_param_matches_general_series(self):
         mu1, a, nu1, b = 0.5, 0.25, 0.5, 0.25
@@ -120,6 +126,36 @@ class TestDomainGates:
         assert inside.status is SeriesStatus.CONVERGED
         outside = four_param_wright(0.5, 1.0, -0.5, 1.0, 1.5)
         assert outside.status is SeriesStatus.OUTSIDE_DOMAIN
+
+    def test_four_param_divergent_at_zero_is_first_term(self):
+        # z = 0 lies in every domain: the sum is 1/(gamma(a) gamma(b)) = 1,
+        # as fox_wright gives the first term of a divergent row series there
+        res = four_param_wright(0.5, 1.0, -0.7, 1.0, 0.0)
+        assert res.status is SeriesStatus.CONVERGED and res.value == 1.0
+        assert fox_wright(ParameterSet([(1.0, 2.0)], [(1.0, 0.5)]), 0.0).value == 1.0
+
+    def test_four_param_balance_within_tolerance_keeps_disk(self):
+        # mu1 + nu1 = 5e-10 is balanced to the row series' 1e-9: z = 1.5 lies
+        # outside the unit disk, not a 1,772-term MAX_TERMS run
+        res = four_param_wright(0.5, 1.0, -0.5 + 5e-10, 1.0, 1.5)
+        assert res.status is SeriesStatus.OUTSIDE_DOMAIN and res.terms_used == 0
+
+    def test_four_param_negative_balance_within_tolerance_converges(self):
+        # mu1 + nu1 = -5e-10 is balanced too: z = 0.9 lies inside the disk
+        res = four_param_wright(0.5, 1.0, -0.5 - 5e-10, 1.0, 0.9)
+        assert res.status is SeriesStatus.CONVERGED
+        exact = four_param_wright(0.5, 1.0, -0.5, 1.0, 0.9)
+        assert res.value == pytest.approx(exact.value, rel=1e-6)
+
+    def test_four_param_constant_factor_at_pole_vanishes(self):
+        # mu1 = 0 makes gamma(a) a constant; at its pole every term is zero
+        res = four_param_wright(0.0, -1.0, 1.0, 1.0, 0.5)
+        assert res.status is SeriesStatus.CONVERGED and res.value == 0.0
+
+    def test_four_param_large_scale(self):
+        # |mu1|^mu1 alone overflows a double; the set is entire, far from a disk
+        res = four_param_wright(200.0, 1.0, 0.5, 1.0, 0.3)
+        assert res.status is SeriesStatus.CONVERGED and res.value == 1.0
 
     def test_term_cap_reports_max_terms(self, monkeypatch):
         monkeypatch.setattr(series, "_TERM_CAP", 5)
