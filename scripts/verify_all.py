@@ -189,7 +189,7 @@ def main() -> int:
     grid = [float(v) for v in np.logspace(math.log10(0.01), math.log10(10.0), 30)]
 
     def first_defect(f):
-        return next((r.identity for r in cm_check(f, grid, 0.05, 6) if not r.ok()), None)
+        return next((r.identity for r in cm_check(f, grid) if not r.ok()), None)
 
     check("e^(-z) clean", first_defect(lambda x: math.exp(-x)) is None)
     check("1/(1+z) clean", first_defect(lambda x: 1.0 / (1.0 + x)) is None)

@@ -35,7 +35,7 @@ from .errors import (
 from .hfun import get_evaluator, hfun_nonneg_scan
 from .params import (
     ParameterSet,
-    _require_positive,
+    _require_exponent,
     derive_constants,
     gamma_ratio,
     shift_parameters,
@@ -55,6 +55,9 @@ __all__ = [
 _OK_SLACK = 1e-9  # rel_err within which a bound or power-mean step still passes
 _DENOM_FLOOR = 1e-14
 _ROUTE_TOL = 1e-6  # relative gap at which the quotient's two routes disagree
+_STEP_TOL = 1e-8  # a quotient step against the scan's direction that still passes
+_CM_STEP = 0.05  # cm_check's forward-difference step h
+_CM_MAX_ORDER = 6  # cm_check's highest difference order
 _CM_ORDER = "cm-order-"  # cm_check's record identity, followed by the order
 
 
@@ -120,7 +123,7 @@ def lifted_kernel_bounds(
     disk and from the kernel continuation beyond it.  Two ``<=`` records, as
     for :func:`exp_kernel_bounds`.
     """
-    _require_positive("lam", lam)
+    _require_exponent("lam", lam)
     if z < 0:
         raise ParameterError("z must be nonnegative")
     psi0, psi1, c = _atomic_mass(params)
@@ -169,13 +172,8 @@ def stieltjes_lower_bound(
 # ---------------------------------------------------------------------------
 
 
-def cm_check(
-    f: Callable[[float], float],
-    grid: Sequence[float],
-    h: float,
-    max_order: int = 6,
-) -> tuple[IdentityRecord, ...]:
-    """Check ``(-1)^n * forward_diff_h^n f(x) >= -eps_n`` for n = 0..max_order.
+def cm_check(f: Callable[[float], float], grid: Sequence[float]) -> tuple[IdentityRecord, ...]:
+    """Check ``(-1)^n * forward_diff_h^n f(x) >= -eps_n`` for n = 0..6, h = 0.05.
 
     ``eps_n = 1e-7 * (2/h)^n * max|f|`` absorbs the worst-case noise growth
     of order-n differencing, so this is a consistency check on numerically
@@ -185,9 +183,6 @@ def cm_check(
     is compatible with.  A non-finite value of f leaves max|f| undefined,
     so every record fails.
     """
-    _require_positive("h", h)
-    if not 0 <= max_order <= 8:
-        raise ParameterError("max_order must lie in 0..8")
     xs = [float(x) for x in grid]
     if not xs:
         raise ParameterError("grid must be non-empty")
@@ -197,15 +192,15 @@ def cm_check(
     if xs[0] <= 0:
         raise ParameterError("grid points must be positive")
 
-    table = [[float(f(x + j * h)) for j in range(max_order + 1)] for x in xs]
+    table = [[float(f(x + j * _CM_STEP)) for j in range(_CM_MAX_ORDER + 1)] for x in xs]
     mags = [abs(v) for row in table for v in row]
     fmax = max(mags) if all(map(math.isfinite, mags)) else math.nan
     if fmax == 0.0:
         fmax = 1.0
 
     records = []
-    for n in range(max_order + 1):
-        eps = 1e-7 * (2.0 / h) ** n * fmax
+    for n in range(_CM_MAX_ORDER + 1):
+        eps = 1e-7 * (2.0 / _CM_STEP) ** n * fmax
         sign = -1.0 if n % 2 else 1.0
         for x, row in zip(xs, table):
             diff = sum((-1) ** (n - j) * comb(n, j) * row[j] for j in range(n + 1))
@@ -236,7 +231,7 @@ def shifted_stieltjes_ratio(
     integrates the density directly.  The gamma(sigma) factors cancel in
     the quotient.  The record passes when the routes agree to 1e-6.
     """
-    _require_positive("sigma", sigma)
+    _require_exponent("sigma", sigma)
     psi0, psi1, c = _atomic_mass(params)
     if 1.0 + c.rho * z <= 0.0:
         raise DomainError(f"kernel 1+tz vanishes inside the support for z={z}")
@@ -264,7 +259,6 @@ def ratio_monotonicity_scan(
     sigma: float,
     delta: float,
     z_grid: Sequence[float],
-    tol: float = 1e-8,
 ) -> tuple[IdentityRecord, ...]:
     """Evaluate the quotient across ``z_grid`` and test its direction.
 
@@ -279,8 +273,8 @@ def ratio_monotonicity_scan(
     increasing z (rhs the quadrature route, lhs the series route as a
     cross-check), then one ``<=`` record per step z_i -> z_(i+1), at z_i,
     named after that direction: lhs is the step of the quadrature route
-    against it, rhs ``tol``.  A different direction claim can be probed
-    from the route records' rhs values.
+    against it, rhs the step tolerance 1e-8.  A different direction claim
+    can be probed from the route records' rhs values.
     """
     zs = sorted(float(z) for z in z_grid)
     if len(zs) < 2:
@@ -296,7 +290,7 @@ def ratio_monotonicity_scan(
     name = f"{expected}[sigma={sigma:g},delta={delta:g}]"
     key = records[0].params_hash
     return records + tuple(
-        _record(name, key, z, v, tol, 0.0, "<=") for z, v in zip(zs, violations)
+        _record(name, key, z, v, _STEP_TOL, 0.0, "<=") for z, v in zip(zs, violations)
     )
 
 

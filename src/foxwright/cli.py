@@ -178,7 +178,7 @@ def _hfun_point(ns, params, t):
 
 def _moments_point(ns, params, k):
     (rec,) = moment_identity_check(params, [k])
-    return rec.lhs, rec.abs_err, rec.rel_err, _verdict(rec.rel_err <= ns.tol)
+    return rec.lhs, rec.abs_err, rec.rel_err, _verdict(rec.ok())
 
 
 def _identity_point(check):
@@ -229,7 +229,7 @@ def _cm_scan(ns, params, _):
             f"unknown --function {name!r}; choices: series, " + ", ".join(_CM_FUNCTIONS)
         )
     grid = _scan_grid(ns, np.logspace(math.log10(0.01), math.log10(10.0), 30))
-    defect = next((r for r in cm_check(f, grid, ns.h_step, ns.max_order) if not r.ok()), None)
+    defect = next((r for r in cm_check(f, grid) if not r.ok()), None)
     if defect is None:
         return [(None, "clean", None, None, "pass")]
     return [(defect.z, f"order-{_cm_order(defect)}-defect", None, None, "fail")]
@@ -237,7 +237,7 @@ def _cm_scan(ns, params, _):
 
 def _ratio_scan(ns, params, _):
     grid = _scan_grid(ns, np.linspace(0.05, 0.95, 17))
-    records = ratio_monotonicity_scan(params, ns.sigma, ns.delta, grid, tol=ns.tol)
+    records = ratio_monotonicity_scan(params, ns.sigma, ns.delta, grid)
     routes = [r for r in records if r.relation == "=="]
     steps = [r for r in records if r.relation == "<="]
     rows = [(r.z, r.rhs, r.abs_err, r.rel_err, "ok") for r in routes]
@@ -261,8 +261,6 @@ _FLAGS = {
     "--delta": dict(type=_finite_float, help="parameter shift"),
     "--lift": dict(type=_finite_float, help="gamma-lift exponent"),
     "--function": dict(help="series (default) or one of: " + ", ".join(_CM_FUNCTIONS)),
-    "--h": dict(type=_finite_float, dest="h_step", help="forward-difference step"),
-    "--max-order": dict(type=int, dest="max_order", help="highest difference order checked"),
 }
 
 
@@ -288,17 +286,17 @@ _COMMANDS = {
                         _moments_point, grid="k"),
     "verify-representation": _Command(
         "series vs exponential-kernel integral", {"--z": None},
-        _identity_point(lambda ns, p, z: verify_representation(p, z, tol=ns.tol))),
+        _identity_point(lambda ns, p, z: verify_representation(p, z))),
     "verify-stieltjes": _Command(
         "lifted series vs power-kernel integral", {"--z": None, "--sigma": 1.0},
-        _identity_point(lambda ns, p, z: verify_stieltjes(p, ns.sigma, z, tol=ns.tol))),
+        _identity_point(lambda ns, p, z: verify_stieltjes(p, ns.sigma, z))),
     "verify-laplace": _Command(
         "gamma-weighted transform vs lifted series", {"--z": None, "--lift": 1.0},
-        _identity_point(lambda ns, p, z: laplace_lift_check(p, ns.lift, z, tol=ns.tol))),
+        _identity_point(lambda ns, p, z: laplace_lift_check(p, ns.lift, z))),
     "bounds": _Command("two-sided kernel bounds (default exponential; --lift or --sigma)",
                        {"--z": None, "--sigma": None, "--lift": None}, _bounds_point),
     "cm-check": _Command("finite-difference complete-monotonicity scan",
-                         {"--z": None, "--function": "series", "--h": 0.05, "--max-order": 6},
+                         {"--z": None, "--function": "series"},
                          _cm_scan, grid=None, needs_params=False),
     "ratio-scan": _Command("shifted-ratio monotonicity scan",
                            {"--z": None, "--sigma": 1.0, "--delta": 1.0}, _ratio_scan,
@@ -348,8 +346,6 @@ def _render(rows: list[dict], output: str) -> str:
 
 def run(ns: argparse.Namespace) -> int:
     """Run one parsed invocation; returns the exit status."""
-    if ns.tol <= 0:
-        raise CliUsageError("tol must be positive")
     params = None if ns.params is None else _load_params(ns.params)
     if params is None and _COMMANDS[ns.command].needs_params:
         raise CliUsageError(f"{ns.command} needs --params (catalog name or JSON path)")
@@ -377,12 +373,12 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="foxwright", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, cmd in _COMMANDS.items():
-        p = sub.add_parser(name, help=cmd.help)
+        # full flag names only: an abbreviation would read --h as --help
+        p = sub.add_parser(name, help=cmd.help, allow_abbrev=False)
         p.add_argument("--params", help="catalog name or JSON file with upper/lower rows")
         for flag, kwargs in _FLAGS.items():
             if flag in cmd.flags:
                 p.add_argument(flag, default=cmd.flags[flag], **kwargs)
-        p.add_argument("--tol", type=_finite_float, default=1e-6, help="verdict tolerance")
         p.add_argument("--output", choices=("json", "csv"), default="json")
         p.add_argument("--out", dest="out_path", help="write report here instead of stdout")
     return parser

@@ -233,10 +233,15 @@ def in_domain(params: ParameterSet, z: complex) -> bool:
     return _converges(c.delta, c.conv_radius, c.mu, z)
 
 
-def _require_positive(name: str, value: float) -> None:
-    """ParameterError unless ``value`` is a positive, finite number."""
+def _require_exponent(name: str, value: float) -> None:
+    """ParameterError unless ``value`` is a positive kernel exponent whose
+    gamma function fits a double (``value`` below about 171.62)."""
     if not (math.isfinite(value) and value > 0):
         raise ParameterError(f"{name} must be positive and finite")
+    try:
+        math.gamma(value)
+    except OverflowError:
+        raise ParameterError(f"gamma({name}={value:g}) overflows a double") from None
 
 
 def shift_parameters(params: ParameterSet, delta: float) -> ParameterSet:

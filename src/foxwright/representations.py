@@ -17,7 +17,8 @@ closed forms for a finite Laplace-type integral of the collapsed example
 set.
 
 All checks emit :class:`IdentityRecord` rows with signed and relative
-discrepancies; nothing here asserts, callers decide what counts as failure.
+discrepancies, each judged at one module tolerance (1e-6 in rel_err);
+nothing here asserts.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from .catalog import EXP_COLLAPSE
 from .errors import ConstraintError, DomainError, OutsideDomainError, ParameterError
 from .hfun import get_evaluator
-from .params import ParameterSet, _require_positive, derive_constants, gamma_ratio
+from .params import ParameterSet, _require_exponent, derive_constants, gamma_ratio
 from .quadrature import integrate_gamma_weighted
 from .series import (
     EvalResult,
@@ -53,6 +54,8 @@ __all__ = [
     "finite_laplace_identity",
     "four_param_representation",
 ]
+
+_TOL = 1e-6  # rel_err within which the two sides of every identity here agree
 
 
 def _require_balanced(params: ParameterSet):
@@ -89,11 +92,11 @@ def eval_via_representation(params: ParameterSet, z: float | np.ndarray) -> Eval
     return EvalResult(integral + corr, ev._res_nodes_used, err, SeriesStatus.CONVERGED)
 
 
-def verify_representation(params: ParameterSet, z: float, tol: float = 1e-6) -> IdentityRecord:
+def verify_representation(params: ParameterSet, z: float) -> IdentityRecord:
     """Direct series vs the measure-rebuilt value, as an IdentityRecord."""
     lhs = complex(fox_wright_value(params, z)).real
     rhs = float(eval_via_representation(params, z).value)
-    return _record("exp-kernel-representation", params.hash_key(), z, lhs, rhs, tol)
+    return _record("exp-kernel-representation", params.hash_key(), z, lhs, rhs, _TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -104,15 +107,15 @@ def verify_representation(params: ParameterSet, z: float, tol: float = 1e-6) -> 
 def moment_identity_check(
     params: ParameterSet, k_list: list[float]
 ) -> tuple[IdentityRecord, ...]:
-    """gamma_ratio(k) against moment(k) + atom part, one record per k, judged
-    at 1e-6: z = k, lhs the gamma ratio, rhs the measure's Mellin transform."""
+    """gamma_ratio(k) against moment(k) + atom part, one record per k:
+    z = k, lhs the gamma ratio, rhs the measure's Mellin transform."""
     if not all(math.isfinite(k) for k in k_list):
         raise ParameterError("moment orders must be finite")
     ev = get_evaluator(params)
     key = params.hash_key()
     return tuple(
         _record("moment-identity", key, k, gamma_ratio(params, k),
-                ev.moment(k) + ev.atom_mellin(k), 1e-6)
+                ev.moment(k) + ev.atom_mellin(k), _TOL)
         for k in k_list
     )
 
@@ -129,7 +132,7 @@ def stieltjes_eval(params: ParameterSet, sigma: float, z: float) -> EvalResult:
     matching term ``gamma(sigma) eta (1+rho z)^(-sigma)`` is what separates
     this from the lifted series, see :func:`verify_stieltjes`.
     """
-    _require_positive("sigma", sigma)
+    _require_exponent("sigma", sigma)
     c = _require_balanced(params)
     if 1.0 + c.rho * z <= 0.0:
         raise DomainError(
@@ -141,9 +144,7 @@ def stieltjes_eval(params: ParameterSet, sigma: float, z: float) -> EvalResult:
     return EvalResult(g * integral, ev._res_nodes_used, g * err, SeriesStatus.CONVERGED)
 
 
-def verify_stieltjes(
-    params: ParameterSet, sigma: float, z: float, tol: float = 1e-6
-) -> IdentityRecord:
+def verify_stieltjes(params: ParameterSet, sigma: float, z: float) -> IdentityRecord:
     """Stieltjes quadrature vs the lifted series minus its atom term.
 
     The lifted series (extra upper row ``(sigma, 1)``) at ``-z`` equals
@@ -162,9 +163,7 @@ def verify_stieltjes(
         )
     lhs = float(stieltjes_eval(params, sigma, z).value)
     rhs = _lifted_regular(params, sigma, z)
-    return _record(
-        f"stieltjes-kernel[sigma={sigma:g}]", params.hash_key(), z, lhs, rhs, tol
-    )
+    return _record(f"stieltjes-kernel[sigma={sigma:g}]", params.hash_key(), z, lhs, rhs, _TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +180,7 @@ def lifted_value(params: ParameterSet, lam: float, z: float) -> float:
     on the negative real axis, the same function extends through the measure
     as ``gamma(lam) [ integral (1-tz)^(-lam) H dt/t + eta (1-rho z)^(-lam) ]``.
     """
-    _require_positive("lam", lam)
+    _require_exponent("lam", lam)
     lifted = ParameterSet([(lam, 1.0), *params.upper], list(params.lower))
     res = fox_wright(lifted, z)
     if res.status is SeriesStatus.CONVERGED:
@@ -209,9 +208,7 @@ def _lifted_regular(params: ParameterSet, sigma: float, z: float) -> float:
     return lifted_value(params, sigma, -z) - atom
 
 
-def laplace_lift_check(
-    params: ParameterSet, lam: float, z: float, tol: float = 1e-6
-) -> IdentityRecord:
+def laplace_lift_check(params: ParameterSet, lam: float, z: float) -> IdentityRecord:
     """Gamma-weighted integral of the series vs the lifted series.
 
     ``integral_0^inf t^(lam-1) e^(-t) F(zt) dt`` where ``F`` is the base
@@ -228,7 +225,7 @@ def laplace_lift_check(
     only same-sign quantities however negative zt is.  Other balanced sets
     sum the series node by node.
     """
-    _require_positive("lam", lam)
+    _require_exponent("lam", lam)
     c = _require_balanced(params)
     decay = 1.0 - c.rho * max(z, 0.0)
     if decay <= 1e-9:
@@ -246,7 +243,7 @@ def laplace_lift_check(
             return np.array([complex(fox_wright_value(params, z * ti)).real for ti in t])
 
     lhs = integrate_gamma_weighted(f, lam, decay=decay)
-    return _record(f"laplace-lift[lam={lam:g}]", params.hash_key(), z, lhs, rhs, tol)
+    return _record(f"laplace-lift[lam={lam:g}]", params.hash_key(), z, lhs, rhs, _TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +257,7 @@ def finite_laplace_identity(z: float) -> tuple[IdentityRecord, ...]:
     ``integral_0^(1/2) e^(-zt) H(t) dt/t`` on the collapsed example set
     ``EXP_COLLAPSE`` (series e^(2z)/sqrt(pi), density identically zero):
     (a) ``(e^(-2z) - e^(-z))/sqrt(pi)`` and (b) ``(e^(-2z) - e^(-z/2))/sqrt(pi)``.
-    Four ``==`` records, judged at 1e-6, state what the blind quadrature
+    Four ``==`` records state what the blind quadrature
     (the measure's cached rule, with the integrand cut at t = 1/2) and an
     independent series-side oracle (the closed-form series value minus the
     endpoint-atom term) actually give against each: quadrature vs a,
@@ -279,7 +276,7 @@ def finite_laplace_identity(z: float) -> tuple[IdentityRecord, ...]:
     }
     key = ps.hash_key()
     return tuple(
-        _record(f"finite-laplace[{side}~{name}]", key, z, value, form, 1e-6)
+        _record(f"finite-laplace[{side}~{name}]", key, z, value, form, _TOL)
         for side, value in (("quadrature", quadrature), ("series", series_side))
         for name, form in forms.items()
     )
@@ -298,7 +295,7 @@ def four_param_representation(
     Only two constraint families keep the measure split in the integer-atom
     regime: ``mu1 + nu1 == 1`` with ``a + b == 3/2`` (single atom) or with
     ``a + b == 1/2`` (linear-in-k atom polynomial).  Anything else raises
-    ConstraintError.  The record is judged at 1e-6.
+    ConstraintError.
     """
     if mu1 <= 0 or nu1 <= 0:
         raise ParameterError("mu1 and nu1 must be positive")
@@ -313,4 +310,4 @@ def four_param_representation(
         )
     lhs = complex(four_param_wright(mu1, a, nu1, b, z).value).real
     rhs = float(eval_via_representation(ps, z).value)
-    return _record(f"four-param[m={c.m_order}]", ps.hash_key(), z, lhs, rhs, 1e-6)
+    return _record(f"four-param[m={c.m_order}]", ps.hash_key(), z, lhs, rhs, _TOL)

@@ -213,7 +213,8 @@ def _sum_terms(log_term, z: complex) -> EvalResult:
                     return EvalResult(total, terms, mag / scale, SeriesStatus.CONVERGED)
             else:
                 small_streak = 0
-            last_mag = mag
+            if mag:  # a zero term counts toward the streak but sets no ratio
+                last_mag = mag
     except OverflowError:  # a term or the sum left the double range: no value to report
         return EvalResult(math.nan if is_real else complex(math.nan, math.nan), terms,
                           math.inf, SeriesStatus.MAX_TERMS)

@@ -229,7 +229,7 @@ def test_criterion_08_cm_checker_sanity(acceptance):
 
     def first_defect(f):
         """The first failing record: the lowest order, then the smallest x."""
-        return next((r for r in cm_check(f, grid, 0.05, 6) if not r.ok()), None)
+        return next((r for r in cm_check(f, grid) if not r.ok()), None)
 
     ok = first_defect(lambda x: math.exp(-x)) is None
     ok &= first_defect(lambda x: 1.0 / (1.0 + x)) is None

@@ -85,11 +85,6 @@ CHECK_FUNCTIONS = {
 DEFAULTED_PARAMETERS = {
     # scripts/verify_all.py and perfbench/test_perfbench.py name a single series
     "MeasureEvaluator.density.method",
-    # the CLI's --tol
-    "verify_representation.tol", "verify_stieltjes.tol", "laplace_lift_check.tol",
-    "ratio_monotonicity_scan.tol",
-    # the CLI's --max-order
-    "cm_check.max_order",
     # laplace_lift_check passes the decay rate of its integrand
     "integrate_gamma_weighted.decay",
     # the benchmark's identity-cli worker passes each argument list
@@ -303,6 +298,14 @@ def test_two_result_types():
     assert results - PARAMETER_TYPES == {"EvalResult", "IdentityRecord"}
     assert foxwright.IdentityRecord is series.IdentityRecord
     assert "IdentityRecord" in foxwright.__all__
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_FUNCTIONS))
+def test_checks_fix_their_own_tolerance(name):
+    """Each check judges at its own constant tolerance, and cm_check
+    differences with its own step and orders."""
+    params = inspect.signature(getattr(foxwright, name)).parameters
+    assert {"tol", "h", "max_order"}.isdisjoint(params)
 
 
 @pytest.mark.parametrize("name", sorted(CHECK_FUNCTIONS))

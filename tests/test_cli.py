@@ -1,5 +1,6 @@
 """CLI surface: parsing, dispatch, report formats, exit codes, determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -133,15 +134,14 @@ class TestGridParsing:
 
 class TestFloatFlags:
     @pytest.mark.parametrize("argv", [
-        # before, this printed ``clean``/``pass``: every NaN difference compared False
-        ("cm-check", "--function", "linear", "--z", "0.5", "--h", "nan"),
+        ("verify-stieltjes", "--params", "double-pole", "--sigma", "nan", "--z", "0.5"),
         ("bounds", "--params", "double-pole", "--lift", "nan", "--z", "0.5"),
         ("bounds", "--params", "double-pole", "--sigma=-inf", "--z", "0.5"),
         ("verify-stieltjes", "--params", "double-pole", "--sigma", "inf", "--z", "0.5"),
         ("verify-laplace", "--params", "exp-collapse", "--lift", "inf", "--z", "0.5"),
         ("ratio-scan", "--params", "double-pole", "--delta", "nan"),
-        ("moments", "--params", "twin-quarter", "--k", "0..2", "--tol", "nan"),
-        ("eval", "--params", "identity", "--z", "0", "--tol", "inf"),
+        ("ratio-scan", "--params", "double-pole", "--sigma=-inf"),
+        ("verify-laplace", "--params", "exp-collapse", "--lift", "nan", "--z", "0.5"),
     ])
     def test_non_finite_flag_exits_1(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -390,6 +390,31 @@ class TestOutputFormats:
         assert float(repr(row["value_or_verdict"])) == row["value_or_verdict"]
 
 
+class TestFlagSurface:
+    """Each subcommand takes exactly the flags it reads, by their full names;
+    each check fixes its own verdict tolerance and difference step."""
+
+    @staticmethod
+    def options(name):
+        sub = next(action for action in cli._build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        return {opt for action in sub.choices[name]._actions for opt in action.option_strings}
+
+    @pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+    def test_command_takes_exactly_its_flags(self, name):
+        assert self.options(name) - {"-h", "--help"} == {
+            "--params", "--output", "--out", *cli._COMMANDS[name].flags
+        }
+
+    @pytest.mark.parametrize("flag", ["--tol", "--h", "--max-order"])
+    @pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+    def test_removed_flag_exits_1(self, capsys, name, flag):
+        # --h used to abbreviate --help on every command but cm-check
+        code, out, err = run_cli(capsys, name, "--params", "double-pole", flag, "1")
+        assert (code, out) == (1, "")
+        assert err == f"error: unrecognized arguments: {flag} 1\n"
+
+
 class TestParserReuse:
     """``main`` builds its parser once per process, so every call must start
     again from the defaults and leave nothing behind."""
@@ -449,6 +474,24 @@ class TestSeriesOverflow:
         assert (code, err) == (2, "")
         (row,) = json_rows(out)
         assert row["status"] == "error:NonConvergentError"
+
+
+class TestGammaOverflow:
+    """A kernel exponent whose gamma overflows a double gives error rows,
+    exit 2, where an OverflowError traceback from math.gamma ended the run."""
+
+    @pytest.mark.parametrize("argv", [
+        ("verify-stieltjes", "--sigma", "500", "--z", "0.5"),
+        ("bounds", "--lift", "500", "--z", "0.5"),
+        ("bounds", "--sigma", "500", "--z", "0.5"),
+        ("verify-laplace", "--lift", "500", "--z=-0.3"),
+        ("ratio-scan", "--sigma", "500"),
+    ], ids=" ".join)
+    def test_error_rows(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv[0], "--params", "double-pole", *argv[1:])
+        assert (code, err) == (2, "")
+        rows = json_rows(out)
+        assert rows and all(row["status"] == "error:ParameterError" for row in rows)
 
 
 class TestTermCap:

@@ -31,7 +31,7 @@ class TestExponentialKernel:
     @pytest.mark.parametrize("params", [EXP_COLLAPSE, TWIN_QUARTER, DOUBLE_POLE])
     @pytest.mark.parametrize("z", [-3.0, -1.0, 0.0, 1.0, 2.0])
     def test_representation_matches_series(self, params, z):
-        rec = verify_representation(params, z, tol=1e-6)
+        rec = verify_representation(params, z)
         assert rec.verdict == "pass"
         assert rec.rel_err < 1e-9
 
@@ -78,7 +78,7 @@ class TestStieltjesKernel:
         ],
     )
     def test_power_kernel_identity(self, params, sigma, z):
-        rec = verify_stieltjes(params, sigma, z, tol=1e-6)
+        rec = verify_stieltjes(params, sigma, z)
         assert rec.verdict == "pass"
         assert rec.rel_err < 1e-9
 
@@ -146,7 +146,7 @@ class TestLaplaceLift:
         ],
     )
     def test_weighted_transform_matches_lift(self, params, lam, z):
-        rec = laplace_lift_check(params, lam, z, tol=1e-6)
+        rec = laplace_lift_check(params, lam, z)
         assert rec.verdict == "pass"
         assert rec.rel_err < 1e-12
 
@@ -158,20 +158,20 @@ class TestLaplaceLift:
         ],
     )
     def test_lift_beyond_the_disk(self, params, lam, z):
-        rec = laplace_lift_check(params, lam, z, tol=1e-6)
+        rec = laplace_lift_check(params, lam, z)
         assert rec.verdict == "pass"
         assert rec.rel_err < 1e-12
 
     def test_set_without_measure_sums_the_series(self):
         # mu = -1/2: no representing measure, so F comes from the series
         ps = ParameterSet([(1.0, 1.0)], [(0.5, 0.5), (0.5, 0.5)])
-        rec = laplace_lift_check(ps, 1.0, -0.3, tol=1e-6)
+        rec = laplace_lift_check(ps, 1.0, -0.3)
         assert rec.verdict == "pass"
         assert rec.rel_err < 1e-11
 
     def test_growing_integrand_keeps_its_tail(self):
         # F = e^z: integral e^(-t) e^(0.9 t) dt = 10
-        rec = laplace_lift_check(IDENTITY, 1.0, 0.9, tol=1e-6)
+        rec = laplace_lift_check(IDENTITY, 1.0, 0.9)
         assert rec.verdict == "pass"
         assert rec.lhs == pytest.approx(10.0, rel=1e-9)
 
@@ -179,7 +179,7 @@ class TestLaplaceLift:
         # z = 0.99: F would overflow before the tail cut; a typed error or a
         # pass, never a "fail" verdict blamed on the identity
         try:
-            rec = laplace_lift_check(IDENTITY, 1.0, 0.99, tol=1e-6)
+            rec = laplace_lift_check(IDENTITY, 1.0, 0.99)
         except FoxwrightError:
             return
         assert rec.verdict == "pass"

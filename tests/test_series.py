@@ -157,6 +157,20 @@ class TestDomainGates:
         res = four_param_wright(200.0, 1.0, 0.5, 1.0, 0.3)
         assert res.status is SeriesStatus.CONVERGED and res.value == 1.0
 
+    @pytest.mark.parametrize("z,max_terms", [(0.5, 50), (0.9, 250), (-0.9, 250)])
+    def test_four_param_every_other_term_zero_stops_early(self, z, max_terms):
+        # 1/gamma(1 - k/2) vanishes at every even k >= 2.  A zero term used to
+        # break the stop streak, so the sum ran until its terms underflowed:
+        # 1,027, 6,729 and 6,719 terms.  The values were right and still are.
+        mpmath = pytest.importorskip("mpmath")
+        res = four_param_wright(0.5, 1.0, -0.5, 1.0, z)
+        assert res.status is SeriesStatus.CONVERGED and res.terms_used <= max_terms
+        with mpmath.workdps(30):
+            w = mpmath.mpf(z)
+            exact = mpmath.fsum(w**k * mpmath.rgamma(1 + k / 2) * mpmath.rgamma(1 - k / 2)
+                                for k in range(1200))
+            assert float(abs(res.value - exact) / exact) <= 2e-13
+
     def test_term_cap_reports_max_terms(self, monkeypatch):
         monkeypatch.setattr(series, "_TERM_CAP", 5)
         res = fox_wright(IDENTITY, 30.0)
