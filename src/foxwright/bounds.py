@@ -87,7 +87,10 @@ def _bound_pair(
     name: str, params: ParameterSet, z: float, lower: float, value: float, upper: float
 ) -> tuple[IdentityRecord, IdentityRecord]:
     """``lower <= value`` and ``value <= upper``, each ``n/a`` unless the
-    density scans nonnegative."""
+    density scans nonnegative.  DomainError when a side leaves the double
+    range: ``value <= inf`` would pass while saying nothing."""
+    if not all(math.isfinite(v) for v in (lower, value, upper)):
+        raise DomainError(f"{name} at z={z:g}: a bound or the value overflows a double")
     key = params.hash_key()
     nonneg = hfun_nonneg_scan(params).ok()
     return (

@@ -326,8 +326,19 @@ def _walk(ns: argparse.Namespace, params: ParameterSet | None) -> list[dict]:
             rows.extend([(x, *out)] if cmd.grid else out)
         except FoxwrightError as exc:
             rows.append((x, None, None, None, f"error:{type(exc).__name__}"))
+    rows = [_nulls_for_non_finite(row) for row in rows]
     phash = params.hash_key() if params is not None else ""
     return [dict(zip(_FIELDS, (ns.command, phash, *row))) for row in rows]
+
+
+def _nulls_for_non_finite(row: tuple) -> tuple:
+    """The row with each non-finite float written as null, which JSON and
+    CSV readers both take; such a row fails unless it already reports an error."""
+    *fields, status = row
+    if all(not isinstance(v, float) or math.isfinite(v) for v in fields):
+        return row
+    fields = [None if isinstance(v, float) and not math.isfinite(v) else v for v in fields]
+    return (*fields, status if status.startswith("error:") else "fail")
 
 
 def _render(rows: list[dict], output: str) -> str:

@@ -20,7 +20,10 @@ H has two series, one converging at each end of the support:
   form one group with nodes s_0..s_(m-1), coincident ones included.  A
   midpoint rule on a circle around the group (spectrally accurate) gives
   its Newton moments c_k = (1/2 pi i) oint ratio(s) prod_(j<k) (s - s_j) ds
-  once per evaluator, and the group's residues sum to
+  once per evaluator.  The rows are real, so ratio(conj s) = conj ratio(s),
+  and the centres and nodes are real: each circle evaluates ratio only at
+  its nodes with theta in (0, pi], and takes each node below the real axis
+  as the conjugate of its mirror image above it.  The group's residues sum to
   sum_k c_k f[s_0..s_k] for f(s) = t^(-s) (McCurdy, Ng & Parlett, Math.
   Comp. 43, 1984).  The divided differences come from the Taylor series of
   exp about the group's centre, so they do not cancel however close the
@@ -31,9 +34,11 @@ H has two series, one converging at each end of the support:
 
 * Endpoint route, away from 0: H(t) = eta sum_r l_r u^(mu+r-1) / gamma(mu+r)
   with u = ln(rho/t) and the l_r of ``correction_coeffs`` through r = 40
-  (Buhring, SIAM J. Math. Anal. 23, 1992).  Terms with mu + r a
-  non-positive integer are the endpoint atoms and are left out.  It
-  converges in u with a radius that depends on the set.
+  (Buhring, SIAM J. Math. Anal. 23, 1992), whose q_n come from one product
+  of a cached Bernoulli coefficient matrix with a vector of powers per
+  gamma factor.  Terms with mu + r a non-positive integer are the endpoint
+  atoms and are left out.  It converges in u with a radius that depends on
+  the set.
 
 Each route reports an error estimate: its last two terms (so that a
 vanishing coefficient does not hide the tail) plus its rounding floor
@@ -288,7 +293,14 @@ class MeasureEvaluator:
             centre = np.array([plan[i][1] for i in idx])
             radius = np.array([plan[i][2] for i in idx])
             nodes = centre[:, None] - np.array([plan[i][0] for i in idx])  # s_j - s_c
-            theta = 2.0 * math.pi * (np.arange(n) + 0.5) / n
+            # node n-1-j (theta = 2 pi - theta_j) contributes the conjugate
+            # of node j, so only theta in (0, pi] is evaluated and each node
+            # there counts twice in the real part of a sum, but for odd n
+            # the node at theta = pi, its own mirror image, counts once
+            half = (n + 1) // 2
+            theta = 2.0 * math.pi * (np.arange(half) + 0.5) / n
+            fold = np.full(half, 2.0)
+            fold[n // 2 :] = 1.0
             d = radius[:, None] * np.exp(1j * theta)
             log_ratio = self._log_ratio(d - centre[:, None])
             # c_k = (1/2 pi i) oint ratio(s) prod_(j<k) (s - s_j) ds by the
@@ -297,7 +309,7 @@ class MeasureEvaluator:
             moments = np.empty((len(idx), m))
             basis = np.ones_like(d)
             for k in range(m):
-                moments[:, k] = np.sum(w * basis, axis=1).real
+                moments[:, k] = (w * basis).real @ fold
                 basis = basis * (d - nodes[:, k : k + 1])
             peak = np.exp(np.max(log_ratio.real, axis=1)) * radius
             scale[idx] = np.max(np.abs(moments), axis=1) / peak

@@ -31,7 +31,7 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .errors import ParameterError, PoleError
-from .special import bernoulli_poly, log_abs_gamma_signed
+from .special import _bernoulli_all, log_abs_gamma_signed
 
 __all__ = [
     "ParameterSet",
@@ -367,14 +367,16 @@ def gamma_ratio(params: ParameterSet, k: float) -> float:
 
 @lru_cache(maxsize=32)
 def _q_sequence(params: ParameterSet, count: int) -> tuple[float, ...]:
-    out = []
-    for n in range(1, count + 1):
-        acc = math.fsum(
-            [bernoulli_poly(n + 1, a) / s**n for a, s in params.upper]
-            + [-bernoulli_poly(n + 1, b) / s**n for b, s in params.lower]
-        )
-        out.append(((-1.0) ** (n + 1) / (n + 1.0)) * acc)
-    return tuple(out)
+    import numpy as np
+
+    if count == 0:
+        return ()
+    n = np.arange(1, count + 1)
+    # B_(n+1)(shift) / scale^n for n = 1..count, one row per gamma factor
+    terms = [side * _bernoulli_all(count + 1, a)[2:] / s**n
+             for row, side in ((params.upper, 1.0), (params.lower, -1.0)) for a, s in row]
+    acc = np.array([math.fsum(col) for col in np.array(terms).T.tolist()])
+    return tuple(((-1.0) ** (n + 1) / (n + 1.0) * acc).tolist())
 
 
 def correction_coeffs(params: ParameterSet, order: int) -> tuple[float, ...]:

@@ -9,14 +9,16 @@ Contents:
   complex-gamma path.  It works on the real and imaginary float64 parts
   (real log, atan2, hypot, sin and cos of pi x reduced exactly mod 2) and
   imports numpy when called.
-* Exact Bernoulli numbers and Bernoulli polynomials over ``fractions.Fraction``.
+* Exact Bernoulli numbers over ``fractions.Fraction``, and Bernoulli
+  polynomials of every degree at once from their coefficients rounded to
+  float64.
 * Stirling numbers of the second kind and the Touchard polynomials built
   from them (sum_k k^j x^k / k! is e^x times one).
 
 Everything here is dependency-light on purpose: the rest of the package
 treats this module as its numerical bedrock, so it must not import any of
-the higher layers, and it loads no numpy until a complex log-gamma is
-asked for.
+the higher layers, and it loads no numpy until a complex log-gamma or a
+Bernoulli polynomial is asked for.
 """
 
 from __future__ import annotations
@@ -181,36 +183,50 @@ def bernoulli_number(n: int) -> Fraction:
 
 
 @cache
-def _bernoulli_row(n: int) -> tuple[float, ...]:
-    """C(n,k) B_k(1/2) for k = 0..n, B_k(1/2) = (2^(1-k) - 1) B_k, each
-    rounded once: the coefficients of B_n(x) in powers of x - 1/2."""
-    return tuple(
-        float(Fraction(math.comb(n, k)) * (Fraction(2) ** (1 - k) - 1) * bernoulli_number(k))
-        for k in range(n + 1)
-    )
+def _bernoulli_matrix(deg: int) -> Any:
+    """C[N, j] = C(N, N-j) B_(N-j)(1/2), B_k(1/2) = (2^(1-k) - 1) B_k, for
+    N, j = 0..deg, each rounded once: row N holds the coefficients of
+    B_N(x) in powers (x - 1/2)^j."""
+    import numpy as np
+
+    mat = np.zeros((deg + 1, deg + 1))
+    for n in range(deg + 1):
+        for k in range(n + 1):
+            exact = Fraction(math.comb(n, k)) * (Fraction(2) ** (1 - k) - 1) * bernoulli_number(k)
+            mat[n, n - k] = float(exact)
+    return mat
+
+
+def _bernoulli_all(deg: int, x: float) -> Any:
+    """B_N(x) for N = 0..deg, as one numpy array.
+
+    x is first reduced to y in [0, 1) by B_N(x + 1) = B_N(x) + N x^(N-1).
+    On [0, 1) the powers of y - 1/2 stay below 2^-j, so the expansion in
+    them loses no digits to cancellation, where the expansion about 0
+    loses about six at N = 41.  All degrees take one product of the cached
+    coefficient matrix with the vector of those powers, and the integer
+    shift is one more vector.  Every exponent is a non-negative integer,
+    so 0^0 = 1 and nothing divides by zero at y = 0.
+    """
+    import numpy as np
+
+    whole = math.floor(x)
+    y = x - whole
+    out = _bernoulli_matrix(deg) @ (y - 0.5) ** np.arange(deg + 1)
+    if whole:
+        # sum over the integer steps of (y + j)^(N-1), N = 1..deg
+        steps = y + (np.arange(whole) if whole > 0 else np.arange(whole, 0))
+        shift = (steps[:, None] ** np.arange(deg)).sum(axis=0)
+        out[1:] += math.copysign(1.0, whole) * np.arange(1, deg + 1) * shift
+    return out
 
 
 def bernoulli_poly(n: int, x: float) -> float:
-    """Bernoulli polynomial B_n(x) = sum_k C(n,k) B_k(1/2) (x - 1/2)^(n-k).
-
-    x is first reduced to y in [0, 1) by B_n(x + 1) = B_n(x) + n x^(n-1).
-    On [0, 1) the powers of y - 1/2 stay below 2^-(n-k), so the sum loses
-    no digits to cancellation; the expansion about 0 loses about six at
-    n = 41.  The exact rational coefficients are rounded once per degree
-    and cached.
-    """
+    """Bernoulli polynomial B_n(x), from the expansion about 1/2 that
+    ``_bernoulli_all`` takes for every degree up to n."""
     if n < 0:
         raise ValueError("Bernoulli polynomial degree must be non-negative")
-    whole = math.floor(x)
-    y = x - whole
-    acc = 0.0
-    for coeff in _bernoulli_row(n):
-        acc = acc * (y - 0.5) + coeff
-    if whole > 0:
-        acc += n * sum((y + j) ** (n - 1) for j in range(whole))
-    elif whole < 0:
-        acc -= n * sum((y + j) ** (n - 1) for j in range(whole, 0))
-    return acc
+    return float(_bernoulli_all(n, x)[n])
 
 
 # ---------------------------------------------------------------------------

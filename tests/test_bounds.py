@@ -120,6 +120,13 @@ class TestLiftedKernelBounds:
         want = math.gamma(lam) * math.pi / 2.0
         assert lower.rhs == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("z", [0.5, 2.0, 1e10])
+    def test_bound_past_the_double_range_raises(self, z):
+        # gamma(171.6) fits a double, but gamma(lam) (psi0 - psi1/rho) in
+        # the upper bound does not: value <= inf passed, saying nothing
+        with pytest.raises(DomainError, match="overflows"):
+            lifted_kernel_bounds(DOUBLE_POLE, 171.6, z)
+
     def test_continuation_points_beyond_disk(self):
         # z in {1, 2} lies beyond the lifted series radius (1/rho = 1);
         # the bound evaluation relies on the kernel continuation

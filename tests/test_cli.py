@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import foxwright
@@ -492,6 +493,52 @@ class TestGammaOverflow:
         assert (code, err) == (2, "")
         rows = json_rows(out)
         assert rows and all(row["status"] == "error:ParameterError" for row in rows)
+
+
+def strict_json_rows(out):
+    """Rows of a JSON-lines report, refusing NaN and Infinity, which JSON lacks."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return [json.loads(line, parse_constant=refuse) for line in out.strip().splitlines()]
+
+
+class TestNonFiniteRows:
+    """No row carries a non-finite float: a bound past the double range is
+    an error row, and any other non-finite figure is written as null on a
+    failing row."""
+
+    def test_lifted_bound_past_double_range(self, capsys):
+        # gamma(171.6) fits a double, the upper bound does not: this row
+        # read status pass with "rel_err": Infinity, exit 0
+        code, out, err = run_cli(capsys, "bounds", "--params", "double-pole",
+                                 "--lift", "171.6", "--z", "0.5")
+        assert (code, err) == (2, "")
+        (row,) = strict_json_rows(out)
+        assert row["status"] == "error:DomainError"
+        assert (row["value_or_verdict"], row["abs_err"], row["rel_err"]) == (None, None, None)
+
+    @pytest.mark.parametrize("output", ["json", "csv"])
+    def test_non_finite_value_is_null_and_fails(self, capsys, monkeypatch, output):
+        class Infinite:
+            def density(self, t):
+                return np.full(np.shape(t), math.inf if t[0] < 0.55 else math.nan)
+
+        monkeypatch.setattr(cli, "get_evaluator", lambda params: Infinite())
+        code, out, _ = run_cli(capsys, "hfun", "--params", "double-pole", "--z", "0.5,0.6",
+                               "--output", output)
+        assert code == 2
+        if output == "json":
+            rows = strict_json_rows(out)
+            assert [(r["value_or_verdict"], r["status"]) for r in rows] == [(None, "fail")] * 2
+        else:
+            assert out.splitlines()[1:] == [
+                "hfun,0427ae0a7ebdbf5c,0.5,,,,fail", "hfun,0427ae0a7ebdbf5c,0.6,,,,fail"]
+
+    @pytest.mark.parametrize("argv", readme_cli_examples(), ids=" ".join)
+    def test_readme_rows_are_strict_json(self, capsys, argv):
+        _, out, _ = run_cli(capsys, *argv)
+        assert strict_json_rows(out)
 
 
 class TestTermCap:

@@ -34,6 +34,9 @@ BETA_LIKE = ParameterSet([(0.7, 1.0)], [(2.3, 1.0)])
 P3_MU_245 = ParameterSet([(0.5, 1.0), (1.3, 1.0), (2.15, 1.0)], [(1.38, 1.0), (1.98, 1.0), (3.04, 1.0)])
 P3_MU_MINUS_1 = ParameterSet([(0.7, 1.0), (1.25, 1.0), (2.05, 1.0)], [(0.15, 1.0), (0.95, 1.0), (1.9, 1.0)])
 
+# two upper rows 5e-7 apart: every residue group holds two nearly coincident poles
+CLUSTERED = ParameterSet([(1.0, 1.0), (1.0 + 5e-7, 1.0)], [(1.5, 1.0), (1.5, 1.0)])
+
 
 def beta_density(t, alpha=0.7, beta=2.3):
     return t**alpha * (1.0 - t) ** (beta - alpha - 1.0) / math.gamma(beta - alpha)
@@ -391,8 +394,7 @@ class TestGuards:
     def test_pole_collision_detected(self):
         # two upper rows 5e-7 apart put their poles in one Newton group,
         # whose divided differences of t^-s do not cancel
-        params = ParameterSet([(1.0, 1.0), (1.0 + 5e-7, 1.0)], [(1.5, 1.0), (1.5, 1.0)])
-        ev = get_evaluator(params)
+        ev = get_evaluator(CLUSTERED)
         for t in (1e-20, 1e-6, 0.05, 0.3, 0.5):
             got = float(ev.density(np.array([t]))[0])
             want = meijer_g(t, [1.5, 1.5], [1.0, 1.0 + 5e-7])
@@ -434,11 +436,28 @@ class TestGuards:
             MeasureEvaluator(params)
 
 
+def built_with_plan(monkeypatch, params):
+    """A new evaluator of ``params`` and the circle plan its residue table
+    was built from: (poles, centre, radius, nodes) per group."""
+    plans = []
+    build = MeasureEvaluator._circle_moments
+
+    def spy(self, plan):
+        plans.append(plan)
+        return build(self, plan)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MeasureEvaluator, "_circle_moments", spy)
+        ev = MeasureEvaluator(params)
+    return ev, plans[0]
+
+
 class TestKernelWork:
     @pytest.mark.parametrize("params", [DOUBLE_POLE, P3_MU_245], ids=["double-pole", "p=3"])
     def test_kernel_elements_are_circle_nodes(self, monkeypatch, params):
-        # every complex log-gamma the build asks for is one circle node of
-        # one gamma factor, so the benchmark's element count is kernel work
+        # every complex log-gamma the build asks for is one circle node with
+        # theta in (0, pi] of one gamma factor, so the benchmark's element
+        # count is kernel work; _res_nodes_used still counts whole circles
         seen = []
         kernel = hfun.log_gamma_complex_vec
 
@@ -447,10 +466,53 @@ class TestKernelWork:
             return kernel(z)
 
         monkeypatch.setattr(hfun, "log_gamma_complex_vec", counting)
-        ev = MeasureEvaluator(params)
+        ev, plan = built_with_plan(monkeypatch, params)
         ev.density(np.linspace(0.25, 0.7, 20) * ev.rho)
         pq = len(params.upper) + len(params.lower)
-        assert seen and sum(seen) == ev._res_nodes_used * pq
+        assert ev._res_nodes_used == sum(n for *_, n in plan)
+        assert seen and sum(seen) == sum((n + 1) // 2 for *_, n in plan) * pq
+
+
+class TestConjugateMirror:
+    """The rows are real, so ratio(conj s) = conj ratio(s): each residue
+    circle evaluates its nodes with theta in (0, pi] and takes the others
+    as their conjugates."""
+
+    @pytest.mark.parametrize("params", [EXP_COLLAPSE, TWIN_QUARTER, DOUBLE_POLE, IDENTITY,
+                                        P3_MU_245, CLUSTERED],
+                             ids=["exp-collapse", "twin-quarter", "double-pole", "identity",
+                                  "p=3", "clustered"])
+    def test_moments_match_full_circle(self, monkeypatch, params):
+        # each group's Newton moments against a midpoint rule over every
+        # node of its circle, at its planned node count and one more, so
+        # that odd and even counts (odd ones have a node at theta = pi that
+        # is its own mirror) are both met; the scale is the largest moment,
+        # or for a degenerate set, whose moments are rounding noise, the
+        # circle's largest |ratio| * radius
+        ev, plan = built_with_plan(monkeypatch, params)
+        moments = []
+        to_power = hfun._newton_to_power
+
+        def spy(c, nodes, extra):
+            moments.append(c[0])
+            return to_power(c, nodes, extra)
+
+        monkeypatch.setattr(hfun, "_newton_to_power", spy)
+        for poles, centre, radius, nodes in plan:
+            for n in (nodes, nodes + 1):
+                ev._circle_moments([(poles, centre, radius, n)])
+                theta = 2.0 * math.pi * (np.arange(n) + 0.5) / n
+                d = radius * np.exp(1j * theta)
+                log_ratio = ev._log_ratio(d - centre)
+                w = np.exp(log_ratio + math.log(radius / n) + 1j * theta)
+                want, basis = [], np.ones_like(d)
+                for pole in poles:
+                    want.append(np.sum(w * basis).real)
+                    basis = basis * (d - (centre - pole))
+                want = np.array(want)
+                peak = math.exp(np.max(log_ratio.real)) * radius
+                scale = peak if ev.degenerate else np.max(np.abs(want))
+                assert np.max(np.abs(moments.pop() - want)) <= 1e-14 * scale, (centre, n)
 
 
 class TestEvaluatorCache:

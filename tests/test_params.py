@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +17,8 @@ from foxwright import (
 )
 from foxwright.catalog import DOUBLE_POLE, EXP_COLLAPSE, IDENTITY, TWIN_QUARTER
 from foxwright.errors import ParameterError, PoleError
-from foxwright.params import gamma_ratio_log_signed
+from foxwright.params import _q_sequence, gamma_ratio_log_signed
+from foxwright.special import _bernoulli_matrix, bernoulli_number
 
 
 class TestDerivedConstants:
@@ -115,6 +118,56 @@ class TestCorrectionCoeffs:
         got = correction_coeffs(ps, order)
         for r, (g, w) in enumerate(zip(got, want)):
             assert g == pytest.approx(w, rel=1e-13, abs=0.0), r
+
+
+def exact_bernoulli_poly(n: int, x: Fraction) -> Fraction:
+    return sum(Fraction(math.comb(n, k)) * bernoulli_number(k) * x ** (n - k)
+               for k in range(n + 1))
+
+
+def bernoulli_mass(n: int, x: float) -> float:
+    """The sum of |terms| that B_n(x) is evaluated from: the expansion in
+    powers of y - 1/2, y = x - floor(x), and the integer-shift sum."""
+    whole = math.floor(x)
+    y = x - whole
+    mass = sum(abs(c) * abs(y - 0.5) ** j for j, c in enumerate(_bernoulli_matrix(n)[n]))
+    steps = range(whole) if whole > 0 else range(whole, 0)
+    return mass + n * sum(abs(y + j) ** (n - 1) for j in steps)
+
+
+class TestQSequence:
+    """q_n takes each gamma factor's B_(n+1)(shift), n = 1..count, from one
+    product of a cached Bernoulli coefficient matrix with the powers of
+    y - 1/2; checked against exact rational arithmetic on the same floats."""
+
+    @pytest.mark.parametrize("ps", [
+        ParameterSet([(0.3, 0.5), (0.7, 1.5)], [(0.45, 1.0), (0.55, 1.0)]),
+        ParameterSet([(2.35, 1.0), (4.5, 0.5)], [(3.1, 1.0), (1.0, 0.5)]),
+        ParameterSet([(-0.4, 1.0), (-2.75, 2.0)], [(-1.3, 1.5), (0.25, 1.5)]),
+        # y = 0 throughout: integer shifts, 0 among them, as in the catalog
+        ParameterSet([(1.0, 1.0), (3.0, 0.5)], [(0.0, 1.0), (2.5, 0.5)]),
+    ], ids=["integer-part-0", "integer-part-positive", "integer-part-negative", "y=0"])
+    def test_matches_exact_arithmetic(self, ps):
+        count = 40
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _q_sequence.__wrapped__(ps, count)  # past the cache
+        assert len(got) == count
+        rows = ps.upper + ps.lower
+        for n in range(1, count + 1):
+            acc = sum(exact_bernoulli_poly(n + 1, Fraction(a)) / Fraction(s) ** n
+                      for a, s in ps.upper)
+            acc -= sum(exact_bernoulli_poly(n + 1, Fraction(b)) / Fraction(s) ** n
+                       for b, s in ps.lower)
+            want = Fraction((-1) ** (n + 1), n + 1) * acc
+            mass = sum(bernoulli_mass(n + 1, a) / s**n for a, s in rows) / (n + 1)
+            eps = 2.0**-52
+            assert abs(Fraction(got[n - 1]) - want) <= 8 * eps * mass, n
+
+    def test_short_sequences(self):
+        assert _q_sequence.__wrapped__(DOUBLE_POLE, 0) == ()
+        (q1,) = _q_sequence.__wrapped__(TWIN_QUARTER, 1)
+        assert q1 == pytest.approx(1.0 / 8.0, rel=1e-14)  # = l_1
 
 
 class TestValidation:

@@ -75,6 +75,25 @@ class TestLogGamma:
                 bound = 32 * eps * max(1.0, abs(want))
                 assert re_err <= bound and im_err <= bound, z
 
+    def test_complex_kernel_conjugate_symmetric(self):
+        # the residue circles evaluate their upper halves only and take the
+        # lower ones as conjugates, which needs log gamma(conj z) to be
+        # conj log gamma(z) exactly: bit for bit off the real axis (circles
+        # about the poles, and the strip); on it, where +0 and -0 imaginary
+        # parts may come out as zeros of either sign, in value
+        rng = np.random.default_rng(18)
+        theta = rng.uniform(0.0, np.pi, 4000)
+        off = np.concatenate([
+            -rng.integers(0, 301, 4000) + rng.uniform(0.01, 0.3, 4000) * np.exp(1j * theta),
+            rng.uniform(-300.0, 300.0, 4000) + 1j * rng.uniform(-50.0, 50.0, 4000),
+        ])
+        got, want = log_gamma_complex_vec(off.conj()), log_gamma_complex_vec(off).conj()
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        axis = np.concatenate([rng.uniform(-300.0, 300.0, 4000), np.arange(-20, 21) + 0.5,
+                               [1.0, 2.0, 3.0]]).astype(complex)
+        np.testing.assert_array_equal(log_gamma_complex_vec(axis.conj()),
+                                      log_gamma_complex_vec(axis).conj())
+
     @pytest.mark.parametrize("n", [-4, -3, -2, -1, 0, -1000001])
     def test_complex_kernel_infinite_at_poles(self, n):
         # sin(pi z) at an odd pole once rounded to 1.2e-16, not 0, and gave
