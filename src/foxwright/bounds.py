@@ -25,22 +25,10 @@ from functools import lru_cache
 from math import comb
 from typing import Callable, Sequence
 
-from .errors import (
-    ConstraintError,
-    DegenerateError,
-    DivisionError,
-    DomainError,
-    ParameterError,
-)
+from .errors import DegenerateError, DivisionError, DomainError, ParameterError
 from .hfun import get_evaluator, hfun_nonneg_scan
-from .params import (
-    ParameterSet,
-    _require_exponent,
-    derive_constants,
-    gamma_ratio,
-    shift_parameters,
-)
-from .representations import _lifted_regular, lifted_value
+from .params import ParameterSet, _require_exponent, gamma_ratio, shift_parameters
+from .representations import _lifted_regular, _power_kernel, _single_atom, lifted_value
 from .series import IdentityRecord, _record, fox_wright_value
 
 __all__ = [
@@ -66,12 +54,7 @@ def _atomic_mass(params: ParameterSet):
     """(psi0, psi1, constants) for single-endpoint-atom sets, validated.
     The set fixes them, so like :func:`derive_constants` they are computed
     once per set."""
-    c = derive_constants(params)
-    if not c.balanced or c.m_order != 0:
-        raise ConstraintError(
-            "kernel bounds need a balanced set with a single endpoint atom "
-            f"(mu == 0); got delta={c.delta:.3g}, mu={c.mu:.6g}"
-        )
+    c = _single_atom(params)
     psi0 = gamma_ratio(params, 0.0) - c.eta
     psi1 = gamma_ratio(params, 1.0) - c.eta * c.rho
     scale = 1.0 + abs(gamma_ratio(params, 0.0))
@@ -160,8 +143,8 @@ def stieltjes_lower_bound(
     bound = lifted_kernel_bounds(params, sigma, z)[0]
     psi0 = _atomic_mass(params)[0]
     ev = get_evaluator(params)
-    mean_sigma = ev.measure_integral(lambda t: (1.0 + t * z) ** (-sigma) / t) / psi0
-    mean_one = ev.measure_integral(lambda t: (1.0 + t * z) ** (-1.0) / t) / psi0
+    mean_sigma = _power_kernel(ev, sigma, z)[0] / psi0
+    mean_one = _power_kernel(ev, 1.0, z)[0] / psi0
     relation = "==" if abs(sigma - 1.0) <= 1e-12 else ">=" if sigma > 1.0 else "<="
     step = _record(
         f"power-mean[sigma={sigma:g}]", bound.params_hash, z, mean_sigma, mean_one**sigma,
@@ -235,12 +218,10 @@ def shifted_stieltjes_ratio(
     the quotient.  The record passes when the routes agree to 1e-6.
     """
     _require_exponent("sigma", sigma)
-    psi0, psi1, c = _atomic_mass(params)
-    if 1.0 + c.rho * z <= 0.0:
-        raise DomainError(f"kernel 1+tz vanishes inside the support for z={z}")
+    _atomic_mass(params)  # the single-atom gate, and a density that carries mass
     ev = get_evaluator(params)
+    den_q = _power_kernel(ev, sigma, z)[0]
     num_q = ev.measure_integral(lambda t: t ** (delta - 1.0) * (1.0 + t * z) ** (-sigma))
-    den_q = ev.measure_integral(lambda t: (1.0 + t * z) ** (-sigma) / t)
     if abs(den_q) < _DENOM_FLOOR:
         raise DivisionError(
             f"quadrature denominator ~ {den_q:.2e}: quotient undefined"

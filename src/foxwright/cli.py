@@ -54,7 +54,7 @@ from .representations import (
     verify_representation,
     verify_stieltjes,
 )
-from .series import SeriesStatus, fox_wright, fox_wright_value
+from .series import fox_wright_value
 
 __all__ = ["main", "run", "parse_grid", "parse_k_list"]
 
@@ -67,13 +67,6 @@ _CM_FUNCTIONS = {
     "collapse-remainder": lambda x: (math.exp(-2.0 * x) - math.exp(-x / 2.0))
     / math.sqrt(math.pi),
 }
-
-_SERIES_STATUS = {
-    SeriesStatus.CONVERGED: "ok",
-    SeriesStatus.OUTSIDE_DOMAIN: "error:OutsideDomainError",
-    SeriesStatus.MAX_TERMS: "error:NonConvergentError",
-}
-
 
 class CliUsageError(Exception):
     """Bad flags, unreadable files, malformed grids: exit code 1."""
@@ -167,9 +160,7 @@ def _verdict(ok: bool) -> str:
 
 
 def _eval_point(ns, params, z):
-    res = fox_wright(params, z)
-    value = complex(res.value).real
-    return (None if math.isnan(value) else value), None, None, _SERIES_STATUS[res.status]
+    return complex(fox_wright_value(params, z)).real, None, None, "ok"
 
 
 def _hfun_point(ns, params, t):

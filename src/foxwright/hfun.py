@@ -215,19 +215,6 @@ class MeasureEvaluator:
     # residue route
     # ------------------------------------------------------------------
 
-    def _generate_poles(self, sigma_max: float) -> list[float]:
-        out: list[float] = []
-        for a, sc in self.params.upper:
-            n = 0
-            while True:
-                sigma = (a + n) / sc
-                if sigma > sigma_max:
-                    break
-                out.append(sigma)
-                n += 1
-        out.sort()
-        return out
-
     def _table_sigma(self, t_max: float, target: float) -> float:
         """The pole abscissa where (t_max/rho)^(sigma - first) falls below
         target, rounded up to a multiple of _TABLE_STEP so that nearby t_max
@@ -251,48 +238,56 @@ class MeasureEvaluator:
         # one ladder spacing past the target, so the last group's neighbour is known
         spacing = min(1.0 / sc for _, sc in self.params.upper)
         limit = sigma + spacing
-        members: list[list[float]] = []
-        for sg in self._generate_poles(limit):
-            if members and sg - members[-1][-1] <= _GROUP_GAP * spacing:
-                members[-1].append(sg)
-            else:
-                members.append([sg])
-        plan = []
-        used = 0
-        for i, group in enumerate(members):
-            centre = sum(group) / len(group)
-            if centre > sigma:
-                break
-            half = max(abs(sg - centre) for sg in group)
-            left = centre - members[i - 1][-1] if i else math.inf
-            right = members[i + 1][0] - centre if i + 1 < len(members) else limit - centre
-            near = min(left, right)
-            # the midpoint rule aliases at the rates half/radius (poles inside)
-            # and radius/near (poles outside); both are <= 0.3 for a tight group
-            radius = min(0.25, max(0.3 * near, math.sqrt(half * near)))
-            rate = max(half / radius, radius / near)
-            nodes = max(_CIRCLE_NODES, math.ceil(math.log(1e-17) / math.log(rate)))
-            if used + nodes > budget:
-                exhausted = True
-                break
-            used += nodes
-            plan.append((group, centre, radius, nodes))
-        coeffs, scale = self._circle_moments(plan)
-        return np.array([p[1] for p in plan]), coeffs, scale, used, exhausted
+        # the ladders (a + n)/sc up to limit, counted with a spare n against rounding
+        poles = np.sort(np.concatenate([
+            (a + np.arange(max(math.floor(limit * sc - a) + 2, 0))) / sc
+            for a, sc in self.params.upper
+        ]))
+        poles = poles[poles <= limit]
+        # a pole within _GROUP_GAP spacing of the one before joins its group;
+        # row g of members holds group g's poles, padded with zeros
+        start = np.flatnonzero(np.diff(poles, prepend=-math.inf) > _GROUP_GAP * spacing)
+        size = np.diff(start, append=poles.size)
+        inside = np.arange(np.max(size)) < size[:, None]
+        members = np.zeros(inside.shape)
+        members[inside] = poles
+        # cumsum adds in order, so the mean is sum(group) / len(group) to the bit
+        centre = np.cumsum(members, axis=1)[:, -1] / size
+        # the groups centred up to sigma, a prefix; one past it may sit at
+        # limit, where its circle's radius would be 0
+        g = int(np.searchsorted(centre, sigma, side="right"))
+        centre = centre[:g]
+        half = np.max(np.where(inside[:g], np.abs(members[:g] - centre[:, None]), 0.0), axis=1)
+        left = centre - np.append(-math.inf, poles[start[1:g] - 1])
+        right = np.append(poles[start[1:]], limit)[:g] - centre
+        near = np.minimum(left, right)
+        # the midpoint rule aliases at the rates half/radius (poles inside)
+        # and radius/near (poles outside); both are <= 0.3 for a tight group
+        radius = np.minimum(0.25, np.maximum(0.3 * near, np.sqrt(half * near)))
+        rate = np.maximum(half / radius, radius / near)
+        nodes = np.maximum(_CIRCLE_NODES, np.ceil(math.log(1e-17) / np.log(rate))).astype(int)
+        # the leading groups whose circles fit the budget
+        used = np.cumsum(nodes)
+        k = int(np.searchsorted(used, budget, side="right"))
+        coeffs, scale = self._circle_moments(members[:k], size[:k], centre[:k], radius[:k],
+                                             nodes[:k])
+        return centre[:k], coeffs, scale, int(used[k - 1]) if k else 0, exhausted or k < g
 
-    def _circle_moments(self, plan: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    def _circle_moments(self, members: np.ndarray, size: np.ndarray, centre: np.ndarray,
+                        radius: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Residue power series of the planned groups, one row each, and the
-        scale of their Newton moments.  Groups with the same size and node
+        scale of their Newton moments.  Group g has the poles
+        ``members[g, :size[g]]`` and a circle of ``nodes[g]`` nodes with
+        ``centre[g]`` and ``radius[g]``.  Groups with the same size and node
         count are done together, from one log-gamma evaluation."""
-        coeffs = np.zeros((len(plan), 0))
-        scale = np.empty(len(plan))
+        coeffs = np.zeros((centre.size, 0))
+        scale = np.empty(centre.size)
         # largest |ln t| any caller of the table can ask for
         log_span = -math.log(_DE_FLOOR) + abs(math.log(self.rho))
-        for m, n in sorted({(len(p[0]), p[3]) for p in plan}):
-            idx = [i for i, p in enumerate(plan) if (len(p[0]), p[3]) == (m, n)]
-            centre = np.array([plan[i][1] for i in idx])
-            radius = np.array([plan[i][2] for i in idx])
-            nodes = centre[:, None] - np.array([plan[i][0] for i in idx])  # s_j - s_c
+        for m, n in sorted(set(zip(size.tolist(), nodes.tolist()))):
+            idx = np.flatnonzero((size == m) & (nodes == n))
+            c, r = centre[idx], radius[idx]
+            offsets = c[:, None] - members[idx, :m]  # s_j - s_c
             # node n-1-j (theta = 2 pi - theta_j) contributes the conjugate
             # of node j, so only theta in (0, pi] is evaluated and each node
             # there counts twice in the real part of a sum, but for odd n
@@ -301,26 +296,26 @@ class MeasureEvaluator:
             theta = 2.0 * math.pi * (np.arange(half) + 0.5) / n
             fold = np.full(half, 2.0)
             fold[n // 2 :] = 1.0
-            d = radius[:, None] * np.exp(1j * theta)
-            log_ratio = self._log_ratio(d - centre[:, None])
+            d = r[:, None] * np.exp(1j * theta)
+            log_ratio = self._log_ratio(d - c[:, None])
             # c_k = (1/2 pi i) oint ratio(s) prod_(j<k) (s - s_j) ds by the
             # midpoint rule on |s - s_c| = radius, s_c = -centre
-            w = np.exp(log_ratio + np.log(radius / n)[:, None] + 1j * theta)
-            moments = np.empty((len(idx), m))
+            w = np.exp(log_ratio + np.log(r / n)[:, None] + 1j * theta)
+            moments = np.empty((idx.size, m))
             basis = np.ones_like(d)
             for k in range(m):
                 moments[:, k] = (w * basis).real @ fold
-                basis = basis * (d - nodes[:, k : k + 1])
-            peak = np.exp(np.max(log_ratio.real, axis=1)) * radius
+                basis = basis * (d - offsets[:, k : k + 1])
+            peak = np.exp(np.max(log_ratio.real, axis=1)) * r
             scale[idx] = np.max(np.abs(moments), axis=1) / peak
             # Taylor terms of exp(-(s - s_c) ln t) past the group size, until
             # (max |s_j - s_c| |ln t|)^j / j! < 1e-17
-            reach = float(np.max(np.abs(nodes))) * log_span
+            reach = float(np.max(np.abs(offsets))) * log_span
             extra, term = 0, reach
             while term > 1e-17:
                 extra += 1
                 term *= reach / (extra + 1)
-            rows = _newton_to_power(moments, nodes, extra)
+            rows = _newton_to_power(moments, offsets, extra)
             if rows.shape[1] > coeffs.shape[1]:
                 coeffs = np.pad(coeffs, ((0, 0), (0, rows.shape[1] - coeffs.shape[1])))
             coeffs[idx, : rows.shape[1]] = rows

@@ -128,7 +128,7 @@ def integrate_levels(
 def integrate_gamma_weighted(
     f: Callable[[np.ndarray], np.ndarray],
     sigma: float,
-    decay: float = 1.0,
+    decay: float,
 ) -> float:
     """integral_0^inf t^(sigma-1) e^(-t) f(t) dt for sigma > 0, to 1e-12 relative.
 

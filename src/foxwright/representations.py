@@ -28,8 +28,14 @@ import math
 import numpy as np
 
 from .catalog import EXP_COLLAPSE
-from .errors import ConstraintError, DomainError, OutsideDomainError, ParameterError
-from .hfun import get_evaluator
+from .errors import (
+    ConstraintError,
+    DomainError,
+    NonConvergentError,
+    OutsideDomainError,
+    ParameterError,
+)
+from .hfun import MeasureEvaluator, get_evaluator
 from .params import ParameterSet, _require_exponent, derive_constants, gamma_ratio
 from .quadrature import integrate_gamma_weighted
 from .series import (
@@ -39,7 +45,6 @@ from .series import (
     _record,
     correction_series,
     four_param_wright,
-    fox_wright,
     fox_wright_value,
 )
 
@@ -58,15 +63,26 @@ __all__ = [
 _TOL = 1e-6  # rel_err within which the two sides of every identity here agree
 
 
-def _require_balanced(params: ParameterSet):
+def _single_atom(params: ParameterSet):
+    """The derived constants of a balanced set whose measure has a single
+    endpoint atom (``mu == 0``); ConstraintError for any other set."""
     c = derive_constants(params)
-    if not c.balanced:
+    if not c.balanced or c.m_order != 0:
         raise ConstraintError(
-            "integral representations require balanced scale sums "
-            f"(sum of upper scales {sum(s for _, s in params.upper):.6g} != "
-            f"sum of lower scales {sum(s for _, s in params.lower):.6g})"
+            "the Stieltjes identity and the kernel bounds need a balanced set with a "
+            f"single endpoint atom (mu == 0); got delta={c.delta:.3g}, mu={c.mu:.6g}"
         )
     return c
+
+
+def _power_kernel(ev: MeasureEvaluator, sigma: float, z: float) -> tuple:
+    """(integral_0^rho (1+tz)^(-sigma) H(t) dt/t, error estimate) on the
+    evaluator's cached rule; DomainError where 1 + tz vanishes on the support."""
+    if 1.0 + ev.rho * z <= 0.0:
+        raise DomainError(
+            f"kernel 1+tz vanishes inside the support: z={z} <= {-1.0 / ev.rho:.6g}"
+        )
+    return ev._integral(lambda t: (1.0 + t * z) ** (-sigma) / t)
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +149,8 @@ def stieltjes_eval(params: ParameterSet, sigma: float, z: float) -> EvalResult:
     this from the lifted series, see :func:`verify_stieltjes`.
     """
     _require_exponent("sigma", sigma)
-    c = _require_balanced(params)
-    if 1.0 + c.rho * z <= 0.0:
-        raise DomainError(
-            f"kernel 1+tz vanishes inside the support: z={z} <= {-1.0 / c.rho:.6g}"
-        )
     ev = get_evaluator(params)
-    integral, err = ev._integral(lambda t: (1.0 + t * z) ** (-sigma) / t)
+    integral, err = _power_kernel(ev, sigma, z)
     g = math.gamma(sigma)
     return EvalResult(g * integral, ev._res_nodes_used, g * err, SeriesStatus.CONVERGED)
 
@@ -155,12 +166,7 @@ def verify_stieltjes(params: ParameterSet, sigma: float, z: float) -> IdentityRe
     term this check subtracts again, so there the record compares the
     quadrature with itself and its error reads about 0.
     """
-    c = _require_balanced(params)
-    if c.m_order != 0:
-        raise ConstraintError(
-            "the Stieltjes identity needs a single endpoint atom (mu == 0); "
-            f"got mu={c.mu:.6g}"
-        )
+    _single_atom(params)
     lhs = float(stieltjes_eval(params, sigma, z).value)
     rhs = _lifted_regular(params, sigma, z)
     return _record(f"stieltjes-kernel[sigma={sigma:g}]", params.hash_key(), z, lhs, rhs, _TOL)
@@ -179,23 +185,20 @@ def lifted_value(params: ParameterSet, lam: float, z: float) -> float:
     ``1/rho``.  Inside it the series is summed.  Where it does not converge,
     on the negative real axis, the same function extends through the measure
     as ``gamma(lam) [ integral (1-tz)^(-lam) H dt/t + eta (1-rho z)^(-lam) ]``.
+    Anywhere else the series' own error passes through: OutsideDomainError
+    off the disk, NonConvergentError where a term overflows a double.
     """
     _require_exponent("lam", lam)
     lifted = ParameterSet([(lam, 1.0), *params.upper], list(params.lower))
-    res = fox_wright(lifted, z)
-    if res.status is SeriesStatus.CONVERGED:
-        return complex(res.value).real
-    c = derive_constants(params)
-    if z < 0 and c.represented and c.m_order in (0, None):
-        x = -z
-        ev = get_evaluator(params)
-        integral = ev.measure_integral(lambda t: (1.0 + t * x) ** (-lam) / t)
-        atom = c.eta * (1.0 + c.rho * x) ** (-lam) if c.m_order == 0 else 0.0
-        return math.gamma(lam) * (integral + atom)
-    raise OutsideDomainError(
-        f"z={z} is outside the lifted series disk and the kernel continuation "
-        "needs a balanced set with a single endpoint atom and z < 0"
-    )
+    try:
+        return complex(fox_wright_value(lifted, z)).real
+    except (OutsideDomainError, NonConvergentError):
+        c = derive_constants(params)
+        if not (z < 0 and c.represented and c.m_order in (0, None)):
+            raise
+    integral, _ = _power_kernel(get_evaluator(params), lam, -z)
+    atom = c.eta * (1.0 - c.rho * z) ** (-lam) if c.m_order == 0 else 0.0
+    return math.gamma(lam) * (integral + atom)
 
 
 def _lifted_regular(params: ParameterSet, sigma: float, z: float) -> float:
@@ -226,7 +229,11 @@ def laplace_lift_check(params: ParameterSet, lam: float, z: float) -> IdentityRe
     sum the series node by node.
     """
     _require_exponent("lam", lam)
-    c = _require_balanced(params)
+    c = derive_constants(params)
+    if not c.balanced:
+        raise ConstraintError(
+            f"the Laplace lift needs balanced scale sums; got delta={c.delta:.3g}"
+        )
     decay = 1.0 - c.rho * max(z, 0.0)
     if decay <= 1e-9:
         raise OutsideDomainError(

@@ -85,8 +85,6 @@ CHECK_FUNCTIONS = {
 DEFAULTED_PARAMETERS = {
     # scripts/verify_all.py and perfbench/test_perfbench.py name a single series
     "MeasureEvaluator.density.method",
-    # laplace_lift_check passes the decay rate of its integrand
-    "integrate_gamma_weighted.decay",
     # the benchmark's identity-cli worker passes each argument list
     "main.argv",
 }
@@ -276,7 +274,7 @@ def test_cli_has_no_switch():
     }
     assert values == {
         "annotations", "NAMED_SETS", "_CM_FUNCTIONS", "_COMMANDS", "_FIELDS", "_FLAGS",
-        "_GRID_HINTS", "_SERIES_STATUS", "_Z_HELP",
+        "_GRID_HINTS", "_Z_HELP",
     }
 
 

@@ -20,6 +20,7 @@ from foxwright.catalog import DOUBLE_POLE, EXP_COLLAPSE, TWIN_QUARTER
 from foxwright.errors import (
     ConstraintError,
     DegenerateError,
+    DivisionError,
     DomainError,
     ParameterError,
 )
@@ -237,6 +238,16 @@ class TestShiftedRatio:
     def test_kernel_zero_rejected(self):
         with pytest.raises(DomainError):
             shifted_stieltjes_ratio(DOUBLE_POLE, 1.0, 1.0, -1.5)
+
+    def test_zero_quadrature_denominator_rejected(self, monkeypatch):
+        monkeypatch.setattr(bounds, "_power_kernel", lambda ev, sigma, z: (0.0, 0.0))
+        with pytest.raises(DivisionError, match="quadrature denominator"):
+            shifted_stieltjes_ratio(DOUBLE_POLE, 1.0, 1.0, 0.5)
+
+    def test_zero_series_denominator_rejected(self, monkeypatch):
+        monkeypatch.setattr(bounds, "_lifted_regular", lambda params, sigma, z: 0.0)
+        with pytest.raises(DivisionError, match="series denominator"):
+            shifted_stieltjes_ratio(DOUBLE_POLE, 1.0, 1.0, 0.5)
 
 
 def scan_summary(records):

@@ -184,6 +184,26 @@ class TestEval:
         assert "--z" in err
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv,message", [
+        (("eval", "--params", "identity", "--z", "1:x:3"), "bad grid"),
+        (("moments", "--params", "double-pole", "--k", "1..x"), "bad k-range"),
+        (("eval", "--z", "1"), "needs --params"),
+        (("cm-check", "--function", "series"), "needs --params"),
+    ], ids=" ".join)
+    def test_exit_1(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert message in err
+
+    def test_unparsable_params_file_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        code, out, err = run_cli(capsys, "eval", "--params", str(path), "--z", "1")
+        assert (code, out) == (1, "")
+        assert "could not parse parameter file" in err
+
+
 class TestMoments:
     def test_all_orders_pass(self, capsys):
         code, out, _ = run_cli(capsys, "moments", "--params", "twin-quarter", "--k", "0..8")
@@ -305,6 +325,15 @@ class TestBoundsCommand:
         )
         assert (code, out) == (1, "")
         assert "--sigma or --lift" in err
+
+    def test_lift_overflow_at_zero_names_the_series_error(self, capsys):
+        # gamma(171.6) ratio(0) overflows at z = 0, the centre of the lifted
+        # series disk: the row names the overflow, not a point outside the disk
+        code, out, err = run_cli(capsys, "bounds", "--params", "double-pole", "--lift", "171.6",
+                                 "--z", "0")
+        assert (code, err) == (2, "")
+        (row,) = json_rows(out)
+        assert row["status"] == "error:NonConvergentError"
 
 
 class TestCmCheckCommand:
@@ -543,10 +572,14 @@ class TestNonFiniteRows:
 
 class TestTermCap:
     def test_term_cap_produces_error_rows(self, capsys, monkeypatch):
+        # the partial sum 1 + 25 + 312.5 + 2604.2 = 2942.7 is finite, but
+        # an error row carries no value
         monkeypatch.setattr(series, "_TERM_CAP", 4)
         code, out, _ = run_cli(capsys, "eval", "--params", "identity", "--z", "25")
         assert code == 2
-        assert json_rows(out)[0]["status"] == "error:NonConvergentError"
+        (row,) = json_rows(out)
+        assert row["status"] == "error:NonConvergentError"
+        assert row["value_or_verdict"] is None
         monkeypatch.undo()
         code, _, _ = run_cli(capsys, "eval", "--params", "identity", "--z", "25")
         assert code == 0

@@ -409,6 +409,12 @@ class TestGuards:
         want = meijer_g(t * t, [1.0, 1.0], [0.5, 0.5 + 3e-7], 2.0)
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
+    def test_endpoint_route_near_zero_raises_typed_error(self):
+        # the endpoint series in u = ln(rho/t) has not converged at 0.1 rho
+        ev = get_evaluator(DOUBLE_POLE)
+        with pytest.raises(NonConvergentError):
+            ev.density(np.array([0.1 * ev.rho]), method=HfunMethod.ENDPOINT_SERIES)
+
     def test_residue_route_near_rho_raises_typed_error(self):
         # the table stops at the node budget rather than listing every pole
         # out to the sigma ~ 3e13 that (t/rho)^sigma < 1e-12 asks for here
@@ -438,13 +444,14 @@ class TestGuards:
 
 def built_with_plan(monkeypatch, params):
     """A new evaluator of ``params`` and the circle plan its residue table
-    was built from: (poles, centre, radius, nodes) per group."""
+    was built from: the arrays (members, size, centre, radius, nodes), one
+    entry per group."""
     plans = []
     build = MeasureEvaluator._circle_moments
 
-    def spy(self, plan):
+    def spy(self, *plan):
         plans.append(plan)
-        return build(self, plan)
+        return build(self, *plan)
 
     with monkeypatch.context() as patch:
         patch.setattr(MeasureEvaluator, "_circle_moments", spy)
@@ -469,8 +476,9 @@ class TestKernelWork:
         ev, plan = built_with_plan(monkeypatch, params)
         ev.density(np.linspace(0.25, 0.7, 20) * ev.rho)
         pq = len(params.upper) + len(params.lower)
-        assert ev._res_nodes_used == sum(n for *_, n in plan)
-        assert seen and sum(seen) == sum((n + 1) // 2 for *_, n in plan) * pq
+        nodes = plan[-1]
+        assert ev._res_nodes_used == np.sum(nodes)
+        assert seen and sum(seen) == np.sum((nodes + 1) // 2) * pq
 
 
 class TestConjugateMirror:
@@ -498,9 +506,11 @@ class TestConjugateMirror:
             return to_power(c, nodes, extra)
 
         monkeypatch.setattr(hfun, "_newton_to_power", spy)
-        for poles, centre, radius, nodes in plan:
+        for members, size, centre, radius, nodes in zip(*plan):
+            poles = members[:size]
             for n in (nodes, nodes + 1):
-                ev._circle_moments([(poles, centre, radius, n)])
+                ev._circle_moments(members[None], np.array([size]), np.array([centre]),
+                                   np.array([radius]), np.array([n]))
                 theta = 2.0 * math.pi * (np.arange(n) + 0.5) / n
                 d = radius * np.exp(1j * theta)
                 log_ratio = ev._log_ratio(d - centre)
@@ -513,6 +523,88 @@ class TestConjugateMirror:
                 peak = math.exp(np.max(log_ratio.real)) * radius
                 scale = peak if ev.degenerate else np.max(np.abs(want))
                 assert np.max(np.abs(moments.pop() - want)) <= 1e-14 * scale, (centre, n)
+
+
+def loop_plan(ev, sigma):
+    """The residue table's plan by the scalar loop the array plan replaced:
+    (poles, centre, radius, nodes) per group, the circle nodes used and
+    whether the table is exhausted."""
+    budget = hfun._NODE_BUDGET
+    upper = ev.params.upper
+    cap = min((a + budget // hfun._CIRCLE_NODES) / sc for a, sc in upper)
+    exhausted = sigma > cap
+    sigma = min(sigma, cap)
+    spacing = min(1.0 / sc for _, sc in upper)
+    limit = sigma + spacing
+    poles = []
+    for a, sc in upper:
+        n = 0
+        while (a + n) / sc <= limit:
+            poles.append((a + n) / sc)
+            n += 1
+    members = []
+    for sg in sorted(poles):
+        if members and sg - members[-1][-1] <= hfun._GROUP_GAP * spacing:
+            members[-1].append(sg)
+        else:
+            members.append([sg])
+    plan, used = [], 0
+    for i, group in enumerate(members):
+        centre = sum(group) / len(group)
+        if centre > sigma:
+            break
+        half = max(abs(sg - centre) for sg in group)
+        left = centre - members[i - 1][-1] if i else math.inf
+        right = members[i + 1][0] - centre if i + 1 < len(members) else limit - centre
+        near = min(left, right)
+        radius = min(0.25, max(0.3 * near, math.sqrt(half * near)))
+        rate = max(half / radius, radius / near)
+        nodes = max(hfun._CIRCLE_NODES, math.ceil(math.log(1e-17) / math.log(rate)))
+        if used + nodes > budget:
+            exhausted = True
+            break
+        used += nodes
+        plan.append((group, centre, radius, nodes))
+    return plan, used, exhausted
+
+
+class TestArrayPlan:
+    """The residue table is planned as array work; the scalar loop it
+    replaced is the reference, to the bit."""
+
+    @pytest.mark.parametrize("params", [
+        DOUBLE_POLE, TWIN_QUARTER, P3_MU_245, P3_MU_MINUS_1, CLUSTERED,
+        # three poles within 4e-4 share each group
+        ParameterSet([(0.4, 1.0), (0.4 + 2e-4, 1.0), (0.4 + 4e-4, 1.0)],
+                     [(1.1, 1.0), (1.3, 1.0), (1.7, 1.0)]),
+        # scales 1/2 and 1: ladders of two spacings, pairs 1e-5 apart
+        ParameterSet([(0.3, 0.5), (0.6 + 1e-5, 1.0), (0.5, 1.0)],
+                     [(0.9, 0.5), (1.2, 1.0), (1.4, 1.0)]),
+    ], ids=["double-pole", "twin-quarter", "p=3", "p=3 m=1", "clustered", "triples",
+            "mixed-scales"])
+    @pytest.mark.parametrize("budget,sigma", [(8000, 10.0), (8000, 300.0), (600, 40.0)],
+                             ids=["small", "capped", "budget-cut"])
+    def test_plan_equals_the_scalar_loop(self, monkeypatch, params, budget, sigma):
+        ev = get_evaluator(params)
+        monkeypatch.setattr(hfun, "_NODE_BUDGET", budget)
+        plans = []
+        build = MeasureEvaluator._circle_moments
+
+        def spy(self, *plan):
+            plans.append(plan)
+            return build(self, *plan)
+
+        monkeypatch.setattr(MeasureEvaluator, "_circle_moments", spy)
+        centres, _, _, used, exhausted = ev._build_table(sigma)
+        want, want_used, want_exhausted = loop_plan(ev, sigma)
+        [(members, size, centre, radius, nodes)] = plans
+        assert (used, exhausted) == (want_used, want_exhausted)
+        assert isinstance(used, int) and type(exhausted) is bool
+        assert [members[g, :size[g]].tolist() for g in range(size.size)] == [
+            group for group, *_ in want]
+        assert centres.tolist() == centre.tolist() == [c for _, c, _, _ in want]
+        assert radius.tolist() == [r for _, _, r, _ in want]
+        assert nodes.tolist() == [n for *_, n in want]
 
 
 class TestEvaluatorCache:

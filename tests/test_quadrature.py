@@ -44,23 +44,34 @@ class TestLevels:
         # failure carries the interval for diagnosis
         assert exc_info.value.interval == (0.0, 1.0)
 
+    def test_non_finite_sum_raises(self):
+        # 1/t at t = 0 of a rule that includes the endpoint: the sum is not
+        # finite at the first level, and no later level can mend it
+        def terms(level):
+            t = np.linspace(0.0, 1.0, 2**level + 1)
+            with np.errstate(divide="ignore"):
+                return 1.0 / t, np.full(t.size, 1.0 / t.size)
+
+        with pytest.raises(QuadratureFailure):
+            integrate_levels(terms, 1e-12, (0.0, 1.0))
+
 
 class TestGammaWeighted:
     @pytest.mark.parametrize("sigma", [0.05, 0.5, 1.0, 1.5, 3.0, 7.5])
     def test_unit_function_gives_gamma(self, sigma):
-        got = integrate_gamma_weighted(_vec(lambda t: 1.0), sigma)
+        got = integrate_gamma_weighted(_vec(lambda t: 1.0), sigma, 1.0)
         assert got == pytest.approx(math.gamma(sigma), rel=1e-11)
 
     @pytest.mark.parametrize("sigma", [0.5, 2.0, 4.0])
     def test_exponential_tilt(self, sigma):
         # integral t^(sigma-1) e^(-t) e^(-t) dt = gamma(sigma)/2^sigma
-        got = integrate_gamma_weighted(_vec(lambda t: math.exp(-t)), sigma)
+        got = integrate_gamma_weighted(_vec(lambda t: math.exp(-t)), sigma, 1.0)
         assert got == pytest.approx(math.gamma(sigma) / 2.0**sigma, rel=1e-11)
 
     def test_polynomial_moments(self):
         # integral t^(sigma-1) e^(-t) t^2 dt = gamma(sigma+2)
         sigma = 1.5
-        got = integrate_gamma_weighted(_vec(lambda t: t * t), sigma)
+        got = integrate_gamma_weighted(_vec(lambda t: t * t), sigma, 1.0)
         assert got == pytest.approx(math.gamma(sigma + 2.0), rel=1e-11)
 
     @pytest.mark.parametrize("grow", [0.5, 0.9])
@@ -82,7 +93,7 @@ class TestGammaWeighted:
             seen.append(t)
             return np.exp(-0.5 * t)
 
-        got = integrate_gamma_weighted(f, 1.5)
+        got = integrate_gamma_weighted(f, 1.5, 1.0)
         assert got == pytest.approx(math.gamma(1.5) / 1.5**1.5, rel=1e-12)
         nodes = np.concatenate(seen)
         assert np.unique(nodes).size == nodes.size

@@ -21,7 +21,14 @@ from foxwright import (
 )
 from foxwright import representations
 from foxwright.catalog import DOUBLE_POLE, EXP_COLLAPSE, IDENTITY, TWIN_QUARTER
-from foxwright.errors import ConstraintError, FoxwrightError, OutsideDomainError, ParameterError
+from foxwright.errors import (
+    ConstraintError,
+    DomainError,
+    FoxwrightError,
+    NonConvergentError,
+    OutsideDomainError,
+    ParameterError,
+)
 
 EPS = float(np.finfo(float).eps)
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -102,6 +109,11 @@ class TestStieltjesKernel:
         with pytest.raises(ConstraintError):
             verify_stieltjes(TWIN_QUARTER, 1.0, 0.3)  # m = 1, not 0
 
+    def test_kernel_vanishing_inside_support_rejected(self):
+        # rho = 1: 1 + tz vanishes at t = 2/3 for z = -1.5
+        with pytest.raises(DomainError, match="vanishes"):
+            stieltjes_eval(DOUBLE_POLE, 1.0, -1.5)
+
 
 class TestLiftedValue:
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
@@ -131,6 +143,13 @@ class TestLiftedValue:
     def test_positive_axis_outside_disk_rejected(self):
         with pytest.raises(OutsideDomainError):
             lifted_value(DOUBLE_POLE, 1.0, 2.0)
+
+    @pytest.mark.parametrize("z", [0.0, -0.0])
+    def test_overflow_at_the_centre_is_the_series_error(self, z):
+        # gamma(171.6) ratio(0) leaves the double range at the disk's
+        # centre: the series' own error, not a point outside the disk
+        with pytest.raises(NonConvergentError, match="overflows a double"):
+            lifted_value(DOUBLE_POLE, 171.6, z)
 
 
 class TestLaplaceLift:
@@ -192,6 +211,10 @@ class TestLaplaceLift:
         monkeypatch.setattr(representations, "integrate_gamma_weighted", boom)
         with pytest.raises(OutsideDomainError):
             laplace_lift_check(TWIN_QUARTER, 2.0, -1.0)
+
+    def test_unbalanced_set_rejected(self):
+        with pytest.raises(ConstraintError, match="balanced"):
+            laplace_lift_check(ParameterSet([(1.0, 1.0)], [(1.0, 2.0)]), 1.0, 0.1)
 
     def test_divergent_weight_rejected(self):
         # z rho >= 1 makes the weighted integrand non-decaying

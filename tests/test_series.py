@@ -23,6 +23,10 @@ from foxwright import (
 )
 from foxwright.catalog import DOUBLE_POLE, EXP_COLLAPSE, IDENTITY, TWIN_QUARTER
 from foxwright.errors import NonConvergentError, OutsideDomainError
+from foxwright.params import correction_coeffs
+
+# a balanced p = 3 set with mu = -2: an atom and two derivative atoms
+M2_ATOMS = ParameterSet([(0.7, 1.0), (1.25, 1.0), (2.05, 1.0)], [(0.15, 1.0), (0.95, 1.0), (0.9, 1.0)])
 
 
 class TestClosedForms:
@@ -229,6 +233,27 @@ class TestCorrectionSeries:
             lhs = complex(fox_wright_value(EXP_COLLAPSE, z)).real
             rhs = complex(correction_series(EXP_COLLAPSE, z)).real
             assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    @pytest.mark.parametrize("params", [DOUBLE_POLE, TWIN_QUARTER, M2_ATOMS],
+                             ids=["m=0", "m=1", "m=2"])
+    @pytest.mark.parametrize("z", [10j, -3 + 2j, 0.5 - 1.5j])
+    def test_complex_z_against_mpmath(self, params, z):
+        # eta sum_k rho^k P(k) z^k / k!, summed term by term at 30 digits
+        mpmath = pytest.importorskip("mpmath")
+        c = derive_constants(params)
+        m = c.m_order
+        ell = correction_coeffs(params, m)
+        with mpmath.workdps(30):
+            zz = mpmath.mpc(z)
+            want = c.eta * mpmath.nsum(
+                lambda k: c.rho**k * sum(ell[m - j] * k**j for j in range(m + 1))
+                * zz**k / mpmath.factorial(k),
+                [0, mpmath.inf],
+            )
+            want = complex(want)
+        got = correction_series(params, z)
+        assert isinstance(got, complex)
+        assert abs(got - want) <= 1e-13 * abs(want)
 
     @pytest.mark.parametrize("params", [EXP_COLLAPSE, TWIN_QUARTER, DOUBLE_POLE, IDENTITY])
     def test_array_z_matches_scalar_calls(self, params):
