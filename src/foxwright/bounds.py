@@ -143,8 +143,8 @@ def stieltjes_lower_bound(
     bound = lifted_kernel_bounds(params, sigma, z)[0]
     psi0 = _atomic_mass(params)[0]
     ev = get_evaluator(params)
-    mean_sigma = _power_kernel(ev, sigma, z)[0] / psi0
-    mean_one = _power_kernel(ev, 1.0, z)[0] / psi0
+    mean_sigma = ev.measure_integral(_power_kernel(ev.rho, sigma, z)) / psi0
+    mean_one = ev.measure_integral(_power_kernel(ev.rho, 1.0, z)) / psi0
     relation = "==" if abs(sigma - 1.0) <= 1e-12 else ">=" if sigma > 1.0 else "<="
     step = _record(
         f"power-mean[sigma={sigma:g}]", bound.params_hash, z, mean_sigma, mean_one**sigma,
@@ -220,7 +220,7 @@ def shifted_stieltjes_ratio(
     _require_exponent("sigma", sigma)
     _atomic_mass(params)  # the single-atom gate, and a density that carries mass
     ev = get_evaluator(params)
-    den_q = _power_kernel(ev, sigma, z)[0]
+    den_q = ev.measure_integral(_power_kernel(ev.rho, sigma, z))
     num_q = ev.measure_integral(lambda t: t ** (delta - 1.0) * (1.0 + t * z) ** (-sigma))
     if abs(den_q) < _DENOM_FLOOR:
         raise DivisionError(

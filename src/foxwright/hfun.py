@@ -251,7 +251,7 @@ class MeasureEvaluator:
         inside = np.arange(np.max(size)) < size[:, None]
         members = np.zeros(inside.shape)
         members[inside] = poles
-        # cumsum adds in order, so the mean is sum(group) / len(group) to the bit
+        # cumsum adds each row's poles in order (and its zero padding), on every Python
         centre = np.cumsum(members, axis=1)[:, -1] / size
         # the groups centred up to sigma, a prefix; one past it may sit at
         # limit, where its circle's radius would be 0

@@ -24,6 +24,7 @@ nothing here asserts.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .errors import (
     OutsideDomainError,
     ParameterError,
 )
-from .hfun import MeasureEvaluator, get_evaluator
+from .hfun import get_evaluator
 from .params import ParameterSet, _require_exponent, derive_constants, gamma_ratio
 from .quadrature import integrate_gamma_weighted
 from .series import (
@@ -75,14 +76,14 @@ def _single_atom(params: ParameterSet):
     return c
 
 
-def _power_kernel(ev: MeasureEvaluator, sigma: float, z: float) -> tuple:
-    """(integral_0^rho (1+tz)^(-sigma) H(t) dt/t, error estimate) on the
-    evaluator's cached rule; DomainError where 1 + tz vanishes on the support."""
-    if 1.0 + ev.rho * z <= 0.0:
+def _power_kernel(rho: float, sigma: float, z: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The integrand ``t -> (1+tz)^(-sigma) / t`` of the power-kernel integral
+    against H on (0, rho); DomainError where 1 + tz vanishes on the support."""
+    if 1.0 + rho * z <= 0.0:
         raise DomainError(
-            f"kernel 1+tz vanishes inside the support: z={z} <= {-1.0 / ev.rho:.6g}"
+            f"kernel 1+tz vanishes inside the support: z={z} <= {-1.0 / rho:.6g}"
         )
-    return ev._integral(lambda t: (1.0 + t * z) ** (-sigma) / t)
+    return lambda t: (1.0 + t * z) ** (-sigma) / t
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +151,7 @@ def stieltjes_eval(params: ParameterSet, sigma: float, z: float) -> EvalResult:
     """
     _require_exponent("sigma", sigma)
     ev = get_evaluator(params)
-    integral, err = _power_kernel(ev, sigma, z)
+    integral, err = ev._integral(_power_kernel(ev.rho, sigma, z))
     g = math.gamma(sigma)
     return EvalResult(g * integral, ev._res_nodes_used, g * err, SeriesStatus.CONVERGED)
 
@@ -196,7 +197,7 @@ def lifted_value(params: ParameterSet, lam: float, z: float) -> float:
         c = derive_constants(params)
         if not (z < 0 and c.represented and c.m_order in (0, None)):
             raise
-    integral, _ = _power_kernel(get_evaluator(params), lam, -z)
+    integral = get_evaluator(params).measure_integral(_power_kernel(c.rho, lam, -z))
     atom = c.eta * (1.0 - c.rho * z) ** (-lam) if c.m_order == 0 else 0.0
     return math.gamma(lam) * (integral + atom)
 

@@ -231,13 +231,11 @@ def fox_wright_value(params: ParameterSet, z: complex) -> complex:
     res = fox_wright(params, z)
     if res.status is SeriesStatus.OUTSIDE_DOMAIN:
         raise OutsideDomainError(f"z={z} lies outside the convergence domain")
-    if res.status is SeriesStatus.MAX_TERMS and cmath.isnan(res.value):
+    if res.status is SeriesStatus.MAX_TERMS:  # a NaN value is an overflow
         raise NonConvergentError(
             f"a term or the sum overflows a double within {res.terms_used} terms"
-        )
-    if res.status is SeriesStatus.MAX_TERMS:
-        raise NonConvergentError(
-            f"series did not settle within {res.terms_used} terms "
+            if cmath.isnan(res.value)
+            else f"series did not settle within {res.terms_used} terms "
             f"(relative last term ~ {res.trunc_estimate:.3e})"
         )
     return res.value

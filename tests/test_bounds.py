@@ -240,7 +240,7 @@ class TestShiftedRatio:
             shifted_stieltjes_ratio(DOUBLE_POLE, 1.0, 1.0, -1.5)
 
     def test_zero_quadrature_denominator_rejected(self, monkeypatch):
-        monkeypatch.setattr(bounds, "_power_kernel", lambda ev, sigma, z: (0.0, 0.0))
+        monkeypatch.setattr(bounds, "_power_kernel", lambda rho, sigma, z: lambda t: 0.0 * t)
         with pytest.raises(DivisionError, match="quadrature denominator"):
             shifted_stieltjes_ratio(DOUBLE_POLE, 1.0, 1.0, 0.5)
 

@@ -1,6 +1,8 @@
 """The representing density: residue route, endpoint series, moments, atoms."""
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -526,9 +528,9 @@ class TestConjugateMirror:
 
 
 def loop_plan(ev, sigma):
-    """The residue table's plan by the scalar loop the array plan replaced:
-    (poles, centre, radius, nodes) per group, the circle nodes used and
-    whether the table is exhausted."""
+    """The residue table's plan by the scalar loop the array plan replaced,
+    each group's poles added in order: (poles, centre, radius, nodes) per
+    group, the circle nodes used and whether the table is exhausted."""
     budget = hfun._NODE_BUDGET
     upper = ev.params.upper
     cap = min((a + budget // hfun._CIRCLE_NODES) / sc for a, sc in upper)
@@ -550,7 +552,8 @@ def loop_plan(ev, sigma):
             members.append([sg])
     plan, used = [], 0
     for i, group in enumerate(members):
-        centre = sum(group) / len(group)
+        # in order: since Python 3.12 the builtin sum() of floats is compensated
+        centre = functools.reduce(operator.add, group) / len(group)
         if centre > sigma:
             break
         half = max(abs(sg - centre) for sg in group)
