@@ -195,7 +195,7 @@ def main() -> int:
     check("1/(1+z) clean", first_defect(lambda x: 1.0 / (1.0 + x)) is None)
     check(
         "double-pole series value clean",
-        first_defect(lambda x: complex(fox_wright_value(dp, -x)).real) is None,
+        first_defect(lambda x: fox_wright_value(dp, -x)) is None,
     )
     check("z flagged at order 1", first_defect(lambda x: x) == "cm-order-1")
     check(

@@ -95,7 +95,7 @@ def exp_kernel_bounds(params: ParameterSet, z: float) -> tuple[IdentityRecord, I
     psi0, psi1, c = _atomic_mass(params)
     lower = psi0 * math.exp(-(psi1 / psi0) * z) + c.eta * math.exp(-c.rho * z)
     upper = (psi0 - psi1 / c.rho) + (c.eta + psi1 / c.rho) * math.exp(-c.rho * z)
-    value = complex(fox_wright_value(params, -z)).real
+    value = fox_wright_value(params, -z)
     return _bound_pair("exp-kernel", params, z, lower, value, upper)
 
 
@@ -143,8 +143,8 @@ def stieltjes_lower_bound(
     bound = lifted_kernel_bounds(params, sigma, z)[0]
     psi0 = _atomic_mass(params)[0]
     ev = get_evaluator(params)
-    mean_sigma = ev.measure_integral(_power_kernel(ev.rho, sigma, z)) / psi0
-    mean_one = ev.measure_integral(_power_kernel(ev.rho, 1.0, z)) / psi0
+    mean_sigma = ev.measure_integral(_power_kernel(ev.rho, sigma, z))[0] / psi0
+    mean_one = ev.measure_integral(_power_kernel(ev.rho, 1.0, z))[0] / psi0
     relation = "==" if abs(sigma - 1.0) <= 1e-12 else ">=" if sigma > 1.0 else "<="
     step = _record(
         f"power-mean[sigma={sigma:g}]", bound.params_hash, z, mean_sigma, mean_one**sigma,
@@ -220,8 +220,8 @@ def shifted_stieltjes_ratio(
     _require_exponent("sigma", sigma)
     _atomic_mass(params)  # the single-atom gate, and a density that carries mass
     ev = get_evaluator(params)
-    den_q = ev.measure_integral(_power_kernel(ev.rho, sigma, z))
-    num_q = ev.measure_integral(lambda t: t ** (delta - 1.0) * (1.0 + t * z) ** (-sigma))
+    den_q = ev.measure_integral(_power_kernel(ev.rho, sigma, z))[0]
+    num_q = ev.measure_integral(lambda t: t ** (delta - 1.0) * (1.0 + t * z) ** (-sigma))[0]
     if abs(den_q) < _DENOM_FLOOR:
         raise DivisionError(
             f"quadrature denominator ~ {den_q:.2e}: quotient undefined"

@@ -160,7 +160,7 @@ def _verdict(ok: bool) -> str:
 
 
 def _eval_point(ns, params, z):
-    return complex(fox_wright_value(params, z)).real, None, None, "ok"
+    return fox_wright_value(params, z), None, None, "ok"
 
 
 def _hfun_point(ns, params, t):
@@ -212,7 +212,7 @@ def _cm_scan(ns, params, _):
     if name == "series":
         if params is None:
             raise CliUsageError("cm-check --function series needs --params")
-        f = lambda x: complex(fox_wright_value(params, -x)).real  # noqa: E731
+        f = lambda x: fox_wright_value(params, -x)  # noqa: E731
     elif name in _CM_FUNCTIONS:
         f = _CM_FUNCTIONS[name]
     else:

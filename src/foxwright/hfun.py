@@ -78,7 +78,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConstraintError, NonConvergentError, OutsideDomainError
+from .errors import ConstraintError, DomainError, NonConvergentError, OutsideDomainError
 from .params import ParameterSet, correction_coeffs, derive_constants
 from .quadrature import integrate_levels, tanh_sinh, tanh_sinh_reach
 from .series import IdentityRecord, _record
@@ -123,18 +123,14 @@ class MeasureEvaluator:
     def __init__(self, params: ParameterSet):
         self.params = params
         self.constants = derive_constants(params)
-        if not self.constants.balanced:
-            raise ConstraintError(
-                "density machinery requires balanced scale sums "
-                f"(delta = {self.constants.delta:.3g})"
-            )
         # mu > 0 has a pure density (no endpoint atoms); mu = -m adds the
         # polynomial atom part.  Negative non-integer mu would need
         # fractional-derivative atoms, which nothing downstream wants.
         if not self.constants.represented:
             raise ConstraintError(
-                "density machinery requires mu > 0 or mu equal to a non-positive "
-                f"integer (mu = {self.constants.mu:.6g})"
+                "density machinery requires balanced scale sums and mu > 0 or mu equal "
+                f"to a non-positive integer (delta = {self.constants.delta:.3g}, "
+                f"mu = {self.constants.mu:.6g})"
             )
         self.m = self.constants.m_order
         self.mu = self.constants.mu
@@ -428,9 +424,12 @@ class MeasureEvaluator:
         if self.m is None:
             return 0.0
         poly = 0.0
-        for r in range(self.m + 1):
-            poly += self._ell[r] * s ** (self.m - r)
-        return self.eta * self.rho**s * poly
+        try:
+            for r in range(self.m + 1):
+                poly += self._ell[r] * s ** (self.m - r)
+            return self.eta * self.rho**s * poly
+        except OverflowError:
+            raise DomainError(f"the atom transform at s={s:g} overflows a double") from None
 
     def _rule_level(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights w_i H(t_i) of one tanh-sinh level, built on first use.
@@ -456,12 +455,14 @@ class MeasureEvaluator:
 
         return span(self._first), span(self.mu)
 
-    def _integral(self, fn: Callable[[np.ndarray], np.ndarray]) -> tuple:
-        """(integral_0^rho fn(t) H(t) dt, error estimate) by
-        ``integrate_levels`` at ``_TOL`` on the cached rule.
+    def measure_integral(self, fn: Callable[[np.ndarray], np.ndarray]) -> tuple:
+        """(integral_0^rho fn(t) H(t) dt, error estimate) on the cached rule.
 
-        ``fn`` may return a (k, n) array for n nodes, k integrands at once:
-        the totals and estimates are then length-k arrays.
+        ``fn`` is evaluated on the rule's nodes, level by level, and dotted
+        with the stored weights w_i H(t_i); ``integrate_levels`` refines until
+        two successive sums agree to ``_TOL``, else QuadratureFailure.  ``fn``
+        may return a (k, n) array for n nodes, k integrands at once: the
+        totals and estimates are then length-k arrays.
         """
         if self.degenerate:
             zero = np.zeros(np.shape(fn(np.empty(0)))[:-1])
@@ -473,20 +474,15 @@ class MeasureEvaluator:
 
         return integrate_levels(terms, _TOL, (0.0, self.rho))
 
-    def measure_integral(self, fn: Callable[[np.ndarray], np.ndarray]) -> float:
-        """integral_0^rho fn(t) H(t) dt on the evaluator's cached tanh-sinh rule.
-
-        ``fn`` is evaluated on the rule's nodes, level by level, and dotted
-        with the stored weights w_i H(t_i); no density is evaluated once the
-        levels it needs exist.  Levels are refined until two successive sums
-        agree to ``_TOL``; QuadratureFailure when the finest level
-        still does not.
-        """
-        return self._integral(fn)[0]
-
     def moment(self, s: float) -> float:
-        """integral_0^rho H(t) t^(s-1) dt."""
-        return self.measure_integral(lambda t: t ** (s - 1.0))
+        """integral_0^rho H(t) t^(s-1) dt; QuadratureFailure where t^(s-1)
+        overflows a double on the rule's nodes."""
+
+        def power(t: np.ndarray) -> np.ndarray:
+            with np.errstate(over="ignore"):  # the sum is then not finite
+                return t ** (s - 1.0)
+
+        return self.measure_integral(power)[0]
 
 
 # Evaluators by parameter set, least recently used first; at most

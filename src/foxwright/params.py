@@ -26,11 +26,12 @@ import cmath
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .errors import ParameterError, PoleError
+from .errors import DomainError, ParameterError, PoleError
 from .special import _bernoulli_all, log_abs_gamma_signed
 
 __all__ = [
@@ -50,6 +51,7 @@ _INT_TOL = 1e-9
 _BALANCE_TOL = 1e-9  # |delta| and mu > 0 tolerance of the measure's regimes
 _EDGE_RTOL = 1e-12  # |z| this close to the radius, relatively, is on the disk's edge
 _POLE_SCAN_CAP = 10_000
+_LOG_MAX = math.log(sys.float_info.max)  # e^x overflows a double beyond it
 
 
 @dataclass(frozen=True)
@@ -339,10 +341,13 @@ def _ratio_at_pole(params: ParameterSet, k: float) -> tuple[float, float]:
 
 
 def gamma_ratio(params: ParameterSet, k: float) -> float:
-    """The coefficient ratio at real index k, as an ordinary float."""
+    """The coefficient ratio at real index k, as an ordinary float;
+    DomainError where it overflows a double."""
     log_abs, sign = gamma_ratio_log_signed(params, k)
     if log_abs == -math.inf:
         return 0.0
+    if log_abs > _LOG_MAX:
+        raise DomainError(f"the gamma ratio at k={k:g} overflows a double")
     return sign * math.exp(log_abs)
 
 

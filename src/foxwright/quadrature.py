@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import OutsideDomainError, QuadratureFailure
+from .params import _LOG_MAX
 
 __all__ = [
     "tanh_sinh",
@@ -33,8 +34,6 @@ __all__ = [
 _DE_STEP = 0.5
 _DE_MAX_LEVEL = 7
 _EPS = float(np.finfo(float).eps)
-# log of the largest double: e^x overflows beyond it
-_LOG_MAX = math.log(np.finfo(float).max)
 # relative accuracy the gamma-weighted integral refines to
 _GAMMA_TOL = 1e-12
 

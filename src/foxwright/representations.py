@@ -43,6 +43,7 @@ from .series import (
     EvalResult,
     IdentityRecord,
     SeriesStatus,
+    _checked,
     _record,
     correction_series,
     four_param_wright,
@@ -104,15 +105,15 @@ def eval_via_representation(params: ParameterSet, z: float | np.ndarray) -> Eval
     """
     ev = get_evaluator(params)
     zr = np.asarray(z, dtype=float) if np.ndim(z) else float(z)
-    integral, err = ev._integral(lambda t: np.exp(np.multiply.outer(zr, t)) / t)
+    integral, err = ev.measure_integral(lambda t: np.exp(np.multiply.outer(zr, t)) / t)
     corr = correction_series(params, zr) if ev.m is not None else 0.0
     return EvalResult(integral + corr, ev._res_nodes_used, err, SeriesStatus.CONVERGED)
 
 
 def verify_representation(params: ParameterSet, z: float) -> IdentityRecord:
     """Direct series vs the measure-rebuilt value, as an IdentityRecord."""
-    lhs = complex(fox_wright_value(params, z)).real
-    rhs = float(eval_via_representation(params, z).value)
+    lhs = fox_wright_value(params, z)
+    rhs = eval_via_representation(params, z).value
     return _record("exp-kernel-representation", params.hash_key(), z, lhs, rhs, _TOL)
 
 
@@ -151,7 +152,7 @@ def stieltjes_eval(params: ParameterSet, sigma: float, z: float) -> EvalResult:
     """
     _require_exponent("sigma", sigma)
     ev = get_evaluator(params)
-    integral, err = ev._integral(_power_kernel(ev.rho, sigma, z))
+    integral, err = ev.measure_integral(_power_kernel(ev.rho, sigma, z))
     g = math.gamma(sigma)
     return EvalResult(g * integral, ev._res_nodes_used, g * err, SeriesStatus.CONVERGED)
 
@@ -168,7 +169,7 @@ def verify_stieltjes(params: ParameterSet, sigma: float, z: float) -> IdentityRe
     quadrature with itself and its error reads about 0.
     """
     _single_atom(params)
-    lhs = float(stieltjes_eval(params, sigma, z).value)
+    lhs = stieltjes_eval(params, sigma, z).value
     rhs = _lifted_regular(params, sigma, z)
     return _record(f"stieltjes-kernel[sigma={sigma:g}]", params.hash_key(), z, lhs, rhs, _TOL)
 
@@ -192,12 +193,12 @@ def lifted_value(params: ParameterSet, lam: float, z: float) -> float:
     _require_exponent("lam", lam)
     lifted = ParameterSet([(lam, 1.0), *params.upper], list(params.lower))
     try:
-        return complex(fox_wright_value(lifted, z)).real
+        return fox_wright_value(lifted, z)
     except (OutsideDomainError, NonConvergentError):
         c = derive_constants(params)
         if not (z < 0 and c.represented and c.m_order in (0, None)):
             raise
-    integral = get_evaluator(params).measure_integral(_power_kernel(c.rho, lam, -z))
+    integral = get_evaluator(params).measure_integral(_power_kernel(c.rho, lam, -z))[0]
     atom = c.eta * (1.0 - c.rho * z) ** (-lam) if c.m_order == 0 else 0.0
     return math.gamma(lam) * (integral + atom)
 
@@ -248,7 +249,7 @@ def laplace_lift_check(params: ParameterSet, lam: float, z: float) -> IdentityRe
             return eval_via_representation(params, z * t).value
     else:
         def f(t: np.ndarray) -> np.ndarray:
-            return np.array([complex(fox_wright_value(params, z * ti)).real for ti in t])
+            return np.array([fox_wright_value(params, z * ti) for ti in t])
 
     lhs = integrate_gamma_weighted(f, lam, decay=decay)
     return _record(f"laplace-lift[lam={lam:g}]", params.hash_key(), z, lhs, rhs, _TOL)
@@ -272,11 +273,10 @@ def finite_laplace_identity(z: float) -> tuple[IdentityRecord, ...]:
     quadrature vs b, series side vs a, series side vs b.
     """
     ps = EXP_COLLAPSE
-    c = derive_constants(ps)
     quadrature = get_evaluator(ps).measure_integral(
         lambda t: np.where(t < 0.5, np.exp(-z * t) / t, 0.0)
-    )
-    series_side = complex(fox_wright_value(ps, -z)).real - c.eta * math.exp(-c.rho * z)
+    )[0]
+    series_side = fox_wright_value(ps, -z) - correction_series(ps, -z)
     rt_pi = math.sqrt(math.pi)
     forms = {
         "a": (math.exp(-2.0 * z) - math.exp(-z)) / rt_pi,
@@ -316,6 +316,6 @@ def four_param_representation(
         raise ConstraintError(
             f"need a + b == 3/2 (single atom) or a + b == 1/2 (linear atom); got {a + b!r}"
         )
-    lhs = complex(four_param_wright(mu1, a, nu1, b, z).value).real
-    rhs = float(eval_via_representation(ps, z).value)
+    lhs = _checked(four_param_wright(mu1, a, nu1, b, z), z)
+    rhs = eval_via_representation(ps, z).value
     return _record(f"four-param[m={c.m_order}]", ps.hash_key(), z, lhs, rhs, _TOL)

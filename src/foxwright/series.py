@@ -31,8 +31,9 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from .errors import NonConvergentError, OutsideDomainError
+from .errors import DomainError, NonConvergentError, OutsideDomainError
 from .params import (
+    _LOG_MAX,
     ParameterSet,
     _converges,
     _pole_order,
@@ -226,9 +227,13 @@ def _sum_terms(log_term, z: complex) -> EvalResult:
     )
 
 
-def fox_wright_value(params: ParameterSet, z: complex) -> complex:
+def fox_wright_value(params: ParameterSet, z: complex) -> float | complex:
     """Like :func:`fox_wright` but raises instead of returning a bad status."""
-    res = fox_wright(params, z)
+    return _checked(fox_wright(params, z), z)
+
+
+def _checked(res: EvalResult, z: complex) -> float | complex:
+    """The value of ``res``, or the error its status names."""
     if res.status is SeriesStatus.OUTSIDE_DOMAIN:
         raise OutsideDomainError(f"z={z} lies outside the convergence domain")
     if res.status is SeriesStatus.MAX_TERMS:  # a NaN value is an overflow
@@ -312,13 +317,16 @@ def correction_series(params: ParameterSet, z: Any) -> Any:
     ell = correction_coeffs(params, m)
     if np.ndim(z):
         w = c.rho * np.asarray(z, dtype=float)
-        exp_w = np.exp(w)
+        exp = np.exp
     elif isinstance(z, complex) and z.imag != 0:
         w = c.rho * z
-        exp_w = cmath.exp(w)
+        exp = cmath.exp
     else:
         w = (c.rho * z).real
-        exp_w = math.exp(w)
+        exp = math.exp
+    if np.any(np.real(w) > _LOG_MAX):
+        raise DomainError(f"e^(rho z) overflows a double: rho z reaches {np.max(np.real(w)):.6g}")
+    exp_w = exp(w)
     acc = 0.0
     for j in range(m + 1):
         acc += ell[m - j] * (exp_w * touchard_poly(j, w))

@@ -121,6 +121,10 @@ class TestLiftedKernelBounds:
         want = math.gamma(lam) * math.pi / 2.0
         assert lower.rhs == pytest.approx(want, rel=1e-12)
 
+    def test_negative_z_rejected(self):
+        with pytest.raises(ParameterError):
+            lifted_kernel_bounds(DOUBLE_POLE, 1.0, -0.5)
+
     @pytest.mark.parametrize("z", [0.5, 2.0, 1e10])
     def test_bound_past_the_double_range_raises(self, z):
         # gamma(171.6) fits a double, but gamma(lam) (psi0 - psi1/rho) in
@@ -165,6 +169,11 @@ class TestCmCheck:
         assert first_defect(records) is None
         assert len(records) == 7 * len(CM_GRID)
         assert all(r.relation == ">=" and r.ok() for r in records)
+
+    def test_all_zero_function_clean(self):
+        # max|f| = 0 would make every tolerance 0; the scale falls back to 1
+        records = cm_check(lambda x: 0.0, CM_GRID)
+        assert all(r.ok() and r.lhs == 0.0 for r in records)
 
     def test_inverse_linear_clean(self):
         assert first_defect(cm_check(lambda x: 1.0 / (1.0 + x), CM_GRID)) is None

@@ -15,7 +15,7 @@ import pytest
 
 import foxwright
 from foxwright import cli, series
-from foxwright.catalog import DOUBLE_POLE, EXP_COLLAPSE, TWIN_QUARTER
+from foxwright.catalog import DOUBLE_POLE, EXP_COLLAPSE, NAMED_SETS, TWIN_QUARTER
 from foxwright.cli import CliUsageError, main, parse_grid, parse_k_list
 from foxwright.representations import moment_identity_check
 
@@ -347,6 +347,11 @@ class TestCmCheckCommand:
         assert code == 2
         assert json_rows(out)[0]["value_or_verdict"] == "order-1-defect"
 
+    def test_collapse_remainder_fails_at_order_0(self, capsys):
+        code, out, _ = run_cli(capsys, "cm-check", "--function", "collapse-remainder")
+        assert code == 2
+        assert json_rows(out)[0]["value_or_verdict"] == "order-0-defect"
+
     def test_unknown_function_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "cm-check", "--function", "nope")
         assert code == 1
@@ -522,6 +527,62 @@ class TestGammaOverflow:
         assert (code, err) == (2, "")
         rows = json_rows(out)
         assert rows and all(row["status"] == "error:ParameterError" for row in rows)
+
+
+class TestDoubleRange:
+    """A value past the double range is an error row, exit 2, with nothing on
+    stderr: an OverflowError traceback ended the first three runs with exit
+    1, and numpy's overflow warning went to stderr in the last."""
+
+    @pytest.mark.parametrize("argv, status", [
+        (("verify-representation", "--params", "exp-collapse", "--z=354.95"), "DomainError"),
+        (("moments", "--params", "exp-collapse", "--k=1e10"), "DomainError"),
+        (("moments", "--params", "twin-quarter", "--k=1e10"), "DomainError"),
+        (("moments", "--params", "double-pole", "--k=-400"), "QuadratureFailure"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+    def test_error_row(self, capsys, argv, status):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (2, "")
+        (row,) = strict_json_rows(out)
+        assert row["status"] == f"error:{status}"
+
+
+# every subcommand form, walked over each catalog set at these grid values
+_SWEEP_FORMS = [
+    ("eval",), ("hfun",), ("verify-representation",), ("verify-stieltjes", "--sigma", "2"),
+    ("verify-laplace", "--lift", "1.5"), ("bounds",), ("bounds", "--lift", "2"),
+    ("bounds", "--sigma", "3"), ("moments",), ("cm-check",), ("ratio-scan",),
+]
+_SWEEP_VALUES = ["-1e10", "-800", "-400", "-354.95", "-100", "-1e-300", "0", "1e-300",
+                 "0.4999", "0.5", "0.99", "1", "1.99", "2", "100", "354.95", "400", "800",
+                 "1e10"]
+
+
+@pytest.mark.parametrize("form", _SWEEP_FORMS, ids=" ".join)
+def test_sweep_gives_typed_rows_only(capsys, form):
+    """Across the double range every run exits 0 or 2 and prints strict JSON
+    with nothing on stderr: no traceback, and no warning, which the test
+    configuration turns into an error.  The scans take the non-negative
+    values, ratio-scan as the second point of a two-point grid."""
+    command, *flags = form
+    if command == "cm-check":
+        grids = [f"--z={v}" for v in _SWEEP_VALUES if float(v) >= 0]
+    elif command == "ratio-scan":
+        grids = [f"--z=0.5,{v}" for v in _SWEEP_VALUES if float(v) >= 0]
+    else:
+        grids = [f"--{'k' if command == 'moments' else 'z'}={v}" for v in _SWEEP_VALUES]
+    failures = []
+    for name in sorted(NAMED_SETS):
+        for grid in grids:
+            argv = [command, "--params", name, *flags, grid]
+            try:
+                code, out, err = run_cli(capsys, *argv)
+                strict_json_rows(out)
+                if code not in (0, 2) or err:
+                    failures.append((argv, code, err))
+            except Exception as exc:  # every escape is a failure
+                failures.append((argv, type(exc).__name__, str(exc)))
+    assert failures == []
 
 
 def strict_json_rows(out):

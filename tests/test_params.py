@@ -16,7 +16,7 @@ from foxwright import (
     shift_parameters,
 )
 from foxwright.catalog import DOUBLE_POLE, EXP_COLLAPSE, IDENTITY, TWIN_QUARTER
-from foxwright.errors import ParameterError, PoleError
+from foxwright.errors import DomainError, ParameterError, PoleError
 from foxwright.params import _q_sequence, gamma_ratio_log_signed
 from foxwright.special import _bernoulli_matrix, bernoulli_number
 
@@ -61,6 +61,10 @@ class TestDerivedConstants:
 
 
 class TestCorrectionCoeffs:
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            correction_coeffs(TWIN_QUARTER, -1)
+
     def test_twin_quarter_closed_forms(self):
         l = correction_coeffs(TWIN_QUARTER, 2)
         assert l[0] == pytest.approx(1.0, rel=1e-14)
@@ -355,3 +359,9 @@ class TestGammaRatio:
         # double-pole at s = -1: gamma(0) above, gamma(1/2)^2 below
         with pytest.raises(PoleError):
             gamma_ratio(DOUBLE_POLE, -1.0)
+
+    @pytest.mark.parametrize("params", [EXP_COLLAPSE, TWIN_QUARTER], ids=["m=0", "m=1"])
+    def test_past_the_double_range_raises(self, params):
+        # log|ratio(1e10)| ~ 1e10 ln rho: math.exp raised an OverflowError
+        with pytest.raises(DomainError, match="overflows a double"):
+            gamma_ratio(params, 1e10)

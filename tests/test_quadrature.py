@@ -81,6 +81,11 @@ class TestGammaWeighted:
         got = integrate_gamma_weighted(lambda t: np.exp(grow * t), 1.0, decay=1.0 - grow)
         assert got == pytest.approx(1.0 / (1.0 - grow), rel=1e-11)
 
+    @pytest.mark.parametrize("sigma, decay", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, 1.5)])
+    def test_bad_sigma_or_decay_rejected(self, sigma, decay):
+        with pytest.raises(ValueError, match="sigma" if sigma <= 0 else "decay"):
+            integrate_gamma_weighted(lambda t: np.ones_like(t), sigma, decay=decay)
+
     def test_overflow_before_cut_raises(self):
         # f = e^(0.99 t) would pass e^709 long before the cut at t = 6000
         with pytest.raises(OutsideDomainError):

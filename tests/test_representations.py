@@ -242,6 +242,11 @@ class TestFiniteLaplaceAdjudication:
         assert series_a.verdict == series_b.verdict == "fail"
         assert min(quad_a.abs_err, quad_b.abs_err) > 1e-3
 
+    def test_atom_past_the_double_range_raises(self):
+        # e^(-rho z) at rho z = -710 raised an OverflowError
+        with pytest.raises(DomainError, match="overflows a double"):
+            finite_laplace_identity(-355.0)
+
     def test_series_side_consistent_with_quadrature(self):
         for z in (-1.0, 0.5, 2.0):
             quad_a, _, series_a, _ = finite_laplace_identity(z)
@@ -265,6 +270,21 @@ class TestFourParamRepresentation:
     def test_constraint_violation_rejected(self):
         with pytest.raises(ConstraintError):
             four_param_representation(0.5, 0.6, 0.5, 0.6, z=1.0)  # a+b = 1.2
+
+    def test_unbalanced_scales_rejected(self):
+        with pytest.raises(ConstraintError, match="mu1 \\+ nu1 == 1"):
+            four_param_representation(0.5, 0.75, 0.6, 0.75, z=1.0)
+
+    @pytest.mark.parametrize("mu1", [0.0, -0.5])
+    def test_non_positive_scale_rejected(self, mu1):
+        with pytest.raises(ParameterError):
+            four_param_representation(mu1, 0.75, 1.0 - mu1, 0.75, z=1.0)
+
+    def test_series_overflow_is_the_series_error(self):
+        # a term overflows at z = -2000: the record read lhs NaN, verdict
+        # fail, blaming the identity for the series
+        with pytest.raises(NonConvergentError, match="overflows a double"):
+            four_param_representation(0.5, 1.0, 0.5, 0.5, -2000.0)
 
 
 class TestNonFiniteArguments:

@@ -22,7 +22,7 @@ from foxwright import (
     gamma_ratio,
 )
 from foxwright.catalog import DOUBLE_POLE, EXP_COLLAPSE, IDENTITY, TWIN_QUARTER
-from foxwright.errors import NonConvergentError, OutsideDomainError
+from foxwright.errors import DomainError, NonConvergentError, OutsideDomainError
 from foxwright.params import correction_coeffs
 
 # a balanced p = 3 set with mu = -2: an atom and two derivative atoms
@@ -221,6 +221,24 @@ class TestCorrectionSeries:
         got = complex(correction_series(TWIN_QUARTER, z)).real
         want = c.eta * (0.125 + c.rho * z) * math.exp(c.rho * z)
         assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+    def test_requires_balanced_scales(self):
+        ps = ParameterSet([(1.0, 1.0)], [(1.0, 2.0)])  # delta = 1
+        with pytest.raises(OutsideDomainError, match="balanced"):
+            correction_series(ps, 1.0)
+
+    @pytest.mark.parametrize("z", [354.95, complex(354.95, 1.0), np.array([0.0, 354.95])],
+                             ids=["float", "complex", "array"])
+    def test_past_the_double_range_raises(self, z):
+        # rho z = 709.9 > ln(max double): math.exp and cmath.exp raised an
+        # OverflowError, np.exp warned and returned inf
+        with pytest.raises(DomainError, match="overflows a double"):
+            correction_series(EXP_COLLAPSE, z)
+
+    def test_largest_exponent_is_finite(self):
+        c = derive_constants(EXP_COLLAPSE)
+        edge = series._LOG_MAX / c.rho
+        assert math.isfinite(correction_series(EXP_COLLAPSE, edge))
 
     def test_requires_polynomial_order(self):
         ps = ParameterSet([(0.7, 1.0)], [(2.3, 1.0)])  # mu = 1.6, no order

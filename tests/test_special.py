@@ -189,6 +189,16 @@ class TestBernoulli:
         got = bernoulli_poly(n, x + 1.0) - bernoulli_poly(n, x)
         assert got == pytest.approx(n * x ** (n - 1), abs=1e-10)
 
+    @pytest.mark.parametrize("call, error", [
+        (lambda: bernoulli_number(-1), ValueError),
+        (lambda: bernoulli_number(65), OverflowError),
+        (lambda: bernoulli_poly(-1, 0.5), ValueError),
+        (lambda: stirling2_row(-1), ValueError),
+    ], ids=["number(-1)", "number(65)", "poly(-1)", "stirling2_row(-1)"])
+    def test_index_out_of_range_rejected(self, call, error):
+        with pytest.raises(error):
+            call()
+
     def test_poly_at_zero_is_number(self):
         for n in range(8):
             assert bernoulli_poly(n, 0.0) == pytest.approx(float(bernoulli_number(n)), abs=1e-15)
