@@ -25,6 +25,8 @@ from functools import lru_cache
 from math import comb
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import DegenerateError, DivisionError, DomainError, ParameterError
 from .hfun import get_evaluator, hfun_nonneg_scan
 from .params import ParameterSet, _require_exponent, gamma_ratio, shift_parameters
@@ -158,16 +160,21 @@ def stieltjes_lower_bound(
 # ---------------------------------------------------------------------------
 
 
-def cm_check(f: Callable[[float], float], grid: Sequence[float]) -> tuple[IdentityRecord, ...]:
+def cm_check(
+    f: Callable[[np.ndarray], np.ndarray], grid: Sequence[float]
+) -> tuple[IdentityRecord, ...]:
     """Check ``(-1)^n * forward_diff_h^n f(x) >= -eps_n`` for n = 0..6, h = 0.05.
 
-    ``eps_n = 1e-7 * (2/h)^n * max|f|`` absorbs the worst-case noise growth
-    of order-n differencing, so this is a consistency check on numerically
-    evaluated functions, not a proof.  One ``>=`` record per (order, x),
-    named ``cm-order-<n>``, lowest order first and then increasing x: the
-    first that fails is a sign defect no nonnegative representing density
-    is compatible with.  A non-finite value of f leaves max|f| undefined,
-    so every record fails.
+    ``f`` is called once, on the 1-D array of every abscissa ``x + j h``
+    (sorted grid points x, j = 0..6, x-major), and returns their values in
+    the same order, so a represented set's F(-x) is one pass over its
+    measure.  ``eps_n = 1e-7 * (2/h)^n * max|f|`` absorbs the worst-case
+    noise growth of order-n differencing, so this is a consistency check on
+    numerically evaluated functions, not a proof.  One ``>=`` record per
+    (order, x), named ``cm-order-<n>``, lowest order first and then
+    increasing x: the first that fails is a sign defect no nonnegative
+    representing density is compatible with.  A non-finite value of f
+    leaves max|f| undefined, so every record fails.
     """
     xs = [float(x) for x in grid]
     if not xs:
@@ -178,11 +185,14 @@ def cm_check(f: Callable[[float], float], grid: Sequence[float]) -> tuple[Identi
     if xs[0] <= 0:
         raise ParameterError("grid points must be positive")
 
-    table = [[float(f(x + j * _CM_STEP)) for j in range(_CM_MAX_ORDER + 1)] for x in xs]
-    mags = [abs(v) for row in table for v in row]
-    fmax = max(mags) if all(map(math.isfinite, mags)) else math.nan
+    points = (np.array(xs)[:, None] + np.arange(_CM_MAX_ORDER + 1) * _CM_STEP).ravel()
+    values = np.asarray(f(points), dtype=float)
+    if values.shape != points.shape:
+        raise ParameterError(f"f returned shape {values.shape} for {points.size} abscissae")
+    fmax = float(np.abs(values).max()) if np.isfinite(values).all() else math.nan
     if fmax == 0.0:
         fmax = 1.0
+    table = values.reshape(len(xs), _CM_MAX_ORDER + 1).tolist()
 
     records = []
     for n in range(_CM_MAX_ORDER + 1):

@@ -47,8 +47,9 @@ from .bounds import (
 from .catalog import NAMED_SETS
 from .errors import FoxwrightError
 from .hfun import get_evaluator
-from .params import ParameterSet
+from .params import ParameterSet, derive_constants
 from .representations import (
+    eval_via_representation,
     laplace_lift_check,
     moment_identity_check,
     verify_representation,
@@ -60,11 +61,12 @@ __all__ = ["main", "run", "parse_grid", "parse_k_list"]
 
 _FIELDS = ("command", "params_hash", "z", "value_or_verdict", "abs_err", "rel_err", "status")
 
+# cm-check's closed forms: each maps an array of abscissae to their values
 _CM_FUNCTIONS = {
-    "exp-decay": lambda x: math.exp(-x),
+    "exp-decay": lambda x: np.exp(-x),
     "inverse-linear": lambda x: 1.0 / (1.0 + x),
     "linear": lambda x: x,
-    "collapse-remainder": lambda x: (math.exp(-2.0 * x) - math.exp(-x / 2.0))
+    "collapse-remainder": lambda x: (np.exp(-2.0 * x) - np.exp(-x / 2.0))
     / math.sqrt(math.pi),
 }
 
@@ -212,7 +214,11 @@ def _cm_scan(ns, params, _):
     if name == "series":
         if params is None:
             raise CliUsageError("cm-check --function series needs --params")
-        f = lambda x: fox_wright_value(params, -x)  # noqa: E731
+        if derive_constants(params).represented:
+            # F(-x) at every abscissa in one pass over the measure's cached rule
+            f = lambda xs: eval_via_representation(params, -xs).value  # noqa: E731
+        else:
+            f = lambda xs: [fox_wright_value(params, -x) for x in xs.tolist()]  # noqa: E731
     elif name in _CM_FUNCTIONS:
         f = _CM_FUNCTIONS[name]
     else:

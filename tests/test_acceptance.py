@@ -231,12 +231,12 @@ def test_criterion_08_cm_checker_sanity(acceptance):
         """The first failing record: the lowest order, then the smallest x."""
         return next((r for r in cm_check(f, grid) if not r.ok()), None)
 
-    ok = first_defect(lambda x: math.exp(-x)) is None
+    ok = first_defect(lambda x: np.exp(-x)) is None
     ok &= first_defect(lambda x: 1.0 / (1.0 + x)) is None
     linear = first_defect(lambda x: x)
     ok &= linear is not None and linear.identity == "cm-order-1"
     remainder = first_defect(
-        lambda x: (math.exp(-2.0 * x) - math.exp(-x / 2.0)) / math.sqrt(math.pi)
+        lambda x: (np.exp(-2.0 * x) - np.exp(-x / 2.0)) / math.sqrt(math.pi)
     )
     # the order-0 defect is a negative value: no nonnegative measure gives it
     ok &= (remainder is not None and remainder.identity == "cm-order-0"

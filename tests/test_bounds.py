@@ -165,21 +165,21 @@ class TestStieltjesLowerBound:
 
 class TestCmCheck:
     def test_exponential_clean(self):
-        records = cm_check(lambda x: math.exp(-x), CM_GRID)
+        records = cm_check(lambda x: np.exp(-x), CM_GRID)
         assert first_defect(records) is None
         assert len(records) == 7 * len(CM_GRID)
         assert all(r.relation == ">=" and r.ok() for r in records)
 
     def test_all_zero_function_clean(self):
         # max|f| = 0 would make every tolerance 0; the scale falls back to 1
-        records = cm_check(lambda x: 0.0, CM_GRID)
+        records = cm_check(np.zeros_like, CM_GRID)
         assert all(r.ok() and r.lhs == 0.0 for r in records)
 
     def test_inverse_linear_clean(self):
         assert first_defect(cm_check(lambda x: 1.0 / (1.0 + x), CM_GRID)) is None
 
     def test_sum_of_cm_clean(self):
-        f = lambda x: math.exp(-x) + 0.5 / (1.0 + x)
+        f = lambda x: np.exp(-x) + 0.5 / (1.0 + x)
         assert first_defect(cm_check(f, CM_GRID)) is None
 
     def test_linear_fails_first_order(self):
@@ -190,7 +190,7 @@ class TestCmCheck:
         assert bad.lhs == pytest.approx(-0.05) and bad.lhs < bad.rhs < 0.0
 
     def test_sign_crossing_fails_order_zero(self):
-        f = lambda x: (math.exp(-2.0 * x) - math.exp(-x / 2.0)) / math.sqrt(math.pi)
+        f = lambda x: (np.exp(-2.0 * x) - np.exp(-x / 2.0)) / math.sqrt(math.pi)
         order, x = first_defect(cm_check(f, CM_GRID))
         assert order == 0
         assert f(x) < 0.0
@@ -198,31 +198,50 @@ class TestCmCheck:
     def test_series_value_completely_monotone(self):
         from foxwright import fox_wright_value
 
-        f = lambda x: complex(fox_wright_value(DOUBLE_POLE, -x)).real
+        f = lambda xs: [fox_wright_value(DOUBLE_POLE, -x) for x in xs.tolist()]
         assert first_defect(cm_check(f, CM_GRID)) is None
+
+    def test_f_is_called_once_on_the_whole_table(self):
+        calls = []
+
+        def spy(x):
+            calls.append(x.copy())
+            return np.exp(-x)
+
+        grid = [3.0, 0.5, 1.25]
+        records = cm_check(spy, grid)
+        (points,) = calls
+        assert points.shape == (7 * len(grid),)
+        # x-major over the sorted grid, each x followed by x + j h, j = 1..6
+        assert points.tolist() == [x + j * 0.05 for x in sorted(grid) for j in range(7)]
+        assert first_defect(records) is None
+
+    def test_f_must_return_one_value_per_abscissa(self):
+        with pytest.raises(ParameterError):
+            cm_check(lambda x: 1.0, CM_GRID)
 
     def test_bad_inputs(self):
         with pytest.raises(ParameterError):
-            cm_check(math.exp, [])
+            cm_check(np.exp, [])
         with pytest.raises(ParameterError):
-            cm_check(math.exp, [-1.0, 1.0])
+            cm_check(np.exp, [-1.0, 1.0])
 
     @pytest.mark.parametrize("x", [math.nan, math.inf])
     def test_non_finite_grid_point_raises(self, x):
         # a NaN point sorted anywhere and failed no comparison
         with pytest.raises(ParameterError):
-            cm_check(math.exp, [1.0, x, 2.0])
+            cm_check(np.exp, [1.0, x, 2.0])
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_fail(self, value):
         # NaN differences compared False against -eps_n and passed for clean
         for grid in ([1.0, 2.0], [1.0]):
-            records = cm_check(lambda x: value, grid)
+            records = cm_check(lambda x: np.full_like(x, value), grid)
             assert first_defect(records) == (0, 1.0)
             assert not any(r.ok() for r in records)
 
     def test_one_nan_value_fails_the_scan(self):
-        records = cm_check(lambda x: math.nan if x == 2.0 else math.exp(-x), [1.0, 2.0])
+        records = cm_check(lambda x: np.where(x == 2.0, math.nan, np.exp(-x)), [1.0, 2.0])
         assert len(records) == 14
         assert all(r.verdict == "fail" for r in records)  # max|f| is undefined
 

@@ -352,6 +352,25 @@ class TestCmCheckCommand:
         assert code == 2
         assert json_rows(out)[0]["value_or_verdict"] == "order-0-defect"
 
+    @pytest.mark.parametrize("name, grid", [
+        ("identity", "--z=10:40:4"),
+        ("double-pole", "--z=20:60:3"),
+        ("double-pole", "--z=700:800:3"),
+    ], ids=" ".join)
+    def test_represented_set_is_read_from_its_measure(self, capsys, name, grid):
+        # the alternating series cancels to noise or overflows at these x, so
+        # F(-x) must come from the measure, which adds same-sign terms only
+        code, out, err = run_cli(capsys, "cm-check", "--params", name, grid)
+        assert (code, err) == (0, "")
+        assert [r["value_or_verdict"] for r in json_rows(out)] == ["clean"]
+
+    def test_signed_measure_fails_at_order_0(self, capsys):
+        # twin-quarter's m = 1 measure carries a derivative atom: F(-0.4) < 0
+        code, out, err = run_cli(capsys, "cm-check", "--params", "twin-quarter", "--z=0.4:7:6")
+        (row,) = json_rows(out)
+        assert (code, err) == (2, "")
+        assert (row["z"], row["value_or_verdict"], row["status"]) == (0.4, "order-0-defect", "fail")
+
     def test_unknown_function_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "cm-check", "--function", "nope")
         assert code == 1
@@ -504,11 +523,18 @@ class TestSeriesOverflow:
         assert row["status"] == "error:NonConvergentError"
         assert row["value_or_verdict"] is None
 
-    def test_cm_check_row(self, capsys):
-        code, out, err = run_cli(capsys, "cm-check", "--params", "double-pole", "--z=700:800:3")
+    def test_cm_check_row(self, capsys, tmp_path):
+        # delta = -0.5: no representing measure, so cm-check sums the series,
+        # whose terms overflow at x = 700; at small x the same set is clean
+        path = tmp_path / "unrepresented.json"
+        path.write_text('{"upper": [[1.0, 1.0]], "lower": [[1.0, 0.5]]}')
+        code, out, err = run_cli(capsys, "cm-check", "--params", str(path), "--z=700:800:3")
         assert (code, err) == (2, "")
         (row,) = json_rows(out)
         assert row["status"] == "error:NonConvergentError"
+        code, out, err = run_cli(capsys, "cm-check", "--params", str(path), "--z=0.5:3:4")
+        assert (code, err) == (0, "")
+        assert [r["value_or_verdict"] for r in json_rows(out)] == ["clean"]
 
 
 class TestGammaOverflow:

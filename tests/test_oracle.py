@@ -7,12 +7,15 @@ Every scale in these sets is 1/2 or 1, so each gamma factor steps from k to
 k + 2 by a rising factorial and the terms come from two exact recurrences.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from foxwright import derive_constants, eval_via_representation
-from foxwright.catalog import DOUBLE_POLE, TWIN_QUARTER
+from foxwright import cm_check, derive_constants, eval_via_representation
+from foxwright.catalog import DOUBLE_POLE, NAMED_SETS, TWIN_QUARTER
 
 mp = pytest.importorskip("mpmath")
 
@@ -53,3 +56,37 @@ def test_representation_matches_series_oracle(params, z):
     want = _series_oracle(params, z)
     got = eval_via_representation(params, z).value
     assert abs(got - float(want)) <= 1e-11 * abs(float(want))
+
+
+def _benchmark_module(name):
+    """``perfbench/<name>.py``, which imports no foxwright, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_SETS))
+def test_cm_table_from_the_measure_matches_series_oracle(name):
+    """The table cm-check reads for a represented set, one measure pass per
+    grid, against perfbench's 60-digit series oracle at the benchmark's
+    cm-check grids."""
+    oracle, inputs = _benchmark_module("oracle"), _benchmark_module("inputs")
+    params = NAMED_SETS[name]
+    series = oracle.SeriesOracle(*inputs.CATALOG[name])
+    grids = [inv["grid"] for inv in inputs.identity_cli(4)["invocations"]
+             if inv["kind"] == "cm" and inv["params"] == name]
+    assert grids
+    for grid in grids:
+        tables = []
+
+        def f(xs):
+            values = eval_via_representation(params, -xs).value
+            tables.append((xs, values))
+            return values
+
+        cm_check(f, grid)
+        ((xs, got),) = tables
+        want = np.array([float(series.value(-x)) for x in xs.tolist()])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
