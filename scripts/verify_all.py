@@ -122,13 +122,17 @@ def main() -> int:
             check(f"{name} z={z:g}: rel err {rec.rel_err:.2e}", rec.verdict == "pass")
 
     section("power-kernel (Stieltjes) identities")
+    # mu = -2: the atoms act through a kernel's first and second derivatives
+    sets = {**NAMED_SETS, "mu=-2": ParameterSet([(1.0, 1.0)], [(0.25, 0.5), (-0.75, 0.5)])}
     for name, sigma, z in (
         ("exp-collapse", 1.0, 0.3),
         ("exp-collapse", 2.0, 0.25),
         ("double-pole", 2.0, 0.5),
         ("double-pole", 0.5, 0.3),
+        ("twin-quarter", 2.0, 0.3),
+        ("mu=-2", 2.5, 0.25),
     ):
-        rec = verify_stieltjes(NAMED_SETS[name], sigma, z)
+        rec = verify_stieltjes(sets[name], sigma, z)
         check(f"{name} sigma={sigma:g} z={z:g}: rel err {rec.rel_err:.2e}",
               rec.verdict == "pass")
 
@@ -147,6 +151,7 @@ def main() -> int:
     for name, lam, z in (
         ("exp-collapse", 1.5, -1.0),  # rho |z| = 2
         ("double-pole", 1.5, -3.0),  # rho |z| = 3
+        ("twin-quarter", 2.0, -1.0),  # rho |z| = 2, m = 1
         ("identity", 1.0, 0.9),  # integrand decays only like e^(-0.1 t)
     ):
         rec = laplace_lift_check(NAMED_SETS[name], lam, z)

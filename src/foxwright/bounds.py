@@ -27,10 +27,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateError, DivisionError, DomainError, ParameterError
+from .errors import ConstraintError, DegenerateError, DivisionError, DomainError, ParameterError
 from .hfun import get_evaluator, hfun_nonneg_scan
-from .params import ParameterSet, _require_exponent, gamma_ratio, shift_parameters
-from .representations import _lifted_regular, _power_kernel, _single_atom, lifted_value
+from .params import (ParameterSet, _require_exponent, derive_constants, gamma_ratio,
+                     shift_parameters)
+from .representations import _lifted_regular, _power_kernel, lifted_value
 from .series import IdentityRecord, _record, fox_wright_value
 
 __all__ = [
@@ -53,10 +54,15 @@ _CM_ORDER = "cm-order-"  # cm_check's record identity, followed by the order
 
 @lru_cache(maxsize=256)
 def _atomic_mass(params: ParameterSet):
-    """(psi0, psi1, constants) for single-endpoint-atom sets, validated.
-    The set fixes them, so like :func:`derive_constants` they are computed
-    once per set."""
-    c = _single_atom(params)
+    """(psi0, psi1, constants) for single-endpoint-atom sets (mu == 0), the
+    one gate of the inequalities that need a nonnegative measure.  The set
+    fixes them, so like :func:`derive_constants` they are computed once per set."""
+    c = derive_constants(params)
+    if not c.balanced or c.m_order != 0:
+        raise ConstraintError(
+            "the kernel bounds and the ratio scan need a balanced set with a single "
+            f"endpoint atom (mu == 0); got delta={c.delta:.3g}, mu={c.mu:.6g}"
+        )
     psi0 = gamma_ratio(params, 0.0) - c.eta
     psi1 = gamma_ratio(params, 1.0) - c.eta * c.rho
     scale = 1.0 + abs(gamma_ratio(params, 0.0))

@@ -8,9 +8,9 @@ with mu equal to a non-positive integer -m, the gamma ratio splits into
 
 where H is the regular density this module computes and the polynomial part
 is the Mellin transform of an atom (plus derivative atoms) sitting at
-t = rho.  The atoms are always handled in closed form elsewhere
-(``MeasureEvaluator.atom_mellin``, ``correction_series`` in the series
-module); nothing in this file ever tries to integrate across them.
+t = rho.  The atoms are always handled in closed form, by one functional
+on each kernel (``series._atoms``; t^s in ``MeasureEvaluator.atom_mellin``);
+nothing in this file ever tries to integrate across them.
 
 H has two series, one converging at each end of the support:
 
@@ -81,7 +81,7 @@ import numpy as np
 from .errors import ConstraintError, DomainError, NonConvergentError, OutsideDomainError
 from .params import ParameterSet, correction_coeffs, derive_constants
 from .quadrature import integrate_levels, tanh_sinh, tanh_sinh_reach
-from .series import IdentityRecord, _record
+from .series import IdentityRecord, _atoms, _record
 from .special import log_gamma_complex_vec
 
 __all__ = [
@@ -142,11 +142,11 @@ class MeasureEvaluator:
         # r = m+1..order (r <= m are the atoms), or r = 0..order when mu > 0
         # at least the two terms the tail estimate reads
         order = max(_ENDPOINT_ORDER, (self.m or 0) + 2)
-        self._ell = correction_coeffs(params, order)
+        ell = correction_coeffs(params, order)
         lead = 0 if self.m is None else self.m + 1
         self._end_power = self.mu + lead - 1.0
         self._end_coef = np.array(
-            [self.eta * self._ell[r] / math.gamma(self.mu + r) for r in range(lead, order + 1)]
+            [self.eta * ell[r] / math.gamma(self.mu + r) for r in range(lead, order + 1)]
         )
 
         # the benchmark counts work as _res_nodes_used + _tau.size; every node
@@ -417,19 +417,19 @@ class MeasureEvaluator:
         return self._split_density(t, np.log(t), u)
 
     def atom_mellin(self, s: float) -> float:
-        """Mellin transform of the endpoint atoms: eta rho^s sum_r l_r s^(m-r).
+        """Mellin transform of the endpoint atoms: eta rho^s sum_r l_r s^(m-r),
+        their functional ``series._atoms`` on t^s, whose scaled derivatives
+        at rho are the falling factorials (s)_i rho^s.
 
         Identically zero when mu > 0 (pure-density regime, no atoms).
         """
-        if self.m is None:
-            return 0.0
-        poly = 0.0
         try:
-            for r in range(self.m + 1):
-                poly += self._ell[r] * s ** (self.m - r)
-            return self.eta * self.rho**s * poly
+            value = _atoms(self.params, lambda i: math.prod(s - r for r in range(i)) * self.rho**s)
         except OverflowError:
-            raise DomainError(f"the atom transform at s={s:g} overflows a double") from None
+            value = math.inf
+        if not math.isfinite(value):
+            raise DomainError(f"the atom transform at s={s:g} overflows a double")
+        return value
 
     def _rule_level(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights w_i H(t_i) of one tanh-sinh level, built on first use.
@@ -460,9 +460,9 @@ class MeasureEvaluator:
 
         ``fn`` is evaluated on the rule's nodes, level by level, and dotted
         with the stored weights w_i H(t_i); ``integrate_levels`` refines until
-        two successive sums agree to ``_TOL``, else QuadratureFailure.  ``fn``
-        may return a (k, n) array for n nodes, k integrands at once: the
-        totals and estimates are then length-k arrays.
+        two successive sums agree to ``_TOL``, else QuadratureFailure, as where
+        an overflow (numpy warns of none) leaves a sum that is not finite.  A
+        (k, n) array from ``fn`` for n nodes gives length-k totals and estimates.
         """
         if self.degenerate:
             zero = np.zeros(np.shape(fn(np.empty(0)))[:-1])
@@ -472,17 +472,13 @@ class MeasureEvaluator:
             t, wh = self._rule_level(level)
             return fn(t), wh
 
-        return integrate_levels(terms, _TOL, (0.0, self.rho))
+        with np.errstate(over="ignore"):
+            return integrate_levels(terms, _TOL, (0.0, self.rho))
 
     def moment(self, s: float) -> float:
         """integral_0^rho H(t) t^(s-1) dt; QuadratureFailure where t^(s-1)
         overflows a double on the rule's nodes."""
-
-        def power(t: np.ndarray) -> np.ndarray:
-            with np.errstate(over="ignore"):  # the sum is then not finite
-                return t ** (s - 1.0)
-
-        return self.measure_integral(power)[0]
+        return self.measure_integral(lambda t: t ** (s - 1.0))[0]
 
 
 # Evaluators by parameter set, least recently used first; at most

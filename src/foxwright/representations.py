@@ -43,6 +43,7 @@ from .series import (
     EvalResult,
     IdentityRecord,
     SeriesStatus,
+    _atoms,
     _checked,
     _record,
     correction_series,
@@ -65,18 +66,6 @@ __all__ = [
 _TOL = 1e-6  # rel_err within which the two sides of every identity here agree
 
 
-def _single_atom(params: ParameterSet):
-    """The derived constants of a balanced set whose measure has a single
-    endpoint atom (``mu == 0``); ConstraintError for any other set."""
-    c = derive_constants(params)
-    if not c.balanced or c.m_order != 0:
-        raise ConstraintError(
-            "the Stieltjes identity and the kernel bounds need a balanced set with a "
-            f"single endpoint atom (mu == 0); got delta={c.delta:.3g}, mu={c.mu:.6g}"
-        )
-    return c
-
-
 def _power_kernel(rho: float, sigma: float, z: float) -> Callable[[np.ndarray], np.ndarray]:
     """The integrand ``t -> (1+tz)^(-sigma) / t`` of the power-kernel integral
     against H on (0, rho); DomainError where 1 + tz vanishes on the support."""
@@ -87,6 +76,15 @@ def _power_kernel(rho: float, sigma: float, z: float) -> Callable[[np.ndarray], 
     return lambda t: (1.0 + t * z) ** (-sigma) / t
 
 
+def _power_atoms(params: ParameterSet, sigma: float, z: float) -> float:
+    """The endpoint atoms on the power kernel ``(1+tz)^(-sigma)``, whose
+    scaled derivatives at rho are (-w)^i (sigma)_i (1+w)^(-sigma-i) with
+    w = rho z and (sigma)_i the rising factorial; 0 for a set without atoms."""
+    w = derive_constants(params).rho * z
+    return _atoms(params, lambda i: (-w) ** i * math.prod(sigma + r for r in range(i))
+                  * (1.0 + w) ** (-sigma - i))
+
+
 # ---------------------------------------------------------------------------
 # exponential-kernel representation
 # ---------------------------------------------------------------------------
@@ -95,8 +93,8 @@ def _power_kernel(rho: float, sigma: float, z: float) -> Callable[[np.ndarray], 
 def eval_via_representation(params: ParameterSet, z: float | np.ndarray) -> EvalResult:
     """Series value rebuilt from the representing measure.
 
-    ``integral_0^rho e^(zt) H(t) dt/t`` plus the endpoint-atom polynomial
-    ``eta e^(rho z) sum_j l_(m-j) * (Touchard_j at rho z)``.  Works for the
+    ``integral_0^rho e^(zt) H(t) dt/t`` plus the endpoint atoms' part,
+    :func:`correction_series`.  Works for the
     atomic regimes ``mu == -m`` and for the pure-density regime ``mu > 0``
     (where the atom part is identically zero); ``get_evaluator`` raises
     ConstraintError for any other set.  An array of real z is served by
@@ -146,9 +144,9 @@ def moment_identity_check(
 def stieltjes_eval(params: ParameterSet, sigma: float, z: float) -> EvalResult:
     """``gamma(sigma) * integral_0^rho H(t) / (t (1+tz)^sigma) dt``.
 
-    Only the regular (density) part of the measure; the endpoint atom's
-    matching term ``gamma(sigma) eta (1+rho z)^(-sigma)`` is what separates
-    this from the lifted series, see :func:`verify_stieltjes`.
+    Only the regular (density) part of the measure; the endpoint atoms'
+    matching term ``gamma(sigma) A[(1+tz)^(-sigma)]`` is what separates this
+    from the lifted series, see :func:`verify_stieltjes`.
     """
     _require_exponent("sigma", sigma)
     ev = get_evaluator(params)
@@ -161,14 +159,14 @@ def verify_stieltjes(params: ParameterSet, sigma: float, z: float) -> IdentityRe
     """Stieltjes quadrature vs the lifted series minus its atom term.
 
     The lifted series (extra upper row ``(sigma, 1)``) at ``-z`` equals
-    ``gamma(sigma) [ integral (1+tz)^(-sigma) H dt/t + eta (1+rho z)^(-sigma) ]``
-    whenever the measure has a single endpoint atom (``mu == 0``), so the
-    two sides compared here must agree.  Past the series disk (``rho z >= 1``)
-    :func:`lifted_value` is itself that Stieltjes integral plus the atom
-    term this check subtracts again, so there the record compares the
-    quadrature with itself and its error reads about 0.
+    ``gamma(sigma) [ integral (1+tz)^(-sigma) H dt/t + A[(1+tz)^(-sigma)] ]``
+    for every set the measure represents, A the endpoint atoms on the kernel
+    (0 when mu > 0), so the two sides compared here must agree.  Past the
+    series disk (``rho z >= 1``) :func:`lifted_value` is itself that
+    Stieltjes integral plus the atom term this check subtracts again, so
+    there the record compares the quadrature with itself and its error
+    reads about 0.
     """
-    _single_atom(params)
     lhs = stieltjes_eval(params, sigma, z).value
     rhs = _lifted_regular(params, sigma, z)
     return _record(f"stieltjes-kernel[sigma={sigma:g}]", params.hash_key(), z, lhs, rhs, _TOL)
@@ -186,7 +184,8 @@ def lifted_value(params: ParameterSet, lam: float, z: float) -> float:
     balance to -1, so the lifted series only converges on a disk of radius
     ``1/rho``.  Inside it the series is summed.  Where it does not converge,
     on the negative real axis, the same function extends through the measure
-    as ``gamma(lam) [ integral (1-tz)^(-lam) H dt/t + eta (1-rho z)^(-lam) ]``.
+    as ``gamma(lam) [ integral (1-tz)^(-lam) H dt/t + A[(1-tz)^(-lam)] ]``
+    for every set it represents, A the endpoint atoms on the kernel.
     Anywhere else the series' own error passes through: OutsideDomainError
     off the disk, NonConvergentError where a term overflows a double.
     """
@@ -195,22 +194,19 @@ def lifted_value(params: ParameterSet, lam: float, z: float) -> float:
     try:
         return fox_wright_value(lifted, z)
     except (OutsideDomainError, NonConvergentError):
-        c = derive_constants(params)
-        if not (z < 0 and c.represented and c.m_order in (0, None)):
+        if not (z < 0 and derive_constants(params).represented):
             raise
-    integral = get_evaluator(params).measure_integral(_power_kernel(c.rho, lam, -z))[0]
-    atom = c.eta * (1.0 - c.rho * z) ** (-lam) if c.m_order == 0 else 0.0
-    return math.gamma(lam) * (integral + atom)
+    ev = get_evaluator(params)
+    integral = ev.measure_integral(_power_kernel(ev.rho, lam, -z))[0]
+    return math.gamma(lam) * (integral + _power_atoms(params, lam, -z))
 
 
 def _lifted_regular(params: ParameterSet, sigma: float, z: float) -> float:
     """The lifted series at ``-z`` minus its atom term
-    ``gamma(sigma) eta (1+rho z)^(-sigma)``: the regular (density) part of
-    the power-kernel transform, ``gamma(sigma) integral (1+tz)^(-sigma) H dt/t``,
-    for a set with a single endpoint atom."""
-    c = derive_constants(params)
-    atom = math.gamma(sigma) * c.eta * (1.0 + c.rho * z) ** (-sigma)
-    return lifted_value(params, sigma, -z) - atom
+    ``gamma(sigma) A[(1+tz)^(-sigma)]``: the regular (density) part of the
+    power-kernel transform, ``gamma(sigma) integral (1+tz)^(-sigma) H dt/t``,
+    for any set the measure represents."""
+    return lifted_value(params, sigma, -z) - math.gamma(sigma) * _power_atoms(params, sigma, z)
 
 
 def laplace_lift_check(params: ParameterSet, lam: float, z: float) -> IdentityRecord:

@@ -29,7 +29,8 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from typing import Any
+from functools import lru_cache
+from typing import Any, Callable
 
 from .errors import DomainError, NonConvergentError, OutsideDomainError
 from .params import (
@@ -42,7 +43,7 @@ from .params import (
     gamma_ratio_log_signed,
     in_domain,
 )
-from .special import log_abs_gamma_signed, touchard_poly
+from .special import log_abs_gamma_signed, stirling2_row
 
 __all__ = [
     "EvalResult",
@@ -293,18 +294,36 @@ def four_param_wright(
 
 
 # ---------------------------------------------------------------------------
-# Polynomial-atom part of the series in the balanced integer case
+# The endpoint atoms in the balanced integer case
 # ---------------------------------------------------------------------------
+
+
+def _atoms(params: ParameterSet, derivative: Callable[[int], Any]) -> Any:
+    """The endpoint atoms of a set with mu == -m on a kernel K, 0 when mu != -m:
+    eta sum_j l_(m-j) ((t d/dt)^j K)(rho), as their Mellin transform is
+    eta rho^s sum_j l_(m-j) s^j.  As (t d/dt)^j = sum_i S(j, i) t^i d^i/dt^i, that
+    is eta sum_i w_i ``derivative(i)``, K supplying ``derivative(i)`` = rho^i K^(i)(rho)."""
+    return derive_constants(params).eta * sum(
+        w * derivative(i) for i, w in enumerate(_atom_weights(params)))
+
+
+@lru_cache(maxsize=256)
+def _atom_weights(params: ParameterSet) -> tuple[float, ...]:
+    """w_i = sum_j l_(m-j) S(j, i) for i = 0..m, the set fixes them; () when mu != -m."""
+    m = derive_constants(params).m_order
+    ell = correction_coeffs(params, m) if m is not None else ()
+    return tuple(sum(ell[m - j] * stirling2_row(j)[i] for j in range(i, m + 1))
+                 for i in range(len(ell)))
 
 
 def correction_series(params: ParameterSet, z: Any) -> Any:
     """eta * sum_k rho^k P(k) z^k / k!  where P(k) = sum_j l_{m-j} k^j.
 
     This is the part of the series contributed by the endpoint atoms when
-    the scale sums balance and mu == -m for an integer m >= 0.  Each power
-    k^j collapses through the Stirling transform to e^(rho z) times a
-    degree-j Touchard polynomial, so the whole thing costs one exp.  A
-    numpy array of real z gives the array of values.
+    the scale sums balance and mu == -m for an integer m >= 0: their
+    functional :func:`_atoms` on the kernel e^(zt), whose scaled
+    derivatives at rho are w^i e^w with w = rho z, so the whole thing
+    costs one exp.  A numpy array of real z gives the array of values.
     """
     import numpy as np  # here, not at module level: the series needs no numpy
 
@@ -313,8 +332,6 @@ def correction_series(params: ParameterSet, z: Any) -> Any:
         raise OutsideDomainError("correction series requires balanced scale sums")
     if c.m_order is None:
         raise OutsideDomainError("correction series requires mu to be a non-positive integer")
-    m = c.m_order
-    ell = correction_coeffs(params, m)
     if np.ndim(z):
         w = c.rho * np.asarray(z, dtype=float)
         exp = np.exp
@@ -327,8 +344,4 @@ def correction_series(params: ParameterSet, z: Any) -> Any:
     if np.any(np.real(w) > _LOG_MAX):
         raise DomainError(f"e^(rho z) overflows a double: rho z reaches {np.max(np.real(w)):.6g}")
     exp_w = exp(w)
-    acc = 0.0
-    for j in range(m + 1):
-        acc += ell[m - j] * (exp_w * touchard_poly(j, w))
-    return c.eta * acc
-
+    return _atoms(params, lambda i: w**i * exp_w)

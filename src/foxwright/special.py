@@ -12,8 +12,8 @@ Contents:
 * Exact Bernoulli numbers over ``fractions.Fraction``, and Bernoulli
   polynomials of every degree at once from their coefficients rounded to
   float64.
-* Stirling numbers of the second kind and the Touchard polynomials built
-  from them (sum_k k^j x^k / k! is e^x times one).
+* Stirling numbers of the second kind, which turn the powers of t d/dt
+  into plain derivatives for the endpoint atoms (``series._atoms``).
 
 Everything here is dependency-light on purpose: the rest of the package
 treats this module as its numerical bedrock, so it must not import any of
@@ -34,7 +34,6 @@ __all__ = [
     "bernoulli_number",
     "bernoulli_poly",
     "stirling2_row",
-    "touchard_poly",
 ]
 
 # Lanczos approximation for the complex kernel, g = 7, 9 coefficients
@@ -230,7 +229,7 @@ def bernoulli_poly(n: int, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Stirling numbers of the second kind and weighted exponential sums
+# Stirling numbers of the second kind
 # ---------------------------------------------------------------------------
 
 @cache
@@ -247,13 +246,3 @@ def stirling2_row(n: int) -> tuple[int, ...]:
         right = prev[k] if k < n else 0
         row[k] = left + k * right
     return tuple(row)
-
-
-def touchard_poly(j: int, x: Any) -> Any:
-    """The Touchard polynomial sum_i S(j,i) x^i, for a float, complex or numpy
-    array x."""
-    poly = 0.0
-    for i, s in enumerate(stirling2_row(j)):
-        if s:
-            poly += s * x**i
-    return poly

@@ -60,11 +60,12 @@ EXPORTS = [
     "DivisionError",
 ]
 # module -> names it no longer defines: the convergence classes, which one
-# private rule replaces, and wrappers whose values the row series gives
+# private rule replaces, wrappers whose values the row series gives, and the
+# Touchard polynomials, which the one atom functional replaces
 REMOVED_NAMES = {
     "foxwright.params": {"Convergence", "classify_convergence"},
     "foxwright.series": {"hyper_pfq", "wright_function", "mittag_leffler"},
-    "foxwright.special": {"touchard_sum"},
+    "foxwright.special": {"touchard_sum", "touchard_poly"},
 }
 REMOVED_PARAMETERS = {"config", "max_terms"}
 REMOVED_KNOBS = {"route", "rel_tol", "route_tol", "threshold"}

@@ -267,6 +267,12 @@ class TestShiftedRatio:
         with pytest.raises(DomainError):
             shifted_stieltjes_ratio(DOUBLE_POLE, 1.0, 1.0, -1.5)
 
+    def test_signed_measure_rejected(self):
+        # m = 1: Chebyshev's inequality needs the nonnegative mu = 0 measure,
+        # though the Stieltjes identity holds for every m
+        with pytest.raises(ConstraintError, match="kernel bounds and the ratio scan"):
+            shifted_stieltjes_ratio(TWIN_QUARTER, 1.0, 1.0, 0.5)
+
     def test_zero_quadrature_denominator_rejected(self, monkeypatch):
         monkeypatch.setattr(bounds, "_power_kernel", lambda rho, sigma, z: lambda t: 0.0 * t)
         with pytest.raises(DivisionError, match="quadrature denominator"):

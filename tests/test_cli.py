@@ -288,13 +288,40 @@ class TestVerifyCommands:
         rows = json_rows(out)
         assert [r["value_or_verdict"] for r in rows] == ["pass"]
 
-    def test_laplace_without_continuation_is_typed_error(self, capsys):
-        # twin-quarter (m = 1) has no lifted value past the disk
+    def test_laplace_without_continuation_is_typed_error(self, capsys, tmp_path):
+        # mu = -1/2: a set without a measure has no lifted value past the disk
+        path = tmp_path / "no-measure.json"
+        path.write_text('{"upper": [[1.0, 1.0]], "lower": [[0.5, 0.5], [0.5, 0.5]]}')
         code, out, _ = run_cli(
-            capsys, "verify-laplace", "--params", "twin-quarter", "--lift", "2", "--z=-1"
+            capsys, "verify-laplace", "--params", str(path), "--lift", "2", "--z=-1"
         )
         assert code == 2
         assert json_rows(out)[0]["status"] == "error:OutsideDomainError"
+
+    def test_laplace_past_the_disk_on_a_linear_atom_set(self, capsys):
+        # twin-quarter (m = 1): the kernel continuation carries its atoms too
+        code, out, _ = run_cli(
+            capsys, "verify-laplace", "--params", "twin-quarter", "--lift", "2", "--z=-1"
+        )
+        assert code == 0
+        assert [r["status"] for r in json_rows(out)] == ["pass"]
+
+    def test_stieltjes_on_a_linear_atom_set(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify-stieltjes", "--params", "twin-quarter", "--sigma", "2", "--z", "0.1,0.3"
+        )
+        assert code == 0
+        assert [r["status"] for r in json_rows(out)] == ["pass", "pass"]
+
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--params", "twin-quarter", "--lift", "2", "--z", "1"),
+        ("ratio-scan", "--params", "twin-quarter", "--z", "0.1,0.3"),
+    ], ids=" ".join)
+    def test_kernel_bounds_still_need_a_single_atom(self, capsys, argv):
+        # Jensen's and Chebyshev's inequalities need a nonnegative measure
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2
+        assert json_rows(out)[0]["status"] == "error:ConstraintError"
 
 
 class TestBoundsCommand:
@@ -558,13 +585,17 @@ class TestGammaOverflow:
 class TestDoubleRange:
     """A value past the double range is an error row, exit 2, with nothing on
     stderr: an OverflowError traceback ended the first three runs with exit
-    1, and numpy's overflow warning went to stderr in the last."""
+    1, and numpy's overflow warning went to stderr in the last three."""
 
     @pytest.mark.parametrize("argv, status", [
         (("verify-representation", "--params", "exp-collapse", "--z=354.95"), "DomainError"),
         (("moments", "--params", "exp-collapse", "--k=1e10"), "DomainError"),
         (("moments", "--params", "twin-quarter", "--k=1e10"), "DomainError"),
         (("moments", "--params", "double-pole", "--k=-400"), "QuadratureFailure"),
+        (("verify-stieltjes", "--params", "double-pole", "--sigma", "150", "--z=-0.9999999"),
+         "QuadratureFailure"),
+        (("ratio-scan", "--params", "double-pole", "--sigma", "150", "--delta", "1",
+          "--z=-0.9999999,-0.5"), "QuadratureFailure"),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
     def test_error_row(self, capsys, argv, status):
         code, out, err = run_cli(capsys, *argv)

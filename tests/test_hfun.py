@@ -236,6 +236,25 @@ class TestMomentIdentity:
         with pytest.raises(DomainError, match="overflows a double"):
             get_evaluator(EXP_COLLAPSE).atom_mellin(1e10)
 
+    def test_atom_mellin_falling_factorial_past_the_double_range_raises(self):
+        # m = 2 at rho = 1: rho^s is 1, while (s)_2 = s (s - 1) overflows to inf
+        ps = ParameterSet([(2.5, 1.0), (1.5, 1.0)], [(1.0, 1.0), (1.0, 1.0)])
+        assert derive_constants(ps).m_order == 2
+        with pytest.raises(DomainError, match="overflows a double"):
+            get_evaluator(ps).atom_mellin(1e200)
+
+    def test_atom_mellin_without_atoms_forms_no_power(self):
+        # mu > 0: no atoms, so rho^s is never formed, even where it overflows
+        assert get_evaluator(BETA_LIKE).atom_mellin(1e10) == 0.0
+
+    def test_second_order_atoms(self):
+        # m = 2: the atoms' transform reads (s)_2 rho^s as well as s rho^s
+        ps = ParameterSet([(1.0, 1.0)], [(0.25, 0.5), (-0.75, 0.5)])
+        assert derive_constants(ps).m_order == 2
+        records = moment_identity_check(ps, [float(k) for k in range(9)])
+        assert all(r.ok() for r in records)
+        assert max(r.rel_err for r in records) < 1e-12
+
     @pytest.mark.parametrize("s", [-100.0, -400.0, -1e10])
     def test_divergent_moment_raises_without_a_warning(self, s):
         # t^(s-1) overflows on the nodes near 0; numpy's overflow warning

@@ -14,8 +14,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from foxwright import cm_check, derive_constants, eval_via_representation
+from foxwright import (
+    ParameterSet,
+    cm_check,
+    derive_constants,
+    eval_via_representation,
+    stieltjes_eval,
+)
 from foxwright.catalog import DOUBLE_POLE, NAMED_SETS, TWIN_QUARTER
+from foxwright.representations import _power_atoms
 
 mp = pytest.importorskip("mpmath")
 
@@ -56,6 +63,23 @@ def test_representation_matches_series_oracle(params, z):
     want = _series_oracle(params, z)
     got = eval_via_representation(params, z).value
     assert abs(got - float(want)) <= 1e-11 * abs(float(want))
+
+
+# mu = -2: the atoms carry the first and second derivatives of a kernel
+_M2 = ParameterSet([(1.0, 1.0)], [(0.25, 0.5), (-0.75, 0.5)])
+
+
+@pytest.mark.parametrize("params", [TWIN_QUARTER, _M2], ids=["m=1", "m=2"])
+@pytest.mark.parametrize("sigma", [1.0, 2.5, 4.0])
+@pytest.mark.parametrize("w", [0.2, 0.5, 0.9])
+def test_power_kernel_route_matches_lifted_series_oracle(params, sigma, w):
+    """The sigma-lifted series at -z, from the oracle, against the Stieltjes
+    integral plus gamma(sigma) times the atoms on (1+tz)^(-sigma), at rho z = w."""
+    z = w / derive_constants(params).rho
+    lifted = ParameterSet([(sigma, 1.0), *params.upper], list(params.lower))
+    want = float(_series_oracle(lifted, -z))
+    got = stieltjes_eval(params, sigma, z).value + math.gamma(sigma) * _power_atoms(params, sigma, z)
+    assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def _benchmark_module(name):

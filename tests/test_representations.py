@@ -32,6 +32,8 @@ from foxwright.errors import (
 
 EPS = float(np.finfo(float).eps)
 NON_FINITE = [math.nan, math.inf, -math.inf]
+# mu = -2: the atoms carry the first and second derivatives of a kernel
+M2 = ParameterSet([(1.0, 1.0)], [(0.25, 0.5), (-0.75, 0.5)])
 
 
 class TestExponentialKernel:
@@ -105,9 +107,16 @@ class TestStieltjesKernel:
         got = stieltjes_eval(DOUBLE_POLE, 1.5, 0.4).value
         assert got > 0.0
 
-    def test_stieltjes_needs_pure_atom_order(self):
+    def test_stieltjes_on_a_linear_atom_set(self):
+        # m = 1: the atoms act on (1+tz)^(-sigma) through its first derivative too
+        rec = verify_stieltjes(TWIN_QUARTER, 1.0, 0.3)
+        assert rec.verdict == "pass"
+        assert rec.rel_err < 1e-12
+
+    def test_stieltjes_needs_a_measure(self):
+        # mu = -1/2: no representing measure, so no Stieltjes integral
         with pytest.raises(ConstraintError):
-            verify_stieltjes(TWIN_QUARTER, 1.0, 0.3)  # m = 1, not 0
+            verify_stieltjes(ParameterSet([(1.0, 1.0)], [(0.5, 0.5), (0.5, 0.5)]), 1.0, 0.3)
 
     def test_kernel_vanishing_inside_support_rejected(self):
         # rho = 1: 1 + tz vanishes at t = 2/3 for z = -1.5
@@ -181,6 +190,14 @@ class TestLaplaceLift:
         assert rec.verdict == "pass"
         assert rec.rel_err < 1e-12
 
+    @pytest.mark.parametrize("params", [TWIN_QUARTER, M2], ids=["m=1", "m=2"])
+    @pytest.mark.parametrize("lam,z", [(2.0, -1.0), (1.0, -1.5), (1.5, -3.0)])
+    def test_lift_beyond_the_disk_with_derivative_atoms(self, params, lam, z):
+        # rho = 2: every z here is past the lifted series' disk
+        rec = laplace_lift_check(params, lam, z)
+        assert rec.verdict == "pass"
+        assert rec.rel_err < 1e-12
+
     def test_set_without_measure_sums_the_series(self):
         # mu = -1/2: no representing measure, so F comes from the series
         ps = ParameterSet([(1.0, 1.0)], [(0.5, 0.5), (0.5, 0.5)])
@@ -204,13 +221,14 @@ class TestLaplaceLift:
         assert rec.verdict == "pass"
 
     def test_lifted_value_out_of_reach_costs_no_quadrature(self, monkeypatch):
-        # twin-quarter has m = 1: no kernel continuation past the disk
+        # mu = -1/2: no measure, so no kernel continuation past the disk
         def boom(*args, **kwargs):
             raise AssertionError("quadrature ran before the lifted value")
 
         monkeypatch.setattr(representations, "integrate_gamma_weighted", boom)
+        ps = ParameterSet([(1.0, 1.0)], [(0.5, 0.5), (0.5, 0.5)])
         with pytest.raises(OutsideDomainError):
-            laplace_lift_check(TWIN_QUARTER, 2.0, -1.0)
+            laplace_lift_check(ps, 2.0, -1.0)
 
     def test_unbalanced_set_rejected(self):
         with pytest.raises(ConstraintError, match="balanced"):

@@ -1,4 +1,4 @@
-"""Scalar special-function layer: log-gamma, Bernoulli, Stirling, Touchard.
+"""Scalar special-function layer: log-gamma, Bernoulli, Stirling.
 
 The real log-gamma is ``math.lgamma``; ``log_abs_gamma_signed`` adds the sign
 of gamma and rejects the poles."""
@@ -9,13 +9,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from foxwright import ParameterSet, correction_series, derive_constants
+from foxwright.params import correction_coeffs
 from foxwright.special import (
     bernoulli_number,
     bernoulli_poly,
     log_abs_gamma_signed,
     log_gamma_complex_vec,
     stirling2_row,
-    touchard_poly,
 )
 
 
@@ -215,7 +216,17 @@ class TestStirlingTouchard:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
     @pytest.mark.parametrize("x", [0.5, 1.0, 2.0, -0.7])
     def test_touchard_matches_brute_force(self, n, x):
-        # sum_{k>=0} k^n x^k / k!, summed directly to convergence
-        brute = sum((k**n if n or k else 1) * x**k / math.factorial(k)
-                    for k in range(80))
-        assert math.exp(x) * touchard_poly(n, x) == pytest.approx(brute, rel=1e-10, abs=1e-12)
+        # the atoms of a set with m = n on e^(zt), rho z = x, go through the
+        # Stirling rows 0..n (sum_k k^j x^k / k! = e^x sum_i S(j, i) x^i);
+        # the brute force sums eta sum_k P(k) x^k / k!, P(k) = sum_j l_(n-j) k^j
+        ps = ParameterSet([(1.0, 1.0)], [(0.25, 0.5), (1.25 - n, 0.5)])
+        c = derive_constants(ps)
+        assert c.m_order == n
+        ell = correction_coeffs(ps, n)
+        brute = c.eta * sum(
+            sum(ell[n - j] * k**j for j in range(n + 1))
+            * x**k / math.factorial(k)
+            for k in range(80)
+        )
+        got = correction_series(ps, x / c.rho)
+        assert got == pytest.approx(brute, rel=1e-10, abs=1e-12)
