@@ -27,12 +27,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConstraintError, DegenerateError, DivisionError, DomainError, ParameterError
+from .errors import (ConstraintError, DegenerateError, DivisionError, DomainError,
+                     FoxwrightError, ParameterError)
 from .hfun import get_evaluator, hfun_nonneg_scan
 from .params import (ParameterSet, _require_exponent, derive_constants, gamma_ratio,
                      shift_parameters)
-from .representations import _lifted_regular, _power_kernel, lifted_value
-from .series import IdentityRecord, _record, fox_wright_value
+from .representations import _lifted_regular, _lifted_values, _power_kernel
+from .series import IdentityRecord, _fox_wright_values, _record
 
 __all__ = [
     "exp_kernel_bounds",
@@ -98,13 +99,19 @@ def exp_kernel_bounds(params: ParameterSet, z: float) -> tuple[IdentityRecord, I
     ``<=`` records (lower, F) and (F, upper); both sides collapse to
     ``ratio(0)`` at ``z = 0``.
     """
-    if z < 0:
+    return _exp_kernel_bounds(params, [z])[0]
+
+
+def _exp_kernel_bounds(params: ParameterSet, zs: list[float]) -> list[tuple]:
+    """:func:`exp_kernel_bounds` at each z of a grid, each pair equal to the
+    one-point call: the series at every -z is one grid."""
+    if any(z < 0 for z in zs):
         raise ParameterError("z must be nonnegative")
     psi0, psi1, c = _atomic_mass(params)
-    lower = psi0 * math.exp(-(psi1 / psi0) * z) + c.eta * math.exp(-c.rho * z)
-    upper = (psi0 - psi1 / c.rho) + (c.eta + psi1 / c.rho) * math.exp(-c.rho * z)
-    value = fox_wright_value(params, -z)
-    return _bound_pair("exp-kernel", params, z, lower, value, upper)
+    lower = [psi0 * math.exp(-(psi1 / psi0) * z) + c.eta * math.exp(-c.rho * z) for z in zs]
+    upper = [(psi0 - psi1 / c.rho) + (c.eta + psi1 / c.rho) * math.exp(-c.rho * z) for z in zs]
+    values = _fox_wright_values(params, [-z for z in zs])
+    return [_bound_pair("exp-kernel", params, *point) for point in zip(zs, lower, values, upper)]
 
 
 def lifted_kernel_bounds(
@@ -117,19 +124,24 @@ def lifted_kernel_bounds(
     disk and from the kernel continuation beyond it.  Two ``<=`` records, as
     for :func:`exp_kernel_bounds`.
     """
+    return _lifted_kernel_bounds(params, lam, [z])[0]
+
+
+def _lifted_kernel_bounds(params: ParameterSet, lam: float, zs: list[float]) -> list[tuple]:
+    """:func:`lifted_kernel_bounds` at each z of a grid, each pair equal to
+    the one-point call: the lifted values at every -z are one grid."""
     _require_exponent("lam", lam)
-    if z < 0:
+    if any(z < 0 for z in zs):
         raise ParameterError("z must be nonnegative")
     psi0, psi1, c = _atomic_mass(params)
     g = math.gamma(lam)
-    lower = g * c.eta * (1.0 + c.rho * z) ** (-lam) + g * psi0 * (
-        1.0 + (psi1 / psi0) * z
-    ) ** (-lam)
-    upper = g * (psi0 - psi1 / c.rho) + g * (c.eta + psi1 / c.rho) * (
-        1.0 + c.rho * z
-    ) ** (-lam)
-    value = lifted_value(params, lam, -z)
-    return _bound_pair(f"lifted-kernel[lam={lam:g}]", params, z, lower, value, upper)
+    lower = [g * c.eta * (1.0 + c.rho * z) ** (-lam)
+             + g * psi0 * (1.0 + (psi1 / psi0) * z) ** (-lam) for z in zs]
+    upper = [g * (psi0 - psi1 / c.rho)
+             + g * (c.eta + psi1 / c.rho) * (1.0 + c.rho * z) ** (-lam) for z in zs]
+    values = _lifted_values(params, lam, [-z for z in zs])
+    name = f"lifted-kernel[lam={lam:g}]"
+    return [_bound_pair(name, params, *point) for point in zip(zs, lower, values, upper)]
 
 
 def stieltjes_lower_bound(
@@ -148,17 +160,28 @@ def stieltjes_lower_bound(
     kernel itself stays convex in ``t``.  Only the equality holds without
     a nonnegative density.
     """
-    bound = lifted_kernel_bounds(params, sigma, z)[0]
+    return _stieltjes_lower_bounds(params, sigma, [z])[0]
+
+
+def _stieltjes_lower_bounds(params: ParameterSet, sigma: float, zs: list[float]) -> list[tuple]:
+    """:func:`stieltjes_lower_bound` at each z of a grid, each pair equal to
+    the one-point call: each power mean is one pass over the rule."""
+    bounds = [lower for lower, _ in _lifted_kernel_bounds(params, sigma, zs)]
     psi0 = _atomic_mass(params)[0]
     ev = get_evaluator(params)
-    mean_sigma = ev.measure_integral(_power_kernel(ev.rho, sigma, z))[0] / psi0
-    mean_one = ev.measure_integral(_power_kernel(ev.rho, 1.0, z))[0] / psi0
-    relation = "==" if abs(sigma - 1.0) <= 1e-12 else ">=" if sigma > 1.0 else "<="
-    step = _record(
-        f"power-mean[sigma={sigma:g}]", bound.params_hash, z, mean_sigma, mean_one**sigma,
-        _OK_SLACK, relation, applies=relation == "==" or bound.verdict != "n/a",
+    z = np.array(zs)
+    mean_sigma, mean_one = (
+        [v / psi0 for v in ev.measure_integral(_power_kernel(ev.rho, s, z))[0].tolist()]
+        for s in (sigma, 1.0)
     )
-    return bound, step
+    relation = "==" if abs(sigma - 1.0) <= 1e-12 else ">=" if sigma > 1.0 else "<="
+    return [
+        (bound, _record(
+            f"power-mean[sigma={sigma:g}]", bound.params_hash, x, lhs, rhs**sigma,
+            _OK_SLACK, relation, applies=relation == "==" or bound.verdict != "n/a",
+        ))
+        for x, bound, lhs, rhs in zip(zs, bounds, mean_sigma, mean_one)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -233,25 +256,39 @@ def shifted_stieltjes_ratio(
     integrates the density directly.  The gamma(sigma) factors cancel in
     the quotient.  The record passes when the routes agree to 1e-6.
     """
+    return _shifted_stieltjes_ratios(params, sigma, delta, [z])[0]
+
+
+def _shifted_stieltjes_ratios(
+    params: ParameterSet, sigma: float, delta: float, zs: list[float]
+) -> list[IdentityRecord]:
+    """:func:`shifted_stieltjes_ratio` at each z of a grid, each record equal
+    to the one-point call: each route's numerator and denominator is one
+    grid."""
     _require_exponent("sigma", sigma)
     _atomic_mass(params)  # the single-atom gate, and a density that carries mass
     ev = get_evaluator(params)
-    den_q = ev.measure_integral(_power_kernel(ev.rho, sigma, z))[0]
-    num_q = ev.measure_integral(lambda t: t ** (delta - 1.0) * (1.0 + t * z) ** (-sigma))[0]
-    if abs(den_q) < _DENOM_FLOOR:
-        raise DivisionError(
-            f"quadrature denominator ~ {den_q:.2e}: quotient undefined"
-        )
-    quad = num_q / den_q
+    z = np.array(zs)
+    den_q = ev.measure_integral(_power_kernel(ev.rho, sigma, z))[0].tolist()
+    num_q = ev.measure_integral(
+        lambda t: t ** (delta - 1.0) * (1.0 + np.multiply.outer(z, t)) ** (-sigma)
+    )[0].tolist()
+    _require_denominators("quadrature", den_q)
+    quad = [n / d for n, d in zip(num_q, den_q)]
 
-    num_s = _lifted_regular(shift_parameters(params, delta), sigma, z)
-    den_s = _lifted_regular(params, sigma, z)
-    if abs(den_s) < _DENOM_FLOOR:
-        raise DivisionError(f"series denominator ~ {den_s:.2e}: quotient undefined")
-    return _record(
-        f"shifted-ratio[sigma={sigma:g},delta={delta:g}]",
-        params.hash_key(), z, num_s / den_s, quad, _ROUTE_TOL,
-    )
+    num_s = _lifted_regular(shift_parameters(params, delta), sigma, zs)
+    den_s = _lifted_regular(params, sigma, zs)
+    _require_denominators("series", den_s)
+    name, key = f"shifted-ratio[sigma={sigma:g},delta={delta:g}]", params.hash_key()
+    return [_record(name, key, *point, _ROUTE_TOL)
+            for point in zip(zs, [n / d for n, d in zip(num_s, den_s)], quad)]
+
+
+def _require_denominators(route: str, values: list[float]) -> None:
+    """DivisionError where a route's denominator is too small for the quotient."""
+    for value in values:
+        if abs(value) < _DENOM_FLOOR:
+            raise DivisionError(f"{route} denominator ~ {value:.2e}: quotient undefined")
 
 
 def ratio_monotonicity_scan(
@@ -279,7 +316,12 @@ def ratio_monotonicity_scan(
     zs = sorted(float(z) for z in z_grid)
     if len(zs) < 2:
         raise ParameterError("z_grid needs at least two points")
-    records = tuple(shifted_stieltjes_ratio(params, sigma, delta, z) for z in zs)
+    try:
+        records = tuple(_shifted_stieltjes_ratios(params, sigma, delta, zs))
+    except FoxwrightError:
+        # the grid runs each step over every point before the next: the
+        # points one by one raise the first point's own error instead
+        records = tuple(shifted_stieltjes_ratio(params, sigma, delta, z) for z in zs)
     values = [r.rhs for r in records]
     if delta >= 0:
         expected = "nonincreasing"

@@ -37,25 +37,25 @@ import numpy as np
 
 from .bounds import (
     _cm_order,
+    _exp_kernel_bounds,
+    _lifted_kernel_bounds,
     _scan_direction,
+    _stieltjes_lower_bounds,
     cm_check,
-    exp_kernel_bounds,
-    lifted_kernel_bounds,
     ratio_monotonicity_scan,
-    stieltjes_lower_bound,
 )
 from .catalog import NAMED_SETS
 from .errors import FoxwrightError
 from .hfun import get_evaluator
 from .params import ParameterSet, derive_constants
 from .representations import (
+    _verify_representation,
+    _verify_stieltjes,
     eval_via_representation,
     laplace_lift_check,
     moment_identity_check,
-    verify_representation,
-    verify_stieltjes,
 )
-from .series import fox_wright_value
+from .series import _fox_wright_values
 
 __all__ = ["main", "run", "parse_grid", "parse_k_list"]
 
@@ -157,51 +157,56 @@ def _verdict(ok: bool) -> str:
 
 
 # ---------------------------------------------------------------------------
-# point functions: (ns, params, x) -> (value, abs_err, rel_err, status)
+# grid functions: (ns, params, xs) -> [(x, value, abs_err, rel_err, status)]
 # ---------------------------------------------------------------------------
 
 
-def _eval_point(ns, params, z):
-    return fox_wright_value(params, z), None, None, "ok"
+def _eval_rows(ns, params, zs):
+    return [(z, v, None, None, "ok") for z, v in zip(zs, _fox_wright_values(params, zs))]
 
 
-def _hfun_point(ns, params, t):
-    return float(get_evaluator(params).density(np.array([t]))[0]), None, None, "ok"
+def _hfun_rows(ns, params, ts):
+    # one density call per t: the residue sum's matrix product may round a
+    # row of a larger block apart from the same row alone
+    ev = get_evaluator(params)
+    return [(t, float(ev.density(np.array([t]))[0]), None, None, "ok") for t in ts]
 
 
-def _moments_point(ns, params, k):
-    (rec,) = moment_identity_check(params, [k])
-    return rec.lhs, rec.abs_err, rec.rel_err, _verdict(rec.ok())
+def _moments_rows(ns, params, ks):
+    return [(k, rec.lhs, rec.abs_err, rec.rel_err, _verdict(rec.ok()))
+            for k, rec in zip(ks, moment_identity_check(params, ks))]
 
 
-def _identity_point(check):
-    def point(ns, params, z):
-        rec = check(ns, params, z)
-        return rec.verdict, rec.abs_err, rec.rel_err, _verdict(rec.ok())
+def _identity_rows(check):
+    def rows(ns, params, zs):
+        return [(z, rec.verdict, rec.abs_err, rec.rel_err, _verdict(rec.ok()))
+                for z, rec in zip(zs, check(ns, params, zs))]
 
-    return point
+    return rows
 
 
-def _bounds_point(ns, params, z):
+def _bounds_rows(ns, params, zs):
     """The bounded value; its margin over the lower bound; and the margin to
     the upper bound, or for --sigma the lower margin relative to 1 + |value|."""
     if ns.sigma is not None and ns.lift is not None:
         raise CliUsageError("bounds takes --sigma or --lift, not both")
     if ns.sigma is not None:
-        lower, step = stieltjes_lower_bound(params, ns.sigma, z)
-        margin = lower.rhs - lower.lhs
-        return (lower.rhs, margin, margin / (1.0 + abs(lower.rhs)),
-                _verdict(lower.ok() and step.ok()))
+        rows = []
+        for z, (lower, step) in zip(zs, _stieltjes_lower_bounds(params, ns.sigma, zs)):
+            margin = lower.rhs - lower.lhs
+            rows.append((z, lower.rhs, margin, margin / (1.0 + abs(lower.rhs)),
+                         _verdict(lower.ok() and step.ok())))
+        return rows
     if ns.lift is not None:
-        lower, upper = lifted_kernel_bounds(params, ns.lift, z)
+        pairs = _lifted_kernel_bounds(params, ns.lift, zs)
     else:
-        lower, upper = exp_kernel_bounds(params, z)
-    return (lower.rhs, lower.rhs - lower.lhs, upper.rhs - upper.lhs,
-            _verdict(lower.ok() and upper.ok()))
+        pairs = _exp_kernel_bounds(params, zs)
+    return [(z, lower.rhs, lower.rhs - lower.lhs, upper.rhs - upper.lhs,
+             _verdict(lower.ok() and upper.ok())) for z, (lower, upper) in zip(zs, pairs)]
 
 
 # ---------------------------------------------------------------------------
-# scan functions: (ns, params, None) -> [(z, value, abs_err, rel_err, status)]
+# scan functions: (ns, params, [None]) -> [(z, value, abs_err, rel_err, status)]
 # ---------------------------------------------------------------------------
 
 
@@ -218,7 +223,7 @@ def _cm_scan(ns, params, _):
             # F(-x) at every abscissa in one pass over the measure's cached rule
             f = lambda xs: eval_via_representation(params, -xs).value  # noqa: E731
         else:
-            f = lambda xs: [fox_wright_value(params, -x) for x in xs.tolist()]  # noqa: E731
+            f = lambda xs: _fox_wright_values(params, (-xs).tolist())  # noqa: E731
     elif name in _CM_FUNCTIONS:
         f = _CM_FUNCTIONS[name]
     else:
@@ -264,34 +269,34 @@ _FLAGS = {
 @dataclass(frozen=True)
 class _Command:
     """One subcommand.  ``flags`` maps each extra flag to its default.
-    ``grid`` names the option whose values the point function is walked
-    over (``z`` or ``k``); a scan (``grid=None``) runs once and returns all
-    of its rows."""
+    ``run`` takes the whole grid and returns its rows; ``grid`` names the
+    option the grid is read from (``z`` or ``k``).  A scan
+    (``grid=None``) ignores the grid and returns all of its rows."""
 
     help: str
     flags: dict
-    point: Callable
+    run: Callable
     grid: str | None = "z"
     needs_params: bool = True
 
 
 _COMMANDS = {
-    "eval": _Command("evaluate the series over a z grid", {"--z": None}, _eval_point),
+    "eval": _Command("evaluate the series over a z grid", {"--z": None}, _eval_rows),
     "hfun": _Command("evaluate the representing density over a t grid", {"--z": None},
-                     _hfun_point),
+                     _hfun_rows),
     "moments": _Command("check gamma-ratio moments against the measure", {"--k": None},
-                        _moments_point, grid="k"),
+                        _moments_rows, grid="k"),
     "verify-representation": _Command(
         "series vs exponential-kernel integral", {"--z": None},
-        _identity_point(lambda ns, p, z: verify_representation(p, z))),
+        _identity_rows(lambda ns, p, zs: _verify_representation(p, zs))),
     "verify-stieltjes": _Command(
         "lifted series vs power-kernel integral", {"--z": None, "--sigma": 1.0},
-        _identity_point(lambda ns, p, z: verify_stieltjes(p, ns.sigma, z))),
+        _identity_rows(lambda ns, p, zs: _verify_stieltjes(p, ns.sigma, zs))),
     "verify-laplace": _Command(
         "gamma-weighted transform vs lifted series", {"--z": None, "--lift": 1.0},
-        _identity_point(lambda ns, p, z: laplace_lift_check(p, ns.lift, z))),
+        _identity_rows(lambda ns, p, zs: [laplace_lift_check(p, ns.lift, z) for z in zs])),
     "bounds": _Command("two-sided kernel bounds (default exponential; --lift or --sigma)",
-                       {"--z": None, "--sigma": None, "--lift": None}, _bounds_point),
+                       {"--z": None, "--sigma": None, "--lift": None}, _bounds_rows),
     "cm-check": _Command("finite-difference complete-monotonicity scan",
                          {"--z": None, "--function": "series"},
                          _cm_scan, grid=None, needs_params=False),
@@ -304,7 +309,7 @@ _GRID_HINTS = {"z": "--z (grid start:stop:count or list)", "k": "--k (e.g. --k 0
 
 
 def _points(cmd: _Command, ns: argparse.Namespace) -> list:
-    """The values the point function is walked over; one ``None`` for a scan."""
+    """The grid ``run`` takes; one ``None`` for a scan."""
     if cmd.grid is None:
         return [None]
     spec = getattr(ns, cmd.grid)
@@ -316,16 +321,22 @@ def _points(cmd: _Command, ns: argparse.Namespace) -> list:
 def _walk(ns: argparse.Namespace, params: ParameterSet | None) -> list[dict]:
     """Build every row under one guard: a numerical error becomes an error row."""
     cmd = _COMMANDS[ns.command]
-    rows = []
-    for x in _points(cmd, ns):
-        try:
-            out = cmd.point(ns, params, x)
-            rows.extend([(x, *out)] if cmd.grid else out)
-        except FoxwrightError as exc:
-            rows.append((x, None, None, None, f"error:{type(exc).__name__}"))
-    rows = [_nulls_for_non_finite(row) for row in rows]
+    rows = [_nulls_for_non_finite(row) for row in _grid_rows(cmd, ns, params, _points(cmd, ns))]
     phash = params.hash_key() if params is not None else ""
     return [dict(zip(_FIELDS, (ns.command, phash, *row))) for row in rows]
+
+
+def _grid_rows(cmd: _Command, ns: argparse.Namespace, params: ParameterSet | None,
+               xs: list) -> list[tuple]:
+    """The rows of one ``run`` on the whole grid.  Where it raises, ``run``
+    goes again on each point alone, so each row carries its own value or
+    its own error row, as a grid of one would."""
+    try:
+        return cmd.run(ns, params, xs)
+    except FoxwrightError as exc:
+        if len(xs) == 1:
+            return [(xs[0], None, None, None, f"error:{type(exc).__name__}")]
+    return [row for x in xs for row in _grid_rows(cmd, ns, params, [x])]
 
 
 def _nulls_for_non_finite(row: tuple) -> tuple:

@@ -462,7 +462,8 @@ class MeasureEvaluator:
         with the stored weights w_i H(t_i); ``integrate_levels`` refines until
         two successive sums agree to ``_TOL``, else QuadratureFailure, as where
         an overflow (numpy warns of none) leaves a sum that is not finite.  A
-        (k, n) array from ``fn`` for n nodes gives length-k totals and estimates.
+        (k, n) array from ``fn`` for n nodes gives length-k totals and
+        estimates, row i equal bit for bit to the integral of row i alone.
         """
         if self.degenerate:
             zero = np.zeros(np.shape(fn(np.empty(0)))[:-1])

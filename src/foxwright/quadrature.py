@@ -96,25 +96,38 @@ def integrate_levels(
     _DE_STEP / 2^_DE_MAX_LEVEL) still misses it or the sum is not finite.
 
     f may be a (k, n) array for n nodes, k integrands at once: the totals
-    and estimates are then length-k arrays, and the step is halved until
-    every row meets the tolerance.
+    and estimates are then length-k arrays.  Each row is summed on its own
+    (``np.vecdot``, the 1-D dot product row by row) and keeps the level at
+    which it first meets the tolerance, so row i equals the call on row i
+    alone bit for bit; the step is halved until every row has met it, and
+    a row that has not raises for all of them.
     """
+    value = err = live = None
     total = mass = 0.0
     diff = math.inf
     for level in range(_DE_MAX_LEVEL + 1):
         f, w = terms(level)
         f = np.asarray(f)
+        rows = f.reshape(-1, f.shape[-1])
+        if live is None:
+            live = np.arange(rows.shape[0])  # the rows still refining
+            value, err = np.empty(live.size), np.empty(live.size)
+        elif live.size < rows.shape[0]:
+            rows = rows[live]
         prev = total
-        total = 0.5 * total + f @ w
-        mass = 0.5 * mass + np.abs(f) @ np.abs(w)
+        total = 0.5 * total + np.vecdot(rows, w)
+        mass = 0.5 * mass + np.vecdot(np.abs(rows), np.abs(w))
         if not np.all(np.isfinite(total)):
             break
         if level:
             diff = np.maximum(abs(total - prev), _EPS * mass)
-            if np.all(diff <= tol * mass):
+            met = diff <= tol * mass
+            value[live[met]], err[live[met]] = total[met], diff[met]
+            live, total, mass, diff = live[~met], total[~met], mass[~met], diff[~met]
+            if live.size == 0:
                 if f.ndim == 1:
-                    return float(total), float(diff)
-                return total, diff
+                    return float(value[0]), float(err[0])
+                return value.reshape(f.shape[:-1]), err.reshape(f.shape[:-1])
     raise QuadratureFailure(
         f"double-exponential levels disagree by {np.max(diff):.2e} "
         f"(tol {tol:g} of {np.min(mass):.3e})",

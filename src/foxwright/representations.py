@@ -45,6 +45,8 @@ from .series import (
     SeriesStatus,
     _atoms,
     _checked,
+    _fox_wright_grid,
+    _fox_wright_values,
     _record,
     correction_series,
     four_param_wright,
@@ -66,14 +68,23 @@ __all__ = [
 _TOL = 1e-6  # rel_err within which the two sides of every identity here agree
 
 
-def _power_kernel(rho: float, sigma: float, z: float) -> Callable[[np.ndarray], np.ndarray]:
+def _power_kernel(
+    rho: float, sigma: float, z: float | np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
     """The integrand ``t -> (1+tz)^(-sigma) / t`` of the power-kernel integral
-    against H on (0, rho); DomainError where 1 + tz vanishes on the support."""
-    if 1.0 + rho * z <= 0.0:
+    against H on (0, rho), one row per z of an array; DomainError where
+    1 + tz vanishes on the support."""
+    if np.any(1.0 + rho * np.asarray(z) <= 0.0):
         raise DomainError(
-            f"kernel 1+tz vanishes inside the support: z={z} <= {-1.0 / rho:.6g}"
+            f"kernel 1+tz vanishes inside the support: z={np.min(z)} <= {-1.0 / rho:.6g}"
         )
-    return lambda t: (1.0 + t * z) ** (-sigma) / t
+    return lambda t: (1.0 + np.multiply.outer(z, t)) ** (-sigma) / t
+
+
+def _exp_kernel(z: float | np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The integrand ``t -> e^(zt) / t`` of the exponential-kernel integral
+    against H on (0, rho), one row per z of an array."""
+    return lambda t: np.exp(np.multiply.outer(z, t)) / t
 
 
 def _power_atoms(params: ParameterSet, sigma: float, z: float) -> float:
@@ -103,16 +114,30 @@ def eval_via_representation(params: ParameterSet, z: float | np.ndarray) -> Eval
     """
     ev = get_evaluator(params)
     zr = np.asarray(z, dtype=float) if np.ndim(z) else float(z)
-    integral, err = ev.measure_integral(lambda t: np.exp(np.multiply.outer(zr, t)) / t)
+    integral, err = ev.measure_integral(_exp_kernel(zr))
     corr = correction_series(params, zr) if ev.m is not None else 0.0
     return EvalResult(integral + corr, ev._res_nodes_used, err, SeriesStatus.CONVERGED)
 
 
 def verify_representation(params: ParameterSet, z: float) -> IdentityRecord:
     """Direct series vs the measure-rebuilt value, as an IdentityRecord."""
-    lhs = fox_wright_value(params, z)
-    rhs = eval_via_representation(params, z).value
-    return _record("exp-kernel-representation", params.hash_key(), z, lhs, rhs, _TOL)
+    return _verify_representation(params, [z])[0]
+
+
+def _verify_representation(params: ParameterSet, zs: list[float]) -> list[IdentityRecord]:
+    """:func:`verify_representation` at each z of a grid, each record equal to
+    the one-point call: one series grid and one pass over the rule.  The
+    atoms are added point by point, as the one-point value adds them: the
+    array form of :func:`correction_series` rounds its exponentials apart."""
+    lhs = _fox_wright_values(params, zs)
+    ev = get_evaluator(params)
+    integral = ev.measure_integral(_exp_kernel(np.array(zs)))[0].tolist()
+    key = params.hash_key()
+    return [
+        _record("exp-kernel-representation", key, z, a,
+                v + (correction_series(params, z) if ev.m is not None else 0.0), _TOL)
+        for z, a, v in zip(zs, lhs, integral)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +153,15 @@ def moment_identity_check(
     if not all(math.isfinite(k) for k in k_list):
         raise ParameterError("moment orders must be finite")
     ev = get_evaluator(params)
+    if len(k_list) == 0:  # no rows to integrate
+        return ()
     key = params.hash_key()
+    ratios = [gamma_ratio(params, k) for k in k_list]
+    # every moment in one pass over the rule, each row as ``ev.moment(k)`` forms it
+    moments = ev.measure_integral(lambda t: np.array([t ** (k - 1.0) for k in k_list]))[0]
     return tuple(
-        _record("moment-identity", key, k, gamma_ratio(params, k),
-                ev.moment(k) + ev.atom_mellin(k), _TOL)
-        for k in k_list
+        _record("moment-identity", key, k, ratio, moment + ev.atom_mellin(k), _TOL)
+        for k, ratio, moment in zip(k_list, ratios, moments.tolist())
     )
 
 
@@ -141,12 +170,13 @@ def moment_identity_check(
 # ---------------------------------------------------------------------------
 
 
-def stieltjes_eval(params: ParameterSet, sigma: float, z: float) -> EvalResult:
+def stieltjes_eval(params: ParameterSet, sigma: float, z: float | np.ndarray) -> EvalResult:
     """``gamma(sigma) * integral_0^rho H(t) / (t (1+tz)^sigma) dt``.
 
     Only the regular (density) part of the measure; the endpoint atoms'
     matching term ``gamma(sigma) A[(1+tz)^(-sigma)]`` is what separates this
-    from the lifted series, see :func:`verify_stieltjes`.
+    from the lifted series, see :func:`verify_stieltjes`.  An array of z is
+    one pass over the cached rule; value and estimate are then arrays.
     """
     _require_exponent("sigma", sigma)
     ev = get_evaluator(params)
@@ -167,9 +197,16 @@ def verify_stieltjes(params: ParameterSet, sigma: float, z: float) -> IdentityRe
     there the record compares the quadrature with itself and its error
     reads about 0.
     """
-    lhs = stieltjes_eval(params, sigma, z).value
-    rhs = _lifted_regular(params, sigma, z)
-    return _record(f"stieltjes-kernel[sigma={sigma:g}]", params.hash_key(), z, lhs, rhs, _TOL)
+    return _verify_stieltjes(params, sigma, [z])[0]
+
+
+def _verify_stieltjes(params: ParameterSet, sigma: float, zs: list[float]) -> list[IdentityRecord]:
+    """:func:`verify_stieltjes` at each z of a grid, each record equal to the
+    one-point call."""
+    lhs = stieltjes_eval(params, sigma, np.array(zs)).value.tolist()
+    rhs = _lifted_regular(params, sigma, zs)
+    name, key = f"stieltjes-kernel[sigma={sigma:g}]", params.hash_key()
+    return [_record(name, key, z, a, b, _TOL) for z, a, b in zip(zs, lhs, rhs)]
 
 
 # ---------------------------------------------------------------------------
@@ -189,24 +226,43 @@ def lifted_value(params: ParameterSet, lam: float, z: float) -> float:
     Anywhere else the series' own error passes through: OutsideDomainError
     off the disk, NonConvergentError where a term overflows a double.
     """
+    return _lifted_values(params, lam, [z])[0]
+
+
+def _lifted_values(params: ParameterSet, lam: float, zs: list[float]) -> list[float]:
+    """:func:`lifted_value` at each z of a grid, each equal to the one-point
+    call: the lifted set is built once, its series is one grid, and the
+    points past the series take the continuation in one pass over the rule."""
     _require_exponent("lam", lam)
     lifted = ParameterSet([(lam, 1.0), *params.upper], list(params.lower))
-    try:
-        return fox_wright_value(lifted, z)
-    except (OutsideDomainError, NonConvergentError):
-        if not (z < 0 and derive_constants(params).represented):
-            raise
-    ev = get_evaluator(params)
-    integral = ev.measure_integral(_power_kernel(ev.rho, lam, -z))[0]
-    return math.gamma(lam) * (integral + _power_atoms(params, lam, -z))
+    values: list = []
+    far = []  # the indices of the points that take the continuation
+    for i, (z, res) in enumerate(zip(zs, _fox_wright_grid(lifted, zs))):
+        try:
+            values.append(_checked(res, z))
+        except (OutsideDomainError, NonConvergentError):
+            if not (z < 0 and derive_constants(params).represented):
+                raise
+            values.append(None)
+            far.append(i)
+    if far:
+        ev = get_evaluator(params)
+        kernel = _power_kernel(ev.rho, lam, -np.array([zs[i] for i in far]))
+        g = math.gamma(lam)
+        for i, v in zip(far, ev.measure_integral(kernel)[0].tolist()):
+            values[i] = g * (v + _power_atoms(params, lam, -zs[i]))
+    return values
 
 
-def _lifted_regular(params: ParameterSet, sigma: float, z: float) -> float:
+def _lifted_regular(params: ParameterSet, sigma: float, zs: list[float]) -> list[float]:
     """The lifted series at ``-z`` minus its atom term
-    ``gamma(sigma) A[(1+tz)^(-sigma)]``: the regular (density) part of the
-    power-kernel transform, ``gamma(sigma) integral (1+tz)^(-sigma) H dt/t``,
-    for any set the measure represents."""
-    return lifted_value(params, sigma, -z) - math.gamma(sigma) * _power_atoms(params, sigma, z)
+    ``gamma(sigma) A[(1+tz)^(-sigma)]`` at each z of a grid: the regular
+    (density) part of the power-kernel transform,
+    ``gamma(sigma) integral (1+tz)^(-sigma) H dt/t``, for any set the
+    measure represents."""
+    values = _lifted_values(params, sigma, [-z for z in zs])
+    g = math.gamma(sigma)
+    return [v - g * _power_atoms(params, sigma, z) for v, z in zip(values, zs)]
 
 
 def laplace_lift_check(params: ParameterSet, lam: float, z: float) -> IdentityRecord:
@@ -224,7 +280,7 @@ def laplace_lift_check(params: ParameterSet, lam: float, z: float) -> IdentityRe
     F comes from the representing measure wherever it exists (mu == -m or
     mu > 0): one vectorised pass over the rule per exp-sinh level, adding
     only same-sign quantities however negative zt is.  Other balanced sets
-    sum the series node by node.
+    sum the series on each level's nodes as one grid.
     """
     _require_exponent("lam", lam)
     c = derive_constants(params)
@@ -245,7 +301,7 @@ def laplace_lift_check(params: ParameterSet, lam: float, z: float) -> IdentityRe
             return eval_via_representation(params, z * t).value
     else:
         def f(t: np.ndarray) -> np.ndarray:
-            return np.array([fox_wright_value(params, z * ti) for ti in t])
+            return np.array(_fox_wright_values(params, (z * t).tolist()))
 
     lhs = integrate_gamma_weighted(f, lam, decay=decay)
     return _record(f"laplace-lift[lam={lam:g}]", params.hash_key(), z, lhs, rhs, _TOL)

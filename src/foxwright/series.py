@@ -11,8 +11,11 @@ parameter sets; the README lists their rows.  The four-parameter Wright
 function supplies its own terms because its scales may be negative, which
 the row-based model deliberately rejects; reciprocal-gamma semantics (zeros
 at poles) make the sum well defined there.  Both sum through one private
-loop, :func:`_sum_terms`, and decide their domain by one rule,
-``params._converges``.
+loop, :func:`_sum_point`, and decide their domain by one rule,
+``params._converges``.  A grid of z is summed point by point by
+:func:`_sum_terms` on one table of term coefficients, each computed the
+first time a point needs it, so a point that needs no new term pays only
+for its own arithmetic; one z is the grid of one point.
 
 Summation is honest about its own failure modes: every call returns an
 :class:`EvalResult` carrying the term count, a truncation estimate, and a
@@ -30,11 +33,10 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainError, NonConvergentError, OutsideDomainError
 from .params import (
-    _LOG_MAX,
     ParameterSet,
     _converges,
     _pole_order,
@@ -148,27 +150,53 @@ def fox_wright(params: ParameterSet, z: complex) -> EvalResult:
     10000-term cap reports ``MAX_TERMS`` along with the relative size of the
     last term, so near-boundary evaluations are never silently trusted.
     """
-    if not in_domain(params, z):
-        return _OUTSIDE
-    log_abs_z = _log_abs(complex(z))
+    return next(_fox_wright_grid(params, (z,)))
 
-    def log_term(k: int) -> tuple[float, float]:
+
+def _fox_wright_grid(params: ParameterSet, zs: Iterable[complex]) -> Iterator[EvalResult]:
+    """:func:`fox_wright` at each z of a grid, in order, each result equal to
+    the one-point call; every term's coefficient is computed once per grid."""
+
+    def coefficient(k: int) -> tuple[float, float, float]:
         log_ratio, sign = gamma_ratio_log_signed(params, k)
-        if k == 0 or log_ratio == -math.inf:
-            return log_ratio, sign
-        return log_ratio + k * log_abs_z - math.lgamma(k + 1.0), sign
+        return log_ratio, sign, math.lgamma(k + 1.0)
 
-    return _sum_terms(log_term, z)
+    return _sum_terms(coefficient, zs, lambda z: in_domain(params, z))
+
+
+def _fox_wright_values(params: ParameterSet, zs: Sequence[complex]) -> list:
+    """:func:`fox_wright_value` at each z of a grid: raises the error of the
+    first point whose status is not ok, as the one-point calls in order would."""
+    return [_checked(res, z) for z, res in zip(zs, _fox_wright_grid(params, zs))]
 
 
 def _log_abs(z: complex) -> float:
     return math.log(abs(z)) if z != 0 else -math.inf
 
 
-def _sum_terms(log_term, z: complex) -> EvalResult:
-    """Sum the terms t_k = sign_k * exp(log_k) * e^(i k arg z), where
-    ``log_term(k)`` gives (log_k, sign_k): log|t_k| and the sign of the
-    coefficient, log_k = -inf for a zero term.
+def _sum_terms(
+    coefficient: Callable[[int], tuple[float, float, float]],
+    zs: Iterable[complex],
+    converges: Callable[[complex], bool],
+) -> Iterator[EvalResult]:
+    """The series at each z of ``zs`` where ``converges(z)``, else the
+    ``OUTSIDE_DOMAIN`` result, one point after the other.
+
+    ``coefficient(k)`` gives (log_c, sign, log_f) of term k: it is
+    sign * e^(log_c + k log|z| - log_f) * e^(i k arg z), log_c = -inf for a
+    zero term.  It is called once per k for the whole grid, the first time
+    a point needs term k, and every point reads the same table.
+    """
+    table: list[tuple[float, float, float]] = []
+    for z in zs:
+        yield _sum_point(coefficient, table, z) if converges(z) else _OUTSIDE
+
+
+def _sum_point(
+    coefficient: Callable[[int], tuple[float, float, float]], table: list, z: complex
+) -> EvalResult:
+    """Sum the terms at one z, reading the coefficients from ``table`` and
+    appending to it the first time term k is needed.
 
     Stops after three consecutive small terms: each below ``_TOL`` relative
     to the running sum, and so is the geometric tail mag r / (1 - r) it
@@ -182,20 +210,24 @@ def _sum_terms(log_term, z: complex) -> EvalResult:
     is_real = zc.imag == 0.0
     alternating = is_real and zc.real < 0
     arg_z = cmath.phase(zc)
+    log_abs_z = _log_abs(zc)
 
-    tol = _TOL  # a local: the loop reads it on every term
+    # locals: the loop reads them on every term
+    tol, log_zero, exp = _TOL, -math.inf, math.exp
     total = 0.0 if is_real else 0.0 + 0.0j
     small_streak = 0
     last_mag = math.inf
     terms = 0
     try:
         for k in range(_TERM_CAP):
-            log_mag, sign = log_term(k)
+            if k == len(table):
+                table.append(coefficient(k))
+            log_c, sign, log_f = table[k]
             terms = k + 1
-            if log_mag == -math.inf:
+            if log_c == log_zero:
                 term = mag = 0.0
             else:
-                mag = math.exp(log_mag)
+                mag = exp(log_c + k * log_abs_z - log_f if k else log_c)
                 if is_real:
                     term = sign * mag * (-1.0 if alternating and k % 2 else 1.0)
                 elif k == 0:
@@ -205,7 +237,9 @@ def _sum_terms(log_term, z: complex) -> EvalResult:
             total += term
             if zc == 0:
                 return EvalResult(total, 1, 0.0, SeriesStatus.CONVERGED)
-            scale = max(abs(total), 1e-300)
+            scale = abs(total)
+            if scale < 1e-300:  # max(|total|, 1e-300) without a call per term
+                scale = 1e-300
             # mag r / (1 - r) = mag^2 / (last_mag - mag) for r = mag / last_mag
             if mag <= tol * scale and mag * mag <= tol * scale * (last_mag - mag):
                 small_streak += 1
@@ -267,30 +301,35 @@ def four_param_wright(
     So it is entire for mu1 + nu1 > 0, a disk for mu1 + nu1 == 0 (edge
     included when a + b > 2), and only z = 0 otherwise.
     """
-    zc = complex(z)
+    return next(_four_param_grid(mu1, a, nu1, b, (z,)))
+
+
+def _four_param_grid(
+    mu1: float, a: float, nu1: float, b: float, zs: Iterable[complex]
+) -> Iterator[EvalResult]:
+    """:func:`four_param_wright` at each z of a grid, in order, each result
+    equal to the one-point call; every term's coefficient is computed once
+    per grid."""
     # |mu1|^mu1 * |nu1|^nu1 from logs: one factor alone may overflow, while
     # the product is near 1 wherever mu1 + nu1 == 0 makes it the radius
     log_radius = sum(s * math.log(abs(s)) for s in (mu1, nu1) if s)
     radius = math.exp(min(log_radius, 700.0))
-    if not _converges(mu1 + nu1 - 1.0, radius, a + b - 1.5, zc):
-        return _OUTSIDE
-    log_abs_z = _log_abs(zc)
 
-    def log_term(k: int) -> tuple[float, float]:
+    def coefficient(k: int) -> tuple[float, float, float]:
         log_den = 0.0
         sign = 1.0
         for shift, scl in ((a, mu1), (b, nu1)):
             arg = shift + k * scl
             if _pole_order(arg, abs(scl)) is not None:
-                return -math.inf, 1.0  # reciprocal gamma vanishes at its poles
+                return -math.inf, 1.0, 0.0  # reciprocal gamma vanishes at its poles
             la, sg = log_abs_gamma_signed(arg)
             log_den += la
             sign *= sg
-        if k == 0:
-            return -log_den, sign
-        return k * log_abs_z - log_den, sign
+        # -log_den + k log|z| - 0.0 rounds as k log|z| - log_den does
+        return -log_den, sign, 0.0
 
-    return _sum_terms(log_term, zc)
+    return _sum_terms(coefficient, zs,
+                      lambda z: _converges(mu1 + nu1 - 1.0, radius, a + b - 1.5, complex(z)))
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +380,15 @@ def correction_series(params: ParameterSet, z: Any) -> Any:
     else:
         w = (c.rho * z).real
         exp = math.exp
-    if np.any(np.real(w) > _LOG_MAX):
-        raise DomainError(f"e^(rho z) overflows a double: rho z reaches {np.max(np.real(w)):.6g}")
-    exp_w = exp(w)
-    return _atoms(params, lambda i: w**i * exp_w)
+    # numpy warns of nothing here: an overflow or an inf - inf leaves a
+    # non-finite sum, which is the error
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            exp_w = exp(w)
+        except OverflowError:  # math.exp and cmath.exp raise where np.exp gives inf
+            exp_w = math.inf
+        value = _atoms(params, lambda i: w**i * exp_w)
+    if not np.all(np.isfinite(value)):
+        raise DomainError(
+            f"the atom sum overflows a double: rho z reaches {np.max(np.real(w)):.6g}")
+    return value

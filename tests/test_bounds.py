@@ -274,12 +274,13 @@ class TestShiftedRatio:
             shifted_stieltjes_ratio(TWIN_QUARTER, 1.0, 1.0, 0.5)
 
     def test_zero_quadrature_denominator_rejected(self, monkeypatch):
-        monkeypatch.setattr(bounds, "_power_kernel", lambda rho, sigma, z: lambda t: 0.0 * t)
+        monkeypatch.setattr(bounds, "_power_kernel",
+                            lambda rho, sigma, z: lambda t: 0.0 * np.multiply.outer(z, t))
         with pytest.raises(DivisionError, match="quadrature denominator"):
             shifted_stieltjes_ratio(DOUBLE_POLE, 1.0, 1.0, 0.5)
 
     def test_zero_series_denominator_rejected(self, monkeypatch):
-        monkeypatch.setattr(bounds, "_lifted_regular", lambda params, sigma, z: 0.0)
+        monkeypatch.setattr(bounds, "_lifted_regular", lambda params, sigma, zs: [0.0] * len(zs))
         with pytest.raises(DivisionError, match="series denominator"):
             shifted_stieltjes_ratio(DOUBLE_POLE, 1.0, 1.0, 0.5)
 

@@ -603,6 +603,19 @@ class TestDoubleRange:
         (row,) = strict_json_rows(out)
         assert row["status"] == f"error:{status}"
 
+    def test_atom_sum_past_the_double_range_beside_a_passing_point(self, capsys):
+        # rho z = 709.6 on an m = 1 set: the series overflows first, so the
+        # grid runs each point alone and z = -1 keeps its pass row
+        code, out, err = run_cli(capsys, "verify-representation", "--params", "twin-quarter",
+                                 "--z=-1,354.8")
+        assert (code, err) == (2, "")
+        first, second = out.splitlines()
+        assert first == (
+            '{"command": "verify-representation", "params_hash": "55d3a95139b192da", "z": -1.0, '
+            '"value_or_verdict": "pass", "abs_err": 1.5751289161869408e-15, '
+            '"rel_err": 1.5004507095058069e-15, "status": "pass"}')
+        assert json.loads(second)["status"].startswith("error:")
+
 
 # every subcommand form, walked over each catalog set at these grid values
 _SWEEP_FORMS = [
@@ -640,6 +653,30 @@ def test_sweep_gives_typed_rows_only(capsys, form):
             except Exception as exc:  # every escape is a failure
                 failures.append((argv, type(exc).__name__, str(exc)))
     assert failures == []
+
+
+@pytest.mark.parametrize("form", [f for f in _SWEEP_FORMS
+                                  if f[0] not in ("cm-check", "ratio-scan")], ids=" ".join)
+def test_grid_equals_its_points(capsys, form):
+    """One run over all the sweep values prints, byte for byte, the rows of
+    the one-point runs in order: where the grid call raises, each point runs
+    alone and keeps its own error row.  The same holds for the values whose
+    own runs raise no error, which the grid call serves in one piece.  Each
+    run exits 2 exactly when a row fails, and writes nothing to stderr."""
+    command, *flags = form
+    flag = "--k" if command == "moments" else "--z"
+    for name in sorted(NAMED_SETS):
+        argv = [command, "--params", name, *flags]
+        points = dict(zip(_SWEEP_VALUES, (run_cli(capsys, *argv, f"{flag}={v}")
+                                          for v in _SWEEP_VALUES)))
+        clean = [v for v, (_, out, _) in points.items() if '"error:' not in out]
+        for values in [vs for vs in (_SWEEP_VALUES, clean) if vs]:
+            code, out, err = run_cli(capsys, *argv, f"{flag}={','.join(values)}")
+            assert err == ""
+            assert out == "".join(points[v][1] for v in values), (name, values)
+            failed = any(row["status"] not in ("ok", "pass") for row in json_rows(out))
+            assert code == (2 if failed else 0)
+        assert all(err == "" for _, _, err in points.values())
 
 
 def strict_json_rows(out):

@@ -197,6 +197,15 @@ class TestMomentIdentity:
         assert max(r.rel_err for r in records) < 1e-6
         assert all(r.ok() for r in records)
 
+    @pytest.mark.parametrize("params", [EXP_COLLAPSE, TWIN_QUARTER, DOUBLE_POLE])
+    def test_one_pass_equals_one_moment_at_a_time(self, params):
+        # every order in one pass over the rule, each record as the order
+        # alone gives it; an array of orders and an empty list work too
+        ks = np.array([3.0, 0.5, -0.5, 7.0, 1.0])
+        records = moment_identity_check(params, ks)
+        assert records == tuple(moment_identity_check(params, [k])[0] for k in ks.tolist())
+        assert moment_identity_check(params, []) == ()
+
     def test_beta_like_moments_exact(self):
         ev = get_evaluator(BETA_LIKE)
         for k in (0.0, 0.5, 1.0, 2.0, 3.5):
@@ -361,8 +370,8 @@ class TestCachedRule:
     @pytest.mark.parametrize("params", [EXP_COLLAPSE, TWIN_QUARTER, DOUBLE_POLE, IDENTITY])
     def test_rows_match_scalar_calls(self, params):
         # a (k, n) integrand refines until every row meets tol: the level
-        # the slowest row needs, where each row equals its scalar call up
-        # to the matrix product's summation order
+        # the slowest row needs, and each row keeps the level at which it
+        # met tol itself, so it equals its scalar call bit for bit
         ws = np.array([-40.0, -8.0, -1.0, 0.0, 0.5, 2.0, 20.0])
         scalar, levels = [], []
         for w in ws:
@@ -373,11 +382,14 @@ class TestCachedRule:
         total, err = ev.measure_integral(lambda t: np.exp(np.multiply.outer(ws, t)) / t)
         assert total.shape == err.shape == ws.shape
         assert len(ev._rule) == max(levels)
-        for (want, want_err), level, got in zip(scalar, levels, total):
-            if level == max(levels):
-                assert abs(got - want) <= 2.0 * np.spacing(abs(want))
-            else:
-                assert abs(got - want) <= want_err
+        assert list(zip(total.tolist(), err.tolist())) == scalar
+
+    def test_a_row_past_the_double_range_fails_without_a_warning(self):
+        # the second row overflows on the rule's nodes; the test
+        # configuration turns any numpy warning into an error
+        ev = get_evaluator(DOUBLE_POLE)
+        with pytest.raises(QuadratureFailure):
+            ev.measure_integral(lambda t: np.exp(np.multiply.outer([1.0, 800.0], t)) / t)
 
     def test_unreachable_tolerance_raises(self, monkeypatch):
         monkeypatch.setattr(hfun, "_TOL", 1e-30)

@@ -56,6 +56,56 @@ class TestLevels:
             integrate_levels(terms, 1e-12, (0.0, 1.0))
 
 
+class TestRows:
+    """A (k, n) integrand: each row keeps the level at which it first met the
+    tolerance, so it equals the 1-D call on that row bit for bit."""
+
+    reach = tanh_sinh_reach(1e-29)
+
+    def powers(self, cs, levels=None):
+        """The rows t^c on (0, 1), whose integrals are 1/(c + 1); the closer
+        c is to -1, the later the level a row settles at."""
+        def terms(level):
+            if levels is not None:
+                levels.append(level)
+            t, _, w = tanh_sinh(level, 1.0, self.reach, self.reach)
+            rows = np.array([t**c for c in cs])
+            return (rows if len(cs) > 1 else rows[0]), w
+
+        return terms
+
+    def test_each_row_equals_its_one_row_call(self):
+        cs = [3.0, -0.5, 0.0, 1.5, -0.3, 8.0]
+        total, err = integrate_levels(self.powers(cs), 1e-12, (0.0, 1.0))
+        assert total.shape == err.shape == (len(cs),)
+        settled = set()
+        for c, got, got_err in zip(cs, total, err):
+            levels = []
+            want, want_err = integrate_levels(self.powers([c], levels), 1e-12, (0.0, 1.0))
+            settled.add(max(levels))
+            assert (got, got_err) == (want, want_err)
+            assert got == pytest.approx(1.0 / (c + 1.0), rel=1e-11)
+        assert len(settled) > 1  # the rows settle at different levels
+
+    def test_a_row_that_misses_the_tolerance_fails_the_batch(self):
+        def terms(level):
+            t, _, w = tanh_sinh(level, 1.0, self.reach, self.reach)
+            return np.array([t, np.sign(t - 0.3)]), w
+
+        with pytest.raises(QuadratureFailure):
+            integrate_levels(terms, 1e-12, (0.0, 1.0))
+
+    def test_a_row_that_is_not_finite_fails_the_batch(self):
+        # 1/t at t = 0 in the second row only; the first row converges
+        def terms(level):
+            t = np.linspace(0.0, 1.0, 2**level + 1)
+            with np.errstate(divide="ignore"):
+                return np.array([t, 1.0 / t]), np.full(t.size, 1.0 / t.size)
+
+        with pytest.raises(QuadratureFailure):
+            integrate_levels(terms, 1e-12, (0.0, 1.0))
+
+
 class TestGammaWeighted:
     @pytest.mark.parametrize("sigma", [0.05, 0.5, 1.0, 1.5, 3.0, 7.5])
     def test_unit_function_gives_gamma(self, sigma):

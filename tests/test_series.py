@@ -5,7 +5,9 @@ the Mittag-Leffler function E_{alpha,beta} has rows [(1,1)] / [(beta,alpha)]
 and the Wright function rows [] / [(beta,alpha)]."""
 
 import cmath
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from foxwright import (
 )
 from foxwright.catalog import DOUBLE_POLE, EXP_COLLAPSE, IDENTITY, TWIN_QUARTER
 from foxwright.errors import DomainError, NonConvergentError, OutsideDomainError
-from foxwright.params import correction_coeffs
+from foxwright.params import _LOG_MAX, correction_coeffs
 
 # a balanced p = 3 set with mu = -2: an atom and two derivative atoms
 M2_ATOMS = ParameterSet([(0.7, 1.0), (1.25, 1.0), (2.05, 1.0)], [(0.15, 1.0), (0.95, 1.0), (0.9, 1.0)])
@@ -235,9 +237,17 @@ class TestCorrectionSeries:
         with pytest.raises(DomainError, match="overflows a double"):
             correction_series(EXP_COLLAPSE, z)
 
+    @pytest.mark.parametrize("z", [354.8, complex(354.8, 1.0), np.array([1.0, 354.8])],
+                             ids=["float", "complex", "array"])
+    def test_atom_sum_past_the_double_range_raises(self, z):
+        # m = 1: e^(rho z) fits a double at rho z = 709.6, the term
+        # rho z e^(rho z) does not; the sum read inf, and the array warned
+        with pytest.raises(DomainError, match="overflows a double"):
+            correction_series(TWIN_QUARTER, z)
+
     def test_largest_exponent_is_finite(self):
         c = derive_constants(EXP_COLLAPSE)
-        edge = series._LOG_MAX / c.rho
+        edge = _LOG_MAX / c.rho
         assert math.isfinite(correction_series(EXP_COLLAPSE, edge))
 
     def test_requires_polynomial_order(self):
@@ -281,3 +291,103 @@ class TestCorrectionSeries:
         want = [correction_series(params, float(z)) for z in zs]
         assert got.shape == zs.shape
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+def _perfbench_inputs():
+    """``perfbench/inputs.py``, which imports no foxwright, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _same(got, want):
+    """Two series results bit for bit: the value's repr, terms, estimate, status."""
+    return ((repr(got.value), got.terms_used, repr(got.trunc_estimate), got.status)
+            == (repr(want.value), want.terms_used, repr(want.trunc_estimate), want.status))
+
+
+def _series_sweep_grids():
+    """Each series-sweep set of seeds 1-3 with the z the benchmark draws for it."""
+    inputs = _perfbench_inputs()
+    for seed in (1, 2, 3):
+        spec = inputs.series_sweep(seed)
+        grids = {}
+        for idx, re, im in spec["points"]:
+            grids.setdefault(idx, []).append(re if im == 0 else complex(re, im))
+        for idx, zs in grids.items():
+            s = spec["sets"][idx]
+            yield f"seed{seed}-{s['name']}", ParameterSet(s["upper"], s["lower"]), zs
+
+
+def _lifted(params, lam):
+    return ParameterSet([(lam, 1.0), *params.upper], list(params.lower))
+
+
+class TestGrid:
+    """A grid of z sums on one coefficient table; each point must equal its
+    one-point call bit for bit, whatever the other points need."""
+
+    @pytest.mark.parametrize("params", [EXP_COLLAPSE, TWIN_QUARTER, DOUBLE_POLE, IDENTITY,
+                                        M2_ATOMS], ids=lambda p: p.hash_key())
+    def test_catalog_grid_equals_points(self, params):
+        zs = [-60.0, -20.0, -3.5, -1.0, -1e-300, 0.0, 0.4999, 2.0, 30.0, 800.0, 10j, -4 + 3j,
+              math.nan, -3.5]
+        got = list(series._fox_wright_grid(params, zs))
+        assert len(got) == len(zs)
+        for z, res in zip(zs, got):
+            assert _same(res, fox_wright(params, z)), z
+
+    def test_series_sweep_grids_equal_points(self):
+        count = 0
+        for name, params, zs in _series_sweep_grids():
+            # descending |z| first and ascending after, so both the points
+            # that grow the table and the ones that only read it are checked
+            grid = sorted(zs, key=abs, reverse=True) + sorted(zs, key=abs)
+            for z, res in zip(grid, series._fox_wright_grid(params, grid)):
+                assert _same(res, fox_wright(params, z)), (name, z)
+                count += 1
+        assert count == 2 * 3 * 12 * 32
+
+    @pytest.mark.parametrize("params", [TWIN_QUARTER, DOUBLE_POLE, M2_ATOMS],
+                             ids=lambda p: p.hash_key())
+    @pytest.mark.parametrize("lam", [0.5, 1.5, 4.0])
+    def test_lifted_grid_equals_points(self, params, lam):
+        # the lifted series' disk has radius 1/rho; rho |z| runs up to 0.9
+        lifted = _lifted(params, lam)
+        rho = derive_constants(params).rho
+        zs = [w / rho for w in (-0.9, 0.9, -0.5, 0.2, 0.0, -0.75, 0.6)] + [0.3j / rho]
+        for z, res in zip(zs, series._fox_wright_grid(lifted, zs)):
+            assert _same(res, fox_wright(lifted, z)), z
+
+    @pytest.mark.parametrize("mu1, a, nu1, b", [(0.5, 1.0, 0.5, 0.5), (0.3, 0.7, 0.7, 0.8),
+                                                (-0.5, 1.5, 1.0, 1.0), (0.5, 1.25, -0.5, 0.75)])
+    def test_four_param_grid_equals_points(self, mu1, a, nu1, b):
+        zs = [-30.0, 4.0, 0.0, -2.5, 1 + 2j, 0.3, -30.0]
+        for z, res in zip(zs, series._four_param_grid(mu1, a, nu1, b, zs)):
+            assert _same(res, four_param_wright(mu1, a, nu1, b, z)), z
+
+    def test_coefficients_once_per_grid(self, monkeypatch):
+        calls = []
+        ratio = series.gamma_ratio_log_signed
+
+        def counting(params, k):
+            calls.append(k)
+            return ratio(params, k)
+
+        monkeypatch.setattr(series, "gamma_ratio_log_signed", counting)
+        zs = [0.5, 8.0, -8.0, 2.0]
+        results = list(series._fox_wright_grid(DOUBLE_POLE, zs))
+        assert calls == list(range(max(r.terms_used for r in results)))
+
+    def test_values_raise_the_first_points_error(self):
+        # the values of a grid stop where the one-point calls in order would:
+        # at 1e10 a term overflows, and NaN lies outside the domain
+        with pytest.raises(NonConvergentError):
+            series._fox_wright_values(IDENTITY, [1.0, 1e10, math.nan])
+        with pytest.raises(OutsideDomainError):
+            series._fox_wright_values(IDENTITY, [1.0, math.nan, 1e10])
+        lifted = _lifted(DOUBLE_POLE, 1.0)
+        assert series._fox_wright_values(lifted, [0.1, -0.2]) == [
+            fox_wright_value(lifted, 0.1), fox_wright_value(lifted, -0.2)]
