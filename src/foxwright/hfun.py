@@ -17,13 +17,18 @@ H has two series, one converging at each end of the support:
 * Residue route, away from rho: H(t) is the sum of the residues of
   gamma_ratio(s) t^(-s) at the poles s = -(alpha_i + n)/A_i of the
   numerator gammas.  Poles closer than 1e-3 of the smallest ladder spacing
-  form one group with nodes s_0..s_(m-1), coincident ones included.  A
-  midpoint rule on a circle around the group (spectrally accurate) gives
-  its Newton moments c_k = (1/2 pi i) oint ratio(s) prod_(j<k) (s - s_j) ds
-  once per evaluator.  The rows are real, so ratio(conj s) = conj ratio(s),
-  and the centres and nodes are real: each circle evaluates ratio only at
-  its nodes with theta in (0, pi], and takes each node below the real axis
-  as the conjugate of its mirror image above it.  The group's residues sum to
+  form one group with nodes s_0..s_(m-1), coincident ones included.  Its
+  Newton moments c_k = (1/2 pi i) oint ratio(s) prod_(j<k) (s - s_j) ds are
+  taken once per evaluator.  A lone pole's only moment c_0 is its residue,
+  in closed form: (-1)^n / (n! A) times the other factors' gamma values
+  (``params._pole_residue``; Kilbas & Saigo, H-Transforms, 2004, ch. 1),
+  exactly 0 where a lower factor's pole cancels it.  A group of two or
+  more poles, where that product would cancel or blow up, takes its
+  moments from a midpoint rule on a circle around it (spectrally
+  accurate).  The rows are real, so ratio(conj s) = conj ratio(s), and the
+  centres and nodes are real: each circle evaluates ratio only at its
+  nodes with theta in (0, pi], and takes each node below the real axis as
+  the conjugate of its mirror image above it.  The group's residues sum to
   sum_k c_k f[s_0..s_k] for f(s) = t^(-s) (McCurdy, Ng & Parlett, Math.
   Comp. 43, 1984).  The divided differences come from the Taylor series of
   exp about the group's centre, so they do not cancel however close the
@@ -52,9 +57,10 @@ it the endpoint series serves.  No switch point is measured or configured.
 
 A parameter set whose ratio IS its polynomial part (upper == lower rows,
 duplication- or multiplication-formula collapses) has H identically zero.
-That degeneracy is read off the residue table: every Newton moment of the
-groups within _TABLE_STEP of the first pole sits at rounding level against
-its circle's largest |ratio(s)| * radius.  Both routes then return exact zeros.
+That degeneracy is read off the residue table: every lone pole within
+_TABLE_STEP of the first pole has a residue of exactly 0, and every Newton
+moment of a larger group there sits at rounding level against its circle's
+largest |ratio(s)| * radius.  Both routes then return exact zeros.
 
 Every integral against the measure, integral_0^rho fn(t) H(t) dt, runs on
 one nested tanh-sinh rule (``quadrature.tanh_sinh``) cached on the
@@ -79,7 +85,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConstraintError, DomainError, NonConvergentError, OutsideDomainError
-from .params import ParameterSet, correction_coeffs, derive_constants
+from .params import ParameterSet, _pole_residue, correction_coeffs, derive_constants
 from .quadrature import integrate_levels, tanh_sinh, tanh_sinh_reach
 from .series import IdentityRecord, _atoms, _record
 from .special import log_gamma_complex_vec
@@ -149,8 +155,10 @@ class MeasureEvaluator:
             [self.eta * ell[r] / math.gamma(self.mu + r) for r in range(lead, order + 1)]
         )
 
-        # the benchmark counts work as _res_nodes_used + _tau.size; every node
-        # is spent on the residue table, so _tau stays empty
+        # the benchmark counts work as _res_nodes_used + _tau.size: the
+        # residue table's planned circle nodes, a lone pole's included though
+        # its residue is taken in closed form; nothing else samples the
+        # density at build time, so _tau stays empty
         self._tau = np.empty(0)
 
         # integration state, filled lazily: tanh-sinh levels of (t_i, w_i H(t_i))
@@ -222,10 +230,13 @@ class MeasureEvaluator:
         """Residue table of every pole group with centre up to sigma:
         (centres, power-series rows, moment scales, circle nodes, exhausted).
 
-        A group's scale is max |c_k| / (max |ratio| * radius) on its circle.
-        The table is exhausted, and ends early, when the groups' circle
-        nodes would overrun ``_NODE_BUDGET``, or at the sigma where one
-        upper row alone has more poles than the budget has circles.
+        Every group is planned a circle, a lone pole too, though only groups
+        of two or more poles evaluate theirs.  A larger group's scale is
+        max |c_k| / (max |ratio| * radius) on its circle; a lone pole's is 0
+        where its residue is exactly 0 and 1 otherwise.  The table is
+        exhausted, and ends early, when the groups' planned circle nodes
+        would overrun ``_NODE_BUDGET``, or at the sigma where one upper row
+        alone has more poles than the budget has circles.
         """
         budget = _NODE_BUDGET
         cap = min((a + budget // _CIRCLE_NODES) / sc for a, sc in self.params.upper)
@@ -274,8 +285,10 @@ class MeasureEvaluator:
         """Residue power series of the planned groups, one row each, and the
         scale of their Newton moments.  Group g has the poles
         ``members[g, :size[g]]`` and a circle of ``nodes[g]`` nodes with
-        ``centre[g]`` and ``radius[g]``.  Groups with the same size and node
-        count are done together, from one log-gamma evaluation."""
+        ``centre[g]`` and ``radius[g]``.  A lone pole's one moment is its
+        closed-form residue; the larger groups with the same size and node
+        count evaluate their circles together, from one log-gamma
+        evaluation."""
         coeffs = np.zeros((centre.size, 0))
         scale = np.empty(centre.size)
         # largest |ln t| any caller of the table can ask for
@@ -284,26 +297,31 @@ class MeasureEvaluator:
             idx = np.flatnonzero((size == m) & (nodes == n))
             c, r = centre[idx], radius[idx]
             offsets = c[:, None] - members[idx, :m]  # s_j - s_c
-            # node n-1-j (theta = 2 pi - theta_j) contributes the conjugate
-            # of node j, so only theta in (0, pi] is evaluated and each node
-            # there counts twice in the real part of a sum, but for odd n
-            # the node at theta = pi, its own mirror image, counts once
-            half = (n + 1) // 2
-            theta = 2.0 * math.pi * (np.arange(half) + 0.5) / n
-            fold = np.full(half, 2.0)
-            fold[n // 2 :] = 1.0
-            d = r[:, None] * np.exp(1j * theta)
-            log_ratio = self._log_ratio(d - c[:, None])
-            # c_k = (1/2 pi i) oint ratio(s) prod_(j<k) (s - s_j) ds by the
-            # midpoint rule on |s - s_c| = radius, s_c = -centre
-            w = np.exp(log_ratio + np.log(r / n)[:, None] + 1j * theta)
-            moments = np.empty((idx.size, m))
-            basis = np.ones_like(d)
-            for k in range(m):
-                moments[:, k] = (w * basis).real @ fold
-                basis = basis * (d - offsets[:, k : k + 1])
-            peak = np.exp(np.max(log_ratio.real, axis=1)) * r
-            scale[idx] = np.max(np.abs(moments), axis=1) / peak
+            if m == 1:
+                # a lone pole's one moment is its residue, in closed form
+                moments = np.array([[_pole_residue(self.params, -x)] for x in c.tolist()])
+                scale[idx] = moments[:, 0] != 0.0
+            else:
+                # node n-1-j (theta = 2 pi - theta_j) contributes the conjugate
+                # of node j, so only theta in (0, pi] is evaluated and each node
+                # there counts twice in the real part of a sum, but for odd n
+                # the node at theta = pi, its own mirror image, counts once
+                half = (n + 1) // 2
+                theta = 2.0 * math.pi * (np.arange(half) + 0.5) / n
+                fold = np.full(half, 2.0)
+                fold[n // 2 :] = 1.0
+                d = r[:, None] * np.exp(1j * theta)
+                log_ratio = self._log_ratio(d - c[:, None])
+                # c_k = (1/2 pi i) oint ratio(s) prod_(j<k) (s - s_j) ds by the
+                # midpoint rule on |s - s_c| = radius, s_c = -centre
+                w = np.exp(log_ratio + np.log(r / n)[:, None] + 1j * theta)
+                moments = np.empty((idx.size, m))
+                basis = np.ones_like(d)
+                for k in range(m):
+                    moments[:, k] = (w * basis).real @ fold
+                    basis = basis * (d - offsets[:, k : k + 1])
+                peak = np.exp(np.max(log_ratio.real, axis=1)) * r
+                scale[idx] = np.max(np.abs(moments), axis=1) / peak
             # Taylor terms of exp(-(s - s_c) ln t) past the group size, until
             # (max |s_j - s_c| |ln t|)^j / j! < 1e-17
             reach = float(np.max(np.abs(offsets))) * log_span

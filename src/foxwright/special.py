@@ -17,16 +17,18 @@ Contents:
 
 Everything here is dependency-light on purpose: the rest of the package
 treats this module as its numerical bedrock, so it must not import any of
-the higher layers, and it loads no numpy until a complex log-gamma or a
-Bernoulli polynomial is asked for.
+the higher layers, and it loads no numpy (nor ``fractions``) until a
+complex log-gamma or a Bernoulli number or polynomial is asked for.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cache
-from typing import Any
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "log_gamma_complex_vec",
@@ -167,6 +169,8 @@ def bernoulli_number(n: int) -> Fraction:
     recurrence never needs anywhere near that many, and the numerators grow
     fast enough that silently proceeding would just be a footgun.
     """
+    from fractions import Fraction
+
     if n < 0:
         raise ValueError("Bernoulli index must be non-negative")
     if n > _BERNOULLI_MAX:
@@ -186,6 +190,8 @@ def _bernoulli_matrix(deg: int) -> Any:
     """C[N, j] = C(N, N-j) B_(N-j)(1/2), B_k(1/2) = (2^(1-k) - 1) B_k, for
     N, j = 0..deg, each rounded once: row N holds the coefficients of
     B_N(x) in powers (x - 1/2)^j."""
+    from fractions import Fraction
+
     import numpy as np
 
     mat = np.zeros((deg + 1, deg + 1))

@@ -159,14 +159,18 @@ def _run_fresh(code):
 
 
 def test_import_leaves_numpy_unloaded():
-    """``import foxwright`` and a series evaluation load no numpy; the first
-    measure-layer name loads its module."""
+    """``import foxwright`` and a series evaluation load no numpy, and no
+    ``hashlib`` or ``fractions`` either; the first report row loads
+    ``hashlib`` and the first measure-layer name loads its module."""
     _run_fresh("""
         import sys
         import foxwright
-        assert "numpy" not in sys.modules
+        deferred = {"numpy", "hashlib", "_hashlib", "fractions"}
+        assert not deferred & set(sys.modules)
         assert foxwright.fox_wright(foxwright.DOUBLE_POLE, 0.5).ok()
-        assert "numpy" not in sys.modules and "foxwright.hfun" not in sys.modules
+        assert not deferred & set(sys.modules) and "foxwright.hfun" not in sys.modules
+        assert foxwright.DOUBLE_POLE.hash_key() == "0427ae0a7ebdbf5c"
+        assert "hashlib" in sys.modules
         foxwright.get_evaluator
         assert "foxwright.hfun" in sys.modules and "numpy" in sys.modules
     """)

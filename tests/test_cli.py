@@ -612,8 +612,8 @@ class TestDoubleRange:
         first, second = out.splitlines()
         assert first == (
             '{"command": "verify-representation", "params_hash": "55d3a95139b192da", "z": -1.0, '
-            '"value_or_verdict": "pass", "abs_err": 1.5751289161869408e-15, '
-            '"rel_err": 1.5004507095058069e-15, "status": "pass"}')
+            '"value_or_verdict": "pass", "abs_err": 1.5681900222830336e-15, '
+            '"rel_err": 1.4938407944859576e-15, "status": "pass"}')
         assert json.loads(second)["status"].startswith("error:")
 
 

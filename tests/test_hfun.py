@@ -1,8 +1,11 @@
 """The representing density: residue route, endpoint series, moments, atoms."""
 
 import functools
+import importlib.util
 import math
 import operator
+import statistics
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from foxwright.errors import (
     QuadratureFailure,
 )
 from foxwright.hfun import MeasureEvaluator
+from foxwright.params import _pole_residue
 
 # an upper/lower pair one step apart has the classical beta density
 # t^alpha (1-t)^(beta-alpha-1) / gamma(beta-alpha) as its measure
@@ -509,8 +513,10 @@ class TestKernelWork:
     @pytest.mark.parametrize("params", [DOUBLE_POLE, P3_MU_245], ids=["double-pole", "p=3"])
     def test_kernel_elements_are_circle_nodes(self, monkeypatch, params):
         # every complex log-gamma the build asks for is one circle node with
-        # theta in (0, pi] of one gamma factor, so the benchmark's element
-        # count is kernel work; _res_nodes_used still counts whole circles
+        # theta in (0, pi] of one gamma factor of a group of two or more
+        # poles (a lone pole's residue is in closed form), so the
+        # benchmark's element count is kernel work; _res_nodes_used still
+        # counts the whole plan.  Every p = 3 group is a lone pole: no kernel call
         seen = []
         kernel = hfun.log_gamma_complex_vec
 
@@ -522,15 +528,15 @@ class TestKernelWork:
         ev, plan = built_with_plan(monkeypatch, params)
         ev.density(np.linspace(0.25, 0.7, 20) * ev.rho)
         pq = len(params.upper) + len(params.lower)
-        nodes = plan[-1]
+        size, nodes = plan[1], plan[-1]
         assert ev._res_nodes_used == np.sum(nodes)
-        assert seen and sum(seen) == np.sum((nodes + 1) // 2) * pq
+        assert sum(seen) == np.sum((nodes[size >= 2] + 1) // 2) * pq
 
 
 class TestConjugateMirror:
     """The rows are real, so ratio(conj s) = conj ratio(s): each residue
-    circle evaluates its nodes with theta in (0, pi] and takes the others
-    as their conjugates."""
+    circle, one per group of two or more poles, evaluates its nodes with
+    theta in (0, pi] and takes the others as their conjugates."""
 
     @pytest.mark.parametrize("params", [EXP_COLLAPSE, TWIN_QUARTER, DOUBLE_POLE, IDENTITY,
                                         P3_MU_245, CLUSTERED],
@@ -553,6 +559,8 @@ class TestConjugateMirror:
 
         monkeypatch.setattr(hfun, "_newton_to_power", spy)
         for members, size, centre, radius, nodes in zip(*plan):
+            if size < 2:
+                continue  # a lone pole builds no circle (TestClosedFormResidue)
             poles = members[:size]
             for n in (nodes, nodes + 1):
                 ev._circle_moments(members[None], np.array([size]), np.array([centre]),
@@ -569,6 +577,115 @@ class TestConjugateMirror:
                 peak = math.exp(np.max(log_ratio.real)) * radius
                 scale = peak if ev.degenerate else np.max(np.abs(want))
                 assert np.max(np.abs(moments.pop() - want)) <= 1e-14 * scale, (centre, n)
+
+
+def _density_cold_sets(seed):
+    """The seven sets, one per class, of the benchmark's first density-cold
+    calls for ``seed``: ``perfbench/inputs.py``, which imports no
+    foxwright, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    cold = inputs.density_cold(seed)
+    return [ParameterSet(inputs.shifted_rows(base["upper"], delta),
+                         inputs.shifted_rows(base["lower"], delta))
+            for base, delta in zip(cold["bases"], cold["deltas"])]
+
+
+def mp_residue(params, centre):
+    """Residue of the gamma ratio at the pole s = -centre of one upper
+    factor, to 40 digits: (-1)^n / (n! A) at the exact pole -(a + n)/A of
+    that factor's parameters, times gamma of the other upper factors and
+    1/gamma of the lower ones there."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for i, (a, sc) in enumerate(params.upper):
+            n = round(centre * sc - a)
+            if n >= 0 and abs(a + n - sc * centre) < 1e-9:
+                s = -(mp.mpf(a) + n) / sc
+                value = (-1) ** n / (mp.factorial(n) * sc)
+                value *= mp.fprod(mp.gamma(b + bs * s) for j, (b, bs) in enumerate(params.upper)
+                                  if j != i)
+                return value * mp.fprod(mp.rgamma(b + bs * s) for b, bs in params.lower)
+    raise AssertionError(f"no upper factor has a pole at {-centre}")
+
+
+class TestClosedFormResidue:
+    """A group of one pole takes its one Newton moment, the residue, as a
+    product of gamma values instead of from a circle."""
+
+    @staticmethod
+    def singles(monkeypatch, params):
+        """The evaluator and, per lone pole, (its table moment, the mpmath
+        residue, the planned circle's midpoint moment, whether it leads)."""
+        ev, plan = built_with_plan(monkeypatch, params)
+        rows = []
+        for g, (size, centre, radius, nodes) in enumerate(zip(*plan[1:])):
+            if size != 1:
+                continue
+            theta = 2.0 * math.pi * (np.arange(nodes) + 0.5) / nodes
+            d = radius * np.exp(1j * theta)
+            w = np.exp(ev._log_ratio(d - centre) + math.log(radius / nodes) + 1j * theta)
+            rows.append((ev._res_coeffs[g, 0], mp_residue(params, centre), np.sum(w).real,
+                         centre <= ev._first + hfun._TABLE_STEP))
+        return ev, rows
+
+    def test_against_mpmath(self, monkeypatch):
+        # every lone pole of the catalog sets and of seven density-cold sets;
+        # the groups that lead (within _TABLE_STEP of the first pole: they
+        # carry H and decide degeneracy) within 1e-13, the rest, whose gamma
+        # arguments sit far out on the negative axis where the rounding of
+        # the arguments alone moves them by about 1e-13, within 1e-12.  Over
+        # the leading groups the closed form is no worse than the circle.
+        closed, circle = [], []
+        for params in [TWIN_QUARTER, DOUBLE_POLE, *_density_cold_sets(4)]:
+            ev, rows = self.singles(monkeypatch, params)
+            assert rows and not ev.degenerate
+            for got, want, ring, leads in rows:
+                assert want != 0 and got != 0
+                err = float(abs((got - want) / want))
+                assert err <= (1e-13 if leads else 1e-12), (params, float(want))
+                if leads:
+                    closed.append(err)
+                    circle.append(float(abs((ring - want) / want)))
+        assert len(closed) >= 100
+        assert statistics.median(closed) <= statistics.median(circle)
+
+    @pytest.mark.parametrize("params", [EXP_COLLAPSE, IDENTITY], ids=["exp-collapse", "identity"])
+    def test_cancelled_pole_is_exactly_zero(self, monkeypatch, params):
+        # a lower factor with a pole at the same s cancels the residue to 0,
+        # not to rounding noise
+        ev, rows = self.singles(monkeypatch, params)
+        assert rows and ev.degenerate
+        assert all(got == 0.0 and want == 0 for got, want, _, _ in rows)
+
+    @pytest.mark.parametrize("gap", [2.0**-12, 2.0**-24], ids=["2^-12", "2^-24"])
+    def test_nearby_lower_pole_leaves_a_finite_residue(self, monkeypatch, gap):
+        # each lower pole sits gap from an upper one: between _INT_TOL and
+        # the group gap, so every residue is finite, small and exact to
+        # rounding (the dyadic shifts put every gamma argument on a double)
+        params = ParameterSet([(0.5, 1.0)], [(0.5 + gap, 1.0)])
+        ev, rows = self.singles(monkeypatch, params)
+        assert rows and not ev.degenerate
+        for got, want, _, _ in rows:
+            assert want != 0 and float(abs((got - want) / want)) <= 1e-13
+
+    def test_log_sum_past_the_double_range(self):
+        # the 200th pole: 200! leaves the double range, so the residue comes
+        # from the lgamma sum, finite and to about 1e-13
+        params = ParameterSet([(0.5, 1.0)], [(0.75, 1.0)])
+        got = _pole_residue(params, -200.5)
+        want = mp_residue(params, 200.5)
+        assert math.isfinite(got) and float(abs((got - want) / want)) <= 1e-12
+
+    def test_entire_ratio_of_order_forty(self):
+        # the polynomial (s+1)...(s+40): every pole cancels, and far out no
+        # gamma value or factorial raises OverflowError
+        params = ParameterSet([(41.0, 1.0)], [(1.0, 1.0)])
+        assert _pole_residue(params, -241.0) == 0.0
+        ev = MeasureEvaluator(params)
+        assert ev.degenerate and not np.any(ev._res_coeffs)
 
 
 def loop_plan(ev, sigma):
