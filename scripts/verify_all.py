@@ -118,7 +118,7 @@ def main() -> int:
     section("exponential-kernel representation vs series")
     for name, ps in NAMED_SETS.items():
         for z in (-3.0, -1.0, 0.0, 1.0, 2.0):
-            rec = verify_representation(ps, z)
+            rec = verify_representation(ps, [z])[0]
             check(f"{name} z={z:g}: rel err {rec.rel_err:.2e}", rec.verdict == "pass")
 
     section("power-kernel (Stieltjes) identities")
@@ -132,7 +132,7 @@ def main() -> int:
         ("twin-quarter", 2.0, 0.3),
         ("mu=-2", 2.5, 0.25),
     ):
-        rec = verify_stieltjes(sets[name], sigma, z)
+        rec = verify_stieltjes(sets[name], sigma, [z])[0]
         check(f"{name} sigma={sigma:g} z={z:g}: rel err {rec.rel_err:.2e}",
               rec.verdict == "pass")
 
@@ -143,7 +143,7 @@ def main() -> int:
         ("exp-collapse", 1.0, -0.9),
         ("double-pole", 2.0, -0.6),
     ):
-        rec = laplace_lift_check(NAMED_SETS[name], lam, z)
+        rec = laplace_lift_check(NAMED_SETS[name], lam, [z])[0]
         check(f"{name} lam={lam:g} z={z:g}: rel err {rec.rel_err:.2e}",
               rec.verdict == "pass")
 
@@ -154,7 +154,7 @@ def main() -> int:
         ("twin-quarter", 2.0, -1.0),  # rho |z| = 2, m = 1
         ("identity", 1.0, 0.9),  # integrand decays only like e^(-0.1 t)
     ):
-        rec = laplace_lift_check(NAMED_SETS[name], lam, z)
+        rec = laplace_lift_check(NAMED_SETS[name], lam, [z])[0]
         check(f"{name} lam={lam:g} z={z:g}: rel err {rec.rel_err:.2e}",
               rec.verdict == "pass")
 
@@ -174,19 +174,19 @@ def main() -> int:
     section("two-sided bounds on the double-pole set")
     dp = NAMED_SETS["double-pole"]
     for z in (0.0, 0.1, 0.5, 1.0, 2.0):
-        lower, upper = exp_kernel_bounds(dp, z)
+        lower, upper = exp_kernel_bounds(dp, [z])[0]
         check(
             f"exp kernel z={z:g}: {lower.lhs:.6f} <= {lower.rhs:.6f} <= {upper.rhs:.6f}",
             lower.ok() and upper.ok(),
         )
     for lam in (1.0, 2.0):
         for z in (0.1, 0.5, 1.0, 2.0):
-            lower, upper = lifted_kernel_bounds(dp, lam, z)
+            lower, upper = lifted_kernel_bounds(dp, lam, [z])[0]
             check(f"lifted lam={lam:g} z={z:g}: sandwich width {upper.rhs - lower.lhs:.2e}",
                   lower.ok() and upper.ok())
     for sigma in (0.5, 3.0):
         for z in (0.1, 0.3):
-            lower, step = stieltjes_lower_bound(dp, sigma, z)
+            lower, step = stieltjes_lower_bound(dp, sigma, [z])[0]
             check(f"sigma={sigma:g} z={z:g}: margin {lower.rhs - lower.lhs:.2e}",
                   lower.ok() and step.ok())
 

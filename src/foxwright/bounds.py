@@ -32,7 +32,7 @@ from .errors import (ConstraintError, DegenerateError, DivisionError, DomainErro
 from .hfun import get_evaluator, hfun_nonneg_scan
 from .params import (ParameterSet, _require_exponent, derive_constants, gamma_ratio,
                      shift_parameters)
-from .representations import _lifted_regular, _lifted_values, _power_kernel
+from .representations import _lifted_regular, _power_kernel, lifted_value
 from .series import IdentityRecord, _fox_wright_values, _record
 
 __all__ = [
@@ -91,45 +91,38 @@ def _bound_pair(
     )
 
 
-def exp_kernel_bounds(params: ParameterSet, z: float) -> tuple[IdentityRecord, IdentityRecord]:
-    """Two-sided bounds for the series at ``-z`` from the exponential kernel.
+def exp_kernel_bounds(
+    params: ParameterSet, zs: Sequence[float]
+) -> tuple[tuple[IdentityRecord, IdentityRecord], ...]:
+    """Two-sided bounds for the series at ``-z`` from the exponential kernel,
+    one pair per z.
 
     ``psi0 e^(-(psi1/psi0) z) + eta e^(-rho z) <= F(-z) <=
     (psi0 - psi1/rho) + (eta + psi1/rho) e^(-rho z)`` for ``z >= 0``, as two
     ``<=`` records (lower, F) and (F, upper); both sides collapse to
-    ``ratio(0)`` at ``z = 0``.
+    ``ratio(0)`` at ``z = 0``.  The series at every -z is one grid.
     """
-    return _exp_kernel_bounds(params, [z])[0]
-
-
-def _exp_kernel_bounds(params: ParameterSet, zs: list[float]) -> list[tuple]:
-    """:func:`exp_kernel_bounds` at each z of a grid, each pair equal to the
-    one-point call: the series at every -z is one grid."""
     if any(z < 0 for z in zs):
         raise ParameterError("z must be nonnegative")
     psi0, psi1, c = _atomic_mass(params)
     lower = [psi0 * math.exp(-(psi1 / psi0) * z) + c.eta * math.exp(-c.rho * z) for z in zs]
     upper = [(psi0 - psi1 / c.rho) + (c.eta + psi1 / c.rho) * math.exp(-c.rho * z) for z in zs]
     values = _fox_wright_values(params, [-z for z in zs])
-    return [_bound_pair("exp-kernel", params, *point) for point in zip(zs, lower, values, upper)]
+    return tuple(_bound_pair("exp-kernel", params, *point)
+                 for point in zip(zs, lower, values, upper))
 
 
 def lifted_kernel_bounds(
-    params: ParameterSet, lam: float, z: float
-) -> tuple[IdentityRecord, IdentityRecord]:
-    """Bounds for the gamma-lifted series at ``-z`` from the power kernel.
+    params: ParameterSet, lam: float, zs: Sequence[float]
+) -> tuple[tuple[IdentityRecord, IdentityRecord], ...]:
+    """Bounds for the gamma-lifted series at ``-z`` from the power kernel,
+    one pair per z.
 
     Same measure split, kernel ``gamma(lam) (1+tz)^(-lam)`` instead of
-    ``e^(-tz)``; the lifted value itself comes from the series inside its
-    disk and from the kernel continuation beyond it.  Two ``<=`` records, as
-    for :func:`exp_kernel_bounds`.
+    ``e^(-tz)``; the lifted values come from :func:`lifted_value` at every
+    -z as one grid: the series inside its disk, the kernel continuation
+    beyond it.  Two ``<=`` records per z, as for :func:`exp_kernel_bounds`.
     """
-    return _lifted_kernel_bounds(params, lam, [z])[0]
-
-
-def _lifted_kernel_bounds(params: ParameterSet, lam: float, zs: list[float]) -> list[tuple]:
-    """:func:`lifted_kernel_bounds` at each z of a grid, each pair equal to
-    the one-point call: the lifted values at every -z are one grid."""
     _require_exponent("lam", lam)
     if any(z < 0 for z in zs):
         raise ParameterError("z must be nonnegative")
@@ -139,18 +132,18 @@ def _lifted_kernel_bounds(params: ParameterSet, lam: float, zs: list[float]) -> 
              + g * psi0 * (1.0 + (psi1 / psi0) * z) ** (-lam) for z in zs]
     upper = [g * (psi0 - psi1 / c.rho)
              + g * (c.eta + psi1 / c.rho) * (1.0 + c.rho * z) ** (-lam) for z in zs]
-    values = _lifted_values(params, lam, [-z for z in zs])
+    values = lifted_value(params, lam, [-z for z in zs])
     name = f"lifted-kernel[lam={lam:g}]"
-    return [_bound_pair(name, params, *point) for point in zip(zs, lower, values, upper)]
+    return tuple(_bound_pair(name, params, *point) for point in zip(zs, lower, values, upper))
 
 
 def stieltjes_lower_bound(
-    params: ParameterSet, sigma: float, z: float
-) -> tuple[IdentityRecord, IdentityRecord]:
+    params: ParameterSet, sigma: float, zs: Sequence[float]
+) -> tuple[tuple[IdentityRecord, IdentityRecord], ...]:
     """``gamma(sigma)[psi0 (1+(psi1/psi0) z)^(-sigma) + eta (1+rho z)^(-sigma)]``
-    as a lower bound for the sigma-lifted series at ``-z``: the lower record
-    of :func:`lifted_kernel_bounds` at ``lam = sigma``, plus the power-mean
-    intermediate step.
+    as a lower bound for the sigma-lifted series at ``-z``, one pair per z:
+    the lower record of :func:`lifted_kernel_bounds` at ``lam = sigma``,
+    plus the power-mean intermediate step.
 
     The step compares the normalized integral of ``(1+tz)^(-sigma)`` against
     the density (lhs) with the sigma-th power of the normalized integral of
@@ -158,15 +151,9 @@ def stieltjes_lower_bound(
     direction that flips at ``sigma = 1`` (``>=`` above, ``<=`` below, ``==``
     at 1); the final lower bound holds for every ``sigma > 0`` because the
     kernel itself stays convex in ``t``.  Only the equality holds without
-    a nonnegative density.
+    a nonnegative density.  Each power mean is one pass over the rule.
     """
-    return _stieltjes_lower_bounds(params, sigma, [z])[0]
-
-
-def _stieltjes_lower_bounds(params: ParameterSet, sigma: float, zs: list[float]) -> list[tuple]:
-    """:func:`stieltjes_lower_bound` at each z of a grid, each pair equal to
-    the one-point call: each power mean is one pass over the rule."""
-    bounds = [lower for lower, _ in _lifted_kernel_bounds(params, sigma, zs)]
+    bounds = [lower for lower, _ in lifted_kernel_bounds(params, sigma, zs)]
     psi0 = _atomic_mass(params)[0]
     ev = get_evaluator(params)
     z = np.array(zs)
@@ -175,13 +162,13 @@ def _stieltjes_lower_bounds(params: ParameterSet, sigma: float, zs: list[float])
         for s in (sigma, 1.0)
     )
     relation = "==" if abs(sigma - 1.0) <= 1e-12 else ">=" if sigma > 1.0 else "<="
-    return [
+    return tuple(
         (bound, _record(
             f"power-mean[sigma={sigma:g}]", bound.params_hash, x, lhs, rhs**sigma,
             _OK_SLACK, relation, applies=relation == "==" or bound.verdict != "n/a",
         ))
         for x, bound, lhs, rhs in zip(zs, bounds, mean_sigma, mean_one)
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -244,27 +231,19 @@ def _cm_order(record: IdentityRecord) -> int:
 
 
 def shifted_stieltjes_ratio(
-    params: ParameterSet, sigma: float, delta: float, z: float
-) -> IdentityRecord:
+    params: ParameterSet, sigma: float, delta: float, zs: Sequence[float]
+) -> tuple[IdentityRecord, ...]:
     """Quotient ``integral t^(delta-1) H/(1+tz)^sigma dt  over  the same at
-    delta = 0``, computed two independent ways.
+    delta = 0``, computed two independent ways, one record per z.
 
     Route one (lhs) goes through series space: shifting every row by
     ``delta`` times its scale multiplies the density by ``t^delta`` (and
     the atom weight by ``rho^delta``), so the numerator is the shifted
     set's lifted series minus its own atom term.  Route two (rhs)
     integrates the density directly.  The gamma(sigma) factors cancel in
-    the quotient.  The record passes when the routes agree to 1e-6.
+    the quotient.  The record passes when the routes agree to 1e-6.  Each
+    route's numerator and denominator is one grid.
     """
-    return _shifted_stieltjes_ratios(params, sigma, delta, [z])[0]
-
-
-def _shifted_stieltjes_ratios(
-    params: ParameterSet, sigma: float, delta: float, zs: list[float]
-) -> list[IdentityRecord]:
-    """:func:`shifted_stieltjes_ratio` at each z of a grid, each record equal
-    to the one-point call: each route's numerator and denominator is one
-    grid."""
     _require_exponent("sigma", sigma)
     _atomic_mass(params)  # the single-atom gate, and a density that carries mass
     ev = get_evaluator(params)
@@ -280,8 +259,8 @@ def _shifted_stieltjes_ratios(
     den_s = _lifted_regular(params, sigma, zs)
     _require_denominators("series", den_s)
     name, key = f"shifted-ratio[sigma={sigma:g},delta={delta:g}]", params.hash_key()
-    return [_record(name, key, *point, _ROUTE_TOL)
-            for point in zip(zs, [n / d for n, d in zip(num_s, den_s)], quad)]
+    return tuple(_record(name, key, *point, _ROUTE_TOL)
+                 for point in zip(zs, [n / d for n, d in zip(num_s, den_s)], quad))
 
 
 def _require_denominators(route: str, values: list[float]) -> None:
@@ -317,11 +296,11 @@ def ratio_monotonicity_scan(
     if len(zs) < 2:
         raise ParameterError("z_grid needs at least two points")
     try:
-        records = tuple(_shifted_stieltjes_ratios(params, sigma, delta, zs))
+        records = shifted_stieltjes_ratio(params, sigma, delta, zs)
     except FoxwrightError:
         # the grid runs each step over every point before the next: the
         # points one by one raise the first point's own error instead
-        records = tuple(shifted_stieltjes_ratio(params, sigma, delta, z) for z in zs)
+        records = tuple(shifted_stieltjes_ratio(params, sigma, delta, [z])[0] for z in zs)
     values = [r.rhs for r in records]
     if delta >= 0:
         expected = "nonincreasing"

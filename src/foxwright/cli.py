@@ -37,23 +37,23 @@ import numpy as np
 
 from .bounds import (
     _cm_order,
-    _exp_kernel_bounds,
-    _lifted_kernel_bounds,
     _scan_direction,
-    _stieltjes_lower_bounds,
     cm_check,
+    exp_kernel_bounds,
+    lifted_kernel_bounds,
     ratio_monotonicity_scan,
+    stieltjes_lower_bound,
 )
 from .catalog import NAMED_SETS
 from .errors import FoxwrightError
 from .hfun import get_evaluator
 from .params import ParameterSet, derive_constants
 from .representations import (
-    _verify_representation,
-    _verify_stieltjes,
     eval_via_representation,
     laplace_lift_check,
     moment_identity_check,
+    verify_representation,
+    verify_stieltjes,
 )
 from .series import _fox_wright_values
 
@@ -70,13 +70,20 @@ _CM_FUNCTIONS = {
     / math.sqrt(math.pi),
 }
 
+# The most points one grid may hold: far above every grid the README, the
+# tests and the benchmark run, and low enough that a pass over the measure's
+# rule (up to ~1000 nodes a level) stays in tens of MB.  A count past it is
+# refused before anything is allocated.
+_MAX_POINTS = 10_000
+
+
 class CliUsageError(Exception):
     """Bad flags, unreadable files, malformed grids: exit code 1."""
 
 
 def parse_grid(spec: str) -> list[float]:
-    """``start:stop:count`` (inclusive, count >= 1), comma list, or scalar;
-    every value finite."""
+    """``start:stop:count`` (inclusive, 1 <= count <= 10000), comma list, or
+    scalar; at least one value and every value finite."""
     spec = spec.strip()
     if ":" in spec:
         parts = spec.split(":")
@@ -89,6 +96,7 @@ def parse_grid(spec: str) -> list[float]:
             raise CliUsageError(f"bad grid {spec!r}: {exc}") from None
         if count < 1:
             raise CliUsageError("grid count must be >= 1")
+        _size(count, spec)
         _finite([start, stop], spec)
         if count == 1:
             return [start]
@@ -101,7 +109,8 @@ def parse_grid(spec: str) -> list[float]:
 
 
 def parse_k_list(spec: str) -> list[float]:
-    """``lo..hi`` (inclusive integers), comma list, or scalar; every value finite."""
+    """``lo..hi`` (inclusive integers, at most 10000), comma list, or scalar;
+    at least one value and every value finite."""
     spec = spec.strip()
     if ".." in spec:
         lo_s, _, hi_s = spec.partition("..")
@@ -111,15 +120,26 @@ def parse_k_list(spec: str) -> list[float]:
             raise CliUsageError(f"bad k-range {spec!r}: {exc}") from None
         if hi < lo:
             raise CliUsageError(f"empty k-range {spec!r}")
+        _size(hi - lo + 1, spec)
         return [float(k) for k in range(lo, hi + 1)]
     return _finite(_float_list(spec, "k-list"), spec)
 
 
 def _float_list(spec: str, what: str) -> list[float]:
     try:
-        return [float(tok) for tok in spec.split(",") if tok.strip()]
+        values = [float(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError as exc:
         raise CliUsageError(f"bad {what} {spec!r}: {exc}") from None
+    if not values:
+        raise CliUsageError(f"empty {what} {spec!r}")
+    _size(len(values), spec)
+    return values
+
+
+def _size(count: int, spec: str) -> None:
+    """A usage error where ``count`` points are more than one grid may hold."""
+    if count > _MAX_POINTS:
+        raise CliUsageError(f"{spec!r} has {count} points; a grid holds at most {_MAX_POINTS}")
 
 
 def _finite(values: list[float], spec: str) -> list[float]:
@@ -192,15 +212,15 @@ def _bounds_rows(ns, params, zs):
         raise CliUsageError("bounds takes --sigma or --lift, not both")
     if ns.sigma is not None:
         rows = []
-        for z, (lower, step) in zip(zs, _stieltjes_lower_bounds(params, ns.sigma, zs)):
+        for z, (lower, step) in zip(zs, stieltjes_lower_bound(params, ns.sigma, zs)):
             margin = lower.rhs - lower.lhs
             rows.append((z, lower.rhs, margin, margin / (1.0 + abs(lower.rhs)),
                          _verdict(lower.ok() and step.ok())))
         return rows
     if ns.lift is not None:
-        pairs = _lifted_kernel_bounds(params, ns.lift, zs)
+        pairs = lifted_kernel_bounds(params, ns.lift, zs)
     else:
-        pairs = _exp_kernel_bounds(params, zs)
+        pairs = exp_kernel_bounds(params, zs)
     return [(z, lower.rhs, lower.rhs - lower.lhs, upper.rhs - upper.lhs,
              _verdict(lower.ok() and upper.ok())) for z, (lower, upper) in zip(zs, pairs)]
 
@@ -288,13 +308,13 @@ _COMMANDS = {
                         _moments_rows, grid="k"),
     "verify-representation": _Command(
         "series vs exponential-kernel integral", {"--z": None},
-        _identity_rows(lambda ns, p, zs: _verify_representation(p, zs))),
+        _identity_rows(lambda ns, p, zs: verify_representation(p, zs))),
     "verify-stieltjes": _Command(
         "lifted series vs power-kernel integral", {"--z": None, "--sigma": 1.0},
-        _identity_rows(lambda ns, p, zs: _verify_stieltjes(p, ns.sigma, zs))),
+        _identity_rows(lambda ns, p, zs: verify_stieltjes(p, ns.sigma, zs))),
     "verify-laplace": _Command(
         "gamma-weighted transform vs lifted series", {"--z": None, "--lift": 1.0},
-        _identity_rows(lambda ns, p, zs: [laplace_lift_check(p, ns.lift, z) for z in zs])),
+        _identity_rows(lambda ns, p, zs: laplace_lift_check(p, ns.lift, zs))),
     "bounds": _Command("two-sided kernel bounds (default exponential; --lift or --sigma)",
                        {"--z": None, "--sigma": None, "--lift": None}, _bounds_rows),
     "cm-check": _Command("finite-difference complete-monotonicity scan",

@@ -24,7 +24,7 @@ nothing here asserts.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -119,25 +119,22 @@ def eval_via_representation(params: ParameterSet, z: float | np.ndarray) -> Eval
     return EvalResult(integral + corr, ev._res_nodes_used, err, SeriesStatus.CONVERGED)
 
 
-def verify_representation(params: ParameterSet, z: float) -> IdentityRecord:
-    """Direct series vs the measure-rebuilt value, as an IdentityRecord."""
-    return _verify_representation(params, [z])[0]
-
-
-def _verify_representation(params: ParameterSet, zs: list[float]) -> list[IdentityRecord]:
-    """:func:`verify_representation` at each z of a grid, each record equal to
-    the one-point call: one series grid and one pass over the rule.  The
-    atoms are added point by point, as the one-point value adds them: the
-    array form of :func:`correction_series` rounds its exponentials apart."""
+def verify_representation(
+    params: ParameterSet, zs: Sequence[float]
+) -> tuple[IdentityRecord, ...]:
+    """Direct series vs the measure-rebuilt value, one record per z: one
+    series grid and one pass over the rule.  The atoms are added point by
+    point: the array form of :func:`correction_series` rounds its
+    exponentials apart from the one-point form."""
     lhs = _fox_wright_values(params, zs)
     ev = get_evaluator(params)
     integral = ev.measure_integral(_exp_kernel(np.array(zs)))[0].tolist()
     key = params.hash_key()
-    return [
+    return tuple(
         _record("exp-kernel-representation", key, z, a,
                 v + (correction_series(params, z) if ev.m is not None else 0.0), _TOL)
         for z, a, v in zip(zs, lhs, integral)
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +182,11 @@ def stieltjes_eval(params: ParameterSet, sigma: float, z: float | np.ndarray) ->
     return EvalResult(g * integral, ev._res_nodes_used, g * err, SeriesStatus.CONVERGED)
 
 
-def verify_stieltjes(params: ParameterSet, sigma: float, z: float) -> IdentityRecord:
-    """Stieltjes quadrature vs the lifted series minus its atom term.
+def verify_stieltjes(
+    params: ParameterSet, sigma: float, zs: Sequence[float]
+) -> tuple[IdentityRecord, ...]:
+    """Stieltjes quadrature vs the lifted series minus its atom term, one
+    record per z.
 
     The lifted series (extra upper row ``(sigma, 1)``) at ``-z`` equals
     ``gamma(sigma) [ integral (1+tz)^(-sigma) H dt/t + A[(1+tz)^(-sigma)] ]``
@@ -197,16 +197,10 @@ def verify_stieltjes(params: ParameterSet, sigma: float, z: float) -> IdentityRe
     there the record compares the quadrature with itself and its error
     reads about 0.
     """
-    return _verify_stieltjes(params, sigma, [z])[0]
-
-
-def _verify_stieltjes(params: ParameterSet, sigma: float, zs: list[float]) -> list[IdentityRecord]:
-    """:func:`verify_stieltjes` at each z of a grid, each record equal to the
-    one-point call."""
     lhs = stieltjes_eval(params, sigma, np.array(zs)).value.tolist()
     rhs = _lifted_regular(params, sigma, zs)
     name, key = f"stieltjes-kernel[sigma={sigma:g}]", params.hash_key()
-    return [_record(name, key, z, a, b, _TOL) for z, a, b in zip(zs, lhs, rhs)]
+    return tuple(_record(name, key, z, a, b, _TOL) for z, a, b in zip(zs, lhs, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +208,9 @@ def _verify_stieltjes(params: ParameterSet, sigma: float, zs: list[float]) -> li
 # ---------------------------------------------------------------------------
 
 
-def lifted_value(params: ParameterSet, lam: float, z: float) -> float:
-    """``sum_k gamma(lam + k) ratio(k) z^k / k!`` with analytic continuation.
+def lifted_value(params: ParameterSet, lam: float, zs: Sequence[float]) -> tuple[float, ...]:
+    """``sum_k gamma(lam + k) ratio(k) z^k / k!`` with analytic continuation,
+    one value per z.
 
     Adding an upper row ``(lam, 1)`` to a balanced set drops the scale
     balance to -1, so the lifted series only converges on a disk of radius
@@ -224,15 +219,10 @@ def lifted_value(params: ParameterSet, lam: float, z: float) -> float:
     as ``gamma(lam) [ integral (1-tz)^(-lam) H dt/t + A[(1-tz)^(-lam)] ]``
     for every set it represents, A the endpoint atoms on the kernel.
     Anywhere else the series' own error passes through: OutsideDomainError
-    off the disk, NonConvergentError where a term overflows a double.
+    off the disk, NonConvergentError where a term overflows a double.  The
+    lifted set is built once, its series is one grid, and the points past
+    the series take the continuation in one pass over the rule.
     """
-    return _lifted_values(params, lam, [z])[0]
-
-
-def _lifted_values(params: ParameterSet, lam: float, zs: list[float]) -> list[float]:
-    """:func:`lifted_value` at each z of a grid, each equal to the one-point
-    call: the lifted set is built once, its series is one grid, and the
-    points past the series take the continuation in one pass over the rule."""
     _require_exponent("lam", lam)
     lifted = ParameterSet([(lam, 1.0), *params.upper], list(params.lower))
     values: list = []
@@ -251,31 +241,34 @@ def _lifted_values(params: ParameterSet, lam: float, zs: list[float]) -> list[fl
         g = math.gamma(lam)
         for i, v in zip(far, ev.measure_integral(kernel)[0].tolist()):
             values[i] = g * (v + _power_atoms(params, lam, -zs[i]))
-    return values
+    return tuple(values)
 
 
-def _lifted_regular(params: ParameterSet, sigma: float, zs: list[float]) -> list[float]:
+def _lifted_regular(params: ParameterSet, sigma: float, zs: Sequence[float]) -> list[float]:
     """The lifted series at ``-z`` minus its atom term
     ``gamma(sigma) A[(1+tz)^(-sigma)]`` at each z of a grid: the regular
     (density) part of the power-kernel transform,
     ``gamma(sigma) integral (1+tz)^(-sigma) H dt/t``, for any set the
     measure represents."""
-    values = _lifted_values(params, sigma, [-z for z in zs])
+    values = lifted_value(params, sigma, [-z for z in zs])
     g = math.gamma(sigma)
     return [v - g * _power_atoms(params, sigma, z) for v, z in zip(values, zs)]
 
 
-def laplace_lift_check(params: ParameterSet, lam: float, z: float) -> IdentityRecord:
-    """Gamma-weighted integral of the series vs the lifted series.
+def laplace_lift_check(
+    params: ParameterSet, lam: float, zs: Sequence[float]
+) -> tuple[IdentityRecord, ...]:
+    """Gamma-weighted integral of the series vs the lifted series, one
+    record per z.
 
     ``integral_0^inf t^(lam-1) e^(-t) F(zt) dt`` where ``F`` is the base
-    series, against ``lifted_value(params, lam, z)``.  F(zt) grows like
+    series, against ``lifted_value(params, lam, zs)``.  F(zt) grows like
     e^(rho z t) for z > 0, so the integrand decays like
     e^(-(1 - rho max(z, 0)) t) and the tail cut scales with the inverse of
     that rate; the lift diverges for z >= 1/rho, and the check refuses to
     run there or where F would overflow before the cut.  The right-hand
-    side is computed first, so a lifted value out of reach costs no
-    quadrature.
+    sides are computed first, as one grid, so a lifted value out of reach
+    costs no quadrature.
 
     F comes from the representing measure wherever it exists (mu == -m or
     mu > 0): one vectorised pass over the rule per exp-sinh level, adding
@@ -288,23 +281,28 @@ def laplace_lift_check(params: ParameterSet, lam: float, z: float) -> IdentityRe
         raise ConstraintError(
             f"the Laplace lift needs balanced scale sums; got delta={c.delta:.3g}"
         )
-    decay = 1.0 - c.rho * max(z, 0.0)
-    if decay <= 1e-9:
-        raise OutsideDomainError(
-            f"the gamma-weighted integrand grows like e^(-(1 - rho z) t); "
-            f"z={z} with rho={c.rho:g} does not decay"
-        )
-    rhs = lifted_value(params, lam, z)
+    decays = [1.0 - c.rho * max(z, 0.0) for z in zs]
+    for z, decay in zip(zs, decays):
+        if decay <= 1e-9:
+            raise OutsideDomainError(
+                f"the gamma-weighted integrand grows like e^(-(1 - rho z) t); "
+                f"z={z} with rho={c.rho:g} does not decay"
+            )
+    rhs = lifted_value(params, lam, zs)
 
     if c.represented:
-        def f(t: np.ndarray) -> np.ndarray:
-            return eval_via_representation(params, z * t).value
+        def base_series(x: np.ndarray) -> np.ndarray:
+            return eval_via_representation(params, x).value
     else:
-        def f(t: np.ndarray) -> np.ndarray:
-            return np.array(_fox_wright_values(params, (z * t).tolist()))
+        def base_series(x: np.ndarray) -> np.ndarray:
+            return np.array(_fox_wright_values(params, x.tolist()))
 
-    lhs = integrate_gamma_weighted(f, lam, decay=decay)
-    return _record(f"laplace-lift[lam={lam:g}]", params.hash_key(), z, lhs, rhs, _TOL)
+    name, key = f"laplace-lift[lam={lam:g}]", params.hash_key()
+    return tuple(
+        _record(name, key, z,
+                integrate_gamma_weighted(lambda t: base_series(z * t), lam, decay=decay), b, _TOL)
+        for z, decay, b in zip(zs, decays, rhs)
+    )
 
 
 # ---------------------------------------------------------------------------

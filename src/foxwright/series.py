@@ -12,10 +12,10 @@ function supplies its own terms because its scales may be negative, which
 the row-based model deliberately rejects; reciprocal-gamma semantics (zeros
 at poles) make the sum well defined there.  Both sum through one private
 loop, :func:`_sum_point`, and decide their domain by one rule,
-``params._converges``.  A grid of z is summed point by point by
-:func:`_sum_terms` on one table of term coefficients, each computed the
-first time a point needs it, so a point that needs no new term pays only
-for its own arithmetic; one z is the grid of one point.
+``params._converges``.  A grid of z of the row series is summed point by
+point on one table of term coefficients, each computed the first time a
+point needs it, so a point that needs no new term pays only for its own
+arithmetic; one z is the grid of one point.
 
 Summation is honest about its own failure modes: every call returns an
 :class:`EvalResult` carrying the term count, a truncation estimate, and a
@@ -155,13 +155,17 @@ def fox_wright(params: ParameterSet, z: complex) -> EvalResult:
 
 def _fox_wright_grid(params: ParameterSet, zs: Iterable[complex]) -> Iterator[EvalResult]:
     """:func:`fox_wright` at each z of a grid, in order, each result equal to
-    the one-point call; every term's coefficient is computed once per grid."""
+    the one-point call: the ``OUTSIDE_DOMAIN`` result off the domain, else
+    the sum on one table of term coefficients, each computed the first time
+    a point needs it and read by every point after."""
 
     def coefficient(k: int) -> tuple[float, float, float]:
         log_ratio, sign = gamma_ratio_log_signed(params, k)
         return log_ratio, sign, math.lgamma(k + 1.0)
 
-    return _sum_terms(coefficient, zs, lambda z: in_domain(params, z))
+    table: list[tuple[float, float, float]] = []
+    for z in zs:
+        yield _sum_point(coefficient, table, z) if in_domain(params, z) else _OUTSIDE
 
 
 def _fox_wright_values(params: ParameterSet, zs: Sequence[complex]) -> list:
@@ -174,29 +178,14 @@ def _log_abs(z: complex) -> float:
     return math.log(abs(z)) if z != 0 else -math.inf
 
 
-def _sum_terms(
-    coefficient: Callable[[int], tuple[float, float, float]],
-    zs: Iterable[complex],
-    converges: Callable[[complex], bool],
-) -> Iterator[EvalResult]:
-    """The series at each z of ``zs`` where ``converges(z)``, else the
-    ``OUTSIDE_DOMAIN`` result, one point after the other.
-
-    ``coefficient(k)`` gives (log_c, sign, log_f) of term k: it is
-    sign * e^(log_c + k log|z| - log_f) * e^(i k arg z), log_c = -inf for a
-    zero term.  It is called once per k for the whole grid, the first time
-    a point needs term k, and every point reads the same table.
-    """
-    table: list[tuple[float, float, float]] = []
-    for z in zs:
-        yield _sum_point(coefficient, table, z) if converges(z) else _OUTSIDE
-
-
 def _sum_point(
     coefficient: Callable[[int], tuple[float, float, float]], table: list, z: complex
 ) -> EvalResult:
     """Sum the terms at one z, reading the coefficients from ``table`` and
-    appending to it the first time term k is needed.
+    appending to it the first time term k is needed.  ``coefficient(k)``
+    gives (log_c, sign, log_f) of term k: it is
+    sign * e^(log_c + k log|z| - log_f) * e^(i k arg z), log_c = -inf for a
+    zero term.
 
     Stops after three consecutive small terms: each below ``_TOL`` relative
     to the running sum, and so is the geometric tail mag r / (1 - r) it
@@ -301,15 +290,6 @@ def four_param_wright(
     So it is entire for mu1 + nu1 > 0, a disk for mu1 + nu1 == 0 (edge
     included when a + b > 2), and only z = 0 otherwise.
     """
-    return next(_four_param_grid(mu1, a, nu1, b, (z,)))
-
-
-def _four_param_grid(
-    mu1: float, a: float, nu1: float, b: float, zs: Iterable[complex]
-) -> Iterator[EvalResult]:
-    """:func:`four_param_wright` at each z of a grid, in order, each result
-    equal to the one-point call; every term's coefficient is computed once
-    per grid."""
     # |mu1|^mu1 * |nu1|^nu1 from logs: one factor alone may overflow, while
     # the product is near 1 wherever mu1 + nu1 == 0 makes it the radius
     log_radius = sum(s * math.log(abs(s)) for s in (mu1, nu1) if s)
@@ -328,8 +308,9 @@ def _four_param_grid(
         # -log_den + k log|z| - 0.0 rounds as k log|z| - log_den does
         return -log_den, sign, 0.0
 
-    return _sum_terms(coefficient, zs,
-                      lambda z: _converges(mu1 + nu1 - 1.0, radius, a + b - 1.5, complex(z)))
+    if not _converges(mu1 + nu1 - 1.0, radius, a + b - 1.5, complex(z)):
+        return _OUTSIDE
+    return _sum_point(coefficient, [], z)
 
 
 # ---------------------------------------------------------------------------

@@ -152,22 +152,22 @@ def test_criterion_06_two_sided_bounds(acceptance):
     # each bound is two <= records, (lower, value) and (value, upper)
     ok = hfun_nonneg_scan(DOUBLE_POLE).ok()
     for z in (0.1, 0.5, 1.0, 2.0):
-        ok &= all(r.ok() for r in exp_kernel_bounds(DOUBLE_POLE, z))
+        ok &= all(r.ok() for r in exp_kernel_bounds(DOUBLE_POLE, [z])[0])
         for lam in (1.0, 2.0):
-            ok &= all(r.ok() for r in lifted_kernel_bounds(DOUBLE_POLE, lam, z))
+            ok &= all(r.ok() for r in lifted_kernel_bounds(DOUBLE_POLE, lam, [z])[0])
     for sigma in (0.5, 3.0):
         for z in (0.1, 0.3):
-            ok &= stieltjes_lower_bound(DOUBLE_POLE, sigma, z)[0].ok()
+            ok &= stieltjes_lower_bound(DOUBLE_POLE, sigma, [z])[0][0].ok()
     # collapse to equality at z = 0
-    lower, upper = exp_kernel_bounds(DOUBLE_POLE, 0.0)
+    lower, upper = exp_kernel_bounds(DOUBLE_POLE, [0.0])[0]
     value = lower.rhs
     ok &= abs(upper.rhs - lower.lhs) <= 1e-12 * (1.0 + abs(value))
     ok &= abs(value - lower.lhs) <= 1e-12 * (1.0 + abs(value))
     for lam in (1.0, 2.0):
-        lower, upper = lifted_kernel_bounds(DOUBLE_POLE, lam, 0.0)
+        lower, upper = lifted_kernel_bounds(DOUBLE_POLE, lam, [0.0])[0]
         ok &= abs(upper.rhs - lower.lhs) <= 1e-12 * (1.0 + abs(lower.rhs))
     for sigma in (0.5, 3.0):
-        bound, _ = stieltjes_lower_bound(DOUBLE_POLE, sigma, 0.0)
+        bound, _ = stieltjes_lower_bound(DOUBLE_POLE, sigma, [0.0])[0]
         ok &= abs(bound.rhs - bound.lhs) <= 1e-12 * (1.0 + abs(bound.rhs))
     assert acceptance("two-sided-bounds", bool(ok))
 

@@ -4,6 +4,9 @@ README runs.
 
 A value is an ``EvalResult`` and a comparison is an ``IdentityRecord``: every
 check returns one record or a tuple of them, and no report class is left.
+Every check at a z takes a sequence of z and returns one entry per point,
+each equal to the call on that point alone; no scalar twin is left, and the
+CLI calls these public checks.
 
 Each parameter set has one measure and one evaluator, so no public callable
 takes an evaluator configuration, a series term cap, a route, or a
@@ -269,7 +272,7 @@ def test_cli_has_no_switch():
     """The CLI builds its parser once per process, and nothing turns that off
     or tunes it: ``main`` takes only ``argv``, the parser builder takes
     nothing, no environment variable is read, and the module holds no value
-    beyond its command tables."""
+    beyond its command tables and the largest grid it takes."""
     assert list(inspect.signature(cli.main).parameters) == ["argv"]
     assert list(inspect.signature(cli._build_parser).parameters) == []
     assert not re.search(r"\bos\b|environ|getenv", inspect.getsource(cli))
@@ -279,7 +282,7 @@ def test_cli_has_no_switch():
     }
     assert values == {
         "annotations", "NAMED_SETS", "_CM_FUNCTIONS", "_COMMANDS", "_FIELDS", "_FLAGS",
-        "_GRID_HINTS", "_Z_HELP",
+        "_GRID_HINTS", "_MAX_POINTS", "_Z_HELP",
     }
 
 
@@ -311,12 +314,21 @@ def test_checks_fix_their_own_tolerance(name):
     assert {"tol", "h", "max_order"}.isdisjoint(params)
 
 
+# A record, a tuple of records, or a tuple of record pairs, one per grid point
+RECORD_SHAPES = {
+    IdentityRecord,
+    tuple[IdentityRecord, ...],
+    tuple[tuple[IdentityRecord, IdentityRecord], ...],
+}
+
+
+def _holds_records(hint) -> bool:
+    return hint is IdentityRecord or any(map(_holds_records, typing.get_args(hint)))
+
+
 @pytest.mark.parametrize("name", sorted(CHECK_FUNCTIONS))
 def test_checks_return_records(name):
-    ret = typing.get_type_hints(getattr(foxwright, name))["return"]
-    if ret is not IdentityRecord:
-        assert typing.get_origin(ret) is tuple
-        assert set(typing.get_args(ret)) <= {IdentityRecord, Ellipsis}
+    assert typing.get_type_hints(getattr(foxwright, name))["return"] in RECORD_SHAPES
 
 
 def test_every_record_returner_is_listed():
@@ -324,11 +336,46 @@ def test_every_record_returner_is_listed():
     returners = set()
     for name in foxwright.__all__:
         obj = getattr(foxwright, name)
-        if inspect.isfunction(obj):
-            ret = typing.get_type_hints(obj).get("return")
-            if ret is IdentityRecord or IdentityRecord in typing.get_args(ret):
-                returners.add(name)
+        if inspect.isfunction(obj) and _holds_records(typing.get_type_hints(obj).get("return")):
+            returners.add(name)
     assert returners == CHECK_FUNCTIONS
+
+
+# Each check at a z, with its arguments before the grid and a 5-point grid
+# that takes the continuation past the series disk where it has one.
+GRID_CHECKS = {
+    "verify_representation": ((), [-3.0, -1.0, 0.0, 1.0, 2.0]),
+    "verify_stieltjes": ((2.0,), [0.1, 0.3, 0.5, 1.5, 2.0]),
+    "lifted_value": ((1.5,), [-2.0, -0.5, 0.0, 0.3, 0.9]),
+    "laplace_lift_check": ((2.0,), [-0.6, -0.3, 0.0, 0.2, 0.5]),
+    "exp_kernel_bounds": ((), [0.0, 0.1, 0.5, 1.0, 2.0]),
+    "lifted_kernel_bounds": ((2.0,), [0.0, 0.1, 0.5, 1.0, 2.0]),
+    "stieltjes_lower_bound": ((3.0,), [0.0, 0.1, 0.2, 0.3, 0.5]),
+    "shifted_stieltjes_ratio": ((1.0, 1.0), [0.05, 0.2, 0.5, 0.7, 0.95]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_CHECKS))
+def test_grid_check_gives_one_entry_per_point(name):
+    """A grid gives a tuple with one entry per z, each equal, field by field,
+    to the call on that z alone."""
+    check, (args, zs) = getattr(foxwright, name), GRID_CHECKS[name]
+    entries = check(foxwright.DOUBLE_POLE, *args, zs)
+    assert isinstance(entries, tuple) and len(entries) == 5
+    for z, entry in zip(zs, entries):
+        assert entry == check(foxwright.DOUBLE_POLE, *args, [z])[0], z
+
+
+def test_cli_calls_the_public_checks():
+    """The CLI imports no private name of the check modules but the two that
+    parse the record names the bounds module builds."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = {
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("representations", "bounds")
+        for alias in node.names if alias.name.startswith("_")
+    }
+    assert private == {"_cm_order", "_scan_direction"}
 
 
 class TestRecordVerdicts:

@@ -40,7 +40,7 @@ def first_defect(records):
 class TestExpKernelBounds:
     @pytest.mark.parametrize("z", [0.1, 0.5, 1.0, 2.0])
     def test_sandwich_holds(self, z):
-        lower, upper = exp_kernel_bounds(DOUBLE_POLE, z)
+        lower, upper = exp_kernel_bounds(DOUBLE_POLE, [z])[0]
         assert lower.relation == upper.relation == "<="
         assert lower.verdict == upper.verdict == "pass"  # not n/a: the scan passed
         assert lower.rhs == upper.lhs  # the series value F(-z), bounded on both sides
@@ -48,7 +48,7 @@ class TestExpKernelBounds:
         assert lower.lhs < upper.rhs  # strict away from z = 0
 
     def test_collapse_at_zero(self):
-        lower, upper = exp_kernel_bounds(DOUBLE_POLE, 0.0)
+        lower, upper = exp_kernel_bounds(DOUBLE_POLE, [0.0])[0]
         assert upper.rhs - lower.lhs == pytest.approx(0.0, abs=1e-12)
         assert lower.rhs == pytest.approx(lower.lhs, abs=1e-12)
         assert lower.rhs == pytest.approx(math.pi / 2.0, rel=1e-12)
@@ -60,7 +60,7 @@ class TestExpKernelBounds:
         want = 1.0 / math.gamma(1.5) ** 2 - 1.0
         assert psi1 == pytest.approx(want, rel=1e-11)
         # the bounds at z = 1 are built from exactly these masses
-        lower, upper = exp_kernel_bounds(DOUBLE_POLE, 1.0)
+        lower, upper = exp_kernel_bounds(DOUBLE_POLE, [1.0])[0]
         e = math.exp(-c.rho)
         assert lower.lhs == pytest.approx(psi0 * math.exp(-psi1 / psi0) + c.eta * e, rel=1e-14)
         assert upper.rhs == pytest.approx(psi0 - psi1 / c.rho + (c.eta + psi1 / c.rho) * e,
@@ -77,66 +77,67 @@ class TestExpKernelBounds:
 
         monkeypatch.setattr(bounds, "gamma_ratio", no_gamma_ratio)
         assert _atomic_mass(DOUBLE_POLE) is first
-        exp_kernel_bounds(DOUBLE_POLE, 0.5)
-        stieltjes_lower_bound(DOUBLE_POLE, 2.0, 0.5)
-        shifted_stieltjes_ratio(DOUBLE_POLE, 1.0, 1.0, 0.5)
+        exp_kernel_bounds(DOUBLE_POLE, [0.5])[0]
+        stieltjes_lower_bound(DOUBLE_POLE, 2.0, [0.5])[0]
+        shifted_stieltjes_ratio(DOUBLE_POLE, 1.0, 1.0, [0.5])[0]
 
     def test_failed_scan_gives_not_applicable(self, monkeypatch):
         # the bounds are conditional on H >= 0: a failed scan is n/a, not fail
         failed = _record("density-nonneg", "", 0.5, -1.0, 0.0, 0.0, ">=")
         monkeypatch.setattr(bounds, "hfun_nonneg_scan", lambda params: failed)
-        for records in (exp_kernel_bounds(DOUBLE_POLE, 0.5),
-                        lifted_kernel_bounds(DOUBLE_POLE, 2.0, 0.5),
-                        stieltjes_lower_bound(DOUBLE_POLE, 3.0, 0.5)):
+        for records in (exp_kernel_bounds(DOUBLE_POLE, [0.5])[0],
+                        lifted_kernel_bounds(DOUBLE_POLE, 2.0, [0.5])[0],
+                        stieltjes_lower_bound(DOUBLE_POLE, 3.0, [0.5])[0]):
             assert [r.verdict for r in records] == ["n/a", "n/a"]
             assert not any(r.ok() for r in records)
         # the power-mean equality at sigma = 1 needs no hypothesis
-        assert [r.verdict for r in stieltjes_lower_bound(DOUBLE_POLE, 1.0, 0.5)] == ["n/a", "pass"]
+        (pair,) = stieltjes_lower_bound(DOUBLE_POLE, 1.0, [0.5])
+        assert [r.verdict for r in pair] == ["n/a", "pass"]
 
     def test_degenerate_measure_rejected(self):
         with pytest.raises(DegenerateError):
-            exp_kernel_bounds(EXP_COLLAPSE, 1.0)
+            exp_kernel_bounds(EXP_COLLAPSE, [1.0])[0]
 
     def test_wrong_order_rejected(self):
         with pytest.raises(ConstraintError):
-            exp_kernel_bounds(TWIN_QUARTER, 1.0)  # m = 1
+            exp_kernel_bounds(TWIN_QUARTER, [1.0])[0]  # m = 1
 
     def test_negative_z_rejected(self):
         with pytest.raises(ParameterError):
-            exp_kernel_bounds(DOUBLE_POLE, -0.5)
+            exp_kernel_bounds(DOUBLE_POLE, [-0.5])[0]
 
 
 class TestLiftedKernelBounds:
     @pytest.mark.parametrize("lam", [1.0, 2.0])
     @pytest.mark.parametrize("z", [0.1, 0.5, 1.0, 2.0])
     def test_sandwich_holds(self, lam, z):
-        lower, upper = lifted_kernel_bounds(DOUBLE_POLE, lam, z)
+        lower, upper = lifted_kernel_bounds(DOUBLE_POLE, lam, [z])[0]
         assert lower.ok() and upper.ok()
         assert lower.lhs <= lower.rhs == upper.lhs <= upper.rhs
 
     @pytest.mark.parametrize("lam", [1.0, 2.0])
     def test_collapse_at_zero(self, lam):
-        lower, upper = lifted_kernel_bounds(DOUBLE_POLE, lam, 0.0)
+        lower, upper = lifted_kernel_bounds(DOUBLE_POLE, lam, [0.0])[0]
         assert upper.rhs - lower.lhs == pytest.approx(0.0, abs=1e-12)
         want = math.gamma(lam) * math.pi / 2.0
         assert lower.rhs == pytest.approx(want, rel=1e-12)
 
     def test_negative_z_rejected(self):
         with pytest.raises(ParameterError):
-            lifted_kernel_bounds(DOUBLE_POLE, 1.0, -0.5)
+            lifted_kernel_bounds(DOUBLE_POLE, 1.0, [-0.5])[0]
 
     @pytest.mark.parametrize("z", [0.5, 2.0, 1e10])
     def test_bound_past_the_double_range_raises(self, z):
         # gamma(171.6) fits a double, but gamma(lam) (psi0 - psi1/rho) in
         # the upper bound does not: value <= inf passed, saying nothing
         with pytest.raises(DomainError, match="overflows"):
-            lifted_kernel_bounds(DOUBLE_POLE, 171.6, z)
+            lifted_kernel_bounds(DOUBLE_POLE, 171.6, [z])[0]
 
     def test_continuation_points_beyond_disk(self):
         # z in {1, 2} lies beyond the lifted series radius (1/rho = 1);
         # the bound evaluation relies on the kernel continuation
         for z in (1.0, 2.0):
-            lower, upper = lifted_kernel_bounds(DOUBLE_POLE, 2.0, z)
+            lower, upper = lifted_kernel_bounds(DOUBLE_POLE, 2.0, [z])[0]
             assert lower.lhs <= lower.rhs <= upper.rhs
 
 
@@ -144,19 +145,19 @@ class TestStieltjesLowerBound:
     @pytest.mark.parametrize("sigma", [0.5, 3.0])
     @pytest.mark.parametrize("z", [0.1, 0.3])
     def test_bound_holds(self, sigma, z):
-        bound, step = stieltjes_lower_bound(DOUBLE_POLE, sigma, z)
+        bound, step = stieltjes_lower_bound(DOUBLE_POLE, sigma, [z])[0]
         assert bound.ok()
         assert bound.rhs - bound.lhs >= 0.0  # the margin of the value over the bound
         assert step.ok()
 
     @pytest.mark.parametrize("sigma", [0.5, 3.0])
     def test_equality_at_zero(self, sigma):
-        bound, _ = stieltjes_lower_bound(DOUBLE_POLE, sigma, 0.0)
+        bound, _ = stieltjes_lower_bound(DOUBLE_POLE, sigma, [0.0])[0]
         assert bound.rhs - bound.lhs == pytest.approx(0.0, abs=1e-12)
 
     def test_power_mean_direction_flips(self):
-        _, above = stieltjes_lower_bound(DOUBLE_POLE, 3.0, 0.2)
-        _, below = stieltjes_lower_bound(DOUBLE_POLE, 0.5, 0.2)
+        _, above = stieltjes_lower_bound(DOUBLE_POLE, 3.0, [0.2])[0]
+        _, below = stieltjes_lower_bound(DOUBLE_POLE, 0.5, [0.2])[0]
         assert above.relation == ">="
         assert above.lhs >= above.rhs
         assert below.relation == "<="
@@ -251,38 +252,38 @@ class TestShiftedRatio:
     @pytest.mark.parametrize("delta", [-0.5, 1.0])
     @pytest.mark.parametrize("z", [0.2, 0.5, 0.8])
     def test_routes_agree(self, sigma, delta, z):
-        r = shifted_stieltjes_ratio(DOUBLE_POLE, sigma, delta, z)
+        r = shifted_stieltjes_ratio(DOUBLE_POLE, sigma, delta, [z])[0]
         assert r.rel_err < 1e-6
 
     def test_zero_shift_is_unity(self):
-        r = shifted_stieltjes_ratio(DOUBLE_POLE, 1.0, 0.0, 0.5)
+        r = shifted_stieltjes_ratio(DOUBLE_POLE, 1.0, 0.0, [0.5])[0]
         assert r.rhs == pytest.approx(1.0, rel=1e-12)  # quadrature route
         assert r.lhs == pytest.approx(1.0, rel=1e-12)  # series route
 
     def test_degenerate_measure_rejected(self):
         with pytest.raises(DegenerateError):
-            shifted_stieltjes_ratio(EXP_COLLAPSE, 1.0, 1.0, 0.5)
+            shifted_stieltjes_ratio(EXP_COLLAPSE, 1.0, 1.0, [0.5])[0]
 
     def test_kernel_zero_rejected(self):
         with pytest.raises(DomainError):
-            shifted_stieltjes_ratio(DOUBLE_POLE, 1.0, 1.0, -1.5)
+            shifted_stieltjes_ratio(DOUBLE_POLE, 1.0, 1.0, [-1.5])[0]
 
     def test_signed_measure_rejected(self):
         # m = 1: Chebyshev's inequality needs the nonnegative mu = 0 measure,
         # though the Stieltjes identity holds for every m
         with pytest.raises(ConstraintError, match="kernel bounds and the ratio scan"):
-            shifted_stieltjes_ratio(TWIN_QUARTER, 1.0, 1.0, 0.5)
+            shifted_stieltjes_ratio(TWIN_QUARTER, 1.0, 1.0, [0.5])[0]
 
     def test_zero_quadrature_denominator_rejected(self, monkeypatch):
         monkeypatch.setattr(bounds, "_power_kernel",
                             lambda rho, sigma, z: lambda t: 0.0 * np.multiply.outer(z, t))
         with pytest.raises(DivisionError, match="quadrature denominator"):
-            shifted_stieltjes_ratio(DOUBLE_POLE, 1.0, 1.0, 0.5)
+            shifted_stieltjes_ratio(DOUBLE_POLE, 1.0, 1.0, [0.5])[0]
 
     def test_zero_series_denominator_rejected(self, monkeypatch):
         monkeypatch.setattr(bounds, "_lifted_regular", lambda params, sigma, zs: [0.0] * len(zs))
         with pytest.raises(DivisionError, match="series denominator"):
-            shifted_stieltjes_ratio(DOUBLE_POLE, 1.0, 1.0, 0.5)
+            shifted_stieltjes_ratio(DOUBLE_POLE, 1.0, 1.0, [0.5])[0]
 
 
 def scan_summary(records):
@@ -333,17 +334,17 @@ class TestNonFiniteArguments:
     @pytest.mark.parametrize("lam", NON_FINITE)
     def test_lifted_kernel_bounds(self, lam):
         with pytest.raises(ParameterError):
-            lifted_kernel_bounds(DOUBLE_POLE, lam, 0.5)
+            lifted_kernel_bounds(DOUBLE_POLE, lam, [0.5])[0]
 
     @pytest.mark.parametrize("sigma", NON_FINITE)
     def test_stieltjes_lower_bound(self, sigma):
         with pytest.raises(ParameterError):
-            stieltjes_lower_bound(DOUBLE_POLE, sigma, 0.5)
+            stieltjes_lower_bound(DOUBLE_POLE, sigma, [0.5])[0]
 
     @pytest.mark.parametrize("sigma", NON_FINITE)
     def test_shifted_stieltjes_ratio(self, sigma):
         with pytest.raises(ParameterError):
-            shifted_stieltjes_ratio(DOUBLE_POLE, sigma, 1.0, 0.5)
+            shifted_stieltjes_ratio(DOUBLE_POLE, sigma, 1.0, [0.5])[0]
 
     @pytest.mark.parametrize("sigma", NON_FINITE)
     def test_ratio_monotonicity_scan(self, sigma):

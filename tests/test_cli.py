@@ -97,6 +97,17 @@ class TestGridParsing:
             parse_grid("0:1:0")
         with pytest.raises(CliUsageError):
             parse_grid("a,b")
+        for spec in (",", " , ", ""):
+            with pytest.raises(CliUsageError, match="empty grid"):
+                parse_grid(spec)
+        for spec in ("0:1:10001", ",".join(["0.5"] * 10001)):
+            with pytest.raises(CliUsageError, match="at most 10000"):
+                parse_grid(spec)
+
+    def test_largest_grids(self):
+        assert len(parse_grid("0:1:10000")) == 10000
+        assert len(parse_grid(",".join(["0.5"] * 10000))) == 10000
+        assert len(parse_k_list("0..9999")) == 10000
 
     @pytest.mark.parametrize("spec", ["0:inf:3", "nan", "0.1,inf", "-inf:0:1"])
     def test_non_finite_grids(self, spec):
@@ -108,6 +119,11 @@ class TestGridParsing:
         assert parse_k_list("0.5,1.5") == [0.5, 1.5]
         with pytest.raises(CliUsageError):
             parse_k_list("5..2")
+        with pytest.raises(CliUsageError, match="empty k-list"):
+            parse_k_list(",")
+        for spec in ("0..10000", ",".join(["1"] * 10001)):
+            with pytest.raises(CliUsageError, match="at most 10000"):
+                parse_k_list(spec)
 
     @pytest.mark.parametrize("spec", ["nan", "1,inf", "-inf"])
     def test_non_finite_k_lists(self, spec):
@@ -677,6 +693,38 @@ def test_grid_equals_its_points(capsys, form):
             failed = any(row["status"] not in ("ok", "pass") for row in json_rows(out))
             assert code == (2 if failed else 0)
         assert all(err == "" for _, _, err in points.values())
+
+
+def _grid_flag(command: str, spec: str) -> str:
+    return f"--{'k' if command == 'moments' else 'z'}={spec}"
+
+
+@pytest.mark.parametrize("form", _SWEEP_FORMS, ids=" ".join)
+def test_empty_grid_is_a_usage_error(capsys, form):
+    """An empty grid is exit 1 with one error line, not a report of no rows
+    that exits 0 as if everything verified."""
+    command, *flags = form
+    code, out, err = run_cli(capsys, command, "--params", "double-pole", *flags,
+                             _grid_flag(command, ","))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: empty ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("form", _SWEEP_FORMS, ids=" ".join)
+def test_oversized_grid_is_a_usage_error(capsys, monkeypatch, form):
+    """A grid past the largest one the CLI takes is exit 1 with one error
+    line, refused before any point is made.  The k-range's list would grow
+    until the process is killed, so its ``range`` refuses here."""
+    def refuse(*args):
+        raise AssertionError("the k-range was built")
+
+    monkeypatch.setattr(cli, "range", refuse, raising=False)
+    command, *flags = form
+    spec = "0..100000000000000" if command == "moments" else "0:1:10000000000000"
+    code, out, err = run_cli(capsys, command, "--params", "double-pole", *flags,
+                             _grid_flag(command, spec))
+    assert (code, out) == (1, "")
+    assert "a grid holds at most 10000" in err and err.count("\n") == 1
 
 
 def strict_json_rows(out):

@@ -361,13 +361,6 @@ class TestGrid:
         for z, res in zip(zs, series._fox_wright_grid(lifted, zs)):
             assert _same(res, fox_wright(lifted, z)), z
 
-    @pytest.mark.parametrize("mu1, a, nu1, b", [(0.5, 1.0, 0.5, 0.5), (0.3, 0.7, 0.7, 0.8),
-                                                (-0.5, 1.5, 1.0, 1.0), (0.5, 1.25, -0.5, 0.75)])
-    def test_four_param_grid_equals_points(self, mu1, a, nu1, b):
-        zs = [-30.0, 4.0, 0.0, -2.5, 1 + 2j, 0.3, -30.0]
-        for z, res in zip(zs, series._four_param_grid(mu1, a, nu1, b, zs)):
-            assert _same(res, four_param_wright(mu1, a, nu1, b, z)), z
-
     def test_coefficients_once_per_grid(self, monkeypatch):
         calls = []
         ratio = series.gamma_ratio_log_signed
