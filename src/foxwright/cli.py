@@ -186,10 +186,8 @@ def _eval_rows(ns, params, zs):
 
 
 def _hfun_rows(ns, params, ts):
-    # one density call per t: the residue sum's matrix product may round a
-    # row of a larger block apart from the same row alone
-    ev = get_evaluator(params)
-    return [(t, float(ev.density(np.array([t]))[0]), None, None, "ok") for t in ts]
+    values = get_evaluator(params).density(np.array(ts))
+    return [(t, float(v), None, None, "ok") for t, v in zip(ts, values)]
 
 
 def _moments_rows(ns, params, ks):

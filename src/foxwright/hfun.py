@@ -19,22 +19,22 @@ H has two series, one converging at each end of the support:
   numerator gammas.  Poles closer than 1e-3 of the smallest ladder spacing
   form one group with nodes s_0..s_(m-1), coincident ones included.  Its
   Newton moments c_k = (1/2 pi i) oint ratio(s) prod_(j<k) (s - s_j) ds are
-  taken once per evaluator.  A lone pole's only moment c_0 is its residue,
-  in closed form: (-1)^n / (n! A) times the other factors' gamma values
-  (``params._pole_residue``; Kilbas & Saigo, H-Transforms, 2004, ch. 1),
-  exactly 0 where a lower factor's pole cancels it.  A group of two or
-  more poles, where that product would cancel or blow up, takes its
-  moments from a midpoint rule on a circle around it (spectrally
-  accurate).  The rows are real, so ratio(conj s) = conj ratio(s), and the
-  centres and nodes are real: each circle evaluates ratio only at its
-  nodes with theta in (0, pi], and takes each node below the real axis as
-  the conjugate of its mirror image above it.  The group's residues sum to
+  the divided differences R[s_k..s_(m-1)] of its regular part
+  R(s) = ratio(s) prod_j (s - s_j), taken once per evaluator, in closed
+  form.  A lone pole's only moment c_0 is its residue: (-1)^n / (n! A)
+  times the other factors' gamma values (``params._pole_residue``; Kilbas &
+  Saigo, H-Transforms, 2004, ch. 1), exactly 0 where a lower factor's pole
+  cancels it.  A group of two or more poles, where that product would
+  cancel or blow up, takes them from the Taylor series of R about its
+  centre: a product of per-factor series from log-gamma Taylor rows (DLMF
+  5.7, 5.15) and the explicit eps of each factor at or below 1/2, exactly 0
+  where lower poles cancel the group.  The group's residues sum to
   sum_k c_k f[s_0..s_k] for f(s) = t^(-s) (McCurdy, Ng & Parlett, Math.
   Comp. 43, 1984).  The divided differences come from the Taylor series of
   exp about the group's centre, so they do not cancel however close the
   nodes are, and reduce to c_k (-ln t)^k / k! when the nodes coincide.  Per
-  group that is t^centre times a fixed power series in ln t: no circle sum
-  of t^(-s) is taken, so nothing aliases at small t.  The terms decay like
+  group that is t^centre times a fixed power series in ln t, summed by
+  Horner per t, so each t rounds alike in any grid.  The terms decay like
   (t/rho)^sigma.
 
 * Endpoint route, away from 0: H(t) = eta sum_r l_r u^(mu+r-1) / gamma(mu+r)
@@ -50,17 +50,16 @@ vanishing coefficient does not hide the tail) plus its rounding floor
 eps * sum |terms|.  The endpoint estimate falls as t grows, so one cut
 per evaluator follows from it: the evaluator builds its residue table
 once, so that its tail is at the rounding level just above the last t (on
-a rho/32 grid) where the endpoint estimate exceeds 16 eps |H|, or as far
-as the node budget allows.  Out to the table's reach AUTO and the
+a rho/32 grid) where the endpoint estimate exceeds 16 eps |H|, or out to
+its first _MAX_GROUPS pole groups.  Out to the table's reach AUTO and the
 integration rule take, per t, the route with the smaller estimate; above
 it the endpoint series serves.  No switch point is measured or configured.
 
 A parameter set whose ratio IS its polynomial part (upper == lower rows,
 duplication- or multiplication-formula collapses) has H identically zero.
-That degeneracy is read off the residue table: every lone pole within
-_TABLE_STEP of the first pole has a residue of exactly 0, and every Newton
-moment of a larger group there sits at rounding level against its circle's
-largest |ratio(s)| * radius.  Both routes then return exact zeros.
+That degeneracy is read off the residue table: every pole group within
+_TABLE_STEP of the first pole has Newton moments of exactly 0.  Both routes
+then return exact zeros.
 
 Every integral against the measure, integral_0^rho fn(t) H(t) dt, runs on
 one nested tanh-sinh rule (``quadrature.tanh_sinh``) cached on the
@@ -85,10 +84,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConstraintError, DomainError, NonConvergentError, OutsideDomainError
-from .params import ParameterSet, _pole_residue, correction_coeffs, derive_constants
+from .params import _INT_TOL, ParameterSet, _pole_residue, correction_coeffs, derive_constants
 from .quadrature import integrate_levels, tanh_sinh, tanh_sinh_reach
 from .series import IdentityRecord, _atoms, _record
-from .special import log_gamma_complex_vec
+from .special import _log_gamma_taylor
 
 __all__ = [
     "HfunMethod",
@@ -99,11 +98,9 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 _TOL = 1e-9  # accuracy the residue table and the integration rule aim at
-_NODE_BUDGET = 8000  # circle nodes across all pole groups of the residue table
-_CIRCLE_NODES = 32
-_GROUP_GAP = 1e-3  # of the smallest ladder spacing: closer poles share a circle
+_MAX_GROUPS = 250  # pole groups of the residue table
+_GROUP_GAP = 1e-3  # of the smallest ladder spacing: closer poles form one group
 _TABLE_STEP = 10.0  # sigma step of the residue table's growth and degeneracy check
-_DEGENERATE_RATIO = 1e-12
 _ENDPOINT_ORDER = 40
 # the endpoint series alone serves where its estimate is below this many eps |H|
 _ENDPOINT_ULPS = 16.0
@@ -156,9 +153,8 @@ class MeasureEvaluator:
         )
 
         # the benchmark counts work as _res_nodes_used + _tau.size: the
-        # residue table's planned circle nodes, a lone pole's included though
-        # its residue is taken in closed form; nothing else samples the
-        # density at build time, so _tau stays empty
+        # residue table's poles; nothing else samples the density at build
+        # time, so _tau stays empty
         self._tau = np.empty(0)
 
         # integration state, filled lazily: tanh-sinh levels of (t_i, w_i H(t_i))
@@ -176,11 +172,9 @@ class MeasureEvaluator:
         miss = np.flatnonzero(tail + _EPS * mass > _ENDPOINT_ULPS * _EPS * np.abs(value))
         cut = probe[min(miss[-1] + 1, probe.size - 1)] if miss.size else probe[0]
         sigma = self._table_sigma(float(cut), _EPS)
-        self._res_centres, self._res_coeffs, scale, self._res_nodes_used, exhausted = (
+        self._res_centres, self._res_coeffs, self._res_nodes_used, exhausted = (
             self._build_table(sigma)
         )
-        if self._res_centres.size == 0:
-            raise NonConvergentError("the first pole group needs more than the node budget")
         # the largest sigma target RESIDUE_SERIES reads this table for (an
         # exhausted table cannot grow, so every one), and the table's reach:
         # the t where its tail meets 1e-3 tol
@@ -188,15 +182,7 @@ class MeasureEvaluator:
         span = (float(self._res_centres[-1]) if exhausted else sigma) - self._first
         self._reach = self.rho * (1e-3 * _TOL) ** (1.0 / span) if span > 0 else 0.0
         leading = self._res_centres <= self._first + _TABLE_STEP
-        self.degenerate = bool(np.all(scale[leading] <= _DEGENERATE_RATIO))
-
-    def _log_ratio(self, s: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(s, dtype=complex)
-        for a, sc in self.params.upper:
-            acc = acc + log_gamma_complex_vec(sc * s + a)
-        for b, sc in self.params.lower:
-            acc = acc - log_gamma_complex_vec(sc * s + b)
-        return acc
+        self.degenerate = not np.any(self._res_coeffs[leading])
 
     # ------------------------------------------------------------------
     # endpoint route
@@ -226,102 +212,77 @@ class MeasureEvaluator:
         sigma = self._first + math.log(target) / math.log(t_max / self.rho)
         return _TABLE_STEP * math.ceil(sigma / _TABLE_STEP)
 
-    def _build_table(self, sigma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
+    def _build_table(self, sigma: float) -> tuple[np.ndarray, np.ndarray, int, bool]:
         """Residue table of every pole group with centre up to sigma:
-        (centres, power-series rows, moment scales, circle nodes, exhausted).
+        (centres, power-series rows, poles, exhausted).
 
-        Every group is planned a circle, a lone pole too, though only groups
-        of two or more poles evaluate theirs.  A larger group's scale is
-        max |c_k| / (max |ratio| * radius) on its circle; a lone pole's is 0
-        where its residue is exactly 0 and 1 otherwise.  The table is
-        exhausted, and ends early, when the groups' planned circle nodes
-        would overrun ``_NODE_BUDGET``, or at the sigma where one upper row
-        alone has more poles than the budget has circles.
+        The table is exhausted, and ends early, past its first _MAX_GROUPS
+        groups, or at the sigma where one upper row alone has that many poles.
         """
-        budget = _NODE_BUDGET
-        cap = min((a + budget // _CIRCLE_NODES) / sc for a, sc in self.params.upper)
+        upper = self.params.upper
+        cap = min((a + _MAX_GROUPS) / sc for a, sc in upper)
         exhausted = sigma > cap
         sigma = min(sigma, cap)
         # one ladder spacing past the target, so the last group's neighbour is known
-        spacing = min(1.0 / sc for _, sc in self.params.upper)
+        spacing = min(1.0 / sc for _, sc in upper)
         limit = sigma + spacing
-        # the ladders (a + n)/sc up to limit, counted with a spare n against rounding
-        poles = np.sort(np.concatenate([
-            (a + np.arange(max(math.floor(limit * sc - a) + 2, 0))) / sc
-            for a, sc in self.params.upper
-        ]))
-        poles = poles[poles <= limit]
+        # the ladders (a + n)/sc up to limit, counted with a spare n against
+        # rounding, each pole labelled with its upper row
+        ladders = [(a + np.arange(max(math.floor(limit * sc - a) + 2, 0))) / sc
+                   for a, sc in upper]
+        poles = np.concatenate(ladders)
+        rows = np.repeat(np.arange(len(upper)), [ladder.size for ladder in ladders])
+        order = np.argsort(poles, kind="stable")
+        keep = poles[order] <= limit
+        poles, rows = poles[order][keep], rows[order][keep]
         # a pole within _GROUP_GAP spacing of the one before joins its group;
-        # row g of members holds group g's poles, padded with zeros
+        # row g of members (owners) holds group g's poles (their upper rows),
+        # padded with zeros (-1)
         start = np.flatnonzero(np.diff(poles, prepend=-math.inf) > _GROUP_GAP * spacing)
         size = np.diff(start, append=poles.size)
         inside = np.arange(np.max(size)) < size[:, None]
         members = np.zeros(inside.shape)
         members[inside] = poles
+        owners = np.full(inside.shape, -1)
+        owners[inside] = rows
         # cumsum adds each row's poles in order (and its zero padding), on every Python
         centre = np.cumsum(members, axis=1)[:, -1] / size
-        # the groups centred up to sigma, a prefix; one past it may sit at
-        # limit, where its circle's radius would be 0
+        # the groups centred up to sigma, a prefix, and of them the first _MAX_GROUPS
         g = int(np.searchsorted(centre, sigma, side="right"))
-        centre = centre[:g]
-        half = np.max(np.where(inside[:g], np.abs(members[:g] - centre[:, None]), 0.0), axis=1)
-        left = centre - np.append(-math.inf, poles[start[1:g] - 1])
-        right = np.append(poles[start[1:]], limit)[:g] - centre
-        near = np.minimum(left, right)
-        # the midpoint rule aliases at the rates half/radius (poles inside)
-        # and radius/near (poles outside); both are <= 0.3 for a tight group
-        radius = np.minimum(0.25, np.maximum(0.3 * near, np.sqrt(half * near)))
-        rate = np.maximum(half / radius, radius / near)
-        nodes = np.maximum(_CIRCLE_NODES, np.ceil(math.log(1e-17) / np.log(rate))).astype(int)
-        # the leading groups whose circles fit the budget
-        used = np.cumsum(nodes)
-        k = int(np.searchsorted(used, budget, side="right"))
-        coeffs, scale = self._circle_moments(members[:k], size[:k], centre[:k], radius[:k],
-                                             nodes[:k])
-        return centre[:k], coeffs, scale, int(used[k - 1]) if k else 0, exhausted or k < g
+        k = min(g, _MAX_GROUPS)
+        centre = centre[:k]
+        half = np.max(np.where(inside[:k], np.abs(members[:k] - centre[:, None]), 0.0), axis=1)
+        left = centre - np.append(-math.inf, poles[start[1:k] - 1])
+        right = np.append(poles[start[1:]], limit)[:k] - centre
+        # the Taylor series of a group's regular part about its centre
+        # converges like (half/near)^n: its size, plus the terms that take
+        # that below 1e-17, so a coincident group takes exactly its size
+        with np.errstate(divide="ignore"):
+            extra = np.ceil(math.log(1e-17) / np.log(half / np.minimum(left, right)))
+        coeffs = self._residue_rows(members[:k], owners[:k], size[:k], centre,
+                                    size[:k] + extra.astype(int))
+        return centre, coeffs, int(np.sum(size[:k])), exhausted or k < g
 
-    def _circle_moments(self, members: np.ndarray, size: np.ndarray, centre: np.ndarray,
-                        radius: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Residue power series of the planned groups, one row each, and the
-        scale of their Newton moments.  Group g has the poles
-        ``members[g, :size[g]]`` and a circle of ``nodes[g]`` nodes with
-        ``centre[g]`` and ``radius[g]``.  A lone pole's one moment is its
-        closed-form residue; the larger groups with the same size and node
-        count evaluate their circles together, from one log-gamma
-        evaluation."""
+    def _residue_rows(self, members: np.ndarray, owners: np.ndarray, size: np.ndarray,
+                      centre: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        """Residue power series of the groups, one row each: group g's
+        residues at t sum to t^centre[g] sum_n rows[g, n] (-ln t)^n.
+
+        Group g has the poles ``members[g, :size[g]]`` of the upper rows
+        ``owners[g, :size[g]]``.  A lone pole's one Newton moment is its
+        closed-form residue; the larger groups with the same size and
+        Taylor order take theirs from ``_group_moments`` together.
+        """
         coeffs = np.zeros((centre.size, 0))
-        scale = np.empty(centre.size)
         # largest |ln t| any caller of the table can ask for
         log_span = -math.log(_DE_FLOOR) + abs(math.log(self.rho))
-        for m, n in sorted(set(zip(size.tolist(), nodes.tolist()))):
-            idx = np.flatnonzero((size == m) & (nodes == n))
-            c, r = centre[idx], radius[idx]
-            offsets = c[:, None] - members[idx, :m]  # s_j - s_c
+        for m, n in sorted(set(zip(size.tolist(), terms.tolist()))):
+            idx = np.flatnonzero((size == m) & (terms == n))
+            offsets = centre[idx, None] - members[idx, :m]  # s_j - s_c
             if m == 1:
-                # a lone pole's one moment is its residue, in closed form
-                moments = np.array([[_pole_residue(self.params, -x)] for x in c.tolist()])
-                scale[idx] = moments[:, 0] != 0.0
+                moments = np.array([[_pole_residue(self.params, -x)] for x in centre[idx].tolist()])
             else:
-                # node n-1-j (theta = 2 pi - theta_j) contributes the conjugate
-                # of node j, so only theta in (0, pi] is evaluated and each node
-                # there counts twice in the real part of a sum, but for odd n
-                # the node at theta = pi, its own mirror image, counts once
-                half = (n + 1) // 2
-                theta = 2.0 * math.pi * (np.arange(half) + 0.5) / n
-                fold = np.full(half, 2.0)
-                fold[n // 2 :] = 1.0
-                d = r[:, None] * np.exp(1j * theta)
-                log_ratio = self._log_ratio(d - c[:, None])
-                # c_k = (1/2 pi i) oint ratio(s) prod_(j<k) (s - s_j) ds by the
-                # midpoint rule on |s - s_c| = radius, s_c = -centre
-                w = np.exp(log_ratio + np.log(r / n)[:, None] + 1j * theta)
-                moments = np.empty((idx.size, m))
-                basis = np.ones_like(d)
-                for k in range(m):
-                    moments[:, k] = (w * basis).real @ fold
-                    basis = basis * (d - offsets[:, k : k + 1])
-                peak = np.exp(np.max(log_ratio.real, axis=1)) * r
-                scale[idx] = np.max(np.abs(moments), axis=1) / peak
+                moments = self._group_moments(offsets, owners[idx, :m], centre[idx], n)
             # Taylor terms of exp(-(s - s_c) ln t) past the group size, until
             # (max |s_j - s_c| |ln t|)^j / j! < 1e-17
             reach = float(np.max(np.abs(offsets))) * log_span
@@ -333,20 +294,105 @@ class MeasureEvaluator:
             if rows.shape[1] > coeffs.shape[1]:
                 coeffs = np.pad(coeffs, ((0, 0), (0, rows.shape[1] - coeffs.shape[1])))
             coeffs[idx, : rows.shape[1]] = rows
-        return coeffs, scale
+        return coeffs
+
+    def _group_moments(self, offsets: np.ndarray, owners: np.ndarray, centre: np.ndarray,
+                       terms: int) -> np.ndarray:
+        """Newton moments c_k = R[s_k..s_(m-1)] of groups of m poles, one row
+        each, from ``terms`` Taylor coefficients r_i of the regular part
+        R(s) = ratio(s) prod_j (s - s_j) about s_c = -centre.
+
+        The divided difference of h^i over e_k..e_(m-1), e_j = s_j - s_c, is
+        the complete homogeneous polynomial h_(i-m+1+k) of those nodes, so
+        c_k = sum_i r_i h_(i-m+1+k)(e_k..e_(m-1)).
+        """
+        r = self._regular_series(owners, centre, terms)
+        groups, m = offsets.shape
+        moments = np.empty((groups, m))
+        h = np.zeros((groups, terms))
+        h[:, 0] = 1.0
+        for k in range(m - 1, -1, -1):
+            # h_j(e_k..e_(m-1)) = h_j(e_(k+1)..e_(m-1)) + e_k h_(j-1)(e_k..e_(m-1))
+            for j in range(1, terms):
+                h[:, j] += offsets[:, k] * h[:, j - 1]
+            lead = m - 1 - k
+            moments[:, k] = np.sum(r[:, lead:] * h[:, : terms - lead], axis=1)
+        return moments
+
+    def _regular_series(self, owners: np.ndarray, centre: np.ndarray, terms: int) -> np.ndarray:
+        """r_0 .. r_(terms-1) of R(s_c + h) = sum_i r_i h^i, one row per group.
+
+        Each factor gamma(x + A h), x = shift - scale centre, is expanded
+        about h = 0.  With x >= 1/2 that is ``special._log_gamma_taylor``.
+        Below, with n = rint(-x) and eps = x + n + A h,
+        gamma(x + A h) = (-1)^n gamma(1 + eps) gamma(1 - eps) / (eps gamma(n + 1 - eps)),
+        whose log-gammas all have positive arguments.  The explicit eps of an
+        upper factor with its pole in the group cancels that pole's node
+        factor s - s_j, leaving 1/A; any other upper factor's 1/eps is a
+        geometric series; a lower factor's eps multiplies R, and is exactly
+        A h where ``_pole_order`` puts its pole at the centre, so a group
+        that a lower pole cancels is exactly zero.
+        """
+        groups = centre.size
+        args, steps, weights = [], [], []  # log gamma(arg + step h), added with weight
+        poly = np.zeros((groups, terms))  # the signs and the explicit eps factors
+        poly[:, 0] = 1.0
+        for side, row in ((1.0, self.params.upper), (-1.0, self.params.lower)):
+            for i, (a, sc) in enumerate(row):
+                x = a - sc * centre
+                small = x < 0.5
+                n = np.where(small, np.rint(-x), 0.0)
+                eps = x + n
+                args += [np.where(small, 1.0 + eps, x), np.where(small, 1.0 - eps, 1.0),
+                         np.where(small, n + 1.0 - eps, 1.0)]
+                steps += [sc, -sc, -sc]
+                weights += [np.full(groups, side), side * small, -side * small]
+                poly[small & (n % 2 == 1)] *= -1.0
+                if side < 0:
+                    # R gains eps_0 + A h
+                    eps[np.abs(eps) <= _INT_TOL * sc] = 0.0
+                    poly[small, 1:] = eps[small, None] * poly[small, 1:] + sc * poly[small, :-1]
+                    poly[small, 0] *= eps[small]
+                    continue
+                pole = np.any(owners == i, axis=1)
+                poly[pole] /= sc
+                # R gains 1/(eps_0 + A h): y_j = (p_j - A y_(j-1)) / eps_0
+                sel = small & ~pole
+                for j in range(terms):
+                    if j:
+                        poly[sel, j] -= sc * poly[sel, j - 1]
+                    poly[sel, j] /= eps[sel]
+        taylor = _log_gamma_taylor(np.array(args), terms)
+        logs = np.einsum("fg,fgk->gk", np.array(weights),
+                         taylor * np.power.outer(np.array(steps), np.arange(terms))[:, None, :])
+        # exp(L(h) - L(0)) by n e_n = sum_(k=1..n) k L_k e_(n-k)
+        series = np.zeros((groups, terms))
+        series[:, 0] = 1.0
+        for j in range(1, terms):
+            series[:, j] = np.sum(np.arange(1, j + 1) * logs[:, 1 : j + 1] * series[:, j - 1 :: -1],
+                                  axis=1) / j
+        product = np.zeros((groups, terms))
+        for j in range(terms):
+            product[:, j:] += poly[:, j : j + 1] * series[:, : terms - j]
+        return product * np.exp(logs[:, :1])
 
     def _residues(
         self, log_t: np.ndarray, centres: np.ndarray, coeffs: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(H, |last two group terms|, sum |group terms|) from the residue
-        table rows ``centres`` and ``coeffs``."""
+        table rows ``centres`` and ``coeffs``; each t's entries are the same
+        bits in any grid."""
         value = np.zeros_like(log_t)
         tail = np.zeros_like(log_t)
         mass = np.zeros_like(log_t)
-        powers = np.arange(coeffs.shape[1])
         for i in range(0, log_t.size, _RESIDUE_CHUNK):
             lt = log_t[i : i + _RESIDUE_CHUNK]
-            terms = np.exp(np.outer(lt, centres)) * (np.power.outer(-lt, powers) @ coeffs.T)
+            # Horner in -ln t over the power columns, elementwise, so each t
+            # rounds alike in any block
+            series = np.zeros((lt.size, centres.size))
+            for column in coeffs.T[::-1]:
+                series = series * -lt[:, None] + column
+            terms = np.exp(np.outer(lt, centres)) * series
             value[i : i + _RESIDUE_CHUNK] = terms.sum(axis=1)
             tail[i : i + _RESIDUE_CHUNK] = np.abs(terms[:, -2:]).sum(axis=1)
             mass[i : i + _RESIDUE_CHUNK] = np.abs(terms).sum(axis=1)
@@ -357,7 +403,7 @@ class MeasureEvaluator:
         tail at max t is below 1e-3 tol, else a table built for max t and
         dropped after the call.
 
-        Raises NonConvergentError when the node budget ends the table
+        Raises NonConvergentError when the group cap ends the table
         before the last groups' terms are negligible.
         """
         if t.size == 0:
@@ -367,11 +413,11 @@ class MeasureEvaluator:
             centres, coeffs = self._res_centres, self._res_coeffs
             exhausted = self._res_sigma == math.inf
         else:
-            centres, coeffs, _, _, exhausted = self._build_table(sigma)
+            centres, coeffs, _, exhausted = self._build_table(sigma)
         value, tail, _ = self._residues(np.log(t), centres, coeffs)
         if exhausted and np.max(tail) > _TOL * np.max(np.abs(value)):
             raise NonConvergentError(
-                "residue groups failed to decay within the node budget; "
+                "residue groups failed to decay within the table's group cap; "
                 "use the endpoint series this close to the support endpoint"
             )
         return value
@@ -383,7 +429,7 @@ class MeasureEvaluator:
         reach, and wherever the endpoint series misses 1e-3 tol of H; the
         endpoint series serves the rest.  NonConvergentError where
         neither estimate is within max(tol, _ENDPOINT_ULPS eps) of its sum
-        of |terms|: the node budget ended the residues short of the endpoint
+        of |terms|: the group cap ended the residues short of the endpoint
         series' reach.
         """
         value, tail, mass = self._endpoint(u)
@@ -396,7 +442,7 @@ class MeasureEvaluator:
         tol = max(_TOL, _ENDPOINT_ULPS * _EPS)
         if np.any(np.minimum(res_est, est[idx]) > tol * np.where(better, res_mass, mass[idx])):
             raise NonConvergentError(
-                "neither series converges at some t: the node budget ended the "
+                "neither series converges at some t: the group cap ended the "
                 "residues short of the endpoint series' reach"
             )
         value[idx[better]] = res[better]

@@ -350,10 +350,10 @@ def four_param_representation(
 ) -> IdentityRecord:
     """Representation check for ``sum_k z^k / (gamma(a+k mu1) gamma(b+k nu1))``.
 
-    Only two constraint families keep the measure split in the integer-atom
-    regime: ``mu1 + nu1 == 1`` with ``a + b == 3/2`` (single atom) or with
-    ``a + b == 1/2`` (linear-in-k atom polynomial).  Anything else raises
-    ConstraintError.
+    The measure splits into a density and endpoint atoms when
+    ``mu1 + nu1 == 1`` and ``a + b == 3/2 - m`` for an integer m >= 0: one
+    atom for m = 0, and an atom polynomial of degree m in k otherwise.
+    Anything else raises ConstraintError.
     """
     if mu1 <= 0 or nu1 <= 0:
         raise ParameterError("mu1 and nu1 must be positive")
@@ -362,10 +362,8 @@ def four_param_representation(
     c = derive_constants(ps)
     if not c.balanced:
         raise ConstraintError(f"need mu1 + nu1 == 1, got {mu1 + nu1!r}")
-    if c.m_order not in (0, 1):
-        raise ConstraintError(
-            f"need a + b == 3/2 (single atom) or a + b == 1/2 (linear atom); got {a + b!r}"
-        )
+    if c.m_order is None:
+        raise ConstraintError(f"need a + b == 3/2 - m for an integer m >= 0; got {a + b!r}")
     lhs = _checked(four_param_wright(mu1, a, nu1, b, z), z)
     rhs = eval_via_representation(ps, z).value
     return _record(f"four-param[m={c.m_order}]", ps.hash_key(), z, lhs, rhs, _TOL)

@@ -5,10 +5,9 @@ Contents:
 * A signed real log-gamma (value and sign of gamma(x)) for every non-pole
   real x: ``math.lgamma`` and the sign of gamma.  Elsewhere the package
   calls ``math.lgamma`` and ``math.gamma`` directly.
-* A numpy-vectorised complex Lanczos log-gamma, the residue engine's only
-  complex-gamma path.  It works on the real and imaginary float64 parts
-  (real log, atan2, hypot, sin and cos of pi x reduced exactly mod 2) and
-  imports numpy when called.
+* The Taylor coefficients of log gamma(x + h) at real x >= 1/2 over a
+  numpy array, from the polygamma by recurrence and its asymptotic series:
+  the pole groups of the residue table expand the gamma ratio with them.
 * Exact Bernoulli numbers over ``fractions.Fraction``, and Bernoulli
   polynomials of every degree at once from their coefficients rounded to
   float64.
@@ -18,7 +17,7 @@ Contents:
 Everything here is dependency-light on purpose: the rest of the package
 treats this module as its numerical bedrock, so it must not import any of
 the higher layers, and it loads no numpy (nor ``fractions``) until a
-complex log-gamma or a Bernoulli number or polynomial is asked for.
+log-gamma Taylor row or a Bernoulli number or polynomial is asked for.
 """
 
 from __future__ import annotations
@@ -31,31 +30,13 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 __all__ = [
-    "log_gamma_complex_vec",
     "log_abs_gamma_signed",
     "bernoulli_number",
     "bernoulli_poly",
     "stirling2_row",
 ]
 
-# Lanczos approximation for the complex kernel, g = 7, 9 coefficients
-# (Lanczos 1964; the classic table); its accuracy is measured in
-# ``log_gamma_complex_vec``.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_LOG_SQRT_2PI = 0.9189385332046727  # log(sqrt(2*pi))
-_LOG_PI = 1.1447298858494002  # log(pi)
+_PSI_SHIFT = 16  # recurrence steps of the polygamma before its asymptotic series
 
 
 def log_abs_gamma_signed(x: float) -> tuple[float, float]:
@@ -73,84 +54,51 @@ def log_abs_gamma_signed(x: float) -> tuple[float, float]:
     return math.lgamma(x), -1.0 if whole % 2 else 1.0
 
 
-def log_gamma_complex_vec(z: Any) -> Any:
-    """Vectorised log-gamma over a complex numpy array, in real float64 arithmetic.
+def _log_gamma_taylor(x: Any, terms: int) -> Any:
+    """Taylor coefficients of log gamma(x + h) in h, h^0 .. h^(terms-1), at
+    every x >= 1/2 of a numpy array: one row of ``terms`` per x.
 
-    Every step runs on the real and imaginary parts of z = x + i y, as
-    numpy's real log, atan2, sin and cos cost a few ns per element and its
-    complex log and sin about 100.  Arguments with x < 0.5 go through
-    reflection, log gamma(z) = log pi - log sin(pi z) - log gamma(1 - z),
-    so the Lanczos sum only sees w with Re w >= 0.5; there the result may
-    differ from the principal branch by a multiple of 2 pi i.  Callers (the
-    residue circles in particular) keep z away from the poles.
-
-    * The Lanczos sum c_0 + sum_i c_i / (w - 1 + i) is accumulated as a
-      real and an imaginary array.  Its modulus stays within [1, 800] for
-      Re w >= 0.5, so log|sum| comes from the squares.
-    * log t = log|t| + i atan2(Im t, Re t) for t = w + g - 1/2, with |t|
-      from ``hypot``, so the result stays finite up to |z| ~ 1e300.
-    * sin(pi z) e^(-pi |y|) = sin(pi r) (1 + e^(-2 pi |y|)) / 2
-      + i sign(y) cos(pi r) (1 - e^(-2 pi |y|)) / 2 takes one ``expm1``,
-      and pi |y| is added back to its log, so nothing overflows at large
-      |y|.  r = x - 2 rint(x / 2) in [-1, 1] is x reduced mod 2 exactly
-      (each step is exact in binary floating point), so pi r loses nothing
-      to the size of x.  sin(pi r) is taken as exactly 0 where r is an
-      integer, so log gamma is +inf at every pole, odd ones included.
-
-    Against mpmath over Re z in [-300, 300], |Im z| <= 50 and radius-0.3
-    circles around the poles, the real part and the imaginary part mod
-    2 pi are within 8 eps max(1, |log gamma(z)|) (``tests/test_special.py``
-    checks 32).  z and the result are numpy arrays of the same shape; numpy
-    is imported in here so that the real-argument layers never load it.
+    The first is ``math.lgamma(x)``, the second psi(x), and the k-th
+    psi^(k-1)(x) / k! = (-1)^k zeta(k, x) / k, zeta the Hurwitz zeta (DLMF
+    5.15, 25.11).  Both psi and zeta take _PSI_SHIFT steps of the
+    recurrence psi(x) = psi(x + 1) - 1/x, zeta(k, x) = zeta(k, x + 1) + x^-k
+    up to y = x + _PSI_SHIFT, and there their asymptotic series in
+    B_2 .. B_22 (DLMF 5.11, 25.11).  Against mpmath every coefficient
+    through k = 24 is within 8 eps of max(1, |coefficient|).
     """
     import numpy as np
 
-    z = np.asarray(z, dtype=np.complex128)
-    x, y = z.real, z.imag
-    left = x < 0.5
-    # w = conj(1 - z) on the left, z elsewhere, and xm + i y = w - 1; as
-    # log gamma(conj w) = conj log gamma(w), the left negates the imaginary part
-    xm = np.where(left, -x, x - 1.0)
-
-    # past |w| ~ 1e154 the squares overflow and those Lanczos terms drop out as 0
-    acc_re = np.full_like(xm, _LANCZOS_C[0])
-    acc_im = np.zeros_like(xm)
-    with np.errstate(over="ignore"):
-        y2 = y * y
-        for i, c in enumerate(_LANCZOS_C[1:], start=1):
-            d = xm + i
-            q = c / (d * d + y2)
-            acc_re += d * q
-            acc_im += q
-    acc_im *= -y
-
-    # log gamma(w) = log sqrt(2 pi) + (w - 1/2) log t - t + log(acc)
-    tr = xm + (_LANCZOS_G + 0.5)
-    log_t_re = np.log(np.hypot(tr, y))
-    log_t_im = np.arctan2(y, tr)
-    h = xm + 0.5
-    re = (_LOG_SQRT_2PI - tr + h * log_t_re - y * log_t_im
-          + 0.5 * np.log(acc_re * acc_re + acc_im * acc_im))
-    im = h * log_t_im + y * (log_t_re - 1.0) + np.arctan2(acc_im, acc_re)
-
-    if left.any():
-        r = x - 2.0 * np.rint(0.5 * x)
-        pi_r = math.pi * r
-        pi_y = math.pi * np.abs(y)
-        em = np.expm1(-2.0 * pi_y)
-        # sin(pi r) is exactly 0 at an integer r, so every pole gives +inf
-        sin_pi_r = np.where(r == np.rint(r), 0.0, np.sin(pi_r))
-        sin_re = sin_pi_r * (1.0 + 0.5 * em)
-        sin_im = np.cos(pi_r) * np.copysign(-0.5 * em, y)
-        # the unused right-hand elements may sit on a zero of sin(pi z)
-        with np.errstate(divide="ignore"):
-            log_sin = np.log(np.hypot(sin_re, sin_im))
-        re = np.where(left, _LOG_PI - pi_y - log_sin - re, re)
-        im = np.where(left, im - np.arctan2(sin_im, sin_re), im)
-    out = np.empty(z.shape, dtype=np.complex128)
-    out.real = re
-    out.imag = im
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape + (terms,))
+    out[..., 0] = np.reshape([math.lgamma(v) for v in x.ravel().tolist()], x.shape)
+    if terms == 1:
+        return out
+    steps = 1.0 / (x[..., None] + np.arange(_PSI_SHIFT))
+    w = 1.0 / (x + _PSI_SHIFT)
+    w2 = w * w
+    bern = _even_bernoulli()
+    # psi(y) ~ ln y - 1/(2y) - sum_j B_2j / (2j y^2j)
+    acc = np.zeros_like(w)
+    for j in range(bern.size, 0, -1):
+        acc = (acc + bern[j - 1] / (2 * j)) * w2
+    out[..., 1] = np.log(x + _PSI_SHIFT) - 0.5 * w - acc - steps.sum(axis=-1)
+    for k in range(2, terms):
+        # zeta(k, y) ~ y^(1-k) / (k-1) + y^-k / 2 + sum_j B_2j (k)_(2j-1) y^(1-k-2j) / (2j)!
+        acc = np.zeros_like(w)
+        for j in range(bern.size, 0, -1):
+            rising = math.prod(range(k, k + 2 * j - 1))
+            acc = (acc + bern[j - 1] * rising / math.factorial(2 * j)) * w2
+        tail = w ** (k - 1) * (1.0 / (k - 1) + 0.5 * w + acc)
+        out[..., k] = (-1) ** k * ((steps**k).sum(axis=-1) + tail) / k
     return out
+
+
+@cache
+def _even_bernoulli() -> Any:
+    """B_2, B_4, .., B_22 as a float array."""
+    import numpy as np
+
+    return np.array([float(bernoulli_number(2 * j)) for j in range(1, 12)])
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ EXPORTS = [
 REMOVED_NAMES = {
     "foxwright.params": {"Convergence", "classify_convergence"},
     "foxwright.series": {"hyper_pfq", "wright_function", "mittag_leffler"},
-    "foxwright.special": {"touchard_sum", "touchard_poly"},
+    "foxwright.special": {"touchard_sum", "touchard_poly", "log_gamma_complex_vec"},
 }
 REMOVED_PARAMETERS = {"config", "max_terms"}
 REMOVED_KNOBS = {"route", "rel_tol", "route_tol", "threshold"}

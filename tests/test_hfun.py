@@ -4,7 +4,6 @@ import functools
 import importlib.util
 import math
 import operator
-import statistics
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +42,14 @@ P3_MU_MINUS_1 = ParameterSet([(0.7, 1.0), (1.25, 1.0), (2.05, 1.0)], [(0.15, 1.0
 
 # two upper rows 5e-7 apart: every residue group holds two nearly coincident poles
 CLUSTERED = ParameterSet([(1.0, 1.0), (1.0 + 5e-7, 1.0)], [(1.5, 1.0), (1.5, 1.0)])
+# scales 1/2, poles 6e-7 apart: H(t) = 2 G^{2,0}_{2,2}(t^2 | ; 1,1 / 1/2, 1/2 + 3e-7)
+HALF_SCALE = ParameterSet([(0.5, 0.5), (0.5 + 3e-7, 0.5)], [(1.0, 0.5), (1.0, 0.5)])
+# three poles within 4e-4 share each group
+TRIPLES = ParameterSet([(0.4, 1.0), (0.4 + 2e-4, 1.0), (0.4 + 4e-4, 1.0)],
+                       [(1.1, 1.0), (1.3, 1.0), (1.7, 1.0)])
+# scales 1/2 and 1: ladders of two spacings, pairs 1e-5 apart
+MIXED_SCALES = ParameterSet([(0.3, 0.5), (0.6 + 1e-5, 1.0), (0.5, 1.0)],
+                            [(0.9, 0.5), (1.2, 1.0), (1.4, 1.0)])
 
 
 def beta_density(t, alpha=0.7, beta=2.3):
@@ -82,6 +89,14 @@ class TestRouteAgreement:
             ParameterSet([(1.0, 1.0)], [(1 / 3, 1 / 3), (2 / 3, 1 / 3), (1.0, 1 / 3)]),
             # the polynomial (s+1)(s+2)...(s+40): mu = -40, all atoms
             ParameterSet([(41.0, 1.0)], [(1.0, 1.0)]),
+            # squared exp-collapse: every pole is a double group that two
+            # lower poles cancel
+            ParameterSet([(1.0, 1.0), (1.0, 1.0)],
+                         [(0.5, 0.5), (1.0, 0.5), (0.5, 0.5), (1.0, 0.5)]),
+            # the squared Gauss triple: the lower poles sit on the double
+            # upper ones only to within rounding of the scales 1/3
+            ParameterSet([(1.0, 1.0), (1.0, 1.0)],
+                         [(1 / 3, 1 / 3), (2 / 3, 1 / 3), (1.0, 1 / 3)] * 2),
         ],
     )
     def test_entire_ratio_is_degenerate(self, params):
@@ -466,117 +481,39 @@ class TestGuards:
             ev.density(np.array([0.1 * ev.rho]), method=HfunMethod.ENDPOINT_SERIES)
 
     def test_residue_route_near_rho_raises_typed_error(self):
-        # the table stops at the node budget rather than listing every pole
+        # the table stops at its group cap rather than listing every pole
         # out to the sigma ~ 3e13 that (t/rho)^sigma < 1e-12 asks for here
         ev = MeasureEvaluator(DOUBLE_POLE)
         with pytest.raises(NonConvergentError):
             ev.density(np.array([1.0 - 1e-12]), method=HfunMethod.RESIDUE_SERIES)
 
     def test_small_budget_gap_raises_typed_error(self, monkeypatch):
-        # 64 circle nodes end the table at sigma 2, so the residues reach
+        # two pole groups end the table at sigma 2, so the residues reach
         # only ~1e-12 rho, and at 0.1 rho the endpoint series has not
         # converged either: AUTO and the rule raise rather than guess
-        monkeypatch.setattr(hfun, "_NODE_BUDGET", 64)
+        monkeypatch.setattr(hfun, "_MAX_GROUPS", 2)
         ev = MeasureEvaluator(TWIN_QUARTER)
         with pytest.raises(NonConvergentError):
             ev.density(np.array([0.1 * ev.rho]))
         with pytest.raises(NonConvergentError):
             ev.moment(1.0)
 
-    def test_first_group_over_budget_raises_typed_error(self, monkeypatch):
-        # the first group's neighbour sits 0.3 away, so its circle needs 33
-        # nodes; a 32-node budget must not read as an empty, degenerate table
-        params = ParameterSet([(0.3, 2.0), (0.9, 2.0)], [(1.0, 2.0), (0.7, 2.0)])
-        monkeypatch.setattr(hfun, "_NODE_BUDGET", 32)
-        with pytest.raises(NonConvergentError):
-            MeasureEvaluator(params)
-
 
 def built_with_plan(monkeypatch, params):
-    """A new evaluator of ``params`` and the circle plan its residue table
-    was built from: the arrays (members, size, centre, radius, nodes), one
+    """A new evaluator of ``params`` and the plan its residue table was
+    built from: the arrays (members, owners, size, centre, terms), one
     entry per group."""
     plans = []
-    build = MeasureEvaluator._circle_moments
+    build = MeasureEvaluator._residue_rows
 
     def spy(self, *plan):
         plans.append(plan)
         return build(self, *plan)
 
     with monkeypatch.context() as patch:
-        patch.setattr(MeasureEvaluator, "_circle_moments", spy)
+        patch.setattr(MeasureEvaluator, "_residue_rows", spy)
         ev = MeasureEvaluator(params)
     return ev, plans[0]
-
-
-class TestKernelWork:
-    @pytest.mark.parametrize("params", [DOUBLE_POLE, P3_MU_245], ids=["double-pole", "p=3"])
-    def test_kernel_elements_are_circle_nodes(self, monkeypatch, params):
-        # every complex log-gamma the build asks for is one circle node with
-        # theta in (0, pi] of one gamma factor of a group of two or more
-        # poles (a lone pole's residue is in closed form), so the
-        # benchmark's element count is kernel work; _res_nodes_used still
-        # counts the whole plan.  Every p = 3 group is a lone pole: no kernel call
-        seen = []
-        kernel = hfun.log_gamma_complex_vec
-
-        def counting(z):
-            seen.append(np.size(z))
-            return kernel(z)
-
-        monkeypatch.setattr(hfun, "log_gamma_complex_vec", counting)
-        ev, plan = built_with_plan(monkeypatch, params)
-        ev.density(np.linspace(0.25, 0.7, 20) * ev.rho)
-        pq = len(params.upper) + len(params.lower)
-        size, nodes = plan[1], plan[-1]
-        assert ev._res_nodes_used == np.sum(nodes)
-        assert sum(seen) == np.sum((nodes[size >= 2] + 1) // 2) * pq
-
-
-class TestConjugateMirror:
-    """The rows are real, so ratio(conj s) = conj ratio(s): each residue
-    circle, one per group of two or more poles, evaluates its nodes with
-    theta in (0, pi] and takes the others as their conjugates."""
-
-    @pytest.mark.parametrize("params", [EXP_COLLAPSE, TWIN_QUARTER, DOUBLE_POLE, IDENTITY,
-                                        P3_MU_245, CLUSTERED],
-                             ids=["exp-collapse", "twin-quarter", "double-pole", "identity",
-                                  "p=3", "clustered"])
-    def test_moments_match_full_circle(self, monkeypatch, params):
-        # each group's Newton moments against a midpoint rule over every
-        # node of its circle, at its planned node count and one more, so
-        # that odd and even counts (odd ones have a node at theta = pi that
-        # is its own mirror) are both met; the scale is the largest moment,
-        # or for a degenerate set, whose moments are rounding noise, the
-        # circle's largest |ratio| * radius
-        ev, plan = built_with_plan(monkeypatch, params)
-        moments = []
-        to_power = hfun._newton_to_power
-
-        def spy(c, nodes, extra):
-            moments.append(c[0])
-            return to_power(c, nodes, extra)
-
-        monkeypatch.setattr(hfun, "_newton_to_power", spy)
-        for members, size, centre, radius, nodes in zip(*plan):
-            if size < 2:
-                continue  # a lone pole builds no circle (TestClosedFormResidue)
-            poles = members[:size]
-            for n in (nodes, nodes + 1):
-                ev._circle_moments(members[None], np.array([size]), np.array([centre]),
-                                   np.array([radius]), np.array([n]))
-                theta = 2.0 * math.pi * (np.arange(n) + 0.5) / n
-                d = radius * np.exp(1j * theta)
-                log_ratio = ev._log_ratio(d - centre)
-                w = np.exp(log_ratio + math.log(radius / n) + 1j * theta)
-                want, basis = [], np.ones_like(d)
-                for pole in poles:
-                    want.append(np.sum(w * basis).real)
-                    basis = basis * (d - (centre - pole))
-                want = np.array(want)
-                peak = math.exp(np.max(log_ratio.real)) * radius
-                scale = peak if ev.degenerate else np.max(np.abs(want))
-                assert np.max(np.abs(moments.pop() - want)) <= 1e-14 * scale, (centre, n)
 
 
 def _density_cold_sets(seed):
@@ -611,23 +548,65 @@ def mp_residue(params, centre):
     raise AssertionError(f"no upper factor has a pole at {-centre}")
 
 
+def mp_group_sum(params, poles, owners, ts):
+    """The residues of ratio(s) t^(-s) at a group's poles, summed, to 40
+    digits at each t: the divided difference of G(s) = R(s) t^(-s) over the
+    exact poles -(a + n)/A of the float rows, with the regular part R's
+    factor (s - s_j) gamma(a + A s) of an upper row with its pole s_j in the
+    group written gamma(1 + eps) / (A prod_(i=1..n) (eps - i)),
+    eps = A (s - s_j); coincident poles take G's derivative."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        hits = {}
+        for pole, row in zip(poles, owners):
+            a, sc = params.upper[row]
+            n = round(pole * sc - a)
+            hits[row] = (n, -(mp.mpf(a) + n) / sc)
+
+        def regular(s):
+            value = mp.mpf(1)
+            for row, (a, sc) in enumerate(params.upper):
+                if row in hits:
+                    n, pole = hits[row]
+                    eps = sc * (s - pole)
+                    value *= mp.gamma(1 + eps) / (sc * mp.fprod(eps - i for i in range(1, n + 1)))
+                else:
+                    value *= mp.gamma(a + sc * s)
+            return value * mp.fprod(mp.rgamma(b + sc * s) for b, sc in params.lower)
+
+        nodes = [pole for _, pole in hits.values()]
+        sums = []
+        for t in ts:
+            def g(s):
+                return regular(s) * mp.mpf(t) ** (-s)
+
+            if max(nodes) == min(nodes):
+                m = len(nodes)
+                sums.append(mp.diff(g, nodes[0], m - 1) / mp.factorial(m - 1))
+                continue
+            table = [g(s) for s in nodes]
+            for level in range(1, len(nodes)):
+                table = [(table[k + 1] - table[k]) / (nodes[k + level] - nodes[k])
+                         for k in range(len(table) - 1)]
+            sums.append(table[0])
+        return sums
+
+
 class TestClosedFormResidue:
-    """A group of one pole takes its one Newton moment, the residue, as a
-    product of gamma values instead of from a circle."""
+    """Every pole group takes its Newton moments in closed form: a lone
+    pole's one moment, the residue, as a product of gamma values, a larger
+    group's from the Taylor series of its regular part."""
 
     @staticmethod
     def singles(monkeypatch, params):
         """The evaluator and, per lone pole, (its table moment, the mpmath
-        residue, the planned circle's midpoint moment, whether it leads)."""
+        residue, whether it leads)."""
         ev, plan = built_with_plan(monkeypatch, params)
         rows = []
-        for g, (size, centre, radius, nodes) in enumerate(zip(*plan[1:])):
+        for g, (size, centre) in enumerate(zip(*plan[2:4])):
             if size != 1:
                 continue
-            theta = 2.0 * math.pi * (np.arange(nodes) + 0.5) / nodes
-            d = radius * np.exp(1j * theta)
-            w = np.exp(ev._log_ratio(d - centre) + math.log(radius / nodes) + 1j * theta)
-            rows.append((ev._res_coeffs[g, 0], mp_residue(params, centre), np.sum(w).real,
+            rows.append((ev._res_coeffs[g, 0], mp_residue(params, centre),
                          centre <= ev._first + hfun._TABLE_STEP))
         return ev, rows
 
@@ -636,21 +615,36 @@ class TestClosedFormResidue:
         # the groups that lead (within _TABLE_STEP of the first pole: they
         # carry H and decide degeneracy) within 1e-13, the rest, whose gamma
         # arguments sit far out on the negative axis where the rounding of
-        # the arguments alone moves them by about 1e-13, within 1e-12.  Over
-        # the leading groups the closed form is no worse than the circle.
-        closed, circle = [], []
+        # the arguments alone moves them by about 1e-13, within 1e-12
+        leading = 0
         for params in [TWIN_QUARTER, DOUBLE_POLE, *_density_cold_sets(4)]:
             ev, rows = self.singles(monkeypatch, params)
             assert rows and not ev.degenerate
-            for got, want, ring, leads in rows:
+            for got, want, leads in rows:
                 assert want != 0 and got != 0
                 err = float(abs((got - want) / want))
                 assert err <= (1e-13 if leads else 1e-12), (params, float(want))
-                if leads:
-                    closed.append(err)
-                    circle.append(float(abs((ring - want) / want)))
-        assert len(closed) >= 100
-        assert statistics.median(closed) <= statistics.median(circle)
+                leading += leads
+        assert leading >= 100
+
+    @pytest.mark.parametrize("params", [DOUBLE_POLE, CLUSTERED, HALF_SCALE, TRIPLES, MIXED_SCALES],
+                             ids=["double-pole", "clustered", "half-scale", "triples",
+                                  "mixed-scales"])
+    def test_group_sums_against_mpmath(self, monkeypatch, params):
+        # every row of the table, t^centre sum_n b_n (-ln t)^n, against the
+        # group's residue sum at four t: within 1e-13 for the groups within
+        # _TABLE_STEP of the first pole, 1e-12 beyond
+        ev, (members, owners, size, centre, _) = built_with_plan(monkeypatch, params)
+        assert np.any(size >= 2)
+        ts = np.array([1e-6, 0.1, 0.5, 0.9]) * ev.rho
+        log_t = np.log(ts)
+        for g in range(centre.size):
+            row = ev._res_coeffs[g]
+            got = ts ** centre[g] * np.polyval(row[::-1], -log_t)
+            want = mp_group_sum(params, members[g, :size[g]], owners[g, :size[g]], ts)
+            bound = 1e-13 if centre[g] <= ev._first + hfun._TABLE_STEP else 1e-12
+            for t, x, w in zip(ts, got, want):
+                assert float(abs((x - w) / w)) <= bound, (centre[g], t)
 
     @pytest.mark.parametrize("params", [EXP_COLLAPSE, IDENTITY], ids=["exp-collapse", "identity"])
     def test_cancelled_pole_is_exactly_zero(self, monkeypatch, params):
@@ -658,7 +652,7 @@ class TestClosedFormResidue:
         # not to rounding noise
         ev, rows = self.singles(monkeypatch, params)
         assert rows and ev.degenerate
-        assert all(got == 0.0 and want == 0 for got, want, _, _ in rows)
+        assert all(got == 0.0 and want == 0 for got, want, _ in rows)
 
     @pytest.mark.parametrize("gap", [2.0**-12, 2.0**-24], ids=["2^-12", "2^-24"])
     def test_nearby_lower_pole_leaves_a_finite_residue(self, monkeypatch, gap):
@@ -668,7 +662,7 @@ class TestClosedFormResidue:
         params = ParameterSet([(0.5, 1.0)], [(0.5 + gap, 1.0)])
         ev, rows = self.singles(monkeypatch, params)
         assert rows and not ev.degenerate
-        for got, want, _, _ in rows:
+        for got, want, _ in rows:
             assert want != 0 and float(abs((got - want) / want)) <= 1e-13
 
     def test_log_sum_past_the_double_range(self):
@@ -690,45 +684,38 @@ class TestClosedFormResidue:
 
 def loop_plan(ev, sigma):
     """The residue table's plan by the scalar loop the array plan replaced,
-    each group's poles added in order: (poles, centre, radius, nodes) per
-    group, the circle nodes used and whether the table is exhausted."""
-    budget = hfun._NODE_BUDGET
+    each group's poles added in order: (poles, upper rows, centre) per
+    group, the poles used and whether the table is exhausted."""
+    groups = hfun._MAX_GROUPS
     upper = ev.params.upper
-    cap = min((a + budget // hfun._CIRCLE_NODES) / sc for a, sc in upper)
+    cap = min((a + groups) / sc for a, sc in upper)
     exhausted = sigma > cap
     sigma = min(sigma, cap)
     spacing = min(1.0 / sc for _, sc in upper)
     limit = sigma + spacing
     poles = []
-    for a, sc in upper:
+    for row, (a, sc) in enumerate(upper):
         n = 0
         while (a + n) / sc <= limit:
-            poles.append((a + n) / sc)
+            poles.append(((a + n) / sc, row))
             n += 1
     members = []
-    for sg in sorted(poles):
-        if members and sg - members[-1][-1] <= hfun._GROUP_GAP * spacing:
-            members[-1].append(sg)
+    for sg, row in sorted(poles):
+        if members and sg - members[-1][-1][0] <= hfun._GROUP_GAP * spacing:
+            members[-1].append((sg, row))
         else:
-            members.append([sg])
+            members.append([(sg, row)])
     plan, used = [], 0
-    for i, group in enumerate(members):
+    for group in members:
         # in order: since Python 3.12 the builtin sum() of floats is compensated
-        centre = functools.reduce(operator.add, group) / len(group)
+        centre = functools.reduce(operator.add, [sg for sg, _ in group]) / len(group)
         if centre > sigma:
             break
-        half = max(abs(sg - centre) for sg in group)
-        left = centre - members[i - 1][-1] if i else math.inf
-        right = members[i + 1][0] - centre if i + 1 < len(members) else limit - centre
-        near = min(left, right)
-        radius = min(0.25, max(0.3 * near, math.sqrt(half * near)))
-        rate = max(half / radius, radius / near)
-        nodes = max(hfun._CIRCLE_NODES, math.ceil(math.log(1e-17) / math.log(rate)))
-        if used + nodes > budget:
+        if len(plan) == groups:
             exhausted = True
             break
-        used += nodes
-        plan.append((group, centre, radius, nodes))
+        used += len(group)
+        plan.append(([sg for sg, _ in group], [row for _, row in group], centre))
     return plan, used, exhausted
 
 
@@ -737,38 +724,32 @@ class TestArrayPlan:
     replaced is the reference, to the bit."""
 
     @pytest.mark.parametrize("params", [
-        DOUBLE_POLE, TWIN_QUARTER, P3_MU_245, P3_MU_MINUS_1, CLUSTERED,
-        # three poles within 4e-4 share each group
-        ParameterSet([(0.4, 1.0), (0.4 + 2e-4, 1.0), (0.4 + 4e-4, 1.0)],
-                     [(1.1, 1.0), (1.3, 1.0), (1.7, 1.0)]),
-        # scales 1/2 and 1: ladders of two spacings, pairs 1e-5 apart
-        ParameterSet([(0.3, 0.5), (0.6 + 1e-5, 1.0), (0.5, 1.0)],
-                     [(0.9, 0.5), (1.2, 1.0), (1.4, 1.0)]),
+        DOUBLE_POLE, TWIN_QUARTER, P3_MU_245, P3_MU_MINUS_1, CLUSTERED, TRIPLES, MIXED_SCALES,
     ], ids=["double-pole", "twin-quarter", "p=3", "p=3 m=1", "clustered", "triples",
             "mixed-scales"])
-    @pytest.mark.parametrize("budget,sigma", [(8000, 10.0), (8000, 300.0), (600, 40.0)],
+    @pytest.mark.parametrize("groups,sigma", [(250, 10.0), (250, 300.0), (18, 40.0)],
                              ids=["small", "capped", "budget-cut"])
-    def test_plan_equals_the_scalar_loop(self, monkeypatch, params, budget, sigma):
+    def test_plan_equals_the_scalar_loop(self, monkeypatch, params, groups, sigma):
         ev = get_evaluator(params)
-        monkeypatch.setattr(hfun, "_NODE_BUDGET", budget)
+        monkeypatch.setattr(hfun, "_MAX_GROUPS", groups)
         plans = []
-        build = MeasureEvaluator._circle_moments
+        build = MeasureEvaluator._residue_rows
 
         def spy(self, *plan):
             plans.append(plan)
             return build(self, *plan)
 
-        monkeypatch.setattr(MeasureEvaluator, "_circle_moments", spy)
-        centres, _, _, used, exhausted = ev._build_table(sigma)
+        monkeypatch.setattr(MeasureEvaluator, "_residue_rows", spy)
+        centres, _, used, exhausted = ev._build_table(sigma)
         want, want_used, want_exhausted = loop_plan(ev, sigma)
-        [(members, size, centre, radius, nodes)] = plans
+        [(members, owners, size, centre, _)] = plans
         assert (used, exhausted) == (want_used, want_exhausted)
         assert isinstance(used, int) and type(exhausted) is bool
         assert [members[g, :size[g]].tolist() for g in range(size.size)] == [
-            group for group, *_ in want]
-        assert centres.tolist() == centre.tolist() == [c for _, c, _, _ in want]
-        assert radius.tolist() == [r for _, _, r, _ in want]
-        assert nodes.tolist() == [n for *_, n in want]
+            poles for poles, _, _ in want]
+        assert [owners[g, :size[g]].tolist() for g in range(size.size)] == [
+            rows for _, rows, _ in want]
+        assert centres.tolist() == centre.tolist() == [c for *_, c in want]
 
 
 class TestEvaluatorCache:

@@ -278,6 +278,8 @@ class TestFourParamRepresentation:
             (0.5, 0.75, 0.5, 0.75),  # a + b = 1.5: pure density, m = 0
             (0.5, 0.25, 0.5, 0.25),  # a + b = 0.5: first-order atom, m = 1
             (0.3, 0.1, 0.7, 0.4),    # asymmetric scales, a + b = 0.5
+            (0.5, 0.3, 0.5, -0.8),   # a + b = -0.5: second-order atoms, m = 2
+            (0.5, 0.2, 0.5, -1.7),   # a + b = -1.5: third-order atoms, m = 3
         ],
     )
     def test_both_degeneracy_orders(self, mu1, a, nu1, b):
@@ -286,7 +288,7 @@ class TestFourParamRepresentation:
         assert rec.rel_err < 1e-8
 
     def test_constraint_violation_rejected(self):
-        with pytest.raises(ConstraintError):
+        with pytest.raises(ConstraintError, match="3/2 - m"):
             four_param_representation(0.5, 0.6, 0.5, 0.6, z=1.0)  # a+b = 1.2
 
     def test_unbalanced_scales_rejected(self):

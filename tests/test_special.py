@@ -1,7 +1,8 @@
 """Scalar special-function layer: log-gamma, Bernoulli, Stirling.
 
 The real log-gamma is ``math.lgamma``; ``log_abs_gamma_signed`` adds the sign
-of gamma and rejects the poles."""
+of gamma and rejects the poles, and ``_log_gamma_taylor`` gives the Taylor
+rows of log gamma(x + h) that the residue table's pole groups expand with."""
 
 import math
 from fractions import Fraction
@@ -14,8 +15,8 @@ from foxwright.params import correction_coeffs
 from foxwright.special import (
     bernoulli_number,
     bernoulli_poly,
+    _log_gamma_taylor,
     log_abs_gamma_signed,
-    log_gamma_complex_vec,
     stirling2_row,
 )
 
@@ -25,110 +26,45 @@ class TestLogGamma:
     def test_matches_stdlib_on_positive_axis(self, x):
         assert log_abs_gamma_signed(x) == (pytest.approx(math.lgamma(x), rel=1e-14), 1.0)
 
-    @pytest.mark.parametrize("z", [0.3 + 0.7j, 2.5 - 1.25j, -1.5 + 0.5j, 5.0 + 5.0j])
-    def test_reflection_identity(self, z):
-        # gamma(z) gamma(1-z) = pi / sin(pi z)
-        lhs = log_gamma_complex_vec(np.array([z, 1.0 - z])).sum()
-        rhs = np.log(np.pi / np.sin(np.pi * z))
-        # compare exp() because the logs may differ by 2*pi*i
-        assert np.exp(lhs) == pytest.approx(np.exp(rhs), rel=1e-11)
-
     def test_recurrence(self):
-        z = 0.37 + 1.2j
-        at_z, at_z1 = log_gamma_complex_vec(np.array([z, z + 1]))
-        assert np.exp(at_z1) == pytest.approx(z * np.exp(at_z), rel=1e-12)
+        # log gamma(x + 1 + h) = log gamma(x + h) + log(x + h): the rows at
+        # x + 1 and x differ by the Taylor row of log(x + h)
+        x = np.array([0.5, 0.83, 2.0, 15.5, 16.25, 99.0])
+        terms = 12
+        step = _log_gamma_taylor(x + 1.0, terms) - _log_gamma_taylor(x, terms)
+        k = np.arange(1, terms)
+        log_row = np.column_stack([np.log(x), (-1.0) ** (k + 1) / (k * x[:, None] ** k)])
+        np.testing.assert_allclose(step, log_row, rtol=1e-13, atol=1e-15)
 
     def test_vectorized_agrees_with_scalar(self):
-        # against mpmath's scalar log-gamma; at these points the reflection
-        # lands on the principal branch as well
-        mpmath = pytest.importorskip("mpmath")
-        zs = np.array([0.5 + 0.1j, 3.0 - 2.0j, 1.0 + 0.0j, 0.25 + 4.0j])
-        vec = log_gamma_complex_vec(zs)
-        for got, z in zip(vec, zs):
-            assert got == pytest.approx(complex(mpmath.loggamma(z)), rel=1e-13)
+        # a row of a larger array is the row of its x alone, bit for bit
+        x = np.array([0.5, 1.0, 3.7, 16.0, 250.5])
+        table = _log_gamma_taylor(x, 8)
+        for i, xi in enumerate(x):
+            np.testing.assert_array_equal(table[i], _log_gamma_taylor(np.array([xi]), 8)[0])
 
-    def test_complex_kernel_against_mpmath(self):
-        # the residue circles' geometry: the strip left of the reflection
-        # line out to Re z = -300, radius-0.3 circles around the poles -n,
-        # the right half-plane and |Im z| up to 50, all in one call; then
-        # two points 1e-6 from the poles -1e6 and -1e6 - 1, where pi z
-        # without the exact reduction of x mod 2 is off by ~4000 units.  The
-        # imaginary part may differ from mpmath's principal branch by a
-        # multiple of 2 pi
+    def test_taylor_rows_against_mpmath(self):
+        # log gamma(x), psi(x) and psi^(k-1)(x) / k! for k up to 24, from
+        # x = 1/2 (the smallest argument a pole group asks for) past the
+        # recurrence's shift of 16, within 8 eps of the larger of 1 and
+        # the coefficient
         mpmath = pytest.importorskip("mpmath")
-        rng = np.random.default_rng(14)
-        theta = rng.uniform(0.0, 2.0 * np.pi, 50)
-        zs = np.concatenate([
-            rng.uniform(-300.0, 0.5, 50) + 1j * rng.uniform(-0.5, 0.5, 50),
-            -rng.integers(0, 301, 50) + 0.3 * np.exp(1j * theta),
-            rng.uniform(0.5, 300.0, 50) + 1j * rng.uniform(-50.0, 50.0, 50),
-            rng.uniform(-300.0, 0.5, 50) + 1j * rng.uniform(-50.0, 50.0, 50),
-            [-1e6 + 1e-6, -1e6 - 1.0 + 1e-6 + 1e-6j],
-        ])
-        got = log_gamma_complex_vec(zs)
+        x = np.array([0.5, 0.7, 1.0, 1.5, 1.9999, 3.3, 15.9, 16.0, 40.5, 250.25])
+        got = _log_gamma_taylor(x, 25)
         eps = np.finfo(float).eps
         with mpmath.workdps(40):
-            for g, z in zip(got, zs):
-                want = mpmath.loggamma(mpmath.mpc(z.real, z.imag))
-                re_err = abs(g.real - want.real)
-                im_err = (g.imag - want.imag) % (2 * mpmath.pi)
-                im_err = min(im_err, 2 * mpmath.pi - im_err)
-                bound = 32 * eps * max(1.0, abs(want))
-                assert re_err <= bound and im_err <= bound, z
+            for row, xi in zip(got, x):
+                for k, value in enumerate(row):
+                    want = mpmath.loggamma(xi) if k == 0 else (
+                        mpmath.psi(k - 1, xi) / mpmath.factorial(k))
+                    assert abs(value - want) <= 8 * eps * max(1.0, abs(want)), (xi, k)
 
-    def test_complex_kernel_conjugate_symmetric(self):
-        # the residue circles evaluate their upper halves only and take the
-        # lower ones as conjugates, which needs log gamma(conj z) to be
-        # conj log gamma(z) exactly: bit for bit off the real axis (circles
-        # about the poles, and the strip); on it, where +0 and -0 imaginary
-        # parts may come out as zeros of either sign, in value
-        rng = np.random.default_rng(18)
-        theta = rng.uniform(0.0, np.pi, 4000)
-        off = np.concatenate([
-            -rng.integers(0, 301, 4000) + rng.uniform(0.01, 0.3, 4000) * np.exp(1j * theta),
-            rng.uniform(-300.0, 300.0, 4000) + 1j * rng.uniform(-50.0, 50.0, 4000),
-        ])
-        got, want = log_gamma_complex_vec(off.conj()), log_gamma_complex_vec(off).conj()
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-        axis = np.concatenate([rng.uniform(-300.0, 300.0, 4000), np.arange(-20, 21) + 0.5,
-                               [1.0, 2.0, 3.0]]).astype(complex)
-        np.testing.assert_array_equal(log_gamma_complex_vec(axis.conj()),
-                                      log_gamma_complex_vec(axis).conj())
-
-    @pytest.mark.parametrize("n", [-4, -3, -2, -1, 0, -1000001])
-    def test_complex_kernel_infinite_at_poles(self, n):
-        # sin(pi z) at an odd pole once rounded to 1.2e-16, not 0, and gave
-        # a finite value (35.99 at -3)
-        value = log_gamma_complex_vec(np.array([complex(n)]))[0]
-        assert value.real == math.inf
-
-    def test_complex_kernel_beside_odd_pole(self):
-        # sin(pi x) is exactly 0 at x = -3, while cos(pi x) sinh(pi y) is not
-        mpmath = pytest.importorskip("mpmath")
-        z = -3.0 + 0.5j
-        got = log_gamma_complex_vec(np.array([z]))[0]
-        want = complex(mpmath.loggamma(z))
-        eps = np.finfo(float).eps
-        assert abs(got.real - want.real) <= 8 * eps * max(1.0, abs(want))
-        im_err = (got.imag - want.imag) % (2 * math.pi)
-        assert min(im_err, 2 * math.pi - im_err) <= 8 * eps * max(1.0, abs(want))
-
-    def test_complex_kernel_keeps_shape(self):
-        z = 0.3 - 2.5j
-        scalar = log_gamma_complex_vec(z)
-        assert scalar.shape == ()
-        grid = np.array([[z, -3.2 + 0.1j, 4.0], [1.0 - 1e-3j, -0.5j, 7.5 + 40j]])
-        table = log_gamma_complex_vec(grid)
-        assert table.shape == (2, 3)
-        assert table[0, 0] == pytest.approx(complex(scalar), rel=1e-15)
-        np.testing.assert_array_equal(table.ravel(), log_gamma_complex_vec(grid.ravel()))
-
-    @pytest.mark.parametrize("z", [1e300, 1e300 + 1e300j, 3e299 - 1e300j, -1e300 + 1e300j, -0.5 - 1e300j])
-    def test_complex_kernel_finite_at_large_modulus(self, z):
-        # |t|^2 and sinh(pi y) overflow long before this; hypot and the
-        # e^(-pi |y|) scaling keep the log finite
-        value = log_gamma_complex_vec(np.array([z]))[0]
-        assert np.isfinite(value.real) and np.isfinite(value.imag)
+    def test_taylor_rows_keep_shape(self):
+        grid = np.array([[0.5, 2.5, 4.0], [1.0, 17.0, 7.5]])
+        table = _log_gamma_taylor(grid, 5)
+        assert table.shape == (2, 3, 5)
+        np.testing.assert_array_equal(table.reshape(6, 5), _log_gamma_taylor(grid.ravel(), 5))
+        assert _log_gamma_taylor(np.array([2.0]), 1).shape == (1, 1)
 
     def test_signed_log_gamma_negative_axis(self):
         # gamma(-1.5) = 4 sqrt(pi) / 3 > 0, gamma(-0.5) = -2 sqrt(pi) < 0
