@@ -16,19 +16,19 @@ H has two series, one converging at each end of the support:
 
 * Residue route, away from rho: H(t) is the sum of the residues of
   gamma_ratio(s) t^(-s) at the poles s = -(alpha_i + n)/A_i of the
-  numerator gammas.  Poles closer than 1e-3 of the smallest ladder spacing
-  form one group with nodes s_0..s_(m-1), coincident ones included.  Its
-  Newton moments c_k = (1/2 pi i) oint ratio(s) prod_(j<k) (s - s_j) ds are
-  the divided differences R[s_k..s_(m-1)] of its regular part
+  numerator gammas.  Poles closer than 0.01 of the smallest ladder spacing
+  form one group with nodes s_0..s_(m-1), coincident ones included, and a
+  lone pole is a group of one.  Every group's Newton moments
+  c_k = (1/2 pi i) oint ratio(s) prod_(j<k) (s - s_j) ds are the divided
+  differences R[s_k..s_(m-1)] of its regular part
   R(s) = ratio(s) prod_j (s - s_j), taken once per evaluator, in closed
-  form.  A lone pole's only moment c_0 is its residue: (-1)^n / (n! A)
-  times the other factors' gamma values (``params._pole_residue``; Kilbas &
-  Saigo, H-Transforms, 2004, ch. 1), exactly 0 where a lower factor's pole
-  cancels it.  A group of two or more poles, where that product would
-  cancel or blow up, takes them from the Taylor series of R about its
-  centre: a product of per-factor series from log-gamma Taylor rows (DLMF
-  5.7, 5.15) and the explicit eps of each factor at or below 1/2, exactly 0
-  where lower poles cancel the group.  The group's residues sum to
+  form, from the Taylor series of R about the group's centre: a product of
+  per-factor series from log-gamma Taylor rows (DLMF 5.7, 5.15) and the
+  explicit eps of each factor at or below 1/2, exactly 0 where lower poles
+  cancel the group.  Its leading coefficient R(centre) is a product of
+  gamma values, so a lone pole's one moment, its residue, is
+  (-1)^n / (n! A) times the other factors' gamma values (Kilbas & Saigo,
+  H-Transforms, 2004, ch. 1).  The group's residues sum to
   sum_k c_k f[s_0..s_k] for f(s) = t^(-s) (McCurdy, Ng & Parlett, Math.
   Comp. 43, 1984).  The divided differences come from the Taylor series of
   exp about the group's centre, so they do not cancel however close the
@@ -84,10 +84,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConstraintError, DomainError, NonConvergentError, OutsideDomainError
-from .params import _INT_TOL, ParameterSet, _pole_residue, correction_coeffs, derive_constants
+from .params import _INT_TOL, ParameterSet, correction_coeffs, derive_constants
 from .quadrature import integrate_levels, tanh_sinh, tanh_sinh_reach
 from .series import IdentityRecord, _atoms, _record
-from .special import _log_gamma_taylor
+from .special import _log_gamma_taylor, log_abs_gamma_signed
 
 __all__ = [
     "HfunMethod",
@@ -99,7 +99,13 @@ __all__ = [
 _EPS = float(np.finfo(float).eps)
 _TOL = 1e-9  # accuracy the residue table and the integration rule aim at
 _MAX_GROUPS = 250  # pole groups of the residue table
-_GROUP_GAP = 1e-3  # of the smallest ladder spacing: closer poles form one group
+# poles closer than this many of the smallest ladder spacings form one group.
+# Apart, near poles carry large residues of opposite sign that cancel: a pole
+# 2.7e-3 spacings from a pair lost 8.9e-9 of H that way, one 0.01 spacings
+# away 1.5e-10, under _TOL.  A wider gap costs table width, which grows with
+# a group's spread times log_span ~ 690 in _newton_to_power: one group of
+# those three poles widened that set's table from 5 to 34 columns
+_GROUP_GAP = 0.01
 _TABLE_STEP = 10.0  # sigma step of the residue table's growth and degeneracy check
 _ENDPOINT_ORDER = 40
 # the endpoint series alone serves where its estimate is below this many eps |H|
@@ -269,9 +275,9 @@ class MeasureEvaluator:
         residues at t sum to t^centre[g] sum_n rows[g, n] (-ln t)^n.
 
         Group g has the poles ``members[g, :size[g]]`` of the upper rows
-        ``owners[g, :size[g]]``.  A lone pole's one Newton moment is its
-        closed-form residue; the larger groups with the same size and
-        Taylor order take theirs from ``_group_moments`` together.
+        ``owners[g, :size[g]]``.  The groups with the same size and Taylor
+        order take their Newton moments from ``_group_moments`` together; a
+        lone pole's one moment, its residue, is the size-1 case.
         """
         coeffs = np.zeros((centre.size, 0))
         # largest |ln t| any caller of the table can ask for
@@ -279,10 +285,7 @@ class MeasureEvaluator:
         for m, n in sorted(set(zip(size.tolist(), terms.tolist()))):
             idx = np.flatnonzero((size == m) & (terms == n))
             offsets = centre[idx, None] - members[idx, :m]  # s_j - s_c
-            if m == 1:
-                moments = np.array([[_pole_residue(self.params, -x)] for x in centre[idx].tolist()])
-            else:
-                moments = self._group_moments(offsets, owners[idx, :m], centre[idx], n)
+            moments = self._group_moments(offsets, owners[idx, :m], centre[idx], n)
             # Taylor terms of exp(-(s - s_c) ln t) past the group size, until
             # (max |s_j - s_c| |ln t|)^j / j! < 1e-17
             reach = float(np.max(np.abs(offsets))) * log_span
@@ -322,21 +325,33 @@ class MeasureEvaluator:
     def _regular_series(self, owners: np.ndarray, centre: np.ndarray, terms: int) -> np.ndarray:
         """r_0 .. r_(terms-1) of R(s_c + h) = sum_i r_i h^i, one row per group.
 
-        Each factor gamma(x + A h), x = shift - scale centre, is expanded
-        about h = 0.  With x >= 1/2 that is ``special._log_gamma_taylor``.
-        Below, with n = rint(-x) and eps = x + n + A h,
+        r_0 = R(s_c) is a product of one gamma value per factor, gamma(x) at
+        x = shift - scale centre, with an upper factor whose pole is in the
+        group taken as eps gamma(x) / A (eps = x + n, n = rint(-x)), or
+        (-1)^n / (n! A) where eps is 0.  A lone pole's r_0 is its residue,
+        and it needs no other term.
+
+        For the other terms each factor gamma(x + A h) is expanded about
+        h = 0.  With x >= 1/2 that is ``special._log_gamma_taylor``.  Below,
+        with eps = x + n + A h,
         gamma(x + A h) = (-1)^n gamma(1 + eps) gamma(1 - eps) / (eps gamma(n + 1 - eps)),
         whose log-gammas all have positive arguments.  The explicit eps of an
         upper factor with its pole in the group cancels that pole's node
         factor s - s_j, leaving 1/A; any other upper factor's 1/eps is a
         geometric series; a lower factor's eps multiplies R, and is exactly
         A h where ``_pole_order`` puts its pole at the centre, so a group
-        that a lower pole cancels is exactly zero.
+        that a lower pole cancels is exactly zero.  The product of these
+        explicit factors with exp(L(h) - L(0)), L the log-gamma sum, is
+        scaled by exp(L(0)) = r_0 / (its constant term), so every term
+        shares r_0's digits, or by exp(L(0)) itself where a lower pole on
+        the centre zeroes that term.
         """
         groups = centre.size
         args, steps, weights = [], [], []  # log gamma(arg + step h), added with weight
         poly = np.zeros((groups, terms))  # the signs and the explicit eps factors
         poly[:, 0] = 1.0
+        heads, powers = [], []  # r_0 = head prod gamma(heads)^powers
+        head = np.ones(groups)
         for side, row in ((1.0, self.params.upper), (-1.0, self.params.lower)):
             for i, (a, sc) in enumerate(row):
                 x = a - sc * centre
@@ -351,17 +366,45 @@ class MeasureEvaluator:
                 if side < 0:
                     # R gains eps_0 + A h
                     eps[np.abs(eps) <= _INT_TOL * sc] = 0.0
+                    head[small & (eps == 0.0)] = 0.0
+                    heads.append(x)
+                    powers.append(np.full(groups, -1.0))
                     poly[small, 1:] = eps[small, None] * poly[small, 1:] + sc * poly[small, :-1]
                     poly[small, 0] *= eps[small]
                     continue
                 pole = np.any(owners == i, axis=1)
                 poly[pole] /= sc
+                exact = pole & (eps == 0.0)
+                head[pole] *= np.where(exact, (-1.0) ** n, eps)[pole] / sc
+                heads.append(np.where(exact, n + 1.0, x))
+                powers.append(np.where(exact, -1.0, 1.0))
                 # R gains 1/(eps_0 + A h): y_j = (p_j - A y_(j-1)) / eps_0
                 sel = small & ~pole
                 for j in range(terms):
                     if j:
                         poly[sel, j] -= sc * poly[sel, j - 1]
                     poly[sel, j] /= eps[sel]
+        heads, powers = np.array(heads), np.array(powers)
+        heads[:, head == 0.0] = 1.0
+        # the product of mantissas, with the binary exponents added apart so
+        # that no partial product leaves the normal range, keeps more digits
+        # than the exp of a log-gamma sum.  That sum serves the groups with a
+        # gamma value outside the normal range (past 171.62, or below -170)
+        gammas = np.reshape([math.gamma(v) if v < 171.0 else math.inf
+                             for v in heads.ravel().tolist()], heads.shape)
+        magnitude = np.abs(gammas)
+        outside = ~np.all((magnitude >= np.finfo(float).tiny) & (magnitude < math.inf), axis=0)
+        gammas[:, outside] = 1.0
+        mantissas, exponents = np.frexp(np.where(powers < 0, 1.0 / gammas, gammas))
+        value = np.ldexp(np.prod(mantissas, axis=0), np.sum(exponents, axis=0))
+        if np.any(outside):
+            far = heads[:, outside]
+            log_abs, signs = np.reshape([log_abs_gamma_signed(v) for v in far.ravel().tolist()],
+                                        far.shape + (2,)).transpose(2, 0, 1)
+            value[outside] = np.prod(signs, axis=0) * np.exp(np.sum(powers[:, outside] * log_abs,
+                                                                    axis=0))
+        if terms == 1:
+            return (head * value)[:, None]
         taylor = _log_gamma_taylor(np.array(args), terms)
         logs = np.einsum("fg,fgk->gk", np.array(weights),
                          taylor * np.power.outer(np.array(steps), np.arange(terms))[:, None, :])
@@ -374,7 +417,11 @@ class MeasureEvaluator:
         product = np.zeros((groups, terms))
         for j in range(terms):
             product[:, j:] += poly[:, j : j + 1] * series[:, : terms - j]
-        return product * np.exp(logs[:, :1])
+        # exp(L(0)) = r_0 / poly_0, unless a lower pole at the centre zeroes poly_0
+        scale = np.exp(logs[:, 0])
+        known = poly[:, 0] != 0.0
+        scale[known] = head[known] * value[known] / poly[known, 0]
+        return product * scale[:, None]
 
     def _residues(
         self, log_t: np.ndarray, centres: np.ndarray, coeffs: np.ndarray

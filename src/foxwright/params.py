@@ -51,7 +51,6 @@ _BALANCE_TOL = 1e-9  # |delta| and mu > 0 tolerance of the measure's regimes
 _EDGE_RTOL = 1e-12  # |z| this close to the radius, relatively, is on the disk's edge
 _POLE_SCAN_CAP = 10_000
 _LOG_MAX = math.log(sys.float_info.max)  # e^x overflows a double beyond it
-_TINY = sys.float_info.min  # the smallest normal double
 
 
 @dataclass(frozen=True)
@@ -272,12 +271,6 @@ def _pole_order(arg: float, scale: float) -> int | None:
     return -n if abs(arg - n) <= _INT_TOL * scale else None
 
 
-def _pole_weight(n: int, scale: float) -> tuple[float, float]:
-    """(log|w|, sign) of w = (-1)^n / (n! * scale): gamma(c + k*scale) near
-    its pole -n at k0 behaves like w / (k - k0)."""
-    return -math.lgamma(n + 1.0) - math.log(scale), (-1.0) ** n
-
-
 def gamma_ratio_log_signed(params: ParameterSet, k: float) -> tuple[float, float]:
     """(log|r|, sign) of the coefficient ratio prod gamma(a+kA) / prod gamma(b+kB).
 
@@ -306,19 +299,19 @@ def gamma_ratio_log_signed(params: ParameterSet, k: float) -> tuple[float, float
     return log_acc, sign
 
 
-def _pole_factors(params: ParameterSet, k: float) -> tuple[list, int]:
-    """The factor walk at a k within tolerance of some factor's pole:
-    (side, scale, argument, n) per factor, row side +1 upper and -1 lower,
-    with n the pole order of the factors that count as poles at k and None
-    for the rest; and the excess of upper over lower pole factors.
+def _ratio_at_pole(params: ParameterSet, k: float) -> tuple[float, float]:
+    """``gamma_ratio_log_signed`` at a k within tolerance of some factor's
+    pole: more pole factors below than above make the ratio zero, more
+    above raise PoleError, and equal counts cancel to the finite limit.
 
     Each factor's nearest pole -n sits at index k0 = (-n - shift)/scale.
     Poles are decided per coincident group, not per factor: every factor
     whose k0 lies within _INT_TOL of the k0 of a factor that is within
     tolerance of k counts as a pole.  Rounding can put two coincident poles
     on either side of the tolerance; deciding them apart would leave one
-    uncancelled.  A pole factor contributes its residue weight
-    (``_pole_weight``) once the common 1/(k - k0) is divided out.
+    uncancelled.  Once the common 1/(k - k0) is divided out, a pole factor
+    contributes its residue weight w = (-1)^n / (n! * scale): gamma(c +
+    k*scale) near its pole -n at k0 behaves like w / (k - k0).
     """
     walk = []  # (row sign, scale, argument, nearest pole order n, its index k0)
     hits = []  # the k0 of the factors within tolerance of k
@@ -334,67 +327,23 @@ def _pole_factors(params: ParameterSet, k: float) -> tuple[list, int]:
             walk.append((side, scale, arg, n, k0))
     # every hit is within _INT_TOL of k, so the points within _INT_TOL of
     # some hit make up the one interval [lo - _INT_TOL, hi + _INT_TOL]
-    lo, hi = (min(hits), max(hits)) if hits else (math.inf, -math.inf)
-    factors = []
+    lo, hi = min(hits), max(hits)
     excess = 0
+    log_acc = 0.0
+    sign = 1.0
     for side, scale, arg, n, k0 in walk:
         if n is not None and k0 - hi <= _INT_TOL and lo - k0 <= _INT_TOL:
             excess += side
+            la, sg = -math.lgamma(n + 1.0) - math.log(scale), (-1.0) ** n
         else:
-            n = None
-        factors.append((side, scale, arg, n))
-    return factors, excess
-
-
-def _log_product(factors: list) -> tuple[float, float]:
-    """(log|r|, sign) of the product of the walk's pole weights and gammas."""
-    log_acc = 0.0
-    sign = 1.0
-    for side, scale, arg, n in factors:
-        la, sg = _pole_weight(n, scale) if n is not None else log_abs_gamma_signed(arg)
+            la, sg = log_abs_gamma_signed(arg)
         log_acc += side * la
         sign *= sg
-    return log_acc, sign
-
-
-def _ratio_at_pole(params: ParameterSet, k: float) -> tuple[float, float]:
-    """``gamma_ratio_log_signed`` at a k within tolerance of some factor's
-    pole: more pole factors below than above make the ratio zero, more
-    above raise PoleError, and equal counts cancel to the finite limit."""
-    factors, excess = _pole_factors(params, k)
     if excess < 0:
         return -math.inf, 1.0
     if excess > 0:
         raise PoleError(f"gamma ratio has a numerator pole at k={k}")
-    return _log_product(factors)
-
-
-def _pole_residue(params: ParameterSet, k: float) -> float:
-    """Residue in k of the ratio at k, a simple pole of one upper factor:
-    its weight (-1)^n / (n! scale) times the other factors' gamma values,
-    exactly 0 where a lower factor has its pole there too.
-
-    The value is a direct product of ``math.gamma`` values, which keeps
-    more digits than a sum of logs; the ``lgamma`` sum serves where n! or
-    a gamma value leaves the normal double range.
-    """
-    factors, excess = _pole_factors(params, k)
-    if excess < 1:
-        return 0.0
-    value = 1.0
-    for side, scale, arg, n in factors:
-        try:
-            f = (-1.0) ** n / (math.factorial(n) * scale) if n is not None else math.gamma(arg)
-        except OverflowError:
-            break
-        if abs(f) < _TINY:  # a gamma value that underflows has lost digits, or is 0
-            break
-        value = value * f if side > 0 else value / f
-    else:
-        if _TINY <= abs(value) < math.inf:
-            return value
-    log_abs, sign = _log_product(factors)
-    return sign * (math.exp(log_abs) if log_abs <= _LOG_MAX else math.inf)
+    return log_acc, sign
 
 
 def gamma_ratio(params: ParameterSet, k: float) -> float:

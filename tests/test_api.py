@@ -66,7 +66,7 @@ EXPORTS = [
 # private rule replaces, wrappers whose values the row series gives, and the
 # Touchard polynomials, which the one atom functional replaces
 REMOVED_NAMES = {
-    "foxwright.params": {"Convergence", "classify_convergence"},
+    "foxwright.params": {"Convergence", "classify_convergence", "_pole_residue"},
     "foxwright.series": {"hyper_pfq", "wright_function", "mittag_leffler"},
     "foxwright.special": {"touchard_sum", "touchard_poly", "log_gamma_complex_vec"},
 }

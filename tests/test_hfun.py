@@ -29,7 +29,6 @@ from foxwright.errors import (
     QuadratureFailure,
 )
 from foxwright.hfun import MeasureEvaluator
-from foxwright.params import _pole_residue
 
 # an upper/lower pair one step apart has the classical beta density
 # t^alpha (1-t)^(beta-alpha-1) / gamma(beta-alpha) as its measure
@@ -50,6 +49,11 @@ TRIPLES = ParameterSet([(0.4, 1.0), (0.4 + 2e-4, 1.0), (0.4 + 4e-4, 1.0)],
 # scales 1/2 and 1: ladders of two spacings, pairs 1e-5 apart
 MIXED_SCALES = ParameterSet([(0.3, 0.5), (0.6 + 1e-5, 1.0), (0.5, 1.0)],
                             [(0.9, 0.5), (1.2, 1.0), (1.4, 1.0)])
+# scales 1/3 (rho = 1, spacing 3): the first two rows' poles 8e-8 apart, the
+# third's 2.7e-3 spacings above them
+NEAR_COLLIDING = ParameterSet(
+    [(0.5196737956091553, 1 / 3), (0.5196738231098478, 1 / 3), (0.5223469213773375, 1 / 3)],
+    [(1.775247492032172, 1 / 3), (1.5130015209905916, 1 / 3), (-1.0265544729264233, 1 / 3)])
 
 
 def beta_density(t, alpha=0.7, beta=2.3):
@@ -474,6 +478,18 @@ class TestGuards:
         want = meijer_g(t * t, [1.0, 1.0], [0.5, 0.5 + 3e-7], 2.0)
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("t", [1e-6, 1e-3, 0.05, 0.3, 0.6])
+    def test_near_colliding_ladders_share_a_group(self, t):
+        # all three rows' poles form one group, whose residues do not
+        # cancel; as two groups they missed by up to 8.9e-9 (at t = 0.3).
+        # H(t) = 3 G^{3,0}_{3,3}(t^3 | ; lower shifts / upper shifts)
+        ev = get_evaluator(NEAR_COLLIDING)
+        assert ev._res_centres.size == 123
+        got = float(ev.density(np.array([t * ev.rho]))[0])
+        want = meijer_g((t * ev.rho) ** 3, [b for b, _ in NEAR_COLLIDING.lower],
+                        [a for a, _ in NEAR_COLLIDING.upper], 3.0)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_endpoint_route_near_zero_raises_typed_error(self):
         # the endpoint series in u = ln(rho/t) has not converged at 0.1 rho
         ev = get_evaluator(DOUBLE_POLE)
@@ -611,21 +627,27 @@ class TestClosedFormResidue:
         return ev, rows
 
     def test_against_mpmath(self, monkeypatch):
-        # every lone pole of the catalog sets and of seven density-cold sets;
-        # the groups that lead (within _TABLE_STEP of the first pole: they
-        # carry H and decide degeneracy) within 1e-13, the rest, whose gamma
-        # arguments sit far out on the negative axis where the rounding of
-        # the arguments alone moves them by about 1e-13, within 1e-12
-        leading = 0
-        for params in [TWIN_QUARTER, DOUBLE_POLE, *_density_cold_sets(4)]:
+        # every lone pole of the catalog sets and of the seven density-cold
+        # sets of seeds 4 and 5; the groups that lead (within _TABLE_STEP of
+        # the first pole: they carry H and decide degeneracy) within 1e-13,
+        # the rest, whose gamma arguments sit far out on the negative axis
+        # where the rounding of the arguments alone moves them by about
+        # 1e-13, within 1e-12
+        errors = {True: [], False: []}
+        for params in [TWIN_QUARTER, DOUBLE_POLE, *_density_cold_sets(4), *_density_cold_sets(5)]:
             ev, rows = self.singles(monkeypatch, params)
             assert rows and not ev.degenerate
             for got, want, leads in rows:
                 assert want != 0 and got != 0
                 err = float(abs((got - want) / want))
                 assert err <= (1e-13 if leads else 1e-12), (params, float(want))
-                leading += leads
-        assert leading >= 100
+                errors[leads].append(err)
+        assert len(errors[True]) >= 200
+        # and in the median: the residue as the exp of the log-gamma sum,
+        # rather than the product of the gamma values, reads 1.5e-15 and
+        # 1.5e-14 here
+        assert np.median(errors[True]) <= 1.25e-15
+        assert np.median(errors[False]) <= 1.3e-14
 
     @pytest.mark.parametrize("params", [DOUBLE_POLE, CLUSTERED, HALF_SCALE, TRIPLES, MIXED_SCALES],
                              ids=["double-pole", "clustered", "half-scale", "triples",
@@ -645,6 +667,18 @@ class TestClosedFormResidue:
             bound = 1e-13 if centre[g] <= ev._first + hfun._TABLE_STEP else 1e-12
             for t, x, w in zip(ts, got, want):
                 assert float(abs((x - w) / w)) <= bound, (centre[g], t)
+
+    def test_no_partial_product_underflows(self, monkeypatch):
+        # near sigma = 76 the gamma values of this density-cold set (seed 10)
+        # reach 1e-109 and 1/74! is 3e-108: multiplied in turn they passed
+        # through 4e-322, below the normal range, and the residues there lost
+        # up to 4e-3 relative
+        params = ParameterSet([(1.384272551, 1.0), (2.150344551, 1.0), (2.849804551, 1.0)],
+                              [(1.511895551, 1.0), (1.8387615510000002, 1.0), (3.033764551, 1.0)])
+        ev, rows = self.singles(monkeypatch, params)
+        assert len(rows) >= 200 and ev._res_centres[-1] > 76
+        for got, want, _ in rows:
+            assert float(abs((got - want) / want)) <= 1e-12
 
     @pytest.mark.parametrize("params", [EXP_COLLAPSE, IDENTITY], ids=["exp-collapse", "identity"])
     def test_cancelled_pole_is_exactly_zero(self, monkeypatch, params):
@@ -669,17 +703,19 @@ class TestClosedFormResidue:
         # the 200th pole: 200! leaves the double range, so the residue comes
         # from the lgamma sum, finite and to about 1e-13
         params = ParameterSet([(0.5, 1.0)], [(0.75, 1.0)])
-        got = _pole_residue(params, -200.5)
+        centres, coeffs, _, _ = MeasureEvaluator(params)._build_table(210.0)
+        [g] = np.flatnonzero(centres == 200.5)
+        got = coeffs[g, 0]
         want = mp_residue(params, 200.5)
         assert math.isfinite(got) and float(abs((got - want) / want)) <= 1e-12
 
     def test_entire_ratio_of_order_forty(self):
         # the polynomial (s+1)...(s+40): every pole cancels, and far out no
-        # gamma value or factorial raises OverflowError
+        # gamma value overflows into a warning or a non-zero row
         params = ParameterSet([(41.0, 1.0)], [(1.0, 1.0)])
-        assert _pole_residue(params, -241.0) == 0.0
         ev = MeasureEvaluator(params)
-        assert ev.degenerate and not np.any(ev._res_coeffs)
+        _, coeffs, _, _ = ev._build_table(250.0)
+        assert ev.degenerate and not np.any(ev._res_coeffs) and not np.any(coeffs)
 
 
 def loop_plan(ev, sigma):
