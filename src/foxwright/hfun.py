@@ -18,22 +18,17 @@ H has two series, one converging at each end of the support:
   gamma_ratio(s) t^(-s) at the poles s = -(alpha_i + n)/A_i of the
   numerator gammas.  Poles closer than 0.01 of the smallest ladder spacing
   form one group with nodes s_0..s_(m-1), coincident ones included, and a
-  lone pole is a group of one.  Every group's Newton moments
-  c_k = (1/2 pi i) oint ratio(s) prod_(j<k) (s - s_j) ds are the divided
-  differences R[s_k..s_(m-1)] of its regular part
-  R(s) = ratio(s) prod_j (s - s_j), taken once per evaluator, in closed
-  form, from the Taylor series of R about the group's centre: a product of
+  lone pole is a group of one.  A group's residues sum to the divided
+  difference of R(s) t^(-s) over its nodes, R(s) = ratio(s) prod_j (s - s_j)
+  its regular part.  That is taken once per evaluator, in closed form, from
+  the Taylor series of R and of t^(-s) about the group's centre, so it does
+  not cancel however close the nodes are: R's series is a product of
   per-factor series from log-gamma Taylor rows (DLMF 5.7, 5.15) and the
   explicit eps of each factor at or below 1/2, exactly 0 where lower poles
   cancel the group.  Its leading coefficient R(centre) is a product of
-  gamma values, so a lone pole's one moment, its residue, is
-  (-1)^n / (n! A) times the other factors' gamma values (Kilbas & Saigo,
-  H-Transforms, 2004, ch. 1).  The group's residues sum to
-  sum_k c_k f[s_0..s_k] for f(s) = t^(-s) (McCurdy, Ng & Parlett, Math.
-  Comp. 43, 1984).  The divided differences come from the Taylor series of
-  exp about the group's centre, so they do not cancel however close the
-  nodes are, and reduce to c_k (-ln t)^k / k! when the nodes coincide.  Per
-  group that is t^centre times a fixed power series in ln t, summed by
+  gamma values, so a lone pole's residue is (-1)^n / (n! A) times the
+  other factors' gamma values (Kilbas & Saigo, H-Transforms, 2004, ch. 1).
+  Per group that is t^centre times a fixed power series in ln t, summed by
   Horner per t, so each t rounds alike in any grid.  The terms decay like
   (t/rho)^sigma.
 
@@ -58,8 +53,8 @@ it the endpoint series serves.  No switch point is measured or configured.
 A parameter set whose ratio IS its polynomial part (upper == lower rows,
 duplication- or multiplication-formula collapses) has H identically zero.
 That degeneracy is read off the residue table: every pole group within
-_TABLE_STEP of the first pole has Newton moments of exactly 0.  Both routes
-then return exact zeros.
+_TABLE_STEP of the first pole has a row of exactly 0.  Both routes then
+return exact zeros.
 
 Every integral against the measure, integral_0^rho fn(t) H(t) dt, runs on
 one nested tanh-sinh rule (``quadrature.tanh_sinh``) cached on the
@@ -103,7 +98,7 @@ _MAX_GROUPS = 250  # pole groups of the residue table
 # Apart, near poles carry large residues of opposite sign that cancel: a pole
 # 2.7e-3 spacings from a pair lost 8.9e-9 of H that way, one 0.01 spacings
 # away 1.5e-10, under _TOL.  A wider gap costs table width, which grows with
-# a group's spread times log_span ~ 690 in _newton_to_power: one group of
+# a group's spread times log_span ~ 690 in _residue_rows: one group of
 # those three poles widened that set's table from 5 to 34 columns
 _GROUP_GAP = 0.01
 _TABLE_STEP = 10.0  # sigma step of the residue table's growth and degeneracy check
@@ -275,9 +270,15 @@ class MeasureEvaluator:
         residues at t sum to t^centre[g] sum_n rows[g, n] (-ln t)^n.
 
         Group g has the poles ``members[g, :size[g]]`` of the upper rows
-        ``owners[g, :size[g]]``.  The groups with the same size and Taylor
-        order take their Newton moments from ``_group_moments`` together; a
-        lone pole's one moment, its residue, is the size-1 case.
+        ``owners[g, :size[g]]``; the groups with the same size and Taylor
+        order are taken together.  Their residues at t are the divided
+        difference of R(s) t^(-s) over the poles s_0..s_(m-1), R the regular
+        part.  About s_c = -centre, R = sum_i r_i h^i (``_regular_series``)
+        and t^(-s) = t^centre sum_n (-ln t)^n h^n / n!, and the divided
+        difference of h^N over e_j = s_j - s_c is the complete homogeneous
+        polynomial h_(N-m+1)(e_0..e_(m-1)) (de Boor, Surveys in Approximation
+        Theory 1, 2005), so rows[g, n] = sum_i r_i h_(i+n-m+1)(e) / n!.  A
+        lone pole's row is its residue r_0.
         """
         coeffs = np.zeros((centre.size, 0))
         # largest |ln t| any caller of the table can ask for
@@ -285,7 +286,7 @@ class MeasureEvaluator:
         for m, n in sorted(set(zip(size.tolist(), terms.tolist()))):
             idx = np.flatnonzero((size == m) & (terms == n))
             offsets = centre[idx, None] - members[idx, :m]  # s_j - s_c
-            moments = self._group_moments(offsets, owners[idx, :m], centre[idx], n)
+            r = self._regular_series(owners[idx, :m], centre[idx], n)
             # Taylor terms of exp(-(s - s_c) ln t) past the group size, until
             # (max |s_j - s_c| |ln t|)^j / j! < 1e-17
             reach = float(np.max(np.abs(offsets))) * log_span
@@ -293,34 +294,21 @@ class MeasureEvaluator:
             while term > 1e-17:
                 extra += 1
                 term *= reach / (extra + 1)
-            rows = _newton_to_power(moments, offsets, extra)
-            if rows.shape[1] > coeffs.shape[1]:
-                coeffs = np.pad(coeffs, ((0, 0), (0, rows.shape[1] - coeffs.shape[1])))
-            coeffs[idx, : rows.shape[1]] = rows
+            width = m + extra
+            # h[:, k] = h_(k-m+1)(e), zero below k = m - 1, so that row j is
+            # the Hankel product sum_i r_i h[:, i + j]
+            h = np.zeros((idx.size, n + width - 1))
+            h[:, m - 1] = 1.0
+            for k in range(m):
+                # h_j(e_0..e_k) = h_j(e_0..e_(k-1)) + e_k h_(j-1)(e_0..e_k)
+                for j in range(m, h.shape[1]):
+                    h[:, j] += offsets[:, k] * h[:, j - 1]
+            rows = np.stack([np.sum(r * h[:, j : j + n], axis=1) for j in range(width)], axis=1)
+            rows /= np.array([math.factorial(j) for j in range(width)], dtype=float)
+            if width > coeffs.shape[1]:
+                coeffs = np.pad(coeffs, ((0, 0), (0, width - coeffs.shape[1])))
+            coeffs[idx, :width] = rows
         return coeffs
-
-    def _group_moments(self, offsets: np.ndarray, owners: np.ndarray, centre: np.ndarray,
-                       terms: int) -> np.ndarray:
-        """Newton moments c_k = R[s_k..s_(m-1)] of groups of m poles, one row
-        each, from ``terms`` Taylor coefficients r_i of the regular part
-        R(s) = ratio(s) prod_j (s - s_j) about s_c = -centre.
-
-        The divided difference of h^i over e_k..e_(m-1), e_j = s_j - s_c, is
-        the complete homogeneous polynomial h_(i-m+1+k) of those nodes, so
-        c_k = sum_i r_i h_(i-m+1+k)(e_k..e_(m-1)).
-        """
-        r = self._regular_series(owners, centre, terms)
-        groups, m = offsets.shape
-        moments = np.empty((groups, m))
-        h = np.zeros((groups, terms))
-        h[:, 0] = 1.0
-        for k in range(m - 1, -1, -1):
-            # h_j(e_k..e_(m-1)) = h_j(e_(k+1)..e_(m-1)) + e_k h_(j-1)(e_k..e_(m-1))
-            for j in range(1, terms):
-                h[:, j] += offsets[:, k] * h[:, j - 1]
-            lead = m - 1 - k
-            moments[:, k] = np.sum(r[:, lead:] * h[:, : terms - lead], axis=1)
-        return moments
 
     def _regular_series(self, owners: np.ndarray, centre: np.ndarray, terms: int) -> np.ndarray:
         """r_0 .. r_(terms-1) of R(s_c + h) = sum_i r_i h^i, one row per group.
@@ -506,12 +494,17 @@ class MeasureEvaluator:
         RESIDUE_SERIES and ENDPOINT_SERIES use one series throughout and
         raise NonConvergentError where it has not converged to ``_TOL``.
         OutsideDomainError unless every t satisfies 0 < t < rho, NaN included.
+        The result has t's shape, a scalar giving shape (1,).
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if not np.all((t > 0.0) & (t < self.rho)):
             raise OutsideDomainError(
                 f"density is defined on the open interval (0, {self.rho:.6g})"
             )
+        return self._flat_density(t.ravel(), method).reshape(t.shape)
+
+    def _flat_density(self, t: np.ndarray, method: HfunMethod) -> np.ndarray:
+        """``density`` on a 1-D array of t inside the support."""
         if self.degenerate:
             return np.zeros_like(t)
         if method is HfunMethod.RESIDUE_SERIES:
@@ -607,28 +600,6 @@ def get_evaluator(params: ParameterSet) -> MeasureEvaluator:
             del _EVALUATORS[next(iter(_EVALUATORS))]
     _EVALUATORS[params] = ev
     return ev
-
-
-def _newton_to_power(moments: np.ndarray, nodes: np.ndarray, extra: int) -> np.ndarray:
-    """b_n with sum_k c_k f[s_0..s_k] = t^centre sum_n b_n (-ln t)^n, f = t^-s,
-    one row per group of ``moments`` c_k and node offsets e_k = s_k - s_c.
-
-    About the centre, f = t^centre sum_n (-ln t)^n (s - s_c)^n / n!, and the
-    divided difference of (s - s_c)^n over s_0..s_k is the complete
-    homogeneous polynomial h_(n-k) of e_0..e_k.  So
-    b_n = sum_(k<=n) c_k h_(n-k)(e_0..e_k) / n!, for n < size + extra.
-    """
-    groups, size = moments.shape
-    width = size + extra
-    out = np.zeros((groups, width))
-    h = np.zeros((groups, width))
-    h[:, 0] = 1.0
-    for k in range(size):
-        # h_j(e_0..e_k) = h_j(e_0..e_(k-1)) + e_k h_(j-1)(e_0..e_k)
-        for j in range(1, width):
-            h[:, j] += nodes[:, k] * h[:, j - 1]
-        out[:, k:] += moments[:, k : k + 1] * h[:, : width - k]
-    return out / np.array([math.factorial(n) for n in range(width)], dtype=float)
 
 
 # ---------------------------------------------------------------------------

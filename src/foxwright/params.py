@@ -15,7 +15,7 @@ Two closely related scale products show up and are easy to conflate:
   base of the coefficient ratio, the endpoint of the support of the
   representing measure, and the rate in every exponential bound.
 * ``conv_radius``: its reciprocal, which is the radius of convergence of
-  the power series in the balanced (delta == -1) case.
+  the power series in the delta == -1 case.
 
 Keeping both as named fields avoids a whole class of sign errors.
 """

@@ -66,6 +66,7 @@ EXPORTS = [
 # private rule replaces, wrappers whose values the row series gives, and the
 # Touchard polynomials, which the one atom functional replaces
 REMOVED_NAMES = {
+    "foxwright.hfun": {"_newton_to_power"},
     "foxwright.params": {"Convergence", "classify_convergence", "_pole_residue"},
     "foxwright.series": {"hyper_pfq", "wright_function", "mittag_leffler"},
     "foxwright.special": {"touchard_sum", "touchard_poly", "log_gamma_complex_vec"},
@@ -135,6 +136,10 @@ def test_removed_names_are_gone(name):
     gone = REMOVED_NAMES[name]
     assert gone.isdisjoint(vars(module)) and gone.isdisjoint(module.__all__)
     assert gone.isdisjoint(dir(foxwright))
+
+
+def test_removed_methods_are_gone():
+    assert not hasattr(hfun.MeasureEvaluator, "_group_moments")
 
 
 README_PYTHON = re.findall(

@@ -167,6 +167,19 @@ class TestResidueRoute:
         got = get_evaluator(DOUBLE_POLE).density(np.array([]), method)
         assert got.shape == (0,)
 
+    @pytest.mark.parametrize("method", list(HfunMethod))
+    def test_grid_keeps_its_shape(self, method):
+        # a (2, 2) grid equals the flat call reshaped, bit for bit; the
+        # endpoint series on twin-quarter at 0.5-0.8 rho, where it converges
+        params = TWIN_QUARTER if method is HfunMethod.ENDPOINT_SERIES else DOUBLE_POLE
+        ev = get_evaluator(params)
+        span = [0.5, 0.8] if method is HfunMethod.ENDPOINT_SERIES else [0.1, 0.4]
+        grid = np.linspace(*span, 4).reshape(2, 2) * ev.rho
+        got = ev.density(grid, method)
+        assert got.shape == (2, 2)
+        assert np.array_equal(got, ev.density(grid.ravel(), method).reshape(2, 2))
+        assert ev.density(grid[0, 0], method).shape == (1,)
+
 
 class TestKnownDensities:
     @pytest.mark.parametrize("t", [0.05, 0.2, 0.5, 0.8, 0.95])
@@ -609,9 +622,10 @@ def mp_group_sum(params, poles, owners, ts):
 
 
 class TestClosedFormResidue:
-    """Every pole group takes its Newton moments in closed form: a lone
-    pole's one moment, the residue, as a product of gamma values, a larger
-    group's from the Taylor series of its regular part."""
+    """Every pole group's row is one divided difference of R(s) t^(-s) in
+    closed form, R the group's regular part: a lone pole's row is its
+    residue, a product of gamma values, and a larger group's comes from the
+    Taylor series of R about its centre."""
 
     @staticmethod
     def singles(monkeypatch, params):
@@ -649,21 +663,28 @@ class TestClosedFormResidue:
         assert np.median(errors[True]) <= 1.25e-15
         assert np.median(errors[False]) <= 1.3e-14
 
-    @pytest.mark.parametrize("params", [DOUBLE_POLE, CLUSTERED, HALF_SCALE, TRIPLES, MIXED_SCALES],
+    @pytest.mark.parametrize("params",
+                             [DOUBLE_POLE, CLUSTERED, HALF_SCALE, TRIPLES, MIXED_SCALES,
+                              NEAR_COLLIDING],
                              ids=["double-pole", "clustered", "half-scale", "triples",
-                                  "mixed-scales"])
+                                  "mixed-scales", "near-colliding"])
     def test_group_sums_against_mpmath(self, monkeypatch, params):
-        # every row of the table, t^centre sum_n b_n (-ln t)^n, against the
-        # group's residue sum at four t: within 1e-13 for the groups within
-        # _TABLE_STEP of the first pole, 1e-12 beyond
+        # every row of the table, sum_n b_n (-ln t)^n, against the group's
+        # residue sum over t^centre at four t: within 1e-13 for the groups
+        # within _TABLE_STEP of the first pole, 1e-12 beyond.  The sum is
+        # divided rather than the row multiplied, since t^centre underflows
+        # to a subnormal at 1e-6 rho on near-colliding's far groups
+        mp = pytest.importorskip("mpmath")
         ev, (members, owners, size, centre, _) = built_with_plan(monkeypatch, params)
         assert np.any(size >= 2)
         ts = np.array([1e-6, 0.1, 0.5, 0.9]) * ev.rho
         log_t = np.log(ts)
         for g in range(centre.size):
             row = ev._res_coeffs[g]
-            got = ts ** centre[g] * np.polyval(row[::-1], -log_t)
-            want = mp_group_sum(params, members[g, :size[g]], owners[g, :size[g]], ts)
+            got = np.polyval(row[::-1], -log_t)
+            sums = mp_group_sum(params, members[g, :size[g]], owners[g, :size[g]], ts)
+            with mp.workdps(40):
+                want = [w / mp.mpf(t) ** float(centre[g]) for w, t in zip(sums, ts)]
             bound = 1e-13 if centre[g] <= ev._first + hfun._TABLE_STEP else 1e-12
             for t, x, w in zip(ts, got, want):
                 assert float(abs((x - w) / w)) <= bound, (centre[g], t)
