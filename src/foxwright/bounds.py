@@ -32,7 +32,7 @@ from .errors import (ConstraintError, DegenerateError, DivisionError, DomainErro
 from .hfun import get_evaluator, hfun_nonneg_scan
 from .params import (ParameterSet, _require_exponent, derive_constants, gamma_ratio,
                      shift_parameters)
-from .representations import _lifted_regular, _power_kernel, lifted_value
+from .representations import _lifted_regular, _power_kernel, _values, lifted_value
 from .series import IdentityRecord, _fox_wright_values, _record
 
 __all__ = [
@@ -177,20 +177,21 @@ def stieltjes_lower_bound(
 
 
 def cm_check(
-    f: Callable[[np.ndarray], np.ndarray], grid: Sequence[float]
+    f: Callable[[np.ndarray], np.ndarray] | ParameterSet, grid: Sequence[float]
 ) -> tuple[IdentityRecord, ...]:
     """Check ``(-1)^n * forward_diff_h^n f(x) >= -eps_n`` for n = 0..6, h = 0.05.
 
     ``f`` is called once, on the 1-D array of every abscissa ``x + j h``
     (sorted grid points x, j = 0..6, x-major), and returns their values in
-    the same order, so a represented set's F(-x) is one pass over its
-    measure.  ``eps_n = 1e-7 * (2/h)^n * max|f|`` absorbs the worst-case
-    noise growth of order-n differencing, so this is a consistency check on
-    numerically evaluated functions, not a proof.  One ``>=`` record per
-    (order, x), named ``cm-order-<n>``, lowest order first and then
-    increasing x: the first that fails is a sign defect no nonnegative
-    representing density is compatible with.  A non-finite value of f
-    leaves max|f| undefined, so every record fails.
+    the same order.  A parameter set stands for its F(-x): from the
+    measure, in one pass over its rule, where the set has one, else the
+    series as one grid.  ``eps_n = 1e-7 * (2/h)^n * max|f|`` absorbs the
+    worst-case noise growth of order-n differencing, so this is a
+    consistency check on numerically evaluated functions, not a proof.
+    One ``>=`` record per (order, x), named ``cm-order-<n>``, lowest order
+    first and then increasing x: the first that fails is a sign defect no
+    nonnegative representing density is compatible with.  A non-finite
+    value of f leaves max|f| undefined, so every record fails.
     """
     xs = [float(x) for x in grid]
     if not xs:
@@ -201,6 +202,9 @@ def cm_check(
     if xs[0] <= 0:
         raise ParameterError("grid points must be positive")
 
+    if isinstance(f, ParameterSet):
+        params = f
+        f = lambda x: _values(params, -x)  # noqa: E731
     points = (np.array(xs)[:, None] + np.arange(_CM_MAX_ORDER + 1) * _CM_STEP).ravel()
     values = np.asarray(f(points), dtype=float)
     if values.shape != points.shape:

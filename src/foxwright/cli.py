@@ -47,9 +47,8 @@ from .bounds import (
 from .catalog import NAMED_SETS
 from .errors import FoxwrightError
 from .hfun import get_evaluator
-from .params import ParameterSet, derive_constants
+from .params import ParameterSet
 from .representations import (
-    eval_via_representation,
     laplace_lift_check,
     moment_identity_check,
     verify_representation,
@@ -237,11 +236,7 @@ def _cm_scan(ns, params, _):
     if name == "series":
         if params is None:
             raise CliUsageError("cm-check --function series needs --params")
-        if derive_constants(params).represented:
-            # F(-x) at every abscissa in one pass over the measure's cached rule
-            f = lambda xs: eval_via_representation(params, -xs).value  # noqa: E731
-        else:
-            f = lambda xs: _fox_wright_values(params, (-xs).tolist())  # noqa: E731
+        f = params
     elif name in _CM_FUNCTIONS:
         f = _CM_FUNCTIONS[name]
     else:

@@ -109,8 +109,8 @@ def eval_via_representation(params: ParameterSet, z: float | np.ndarray) -> Eval
     atomic regimes ``mu == -m`` and for the pure-density regime ``mu > 0``
     (where the atom part is identically zero); ``get_evaluator`` raises
     ConstraintError for any other set.  An array of real z is served by
-    one pass over the cached rule, refined until every point meets the
-    tolerance; value and estimate are then arrays.
+    one pass over the cached rule; value and estimate are then arrays, and
+    each point equals its one-point call bit for bit.
     """
     ev = get_evaluator(params)
     zr = np.asarray(z, dtype=float) if np.ndim(z) else float(z)
@@ -122,19 +122,23 @@ def eval_via_representation(params: ParameterSet, z: float | np.ndarray) -> Eval
 def verify_representation(
     params: ParameterSet, zs: Sequence[float]
 ) -> tuple[IdentityRecord, ...]:
-    """Direct series vs the measure-rebuilt value, one record per z: one
-    series grid and one pass over the rule.  The atoms are added point by
-    point: the array form of :func:`correction_series` rounds its
-    exponentials apart from the one-point form."""
+    """Direct series vs :func:`eval_via_representation`, one record per z:
+    one series grid and one pass over the rule."""
     lhs = _fox_wright_values(params, zs)
-    ev = get_evaluator(params)
-    integral = ev.measure_integral(_exp_kernel(np.array(zs)))[0].tolist()
+    rhs = eval_via_representation(params, np.array(zs)).value.tolist()
     key = params.hash_key()
-    return tuple(
-        _record("exp-kernel-representation", key, z, a,
-                v + (correction_series(params, z) if ev.m is not None else 0.0), _TOL)
-        for z, a, v in zip(zs, lhs, integral)
-    )
+    return tuple(_record("exp-kernel-representation", key, z, a, b, _TOL)
+                 for z, a, b in zip(zs, lhs, rhs))
+
+
+def _values(params: ParameterSet, x: np.ndarray) -> np.ndarray:
+    """F at each point of a real 1-D array, the one place that chooses its
+    route: the representing measure where the set has one (its integral
+    adds same-sign terms however negative x is), else the series as one
+    grid, which raises the error of the first point whose status is not ok."""
+    if derive_constants(params).represented:
+        return eval_via_representation(params, x).value
+    return np.array(_fox_wright_values(params, x.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +274,7 @@ def laplace_lift_check(
     sides are computed first, as one grid, so a lifted value out of reach
     costs no quadrature.
 
-    F comes from the representing measure wherever it exists (mu == -m or
-    mu > 0): one vectorised pass over the rule per exp-sinh level, adding
-    only same-sign quantities however negative zt is.  Other balanced sets
-    sum the series on each level's nodes as one grid.
+    F on each exp-sinh level's nodes is one call of :func:`_values`.
     """
     _require_exponent("lam", lam)
     c = derive_constants(params)
@@ -289,18 +290,11 @@ def laplace_lift_check(
                 f"z={z} with rho={c.rho:g} does not decay"
             )
     rhs = lifted_value(params, lam, zs)
-
-    if c.represented:
-        def base_series(x: np.ndarray) -> np.ndarray:
-            return eval_via_representation(params, x).value
-    else:
-        def base_series(x: np.ndarray) -> np.ndarray:
-            return np.array(_fox_wright_values(params, x.tolist()))
-
     name, key = f"laplace-lift[lam={lam:g}]", params.hash_key()
     return tuple(
         _record(name, key, z,
-                integrate_gamma_weighted(lambda t: base_series(z * t), lam, decay=decay), b, _TOL)
+                integrate_gamma_weighted(lambda t: _values(params, z * t), lam, decay=decay),
+                b, _TOL)
         for z, decay, b in zip(zs, decays, rhs)
     )
 

@@ -343,7 +343,9 @@ def correction_series(params: ParameterSet, z: Any) -> Any:
     the scale sums balance and mu == -m for an integer m >= 0: their
     functional :func:`_atoms` on the kernel e^(zt), whose scaled
     derivatives at rho are w^i e^w with w = rho z, so the whole thing
-    costs one exp.  A numpy array of real z gives the array of values.
+    costs one exp.  A numpy array of z gives the array of values, each
+    equal bit for bit to its one-point call; a real z gives a float and a
+    complex z a complex.
     """
     import numpy as np  # here, not at module level: the series needs no numpy
 
@@ -352,24 +354,13 @@ def correction_series(params: ParameterSet, z: Any) -> Any:
         raise OutsideDomainError("correction series requires balanced scale sums")
     if c.m_order is None:
         raise OutsideDomainError("correction series requires mu to be a non-positive integer")
-    if np.ndim(z):
-        w = c.rho * np.asarray(z, dtype=float)
-        exp = np.exp
-    elif isinstance(z, complex) and z.imag != 0:
-        w = c.rho * z
-        exp = cmath.exp
-    else:
-        w = (c.rho * z).real
-        exp = math.exp
+    w = c.rho * np.asarray(z)
     # numpy warns of nothing here: an overflow or an inf - inf leaves a
     # non-finite sum, which is the error
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            exp_w = exp(w)
-        except OverflowError:  # math.exp and cmath.exp raise where np.exp gives inf
-            exp_w = math.inf
+        exp_w = np.exp(w)
         value = _atoms(params, lambda i: w**i * exp_w)
     if not np.all(np.isfinite(value)):
         raise DomainError(
             f"the atom sum overflows a double: rho z reaches {np.max(np.real(w)):.6g}")
-    return value
+    return value if np.ndim(z) else value.item()

@@ -9,6 +9,7 @@ from foxwright import (
     ParameterSet,
     bounds,
     cm_check,
+    eval_via_representation,
     exp_kernel_bounds,
     lifted_kernel_bounds,
     ratio_monotonicity_scan,
@@ -24,7 +25,7 @@ from foxwright.errors import (
     DomainError,
     ParameterError,
 )
-from foxwright.series import _record
+from foxwright.series import _fox_wright_values, _record
 
 GRID_17 = [float(v) for v in np.linspace(0.05, 0.95, 17)]
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -201,6 +202,19 @@ class TestCmCheck:
 
         f = lambda xs: [fox_wright_value(DOUBLE_POLE, -x) for x in xs.tolist()]
         assert first_defect(cm_check(f, CM_GRID)) is None
+
+    @pytest.mark.parametrize("params,measure", [
+        (DOUBLE_POLE, True),
+        (TWIN_QUARTER, True),
+        (ParameterSet([(1.0, 1.0)], [(1.0, 0.5)]), False),  # delta = -0.5: no measure
+    ], ids=["double-pole", "twin-quarter", "unrepresented"])
+    def test_parameter_set_reads_its_values(self, params, measure):
+        # a set stands for F(-x): the measure where the set has one, else the series
+        if measure:
+            f = lambda xs: eval_via_representation(params, -xs).value  # noqa: E731
+        else:
+            f = lambda xs: _fox_wright_values(params, (-xs).tolist())  # noqa: E731
+        assert cm_check(params, CM_GRID) == cm_check(f, CM_GRID)
 
     def test_f_is_called_once_on_the_whole_table(self):
         calls = []

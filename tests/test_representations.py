@@ -30,7 +30,6 @@ from foxwright.errors import (
     ParameterError,
 )
 
-EPS = float(np.finfo(float).eps)
 NON_FINITE = [math.nan, math.inf, -math.inf]
 # mu = -2: the atoms carry the first and second derivatives of a kernel
 M2 = ParameterSet([(1.0, 1.0)], [(0.25, 0.5), (-0.75, 0.5)])
@@ -55,17 +54,21 @@ class TestExponentialKernel:
         res = eval_via_representation(DOUBLE_POLE, z)
         assert 0.0 < res.trunc_estimate <= 1e-9 * abs(res.value)
 
-    @pytest.mark.parametrize("params", [EXP_COLLAPSE, TWIN_QUARTER, DOUBLE_POLE, IDENTITY])
+    @pytest.mark.parametrize("params", [EXP_COLLAPSE, TWIN_QUARTER, DOUBLE_POLE, IDENTITY, M2])
     def test_array_z_matches_scalar_calls(self, params):
-        # one pass for all z refines to the level the slowest point needs:
-        # each value within its scalar call's own estimate, plus the atom
-        # part's exp rounding
-        zs = np.linspace(-60.0, 20.0, 33)
+        # each row of the rule's pass keeps the level where it met the
+        # tolerance, and the atoms take one np.exp: every point bit for bit
+        zs = np.linspace(-60.0, 20.0, 161)
         res = eval_via_representation(params, zs)
         assert res.value.shape == res.trunc_estimate.shape == zs.shape
-        for z, got in zip(zs, res.value):
-            one = eval_via_representation(params, z)
-            assert abs(got - one.value) <= one.trunc_estimate + 4.0 * EPS * abs(one.value)
+        assert res.value.tolist() == [eval_via_representation(params, z).value for z in zs]
+
+    @pytest.mark.parametrize("params", [EXP_COLLAPSE, TWIN_QUARTER, DOUBLE_POLE, M2])
+    def test_verify_reads_the_representation(self, params):
+        zs = [-3.0, -1.0, 0.0, 1.0, 2.0]
+        records = verify_representation(params, zs)
+        assert [r.rhs for r in records] == [eval_via_representation(params, z).value
+                                            for z in zs]
 
     def test_beta_like_set_without_atom(self):
         # mu > 0: representation is the plain integral, no polynomial part

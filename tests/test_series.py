@@ -232,8 +232,8 @@ class TestCorrectionSeries:
     @pytest.mark.parametrize("z", [354.95, complex(354.95, 1.0), np.array([0.0, 354.95])],
                              ids=["float", "complex", "array"])
     def test_past_the_double_range_raises(self, z):
-        # rho z = 709.9 > ln(max double): math.exp and cmath.exp raised an
-        # OverflowError, np.exp warned and returned inf
+        # rho z = 709.9 > ln(max double): e^(rho z) is inf, for every type of
+        # z a typed error, neither an OverflowError nor a numpy warning
         with pytest.raises(DomainError, match="overflows a double"):
             correction_series(EXP_COLLAPSE, z)
 
@@ -283,14 +283,24 @@ class TestCorrectionSeries:
         assert isinstance(got, complex)
         assert abs(got - want) <= 1e-13 * abs(want)
 
-    @pytest.mark.parametrize("params", [EXP_COLLAPSE, TWIN_QUARTER, DOUBLE_POLE, IDENTITY])
+    @pytest.mark.parametrize("params", [EXP_COLLAPSE, TWIN_QUARTER, DOUBLE_POLE, IDENTITY,
+                                        M2_ATOMS])
     def test_array_z_matches_scalar_calls(self, params):
-        # np.exp and math.exp may round apart by an ulp each
-        zs = np.linspace(-60.0, 20.0, 33)
+        # one np.exp whatever the shape of z: every point bit for bit
+        zs = np.linspace(-60.0, 20.0, 161)
         got = correction_series(params, zs)
         want = [correction_series(params, float(z)) for z in zs]
         assert got.shape == zs.shape
-        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("z,kind", [(0.5, float), (np.float64(0.5), float), (1, float),
+                                        (0.5 + 0j, complex), (0.5 + 1j, complex)],
+                             ids=["float", "float64", "int", "complex-real", "complex"])
+    def test_scalar_types(self, z, kind):
+        # a real z gives a float, a complex z a complex, even on the real axis
+        got = correction_series(TWIN_QUARTER, z)
+        assert type(got) is kind
+        assert got == correction_series(TWIN_QUARTER, np.array([z]))[0]
 
 
 def _perfbench_inputs():
