@@ -52,13 +52,7 @@ from .series import (
     fox_wright,
     fox_wright_value,
 )
-from .catalog import (
-    DOUBLE_POLE,
-    EXP_COLLAPSE,
-    IDENTITY,
-    NAMED_SETS,
-    TWIN_QUARTER,
-)
+from .catalog import NAMED_SETS
 
 __all__ = [
     "ParameterSet",
@@ -87,17 +81,12 @@ __all__ = [
     "lifted_value",
     "laplace_lift_check",
     "finite_laplace_identity",
-    "four_param_representation",
     "exp_kernel_bounds",
     "lifted_kernel_bounds",
     "stieltjes_lower_bound",
     "cm_check",
     "shifted_stieltjes_ratio",
     "ratio_monotonicity_scan",
-    "EXP_COLLAPSE",
-    "TWIN_QUARTER",
-    "DOUBLE_POLE",
-    "IDENTITY",
     "NAMED_SETS",
     "FoxwrightError",
     "ParameterError",
@@ -119,7 +108,7 @@ _LAZY_EXPORTS = {
     "representations": (
         "eval_via_representation", "verify_representation", "moment_identity_check",
         "stieltjes_eval", "verify_stieltjes", "lifted_value", "laplace_lift_check",
-        "finite_laplace_identity", "four_param_representation",
+        "finite_laplace_identity",
     ),
     "bounds": (
         "exp_kernel_bounds", "lifted_kernel_bounds", "stieltjes_lower_bound", "cm_check",

@@ -49,7 +49,6 @@ from .series import (
     _fox_wright_values,
     _record,
     correction_series,
-    four_param_wright,
     fox_wright_value,
 )
 
@@ -62,7 +61,6 @@ __all__ = [
     "lifted_value",
     "laplace_lift_check",
     "finite_laplace_identity",
-    "four_param_representation",
 ]
 
 _TOL = 1e-6  # rel_err within which the two sides of every identity here agree
@@ -332,32 +330,3 @@ def finite_laplace_identity(z: float) -> tuple[IdentityRecord, ...]:
         for side, value in (("quadrature", quadrature), ("series", series_side))
         for name, form in forms.items()
     )
-
-
-# ---------------------------------------------------------------------------
-# four-parameter family front end
-# ---------------------------------------------------------------------------
-
-
-def four_param_representation(
-    mu1: float, a: float, nu1: float, b: float, z: float
-) -> IdentityRecord:
-    """Representation check for ``sum_k z^k / (gamma(a+k mu1) gamma(b+k nu1))``.
-
-    The measure splits into a density and endpoint atoms when
-    ``mu1 + nu1 == 1`` and ``a + b == 3/2 - m`` for an integer m >= 0: one
-    atom for m = 0, and an atom polynomial of degree m in k otherwise.
-    Anything else raises ConstraintError.
-    """
-    if mu1 <= 0 or nu1 <= 0:
-        raise ParameterError("mu1 and nu1 must be positive")
-    ps = ParameterSet([(1.0, 1.0)], [(a, mu1), (b, nu1)])
-    # delta = mu1 + nu1 - 1 and mu = a + b - 3/2
-    c = derive_constants(ps)
-    if not c.balanced:
-        raise ConstraintError(f"need mu1 + nu1 == 1, got {mu1 + nu1!r}")
-    if c.m_order is None:
-        raise ConstraintError(f"need a + b == 3/2 - m for an integer m >= 0; got {a + b!r}")
-    lhs = _checked(four_param_wright(mu1, a, nu1, b, z), z)
-    rhs = eval_via_representation(ps, z).value
-    return _record(f"four-param[m={c.m_order}]", ps.hash_key(), z, lhs, rhs, _TOL)

@@ -1,4 +1,4 @@
-"""The public surface: the 48 exported names, pinned, every one resolving, two
+"""The public surface: the 43 exported names, pinned, every one resolving, two
 result types, and no tuning knob is left.  Every ``python`` block of the
 README runs.
 
@@ -54,20 +54,24 @@ EXPORTS = [
     "HfunMethod", "MeasureEvaluator", "get_evaluator", "hfun_nonneg_scan",
     "moment_identity_check", "eval_via_representation", "verify_representation",
     "stieltjes_eval", "verify_stieltjes", "lifted_value", "laplace_lift_check",
-    "finite_laplace_identity", "four_param_representation",
+    "finite_laplace_identity",
     "exp_kernel_bounds", "lifted_kernel_bounds", "stieltjes_lower_bound", "cm_check",
     "shifted_stieltjes_ratio", "ratio_monotonicity_scan",
-    "EXP_COLLAPSE", "TWIN_QUARTER", "DOUBLE_POLE", "IDENTITY", "NAMED_SETS",
+    "NAMED_SETS",
     "FoxwrightError", "ParameterError", "PoleError", "OutsideDomainError", "DomainError",
     "NonConvergentError", "QuadratureFailure", "DegenerateError", "ConstraintError",
     "DivisionError",
 ]
 # module -> names it no longer defines: the convergence classes, which one
-# private rule replaces, wrappers whose values the row series gives, and the
-# Touchard polynomials, which the one atom functional replaces
+# private rule replaces, wrappers whose values the row series gives, the
+# Touchard polynomials, which the one atom functional replaces, the catalog
+# aliases, which NAMED_SETS and foxwright.catalog give, and the four-parameter
+# check, which verify_representation on its row set gives
 REMOVED_NAMES = {
+    "foxwright": {"EXP_COLLAPSE", "TWIN_QUARTER", "DOUBLE_POLE", "IDENTITY"},
     "foxwright.hfun": {"_newton_to_power"},
     "foxwright.params": {"Convergence", "classify_convergence", "_pole_residue"},
+    "foxwright.representations": {"four_param_representation"},
     "foxwright.series": {"hyper_pfq", "wright_function", "mittag_leffler"},
     "foxwright.special": {"touchard_sum", "touchard_poly", "log_gamma_complex_vec"},
 }
@@ -81,7 +85,7 @@ DELETED_TYPES = {
 PARAMETER_TYPES = {"ParameterSet", "DerivedConstants"}
 CHECK_FUNCTIONS = {
     "verify_representation", "moment_identity_check", "verify_stieltjes",
-    "laplace_lift_check", "finite_laplace_identity", "four_param_representation",
+    "laplace_lift_check", "finite_laplace_identity",
     "exp_kernel_bounds", "lifted_kernel_bounds", "stieltjes_lower_bound", "cm_check",
     "shifted_stieltjes_ratio", "ratio_monotonicity_scan", "hfun_nonneg_scan",
 }
@@ -135,6 +139,7 @@ def test_removed_names_are_gone(name):
     module = importlib.import_module(name)
     gone = REMOVED_NAMES[name]
     assert gone.isdisjoint(vars(module)) and gone.isdisjoint(module.__all__)
+    assert not any(hasattr(module, attr) for attr in gone)
     assert gone.isdisjoint(dir(foxwright))
 
 
@@ -175,9 +180,9 @@ def test_import_leaves_numpy_unloaded():
         import foxwright
         deferred = {"numpy", "hashlib", "_hashlib", "fractions"}
         assert not deferred & set(sys.modules)
-        assert foxwright.fox_wright(foxwright.DOUBLE_POLE, 0.5).ok()
+        assert foxwright.fox_wright(foxwright.NAMED_SETS["double-pole"], 0.5).ok()
         assert not deferred & set(sys.modules) and "foxwright.hfun" not in sys.modules
-        assert foxwright.DOUBLE_POLE.hash_key() == "0427ae0a7ebdbf5c"
+        assert foxwright.NAMED_SETS["double-pole"].hash_key() == "0427ae0a7ebdbf5c"
         assert "hashlib" in sys.modules
         foxwright.get_evaluator
         assert "foxwright.hfun" in sys.modules and "numpy" in sys.modules
@@ -247,8 +252,8 @@ def test_benchmark_reads_resolve():
     against its oracle."""
     import numpy as np
 
-    ev = foxwright.get_evaluator(foxwright.DOUBLE_POLE)
-    assert hfun._EVALUATORS[foxwright.DOUBLE_POLE] is ev
+    ev = foxwright.get_evaluator(foxwright.NAMED_SETS["double-pole"])
+    assert hfun._EVALUATORS[foxwright.NAMED_SETS["double-pole"]] is ev
     assert isinstance(ev._res_nodes_used, int) and ev._res_nodes_used > 0
     assert ev._tau.size == 0
     t = np.array([0.2, 0.5])
@@ -365,10 +370,10 @@ def test_grid_check_gives_one_entry_per_point(name):
     """A grid gives a tuple with one entry per z, each equal, field by field,
     to the call on that z alone."""
     check, (args, zs) = getattr(foxwright, name), GRID_CHECKS[name]
-    entries = check(foxwright.DOUBLE_POLE, *args, zs)
+    entries = check(foxwright.NAMED_SETS["double-pole"], *args, zs)
     assert isinstance(entries, tuple) and len(entries) == 5
     for z, entry in zip(zs, entries):
-        assert entry == check(foxwright.DOUBLE_POLE, *args, [z])[0], z
+        assert entry == check(foxwright.NAMED_SETS["double-pole"], *args, [z])[0], z
 
 
 def test_cli_calls_the_public_checks():

@@ -10,7 +10,6 @@ from foxwright import (
     derive_constants,
     eval_via_representation,
     finite_laplace_identity,
-    four_param_representation,
     fox_wright_value,
     laplace_lift_check,
     lifted_value,
@@ -274,7 +273,15 @@ class TestFiniteLaplaceAdjudication:
             assert abs(series_a.lhs - quad_a.lhs) < 1e-12
 
 
+def _four_param_rows(mu1, a, nu1, b):
+    """The row set of sum_k z^k / (gamma(a + k mu1) gamma(b + k nu1))."""
+    return ParameterSet([(1.0, 1.0)], [(a, mu1), (b, nu1)])
+
+
 class TestFourParamRepresentation:
+    """The paper's four-parameter form is the row set [(1, 1)] / [(a, mu1),
+    (b, nu1)], with mu = a + b - 3/2; verify_representation checks it."""
+
     @pytest.mark.parametrize(
         "mu1,a,nu1,b",
         [
@@ -283,31 +290,32 @@ class TestFourParamRepresentation:
             (0.3, 0.1, 0.7, 0.4),    # asymmetric scales, a + b = 0.5
             (0.5, 0.3, 0.5, -0.8),   # a + b = -0.5: second-order atoms, m = 2
             (0.5, 0.2, 0.5, -1.7),   # a + b = -1.5: third-order atoms, m = 3
+            (0.5, 1.0, 0.5, 1.0),    # a + b = 2: mu = 1/2, density only
         ],
     )
     def test_both_degeneracy_orders(self, mu1, a, nu1, b):
-        rec = four_param_representation(mu1, a, nu1, b, z=1.0)
+        (rec,) = verify_representation(_four_param_rows(mu1, a, nu1, b), [1.0])
         assert rec.verdict == "pass"
         assert rec.rel_err < 1e-8
 
     def test_constraint_violation_rejected(self):
-        with pytest.raises(ConstraintError, match="3/2 - m"):
-            four_param_representation(0.5, 0.6, 0.5, 0.6, z=1.0)  # a+b = 1.2
+        with pytest.raises(ConstraintError, match="mu = -0.3"):
+            verify_representation(_four_param_rows(0.5, 0.6, 0.5, 0.6), [1.0])  # a+b = 1.2
 
     def test_unbalanced_scales_rejected(self):
-        with pytest.raises(ConstraintError, match="mu1 \\+ nu1 == 1"):
-            four_param_representation(0.5, 0.75, 0.6, 0.75, z=1.0)
+        with pytest.raises(ConstraintError, match="delta = 0.1"):
+            verify_representation(_four_param_rows(0.5, 0.75, 0.6, 0.75), [1.0])
 
     @pytest.mark.parametrize("mu1", [0.0, -0.5])
     def test_non_positive_scale_rejected(self, mu1):
         with pytest.raises(ParameterError):
-            four_param_representation(mu1, 0.75, 1.0 - mu1, 0.75, z=1.0)
+            _four_param_rows(mu1, 0.75, 1.0 - mu1, 0.75)
 
     def test_series_overflow_is_the_series_error(self):
-        # a term overflows at z = -2000: the record read lhs NaN, verdict
-        # fail, blaming the identity for the series
+        # a term overflows at z = -2000: the series' error, not a failing
+        # record that would blame the identity for the series
         with pytest.raises(NonConvergentError, match="overflows a double"):
-            four_param_representation(0.5, 1.0, 0.5, 0.5, -2000.0)
+            verify_representation(_four_param_rows(0.5, 1.0, 0.5, 0.5), [-2000.0])
 
 
 class TestNonFiniteArguments:
