@@ -152,6 +152,8 @@ class MeasureEvaluator:
         self._end_coef = np.array(
             [self.eta * ell[r] / math.gamma(self.mu + r) for r in range(lead, order + 1)]
         )
+        # (coef, |coef|) from the highest power down, for _endpoint's Horner
+        self._end_pairs = np.stack([self._end_coef, np.abs(self._end_coef)], axis=1)[::-1, :, None]
 
         # the benchmark counts work as _res_nodes_used + _tau.size: the
         # residue table's poles; nothing else samples the density at build
@@ -190,12 +192,16 @@ class MeasureEvaluator:
     # ------------------------------------------------------------------
 
     def _endpoint(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(H, |last two terms|, sum |terms|) of the endpoint series at u = ln(rho/t)."""
-        value = np.zeros_like(u)
-        mass = np.zeros_like(u)
-        for coef in self._end_coef[::-1]:
-            value = value * u + coef
-            mass = mass * u + abs(coef)
+        """(H, |last two terms|, sum |terms|) of the endpoint series at u = ln(rho/t).
+
+        H and sum |terms| take one Horner pass together, over the stacked
+        (coef, |coef|) pairs.
+        """
+        acc = np.zeros((2,) + u.shape)
+        for pair in self._end_pairs:
+            acc *= u
+            acc += pair
+        value, mass = acc
         lead = u**self._end_power
         n = self._end_coef.size
         last = np.abs(self._end_coef[-2:])
@@ -317,7 +323,8 @@ class MeasureEvaluator:
         x = shift - scale centre, with an upper factor whose pole is in the
         group taken as eps gamma(x) / A (eps = x + n, n = rint(-x)), or
         (-1)^n / (n! A) where eps is 0.  A lone pole's r_0 is its residue,
-        and it needs no other term.
+        and its group (terms == 1) takes no Taylor row: none of the work
+        below, log-gamma rows, signs or eps factors, is done for it.
 
         For the other terms each factor gamma(x + A h) is expanded about
         h = 0.  With x >= 1/2 that is ``special._log_gamma_taylor``.  Below,
@@ -335,6 +342,7 @@ class MeasureEvaluator:
         the centre zeroes that term.
         """
         groups = centre.size
+        lone = terms == 1  # a lone pole's group takes r_0 alone: no Taylor row
         args, steps, weights = [], [], []  # log gamma(arg + step h), added with weight
         poly = np.zeros((groups, terms))  # the signs and the explicit eps factors
         poly[:, 0] = 1.0
@@ -346,26 +354,30 @@ class MeasureEvaluator:
                 small = x < 0.5
                 n = np.where(small, np.rint(-x), 0.0)
                 eps = x + n
+                if side < 0:
+                    # R gains eps_0 + A h
+                    eps_0 = np.where(np.abs(eps) <= _INT_TOL * sc, 0.0, eps)
+                    head[small & (eps_0 == 0.0)] = 0.0
+                    heads.append(x)
+                    powers.append(np.full(groups, -1.0))
+                else:
+                    pole = np.any(owners == i, axis=1)
+                    exact = pole & (eps == 0.0)
+                    head[pole] *= np.where(exact, (-1.0) ** n, eps)[pole] / sc
+                    heads.append(np.where(exact, n + 1.0, x))
+                    powers.append(np.where(exact, -1.0, 1.0))
+                if lone:
+                    continue
                 args += [np.where(small, 1.0 + eps, x), np.where(small, 1.0 - eps, 1.0),
                          np.where(small, n + 1.0 - eps, 1.0)]
                 steps += [sc, -sc, -sc]
                 weights += [np.full(groups, side), side * small, -side * small]
                 poly[small & (n % 2 == 1)] *= -1.0
                 if side < 0:
-                    # R gains eps_0 + A h
-                    eps[np.abs(eps) <= _INT_TOL * sc] = 0.0
-                    head[small & (eps == 0.0)] = 0.0
-                    heads.append(x)
-                    powers.append(np.full(groups, -1.0))
-                    poly[small, 1:] = eps[small, None] * poly[small, 1:] + sc * poly[small, :-1]
-                    poly[small, 0] *= eps[small]
+                    poly[small, 1:] = eps_0[small, None] * poly[small, 1:] + sc * poly[small, :-1]
+                    poly[small, 0] *= eps_0[small]
                     continue
-                pole = np.any(owners == i, axis=1)
                 poly[pole] /= sc
-                exact = pole & (eps == 0.0)
-                head[pole] *= np.where(exact, (-1.0) ** n, eps)[pole] / sc
-                heads.append(np.where(exact, n + 1.0, x))
-                powers.append(np.where(exact, -1.0, 1.0))
                 # R gains 1/(eps_0 + A h): y_j = (p_j - A y_(j-1)) / eps_0
                 sel = small & ~pole
                 for j in range(terms):
@@ -391,7 +403,7 @@ class MeasureEvaluator:
                                         far.shape + (2,)).transpose(2, 0, 1)
             value[outside] = np.prod(signs, axis=0) * np.exp(np.sum(powers[:, outside] * log_abs,
                                                                     axis=0))
-        if terms == 1:
+        if lone:
             return (head * value)[:, None]
         taylor = _log_gamma_taylor(np.array(args), terms)
         logs = np.einsum("fg,fgk->gk", np.array(weights),
@@ -423,11 +435,16 @@ class MeasureEvaluator:
         for i in range(0, log_t.size, _RESIDUE_CHUNK):
             lt = log_t[i : i + _RESIDUE_CHUNK]
             # Horner in -ln t over the power columns, elementwise, so each t
-            # rounds alike in any block
+            # rounds alike in any block, seeded with the last column, the
+            # value a first step from zeros gives
             series = np.zeros((lt.size, centres.size))
-            for column in coeffs.T[::-1]:
-                series = series * -lt[:, None] + column
-            terms = np.exp(np.outer(lt, centres)) * series
+            if coeffs.shape[1]:
+                series += coeffs[:, -1]
+                neg_lt = -lt[:, None]
+                for column in coeffs.T[-2::-1]:
+                    series *= neg_lt
+                    series += column
+            terms = np.exp(np.multiply.outer(lt, centres)) * series
             value[i : i + _RESIDUE_CHUNK] = terms.sum(axis=1)
             tail[i : i + _RESIDUE_CHUNK] = np.abs(terms[:, -2:]).sum(axis=1)
             mass[i : i + _RESIDUE_CHUNK] = np.abs(terms).sum(axis=1)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -401,5 +402,6 @@ def correction_coeffs(params: ParameterSet, order: int) -> tuple[float, ...]:
     q = _q_sequence(params, order)
     ell = [1.0]
     for r in range(1, order + 1):
-        ell.append(math.fsum(q[n - 1] * ell[r - n] for n in range(1, r + 1)) / r)
+        # q_n l_(r-n) for n = 1..r; fsum rounds exactly in any order
+        ell.append(math.fsum(map(operator.mul, q, reversed(ell))) / r)
     return tuple(ell)

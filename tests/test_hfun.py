@@ -19,7 +19,7 @@ from foxwright import (
     moment_identity_check,
     shift_parameters,
 )
-from foxwright import hfun
+from foxwright import NAMED_SETS, hfun
 from foxwright.catalog import DOUBLE_POLE, EXP_COLLAPSE, IDENTITY, TWIN_QUARTER
 from foxwright.errors import (
     ConstraintError,
@@ -29,6 +29,7 @@ from foxwright.errors import (
     QuadratureFailure,
 )
 from foxwright.hfun import MeasureEvaluator
+from foxwright.params import _q_sequence, correction_coeffs
 
 # an upper/lower pair one step apart has the classical beta density
 # t^alpha (1-t)^(beta-alpha-1) / gamma(beta-alpha) as its measure
@@ -38,6 +39,10 @@ BETA_LIKE = ParameterSet([(0.7, 1.0)], [(2.3, 1.0)])
 # p = 3 sets with all scales 1: mu = 2.45, and mu = -1 (an endpoint atom)
 P3_MU_245 = ParameterSet([(0.5, 1.0), (1.3, 1.0), (2.15, 1.0)], [(1.38, 1.0), (1.98, 1.0), (3.04, 1.0)])
 P3_MU_MINUS_1 = ParameterSet([(0.7, 1.0), (1.25, 1.0), (2.05, 1.0)], [(0.15, 1.0), (0.95, 1.0), (1.9, 1.0)])
+
+# p = 3 with mu = 0 and every pole alone: each of the table's 148 groups is one
+# lone pole, whose row is its residue alone
+LONE_POLES = ParameterSet([(0.4, 1.0), (1.15, 1.0), (1.9, 1.0)], [(0.5, 1.0), (0.85, 1.0), (2.1, 1.0)])
 
 # two upper rows 5e-7 apart: every residue group holds two nearly coincident poles
 CLUSTERED = ParameterSet([(1.0, 1.0), (1.0 + 5e-7, 1.0)], [(1.5, 1.0), (1.5, 1.0)])
@@ -179,6 +184,30 @@ class TestResidueRoute:
         assert got.shape == (2, 2)
         assert np.array_equal(got, ev.density(grid.ravel(), method).reshape(2, 2))
         assert ev.density(grid[0, 0], method).shape == (1,)
+
+    @pytest.mark.parametrize("params,width", [(LONE_POLES, 1), (DOUBLE_POLE, 2),
+                                              (NEAR_COLLIDING, 34)],
+                             ids=["lone-poles", "double-pole", "near-colliding"])
+    def test_grid_equals_its_points_across_chunks(self, params, width):
+        # 300 t cross the residue sum's blocks at 128 and 256: each t of the
+        # grid takes the same bits as its one-point call, on AUTO and on the
+        # endpoint series at every t where it serves alone
+        ev = get_evaluator(params)
+        assert ev._res_coeffs.shape[1] == width
+        grid = np.linspace(0.05, 0.95, 300) * ev.rho
+        assert grid.size > 2 * hfun._RESIDUE_CHUNK
+        points = np.concatenate([ev.density(t) for t in grid])
+        assert ev.density(grid).tobytes() == points.tobytes()
+        served, alone = [], []
+        for t in grid:
+            try:
+                alone.append(ev.density(t, HfunMethod.ENDPOINT_SERIES))
+            except NonConvergentError:
+                continue
+            served.append(t)
+        assert served
+        got = ev.density(np.array(served), HfunMethod.ENDPOINT_SERIES)
+        assert got.tobytes() == np.concatenate(alone).tobytes()
 
 
 class TestKnownDensities:
@@ -545,18 +574,20 @@ def built_with_plan(monkeypatch, params):
     return ev, plans[0]
 
 
-def _density_cold_sets(seed):
-    """The seven sets, one per class, of the benchmark's first density-cold
-    calls for ``seed``: ``perfbench/inputs.py``, which imports no
-    foxwright, loaded by path."""
+def _density_cold_sets(seed, calls=7):
+    """The sets of the benchmark's first ``calls`` density-cold calls for
+    ``seed``, call i on class i mod 7, so the first seven take one set per
+    class: ``perfbench/inputs.py``, which imports no foxwright, loaded by
+    path."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
     spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
     cold = inputs.density_cold(seed)
-    return [ParameterSet(inputs.shifted_rows(base["upper"], delta),
-                         inputs.shifted_rows(base["lower"], delta))
-            for base, delta in zip(cold["bases"], cold["deltas"])]
+    bases = cold["bases"]
+    return [ParameterSet(inputs.shifted_rows(bases[i % len(bases)]["upper"], delta),
+                         inputs.shifted_rows(bases[i % len(bases)]["lower"], delta))
+            for i, delta in enumerate(cold["deltas"][:calls])]
 
 
 def mp_residue(params, centre):
@@ -807,6 +838,90 @@ class TestArrayPlan:
         assert [owners[g, :size[g]].tolist() for g in range(size.size)] == [
             rows for _, rows, _ in want]
         assert centres.tolist() == centre.tolist() == [c for *_, c in want]
+
+
+def endpoint_two_arrays(ev, u):
+    """``_endpoint`` with its value and sum |terms| in two Horner passes of
+    allocating steps, each from zeros."""
+    value = np.zeros_like(u)
+    mass = np.zeros_like(u)
+    for coef in ev._end_coef[::-1]:
+        value = value * u + coef
+        mass = mass * u + abs(coef)
+    lead = u**ev._end_power
+    n = ev._end_coef.size
+    last = np.abs(ev._end_coef[-2:])
+    tail = lead * u ** (n - 2) * (last[0] + last[1] * u)
+    return lead * value, tail, lead * mass
+
+
+def residues_zero_seeded(log_t, centres, coeffs):
+    """``_residues`` with its Horner started from zeros, one allocating
+    step per column."""
+    value = np.zeros_like(log_t)
+    tail = np.zeros_like(log_t)
+    mass = np.zeros_like(log_t)
+    for i in range(0, log_t.size, hfun._RESIDUE_CHUNK):
+        lt = log_t[i : i + hfun._RESIDUE_CHUNK]
+        series = np.zeros((lt.size, centres.size))
+        for column in coeffs.T[::-1]:
+            series = series * -lt[:, None] + column
+        terms = np.exp(np.outer(lt, centres)) * series
+        value[i : i + hfun._RESIDUE_CHUNK] = terms.sum(axis=1)
+        tail[i : i + hfun._RESIDUE_CHUNK] = np.abs(terms[:, -2:]).sum(axis=1)
+        mass[i : i + hfun._RESIDUE_CHUNK] = np.abs(terms).sum(axis=1)
+    return value, tail, mass
+
+
+def ell_generator(params, order):
+    """``correction_coeffs`` with each l_r's products from a generator over n."""
+    q = _q_sequence(params, order)
+    ell = [1.0]
+    for r in range(1, order + 1):
+        ell.append(math.fsum(q[n - 1] * ell[r - n] for n in range(1, r + 1)) / r)
+    return tuple(ell)
+
+
+class TestReferenceForms:
+    """The endpoint Horner, the residue Horner and the l_r recurrence
+    equal the forms above, to the bit, on the catalog sets, the lone-pole
+    set, two clustered sets and the density-cold classes at three shifts
+    each."""
+
+    SETS = {**NAMED_SETS, "lone-poles": LONE_POLES, "clustered": CLUSTERED,
+            "near-colliding": NEAR_COLLIDING,
+            **{f"density-cold-{i}": ps for i, ps in enumerate(_density_cold_sets(4, calls=21))}}
+
+    @staticmethod
+    def same(got, want):
+        return len(got) == len(want) and all(
+            np.asarray(g).tobytes() == np.asarray(w).tobytes() for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("params", SETS.values(), ids=SETS.keys())
+    def test_each_form_equals_its_reference(self, params):
+        ev = MeasureEvaluator(params)
+        # 400 t over [1e-3 rho, (1 - 1e-6) rho], more than three residue blocks
+        t = ev.rho * np.concatenate([np.geomspace(1e-3, 0.5, 200),
+                                     1.0 - np.geomspace(0.5, 1e-6, 200)])
+        u = np.log1p((ev.rho - t) / t)
+        assert self.same(ev._endpoint(u), endpoint_two_arrays(ev, u))
+        log_t = np.log(t)
+        table = (ev._res_centres, ev._res_coeffs)
+        assert self.same(ev._residues(log_t, *table), residues_zero_seeded(log_t, *table))
+        empty = (np.empty(0), np.zeros((0, 0)))
+        assert self.same(ev._residues(log_t, *empty), residues_zero_seeded(log_t, *empty))
+        assert self.same(correction_coeffs(params, 40), ell_generator(params, 40))
+
+    def test_lone_poles_take_no_taylor_row(self, monkeypatch):
+        # every group of the lone-pole set is one pole, whose row is its
+        # residue alone; double-pole's groups of two take the Taylor rows
+        def refuse(*args):
+            raise AssertionError("a Taylor row was taken")
+
+        monkeypatch.setattr(hfun, "_log_gamma_taylor", refuse)
+        assert MeasureEvaluator(LONE_POLES)._res_coeffs.shape == (148, 1)
+        with pytest.raises(AssertionError, match="Taylor row"):
+            MeasureEvaluator(DOUBLE_POLE)
 
 
 class TestEvaluatorCache:
