@@ -23,7 +23,6 @@ from foxwright import (
     derive_constants,
     eval_via_representation,
     exp_kernel_bounds,
-    finite_laplace_identity,
     fox_wright_value,
     gamma_ratio,
     get_evaluator,
@@ -36,6 +35,7 @@ from foxwright import (
     verify_stieltjes,
 )
 from foxwright.catalog import NAMED_SETS
+from foxwright.representations import _finite_laplace_identity
 
 FAILURES: list[str] = []
 
@@ -160,10 +160,10 @@ def main() -> int:
 
     section("finite-transform adjudication (measured verdicts)")
     # records: quadrature vs a, quadrature vs b, series side vs a, series side vs b
-    quad_a, quad_b, _, _ = finite_laplace_identity(0.0)
+    quad_a, quad_b, _, _ = _finite_laplace_identity(0.0)
     check("z=0: both candidates match", quad_a.ok() and quad_b.ok())
     for z in (-1.0, 0.5, 1.0, 2.0):
-        recs = finite_laplace_identity(z)
+        recs = _finite_laplace_identity(z)
         quad_a, quad_b = recs[:2]
         check(
             f"z={z:g}: quadrature {quad_a.lhs:g} matches neither candidate "

@@ -80,7 +80,6 @@ __all__ = [
     "verify_stieltjes",
     "lifted_value",
     "laplace_lift_check",
-    "finite_laplace_identity",
     "exp_kernel_bounds",
     "lifted_kernel_bounds",
     "stieltjes_lower_bound",
@@ -108,7 +107,6 @@ _LAZY_EXPORTS = {
     "representations": (
         "eval_via_representation", "verify_representation", "moment_identity_check",
         "stieltjes_eval", "verify_stieltjes", "lifted_value", "laplace_lift_check",
-        "finite_laplace_identity",
     ),
     "bounds": (
         "exp_kernel_bounds", "lifted_kernel_bounds", "stieltjes_lower_bound", "cm_check",

@@ -284,15 +284,19 @@ class MeasureEvaluator:
         difference of h^N over e_j = s_j - s_c is the complete homogeneous
         polynomial h_(N-m+1)(e_0..e_(m-1)) (de Boor, Surveys in Approximation
         Theory 1, 2005), so rows[g, n] = sum_i r_i h_(i+n-m+1)(e) / n!.  A
-        lone pole's row is its residue r_0.
+        lone pole's row is its residue r_0 itself, written with no Hankel
+        product.
         """
-        coeffs = np.zeros((centre.size, 0))
+        coeffs = np.zeros((centre.size, 1))  # every row has at least r_0
         # largest |ln t| any caller of the table can ask for
         log_span = -math.log(_DE_FLOOR) + abs(math.log(self.rho))
         for m, n in sorted(set(zip(size.tolist(), terms.tolist()))):
             idx = np.flatnonzero((size == m) & (terms == n))
-            offsets = centre[idx, None] - members[idx, :m]  # s_j - s_c
             r = self._regular_series(owners[idx, :m], centre[idx], n)
+            if m == n == 1:
+                coeffs[idx, 0] = r[:, 0]  # r_0 h_0 / 0! = r_0
+                continue
+            offsets = centre[idx, None] - members[idx, :m]  # s_j - s_c
             # Taylor terms of exp(-(s - s_c) ln t) past the group size, until
             # (max |s_j - s_c| |ln t|)^j / j! < 1e-17
             reach = float(np.max(np.abs(offsets))) * log_span
@@ -322,9 +326,10 @@ class MeasureEvaluator:
         r_0 = R(s_c) is a product of one gamma value per factor, gamma(x) at
         x = shift - scale centre, with an upper factor whose pole is in the
         group taken as eps gamma(x) / A (eps = x + n, n = rint(-x)), or
-        (-1)^n / (n! A) where eps is 0.  A lone pole's r_0 is its residue,
-        and its group (terms == 1) takes no Taylor row: none of the work
-        below, log-gamma rows, signs or eps factors, is done for it.
+        (-1)^n / (n! A) where eps is 0.  r_0 of every group is taken in one
+        pass over (factors x groups) arrays.  A lone pole's r_0 is its
+        residue, and its group (terms == 1) takes no Taylor row: none of the
+        work below, log-gamma rows, signs or eps factors, is done for it.
 
         For the other terms each factor gamma(x + A h) is expanded about
         h = 0.  With x >= 1/2 that is ``special._log_gamma_taylor``.  Below,
@@ -342,49 +347,30 @@ class MeasureEvaluator:
         the centre zeroes that term.
         """
         groups = centre.size
-        lone = terms == 1  # a lone pole's group takes r_0 alone: no Taylor row
-        args, steps, weights = [], [], []  # log gamma(arg + step h), added with weight
-        poly = np.zeros((groups, terms))  # the signs and the explicit eps factors
-        poly[:, 0] = 1.0
-        heads, powers = [], []  # r_0 = head prod gamma(heads)^powers
-        head = np.ones(groups)
-        for side, row in ((1.0, self.params.upper), (-1.0, self.params.lower)):
-            for i, (a, sc) in enumerate(row):
-                x = a - sc * centre
-                small = x < 0.5
-                n = np.where(small, np.rint(-x), 0.0)
-                eps = x + n
-                if side < 0:
-                    # R gains eps_0 + A h
-                    eps_0 = np.where(np.abs(eps) <= _INT_TOL * sc, 0.0, eps)
-                    head[small & (eps_0 == 0.0)] = 0.0
-                    heads.append(x)
-                    powers.append(np.full(groups, -1.0))
-                else:
-                    pole = np.any(owners == i, axis=1)
-                    exact = pole & (eps == 0.0)
-                    head[pole] *= np.where(exact, (-1.0) ** n, eps)[pole] / sc
-                    heads.append(np.where(exact, n + 1.0, x))
-                    powers.append(np.where(exact, -1.0, 1.0))
-                if lone:
-                    continue
-                args += [np.where(small, 1.0 + eps, x), np.where(small, 1.0 - eps, 1.0),
-                         np.where(small, n + 1.0 - eps, 1.0)]
-                steps += [sc, -sc, -sc]
-                weights += [np.full(groups, side), side * small, -side * small]
-                poly[small & (n % 2 == 1)] *= -1.0
-                if side < 0:
-                    poly[small, 1:] = eps_0[small, None] * poly[small, 1:] + sc * poly[small, :-1]
-                    poly[small, 0] *= eps_0[small]
-                    continue
-                poly[pole] /= sc
-                # R gains 1/(eps_0 + A h): y_j = (p_j - A y_(j-1)) / eps_0
-                sel = small & ~pole
-                for j in range(terms):
-                    if j:
-                        poly[sel, j] -= sc * poly[sel, j - 1]
-                    poly[sel, j] /= eps[sel]
-        heads, powers = np.array(heads), np.array(powers)
+        factors = self.params.upper + self.params.lower
+        p = len(self.params.upper)
+        # row f of each array is factor f: the upper rows, then the lower
+        shifts = np.array([a for a, _ in factors])[:, None]
+        scales = np.array([sc for _, sc in factors])[:, None]
+        x = shifts - scales * centre
+        small = x < 0.5
+        n = np.where(small, np.rint(-x), 0.0)
+        eps = x + n
+        # an upper factor with its pole in the group gives eps / A, or
+        # (-1)^n / A where eps is 0; the product runs in upper-row order
+        pole = np.any(owners == np.arange(p)[:, None, None], axis=2)
+        exact = pole & (eps[:p] == 0.0)
+        head = np.prod(np.where(pole, np.where(exact, (-1.0) ** n[:p], eps[:p]) / scales[:p], 1.0),
+                       axis=0)
+        # a lower factor gives eps_0 + A h: r_0 is 0 where its pole is at the centre
+        eps_0 = np.where(np.abs(eps[p:]) <= _INT_TOL * scales[p:], 0.0, eps[p:])
+        head[np.any(small[p:] & (eps_0 == 0.0), axis=0)] = 0.0
+        # r_0 = head prod gamma(heads)^powers
+        heads = x.copy()
+        heads[:p][exact] = n[:p][exact] + 1.0
+        powers = np.ones_like(x)
+        powers[:p][exact] = -1.0
+        powers[p:] = -1.0
         heads[:, head == 0.0] = 1.0
         # the product of mantissas, with the binary exponents added apart so
         # that no partial product leaves the normal range, keeps more digits
@@ -403,8 +389,32 @@ class MeasureEvaluator:
                                         far.shape + (2,)).transpose(2, 0, 1)
             value[outside] = np.prod(signs, axis=0) * np.exp(np.sum(powers[:, outside] * log_abs,
                                                                     axis=0))
-        if lone:
+        if terms == 1:  # a lone pole's group takes r_0 alone: no Taylor row
             return (head * value)[:, None]
+        args, steps, weights = [], [], []  # log gamma(arg + step h), added with weight
+        poly = np.zeros((groups, terms))  # the signs and the explicit eps factors
+        poly[:, 0] = 1.0
+        for f, (_, sc) in enumerate(factors):
+            side = 1.0 if f < p else -1.0
+            sm, ef = small[f], eps[f]
+            args += [np.where(sm, 1.0 + ef, x[f]), np.where(sm, 1.0 - ef, 1.0),
+                     np.where(sm, n[f] + 1.0 - ef, 1.0)]
+            steps += [sc, -sc, -sc]
+            weights += [np.full(groups, side), side * sm, -side * sm]
+            poly[sm & (n[f] % 2 == 1)] *= -1.0
+            if side < 0:
+                # R gains eps_0 + A h
+                e0 = eps_0[f - p]
+                poly[sm, 1:] = e0[sm, None] * poly[sm, 1:] + sc * poly[sm, :-1]
+                poly[sm, 0] *= e0[sm]
+                continue
+            poly[pole[f]] /= sc
+            # R gains 1/(eps_0 + A h): y_j = (p_j - A y_(j-1)) / eps_0
+            sel = sm & ~pole[f]
+            for j in range(terms):
+                if j:
+                    poly[sel, j] -= sc * poly[sel, j - 1]
+                poly[sel, j] /= ef[sel]
         taylor = _log_gamma_taylor(np.array(args), terms)
         logs = np.einsum("fg,fgk->gk", np.array(weights),
                          taylor * np.power.outer(np.array(steps), np.arange(terms))[:, None, :])
@@ -428,26 +438,38 @@ class MeasureEvaluator:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(H, |last two group terms|, sum |group terms|) from the residue
         table rows ``centres`` and ``coeffs``; each t's entries are the same
-        bits in any grid."""
-        value = np.zeros_like(log_t)
-        tail = np.zeros_like(log_t)
-        mass = np.zeros_like(log_t)
+        bits in any grid.
+
+        Each block of t forms its (points x groups) terms in one buffer, in
+        place: the exponentials, times the Horner sums, then their absolute
+        values once H and the tail are read.
+        """
+        value = np.empty_like(log_t)
+        tail = np.empty_like(log_t)
+        mass = np.empty_like(log_t)
+        # the Horner seed: the last column, + 0.0 turning a -0.0 into the
+        # +0.0 a first step from zeros gives
+        last = coeffs[:, -1] + 0.0 if coeffs.shape[1] else np.zeros(centres.size)
         for i in range(0, log_t.size, _RESIDUE_CHUNK):
             lt = log_t[i : i + _RESIDUE_CHUNK]
-            # Horner in -ln t over the power columns, elementwise, so each t
-            # rounds alike in any block, seeded with the last column, the
-            # value a first step from zeros gives
-            series = np.zeros((lt.size, centres.size))
-            if coeffs.shape[1]:
-                series += coeffs[:, -1]
+            terms = np.multiply.outer(lt, centres)
+            np.exp(terms, out=terms)
+            if coeffs.shape[1] > 1:
+                # Horner in -ln t over the power columns, elementwise, so
+                # each t rounds alike in any block
+                series = np.empty_like(terms)
+                series[...] = last
                 neg_lt = -lt[:, None]
                 for column in coeffs.T[-2::-1]:
                     series *= neg_lt
                     series += column
-            terms = np.exp(np.multiply.outer(lt, centres)) * series
+                terms *= series
+            else:
+                terms *= last
             value[i : i + _RESIDUE_CHUNK] = terms.sum(axis=1)
             tail[i : i + _RESIDUE_CHUNK] = np.abs(terms[:, -2:]).sum(axis=1)
-            mass[i : i + _RESIDUE_CHUNK] = np.abs(terms).sum(axis=1)
+            np.abs(terms, out=terms)
+            mass[i : i + _RESIDUE_CHUNK] = terms.sum(axis=1)
         return value, tail, mass
 
     def _residue_density(self, t: np.ndarray) -> np.ndarray:

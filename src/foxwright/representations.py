@@ -60,7 +60,6 @@ __all__ = [
     "verify_stieltjes",
     "lifted_value",
     "laplace_lift_check",
-    "finite_laplace_identity",
 ]
 
 _TOL = 1e-6  # rel_err within which the two sides of every identity here agree
@@ -301,7 +300,7 @@ def laplace_lift_check(
 # finite Laplace adjudication for the collapsed example set
 # ---------------------------------------------------------------------------
 
-def finite_laplace_identity(z: float) -> tuple[IdentityRecord, ...]:
+def _finite_laplace_identity(z: float) -> tuple[IdentityRecord, ...]:
     """Numerically adjudicate a finite Laplace-type integral evaluation.
 
     Two closed forms are candidates for

@@ -36,7 +36,6 @@ from foxwright import (
     derive_constants,
     eval_via_representation,
     exp_kernel_bounds,
-    finite_laplace_identity,
     fox_wright_value,
     gamma_ratio,
     get_evaluator,
@@ -47,6 +46,7 @@ from foxwright import (
 )
 from foxwright.bounds import _scan_direction
 from foxwright.catalog import DOUBLE_POLE, EXP_COLLAPSE, IDENTITY, TWIN_QUARTER
+from foxwright.representations import _finite_laplace_identity
 
 NAMED = {
     "exp-collapse": EXP_COLLAPSE,
@@ -110,7 +110,7 @@ def test_criterion_04_finite_laplace_adjudication(acceptance):
     ok = True
     rows = []
     for z in (-1.0, 0.5, 1.0, 2.0):
-        quad_a, quad_b, series_a, series_b = finite_laplace_identity(z)
+        quad_a, quad_b, series_a, series_b = _finite_laplace_identity(z)
         rows.append((z, [r.verdict for r in (quad_a, quad_b, series_a, series_b)],
                      quad_a.lhs, series_a.lhs))
         # neither candidate matches, on either side
@@ -120,7 +120,7 @@ def test_criterion_04_finite_laplace_adjudication(acceptance):
         atom = math.exp(-2.0 * z) / math.sqrt(math.pi)
         series = complex(fox_wright_value(EXP_COLLAPSE, -z)).real
         ok &= abs(series - atom) <= 1e-12 * (1.0 + atom)
-    zero = finite_laplace_identity(0.0)
+    zero = _finite_laplace_identity(0.0)
     ok &= all(r.ok() for r in zero)  # both candidates match, on both sides
     assert acceptance("finite-laplace-adjudication", bool(ok)), (
         f"(z, verdicts, quadrature, series side): {rows}; "

@@ -1,4 +1,4 @@
-"""The public surface: the 43 exported names, pinned, every one resolving, two
+"""The public surface: the 42 exported names, pinned, every one resolving, two
 result types, and no tuning knob is left.  Every ``python`` block of the
 README runs.
 
@@ -54,7 +54,6 @@ EXPORTS = [
     "HfunMethod", "MeasureEvaluator", "get_evaluator", "hfun_nonneg_scan",
     "moment_identity_check", "eval_via_representation", "verify_representation",
     "stieltjes_eval", "verify_stieltjes", "lifted_value", "laplace_lift_check",
-    "finite_laplace_identity",
     "exp_kernel_bounds", "lifted_kernel_bounds", "stieltjes_lower_bound", "cm_check",
     "shifted_stieltjes_ratio", "ratio_monotonicity_scan",
     "NAMED_SETS",
@@ -65,13 +64,16 @@ EXPORTS = [
 # module -> names it no longer defines: the convergence classes, which one
 # private rule replaces, wrappers whose values the row series gives, the
 # Touchard polynomials, which the one atom functional replaces, the catalog
-# aliases, which NAMED_SETS and foxwright.catalog give, and the four-parameter
-# check, which verify_representation on its row set gives
+# aliases, which NAMED_SETS and foxwright.catalog give, the four-parameter
+# check, which verify_representation on its row set gives, and the finite
+# Laplace adjudication of one catalog set, now the private
+# representations._finite_laplace_identity
 REMOVED_NAMES = {
-    "foxwright": {"EXP_COLLAPSE", "TWIN_QUARTER", "DOUBLE_POLE", "IDENTITY"},
+    "foxwright": {"EXP_COLLAPSE", "TWIN_QUARTER", "DOUBLE_POLE", "IDENTITY",
+                  "finite_laplace_identity"},
     "foxwright.hfun": {"_newton_to_power"},
     "foxwright.params": {"Convergence", "classify_convergence", "_pole_residue"},
-    "foxwright.representations": {"four_param_representation"},
+    "foxwright.representations": {"four_param_representation", "finite_laplace_identity"},
     "foxwright.series": {"hyper_pfq", "wright_function", "mittag_leffler"},
     "foxwright.special": {"touchard_sum", "touchard_poly", "log_gamma_complex_vec"},
 }
@@ -85,7 +87,7 @@ DELETED_TYPES = {
 PARAMETER_TYPES = {"ParameterSet", "DerivedConstants"}
 CHECK_FUNCTIONS = {
     "verify_representation", "moment_identity_check", "verify_stieltjes",
-    "laplace_lift_check", "finite_laplace_identity",
+    "laplace_lift_check",
     "exp_kernel_bounds", "lifted_kernel_bounds", "stieltjes_lower_bound", "cm_check",
     "shifted_stieltjes_ratio", "ratio_monotonicity_scan", "hfun_nonneg_scan",
 }

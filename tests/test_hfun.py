@@ -29,7 +29,8 @@ from foxwright.errors import (
     QuadratureFailure,
 )
 from foxwright.hfun import MeasureEvaluator
-from foxwright.params import _q_sequence, correction_coeffs
+from foxwright.params import _INT_TOL, _q_sequence, correction_coeffs
+from foxwright.special import _log_gamma_taylor, log_abs_gamma_signed
 
 # an upper/lower pair one step apart has the classical beta density
 # t^alpha (1-t)^(beta-alpha-1) / gamma(beta-alpha) as its measure
@@ -882,11 +883,117 @@ def ell_generator(params, order):
     return tuple(ell)
 
 
+def regular_series_per_factor(ev, owners, centre, terms):
+    """``_regular_series`` with r_0 taken one numpy pass per gamma factor,
+    the head and the gamma arguments gathered factor by factor."""
+    groups = centre.size
+    lone = terms == 1
+    args, steps, weights = [], [], []
+    poly = np.zeros((groups, terms))
+    poly[:, 0] = 1.0
+    heads, powers = [], []
+    head = np.ones(groups)
+    for side, row in ((1.0, ev.params.upper), (-1.0, ev.params.lower)):
+        for i, (a, sc) in enumerate(row):
+            x = a - sc * centre
+            small = x < 0.5
+            n = np.where(small, np.rint(-x), 0.0)
+            eps = x + n
+            if side < 0:
+                eps_0 = np.where(np.abs(eps) <= _INT_TOL * sc, 0.0, eps)
+                head[small & (eps_0 == 0.0)] = 0.0
+                heads.append(x)
+                powers.append(np.full(groups, -1.0))
+            else:
+                pole = np.any(owners == i, axis=1)
+                exact = pole & (eps == 0.0)
+                head[pole] *= np.where(exact, (-1.0) ** n, eps)[pole] / sc
+                heads.append(np.where(exact, n + 1.0, x))
+                powers.append(np.where(exact, -1.0, 1.0))
+            if lone:
+                continue
+            args += [np.where(small, 1.0 + eps, x), np.where(small, 1.0 - eps, 1.0),
+                     np.where(small, n + 1.0 - eps, 1.0)]
+            steps += [sc, -sc, -sc]
+            weights += [np.full(groups, side), side * small, -side * small]
+            poly[small & (n % 2 == 1)] *= -1.0
+            if side < 0:
+                poly[small, 1:] = eps_0[small, None] * poly[small, 1:] + sc * poly[small, :-1]
+                poly[small, 0] *= eps_0[small]
+                continue
+            poly[pole] /= sc
+            sel = small & ~pole
+            for j in range(terms):
+                if j:
+                    poly[sel, j] -= sc * poly[sel, j - 1]
+                poly[sel, j] /= eps[sel]
+    heads, powers = np.array(heads), np.array(powers)
+    heads[:, head == 0.0] = 1.0
+    gammas = np.reshape([math.gamma(v) if v < 171.0 else math.inf
+                         for v in heads.ravel().tolist()], heads.shape)
+    magnitude = np.abs(gammas)
+    outside = ~np.all((magnitude >= np.finfo(float).tiny) & (magnitude < math.inf), axis=0)
+    gammas[:, outside] = 1.0
+    mantissas, exponents = np.frexp(np.where(powers < 0, 1.0 / gammas, gammas))
+    value = np.ldexp(np.prod(mantissas, axis=0), np.sum(exponents, axis=0))
+    if np.any(outside):
+        far = heads[:, outside]
+        log_abs, signs = np.reshape([log_abs_gamma_signed(v) for v in far.ravel().tolist()],
+                                    far.shape + (2,)).transpose(2, 0, 1)
+        value[outside] = np.prod(signs, axis=0) * np.exp(np.sum(powers[:, outside] * log_abs,
+                                                                axis=0))
+    if lone:
+        return (head * value)[:, None]
+    taylor = _log_gamma_taylor(np.array(args), terms)
+    logs = np.einsum("fg,fgk->gk", np.array(weights),
+                     taylor * np.power.outer(np.array(steps), np.arange(terms))[:, None, :])
+    series = np.zeros((groups, terms))
+    series[:, 0] = 1.0
+    for j in range(1, terms):
+        series[:, j] = np.sum(np.arange(1, j + 1) * logs[:, 1 : j + 1] * series[:, j - 1 :: -1],
+                              axis=1) / j
+    product = np.zeros((groups, terms))
+    for j in range(terms):
+        product[:, j:] += poly[:, j : j + 1] * series[:, : terms - j]
+    scale = np.exp(logs[:, 0])
+    known = poly[:, 0] != 0.0
+    scale[known] = head[known] * value[known] / poly[known, 0]
+    return product * scale[:, None]
+
+
+def residue_rows_hankel(ev, members, owners, size, centre, terms):
+    """``_residue_rows`` on ``regular_series_per_factor``, every row a
+    Hankel product, a lone pole's too."""
+    coeffs = np.zeros((centre.size, 0))
+    log_span = -math.log(hfun._DE_FLOOR) + abs(math.log(ev.rho))
+    for m, n in sorted(set(zip(size.tolist(), terms.tolist()))):
+        idx = np.flatnonzero((size == m) & (terms == n))
+        offsets = centre[idx, None] - members[idx, :m]
+        r = regular_series_per_factor(ev, owners[idx, :m], centre[idx], n)
+        reach = float(np.max(np.abs(offsets))) * log_span
+        extra, term = 0, reach
+        while term > 1e-17:
+            extra += 1
+            term *= reach / (extra + 1)
+        width = m + extra
+        h = np.zeros((idx.size, n + width - 1))
+        h[:, m - 1] = 1.0
+        for k in range(m):
+            for j in range(m, h.shape[1]):
+                h[:, j] += offsets[:, k] * h[:, j - 1]
+        rows = np.stack([np.sum(r * h[:, j : j + n], axis=1) for j in range(width)], axis=1)
+        rows /= np.array([math.factorial(j) for j in range(width)], dtype=float)
+        if width > coeffs.shape[1]:
+            coeffs = np.pad(coeffs, ((0, 0), (0, width - coeffs.shape[1])))
+        coeffs[idx, :width] = rows
+    return coeffs
+
+
 class TestReferenceForms:
-    """The endpoint Horner, the residue Horner and the l_r recurrence
-    equal the forms above, to the bit, on the catalog sets, the lone-pole
-    set, two clustered sets and the density-cold classes at three shifts
-    each."""
+    """The endpoint Horner, the residue Horner, the residue table and the
+    l_r recurrence equal the forms above, to the bit, on the catalog sets,
+    the lone-pole set, two clustered sets and the density-cold classes at
+    three shifts each."""
 
     SETS = {**NAMED_SETS, "lone-poles": LONE_POLES, "clustered": CLUSTERED,
             "near-colliding": NEAR_COLLIDING,
@@ -911,6 +1018,32 @@ class TestReferenceForms:
         empty = (np.empty(0), np.zeros((0, 0)))
         assert self.same(ev._residues(log_t, *empty), residues_zero_seeded(log_t, *empty))
         assert self.same(correction_coeffs(params, 40), ell_generator(params, 40))
+
+    @pytest.mark.parametrize("params", SETS.values(), ids=SETS.keys())
+    def test_residue_table_equals_its_reference(self, params, monkeypatch):
+        ev = MeasureEvaluator(params)
+        monkeypatch.setattr(MeasureEvaluator, "_residue_rows", residue_rows_hankel)
+        ref = MeasureEvaluator(params)
+        assert self.same((ev._res_centres, ev._res_coeffs, ev._res_nodes_used),
+                         (ref._res_centres, ref._res_coeffs, ref._res_nodes_used))
+
+    @pytest.mark.parametrize("table", ["negative-zero", "empty", "near-colliding"])
+    def test_residue_sum_edge_tables(self, table):
+        ev = get_evaluator(NEAR_COLLIDING)
+        tables = {"negative-zero": (np.array([0.5, 1.5, 2.5]), np.full((3, 1), -0.0)),
+                  "empty": (np.empty(0), np.zeros((0, 0))),
+                  "near-colliding": (ev._res_centres, ev._res_coeffs)}
+        centres, coeffs = tables[table]
+        # 400 t below 1 (so -ln t > 0), four blocks of the residue sum
+        log_t = np.log(np.geomspace(1e-3, 0.99, 400))
+        assert log_t.size > 3 * hfun._RESIDUE_CHUNK
+        got = ev._residues(log_t, centres, coeffs)
+        assert self.same(got, residues_zero_seeded(log_t, centres, coeffs))
+        if table == "near-colliding":
+            assert coeffs.shape[1] == 34
+        else:
+            # a -0.0 coefficient gives the +0.0 of a first step from zeros
+            assert not np.any(np.signbit(got[0])) and not np.any(got[0])
 
     def test_lone_poles_take_no_taylor_row(self, monkeypatch):
         # every group of the lone-pole set is one pole, whose row is its

@@ -9,7 +9,6 @@ from foxwright import (
     ParameterSet,
     derive_constants,
     eval_via_representation,
-    finite_laplace_identity,
     fox_wright_value,
     laplace_lift_check,
     lifted_value,
@@ -28,6 +27,7 @@ from foxwright.errors import (
     OutsideDomainError,
     ParameterError,
 )
+from foxwright.representations import _finite_laplace_identity
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 # mu = -2: the atoms carry the first and second derivatives of a kernel
@@ -245,7 +245,7 @@ class TestLaplaceLift:
 class TestFiniteLaplaceAdjudication:
     # records: quadrature vs a, quadrature vs b, series side vs a, series side vs b
     def test_trivial_point_matches_both(self):
-        records = finite_laplace_identity(0.0)
+        records = _finite_laplace_identity(0.0)
         assert [r.identity for r in records] == [
             "finite-laplace[quadrature~a]", "finite-laplace[quadrature~b]",
             "finite-laplace[series~a]", "finite-laplace[series~b]",
@@ -256,7 +256,7 @@ class TestFiniteLaplaceAdjudication:
     def test_nonzero_argument_matches_neither(self, z):
         # the density vanishes identically, so the finite integral is 0,
         # while both closed-form candidates are nonzero: neither matches
-        quad_a, quad_b, series_a, series_b = finite_laplace_identity(z)
+        quad_a, quad_b, series_a, series_b = _finite_laplace_identity(z)
         assert quad_a.lhs == 0.0
         assert quad_a.verdict == quad_b.verdict == "fail"
         assert series_a.verdict == series_b.verdict == "fail"
@@ -265,11 +265,11 @@ class TestFiniteLaplaceAdjudication:
     def test_atom_past_the_double_range_raises(self):
         # e^(-rho z) at rho z = -710 raised an OverflowError
         with pytest.raises(DomainError, match="overflows a double"):
-            finite_laplace_identity(-355.0)
+            _finite_laplace_identity(-355.0)
 
     def test_series_side_consistent_with_quadrature(self):
         for z in (-1.0, 0.5, 2.0):
-            quad_a, _, series_a, _ = finite_laplace_identity(z)
+            quad_a, _, series_a, _ = _finite_laplace_identity(z)
             assert abs(series_a.lhs - quad_a.lhs) < 1e-12
 
 
