@@ -84,7 +84,6 @@ __all__ = [
     "lifted_kernel_bounds",
     "stieltjes_lower_bound",
     "cm_check",
-    "shifted_stieltjes_ratio",
     "ratio_monotonicity_scan",
     "NAMED_SETS",
     "FoxwrightError",
@@ -110,7 +109,7 @@ _LAZY_EXPORTS = {
     ),
     "bounds": (
         "exp_kernel_bounds", "lifted_kernel_bounds", "stieltjes_lower_bound", "cm_check",
-        "shifted_stieltjes_ratio", "ratio_monotonicity_scan",
+        "ratio_monotonicity_scan",
     ),
 }
 _LAZY = {name: module for module, names in _LAZY_EXPORTS.items() for name in names}

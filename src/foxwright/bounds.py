@@ -40,7 +40,6 @@ __all__ = [
     "lifted_kernel_bounds",
     "stieltjes_lower_bound",
     "cm_check",
-    "shifted_stieltjes_ratio",
     "ratio_monotonicity_scan",
 ]
 
@@ -158,7 +157,7 @@ def stieltjes_lower_bound(
     ev = get_evaluator(params)
     z = np.array(zs)
     mean_sigma, mean_one = (
-        [v / psi0 for v in ev.measure_integral(_power_kernel(ev.rho, s, z))[0].tolist()]
+        [v / psi0 for v in ev.measure_integral(_power_kernel(ev.rho, s, z)[0])[0].tolist()]
         for s in (sigma, 1.0)
     )
     relation = "==" if abs(sigma - 1.0) <= 1e-12 else ">=" if sigma > 1.0 else "<="
@@ -234,7 +233,7 @@ def _cm_order(record: IdentityRecord) -> int:
 # ---------------------------------------------------------------------------
 
 
-def shifted_stieltjes_ratio(
+def _shifted_stieltjes_ratio(
     params: ParameterSet, sigma: float, delta: float, zs: Sequence[float]
 ) -> tuple[IdentityRecord, ...]:
     """Quotient ``integral t^(delta-1) H/(1+tz)^sigma dt  over  the same at
@@ -252,7 +251,7 @@ def shifted_stieltjes_ratio(
     _atomic_mass(params)  # the single-atom gate, and a density that carries mass
     ev = get_evaluator(params)
     z = np.array(zs)
-    den_q = ev.measure_integral(_power_kernel(ev.rho, sigma, z))[0].tolist()
+    den_q = ev.measure_integral(_power_kernel(ev.rho, sigma, z)[0])[0].tolist()
     num_q = ev.measure_integral(
         lambda t: t ** (delta - 1.0) * (1.0 + np.multiply.outer(z, t)) ** (-sigma)
     )[0].tolist()
@@ -289,7 +288,7 @@ def ratio_monotonicity_scan(
     the synchronous pair ``t^delta``, ``t/(1+tz)`` fixes the sign of the
     z-derivative of the quotient.)
 
-    Returns the :func:`shifted_stieltjes_ratio` record of each grid point in
+    Returns the :func:`_shifted_stieltjes_ratio` record of each grid point in
     increasing z (rhs the quadrature route, lhs the series route as a
     cross-check), then one ``<=`` record per step z_i -> z_(i+1), at z_i,
     named after that direction: lhs is the step of the quadrature route
@@ -300,11 +299,11 @@ def ratio_monotonicity_scan(
     if len(zs) < 2:
         raise ParameterError("z_grid needs at least two points")
     try:
-        records = shifted_stieltjes_ratio(params, sigma, delta, zs)
+        records = _shifted_stieltjes_ratio(params, sigma, delta, zs)
     except FoxwrightError:
         # the grid runs each step over every point before the next: the
         # points one by one raise the first point's own error instead
-        records = tuple(shifted_stieltjes_ratio(params, sigma, delta, [z])[0] for z in zs)
+        records = tuple(_shifted_stieltjes_ratio(params, sigma, delta, [z])[0] for z in zs)
     values = [r.rhs for r in records]
     if delta >= 0:
         expected = "nonincreasing"

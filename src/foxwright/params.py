@@ -377,7 +377,6 @@ def gamma_ratio(params: ParameterSet, k: float) -> float:
 # recurrence l_0 = 1, r*l_r = sum_{n=1}^{r} q_n * l_{r-n}.
 
 
-@lru_cache(maxsize=32)
 def _q_sequence(params: ParameterSet, count: int) -> tuple[float, ...]:
     import numpy as np
 

@@ -67,30 +67,30 @@ _TOL = 1e-6  # rel_err within which the two sides of every identity here agree
 
 def _power_kernel(
     rho: float, sigma: float, z: float | np.ndarray
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The integrand ``t -> (1+tz)^(-sigma) / t`` of the power-kernel integral
-    against H on (0, rho), one row per z of an array; DomainError where
-    1 + tz vanishes on the support."""
+) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[int], np.ndarray]]:
+    """The power kernel K(t) = (1+tz)^(-sigma) at each z of an array, as its two
+    halves: the integrand ``t -> K(t) / t`` of its integral against H on
+    (0, rho), one row per z, and its scaled derivatives
+    ``i -> rho^i K^(i)(rho) = (-w)^i (sigma)_i (1+w)^(-sigma-i)``, w = rho z and
+    (sigma)_i the rising factorial, one per z, each formed in floats as for
+    that z alone.  DomainError where 1 + tz vanishes on the support."""
     if np.any(1.0 + rho * np.asarray(z) <= 0.0):
         raise DomainError(
             f"kernel 1+tz vanishes inside the support: z={np.min(z)} <= {-1.0 / rho:.6g}"
         )
-    return lambda t: (1.0 + np.multiply.outer(z, t)) ** (-sigma) / t
+
+    def derivative(i: int) -> np.ndarray:
+        rising = math.prod(sigma + r for r in range(i))
+        return np.array([(-w) ** i * rising * (1.0 + w) ** (-sigma - i)
+                         for w in (rho * np.atleast_1d(z)).tolist()])
+
+    return lambda t: (1.0 + np.multiply.outer(z, t)) ** (-sigma) / t, derivative
 
 
 def _exp_kernel(z: float | np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The integrand ``t -> e^(zt) / t`` of the exponential-kernel integral
     against H on (0, rho), one row per z of an array."""
     return lambda t: np.exp(np.multiply.outer(z, t)) / t
-
-
-def _power_atoms(params: ParameterSet, sigma: float, z: float) -> float:
-    """The endpoint atoms on the power kernel ``(1+tz)^(-sigma)``, whose
-    scaled derivatives at rho are (-w)^i (sigma)_i (1+w)^(-sigma-i) with
-    w = rho z and (sigma)_i the rising factorial; 0 for a set without atoms."""
-    w = derive_constants(params).rho * z
-    return _atoms(params, lambda i: (-w) ** i * math.prod(sigma + r for r in range(i))
-                  * (1.0 + w) ** (-sigma - i))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +178,7 @@ def stieltjes_eval(params: ParameterSet, sigma: float, z: float | np.ndarray) ->
     """
     _require_exponent("sigma", sigma)
     ev = get_evaluator(params)
-    integral, err = ev.measure_integral(_power_kernel(ev.rho, sigma, z))
+    integral, err = ev.measure_integral(_power_kernel(ev.rho, sigma, z)[0])
     g = math.gamma(sigma)
     return EvalResult(g * integral, ev._res_nodes_used, g * err, SeriesStatus.CONVERGED)
 
@@ -238,10 +238,10 @@ def lifted_value(params: ParameterSet, lam: float, zs: Sequence[float]) -> tuple
             far.append(i)
     if far:
         ev = get_evaluator(params)
-        kernel = _power_kernel(ev.rho, lam, -np.array([zs[i] for i in far]))
-        g = math.gamma(lam)
-        for i, v in zip(far, ev.measure_integral(kernel)[0].tolist()):
-            values[i] = g * (v + _power_atoms(params, lam, -zs[i]))
+        kernel, derivative = _power_kernel(ev.rho, lam, -np.array([zs[i] for i in far]))
+        far_values = math.gamma(lam) * (ev.measure_integral(kernel)[0] + _atoms(params, derivative))
+        for i, v in zip(far, far_values.tolist()):
+            values[i] = v
     return tuple(values)
 
 
@@ -251,9 +251,9 @@ def _lifted_regular(params: ParameterSet, sigma: float, zs: Sequence[float]) -> 
     (density) part of the power-kernel transform,
     ``gamma(sigma) integral (1+tz)^(-sigma) H dt/t``, for any set the
     measure represents."""
-    values = lifted_value(params, sigma, [-z for z in zs])
-    g = math.gamma(sigma)
-    return [v - g * _power_atoms(params, sigma, z) for v, z in zip(values, zs)]
+    values = np.array(lifted_value(params, sigma, [-z for z in zs]))
+    derivative = _power_kernel(derive_constants(params).rho, sigma, np.array(zs))[1]
+    return (values - math.gamma(sigma) * _atoms(params, derivative)).tolist()
 
 
 def laplace_lift_check(

@@ -76,8 +76,10 @@ class EvalResult:
     to the accumulated value, i.e. an a-posteriori bound stand-in, not a
     rigorous error bound.  Results rebuilt from the representing measure
     (``eval_via_representation``, ``stieltjes_eval``) carry instead the
-    absolute difference of the last two quadrature levels; for an array of
-    z, value and estimate are arrays.
+    measure integral's estimate: the absolute difference of its last two
+    quadrature levels, floored at eps times the integral of |f|
+    (``quadrature.integrate_levels``); for an array of z, value and
+    estimate are arrays.
     """
 
     value: complex
@@ -322,9 +324,23 @@ def _atoms(params: ParameterSet, derivative: Callable[[int], Any]) -> Any:
     """The endpoint atoms of a set with mu == -m on a kernel K, 0 when mu != -m:
     eta sum_j l_(m-j) ((t d/dt)^j K)(rho), as their Mellin transform is
     eta rho^s sum_j l_(m-j) s^j.  As (t d/dt)^j = sum_i S(j, i) t^i d^i/dt^i, that
-    is eta sum_i w_i ``derivative(i)``, K supplying ``derivative(i)`` = rho^i K^(i)(rho)."""
-    return derive_constants(params).eta * sum(
-        w * derivative(i) for i, w in enumerate(_atom_weights(params)))
+    is eta sum_i w_i ``derivative(i)``, K supplying ``derivative(i)`` = rho^i K^(i)(rho)
+    as a float or, one per point, a numpy array.
+
+    Every kernel's one overflow policy: DomainError where the sum leaves the
+    double range, a float ``**`` raising OverflowError or a float or array sum
+    coming out non-finite; numpy warns of nothing on the way."""
+    import numpy as np  # here, not at module level: the series needs no numpy
+
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = derive_constants(params).eta * sum(
+                w * derivative(i) for i, w in enumerate(_atom_weights(params)))
+    except OverflowError:
+        value = math.inf
+    if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
+        raise DomainError("the endpoint atoms' sum overflows a double")
+    return value
 
 
 @lru_cache(maxsize=256)
@@ -342,10 +358,9 @@ def correction_series(params: ParameterSet, z: Any) -> Any:
     This is the part of the series contributed by the endpoint atoms when
     the scale sums balance and mu == -m for an integer m >= 0: their
     functional :func:`_atoms` on the kernel e^(zt), whose scaled
-    derivatives at rho are w^i e^w with w = rho z, so the whole thing
-    costs one exp.  A numpy array of z gives the array of values, each
-    equal bit for bit to its one-point call; a real z gives a float and a
-    complex z a complex.
+    derivatives at rho are w^i e^w with w = rho z.  A numpy array of z
+    gives the array of values, each equal bit for bit to its one-point
+    call; a real z gives a float and a complex z a complex.
     """
     import numpy as np  # here, not at module level: the series needs no numpy
 
@@ -355,12 +370,5 @@ def correction_series(params: ParameterSet, z: Any) -> Any:
     if c.m_order is None:
         raise OutsideDomainError("correction series requires mu to be a non-positive integer")
     w = c.rho * np.asarray(z)
-    # numpy warns of nothing here: an overflow or an inf - inf leaves a
-    # non-finite sum, which is the error
-    with np.errstate(over="ignore", invalid="ignore"):
-        exp_w = np.exp(w)
-        value = _atoms(params, lambda i: w**i * exp_w)
-    if not np.all(np.isfinite(value)):
-        raise DomainError(
-            f"the atom sum overflows a double: rho z reaches {np.max(np.real(w)):.6g}")
+    value = _atoms(params, lambda i: w**i * np.exp(w))
     return value if np.ndim(z) else value.item()

@@ -32,7 +32,6 @@ if TYPE_CHECKING:
 __all__ = [
     "log_abs_gamma_signed",
     "bernoulli_number",
-    "bernoulli_poly",
     "stirling2_row",
 ]
 
@@ -172,14 +171,6 @@ def _bernoulli_all(deg: int, x: float) -> Any:
         shift = (steps[:, None] ** np.arange(deg)).sum(axis=0)
         out[1:] += math.copysign(1.0, whole) * np.arange(1, deg + 1) * shift
     return out
-
-
-def bernoulli_poly(n: int, x: float) -> float:
-    """Bernoulli polynomial B_n(x), from the expansion about 1/2 that
-    ``_bernoulli_all`` takes for every degree up to n."""
-    if n < 0:
-        raise ValueError("Bernoulli polynomial degree must be non-negative")
-    return float(_bernoulli_all(n, x)[n])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The public surface: the 42 exported names, pinned, every one resolving, two
+"""The public surface: the 41 exported names, pinned, every one resolving, two
 result types, and no tuning knob is left.  Every ``python`` block of the
 README runs.
 
@@ -55,7 +55,7 @@ EXPORTS = [
     "moment_identity_check", "eval_via_representation", "verify_representation",
     "stieltjes_eval", "verify_stieltjes", "lifted_value", "laplace_lift_check",
     "exp_kernel_bounds", "lifted_kernel_bounds", "stieltjes_lower_bound", "cm_check",
-    "shifted_stieltjes_ratio", "ratio_monotonicity_scan",
+    "ratio_monotonicity_scan",
     "NAMED_SETS",
     "FoxwrightError", "ParameterError", "PoleError", "OutsideDomainError", "DomainError",
     "NonConvergentError", "QuadratureFailure", "DegenerateError", "ConstraintError",
@@ -65,17 +65,24 @@ EXPORTS = [
 # private rule replaces, wrappers whose values the row series gives, the
 # Touchard polynomials, which the one atom functional replaces, the catalog
 # aliases, which NAMED_SETS and foxwright.catalog give, the four-parameter
-# check, which verify_representation on its row set gives, and the finite
+# check, which verify_representation on its row set gives, the finite
 # Laplace adjudication of one catalog set, now the private
-# representations._finite_laplace_identity
+# representations._finite_laplace_identity, the shifted ratio, now the
+# private bounds._shifted_stieltjes_ratio whose records lead
+# ratio_monotonicity_scan's, the power kernel's own atom function, which
+# the derivative half of representations._power_kernel replaces, and the
+# Bernoulli polynomial that only tests called
 REMOVED_NAMES = {
     "foxwright": {"EXP_COLLAPSE", "TWIN_QUARTER", "DOUBLE_POLE", "IDENTITY",
-                  "finite_laplace_identity"},
+                  "finite_laplace_identity", "shifted_stieltjes_ratio"},
+    "foxwright.bounds": {"shifted_stieltjes_ratio"},
     "foxwright.hfun": {"_newton_to_power"},
     "foxwright.params": {"Convergence", "classify_convergence", "_pole_residue"},
-    "foxwright.representations": {"four_param_representation", "finite_laplace_identity"},
+    "foxwright.representations": {"four_param_representation", "finite_laplace_identity",
+                                  "_power_atoms"},
     "foxwright.series": {"hyper_pfq", "wright_function", "mittag_leffler"},
-    "foxwright.special": {"touchard_sum", "touchard_poly", "log_gamma_complex_vec"},
+    "foxwright.special": {"touchard_sum", "touchard_poly", "log_gamma_complex_vec",
+                          "bernoulli_poly"},
 }
 REMOVED_PARAMETERS = {"config", "max_terms"}
 REMOVED_KNOBS = {"route", "rel_tol", "route_tol", "threshold"}
@@ -89,7 +96,7 @@ CHECK_FUNCTIONS = {
     "verify_representation", "moment_identity_check", "verify_stieltjes",
     "laplace_lift_check",
     "exp_kernel_bounds", "lifted_kernel_bounds", "stieltjes_lower_bound", "cm_check",
-    "shifted_stieltjes_ratio", "ratio_monotonicity_scan", "hfun_nonneg_scan",
+    "ratio_monotonicity_scan", "hfun_nonneg_scan",
 }
 # Every defaulted parameter of a public callable, exception types aside,
 # with the caller outside the tests that sets it.
@@ -363,7 +370,6 @@ GRID_CHECKS = {
     "exp_kernel_bounds": ((), [0.0, 0.1, 0.5, 1.0, 2.0]),
     "lifted_kernel_bounds": ((2.0,), [0.0, 0.1, 0.5, 1.0, 2.0]),
     "stieltjes_lower_bound": ((3.0,), [0.0, 0.1, 0.2, 0.3, 0.5]),
-    "shifted_stieltjes_ratio": ((1.0, 1.0), [0.05, 0.2, 0.5, 0.7, 0.95]),
 }
 
 
@@ -376,6 +382,29 @@ def test_grid_check_gives_one_entry_per_point(name):
     assert isinstance(entries, tuple) and len(entries) == 5
     for z, entry in zip(zs, entries):
         assert entry == check(foxwright.NAMED_SETS["double-pole"], *args, [z])[0], z
+
+
+# The sets whose endpoint atoms take derivatives: m = 1 and an m = 2 row set
+ATOM_SETS = {
+    "twin-quarter": foxwright.NAMED_SETS["twin-quarter"],
+    "m=2": foxwright.ParameterSet([(1.0, 1.0)], [(0.3, 0.5), (-0.8, 0.5)]),
+}
+
+
+@pytest.mark.parametrize("set_name", sorted(ATOM_SETS))
+@pytest.mark.parametrize("name", ["verify_representation", "verify_stieltjes", "lifted_value",
+                                  "laplace_lift_check"])
+def test_grid_check_with_derivative_atoms(name, set_name):
+    """Where the atoms carry derivatives up to order m, which each kernel
+    sums over the whole grid at once, every entry keeps the bits of the
+    call on that z alone; the double-pole grids (rho = 1) scaled by 1/rho."""
+    params = ATOM_SETS[set_name]
+    check, (args, zs) = getattr(foxwright, name), GRID_CHECKS[name]
+    zs = [z / foxwright.derive_constants(params).rho for z in zs]
+    entries = check(params, *args, zs)
+    assert len(entries) == 5
+    for z, entry in zip(zs, entries):
+        assert repr(entry) == repr(check(params, *args, [z])[0]), z
 
 
 def test_cli_calls_the_public_checks():

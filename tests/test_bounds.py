@@ -13,10 +13,9 @@ from foxwright import (
     exp_kernel_bounds,
     lifted_kernel_bounds,
     ratio_monotonicity_scan,
-    shifted_stieltjes_ratio,
     stieltjes_lower_bound,
 )
-from foxwright.bounds import _atomic_mass, _cm_order, _scan_direction
+from foxwright.bounds import _atomic_mass, _cm_order, _scan_direction, _shifted_stieltjes_ratio
 from foxwright.catalog import DOUBLE_POLE, EXP_COLLAPSE, TWIN_QUARTER
 from foxwright.errors import (
     ConstraintError,
@@ -80,7 +79,7 @@ class TestExpKernelBounds:
         assert _atomic_mass(DOUBLE_POLE) is first
         exp_kernel_bounds(DOUBLE_POLE, [0.5])[0]
         stieltjes_lower_bound(DOUBLE_POLE, 2.0, [0.5])[0]
-        shifted_stieltjes_ratio(DOUBLE_POLE, 1.0, 1.0, [0.5])[0]
+        _shifted_stieltjes_ratio(DOUBLE_POLE, 1.0, 1.0, [0.5])[0]
 
     def test_failed_scan_gives_not_applicable(self, monkeypatch):
         # the bounds are conditional on H >= 0: a failed scan is n/a, not fail
@@ -266,38 +265,39 @@ class TestShiftedRatio:
     @pytest.mark.parametrize("delta", [-0.5, 1.0])
     @pytest.mark.parametrize("z", [0.2, 0.5, 0.8])
     def test_routes_agree(self, sigma, delta, z):
-        r = shifted_stieltjes_ratio(DOUBLE_POLE, sigma, delta, [z])[0]
+        r = _shifted_stieltjes_ratio(DOUBLE_POLE, sigma, delta, [z])[0]
         assert r.rel_err < 1e-6
 
     def test_zero_shift_is_unity(self):
-        r = shifted_stieltjes_ratio(DOUBLE_POLE, 1.0, 0.0, [0.5])[0]
+        r = _shifted_stieltjes_ratio(DOUBLE_POLE, 1.0, 0.0, [0.5])[0]
         assert r.rhs == pytest.approx(1.0, rel=1e-12)  # quadrature route
         assert r.lhs == pytest.approx(1.0, rel=1e-12)  # series route
 
     def test_degenerate_measure_rejected(self):
         with pytest.raises(DegenerateError):
-            shifted_stieltjes_ratio(EXP_COLLAPSE, 1.0, 1.0, [0.5])[0]
+            _shifted_stieltjes_ratio(EXP_COLLAPSE, 1.0, 1.0, [0.5])[0]
 
     def test_kernel_zero_rejected(self):
         with pytest.raises(DomainError):
-            shifted_stieltjes_ratio(DOUBLE_POLE, 1.0, 1.0, [-1.5])[0]
+            _shifted_stieltjes_ratio(DOUBLE_POLE, 1.0, 1.0, [-1.5])[0]
 
     def test_signed_measure_rejected(self):
         # m = 1: Chebyshev's inequality needs the nonnegative mu = 0 measure,
         # though the Stieltjes identity holds for every m
         with pytest.raises(ConstraintError, match="kernel bounds and the ratio scan"):
-            shifted_stieltjes_ratio(TWIN_QUARTER, 1.0, 1.0, [0.5])[0]
+            _shifted_stieltjes_ratio(TWIN_QUARTER, 1.0, 1.0, [0.5])[0]
 
     def test_zero_quadrature_denominator_rejected(self, monkeypatch):
+        # the bounds module reads the integrand half only
         monkeypatch.setattr(bounds, "_power_kernel",
-                            lambda rho, sigma, z: lambda t: 0.0 * np.multiply.outer(z, t))
+                            lambda rho, sigma, z: (lambda t: 0.0 * np.multiply.outer(z, t), None))
         with pytest.raises(DivisionError, match="quadrature denominator"):
-            shifted_stieltjes_ratio(DOUBLE_POLE, 1.0, 1.0, [0.5])[0]
+            _shifted_stieltjes_ratio(DOUBLE_POLE, 1.0, 1.0, [0.5])[0]
 
     def test_zero_series_denominator_rejected(self, monkeypatch):
         monkeypatch.setattr(bounds, "_lifted_regular", lambda params, sigma, zs: [0.0] * len(zs))
         with pytest.raises(DivisionError, match="series denominator"):
-            shifted_stieltjes_ratio(DOUBLE_POLE, 1.0, 1.0, [0.5])[0]
+            _shifted_stieltjes_ratio(DOUBLE_POLE, 1.0, 1.0, [0.5])[0]
 
 
 def scan_summary(records):
@@ -358,7 +358,7 @@ class TestNonFiniteArguments:
     @pytest.mark.parametrize("sigma", NON_FINITE)
     def test_shifted_stieltjes_ratio(self, sigma):
         with pytest.raises(ParameterError):
-            shifted_stieltjes_ratio(DOUBLE_POLE, sigma, 1.0, [0.5])[0]
+            _shifted_stieltjes_ratio(DOUBLE_POLE, sigma, 1.0, [0.5])[0]
 
     @pytest.mark.parametrize("sigma", NON_FINITE)
     def test_ratio_monotonicity_scan(self, sigma):

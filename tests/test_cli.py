@@ -639,17 +639,20 @@ _SWEEP_FORMS = [
     ("verify-laplace", "--lift", "1.5"), ("bounds",), ("bounds", "--lift", "2"),
     ("bounds", "--sigma", "3"), ("moments",), ("cm-check",), ("ratio-scan",),
 ]
-_SWEEP_VALUES = ["-1e10", "-800", "-400", "-354.95", "-100", "-1e-300", "0", "1e-300",
-                 "0.4999", "0.5", "0.99", "1", "1.99", "2", "100", "354.95", "400", "800",
-                 "1e10"]
+_SWEEP_VALUES = ["-1e300", "-1e10", "-800", "-400", "-354.95", "-100", "-1e-300", "0",
+                 "1e-300", "0.4999", "0.5", "0.99", "1", "1.99", "2", "100", "354.95", "400",
+                 "800", "1e10", "1e200", "1e300"]
+# an m = 2 row set, whose atoms take the kernels' second derivatives
+_M2_ROWS = {"upper": [[1, 1]], "lower": [[0.3, 0.5], [-0.8, 0.5]]}
 
 
 @pytest.mark.parametrize("form", _SWEEP_FORMS, ids=" ".join)
-def test_sweep_gives_typed_rows_only(capsys, form):
+def test_sweep_gives_typed_rows_only(capsys, tmp_path, form):
     """Across the double range every run exits 0 or 2 and prints strict JSON
     with nothing on stderr: no traceback, and no warning, which the test
     configuration turns into an error.  The scans take the non-negative
-    values, ratio-scan as the second point of a two-point grid."""
+    values, ratio-scan as the second point of a two-point grid.  The sets
+    are the catalog's and an m = 2 row set from a file."""
     command, *flags = form
     if command == "cm-check":
         grids = [f"--z={v}" for v in _SWEEP_VALUES if float(v) >= 0]
@@ -657,8 +660,10 @@ def test_sweep_gives_typed_rows_only(capsys, form):
         grids = [f"--z=0.5,{v}" for v in _SWEEP_VALUES if float(v) >= 0]
     else:
         grids = [f"--{'k' if command == 'moments' else 'z'}={v}" for v in _SWEEP_VALUES]
+    m2 = tmp_path / "m2.json"
+    m2.write_text(json.dumps(_M2_ROWS))
     failures = []
-    for name in sorted(NAMED_SETS):
+    for name in [*sorted(NAMED_SETS), str(m2)]:
         for grid in grids:
             argv = [command, "--params", name, *flags, grid]
             try:

@@ -22,7 +22,8 @@ from foxwright import (
     stieltjes_eval,
 )
 from foxwright.catalog import DOUBLE_POLE, NAMED_SETS, TWIN_QUARTER
-from foxwright.representations import _power_atoms
+from foxwright.representations import _power_kernel
+from foxwright.series import _atoms
 
 mp = pytest.importorskip("mpmath")
 
@@ -78,7 +79,8 @@ def test_power_kernel_route_matches_lifted_series_oracle(params, sigma, w):
     z = w / derive_constants(params).rho
     lifted = ParameterSet([(sigma, 1.0), *params.upper], list(params.lower))
     want = float(_series_oracle(lifted, -z))
-    got = stieltjes_eval(params, sigma, z).value + math.gamma(sigma) * _power_atoms(params, sigma, z)
+    (atoms,) = _atoms(params, _power_kernel(derive_constants(params).rho, sigma, z)[1])
+    got = stieltjes_eval(params, sigma, z).value + math.gamma(sigma) * atoms
     assert abs(got - want) <= 1e-13 * abs(want)
 
 

@@ -155,7 +155,7 @@ class TestQSequence:
         count = 40
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _q_sequence.__wrapped__(ps, count)  # past the cache
+            got = _q_sequence(ps, count)
         assert len(got) == count
         rows = ps.upper + ps.lower
         for n in range(1, count + 1):
@@ -169,8 +169,8 @@ class TestQSequence:
             assert abs(Fraction(got[n - 1]) - want) <= 8 * eps * mass, n
 
     def test_short_sequences(self):
-        assert _q_sequence.__wrapped__(DOUBLE_POLE, 0) == ()
-        (q1,) = _q_sequence.__wrapped__(TWIN_QUARTER, 1)
+        assert _q_sequence(DOUBLE_POLE, 0) == ()
+        (q1,) = _q_sequence(TWIN_QUARTER, 1)
         assert q1 == pytest.approx(1.0 / 8.0, rel=1e-14)  # = l_1
 
 
