@@ -76,7 +76,6 @@ __all__ = [
     "moment_identity_check",
     "eval_via_representation",
     "verify_representation",
-    "stieltjes_eval",
     "verify_stieltjes",
     "lifted_value",
     "laplace_lift_check",
@@ -105,7 +104,7 @@ _LAZY_EXPORTS = {
     "hfun": ("HfunMethod", "MeasureEvaluator", "get_evaluator", "hfun_nonneg_scan"),
     "representations": (
         "eval_via_representation", "verify_representation", "moment_identity_check",
-        "stieltjes_eval", "verify_stieltjes", "lifted_value", "laplace_lift_check",
+        "verify_stieltjes", "lifted_value", "laplace_lift_check",
     ),
     "bounds": (
         "exp_kernel_bounds", "lifted_kernel_bounds", "stieltjes_lower_bound", "cm_check",

@@ -21,7 +21,7 @@ in its argument whenever the density is nonnegative.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 from typing import Callable, Sequence
 
@@ -32,7 +32,7 @@ from .errors import (ConstraintError, DegenerateError, DivisionError, DomainErro
 from .hfun import get_evaluator, hfun_nonneg_scan
 from .params import (ParameterSet, _require_exponent, derive_constants, gamma_ratio,
                      shift_parameters)
-from .representations import _lifted_regular, _power_kernel, _values, lifted_value
+from .representations import _lifted_regular, _stieltjes_integral, _values, lifted_value
 from .series import IdentityRecord, _fox_wright_values, _record
 
 __all__ = [
@@ -74,20 +74,39 @@ def _atomic_mass(params: ParameterSet):
     return psi0, psi1, c
 
 
-def _bound_pair(
-    name: str, params: ParameterSet, z: float, lower: float, value: float, upper: float
-) -> tuple[IdentityRecord, IdentityRecord]:
-    """``lower <= value`` and ``value <= upper``, each ``n/a`` unless the
-    density scans nonnegative.  DomainError when a side leaves the double
-    range: ``value <= inf`` would pass while saying nothing."""
-    if not all(math.isfinite(v) for v in (lower, value, upper)):
-        raise DomainError(f"{name} at z={z:g}: a bound or the value overflows a double")
+def _sandwich(
+    name: str, params: ParameterSet, zs: Sequence[float], kernel: Callable, g: float,
+    values: Callable,
+) -> tuple[tuple[IdentityRecord, IdentityRecord], ...]:
+    """Jensen below and the chord above for ``g K(t, z)``, K convex in t on
+    [0, rho] with K(0, z) = 1: ``lower <= value`` and ``value <= upper`` at
+    each z, ``values`` taking every -z as one grid, each record ``n/a``
+    unless the density scans nonnegative.  DomainError where a side
+    overflows a double or is not a finite real (a barycentre outside the
+    support): ``value <= inf`` would pass while saying nothing."""
+    if any(z < 0 for z in zs):
+        raise ParameterError("z must be nonnegative")
+    psi0, psi1, c = _atomic_mass(params)
     key = params.hash_key()
-    nonneg = hfun_nonneg_scan(params).ok()
-    return (
-        _record(f"{name}-lower", key, z, lower, value, _OK_SLACK, "<=", applies=nonneg),
-        _record(f"{name}-upper", key, z, value, upper, _OK_SLACK, "<=", applies=nonneg),
-    )
+    pairs = []
+    for z, value in zip(zs, values([-z for z in zs])):
+        # g times each weight, as the goldens' bits need; the chord's t = 0
+        # term is its weight alone, since K(0, inf) = e^(-0 inf) is NaN
+        try:
+            k_rho = kernel(c.rho, z)
+            lower = g * c.eta * k_rho + g * psi0 * kernel(psi1 / psi0, z)
+            upper = g * (psi0 - psi1 / c.rho) + g * (c.eta + psi1 / c.rho) * k_rho
+        except ArithmeticError:
+            lower = upper = math.inf
+        if not all(isinstance(v, float) and math.isfinite(v) for v in (lower, value, upper)):
+            raise DomainError(f"{name} at z={z:g}: a bound or the value overflows a double "
+                              "or is not real")
+        nonneg = hfun_nonneg_scan(params).ok()
+        pairs.append((
+            _record(f"{name}-lower", key, z, lower, value, _OK_SLACK, "<=", applies=nonneg),
+            _record(f"{name}-upper", key, z, value, upper, _OK_SLACK, "<=", applies=nonneg),
+        ))
+    return tuple(pairs)
 
 
 def exp_kernel_bounds(
@@ -101,14 +120,8 @@ def exp_kernel_bounds(
     ``<=`` records (lower, F) and (F, upper); both sides collapse to
     ``ratio(0)`` at ``z = 0``.  The series at every -z is one grid.
     """
-    if any(z < 0 for z in zs):
-        raise ParameterError("z must be nonnegative")
-    psi0, psi1, c = _atomic_mass(params)
-    lower = [psi0 * math.exp(-(psi1 / psi0) * z) + c.eta * math.exp(-c.rho * z) for z in zs]
-    upper = [(psi0 - psi1 / c.rho) + (c.eta + psi1 / c.rho) * math.exp(-c.rho * z) for z in zs]
-    values = _fox_wright_values(params, [-z for z in zs])
-    return tuple(_bound_pair("exp-kernel", params, *point)
-                 for point in zip(zs, lower, values, upper))
+    return _sandwich("exp-kernel", params, zs, lambda t, z: math.exp(-t * z), 1.0,
+                     partial(_fox_wright_values, params))
 
 
 def lifted_kernel_bounds(
@@ -123,17 +136,9 @@ def lifted_kernel_bounds(
     beyond it.  Two ``<=`` records per z, as for :func:`exp_kernel_bounds`.
     """
     _require_exponent("lam", lam)
-    if any(z < 0 for z in zs):
-        raise ParameterError("z must be nonnegative")
-    psi0, psi1, c = _atomic_mass(params)
-    g = math.gamma(lam)
-    lower = [g * c.eta * (1.0 + c.rho * z) ** (-lam)
-             + g * psi0 * (1.0 + (psi1 / psi0) * z) ** (-lam) for z in zs]
-    upper = [g * (psi0 - psi1 / c.rho)
-             + g * (c.eta + psi1 / c.rho) * (1.0 + c.rho * z) ** (-lam) for z in zs]
-    values = lifted_value(params, lam, [-z for z in zs])
-    name = f"lifted-kernel[lam={lam:g}]"
-    return tuple(_bound_pair(name, params, *point) for point in zip(zs, lower, values, upper))
+    return _sandwich(f"lifted-kernel[lam={lam:g}]", params, zs,
+                     lambda t, z: (1.0 + t * z) ** (-lam), math.gamma(lam),
+                     partial(lifted_value, params, lam))
 
 
 def stieltjes_lower_bound(
@@ -154,11 +159,9 @@ def stieltjes_lower_bound(
     """
     bounds = [lower for lower, _ in lifted_kernel_bounds(params, sigma, zs)]
     psi0 = _atomic_mass(params)[0]
-    ev = get_evaluator(params)
     z = np.array(zs)
     mean_sigma, mean_one = (
-        [v / psi0 for v in ev.measure_integral(_power_kernel(ev.rho, s, z)[0])[0].tolist()]
-        for s in (sigma, 1.0)
+        [v / psi0 for v in _stieltjes_integral(params, s, z)[0].tolist()] for s in (sigma, 1.0)
     )
     relation = "==" if abs(sigma - 1.0) <= 1e-12 else ">=" if sigma > 1.0 else "<="
     return tuple(
@@ -251,7 +254,7 @@ def _shifted_stieltjes_ratio(
     _atomic_mass(params)  # the single-atom gate, and a density that carries mass
     ev = get_evaluator(params)
     z = np.array(zs)
-    den_q = ev.measure_integral(_power_kernel(ev.rho, sigma, z)[0])[0].tolist()
+    den_q = _stieltjes_integral(params, sigma, z)[0].tolist()
     num_q = ev.measure_integral(
         lambda t: t ** (delta - 1.0) * (1.0 + np.multiply.outer(z, t)) ** (-sigma)
     )[0].tolist()

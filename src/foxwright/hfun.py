@@ -599,7 +599,8 @@ class MeasureEvaluator:
         ``fn`` is evaluated on the rule's nodes, level by level, and dotted
         with the stored weights w_i H(t_i); ``integrate_levels`` refines until
         two successive sums agree to ``_TOL``, else QuadratureFailure, as where
-        an overflow (numpy warns of none) leaves a sum that is not finite.  A
+        an overflow leaves a sum that is not finite (numpy warns of none, nor
+        of inf - inf where a signed density meets it).  A
         (k, n) array from ``fn`` for n nodes gives length-k totals and
         estimates, row i equal bit for bit to the integral of row i alone.
         """
@@ -611,7 +612,7 @@ class MeasureEvaluator:
             t, wh = self._rule_level(level)
             return fn(t), wh
 
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             return integrate_levels(terms, _TOL, (0.0, self.rho))
 
     def moment(self, s: float) -> float:

@@ -56,7 +56,6 @@ __all__ = [
     "eval_via_representation",
     "verify_representation",
     "moment_identity_check",
-    "stieltjes_eval",
     "verify_stieltjes",
     "lifted_value",
     "laplace_lift_check",
@@ -85,6 +84,16 @@ def _power_kernel(
                          for w in (rho * np.atleast_1d(z)).tolist()])
 
     return lambda t: (1.0 + np.multiply.outer(z, t)) ** (-sigma) / t, derivative
+
+
+def _stieltjes_integral(
+    params: ParameterSet, sigma: float, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``integral_0^rho (1+tz)^(-sigma) H(t) dt/t`` at each z of an array, with
+    the measure integral's estimate, in one pass over the cached rule: only
+    the regular (density) part of the measure, without gamma(sigma)."""
+    ev = get_evaluator(params)
+    return ev.measure_integral(_power_kernel(ev.rho, sigma, z)[0])
 
 
 def _exp_kernel(z: float | np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -168,21 +177,6 @@ def moment_identity_check(
 # ---------------------------------------------------------------------------
 
 
-def stieltjes_eval(params: ParameterSet, sigma: float, z: float | np.ndarray) -> EvalResult:
-    """``gamma(sigma) * integral_0^rho H(t) / (t (1+tz)^sigma) dt``.
-
-    Only the regular (density) part of the measure; the endpoint atoms'
-    matching term ``gamma(sigma) A[(1+tz)^(-sigma)]`` is what separates this
-    from the lifted series, see :func:`verify_stieltjes`.  An array of z is
-    one pass over the cached rule; value and estimate are then arrays.
-    """
-    _require_exponent("sigma", sigma)
-    ev = get_evaluator(params)
-    integral, err = ev.measure_integral(_power_kernel(ev.rho, sigma, z)[0])
-    g = math.gamma(sigma)
-    return EvalResult(g * integral, ev._res_nodes_used, g * err, SeriesStatus.CONVERGED)
-
-
 def verify_stieltjes(
     params: ParameterSet, sigma: float, zs: Sequence[float]
 ) -> tuple[IdentityRecord, ...]:
@@ -198,7 +192,8 @@ def verify_stieltjes(
     there the record compares the quadrature with itself and its error
     reads about 0.
     """
-    lhs = stieltjes_eval(params, sigma, np.array(zs)).value.tolist()
+    _require_exponent("sigma", sigma)
+    lhs = (math.gamma(sigma) * _stieltjes_integral(params, sigma, np.array(zs))[0]).tolist()
     rhs = _lifted_regular(params, sigma, zs)
     name, key = f"stieltjes-kernel[sigma={sigma:g}]", params.hash_key()
     return tuple(_record(name, key, z, a, b, _TOL) for z, a, b in zip(zs, lhs, rhs))
@@ -237,9 +232,10 @@ def lifted_value(params: ParameterSet, lam: float, zs: Sequence[float]) -> tuple
             values.append(None)
             far.append(i)
     if far:
-        ev = get_evaluator(params)
-        kernel, derivative = _power_kernel(ev.rho, lam, -np.array([zs[i] for i in far]))
-        far_values = math.gamma(lam) * (ev.measure_integral(kernel)[0] + _atoms(params, derivative))
+        z = -np.array([zs[i] for i in far])
+        derivative = _power_kernel(derive_constants(params).rho, lam, z)[1]
+        far_values = math.gamma(lam) * (_stieltjes_integral(params, lam, z)[0]
+                                        + _atoms(params, derivative))
         for i, v in zip(far, far_values.tolist()):
             values[i] = v
     return tuple(values)

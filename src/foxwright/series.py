@@ -74,12 +74,11 @@ class EvalResult:
 
     ``trunc_estimate`` is the magnitude of the last computed term relative
     to the accumulated value, i.e. an a-posteriori bound stand-in, not a
-    rigorous error bound.  Results rebuilt from the representing measure
-    (``eval_via_representation``, ``stieltjes_eval``) carry instead the
-    measure integral's estimate: the absolute difference of its last two
-    quadrature levels, floored at eps times the integral of |f|
-    (``quadrature.integrate_levels``); for an array of z, value and
-    estimate are arrays.
+    rigorous error bound.  A result rebuilt from the representing measure
+    by ``eval_via_representation`` carries instead the measure integral's
+    estimate: the absolute difference of its last two quadrature levels,
+    floored at eps times the integral of |f| (``quadrature.integrate_levels``);
+    for an array of z, value and estimate are arrays.
     """
 
     value: complex

@@ -1,4 +1,4 @@
-"""The public surface: the 41 exported names, pinned, every one resolving, two
+"""The public surface: the 40 exported names, pinned, every one resolving, two
 result types, and no tuning knob is left.  Every ``python`` block of the
 README runs.
 
@@ -53,7 +53,7 @@ EXPORTS = [
     "four_param_wright", "correction_series",
     "HfunMethod", "MeasureEvaluator", "get_evaluator", "hfun_nonneg_scan",
     "moment_identity_check", "eval_via_representation", "verify_representation",
-    "stieltjes_eval", "verify_stieltjes", "lifted_value", "laplace_lift_check",
+    "verify_stieltjes", "lifted_value", "laplace_lift_check",
     "exp_kernel_bounds", "lifted_kernel_bounds", "stieltjes_lower_bound", "cm_check",
     "ratio_monotonicity_scan",
     "NAMED_SETS",
@@ -70,16 +70,18 @@ EXPORTS = [
 # representations._finite_laplace_identity, the shifted ratio, now the
 # private bounds._shifted_stieltjes_ratio whose records lead
 # ratio_monotonicity_scan's, the power kernel's own atom function, which
-# the derivative half of representations._power_kernel replaces, and the
-# Bernoulli polynomial that only tests called
+# the derivative half of representations._power_kernel replaces, the
+# Bernoulli polynomial that only tests called, the Stieltjes integral,
+# whose values are verify_stieltjes's lhs, and the bound pair that the
+# private Jensen-chord sandwich bounds._sandwich folds in
 REMOVED_NAMES = {
     "foxwright": {"EXP_COLLAPSE", "TWIN_QUARTER", "DOUBLE_POLE", "IDENTITY",
-                  "finite_laplace_identity", "shifted_stieltjes_ratio"},
-    "foxwright.bounds": {"shifted_stieltjes_ratio"},
+                  "finite_laplace_identity", "shifted_stieltjes_ratio", "stieltjes_eval"},
+    "foxwright.bounds": {"shifted_stieltjes_ratio", "_bound_pair"},
     "foxwright.hfun": {"_newton_to_power"},
     "foxwright.params": {"Convergence", "classify_convergence", "_pole_residue"},
     "foxwright.representations": {"four_param_representation", "finite_laplace_identity",
-                                  "_power_atoms"},
+                                  "_power_atoms", "stieltjes_eval"},
     "foxwright.series": {"hyper_pfq", "wright_function", "mittag_leffler"},
     "foxwright.special": {"touchard_sum", "touchard_poly", "log_gamma_complex_vec",
                           "bernoulli_poly"},

@@ -9,13 +9,17 @@ from foxwright import (
     ParameterSet,
     bounds,
     cm_check,
+    derive_constants,
     eval_via_representation,
     exp_kernel_bounds,
+    hfun_nonneg_scan,
     lifted_kernel_bounds,
+    lifted_value,
     ratio_monotonicity_scan,
     stieltjes_lower_bound,
 )
-from foxwright.bounds import _atomic_mass, _cm_order, _scan_direction, _shifted_stieltjes_ratio
+from foxwright.bounds import (_OK_SLACK, _atomic_mass, _cm_order, _scan_direction,
+                              _shifted_stieltjes_ratio)
 from foxwright.catalog import DOUBLE_POLE, EXP_COLLAPSE, TWIN_QUARTER
 from foxwright.errors import (
     ConstraintError,
@@ -29,6 +33,40 @@ from foxwright.series import _fox_wright_values, _record
 GRID_17 = [float(v) for v in np.linspace(0.05, 0.95, 17)]
 NON_FINITE = [math.nan, math.inf, -math.inf]
 CM_GRID = [float(v) for v in np.logspace(math.log10(0.01), math.log10(10.0), 30)]
+# mu = 0 sets.  Simple poles and a nonnegative density (the lone-pole set of
+# test_hfun carries no regular mass, psi0 < 0, so its lower rows are moved):
+LONE_POLES = ParameterSet([(0.4, 1.0), (1.15, 1.0), (1.9, 1.0)], [(0.6, 1.0), (1.25, 1.0), (1.6, 1.0)])
+# A density that scans negative, and a barycentre psi1/psi0 = -0.634 outside [0, rho]:
+SIGNED = ParameterSet([(0.25, 1.0), (0.5, 0.25)], [(0.5, 0.5), (0.25, 0.75)])
+
+
+# The two bounds, each formula written out by hand: reference forms whose
+# records the one Jensen-chord sandwich must equal to the bit.
+def reference_pair(name, params, z, lower, value, upper):
+    key, nonneg = params.hash_key(), hfun_nonneg_scan(params).ok()
+    return (_record(f"{name}-lower", key, z, lower, value, _OK_SLACK, "<=", applies=nonneg),
+            _record(f"{name}-upper", key, z, value, upper, _OK_SLACK, "<=", applies=nonneg))
+
+
+def reference_exp_bounds(params, zs):
+    psi0, psi1, c = _atomic_mass(params)
+    lower = [psi0 * math.exp(-(psi1 / psi0) * z) + c.eta * math.exp(-c.rho * z) for z in zs]
+    upper = [(psi0 - psi1 / c.rho) + (c.eta + psi1 / c.rho) * math.exp(-c.rho * z) for z in zs]
+    values = _fox_wright_values(params, [-z for z in zs])
+    return tuple(reference_pair("exp-kernel", params, *point)
+                 for point in zip(zs, lower, values, upper))
+
+
+def reference_lifted_bounds(params, lam, zs):
+    psi0, psi1, c = _atomic_mass(params)
+    g = math.gamma(lam)
+    lower = [g * c.eta * (1.0 + c.rho * z) ** (-lam)
+             + g * psi0 * (1.0 + (psi1 / psi0) * z) ** (-lam) for z in zs]
+    upper = [g * (psi0 - psi1 / c.rho)
+             + g * (c.eta + psi1 / c.rho) * (1.0 + c.rho * z) ** (-lam) for z in zs]
+    values = lifted_value(params, lam, [-z for z in zs])
+    return tuple(reference_pair(f"lifted-kernel[lam={lam:g}]", params, *point)
+                 for point in zip(zs, lower, values, upper))
 
 
 def first_defect(records):
@@ -133,12 +171,58 @@ class TestLiftedKernelBounds:
         with pytest.raises(DomainError, match="overflows"):
             lifted_kernel_bounds(DOUBLE_POLE, 171.6, [z])[0]
 
+    @pytest.mark.parametrize("lam, base", [(0.5, "negative"), (1.5, "negative"),
+                                           (1.5, "zero"), (2.0, "zero")])
+    def test_barycentre_outside_the_support_raises(self, lam, base):
+        # (1 + (psi1/psi0) z)^(-lam) of a negative base is complex for a
+        # fractional lam, and of a zero base a ZeroDivisionError: each
+        # escaped as an untyped error
+        psi0, psi1, _ = _atomic_mass(SIGNED)
+        z = 2.0 if base == "negative" else -psi0 / psi1
+        with pytest.raises(DomainError, match="overflows a double"):
+            lifted_kernel_bounds(SIGNED, lam, [z])[0]
+
+    @pytest.mark.parametrize("lam", [1.0, 2.0, 3.0])
+    def test_integer_exponent_keeps_its_real_bound(self, lam):
+        # a negative base to an integer power is real: the records stand, n/a
+        zs = [0.3, 2.0, 30.0]
+        pairs = lifted_kernel_bounds(SIGNED, lam, zs)
+        assert {r.verdict for pair in pairs for r in pair} == {"n/a"}  # the scan fails
+        assert repr(pairs) == repr(reference_lifted_bounds(SIGNED, lam, zs))
+
     def test_continuation_points_beyond_disk(self):
         # z in {1, 2} lies beyond the lifted series radius (1/rho = 1);
         # the bound evaluation relies on the kernel continuation
         for z in (1.0, 2.0):
             lower, upper = lifted_kernel_bounds(DOUBLE_POLE, 2.0, [z])[0]
             assert lower.lhs <= lower.rhs <= upper.rhs
+
+
+class TestReferenceForms:
+    """Every record of both bound functions equals, by repr, the reference
+    form's on double-pole and the lone-pole set, at z in {0, 0.3, 1, 2, 30}
+    over rho and every lam; the goldens pin only lam = 2 and sigma = 3.  The
+    exponential kernel keeps its bits on the signed set too, whose
+    barycentre lies outside the support."""
+
+    SETS = {"double-pole": DOUBLE_POLE, "lone-poles": LONE_POLES}
+
+    @staticmethod
+    def grid(params):
+        return [z / derive_constants(params).rho for z in (0.0, 0.3, 1.0, 2.0, 30.0)]
+
+    @pytest.mark.parametrize("params", [*SETS.values(), SIGNED], ids=[*SETS, "signed"])
+    def test_exp_kernel(self, params):
+        zs = self.grid(params)
+        assert ([repr(r) for pair in exp_kernel_bounds(params, zs) for r in pair]
+                == [repr(r) for pair in reference_exp_bounds(params, zs) for r in pair])
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("params", SETS.values(), ids=SETS.keys())
+    def test_lifted_kernel(self, params, lam):
+        zs = self.grid(params)
+        assert ([repr(r) for pair in lifted_kernel_bounds(params, lam, zs) for r in pair]
+                == [repr(r) for pair in reference_lifted_bounds(params, lam, zs) for r in pair])
 
 
 class TestStieltjesLowerBound:
@@ -288,9 +372,8 @@ class TestShiftedRatio:
             _shifted_stieltjes_ratio(TWIN_QUARTER, 1.0, 1.0, [0.5])[0]
 
     def test_zero_quadrature_denominator_rejected(self, monkeypatch):
-        # the bounds module reads the integrand half only
-        monkeypatch.setattr(bounds, "_power_kernel",
-                            lambda rho, sigma, z: (lambda t: 0.0 * np.multiply.outer(z, t), None))
+        monkeypatch.setattr(bounds, "_stieltjes_integral",
+                            lambda params, sigma, z: (np.zeros(len(z)), None))
         with pytest.raises(DivisionError, match="quadrature denominator"):
             _shifted_stieltjes_ratio(DOUBLE_POLE, 1.0, 1.0, [0.5])[0]
 

@@ -637,13 +637,17 @@ class TestDoubleRange:
 _SWEEP_FORMS = [
     ("eval",), ("hfun",), ("verify-representation",), ("verify-stieltjes", "--sigma", "2"),
     ("verify-laplace", "--lift", "1.5"), ("bounds",), ("bounds", "--lift", "2"),
-    ("bounds", "--sigma", "3"), ("moments",), ("cm-check",), ("ratio-scan",),
+    ("bounds", "--lift", "1.5"), ("bounds", "--sigma", "3"), ("bounds", "--sigma", "0.5"),
+    ("moments",), ("cm-check",), ("ratio-scan",),
 ]
 _SWEEP_VALUES = ["-1e300", "-1e10", "-800", "-400", "-354.95", "-100", "-1e-300", "0",
                  "1e-300", "0.4999", "0.5", "0.99", "1", "1.99", "2", "100", "354.95", "400",
                  "800", "1e10", "1e200", "1e300"]
 # an m = 2 row set, whose atoms take the kernels' second derivatives
 _M2_ROWS = {"upper": [[1, 1]], "lower": [[0.3, 0.5], [-0.8, 0.5]]}
+# an m = 0 row set whose density scans negative: its Jensen barycentre
+# psi1/psi0 = -0.634 lies outside the support [0, 1.24]
+_SIGNED_ROWS = {"upper": [[0.25, 1], [0.5, 0.25]], "lower": [[0.5, 0.5], [0.25, 0.75]]}
 
 
 @pytest.mark.parametrize("form", _SWEEP_FORMS, ids=" ".join)
@@ -652,7 +656,8 @@ def test_sweep_gives_typed_rows_only(capsys, tmp_path, form):
     with nothing on stderr: no traceback, and no warning, which the test
     configuration turns into an error.  The scans take the non-negative
     values, ratio-scan as the second point of a two-point grid.  The sets
-    are the catalog's and an m = 2 row set from a file."""
+    are the catalog's and, each from a file, an m = 2 row set and a signed
+    m = 0 row set."""
     command, *flags = form
     if command == "cm-check":
         grids = [f"--z={v}" for v in _SWEEP_VALUES if float(v) >= 0]
@@ -660,10 +665,11 @@ def test_sweep_gives_typed_rows_only(capsys, tmp_path, form):
         grids = [f"--z=0.5,{v}" for v in _SWEEP_VALUES if float(v) >= 0]
     else:
         grids = [f"--{'k' if command == 'moments' else 'z'}={v}" for v in _SWEEP_VALUES]
-    m2 = tmp_path / "m2.json"
-    m2.write_text(json.dumps(_M2_ROWS))
+    files = {tmp_path / "m2.json": _M2_ROWS, tmp_path / "signed.json": _SIGNED_ROWS}
+    for path, rows in files.items():
+        path.write_text(json.dumps(rows))
     failures = []
-    for name in [*sorted(NAMED_SETS), str(m2)]:
+    for name in [*sorted(NAMED_SETS), *map(str, files)]:
         for grid in grids:
             argv = [command, "--params", name, *flags, grid]
             try:

@@ -19,10 +19,9 @@ from foxwright import (
     cm_check,
     derive_constants,
     eval_via_representation,
-    stieltjes_eval,
 )
 from foxwright.catalog import DOUBLE_POLE, NAMED_SETS, TWIN_QUARTER
-from foxwright.representations import _power_kernel
+from foxwright.representations import _power_kernel, _stieltjes_integral
 from foxwright.series import _atoms
 
 mp = pytest.importorskip("mpmath")
@@ -76,11 +75,13 @@ _M2 = ParameterSet([(1.0, 1.0)], [(0.25, 0.5), (-0.75, 0.5)])
 def test_power_kernel_route_matches_lifted_series_oracle(params, sigma, w):
     """The sigma-lifted series at -z, from the oracle, against the Stieltjes
     integral plus gamma(sigma) times the atoms on (1+tz)^(-sigma), at rho z = w."""
-    z = w / derive_constants(params).rho
+    rho = derive_constants(params).rho
     lifted = ParameterSet([(sigma, 1.0), *params.upper], list(params.lower))
-    want = float(_series_oracle(lifted, -z))
-    (atoms,) = _atoms(params, _power_kernel(derive_constants(params).rho, sigma, z)[1])
-    got = stieltjes_eval(params, sigma, z).value + math.gamma(sigma) * atoms
+    want = float(_series_oracle(lifted, -w / rho))
+    z = np.array([w / rho])
+    (integral,) = _stieltjes_integral(params, sigma, z)[0]
+    (atoms,) = _atoms(params, _power_kernel(rho, sigma, z)[1])
+    got = math.gamma(sigma) * (integral + atoms)
     assert abs(got - want) <= 1e-13 * abs(want)
 
 
