@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Layer bench: time the evaluator build (L2) and the AUTO density (L3) on
-their own, each row with its worst digits against an mpmath oracle.
+"""Layer bench: time the evaluator build (L2), the AUTO density (L3) and
+the Laplace lift check (L5) on their own, each row with its worst digits
+against an mpmath oracle.
 
     python3 scripts/bench_layers.py --label LABEL [--src DIR] [--quick]
 
@@ -37,6 +38,14 @@ duplication formula gamma(a + s) = 2^(a+s-1) gamma(a/2 + s/2)
 gamma(a/2 + 1/2 + s/2) / sqrt(pi), so that H(t) = 2^(a-1) H_eq(t/2) /
 sqrt(pi) on (0, 2).  A set whose rows cancel has H = 0 exactly.
 
+L5 rows time ``laplace_lift_check`` on a warm evaluator, one row for each
+``verify-laplace`` slot of the benchmark's identity-cli seed 4, on that
+slot's set, lambda and grid of two z.  A repeat times a batch of calls
+between two ``reference_mixed_s`` probes, identity-cli's yardstick, scaled
+as above.  Their ``digits`` is the worst, over both records of the grid,
+of both sides against ``SeriesOracle`` on the lifted rows at z, computed
+once.
+
 ``perfbench/inputs.py``, ``oracle.py`` and ``worker.py`` are loaded by
 path and only read.
 """
@@ -53,7 +62,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SEED = 4  # the density-cold seed the rows are taken from
+SEED = 4  # the density-cold and identity-cli seed the rows are taken from
 CHECKS = 32  # checked band points per family, as the benchmark checks per class
 
 
@@ -86,6 +95,29 @@ def _families(inputs, fw, sets: int) -> list[dict]:
         families.append({"name": name, "rows": [(list(ps.upper), list(ps.lower))] * sets,
                          "checks": spread})
     return families
+
+
+def _laplace_slots(inputs) -> list[dict]:
+    """Set name, lambda and z grid of each identity-cli ``verify-laplace``
+    slot, read from its argv as the CLI reads it."""
+    slots = []
+    for inv in inputs.identity_cli(SEED)["invocations"]:
+        argv = inv["argv"]
+        if argv[0] == "verify-laplace":
+            [spec] = [a for a in argv if a.startswith("--z=")]
+            slots.append({"name": argv[argv.index("--params") + 1],
+                          "lam": float(argv[argv.index("--lift") + 1]),
+                          "zs": [float(z) for z in spec[len("--z="):].split(",")]})
+    return slots
+
+
+def _laplace_digits(oracle, fw, slot) -> float:
+    """Worst digits of both sides of every record against the lifted series."""
+    ps = fw.NAMED_SETS[slot["name"]]
+    truth = oracle.SeriesOracle(oracle.lifted_rows(ps.upper, slot["lam"]), ps.lower)
+    records = fw.laplace_lift_check(ps, slot["lam"], slot["zs"])
+    return min(oracle.digits(oracle.rel_error(side, truth.value(rec.z)))
+               for rec in records for side in (rec.lhs, rec.rhs))
 
 
 def _oracle_density(oracle, upper, lower):
@@ -194,6 +226,24 @@ def main(argv=None) -> int:
             build[family["name"]].append(built * scale)
             density[family["name"]].append(dense * scale * 1000.0 / grid.size)
 
+    # L5 after the builds, whose cache clearing would make its evaluators cold
+    slots = _laplace_slots(inputs)
+    for slot in slots:
+        slot["family"] = f"identity-cli-{SEED}/{slot['name']}[lam={slot['lam']:g}]"
+        slot["digits"] = _laplace_digits(oracle, fw, slot)  # also warms the evaluator
+    lift = {slot["family"]: [] for slot in slots}
+    for r in range(repeats):
+        for slot in slots:
+            ps, lam, zs = fw.NAMED_SETS[slot["name"]], slot["lam"], slot["zs"]
+            before = min(worker.reference_mixed_s() for _ in range(2))
+            t0 = clock()
+            for _ in range(batch):
+                fw.laplace_lift_check(ps, lam, zs)
+            spent = clock() - t0
+            after = min(worker.reference_mixed_s() for _ in range(2))
+            lift[slot["family"]].append(
+                spent * worker.REF_NOMINAL_S / (0.5 * (before + after)) * 1e3 / batch)
+
     rows = []
     for layer, what, unit, times in (
         ("L2", "MeasureEvaluator build", "ms per build", build),
@@ -204,6 +254,11 @@ def main(argv=None) -> int:
             rows.append({"layer": layer, "what": what, "family": name,
                          "calls": len(family["rows"]), "unit": unit,
                          **_quartiles(times[name]), "digits": digits[name]})
+    for slot in slots:
+        rows.append({"layer": "L5", "what": "laplace_lift_check on the slot's grid",
+                     "family": slot["family"], "calls": repeats * batch,
+                     "unit": "ms per call", **_quartiles(lift[slot["family"]]),
+                     "digits": slot["digits"]})
     report = {
         "label": args.label,
         "python": platform.python_version(),
@@ -217,7 +272,7 @@ def main(argv=None) -> int:
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(report, indent=1) + "\n")
     for row in rows:
-        print(f"{row['layer']} {row['family']:<24} {row['median']:8.4f} {row['unit']} "
+        print(f"{row['layer']} {row['family']:<38} {row['median']:8.4f} {row['unit']} "
               f"(IQR {row['iqr']:.4f})  digits {row['digits']:.2f}")
     print(f"wrote {out}")
     return 0

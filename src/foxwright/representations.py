@@ -267,7 +267,10 @@ def laplace_lift_check(
     sides are computed first, as one grid, so a lifted value out of reach
     costs no quadrature.
 
-    F on each exp-sinh level's nodes is one call of :func:`_values`.
+    F on the new nodes of the first five exp-sinh levels is one call of
+    :func:`_values`, and each finer level one more; every point equals its
+    one-point call, so the records do not depend on how the nodes are
+    grouped.
     """
     _require_exponent("lam", lam)
     c = derive_constants(params)

@@ -141,18 +141,37 @@ class TestGammaWeighted:
         with pytest.raises(OutsideDomainError):
             integrate_gamma_weighted(lambda t: np.exp(0.99 * t), 1.0, decay=0.01)
 
-    def test_one_call_per_level_on_new_nodes(self):
+    def test_one_call_for_levels_0_to_4_then_one_per_level(self):
         seen = []
 
         def f(t):
             seen.append(t)
-            return np.exp(-0.5 * t)
+            return np.cos(2.0 * t)
 
-        got = integrate_gamma_weighted(f, 1.5, 1.0)
-        assert got == pytest.approx(math.gamma(1.5) / 1.5**1.5, rel=1e-12)
+        # integral e^(-t) cos(2t) dt = 1/5, met only at level 6
+        got = integrate_gamma_weighted(f, 1.0, 1.0)
+        assert got == pytest.approx(0.2, rel=1e-12)
+        assert len(seen) == 3
         nodes = np.concatenate(seen)
         assert np.unique(nodes).size == nodes.size
-        # together the calls hold the finest level's whole grid, evenly
-        # spaced in x = asinh(ln t / (pi/2)): call l held level l's new nodes
-        x = np.sort(np.arcsinh(np.log(nodes) / (0.5 * math.pi)))
-        assert np.allclose(np.diff(x), 0.5 / 2 ** (len(seen) - 1), rtol=0, atol=1e-9)
+        # each call's nodes in x = asinh(ln t / (pi/2)), and x / h on a step h
+        xs = [np.arcsinh(np.log(t) / (0.5 * math.pi)) for t in seen]
+        x = np.sort(np.concatenate(xs))
+
+        def steps(x, h):
+            j = np.round(x / h)
+            assert np.allclose(x / h, j, rtol=0, atol=1e-6)
+            return np.sort(j)
+
+        # the first call holds exactly the nodes of levels 0 to 4: every
+        # multiple of the level-4 step 1/32 inside the span of all the nodes
+        h = 0.5 / 2**4
+        lo, hi = math.ceil(x[0] / h - 1e-6), math.floor(x[-1] / h + 1e-6)
+        assert np.array_equal(steps(xs[0], h), np.arange(lo, hi + 1))
+        # call k > 0 holds level 4 + k's new nodes: the odd multiples of its step
+        for k, xk in enumerate(xs[1:], 1):
+            j = steps(xk, h / 2**k)
+            assert np.all(j % 2 == 1)
+            assert np.all(np.diff(j) == 2)
+        # together the calls hold the finest level's whole grid, evenly spaced in x
+        assert np.allclose(np.diff(x), h / 2 ** (len(seen) - 1), rtol=0, atol=1e-9)

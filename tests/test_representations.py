@@ -16,8 +16,8 @@ from foxwright import (
     verify_representation,
     verify_stieltjes,
 )
-from foxwright import representations
-from foxwright.catalog import DOUBLE_POLE, EXP_COLLAPSE, IDENTITY, TWIN_QUARTER
+from foxwright import quadrature, representations
+from foxwright.catalog import DOUBLE_POLE, EXP_COLLAPSE, IDENTITY, NAMED_SETS, TWIN_QUARTER
 from foxwright.errors import (
     ConstraintError,
     DomainError,
@@ -25,12 +25,29 @@ from foxwright.errors import (
     NonConvergentError,
     OutsideDomainError,
     ParameterError,
+    QuadratureFailure,
 )
 from foxwright.representations import _finite_laplace_identity, _stieltjes_integral
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 # mu = -2: the atoms carry the first and second derivatives of a kernel
 M2 = ParameterSet([(1.0, 1.0)], [(0.25, 0.5), (-0.75, 0.5)])
+
+
+def reference_gamma_weighted(f, sigma, decay):
+    """``quadrature.integrate_gamma_weighted`` as written with one call of f
+    per exp-sinh level, each on that level's new nodes."""
+    upper = (60.0 + 5.0 * max(sigma - 1.0, 0.0)) / decay
+    if (1.0 - decay) * upper > quadrature._LOG_MAX:
+        raise OutsideDomainError("f overflows before the tail cut")
+    lo = math.asinh(-math.log(1e-24) / (0.5 * math.pi * sigma))
+    hi = math.asinh(math.log(upper) / (0.5 * math.pi))
+
+    def terms(level):
+        t, log_t, w = quadrature.exp_sinh(level, lo, hi)
+        return f(t), np.exp(sigma * log_t - t) * w
+
+    return quadrature.integrate_levels(terms, quadrature._GAMMA_TOL, (0.0, upper))[0]
 
 
 class TestExponentialKernel:
@@ -239,6 +256,78 @@ class TestLaplaceLift:
         # z rho >= 1 makes the weighted integrand non-decaying
         with pytest.raises(OutsideDomainError):
             laplace_lift_check(EXP_COLLAPSE, 1.0, [0.5])[0]
+
+
+class TestLaplaceLiftReferenceForm:
+    """laplace_lift_check's records equal those of the level-by-level
+    reference, by repr: the first five levels read F from one call."""
+
+    SETS = {**NAMED_SETS,
+            "m=2": ParameterSet([(1.0, 1.0)], [(0.3, 0.5), (-0.8, 0.5)]),
+            "mu=1/2": ParameterSet([(1.0, 1.0)], [(1.5, 1.0)])}
+
+    @staticmethod
+    def checks(monkeypatch, params, lam, zs):
+        """(records, last levels) of the integrals, then the reference's records."""
+        levels, level_loop = [], quadrature.integrate_levels
+
+        def recorded(terms, tol, interval):
+            seen = []
+            try:
+                return level_loop(lambda level: seen.append(level) or terms(level), tol, interval)
+            finally:
+                levels.append(max(seen))
+
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "integrate_levels", recorded)
+            got = laplace_lift_check(params, lam, zs)
+        monkeypatch.setattr(representations, "integrate_gamma_weighted", reference_gamma_weighted)
+        return got, levels, laplace_lift_check(params, lam, zs)
+
+    @pytest.mark.parametrize("lam", [0.5, 1.5, 2.0])
+    @pytest.mark.parametrize("name", SETS)
+    def test_grid_records_equal_the_reference(self, monkeypatch, name, lam):
+        params = self.SETS[name]
+        rho = derive_constants(params).rho
+        zs = [s / rho for s in (-0.6, -0.3, 0.0, 0.15, 0.3)]
+        got, levels, want = self.checks(monkeypatch, params, lam, zs)
+        assert repr(got) == repr(want)
+        assert len(levels) == 5
+
+    # one integral per case, each ending at the level found by logging the
+    # levels the tier-1 integrals reach: at z = -1e300 F(zt) rounds to 0
+    # on every node; the last case has no measure, so F is the series
+    @pytest.mark.parametrize("params, lam, z, last", [
+        (EXP_COLLAPSE, 1.5, -1e300, 1),
+        (TWIN_QUARTER, 1.5, -1e300, 1),
+        (EXP_COLLAPSE, 1.0, -0.9, 3),
+        (DOUBLE_POLE, 1.5, 0.3, 3),
+        (SETS["m=2"], 2.0, 0.25, 5),
+        (SETS["m=2"], 1.5, -800.0, 5),
+        (IDENTITY, 1.0, 0.9, 5),
+        (TWIN_QUARTER, 1.5, -1e10, 6),
+        (DOUBLE_POLE, 1.5, -1e10, 6),
+        (ParameterSet([(1.0, 1.0)], [(0.5, 0.5), (0.5, 0.5)]), 1.0, -0.3, 4),
+    ], ids=["level1-exp-collapse", "level1-twin-quarter", "level3-exp-collapse",
+            "level3-double-pole", "level5-m=2", "level5-m=2-far", "level5-identity",
+            "level6-twin-quarter", "level6-double-pole", "series-route"])
+    def test_each_last_level_equals_the_reference(self, monkeypatch, params, lam, z, last):
+        got, levels, want = self.checks(monkeypatch, params, lam, [z])
+        assert repr(got) == repr(want)
+        assert levels == [last]
+
+    @pytest.mark.parametrize("params", [IDENTITY, EXP_COLLAPSE], ids=["identity", "exp-collapse"])
+    def test_failure_at_the_finest_level_equals_the_reference(self, monkeypatch, params):
+        # F(zt) at z = -1e10 has no level that meets the tolerance
+        with pytest.raises(QuadratureFailure) as got:
+            laplace_lift_check(params, 1.5, [-1e10])
+        monkeypatch.setattr(representations, "integrate_gamma_weighted", reference_gamma_weighted)
+        with pytest.raises(QuadratureFailure) as want:
+            laplace_lift_check(params, 1.5, [-1e10])
+        assert got.value.interval == want.value.interval == (0.0, 62.5)
+        assert str(got.value) == str(want.value)
+        assert repr((got.value.estimate, got.value.err_estimate)) == repr(
+            (want.value.estimate, want.value.err_estimate))
 
 
 class TestFiniteLaplaceAdjudication:
