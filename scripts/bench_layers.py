@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Layer bench: time the evaluator build (L2), the AUTO density (L3) and
-the Laplace lift check (L5) on their own, each row with its worst digits
-against an mpmath oracle.
+"""Layer bench: time the series summation (L1), the evaluator build (L2),
+the AUTO density (L3) and the Laplace lift check (L5) on their own, each
+row with its worst digits against an mpmath oracle.
 
     python3 scripts/bench_layers.py --label LABEL [--src DIR] [--quick]
 
@@ -10,7 +10,14 @@ the foxwright of another checkout (``DIR/src``), for example a ``git
 archive`` copy of a parent commit, with the inputs, oracle and reference
 probe of this one; ``--quick`` takes few repeats, for CI.
 
-Rows come in pairs, one L2 and one L3 per parameter set family:
+L1 rows time ``fox_wright`` on each of the four catalog sets, one point at
+a time over z = linspace(-2, 5, 8).  A repeat times a batch of passes over
+the eight points between two ``reference_s`` probes of the benchmark's
+worker, series-sweep's yardstick, and scales the per-point time by 0.4 ms
+over the mean of the two probes.  Their ``digits`` is the worst, over the
+eight points, against ``SeriesOracle``, computed once.
+
+L2 and L3 rows come in pairs, one of each per parameter set family:
 
 * each of the seven density-cold base classes of seed 4
   (``perfbench/inputs.py``), over that class's shifted sets in the order
@@ -64,6 +71,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 4  # the density-cold and identity-cli seed the rows are taken from
 CHECKS = 32  # checked band points per family, as the benchmark checks per class
+SERIES_ZS = [-2.0 + i for i in range(8)]  # the L1 rows' points, linspace(-2, 5, 8)
 
 
 def _load(name: str):
@@ -109,6 +117,13 @@ def _laplace_slots(inputs) -> list[dict]:
                           "lam": float(argv[argv.index("--lift") + 1]),
                           "zs": [float(z) for z in spec[len("--z="):].split(",")]})
     return slots
+
+
+def _series_digits(oracle, fw, ps) -> float:
+    """Worst digits of ``fox_wright`` at the L1 points against the series oracle."""
+    truth = oracle.SeriesOracle(ps.upper, ps.lower)
+    return min(oracle.digits(oracle.rel_error(complex(fw.fox_wright(ps, z).value), truth.value(z)))
+               for z in SERIES_ZS)
 
 
 def _laplace_digits(oracle, fw, slot) -> float:
@@ -174,6 +189,17 @@ def _set_caches() -> list:
     return caches
 
 
+def _scaled_s(worker, probe, work) -> float:
+    """Seconds ``work()`` takes, scaled by the worker's nominal probe time
+    over the mean of ``probe`` (best of two) just before and just after."""
+    before = min(probe() for _ in range(2))
+    t0 = time.perf_counter()
+    work()
+    spent = time.perf_counter() - t0
+    after = min(probe() for _ in range(2))
+    return spent * worker.REF_NOMINAL_S / (0.5 * (before + after))
+
+
 def _quartiles(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
@@ -235,16 +261,23 @@ def main(argv=None) -> int:
     for r in range(repeats):
         for slot in slots:
             ps, lam, zs = fw.NAMED_SETS[slot["name"]], slot["lam"], slot["zs"]
-            before = min(worker.reference_mixed_s() for _ in range(2))
-            t0 = clock()
-            for _ in range(batch):
-                fw.laplace_lift_check(ps, lam, zs)
-            spent = clock() - t0
-            after = min(worker.reference_mixed_s() for _ in range(2))
-            lift[slot["family"]].append(
-                spent * worker.REF_NOMINAL_S / (0.5 * (before + after)) * 1e3 / batch)
+            spent = _scaled_s(worker, worker.reference_mixed_s,
+                              lambda: [fw.laplace_lift_check(ps, lam, zs) for _ in range(batch)])
+            lift[slot["family"]].append(spent * 1e3 / batch)
 
-    rows = []
+    # L1 after the builds too; its digits warm the series' per-set caches
+    series = {name: [] for name in fw.NAMED_SETS}
+    series_digits = {name: _series_digits(oracle, fw, ps) for name, ps in fw.NAMED_SETS.items()}
+    for r in range(repeats):
+        for name, ps in fw.NAMED_SETS.items():
+            spent = _scaled_s(worker, worker.reference_s,
+                              lambda: [fw.fox_wright(ps, z) for _ in range(batch) for z in SERIES_ZS])
+            series[name].append(spent * 1e6 / (batch * len(SERIES_ZS)))
+
+    rows = [{"layer": "L1", "what": "fox_wright per point on z = linspace(-2, 5, 8)",
+             "family": name, "calls": repeats * batch * len(SERIES_ZS), "unit": "us per point",
+             **_quartiles(series[name]), "digits": series_digits[name]}
+            for name in fw.NAMED_SETS]
     for layer, what, unit, times in (
         ("L2", "MeasureEvaluator build", "ms per build", build),
         ("L3", "AUTO density on the 1,000 band t", "ms per 1k points", density),
@@ -265,8 +298,8 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "machine": platform.machine(),
         "repeats": repeats,
-        "probe": "perfbench/worker.py reference_array_s, scaled to "
-                 f"{worker.REF_NOMINAL_S * 1e3:g} ms",
+        "probe": "perfbench/worker.py reference_s (L1), reference_array_s (L2, L3) and "
+                 f"reference_mixed_s (L5), scaled to {worker.REF_NOMINAL_S * 1e3:g} ms",
         "rows": rows,
     }
     out = Path(f"BENCH_{args.label}.json")

@@ -87,7 +87,6 @@ def _sandwich(
     if any(z < 0 for z in zs):
         raise ParameterError("z must be nonnegative")
     psi0, psi1, c = _atomic_mass(params)
-    key = params.hash_key()
     pairs = []
     for z, value in zip(zs, values([-z for z in zs])):
         # g times each weight, as the goldens' bits need; the chord's t = 0
@@ -103,8 +102,8 @@ def _sandwich(
                               "or is not real")
         nonneg = hfun_nonneg_scan(params).ok()
         pairs.append((
-            _record(f"{name}-lower", key, z, lower, value, _OK_SLACK, "<=", applies=nonneg),
-            _record(f"{name}-upper", key, z, value, upper, _OK_SLACK, "<=", applies=nonneg),
+            _record(f"{name}-lower", z, lower, value, _OK_SLACK, "<=", applies=nonneg),
+            _record(f"{name}-upper", z, value, upper, _OK_SLACK, "<=", applies=nonneg),
         ))
     return tuple(pairs)
 
@@ -166,8 +165,8 @@ def stieltjes_lower_bound(
     relation = "==" if abs(sigma - 1.0) <= 1e-12 else ">=" if sigma > 1.0 else "<="
     return tuple(
         (bound, _record(
-            f"power-mean[sigma={sigma:g}]", bound.params_hash, x, lhs, rhs**sigma,
-            _OK_SLACK, relation, applies=relation == "==" or bound.verdict != "n/a",
+            f"power-mean[sigma={sigma:g}]", x, lhs, rhs**sigma, _OK_SLACK, relation,
+            applies=relation == "==" or bound.verdict != "n/a",
         ))
         for x, bound, lhs, rhs in zip(zs, bounds, mean_sigma, mean_one)
     )
@@ -222,7 +221,7 @@ def cm_check(
         sign = -1.0 if n % 2 else 1.0
         for x, row in zip(xs, table):
             diff = sum((-1) ** (n - j) * comb(n, j) * row[j] for j in range(n + 1))
-            records.append(_record(f"{_CM_ORDER}{n}", "", x, sign * diff, -eps, 0.0, ">="))
+            records.append(_record(f"{_CM_ORDER}{n}", x, sign * diff, -eps, 0.0, ">="))
     return tuple(records)
 
 
@@ -264,8 +263,8 @@ def _shifted_stieltjes_ratio(
     num_s = _lifted_regular(shift_parameters(params, delta), sigma, zs)
     den_s = _lifted_regular(params, sigma, zs)
     _require_denominators("series", den_s)
-    name, key = f"shifted-ratio[sigma={sigma:g},delta={delta:g}]", params.hash_key()
-    return tuple(_record(name, key, *point, _ROUTE_TOL)
+    name = f"shifted-ratio[sigma={sigma:g},delta={delta:g}]"
+    return tuple(_record(name, *point, _ROUTE_TOL)
                  for point in zip(zs, [n / d for n, d in zip(num_s, den_s)], quad))
 
 
@@ -315,9 +314,8 @@ def ratio_monotonicity_scan(
         expected = "nondecreasing"
         violations = [values[i] - values[i + 1] for i in range(len(values) - 1)]
     name = f"{expected}[sigma={sigma:g},delta={delta:g}]"
-    key = records[0].params_hash
     return records + tuple(
-        _record(name, key, z, v, _STEP_TOL, 0.0, "<=") for z, v in zip(zs, violations)
+        _record(name, z, v, _STEP_TOL, 0.0, "<=") for z, v in zip(zs, violations)
     )
 
 

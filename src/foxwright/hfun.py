@@ -178,10 +178,7 @@ class MeasureEvaluator:
         self._res_centres, self._res_coeffs, self._res_nodes_used, exhausted = (
             self._build_table(sigma)
         )
-        # the largest sigma target RESIDUE_SERIES reads this table for (an
-        # exhausted table cannot grow, so every one), and the table's reach:
-        # the t where its tail meets 1e-3 tol
-        self._res_sigma = math.inf if exhausted else sigma
+        # the table's reach: the t where its tail meets 1e-3 tol
         span = (float(self._res_centres[-1]) if exhausted else sigma) - self._first
         self._reach = self.rho * (1e-3 * _TOL) ** (1.0 / span) if span > 0 else 0.0
         leading = self._res_centres <= self._first + _TABLE_STEP
@@ -473,23 +470,22 @@ class MeasureEvaluator:
         return value, tail, mass
 
     def _residue_density(self, t: np.ndarray) -> np.ndarray:
-        """H(t) from the residues alone: the evaluator's table where its
-        tail at max t is below 1e-3 tol, else a table built for max t and
+        """H(t) from the residues alone, summed from one table built for
+        the call's largest t, so that its tail there is below 1e-3 tol, and
         dropped after the call.
 
-        Raises NonConvergentError when the group cap ends the table
-        before the last groups' terms are negligible.
+        Raises NonConvergentError when the group cap ends the table before
+        the last groups' terms are negligible against H at some t: each t
+        is judged on its own, so a grid raises exactly where one of its
+        points would.
         """
         if t.size == 0:
             return np.zeros_like(t)
-        sigma = self._table_sigma(float(np.max(t)), 1e-3 * _TOL)
-        if sigma <= self._res_sigma:
-            centres, coeffs = self._res_centres, self._res_coeffs
-            exhausted = self._res_sigma == math.inf
-        else:
-            centres, coeffs, _, exhausted = self._build_table(sigma)
+        centres, coeffs, _, exhausted = self._build_table(
+            self._table_sigma(float(np.max(t)), 1e-3 * _TOL)
+        )
         value, tail, _ = self._residues(np.log(t), centres, coeffs)
-        if exhausted and np.max(tail) > _TOL * np.max(np.abs(value)):
+        if exhausted and np.any(tail > _TOL * np.abs(value)):
             raise NonConvergentError(
                 "residue groups failed to decay within the table's group cap; "
                 "use the endpoint series this close to the support endpoint"
@@ -531,7 +527,9 @@ class MeasureEvaluator:
 
         AUTO takes each t from the series with the smaller error estimate.
         RESIDUE_SERIES and ENDPOINT_SERIES use one series throughout and
-        raise NonConvergentError where it has not converged to ``_TOL``.
+        raise NonConvergentError where it has not converged to ``_TOL`` at
+        some t, each t judged on its own; RESIDUE_SERIES sums a residue
+        table built for the call and leaves the evaluator's unchanged.
         OutsideDomainError unless every t satisfies 0 < t < rho, NaN included.
         The result has t's shape, a scalar giving shape (1,).
         """
@@ -656,6 +654,5 @@ def hfun_nonneg_scan(params: ParameterSet) -> IdentityRecord:
         vals = ev.density(grid)
         idx = int(np.argmin(vals))
         floor = -1e-9 * float(np.max(np.abs(vals)))
-        ev._scan = _record("density-nonneg", params.hash_key(), grid[idx], float(vals[idx]),
-                           floor, 0.0, ">=")
+        ev._scan = _record("density-nonneg", grid[idx], float(vals[idx]), floor, 0.0, ">=")
     return ev._scan

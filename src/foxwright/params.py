@@ -67,8 +67,12 @@ class ParameterSet:
     lower: tuple[Pair, ...]
 
     def __init__(self, upper: Sequence[Sequence[float]], lower: Sequence[Sequence[float]]):
-        object.__setattr__(self, "upper", tuple((float(a), float(s)) for a, s in upper))
-        object.__setattr__(self, "lower", tuple((float(b), float(s)) for b, s in lower))
+        # a row that does not unpack into two floats is a ParameterError too
+        try:
+            object.__setattr__(self, "upper", tuple((float(a), float(s)) for a, s in upper))
+            object.__setattr__(self, "lower", tuple((float(b), float(s)) for b, s in lower))
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"malformed parameter rows: {exc}") from exc
         self._validate()
 
     def _validate(self) -> None:

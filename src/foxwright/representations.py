@@ -132,8 +132,7 @@ def verify_representation(
     one series grid and one pass over the rule."""
     lhs = _fox_wright_values(params, zs)
     rhs = eval_via_representation(params, np.array(zs)).value.tolist()
-    key = params.hash_key()
-    return tuple(_record("exp-kernel-representation", key, z, a, b, _TOL)
+    return tuple(_record("exp-kernel-representation", z, a, b, _TOL)
                  for z, a, b in zip(zs, lhs, rhs))
 
 
@@ -162,12 +161,11 @@ def moment_identity_check(
     ev = get_evaluator(params)
     if len(k_list) == 0:  # no rows to integrate
         return ()
-    key = params.hash_key()
     ratios = [gamma_ratio(params, k) for k in k_list]
     # every moment in one pass over the rule, each row as ``ev.moment(k)`` forms it
     moments = ev.measure_integral(lambda t: np.array([t ** (k - 1.0) for k in k_list]))[0]
     return tuple(
-        _record("moment-identity", key, k, ratio, moment + ev.atom_mellin(k), _TOL)
+        _record("moment-identity", k, ratio, moment + ev.atom_mellin(k), _TOL)
         for k, ratio, moment in zip(k_list, ratios, moments.tolist())
     )
 
@@ -195,8 +193,8 @@ def verify_stieltjes(
     _require_exponent("sigma", sigma)
     lhs = (math.gamma(sigma) * _stieltjes_integral(params, sigma, np.array(zs))[0]).tolist()
     rhs = _lifted_regular(params, sigma, zs)
-    name, key = f"stieltjes-kernel[sigma={sigma:g}]", params.hash_key()
-    return tuple(_record(name, key, z, a, b, _TOL) for z, a, b in zip(zs, lhs, rhs))
+    name = f"stieltjes-kernel[sigma={sigma:g}]"
+    return tuple(_record(name, z, a, b, _TOL) for z, a, b in zip(zs, lhs, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +284,9 @@ def laplace_lift_check(
                 f"z={z} with rho={c.rho:g} does not decay"
             )
     rhs = lifted_value(params, lam, zs)
-    name, key = f"laplace-lift[lam={lam:g}]", params.hash_key()
+    name = f"laplace-lift[lam={lam:g}]"
     return tuple(
-        _record(name, key, z,
+        _record(name, z,
                 integrate_gamma_weighted(lambda t: _values(params, z * t), lam, decay=decay),
                 b, _TOL)
         for z, decay, b in zip(zs, decays, rhs)
@@ -322,9 +320,8 @@ def _finite_laplace_identity(z: float) -> tuple[IdentityRecord, ...]:
         "a": (math.exp(-2.0 * z) - math.exp(-z)) / rt_pi,
         "b": (math.exp(-2.0 * z) - math.exp(-0.5 * z)) / rt_pi,
     }
-    key = ps.hash_key()
     return tuple(
-        _record(f"finite-laplace[{side}~{name}]", key, z, value, form, _TOL)
+        _record(f"finite-laplace[{side}~{name}]", z, value, form, _TOL)
         for side, value in (("quadrature", quadrature), ("series", series_side))
         for name, form in forms.items()
     )

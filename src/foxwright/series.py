@@ -100,11 +100,11 @@ class IdentityRecord:
     ``relation`` is ``==``, ``<=`` or ``>=``.  ``abs_err`` is |lhs - rhs| and
     ``rel_err`` is abs_err / (1 + max(|lhs|, |rhs|)).  ``verdict`` is
     ``pass``, ``fail``, or ``n/a`` for a conditional statement whose
-    hypothesis does not hold.
+    hypothesis does not hold.  A record does not name its parameter set;
+    the CLI's report rows add the set's content hash.
     """
 
     identity: str
-    params_hash: str
     z: float
     lhs: float
     relation: str
@@ -119,7 +119,6 @@ class IdentityRecord:
 
 def _record(
     identity: str,
-    params_hash: str,
     z: float,
     lhs: float,
     rhs: float,
@@ -130,7 +129,8 @@ def _record(
     """Judge ``lhs <relation> rhs``: it passes when the two sides agree to
     ``tol`` in rel_err or, for an inequality, when it holds outright.  Every
     comparison with a NaN side is false, so a NaN fails.  ``applies=False``
-    marks a hypothesis that fails: the verdict is ``n/a``."""
+    marks a hypothesis that fails: the verdict is ``n/a``.  ``identity``
+    names the check, and ``z`` the point it compares at."""
     abs_err = abs(lhs - rhs)
     rel_err = abs_err / (1.0 + max(abs(lhs), abs(rhs)))
     if not applies:
@@ -139,8 +139,7 @@ def _record(
         verdict = "pass"
     else:
         verdict = "fail"
-    return IdentityRecord(identity, params_hash, float(z), lhs, relation, rhs, abs_err, rel_err,
-                          verdict)
+    return IdentityRecord(identity, float(z), lhs, relation, rhs, abs_err, rel_err, verdict)
 
 
 def fox_wright(params: ParameterSet, z: complex) -> EvalResult:

@@ -200,6 +200,26 @@ def test_import_leaves_numpy_unloaded():
     """)
 
 
+def test_library_checks_leave_hashlib_unloaded():
+    """A record carries no hash of its set: the checks, bounds and scans
+    load no ``hashlib``, and the CLI's first report row does."""
+    _run_fresh("""
+        import contextlib, io, sys
+        import foxwright
+        dp = foxwright.NAMED_SETS["double-pole"]
+        assert all(r.ok() for r in foxwright.verify_representation(dp, [-1.0, 0.5]))
+        foxwright.exp_kernel_bounds(dp, [0.5])
+        foxwright.ratio_monotonicity_scan(dp, 1.0, 1.0, [0.1, 0.5])
+        foxwright.cm_check(dp, [0.5])
+        foxwright.hfun_nonneg_scan(dp)
+        assert not {"hashlib", "_hashlib"} & set(sys.modules)
+        import foxwright.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert foxwright.cli.main(["eval", "--params", "identity", "--z", "0"]) == 0
+        assert "hashlib" in sys.modules
+    """)
+
+
 def test_every_export_is_listed_and_star_importable():
     """Before any measure-layer name is touched, ``dir`` lists every export
     and ``from foxwright import *`` binds each one."""
@@ -426,10 +446,12 @@ class TestRecordVerdicts:
     rel_err = |lhs - rhs| / (1 + max(|lhs|, |rhs|)); a NaN side fails."""
 
     def verdict(self, lhs, rhs, tol, relation="==", applies=True):
-        return _record("t", "", 0.0, lhs, rhs, tol, relation, applies).verdict
+        return _record("t", 0.0, lhs, rhs, tol, relation, applies).verdict
 
     def test_fields(self):
-        rec = _record("t", "key", 2, 3.0, 1.0, 0.5, "<=")
+        rec = _record("t", 2, 3.0, 1.0, 0.5, "<=")
+        assert [f.name for f in dataclasses.fields(rec)] == [
+            "identity", "z", "lhs", "relation", "rhs", "abs_err", "rel_err", "verdict"]
         assert (rec.z, rec.lhs, rec.relation, rec.rhs) == (2.0, 3.0, "<=", 1.0)
         assert (rec.abs_err, rec.rel_err) == (2.0, 0.5)
         assert rec.verdict == "pass" and rec.ok()  # rel_err == tol
@@ -462,7 +484,7 @@ class TestRecordVerdicts:
     @pytest.mark.parametrize("relation", ["==", "<=", ">="])
     @pytest.mark.parametrize("sides", [(1.0, 1.0), (math.nan, 1.0), (5.0, 1.0)])
     def test_not_applicable(self, relation, sides):
-        rec = _record("t", "", 0.0, *sides, 0.0, relation, applies=False)
+        rec = _record("t", 0.0, *sides, 0.0, relation, applies=False)
         assert rec.verdict == "n/a" and not rec.ok()
         # the comparison is still recorded
         assert rec.lhs is sides[0] and rec.rhs == sides[1] and rec.relation == relation

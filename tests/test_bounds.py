@@ -43,9 +43,9 @@ SIGNED = ParameterSet([(0.25, 1.0), (0.5, 0.25)], [(0.5, 0.5), (0.25, 0.75)])
 # The two bounds, each formula written out by hand: reference forms whose
 # records the one Jensen-chord sandwich must equal to the bit.
 def reference_pair(name, params, z, lower, value, upper):
-    key, nonneg = params.hash_key(), hfun_nonneg_scan(params).ok()
-    return (_record(f"{name}-lower", key, z, lower, value, _OK_SLACK, "<=", applies=nonneg),
-            _record(f"{name}-upper", key, z, value, upper, _OK_SLACK, "<=", applies=nonneg))
+    nonneg = hfun_nonneg_scan(params).ok()
+    return (_record(f"{name}-lower", z, lower, value, _OK_SLACK, "<=", applies=nonneg),
+            _record(f"{name}-upper", z, value, upper, _OK_SLACK, "<=", applies=nonneg))
 
 
 def reference_exp_bounds(params, zs):
@@ -121,7 +121,7 @@ class TestExpKernelBounds:
 
     def test_failed_scan_gives_not_applicable(self, monkeypatch):
         # the bounds are conditional on H >= 0: a failed scan is n/a, not fail
-        failed = _record("density-nonneg", "", 0.5, -1.0, 0.0, 0.0, ">=")
+        failed = _record("density-nonneg", 0.5, -1.0, 0.0, 0.0, ">=")
         monkeypatch.setattr(bounds, "hfun_nonneg_scan", lambda params: failed)
         for records in (exp_kernel_bounds(DOUBLE_POLE, [0.5])[0],
                         lifted_kernel_bounds(DOUBLE_POLE, 2.0, [0.5])[0],

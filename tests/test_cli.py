@@ -212,9 +212,11 @@ class TestUsageErrors:
         assert (code, out) == (1, "")
         assert message in err
 
-    def test_unparsable_params_file_exit_1(self, capsys, tmp_path):
+    @pytest.mark.parametrize("text", ["{not json", '{"upper": [[1]], "lower": []}',
+                                      '{"upper": [["a", 1]], "lower": []}'])
+    def test_unparsable_params_file_exit_1(self, capsys, tmp_path, text):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
+        path.write_text(text)
         code, out, err = run_cli(capsys, "eval", "--params", str(path), "--z", "1")
         assert (code, out) == (1, "")
         assert "could not parse parameter file" in err

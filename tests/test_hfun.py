@@ -2,6 +2,7 @@
 
 import functools
 import importlib.util
+import itertools
 import math
 import operator
 from pathlib import Path
@@ -35,6 +36,8 @@ from foxwright.special import _log_gamma_taylor, log_abs_gamma_signed
 # an upper/lower pair one step apart has the classical beta density
 # t^alpha (1-t)^(beta-alpha-1) / gamma(beta-alpha) as its measure
 BETA_LIKE = ParameterSet([(0.7, 1.0)], [(2.3, 1.0)])
+# mu = 3.5, rho = 1: its residue table meets the group cap short of t = 0.95
+MU_3_5 = ParameterSet([(0.5, 1.0), (1.0, 1.0)], [(2.5, 1.0), (2.5, 1.0)])
 
 
 # p = 3 sets with all scales 1: mu = 2.45, and mu = -1 (an endpoint atom)
@@ -209,6 +212,43 @@ class TestResidueRoute:
         assert served
         got = ev.density(np.array(served), HfunMethod.ENDPOINT_SERIES)
         assert got.tobytes() == np.concatenate(alone).tobytes()
+
+
+class TestResidueVerdict:
+    """RESIDUE_SERIES judges each t on its own: a grid raises exactly when
+    one of its points raises alone, and otherwise returns each point's
+    one-point value to tol, so a converged point's |H| never hides an
+    unconverged one."""
+
+    FRACTIONS = (0.05, 0.3, 0.5, 0.8, 0.9, 0.95, 0.97)
+
+    @pytest.mark.parametrize("params", [BETA_LIKE, MU_3_5], ids=["beta-like", "mu-3.5"])
+    def test_unconverged_point_raises_in_a_grid(self, params):
+        ev = MeasureEvaluator(params)
+        for grid in ([0.95], [0.3, 0.95]):
+            with pytest.raises(NonConvergentError):
+                ev.density(np.array(grid) * ev.rho, HfunMethod.RESIDUE_SERIES)
+
+    @pytest.mark.parametrize("params", [BETA_LIKE, MU_3_5, DOUBLE_POLE, TWIN_QUARTER],
+                             ids=["beta-like", "mu-3.5", "double-pole", "twin-quarter"])
+    def test_grid_verdict_is_its_points(self, params):
+        ev = MeasureEvaluator(params)
+        alone = {}
+        for f in self.FRACTIONS:
+            try:
+                alone[f] = float(ev.density(np.array([f * ev.rho]), HfunMethod.RESIDUE_SERIES)[0])
+            except NonConvergentError:
+                alone[f] = None
+        grids = [g for n in (2, 3) for g in itertools.combinations(self.FRACTIONS, n)]
+        for grid in grids:
+            t = np.array(grid) * ev.rho
+            if any(alone[f] is None for f in grid):
+                with pytest.raises(NonConvergentError):
+                    ev.density(t, HfunMethod.RESIDUE_SERIES)
+                continue
+            got = ev.density(t, HfunMethod.RESIDUE_SERIES)
+            for f, value in zip(grid, got.tolist()):
+                assert value == pytest.approx(alone[f], rel=hfun._TOL, abs=0.0), grid
 
 
 class TestKnownDensities:

@@ -232,6 +232,10 @@ class TestSerialization:
             ParameterSet.from_json("{not json")
         with pytest.raises(ParameterError):
             ParameterSet.from_json('{"upper": [[1, 1]]}')
+        # rows that do not unpack into two floats
+        for row in ("[1]", "[1, 1, 1]", '["a", 1]', "[1, null]"):
+            with pytest.raises(ParameterError, match="malformed parameter"):
+                ParameterSet.from_json(f'{{"upper": [{row}], "lower": []}}')
 
 
 class TestConvergence:
