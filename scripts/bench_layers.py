@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Layer bench: time the series summation (L1), the evaluator build (L2),
-the AUTO density (L3) and the Laplace lift check (L5) on their own, each
-row with its worst digits against an mpmath oracle.
+"""Layer bench: time the gamma kernels (L0), the series summation (L1), the
+evaluator build (L2), the AUTO density (L3) and the Laplace lift check (L5)
+on their own, each row with its worst digits against an mpmath oracle.
 
     python3 scripts/bench_layers.py --label LABEL [--src DIR] [--quick]
 
@@ -9,6 +9,14 @@ writes ``BENCH_<LABEL>.json`` in the current directory.  ``--src DIR`` times
 the foxwright of another checkout (``DIR/src``), for example a ``git
 archive`` copy of a parent commit, with the inputs, oracle and reference
 probe of this one; ``--quick`` takes few repeats, for CI.
+
+L0 rows time the gamma kernels at the 32 points x = 0.5, 1.25, .., 23.75:
+``math.lgamma`` one call at a time, and ``special._log_gamma_taylor``'s
+Taylor coefficients of log gamma(x + h), h^0 .. h^7, as one 32 x 8 block.
+They are timed and scaled as the L1 rows below.  The lgamma row's
+``digits`` is the worst relative error against mpmath's ``loggamma``; the
+block's is the worst error, relative to max(1, |coefficient|) as the
+kernel states its accuracy, against ``loggamma`` and polygamma(k-1, x)/k!.
 
 L1 rows time ``fox_wright`` on each of the four catalog sets, one point at
 a time over z = linspace(-2, 5, 8).  A repeat times a batch of passes over
@@ -62,6 +70,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import platform
 import statistics
 import sys
@@ -72,6 +81,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SEED = 4  # the density-cold and identity-cli seed the rows are taken from
 CHECKS = 32  # checked band points per family, as the benchmark checks per class
 SERIES_ZS = [-2.0 + i for i in range(8)]  # the L1 rows' points, linspace(-2, 5, 8)
+GAMMA_XS = [0.5 + 0.75 * i for i in range(32)]  # the L0 rows' points
+TAYLOR_TERMS = 8  # the L0 block is len(GAMMA_XS) x TAYLOR_TERMS coefficients
+LGAMMA_PASSES = 100  # L0 lgamma passes over GAMMA_XS per L1 pass over SERIES_ZS
 
 
 def _load(name: str):
@@ -124,6 +136,23 @@ def _series_digits(oracle, fw, ps) -> float:
     truth = oracle.SeriesOracle(ps.upper, ps.lower)
     return min(oracle.digits(oracle.rel_error(complex(fw.fox_wright(ps, z).value), truth.value(z)))
                for z in SERIES_ZS)
+
+
+def _gamma_digits(oracle, taylor) -> tuple[float, float]:
+    """Worst digits of ``math.lgamma`` and of the Taylor block at GAMMA_XS."""
+    import numpy as np
+
+    mp = oracle.mp
+    block = taylor(np.array(GAMMA_XS), TAYLOR_TERMS).tolist()
+    lgamma, coeffs = 16.0, 16.0
+    with mp.workdps(40):
+        for x, row in zip(GAMMA_XS, block):
+            lgamma = min(lgamma, oracle.digits(oracle.rel_error(math.lgamma(x), mp.loggamma(x))))
+            for k, value in enumerate(row):
+                truth = mp.loggamma(x) if k == 0 else mp.polygamma(k - 1, x) / mp.factorial(k)
+                err = abs(mp.mpf(value) - truth) / max(1, abs(truth))
+                coeffs = min(coeffs, oracle.digits(float(err)))
+    return lgamma, coeffs
 
 
 def _laplace_digits(oracle, fw, slot) -> float:
@@ -265,7 +294,19 @@ def main(argv=None) -> int:
                               lambda: [fw.laplace_lift_check(ps, lam, zs) for _ in range(batch)])
             lift[slot["family"]].append(spent * 1e3 / batch)
 
-    # L1 after the builds too; its digits warm the series' per-set caches
+    # L0 and L1 after the builds too; the L1 digits warm the series' per-set caches
+    from foxwright.special import _log_gamma_taylor
+
+    xs = np.array(GAMMA_XS)
+    gamma_digits = _gamma_digits(oracle, _log_gamma_taylor)
+    gamma = {"lgamma": [], "taylor": []}
+    for r in range(repeats):
+        spent = _scaled_s(worker, worker.reference_s, lambda: [
+            list(map(math.lgamma, GAMMA_XS)) for _ in range(batch * LGAMMA_PASSES)])
+        gamma["lgamma"].append(spent * 1e9 / (batch * LGAMMA_PASSES * len(GAMMA_XS)))
+        spent = _scaled_s(worker, worker.reference_s,
+                          lambda: [_log_gamma_taylor(xs, TAYLOR_TERMS) for _ in range(batch)])
+        gamma["taylor"].append(spent * 1e6 / batch)
     series = {name: [] for name in fw.NAMED_SETS}
     series_digits = {name: _series_digits(oracle, fw, ps) for name, ps in fw.NAMED_SETS.items()}
     for r in range(repeats):
@@ -274,10 +315,19 @@ def main(argv=None) -> int:
                               lambda: [fw.fox_wright(ps, z) for _ in range(batch) for z in SERIES_ZS])
             series[name].append(spent * 1e6 / (batch * len(SERIES_ZS)))
 
-    rows = [{"layer": "L1", "what": "fox_wright per point on z = linspace(-2, 5, 8)",
-             "family": name, "calls": repeats * batch * len(SERIES_ZS), "unit": "us per point",
-             **_quartiles(series[name]), "digits": series_digits[name]}
-            for name in fw.NAMED_SETS]
+    rows = [
+        {"layer": "L0", "what": "math.lgamma per call at x = 0.5, 1.25, .., 23.75",
+         "family": "lgamma", "calls": repeats * batch * LGAMMA_PASSES * len(GAMMA_XS),
+         "unit": "ns per call", **_quartiles(gamma["lgamma"]), "digits": gamma_digits[0]},
+        {"layer": "L0", "what": f"special._log_gamma_taylor on a {len(GAMMA_XS)} x "
+                                f"{TAYLOR_TERMS} block at the same x",
+         "family": "log-gamma-taylor", "calls": repeats * batch, "unit": "us per block",
+         **_quartiles(gamma["taylor"]), "digits": gamma_digits[1]},
+    ]
+    rows += [{"layer": "L1", "what": "fox_wright per point on z = linspace(-2, 5, 8)",
+              "family": name, "calls": repeats * batch * len(SERIES_ZS), "unit": "us per point",
+              **_quartiles(series[name]), "digits": series_digits[name]}
+             for name in fw.NAMED_SETS]
     for layer, what, unit, times in (
         ("L2", "MeasureEvaluator build", "ms per build", build),
         ("L3", "AUTO density on the 1,000 band t", "ms per 1k points", density),
@@ -298,7 +348,7 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "machine": platform.machine(),
         "repeats": repeats,
-        "probe": "perfbench/worker.py reference_s (L1), reference_array_s (L2, L3) and "
+        "probe": "perfbench/worker.py reference_s (L0, L1), reference_array_s (L2, L3) and "
                  f"reference_mixed_s (L5), scaled to {worker.REF_NOMINAL_S * 1e3:g} ms",
         "rows": rows,
     }

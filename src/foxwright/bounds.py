@@ -21,7 +21,7 @@ in its argument whenever the density is nonnegative.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
+from functools import partial
 from math import comb
 from typing import Callable, Sequence
 
@@ -30,8 +30,8 @@ import numpy as np
 from .errors import (ConstraintError, DegenerateError, DivisionError, DomainError,
                      FoxwrightError, ParameterError)
 from .hfun import get_evaluator, hfun_nonneg_scan
-from .params import (ParameterSet, _require_exponent, derive_constants, gamma_ratio,
-                     shift_parameters)
+from .params import (ParameterSet, _per_set, _require_exponent, derive_constants,
+                     gamma_ratio, shift_parameters)
 from .representations import _lifted_regular, _stieltjes_integral, _values, lifted_value
 from .series import IdentityRecord, _fox_wright_values, _record
 
@@ -52,7 +52,7 @@ _CM_MAX_ORDER = 6  # cm_check's highest difference order
 _CM_ORDER = "cm-order-"  # cm_check's record identity, followed by the order
 
 
-@lru_cache(maxsize=256)
+@_per_set
 def _atomic_mass(params: ParameterSet):
     """(psi0, psi1, constants) for single-endpoint-atom sets (mu == 0), the
     one gate of the inequalities that need a nonnegative measure.  The set

@@ -79,7 +79,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConstraintError, NonConvergentError, OutsideDomainError
-from .params import _INT_TOL, ParameterSet, correction_coeffs, derive_constants
+from .params import _INT_TOL, ParameterSet, _per_set, correction_coeffs, derive_constants
 from .quadrature import integrate_levels, tanh_sinh, tanh_sinh_reach
 from .series import IdentityRecord, _atoms, _record
 from .special import _log_gamma_taylor, log_abs_gamma_signed
@@ -161,9 +161,7 @@ class MeasureEvaluator:
         self._tau = np.empty(0)
 
         # integration state, filled lazily: tanh-sinh levels of (t_i, w_i H(t_i))
-        # and the nonnegativity scan
         self._rule: list[tuple[np.ndarray, np.ndarray]] = []
-        self._scan: IdentityRecord | None = None
 
         # The residue table AUTO and the rule read.  The endpoint estimate
         # falls as t grows: on the probes t = k rho / 32 take the first one
@@ -619,20 +617,13 @@ class MeasureEvaluator:
         return self.measure_integral(lambda t: t ** (s - 1.0))[0]
 
 
-# Evaluators by parameter set, least recently used first; at most
-# _EVALUATOR_CAP are kept, so a stream of new sets holds bounded memory.
-_EVALUATORS: dict[ParameterSet, MeasureEvaluator] = {}
-_EVALUATOR_CAP = 32
+_EVALUATORS: dict = {}  # perfbench's worker clears it; evaluators live in _set_record
 
 
+@_per_set
 def get_evaluator(params: ParameterSet) -> MeasureEvaluator:
-    ev = _EVALUATORS.pop(params, None)
-    if ev is None:
-        ev = MeasureEvaluator(params)
-        if len(_EVALUATORS) >= _EVALUATOR_CAP:
-            del _EVALUATORS[next(iter(_EVALUATORS))]
-    _EVALUATORS[params] = ev
-    return ev
+    """The set's one evaluator; ConstraintError for a set it does not represent."""
+    return MeasureEvaluator(params)
 
 
 # ---------------------------------------------------------------------------
@@ -640,19 +631,18 @@ def get_evaluator(params: ParameterSet) -> MeasureEvaluator:
 # ---------------------------------------------------------------------------
 
 
+@_per_set
 def hfun_nonneg_scan(params: ParameterSet) -> IdentityRecord:
     """Scan the density over 50 points of [1e-3 rho, (1 - 1e-3) rho]: a
-    ``>=`` record at its minimum, built once per evaluator.
+    ``>=`` record at its minimum, built once per set and kept in its record.
 
     lhs is the smallest H on the grid, z the t where it sits, and rhs is
     -1e-9 max |H|, a floor that scales with the largest magnitude seen, so
     an all-zero degenerate density passes without special-casing.
     """
     ev = get_evaluator(params)
-    if ev._scan is None:
-        grid = np.linspace(ev.rho * 1e-3, ev.rho * (1 - 1e-3), 50)
-        vals = ev.density(grid)
-        idx = int(np.argmin(vals))
-        floor = -1e-9 * float(np.max(np.abs(vals)))
-        ev._scan = _record("density-nonneg", grid[idx], float(vals[idx]), floor, 0.0, ">=")
-    return ev._scan
+    grid = np.linspace(ev.rho * 1e-3, ev.rho * (1 - 1e-3), 50)
+    vals = ev.density(grid)
+    idx = int(np.argmin(vals))
+    floor = -1e-9 * float(np.max(np.abs(vals)))
+    return _record("density-nonneg", grid[idx], float(vals[idx]), floor, 0.0, ">=")

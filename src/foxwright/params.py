@@ -7,7 +7,7 @@ from it is
 
 Everything downstream (domain classification, measure support, asymptotic
 normalisation, correction coefficients) is a pure function of the rows, so
-this module computes those derived quantities once and caches them.
+each is built once per set and kept in the set's one record (``_per_set``).
 
 Two closely related scale products show up and are easy to conflate:
 
@@ -28,7 +28,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache, wraps
 from typing import Sequence
 
 from .errors import DomainError, ParameterError, PoleError
@@ -54,6 +54,35 @@ _POLE_SCAN_CAP = 10_000
 _LOG_MAX = math.log(sys.float_info.max)  # e^x overflows a double beyond it
 
 
+@lru_cache(maxsize=32)
+def _set_record(params: ParameterSet) -> dict:
+    """One set's kept fields by builder; the 32 sets used last keep theirs."""
+    return {}
+
+
+def _per_set(build):
+    """``build(params)``, kept in the set's record; a build that raises keeps nothing."""
+    @wraps(build)
+    def kept(params):
+        if build not in (record := _set_record(params)):
+            record[build] = build(params)
+        return record[build]
+    return kept
+
+
+def _pair(row: Sequence[float]) -> Pair:
+    """``row`` as (shift, scale) floats, a -0.0 shift as 0.0 so that equal
+    sets serialise alike; TypeError unless it is two real numbers, which the
+    characters of a string such as "12" and a bool are not."""
+    a, s = row
+    for v in (a, s):
+        if type(v) not in (float, int):
+            import numbers  # a float or an int skips the import and the slower check
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise TypeError(f"row {row!r} is not two real numbers")
+    return float(a) + 0.0, float(s)
+
+
 @dataclass(frozen=True)
 class ParameterSet:
     """Immutable pair of gamma rows, validated on construction.
@@ -67,10 +96,10 @@ class ParameterSet:
     lower: tuple[Pair, ...]
 
     def __init__(self, upper: Sequence[Sequence[float]], lower: Sequence[Sequence[float]]):
-        # a row that does not unpack into two floats is a ParameterError too
+        # a row that is not two real numbers is a ParameterError too
         try:
-            object.__setattr__(self, "upper", tuple((float(a), float(s)) for a, s in upper))
-            object.__setattr__(self, "lower", tuple((float(b), float(s)) for b, s in lower))
+            object.__setattr__(self, "upper", tuple(map(_pair, upper)))
+            object.__setattr__(self, "lower", tuple(map(_pair, lower)))
         except (TypeError, ValueError) as exc:
             raise ParameterError(f"malformed parameter rows: {exc}") from exc
         self._validate()
@@ -129,16 +158,10 @@ class ParameterSet:
             raise ParameterError(f"invalid parameter JSON: {exc}") from exc
         return cls.from_dict(data)
 
+    @_per_set
     def hash_key(self) -> str:
-        """16-hex-char digest of the canonical JSON form, for report rows."""
-        return self._digest
-
-    @cached_property
-    def _digest(self) -> str:
-        # computed on the first hash_key call and kept in the instance: every
-        # report row asks for it, and a frozen set never changes.  hashlib
-        # (and the OpenSSL it loads) is imported here, by the first report row
-        import hashlib
+        """16-hex-char digest of the canonical JSON form, kept for every report row."""
+        import hashlib  # loaded (with OpenSSL) by the first report row, not on import
 
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
 
@@ -176,7 +199,7 @@ class DerivedConstants:
         return self.balanced and (self.m_order is not None or self.mu > _BALANCE_TOL)
 
 
-@lru_cache(maxsize=256)
+@_per_set
 def derive_constants(params: ParameterSet) -> DerivedConstants:
     a_shifts = [a for a, _ in params.upper]
     a_scales = [s for _, s in params.upper]

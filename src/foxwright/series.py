@@ -32,13 +32,13 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainError, NonConvergentError, OutsideDomainError
 from .params import (
     ParameterSet,
     _converges,
+    _per_set,
     _pole_order,
     correction_coeffs,
     derive_constants,
@@ -341,7 +341,7 @@ def _atoms(params: ParameterSet, derivative: Callable[[int], Any]) -> Any:
     return value
 
 
-@lru_cache(maxsize=256)
+@_per_set
 def _atom_weights(params: ParameterSet) -> tuple[float, ...]:
     """w_i = sum_j l_(m-j) S(j, i) for i = 0..m, the set fixes them; () when mu != -m."""
     m = derive_constants(params).m_order

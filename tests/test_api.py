@@ -25,6 +25,7 @@ tests that sets it, and so are the library names the benchmark reads.
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import math
 import os
@@ -278,18 +279,40 @@ def test_defaulted_parameters_are_pinned():
 
 
 def test_benchmark_reads_resolve():
-    """perfbench reads the evaluator cache, the table's node count and the
-    empty ``_tau`` for its work figure, and checks the residue series alone
-    against its oracle."""
+    """perfbench's worker forgets every set the package keeps, it reads the
+    table's node count and the empty ``_tau`` for its work figure, and it
+    checks the residue series alone against its oracle."""
     import numpy as np
 
-    ev = foxwright.get_evaluator(foxwright.NAMED_SETS["double-pole"])
-    assert hfun._EVALUATORS[foxwright.NAMED_SETS["double-pole"]] is ev
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    spec = importlib.util.spec_from_file_location("perfbench_worker", path)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    double_pole = foxwright.NAMED_SETS["double-pole"]
+    ev = foxwright.get_evaluator(double_pole)
+    worker._forget_sets()
+    assert foxwright.get_evaluator(double_pole) is not ev
     assert isinstance(ev._res_nodes_used, int) and ev._res_nodes_used > 0
     assert ev._tau.size == 0
     t = np.array([0.2, 0.5])
     residue = ev.density(t, method=foxwright.HfunMethod.RESIDUE_SERIES)
     assert np.allclose(residue, ev.density(t), rtol=1e-12, atol=0.0)
+
+
+def test_one_bounded_cache():
+    """Every field the package keeps of a set lives in the set's one record:
+    ``params._set_record`` is the only bounded cache, and no class keeps a
+    field lazily in its instances."""
+    bounded = {
+        f"{module}.{name}"
+        for module in MODULES
+        for name, value in vars(importlib.import_module(module)).items()
+        if getattr(value, "cache_info", None) and value.cache_info().maxsize is not None
+        and value.__module__ == module
+    }
+    assert bounded == {"foxwright.params._set_record"}
+    src = Path(foxwright.__file__).parent
+    assert not [p.name for p in src.glob("*.py") if "cached_property" in p.read_text()]
 
 
 def test_residue_table_is_built_once():

@@ -18,10 +18,12 @@ def test_quick_rows_are_finite_and_accurate(tmp_path):
                    cwd=tmp_path, check=True, capture_output=True)
     report = json.loads((tmp_path / "BENCH_quick.json").read_text())
     rows = report["rows"]
-    # an L1 row for each catalog set, an L2 and an L3 row for each of the
-    # seven density-cold classes and the four catalog sets, then an L5 row
-    # for each verify-laplace slot
-    assert [r["layer"] for r in rows] == ["L1"] * 4 + ["L2"] * 11 + ["L3"] * 11 + ["L5"] * 3
+    # two L0 rows (lgamma and the Taylor block), an L1 row for each catalog
+    # set, an L2 and an L3 row for each of the seven density-cold classes and
+    # the four catalog sets, then an L5 row for each verify-laplace slot
+    assert [r["layer"] for r in rows] == (["L0"] * 2 + ["L1"] * 4 + ["L2"] * 11 + ["L3"] * 11
+                                          + ["L5"] * 3)
+    assert [r["family"] for r in rows[:2]] == ["lgamma", "log-gamma-taylor"]
     assert all(math.isfinite(r["median"]) and r["median"] > 0 for r in rows)
     assert all(r["digits"] >= 8 for r in rows)
     assert all(r["digits"] >= 10 for r in rows if r["layer"] == "L5")

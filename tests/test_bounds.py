@@ -28,6 +28,7 @@ from foxwright.errors import (
     DomainError,
     ParameterError,
 )
+from foxwright.params import _set_record
 from foxwright.series import _fox_wright_values, _record
 
 GRID_17 = [float(v) for v in np.linspace(0.05, 0.95, 17)]
@@ -107,7 +108,7 @@ class TestExpKernelBounds:
     def test_mass_split_computed_once_per_set(self, monkeypatch):
         # the set fixes psi0 and psi1: after the first call no bound or
         # ratio point does gamma_ratio work for them again
-        bounds._atomic_mass.cache_clear()
+        _set_record.cache_clear()
         first = _atomic_mass(DOUBLE_POLE)
 
         def no_gamma_ratio(*args):

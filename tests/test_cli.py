@@ -213,7 +213,9 @@ class TestUsageErrors:
         assert message in err
 
     @pytest.mark.parametrize("text", ["{not json", '{"upper": [[1]], "lower": []}',
-                                      '{"upper": [["a", 1]], "lower": []}'])
+                                      '{"upper": [["a", 1]], "lower": []}',
+                                      '{"upper": ["12"], "lower": [[3, 2]]}',
+                                      '{"upper": [["0.5", true]], "lower": [[3, 2]]}'])
     def test_unparsable_params_file_exit_1(self, capsys, tmp_path, text):
         path = tmp_path / "broken.json"
         path.write_text(text)

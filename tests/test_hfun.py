@@ -30,7 +30,9 @@ from foxwright.errors import (
     QuadratureFailure,
 )
 from foxwright.hfun import MeasureEvaluator
-from foxwright.params import _INT_TOL, _q_sequence, correction_coeffs
+from foxwright.bounds import _atomic_mass
+from foxwright.params import _INT_TOL, _q_sequence, _set_record, correction_coeffs
+from foxwright.series import _atom_weights
 from foxwright.special import _log_gamma_taylor, log_abs_gamma_signed
 
 # an upper/lower pair one step apart has the classical beta density
@@ -1102,12 +1104,26 @@ class TestEvaluatorCache:
         assert get_evaluator(DOUBLE_POLE) is get_evaluator(DOUBLE_POLE)
 
     def test_cache_bounded_least_recently_used_first(self):
-        keep = get_evaluator(DOUBLE_POLE)
-        cap = hfun._EVALUATOR_CAP
-        sets = [shift_parameters(DOUBLE_POLE, 0.01 * (i + 1)) for i in range(cap + 8)]
-        oldest = get_evaluator(sets[0])
+        # one record per set, the sets used last kept: double-pole, touched
+        # between 40 new sets, keeps every field, and the first new set loses
+        # its evaluator and constants together
+        fields = (get_evaluator, derive_constants, _atom_weights, _atomic_mass, hfun_nonneg_scan)
+        keep = [field(DOUBLE_POLE) for field in fields]
+        sets = [shift_parameters(DOUBLE_POLE, 0.01 * (i + 1)) for i in range(40)]
+        oldest = get_evaluator(sets[0]), derive_constants(sets[0])
         for ps in sets[1:]:
             get_evaluator(ps)
-            assert get_evaluator(DOUBLE_POLE) is keep
-        assert len(hfun._EVALUATORS) == cap
-        assert get_evaluator(sets[0]) is not oldest
+            assert all(field(DOUBLE_POLE) is kept for field, kept in zip(fields, keep))
+        info = _set_record.cache_info()
+        assert info.currsize == info.maxsize == 32
+        assert get_evaluator(sets[0]) is not oldest[0]
+        assert derive_constants(sets[0]) is not oldest[1]
+        assert derive_constants(sets[0]) == oldest[1]
+
+    def test_equal_sets_share_one_record(self):
+        # a set read from JSON is a new object equal to the catalog set
+        loaded = ParameterSet.from_json(DOUBLE_POLE.to_json())
+        assert loaded is not DOUBLE_POLE and loaded == DOUBLE_POLE
+        key = DOUBLE_POLE.hash_key()
+        assert get_evaluator(loaded) is get_evaluator(DOUBLE_POLE)
+        assert loaded.hash_key() is key

@@ -5,6 +5,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from foxwright import (
@@ -17,7 +18,7 @@ from foxwright import (
 )
 from foxwright.catalog import DOUBLE_POLE, EXP_COLLAPSE, IDENTITY, TWIN_QUARTER
 from foxwright.errors import DomainError, ParameterError, PoleError
-from foxwright.params import _q_sequence, gamma_ratio_log_signed
+from foxwright.params import _q_sequence, _set_record, gamma_ratio_log_signed
 from foxwright.special import _bernoulli_matrix, bernoulli_number
 
 
@@ -213,16 +214,18 @@ class TestSerialization:
         (IDENTITY, "d1cee74c5b64f2c8"),
     ])
     def test_hash_is_the_digest_of_the_canonical_json(self, ps, key):
-        # a fresh set, so the kept digest is computed here, not inherited
+        # a fresh set and no record, so the digest is computed here, not inherited
+        _set_record.cache_clear()
         fresh = ParameterSet(ps.upper, ps.lower)
         assert fresh.hash_key() == key
         assert fresh.hash_key() == hashlib.sha256(ps.to_json().encode()).hexdigest()[:16]
         assert ParameterSet.from_json(ps.to_json()).hash_key() == ps.hash_key() == key
 
     def test_hash_kept_out_of_equality_and_construction(self):
+        before = _set_record.cache_info()
         a = ParameterSet(DOUBLE_POLE.upper, DOUBLE_POLE.lower)
         b = ParameterSet(DOUBLE_POLE.upper, DOUBLE_POLE.lower)
-        assert "_digest" not in vars(a)  # building a set hashes nothing
+        assert _set_record.cache_info() == before  # building a set hashes nothing
         a.hash_key()
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
         assert b.hash_key() == a.hash_key()
@@ -232,10 +235,25 @@ class TestSerialization:
             ParameterSet.from_json("{not json")
         with pytest.raises(ParameterError):
             ParameterSet.from_json('{"upper": [[1, 1]]}')
-        # rows that do not unpack into two floats
-        for row in ("[1]", "[1, 1, 1]", '["a", 1]', "[1, null]"):
+        # rows that are not two real numbers: the string "12" unpacks into
+        # two characters, and a bool is an int
+        for row in ("[1]", "[1, 1, 1]", '["a", 1]', "[1, null]", '"12"', '["0.5", true]'):
             with pytest.raises(ParameterError, match="malformed parameter"):
                 ParameterSet.from_json(f'{{"upper": [{row}], "lower": []}}')
+        for row in ("12", (0.5, True), (np.bool_(True), 1.0)):
+            with pytest.raises(ParameterError, match="malformed parameter rows"):
+                ParameterSet([(1.0, 1.0)], [row])
+
+    def test_real_number_types_pass(self):
+        ps = ParameterSet([(np.float64(0.5), Fraction(1, 2))], [(np.int64(1), 1)])
+        assert ps.upper == ((0.5, 0.5),) and ps.lower == ((1.0, 1.0),)
+        assert all(type(v) is float for row in ps.upper + ps.lower for v in row)
+
+    def test_negative_zero_shift_serialises_as_zero(self):
+        # equal sets share one record, so they must hash alike
+        signed, plain = (ParameterSet([(0.5, 1.0)], [(b, 1.0)]) for b in (-0.0, 0.0))
+        assert signed == plain and signed.to_json() == plain.to_json()
+        assert math.copysign(1.0, signed.lower[0][0]) == 1.0
 
 
 class TestConvergence:
