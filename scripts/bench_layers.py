@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Layer bench: time the gamma kernels (L0), the series summation (L1), the
-evaluator build (L2), the AUTO density (L3) and the Laplace lift check (L5)
-on their own, each row with its worst digits against an mpmath oracle.
+evaluator build (L2), the AUTO density (L3), the Laplace lift check (L5)
+and a cold process's setup (L6) on their own, each row with its worst
+digits against an mpmath oracle.
 
     python3 scripts/bench_layers.py --label LABEL [--src DIR] [--quick]
 
@@ -61,6 +62,15 @@ as above.  Their ``digits`` is the worst, over both records of the grid,
 of both sides against ``SeriesOracle`` on the lifted rows at z, computed
 once.
 
+The L6 row, ``cold-setup``, times identity-cli's setup in a new process
+per repeat: ``import foxwright`` and ``foxwright.cli``, then the four
+catalog evaluators built.  The process inherits this one's environment, so
+it reads or compiles bytecode as the benchmark's worker does.  It takes
+the worker's probes as the worker takes them for ``setup_s``, the best of
+three ``reference_s`` just before and just after, and scales the same way.
+Its ``digits`` is the worst of the four catalog L2 rows', whose oracle
+checks the density of those evaluators.
+
 ``perfbench/inputs.py``, ``oracle.py`` and ``worker.py`` are loaded by
 path and only read.
 """
@@ -73,6 +83,7 @@ import json
 import math
 import platform
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -84,6 +95,27 @@ SERIES_ZS = [-2.0 + i for i in range(8)]  # the L1 rows' points, linspace(-2, 5,
 GAMMA_XS = [0.5 + 0.75 * i for i in range(32)]  # the L0 rows' points
 TAYLOR_TERMS = 8  # the L0 block is len(GAMMA_XS) x TAYLOR_TERMS coefficients
 LGAMMA_PASSES = 100  # L0 lgamma passes over GAMMA_XS per L1 pass over SERIES_ZS
+
+# The L6 process: argv is the src directory and the worker's path; prints
+# the scaled seconds of identity-cli's setup, as the worker scales setup_s.
+COLD_SETUP = """
+import importlib.util, sys, time
+src, path = sys.argv[1:]
+sys.path.insert(0, src)
+spec = importlib.util.spec_from_file_location("perfbench_worker", path)
+worker = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(worker)
+before = min(worker.reference_s() for _ in range(3))
+t0 = time.perf_counter()
+import foxwright as fw
+import foxwright.cli
+for name in sorted(fw.NAMED_SETS):
+    fw.get_evaluator(fw.NAMED_SETS[name])
+raw = time.perf_counter() - t0
+after = min(worker.reference_s() for _ in range(3))
+assert fw.__file__.startswith(src), fw.__file__
+print(raw * worker.REF_NOMINAL_S / (0.5 * (before + after)))
+"""
 
 
 def _load(name: str):
@@ -307,6 +339,10 @@ def main(argv=None) -> int:
         spent = _scaled_s(worker, worker.reference_s,
                           lambda: [_log_gamma_taylor(xs, TAYLOR_TERMS) for _ in range(batch)])
         gamma["taylor"].append(spent * 1e6 / batch)
+    cold = [float(subprocess.run([sys.executable, "-c", COLD_SETUP, str(src),
+                                  str(ROOT / "perfbench" / "worker.py")],
+                                 check=True, capture_output=True, text=True).stdout) * 1e3
+            for _ in range(repeats)]
     series = {name: [] for name in fw.NAMED_SETS}
     series_digits = {name: _series_digits(oracle, fw, ps) for name, ps in fw.NAMED_SETS.items()}
     for r in range(repeats):
@@ -342,14 +378,18 @@ def main(argv=None) -> int:
                      "family": slot["family"], "calls": repeats * batch,
                      "unit": "ms per call", **_quartiles(lift[slot["family"]]),
                      "digits": slot["digits"]})
+    rows.append({"layer": "L6", "what": "identity-cli setup in a new process: import foxwright "
+                                        "and foxwright.cli, build the four catalog evaluators",
+                 "family": "cold-setup", "calls": repeats, "unit": "ms per setup",
+                 **_quartiles(cold), "digits": min(digits[name] for name in fw.NAMED_SETS)})
     report = {
         "label": args.label,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
         "repeats": repeats,
-        "probe": "perfbench/worker.py reference_s (L0, L1), reference_array_s (L2, L3) and "
-                 f"reference_mixed_s (L5), scaled to {worker.REF_NOMINAL_S * 1e3:g} ms",
+        "probe": "perfbench/worker.py reference_s (L0, L1, L6), reference_array_s (L2, L3) "
+                 f"and reference_mixed_s (L5), scaled to {worker.REF_NOMINAL_S * 1e3:g} ms",
         "rows": rows,
     }
     out = Path(f"BENCH_{args.label}.json")

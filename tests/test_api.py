@@ -221,6 +221,32 @@ def test_library_checks_leave_hashlib_unloaded():
     """)
 
 
+def test_evaluators_and_cli_leave_fractions_unloaded():
+    """Building every catalog evaluator and one ``cli.main`` call of each
+    subcommand load neither ``fractions`` nor ``decimal``: the Bernoulli
+    tables are built in integers.  ``bernoulli_number`` loads ``fractions``."""
+    _run_fresh("""
+        import contextlib, io, sys
+        import foxwright, foxwright.cli
+        for params in foxwright.NAMED_SETS.values():
+            foxwright.get_evaluator(params)
+        assert "foxwright.hfun" in sys.modules
+        argvs = [
+            ["eval", "--z", "0.5"], ["hfun", "--z", "0.1,0.5"], ["moments", "--k", "0..3"],
+            ["verify-representation", "--z", "0.5"], ["verify-stieltjes", "--z", "0.5"],
+            ["verify-laplace", "--lift", "2", "--z", "0.5"], ["bounds", "--z", "0.5"],
+            ["cm-check", "--z", "0.5"], ["ratio-scan", "--z", "0.1,0.5"],
+        ]
+        assert sorted(a[0] for a in argvs) == sorted(foxwright.cli._COMMANDS)
+        for argv in argvs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert foxwright.cli.main([*argv, "--params", "double-pole"]) == 0, argv
+        assert not {"fractions", "decimal"} & set(sys.modules)
+        from foxwright.special import bernoulli_number
+        assert str(bernoulli_number(2)) == "1/6" and "fractions" in sys.modules
+    """)
+
+
 def test_every_export_is_listed_and_star_importable():
     """Before any measure-layer name is touched, ``dir`` lists every export
     and ``from foxwright import *`` binds each one."""

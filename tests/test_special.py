@@ -6,19 +6,84 @@ rows of log gamma(x + h) that the residue table's pole groups expand with."""
 
 import math
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
 
-from foxwright import ParameterSet, correction_series, derive_constants
+from foxwright import (
+    NAMED_SETS,
+    MeasureEvaluator,
+    ParameterSet,
+    correction_series,
+    derive_constants,
+    hfun,
+)
 from foxwright.params import correction_coeffs
 from foxwright.special import (
+    _PSI_SHIFT,
     _bernoulli_all,
+    _bernoulli_matrix,
+    _even_bernoulli,
     bernoulli_number,
     _log_gamma_taylor,
     log_abs_gamma_signed,
     stirling2_row,
 )
+
+
+# Reference forms: the Bernoulli tables in exact ``Fraction`` arithmetic and
+# the Taylor rows with one asymptotic series per k, each coefficient
+# recomputed in the loop.  The package's forms must equal them to the bit.
+
+@cache
+def bernoulli_fraction(n):
+    """B_n from sum_{k=0}^{n} C(n+1,k) B_k = 0 over ``Fraction``."""
+    if n == 0:
+        return Fraction(1)
+    if n > 1 and n % 2 == 1:
+        return Fraction(0)
+    total = Fraction(0)
+    for k in range(n):
+        total += Fraction(math.comb(n + 1, k)) * bernoulli_fraction(k)
+    return -total / (n + 1)
+
+
+def bernoulli_matrix_fraction(deg):
+    mat = np.zeros((deg + 1, deg + 1))
+    for n in range(deg + 1):
+        for k in range(n + 1):
+            exact = Fraction(math.comb(n, k)) * (Fraction(2) ** (1 - k) - 1) * bernoulli_fraction(k)
+            mat[n, n - k] = float(exact)
+    return mat
+
+
+def even_bernoulli_fraction():
+    return np.array([float(bernoulli_fraction(2 * j)) for j in range(1, 12)])
+
+
+def log_gamma_taylor_loop(x, terms):
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape + (terms,))
+    out[..., 0] = np.reshape([math.lgamma(v) for v in x.ravel().tolist()], x.shape)
+    if terms == 1:
+        return out
+    steps = 1.0 / (x[..., None] + np.arange(_PSI_SHIFT))
+    w = 1.0 / (x + _PSI_SHIFT)
+    w2 = w * w
+    bern = even_bernoulli_fraction()
+    acc = np.zeros_like(w)
+    for j in range(bern.size, 0, -1):
+        acc = (acc + bern[j - 1] / (2 * j)) * w2
+    out[..., 1] = np.log(x + _PSI_SHIFT) - 0.5 * w - acc - steps.sum(axis=-1)
+    for k in range(2, terms):
+        acc = np.zeros_like(w)
+        for j in range(bern.size, 0, -1):
+            rising = math.prod(range(k, k + 2 * j - 1))
+            acc = (acc + bern[j - 1] * rising / math.factorial(2 * j)) * w2
+        tail = w ** (k - 1) * (1.0 / (k - 1) + 0.5 * w + acc)
+        out[..., k] = (-1) ** k * ((steps**k).sum(axis=-1) + tail) / k
+    return out
 
 
 class TestLogGamma:
@@ -166,3 +231,45 @@ class TestStirlingTouchard:
         )
         got = correction_series(ps, x / c.rho)
         assert got == pytest.approx(brute, rel=1e-10, abs=1e-12)
+
+
+class TestReferenceForms:
+    """The integer-built Bernoulli tables and the one-pass Taylor rows equal
+    the reference forms above to the bit."""
+
+    def test_bernoulli_tables(self):
+        for deg in (0, 1, 2, 7, 41, 64):
+            assert _bernoulli_matrix(deg).tobytes() == bernoulli_matrix_fraction(deg).tobytes()
+        assert _even_bernoulli().tobytes() == even_bernoulli_fraction().tobytes()
+
+    def test_bernoulli_numbers(self):
+        for n in range(65):
+            got = bernoulli_number(n)
+            assert type(got) is Fraction and got == bernoulli_fraction(n), n
+        with pytest.raises(ValueError, match="^Bernoulli index must be non-negative$"):
+            bernoulli_number(-1)
+        with pytest.raises(OverflowError, match="^Bernoulli numbers capped at n=64$"):
+            bernoulli_number(65)
+
+    @pytest.mark.parametrize("terms", [1, 2, 3, 8, 25, 34])
+    def test_taylor_rows_on_the_bench_block(self, terms):
+        # the layer bench's L0 block, x = 0.5, 1.25, .., 23.75, and a 2-D grid
+        for x in (np.array([0.5 + 0.75 * i for i in range(32)]),
+                  np.array([[0.5, 2.5, 4.0], [1.0, 17.0, 250.25]])):
+            got, want = _log_gamma_taylor(x, terms), log_gamma_taylor_loop(x, terms)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_taylor_rows_on_the_catalog_pole_groups(self, monkeypatch):
+        # every block of arguments the residue tables of the catalog sets ask for
+        calls = []
+
+        def record(x, terms):
+            calls.append((np.array(x), terms))
+            return _log_gamma_taylor(x, terms)
+
+        monkeypatch.setattr(hfun, "_log_gamma_taylor", record)
+        for params in NAMED_SETS.values():
+            MeasureEvaluator(params)
+        assert calls
+        for x, terms in calls:
+            assert _log_gamma_taylor(x, terms).tobytes() == log_gamma_taylor_loop(x, terms).tobytes()
