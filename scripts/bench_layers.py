@@ -62,14 +62,17 @@ as above.  Their ``digits`` is the worst, over both records of the grid,
 of both sides against ``SeriesOracle`` on the lifted rows at z, computed
 once.
 
-The L6 row, ``cold-setup``, times identity-cli's setup in a new process
-per repeat: ``import foxwright`` and ``foxwright.cli``, then the four
-catalog evaluators built.  The process inherits this one's environment, so
-it reads or compiles bytecode as the benchmark's worker does.  It takes
-the worker's probes as the worker takes them for ``setup_s``, the best of
-three ``reference_s`` just before and just after, and scales the same way.
-Its ``digits`` is the worst of the four catalog L2 rows', whose oracle
-checks the density of those evaluators.
+The L6 rows each time a new process per repeat.  ``cold-setup`` is
+identity-cli's setup: ``import foxwright`` and ``foxwright.cli``, then the
+four catalog evaluators built.  ``cold-eval`` is ``import foxwright.cli``
+and one ``cli.main(["eval", "--params", "identity", "--z", "0,1"])``, its
+report discarded.  The process inherits this one's environment, so it
+reads or compiles bytecode as the benchmark's worker does.  Each takes the
+worker's probes as the worker takes them for ``setup_s``, the best of three
+``reference_s`` just before and just after, and scales the same way.
+``cold-setup``'s ``digits`` is the worst of the four catalog L2 rows',
+whose oracle checks the density of those evaluators; ``cold-eval``'s is
+the identity L1 row's, whose oracle checks the series it sums.
 
 ``perfbench/inputs.py``, ``oracle.py`` and ``worker.py`` are loaded by
 path and only read.
@@ -96,10 +99,11 @@ GAMMA_XS = [0.5 + 0.75 * i for i in range(32)]  # the L0 rows' points
 TAYLOR_TERMS = 8  # the L0 block is len(GAMMA_XS) x TAYLOR_TERMS coefficients
 LGAMMA_PASSES = 100  # L0 lgamma passes over GAMMA_XS per L1 pass over SERIES_ZS
 
-# The L6 process: argv is the src directory and the worker's path; prints
-# the scaled seconds of identity-cli's setup, as the worker scales setup_s.
-COLD_SETUP = """
-import importlib.util, sys, time
+# An L6 process, its timed code put in for {work}: argv is the src directory
+# and the worker's path; prints the scaled seconds of that code, as the
+# worker scales setup_s.
+COLD = """
+import contextlib, importlib.util, io, sys, time
 src, path = sys.argv[1:]
 sys.path.insert(0, src)
 spec = importlib.util.spec_from_file_location("perfbench_worker", path)
@@ -107,15 +111,23 @@ worker = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(worker)
 before = min(worker.reference_s() for _ in range(3))
 t0 = time.perf_counter()
+{work}
+raw = time.perf_counter() - t0
+after = min(worker.reference_s() for _ in range(3))
+assert sys.modules["foxwright"].__file__.startswith(src), sys.modules["foxwright"].__file__
+print(raw * worker.REF_NOMINAL_S / (0.5 * (before + after)))
+"""
+# identity-cli's setup
+COLD_SETUP = COLD.format(work="""\
 import foxwright as fw
 import foxwright.cli
 for name in sorted(fw.NAMED_SETS):
-    fw.get_evaluator(fw.NAMED_SETS[name])
-raw = time.perf_counter() - t0
-after = min(worker.reference_s() for _ in range(3))
-assert fw.__file__.startswith(src), fw.__file__
-print(raw * worker.REF_NOMINAL_S / (0.5 * (before + after)))
-"""
+    fw.get_evaluator(fw.NAMED_SETS[name])""")
+# one series eval, its report discarded
+COLD_EVAL = COLD.format(work="""\
+import foxwright.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    foxwright.cli.main(["eval", "--params", "identity", "--z", "0,1"])""")
 
 
 def _load(name: str):
@@ -339,10 +351,12 @@ def main(argv=None) -> int:
         spent = _scaled_s(worker, worker.reference_s,
                           lambda: [_log_gamma_taylor(xs, TAYLOR_TERMS) for _ in range(batch)])
         gamma["taylor"].append(spent * 1e6 / batch)
-    cold = [float(subprocess.run([sys.executable, "-c", COLD_SETUP, str(src),
-                                  str(ROOT / "perfbench" / "worker.py")],
-                                 check=True, capture_output=True, text=True).stdout) * 1e3
-            for _ in range(repeats)]
+    cold = {code: [] for code in (COLD_SETUP, COLD_EVAL)}
+    for r in range(repeats):
+        for code, times in cold.items():
+            times.append(float(subprocess.run(
+                [sys.executable, "-c", code, str(src), str(ROOT / "perfbench" / "worker.py")],
+                check=True, capture_output=True, text=True).stdout) * 1e3)
     series = {name: [] for name in fw.NAMED_SETS}
     series_digits = {name: _series_digits(oracle, fw, ps) for name, ps in fw.NAMED_SETS.items()}
     for r in range(repeats):
@@ -381,7 +395,12 @@ def main(argv=None) -> int:
     rows.append({"layer": "L6", "what": "identity-cli setup in a new process: import foxwright "
                                         "and foxwright.cli, build the four catalog evaluators",
                  "family": "cold-setup", "calls": repeats, "unit": "ms per setup",
-                 **_quartiles(cold), "digits": min(digits[name] for name in fw.NAMED_SETS)})
+                 **_quartiles(cold[COLD_SETUP]),
+                 "digits": min(digits[name] for name in fw.NAMED_SETS)})
+    rows.append({"layer": "L6", "what": "a series eval in a new process: import foxwright.cli, "
+                                        "cli.main eval --params identity --z 0,1",
+                 "family": "cold-eval", "calls": repeats, "unit": "ms per eval",
+                 **_quartiles(cold[COLD_EVAL]), "digits": series_digits["identity"]})
     report = {
         "label": args.label,
         "python": platform.python_version(),

@@ -18,6 +18,10 @@ canonicalized parameter JSON, making reports joinable across runs.
 ``main`` may be called any number of times in one process: the argument
 parser is built on the first call and reused, and each call parses into a
 fresh namespace.
+
+Every check is read from the package root, which loads the measure layer
+on first use, so an ``eval`` on a comma-list grid loads no numpy; the CLI
+imports numpy only where it forms an array itself.
 """
 
 from __future__ import annotations
@@ -33,39 +37,21 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-import numpy as np
+import foxwright as fw
 
-from .bounds import (
-    _cm_order,
-    _scan_direction,
-    cm_check,
-    exp_kernel_bounds,
-    lifted_kernel_bounds,
-    ratio_monotonicity_scan,
-    stieltjes_lower_bound,
-)
-from .catalog import NAMED_SETS
-from .errors import FoxwrightError
-from .hfun import get_evaluator
-from .params import ParameterSet
-from .representations import (
-    laplace_lift_check,
-    moment_identity_check,
-    verify_representation,
-    verify_stieltjes,
-)
 from .series import _fox_wright_values
 
 __all__ = ["main", "run", "parse_grid", "parse_k_list"]
 
 _FIELDS = ("command", "params_hash", "z", "value_or_verdict", "abs_err", "rel_err", "status")
 
-# cm-check's closed forms: each maps an array of abscissae to their values
+# cm-check's closed forms: each maps numpy and an array of abscissae to
+# their values
 _CM_FUNCTIONS = {
-    "exp-decay": lambda x: np.exp(-x),
-    "inverse-linear": lambda x: 1.0 / (1.0 + x),
-    "linear": lambda x: x,
-    "collapse-remainder": lambda x: (np.exp(-2.0 * x) - np.exp(-x / 2.0))
+    "exp-decay": lambda np, x: np.exp(-x),
+    "inverse-linear": lambda np, x: 1.0 / (1.0 + x),
+    "linear": lambda np, x: x,
+    "collapse-remainder": lambda np, x: (np.exp(-2.0 * x) - np.exp(-x / 2.0))
     / math.sqrt(math.pi),
 }
 
@@ -101,6 +87,8 @@ def parse_grid(spec: str) -> list[float]:
             return [start]
         # finite ends can still overflow their span, which linspace would warn about
         _finite([stop - start], spec)
+        import numpy as np
+
         values = [float(v) for v in np.linspace(start, stop, count)]
     else:
         values = _float_list(spec, "grid")
@@ -158,15 +146,15 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _load_params(spec: str) -> ParameterSet:
+def _load_params(spec: str) -> fw.ParameterSet:
     """Catalog name, or path to a JSON file with upper/lower rows."""
-    if spec in NAMED_SETS:
-        return NAMED_SETS[spec]
+    if spec in fw.NAMED_SETS:
+        return fw.NAMED_SETS[spec]
     path = Path(spec)
     if not path.is_file():
         raise CliUsageError(f"parameter file not found: {spec}")
     try:
-        return ParameterSet.from_json(path.read_text())
+        return fw.ParameterSet.from_json(path.read_text())
     except Exception as exc:
         raise CliUsageError(f"could not parse parameter file {spec}: {exc}") from None
 
@@ -185,13 +173,13 @@ def _eval_rows(ns, params, zs):
 
 
 def _hfun_rows(ns, params, ts):
-    values = get_evaluator(params).density(np.array(ts))
+    values = fw.get_evaluator(params).density(ts)
     return [(t, float(v), None, None, "ok") for t, v in zip(ts, values)]
 
 
 def _moments_rows(ns, params, ks):
     return [(k, rec.lhs, rec.abs_err, rec.rel_err, _verdict(rec.ok()))
-            for k, rec in zip(ks, moment_identity_check(params, ks))]
+            for k, rec in zip(ks, fw.moment_identity_check(params, ks))]
 
 
 def _identity_rows(check):
@@ -209,15 +197,15 @@ def _bounds_rows(ns, params, zs):
         raise CliUsageError("bounds takes --sigma or --lift, not both")
     if ns.sigma is not None:
         rows = []
-        for z, (lower, step) in zip(zs, stieltjes_lower_bound(params, ns.sigma, zs)):
+        for z, (lower, step) in zip(zs, fw.stieltjes_lower_bound(params, ns.sigma, zs)):
             margin = lower.rhs - lower.lhs
             rows.append((z, lower.rhs, margin, margin / (1.0 + abs(lower.rhs)),
                          _verdict(lower.ok() and step.ok())))
         return rows
     if ns.lift is not None:
-        pairs = lifted_kernel_bounds(params, ns.lift, zs)
+        pairs = fw.lifted_kernel_bounds(params, ns.lift, zs)
     else:
-        pairs = exp_kernel_bounds(params, zs)
+        pairs = fw.exp_kernel_bounds(params, zs)
     return [(z, lower.rhs, lower.rhs - lower.lhs, upper.rhs - upper.lhs,
              _verdict(lower.ok() and upper.ok())) for z, (lower, upper) in zip(zs, pairs)]
 
@@ -227,32 +215,40 @@ def _bounds_rows(ns, params, zs):
 # ---------------------------------------------------------------------------
 
 
-def _scan_grid(ns, default: np.ndarray) -> list[float]:
+def _scan_grid(ns, default) -> list[float]:
     return parse_grid(ns.z) if ns.z else [float(v) for v in default]
 
 
 def _cm_scan(ns, params, _):
+    import numpy as np
+
+    from .bounds import _cm_order
+
     name = ns.function or "series"
     if name == "series":
         if params is None:
             raise CliUsageError("cm-check --function series needs --params")
         f = params
     elif name in _CM_FUNCTIONS:
-        f = _CM_FUNCTIONS[name]
+        f = functools.partial(_CM_FUNCTIONS[name], np)
     else:
         raise CliUsageError(
             f"unknown --function {name!r}; choices: series, " + ", ".join(_CM_FUNCTIONS)
         )
     grid = _scan_grid(ns, np.logspace(math.log10(0.01), math.log10(10.0), 30))
-    defect = next((r for r in cm_check(f, grid) if not r.ok()), None)
+    defect = next((r for r in fw.cm_check(f, grid) if not r.ok()), None)
     if defect is None:
         return [(None, "clean", None, None, "pass")]
     return [(defect.z, f"order-{_cm_order(defect)}-defect", None, None, "fail")]
 
 
 def _ratio_scan(ns, params, _):
+    import numpy as np
+
+    from .bounds import _scan_direction
+
     grid = _scan_grid(ns, np.linspace(0.05, 0.95, 17))
-    records = ratio_monotonicity_scan(params, ns.sigma, ns.delta, grid)
+    records = fw.ratio_monotonicity_scan(params, ns.sigma, ns.delta, grid)
     routes = [r for r in records if r.relation == "=="]
     steps = [r for r in records if r.relation == "<="]
     rows = [(r.z, r.rhs, r.abs_err, r.rel_err, "ok") for r in routes]
@@ -301,13 +297,13 @@ _COMMANDS = {
                         _moments_rows, grid="k"),
     "verify-representation": _Command(
         "series vs exponential-kernel integral", {"--z": None},
-        _identity_rows(lambda ns, p, zs: verify_representation(p, zs))),
+        _identity_rows(lambda ns, p, zs: fw.verify_representation(p, zs))),
     "verify-stieltjes": _Command(
         "lifted series vs power-kernel integral", {"--z": None, "--sigma": 1.0},
-        _identity_rows(lambda ns, p, zs: verify_stieltjes(p, ns.sigma, zs))),
+        _identity_rows(lambda ns, p, zs: fw.verify_stieltjes(p, ns.sigma, zs))),
     "verify-laplace": _Command(
         "gamma-weighted transform vs lifted series", {"--z": None, "--lift": 1.0},
-        _identity_rows(lambda ns, p, zs: laplace_lift_check(p, ns.lift, zs))),
+        _identity_rows(lambda ns, p, zs: fw.laplace_lift_check(p, ns.lift, zs))),
     "bounds": _Command("two-sided kernel bounds (default exponential; --lift or --sigma)",
                        {"--z": None, "--sigma": None, "--lift": None}, _bounds_rows),
     "cm-check": _Command("finite-difference complete-monotonicity scan",
@@ -331,7 +327,7 @@ def _points(cmd: _Command, ns: argparse.Namespace) -> list:
     return parse_grid(spec) if cmd.grid == "z" else parse_k_list(spec)
 
 
-def _walk(ns: argparse.Namespace, params: ParameterSet | None) -> list[dict]:
+def _walk(ns: argparse.Namespace, params: fw.ParameterSet | None) -> list[dict]:
     """Build every row under one guard: a numerical error becomes an error row."""
     cmd = _COMMANDS[ns.command]
     rows = [_nulls_for_non_finite(row) for row in _grid_rows(cmd, ns, params, _points(cmd, ns))]
@@ -339,14 +335,14 @@ def _walk(ns: argparse.Namespace, params: ParameterSet | None) -> list[dict]:
     return [dict(zip(_FIELDS, (ns.command, phash, *row))) for row in rows]
 
 
-def _grid_rows(cmd: _Command, ns: argparse.Namespace, params: ParameterSet | None,
+def _grid_rows(cmd: _Command, ns: argparse.Namespace, params: fw.ParameterSet | None,
                xs: list) -> list[tuple]:
     """The rows of one ``run`` on the whole grid.  Where it raises, ``run``
     goes again on each point alone, so each row carries its own value or
     its own error row, as a grid of one would."""
     try:
         return cmd.run(ns, params, xs)
-    except FoxwrightError as exc:
+    except fw.FoxwrightError as exc:
         if len(xs) == 1:
             return [(xs[0], None, None, None, f"error:{type(exc).__name__}")]
     return [row for x in xs for row in _grid_rows(cmd, ns, params, [x])]

@@ -18,22 +18,17 @@ Contents:
 Everything here is dependency-light on purpose: the rest of the package
 treats this module as its numerical bedrock, so it must not import any of
 the higher layers.  It loads no numpy until a log-gamma Taylor row or a
-Bernoulli polynomial is asked for, and ``fractions`` only in
-``bernoulli_number``, which no other code of the package calls.
+Bernoulli polynomial is asked for, and no ``fractions`` at all.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache
-from typing import TYPE_CHECKING, Any
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from typing import Any
 
 __all__ = [
     "log_abs_gamma_signed",
-    "bernoulli_number",
     "stirling2_row",
 ]
 
@@ -153,14 +148,6 @@ def _bernoulli_pair(n: int) -> tuple[int, int]:
     den = common * (n + 1)
     g = math.gcd(num, den)
     return num // g, den // g
-
-
-def bernoulli_number(n: int) -> Fraction:
-    """Exact Bernoulli number B_n with the B_1 = -1/2 convention, as a
-    ``Fraction`` of ``_bernoulli_pair(n)``; n outside 0..64 raises as it does."""
-    from fractions import Fraction
-
-    return Fraction(*_bernoulli_pair(n))
 
 
 @cache

@@ -224,7 +224,7 @@ def test_library_checks_leave_hashlib_unloaded():
 def test_evaluators_and_cli_leave_fractions_unloaded():
     """Building every catalog evaluator and one ``cli.main`` call of each
     subcommand load neither ``fractions`` nor ``decimal``: the Bernoulli
-    tables are built in integers.  ``bernoulli_number`` loads ``fractions``."""
+    tables are built in integers."""
     _run_fresh("""
         import contextlib, io, sys
         import foxwright, foxwright.cli
@@ -242,8 +242,26 @@ def test_evaluators_and_cli_leave_fractions_unloaded():
             with contextlib.redirect_stdout(io.StringIO()):
                 assert foxwright.cli.main([*argv, "--params", "double-pole"]) == 0, argv
         assert not {"fractions", "decimal"} & set(sys.modules)
-        from foxwright.special import bernoulli_number
-        assert str(bernoulli_number(2)) == "1/6" and "fractions" in sys.modules
+    """)
+
+
+def test_cli_goes_through_the_lazy_front_door():
+    """``import foxwright.cli`` and an ``eval`` on a comma-list grid load no
+    numpy and no measure module; ``moments`` loads the modules it calls and
+    no others."""
+    _run_fresh("""
+        import contextlib, io, sys
+        import foxwright.cli
+        measure = {"numpy", "foxwright.hfun", "foxwright.quadrature",
+                   "foxwright.representations", "foxwright.bounds"}
+        assert not measure & set(sys.modules)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert foxwright.cli.main(["eval", "--params", "identity", "--z", "0,1"]) == 0
+        assert not measure & set(sys.modules)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert foxwright.cli.main(["moments", "--params", "double-pole", "--k", "0..3"]) == 0
+        assert {"foxwright.hfun", "foxwright.representations"} <= set(sys.modules)
+        assert "foxwright.bounds" not in sys.modules
     """)
 
 
@@ -371,8 +389,8 @@ def test_cli_has_no_switch():
         if not name.startswith("__") and not (callable(value) or inspect.ismodule(value))
     }
     assert values == {
-        "annotations", "NAMED_SETS", "_CM_FUNCTIONS", "_COMMANDS", "_FIELDS", "_FLAGS",
-        "_GRID_HINTS", "_MAX_POINTS", "_Z_HELP",
+        "annotations", "_CM_FUNCTIONS", "_COMMANDS", "_FIELDS", "_FLAGS", "_GRID_HINTS",
+        "_MAX_POINTS", "_Z_HELP",
     }
 
 
@@ -480,7 +498,9 @@ def test_grid_check_with_derivative_atoms(name, set_name):
 
 def test_cli_calls_the_public_checks():
     """The CLI imports no private name of the check modules but the two that
-    parse the record names the bounds module builds."""
+    parse the record names the bounds module builds, and at module level
+    imports neither numpy nor a measure module: it reads the checks from the
+    package root."""
     tree = ast.parse(Path(cli.__file__).read_text())
     private = {
         alias.name for node in ast.walk(tree)
@@ -488,6 +508,14 @@ def test_cli_calls_the_public_checks():
         for alias in node.names if alias.name.startswith("_")
     }
     assert private == {"_cm_order", "_scan_direction"}
+    # every dotted part of each module-level import: ``from . import hfun``
+    # and ``import numpy.linalg`` name their module as much as ``import numpy``
+    top = {
+        part for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+        for part in name.split(".")
+    }
+    assert not top & {"numpy", "hfun", "quadrature", "representations", "bounds"}, top
 
 
 class TestRecordVerdicts:

@@ -771,7 +771,7 @@ class TestNonFiniteRows:
             def density(self, t):
                 return np.full(np.shape(t), math.inf if t[0] < 0.55 else math.nan)
 
-        monkeypatch.setattr(cli, "get_evaluator", lambda params: Infinite())
+        monkeypatch.setattr(foxwright, "get_evaluator", lambda params: Infinite())
         code, out, _ = run_cli(capsys, "hfun", "--params", "double-pole", "--z", "0.5,0.6",
                                "--output", output)
         assert code == 2

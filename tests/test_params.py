@@ -19,7 +19,7 @@ from foxwright import (
 from foxwright.catalog import DOUBLE_POLE, EXP_COLLAPSE, IDENTITY, TWIN_QUARTER
 from foxwright.errors import DomainError, ParameterError, PoleError
 from foxwright.params import _q_sequence, _set_record, gamma_ratio_log_signed
-from foxwright.special import _bernoulli_matrix, bernoulli_number
+from foxwright.special import _bernoulli_matrix, _bernoulli_pair
 
 
 class TestDerivedConstants:
@@ -126,7 +126,7 @@ class TestCorrectionCoeffs:
 
 
 def exact_bernoulli_poly(n: int, x: Fraction) -> Fraction:
-    return sum(Fraction(math.comb(n, k)) * bernoulli_number(k) * x ** (n - k)
+    return sum(Fraction(math.comb(n, k)) * Fraction(*_bernoulli_pair(k)) * x ** (n - k)
                for k in range(n + 1))
 
 

@@ -24,8 +24,8 @@ from foxwright.special import (
     _PSI_SHIFT,
     _bernoulli_all,
     _bernoulli_matrix,
+    _bernoulli_pair,
     _even_bernoulli,
-    bernoulli_number,
     _log_gamma_taylor,
     log_abs_gamma_signed,
     stirling2_row,
@@ -178,11 +178,11 @@ class TestBernoulli:
             12: Fraction(-691, 2730),
         }
         for n, want in expected.items():
-            assert bernoulli_number(n) == want
+            assert Fraction(*_bernoulli_pair(n)) == want
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
     def test_odd_numbers_vanish(self, n):
-        assert bernoulli_number(n) == 0
+        assert _bernoulli_pair(n) == (0, 1)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("x", [0.0, 0.3, 1.0, 2.5, -1.2])
@@ -192,8 +192,8 @@ class TestBernoulli:
         assert got == pytest.approx(n * x ** (n - 1), abs=1e-10)
 
     @pytest.mark.parametrize("call, error", [
-        (lambda: bernoulli_number(-1), ValueError),
-        (lambda: bernoulli_number(65), OverflowError),
+        (lambda: _bernoulli_pair(-1), ValueError),
+        (lambda: _bernoulli_pair(65), OverflowError),
         (lambda: stirling2_row(-1), ValueError),
     ], ids=["number(-1)", "number(65)", "stirling2_row(-1)"])
     def test_index_out_of_range_rejected(self, call, error):
@@ -202,7 +202,7 @@ class TestBernoulli:
 
     def test_poly_at_zero_is_number(self):
         for n in range(8):
-            want = float(bernoulli_number(n))
+            want = float(Fraction(*_bernoulli_pair(n)))
             assert _bernoulli_all(n, 0.0)[n] == pytest.approx(want, abs=1e-15)
 
 
@@ -244,12 +244,11 @@ class TestReferenceForms:
 
     def test_bernoulli_numbers(self):
         for n in range(65):
-            got = bernoulli_number(n)
-            assert type(got) is Fraction and got == bernoulli_fraction(n), n
+            assert Fraction(*_bernoulli_pair(n)) == bernoulli_fraction(n), n
         with pytest.raises(ValueError, match="^Bernoulli index must be non-negative$"):
-            bernoulli_number(-1)
+            _bernoulli_pair(-1)
         with pytest.raises(OverflowError, match="^Bernoulli numbers capped at n=64$"):
-            bernoulli_number(65)
+            _bernoulli_pair(65)
 
     @pytest.mark.parametrize("terms", [1, 2, 3, 8, 25, 34])
     def test_taylor_rows_on_the_bench_block(self, terms):
