@@ -11,68 +11,62 @@ the foxwright of another checkout (``DIR/src``), for example a ``git
 archive`` copy of a parent commit, with the inputs, oracle and reference
 probe of this one; ``--quick`` takes few repeats, for CI.
 
-L0 rows time the gamma kernels at the 32 points x = 0.5, 1.25, .., 23.75:
-``math.lgamma`` one call at a time, and ``special._log_gamma_taylor``'s
-Taylor coefficients of log gamma(x + h), h^0 .. h^7, as one 32 x 8 block.
-They are timed and scaled as the L1 rows below.  The lgamma row's
-``digits`` is the worst relative error against mpmath's ``loggamma``; the
-block's is the worst error, relative to max(1, |coefficient|) as the
-kernel states its accuracy, against ``loggamma`` and polygamma(k-1, x)/k!.
+Each row family is one ``Entry``: layer, what, family, unit, calls per
+batch, the worker probe that scales it, the work of one batch, and digits.
+A repeat runs one batch of each entry of a layer in turn, between the best
+of two probes just before and just after it; ``_time`` scales the raw
+seconds by the worker's nominal probe time, 0.4 ms, over the mean of the
+two, so a row is on the benchmark's yardstick, not the host's speed of the
+moment.  A row is the median and quartiles over the repeats.  The layers
+run as L2/L3, L5, L0, L6, L1; ``digits`` is computed once, untimed.
+
+L0 rows time the gamma kernels at the 32 points x = 0.5, 1.25, .., 23.75
+(``reference_s``): ``math.lgamma`` one call at a time, and
+``special._log_gamma_taylor``'s Taylor coefficients of log gamma(x + h),
+h^0 .. h^7, as one 32 x 8 block.  Their ``digits`` is the worst error
+against mpmath's ``loggamma``, and for the block polygamma(k-1, x)/k!,
+relative to max(1, |coefficient|) as the kernel states its accuracy.
 
 L1 rows time ``fox_wright`` on each of the four catalog sets, one point at
-a time over z = linspace(-2, 5, 8).  A repeat times a batch of passes over
-the eight points between two ``reference_s`` probes of the benchmark's
-worker, series-sweep's yardstick, and scales the per-point time by 0.4 ms
-over the mean of the two probes.  Their ``digits`` is the worst, over the
-eight points, against ``SeriesOracle``, computed once.
+a time over z = linspace(-2, 5, 8) (``reference_s``, series-sweep's
+yardstick); ``digits`` is the worst of the eight against ``SeriesOracle``.
 
-L2 and L3 rows come in pairs, one of each per parameter set family:
+L2 and L3 rows come in pairs, one per family: each of the seven
+density-cold base classes of seed 4, over its shifted sets in the order of
+the benchmark's call stream, and each of the four catalog sets.  L2 is one
+``MeasureEvaluator`` build on a set new to the process, as the benchmark's
+density-cold call meets it: a density-cold family takes the next sets of
+its class in each repeat, and ``params._set_record``, the one cache keyed
+by a set, is cleared before every build, outside the timed span.  L3 is
+one AUTO ``density`` call on the 1,000 band t (times rho) on an evaluator
+just built.  A pair's batch is its builds, then their density calls, in
+one ``reference_array_s`` window.
 
-* each of the seven density-cold base classes of seed 4
-  (``perfbench/inputs.py``), over that class's shifted sets in the order
-  of the benchmark's call stream;
-* each of the four catalog sets.
-
-L2 is one ``MeasureEvaluator`` build on a set new to the process, as the
-benchmark's density-cold call meets it: a density-cold family takes the
-next sets of its class in each repeat, and foxwright's caches keyed by a
-parameter set are cleared before every build, so a catalog set is new each
-time too.  L3 is one AUTO ``density`` call on the benchmark's 1,000 band t
-(times rho) on an evaluator just built.  Each repeat times one batch of
-builds and then their density calls, between two ``reference_array_s``
-probes of the benchmark's worker, and scales the per-call times by 0.4 ms
-over the mean of the two probes, so a row is on the benchmark's yardstick,
-not the host's speed of the moment.  A row reports the median and the
-quartiles over the repeats.
-
-``digits`` is the worst, over the family's 32 checked points of the band,
-of the correct digits of the density of its first set against
-``perfbench/oracle.py``'s ``DensityOracle``, computed once, outside the
-timing.  That oracle takes equal-scale p = q sets; twin-quarter and
-exp-collapse, gamma(a + s) over two scale-1/2 rows, reach it through the
-duplication formula gamma(a + s) = 2^(a+s-1) gamma(a/2 + s/2)
+Their ``digits`` is the worst, over the family's 32 checked points of the
+band, of the density of its first set against ``perfbench/oracle.py``'s
+``DensityOracle``.  That oracle takes equal-scale p = q sets; twin-quarter
+and exp-collapse, gamma(a + s) over two scale-1/2 rows, reach it through
+the duplication formula gamma(a + s) = 2^(a+s-1) gamma(a/2 + s/2)
 gamma(a/2 + 1/2 + s/2) / sqrt(pi), so that H(t) = 2^(a-1) H_eq(t/2) /
 sqrt(pi) on (0, 2).  A set whose rows cancel has H = 0 exactly.
 
 L5 rows time ``laplace_lift_check`` on a warm evaluator, one row for each
 ``verify-laplace`` slot of the benchmark's identity-cli seed 4, on that
-slot's set, lambda and grid of two z.  A repeat times a batch of calls
-between two ``reference_mixed_s`` probes, identity-cli's yardstick, scaled
-as above.  Their ``digits`` is the worst, over both records of the grid,
-of both sides against ``SeriesOracle`` on the lifted rows at z, computed
-once.
+slot's set, lambda and grid of two z (``reference_mixed_s``, identity-cli's
+yardstick).  Their ``digits`` is the worst, over both records of the grid,
+of both sides against ``SeriesOracle`` on the lifted rows at z.
 
 The L6 rows each time a new process per repeat.  ``cold-setup`` is
 identity-cli's setup: ``import foxwright`` and ``foxwright.cli``, then the
 four catalog evaluators built.  ``cold-eval`` is ``import foxwright.cli``
 and one ``cli.main(["eval", "--params", "identity", "--z", "0,1"])``, its
 report discarded.  The process inherits this one's environment, so it
-reads or compiles bytecode as the benchmark's worker does.  Each takes the
-worker's probes as the worker takes them for ``setup_s``, the best of three
-``reference_s`` just before and just after, and scales the same way.
-``cold-setup``'s ``digits`` is the worst of the four catalog L2 rows',
-whose oracle checks the density of those evaluators; ``cold-eval``'s is
-the identity L1 row's, whose oracle checks the series it sums.
+reads or compiles bytecode as the benchmark's worker does, and prints its
+raw seconds and its own probes, taken as the worker takes them for
+``setup_s``: the best of three ``reference_s`` just before and just after.
+``cold-setup``'s ``digits`` is the worst of the catalog L2 rows', whose
+oracle checks those evaluators' density; ``cold-eval``'s is the identity
+L1 row's, whose oracle checks the series it sums.
 
 ``perfbench/inputs.py``, ``oracle.py`` and ``worker.py`` are loaded by
 path and only read.
@@ -82,6 +76,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import itertools
 import json
 import math
 import platform
@@ -89,7 +84,9 @@ import statistics
 import subprocess
 import sys
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 4  # the density-cold and identity-cli seed the rows are taken from
@@ -98,10 +95,11 @@ SERIES_ZS = [-2.0 + i for i in range(8)]  # the L1 rows' points, linspace(-2, 5,
 GAMMA_XS = [0.5 + 0.75 * i for i in range(32)]  # the L0 rows' points
 TAYLOR_TERMS = 8  # the L0 block is len(GAMMA_XS) x TAYLOR_TERMS coefficients
 LGAMMA_PASSES = 100  # L0 lgamma passes over GAMMA_XS per L1 pass over SERIES_ZS
+PER_S = {"ns": 1e9, "us": 1e6, "ms": 1e3}  # a unit's first word, per second
 
-# An L6 process, its timed code put in for {work}: argv is the src directory
-# and the worker's path; prints the scaled seconds of that code, as the
-# worker scales setup_s.
+# An L6 process, its timed code put in for {work}: identity-cli's setup, or
+# one series eval with its report discarded.  argv is the src directory and
+# the worker's path; it prints the raw seconds of that code and its probes.
 COLD = """
 import contextlib, importlib.util, io, sys, time
 src, path = sys.argv[1:]
@@ -115,19 +113,35 @@ t0 = time.perf_counter()
 raw = time.perf_counter() - t0
 after = min(worker.reference_s() for _ in range(3))
 assert sys.modules["foxwright"].__file__.startswith(src), sys.modules["foxwright"].__file__
-print(raw * worker.REF_NOMINAL_S / (0.5 * (before + after)))
+print(raw, before, after)
 """
-# identity-cli's setup
 COLD_SETUP = COLD.format(work="""\
 import foxwright as fw
 import foxwright.cli
 for name in sorted(fw.NAMED_SETS):
     fw.get_evaluator(fw.NAMED_SETS[name])""")
-# one series eval, its report discarded
 COLD_EVAL = COLD.format(work="""\
 import foxwright.cli
 with contextlib.redirect_stdout(io.StringIO()):
     foxwright.cli.main(["eval", "--params", "identity", "--z", "0,1"])""")
+
+
+@dataclass
+class Entry:
+    """One row family.  ``work(r)`` runs batch r and returns a raw time for each
+    consecutive entry of that work (an L2 and its L3), and with no ``probe`` a new
+    process's probe minima too.  A batch is ``per`` (or ``calls``) of ``unit``."""
+
+    layer: str
+    what: str
+    family: str
+    unit: str
+    calls: int
+    probe: Callable[[], float] | None
+    work: Callable
+    digits: float
+    per: float = 0.0
+    times: list[float] = field(default_factory=list)
 
 
 def _load(name: str):
@@ -138,40 +152,51 @@ def _load(name: str):
     return module
 
 
-def _families(inputs, fw, sets: int) -> list[dict]:
-    """Name, (upper, lower) rows of the ``sets`` timed sets in call order,
-    and the checked band indices of every row family.  A catalog family
-    times its one set ``sets`` times."""
-    cold = inputs.density_cold(SEED)
-    bases, deltas = cold["bases"], cold["deltas"]
-    families = []
-    for b, base in enumerate(bases):
-        mine = [d for i, d in enumerate(deltas) if i % len(bases) == b][:sets]
-        families.append({
-            "name": f"density-cold-{SEED}/class-{b}",
-            "rows": [(inputs.shifted_rows(base["upper"], d), inputs.shifted_rows(base["lower"], d))
-                     for d in mine],
-            "checks": base["checks"],
-        })
-    n = len(cold["grid"])
+def _density_entries(inputs, oracle, worker, fw, grid, sets: int, batch: int) -> list[Entry]:
+    """An L2 and an L3 entry for each density family: a density-cold class
+    over its ``sets`` next sets in call order, or a catalog set timed
+    ``sets`` times, each a new object."""
+    cold, clock = inputs.density_cold(SEED), time.perf_counter
+    bases, deltas, n = cold["bases"], cold["deltas"], len(cold["grid"])
+    families = [(f"density-cold-{SEED}/class-{b}", base["checks"], [
+        fw.ParameterSet(inputs.shifted_rows(base["upper"], d), inputs.shifted_rows(base["lower"], d))
+        for d in deltas[b :: len(bases)][:sets]]) for b, base in enumerate(bases)]
     spread = sorted({round(i * (n - 1) / (CHECKS - 1)) for i in range(CHECKS)})
-    for name, ps in fw.NAMED_SETS.items():
-        families.append({"name": name, "rows": [(list(ps.upper), list(ps.lower))] * sets,
-                         "checks": spread})
-    return families
+    families += [(name, spread, [fw.ParameterSet(ps.upper, ps.lower) for _ in range(sets)])
+                 for name, ps in fw.NAMED_SETS.items()]
+    entries = []
+    for name, checks, mine in families:
+        def work(r, mine=mine):
+            built, evs = 0.0, []
+            for ps in mine[r * batch : (r + 1) * batch]:
+                fw.params._set_record.cache_clear()  # each build meets its set as new
+                t0 = clock()
+                evs.append(fw.MeasureEvaluator(ps))
+                built += clock() - t0
+            points = [ev.rho * grid for ev in evs]
+            t0 = clock()
+            for ev, t in zip(evs, points):
+                ev.density(t)
+            return built, clock() - t0
+
+        digits = _density_digits(oracle, fw, mine[0], checks, grid)
+        entries += [Entry("L2", "MeasureEvaluator build", name, "ms per build", batch,
+                          worker.reference_array_s, work, digits),
+                    Entry("L3", "AUTO density on the 1,000 band t", name, "ms per 1k points", batch,
+                          worker.reference_array_s, work, digits, per=batch * grid.size / 1000.0)]
+    return entries
 
 
-def _laplace_slots(inputs) -> list[dict]:
-    """Set name, lambda and z grid of each identity-cli ``verify-laplace``
-    slot, read from its argv as the CLI reads it."""
+def _laplace_slots(inputs, fw) -> list[tuple]:
+    """Set name, set, lambda and z grid of each identity-cli
+    ``verify-laplace`` slot, read from its argv as the CLI reads it."""
     slots = []
-    for inv in inputs.identity_cli(SEED)["invocations"]:
-        argv = inv["argv"]
+    for argv in (inv["argv"] for inv in inputs.identity_cli(SEED)["invocations"]):
         if argv[0] == "verify-laplace":
             [spec] = [a for a in argv if a.startswith("--z=")]
-            slots.append({"name": argv[argv.index("--params") + 1],
-                          "lam": float(argv[argv.index("--lift") + 1]),
-                          "zs": [float(z) for z in spec[len("--z="):].split(",")]})
+            name = argv[argv.index("--params") + 1]
+            slots.append((name, fw.NAMED_SETS[name], float(argv[argv.index("--lift") + 1]),
+                          [float(z) for z in spec[len("--z="):].split(",")]))
     return slots
 
 
@@ -182,12 +207,10 @@ def _series_digits(oracle, fw, ps) -> float:
                for z in SERIES_ZS)
 
 
-def _gamma_digits(oracle, taylor) -> tuple[float, float]:
+def _gamma_digits(oracle, taylor, xs) -> tuple[float, float]:
     """Worst digits of ``math.lgamma`` and of the Taylor block at GAMMA_XS."""
-    import numpy as np
-
     mp = oracle.mp
-    block = taylor(np.array(GAMMA_XS), TAYLOR_TERMS).tolist()
+    block = taylor(xs, TAYLOR_TERMS).tolist()
     lgamma, coeffs = 16.0, 16.0
     with mp.workdps(40):
         for x, row in zip(GAMMA_XS, block):
@@ -199,11 +222,10 @@ def _gamma_digits(oracle, taylor) -> tuple[float, float]:
     return lgamma, coeffs
 
 
-def _laplace_digits(oracle, fw, slot) -> float:
+def _laplace_digits(oracle, fw, ps, lam: float, zs: list[float]) -> float:
     """Worst digits of both sides of every record against the lifted series."""
-    ps = fw.NAMED_SETS[slot["name"]]
-    truth = oracle.SeriesOracle(oracle.lifted_rows(ps.upper, slot["lam"]), ps.lower)
-    records = fw.laplace_lift_check(ps, slot["lam"], slot["zs"])
+    truth = oracle.SeriesOracle(oracle.lifted_rows(ps.upper, lam), ps.lower)
+    records = fw.laplace_lift_check(ps, lam, zs)
     return min(oracle.digits(oracle.rel_error(side, truth.value(rec.z)))
                for rec in records for side in (rec.lhs, rec.rhs))
 
@@ -235,12 +257,10 @@ def _oracle_density(oracle, upper, lower):
     return value
 
 
-def _digits(oracle, fw, family, grid) -> float:
-    upper, lower = family["rows"][0]
-    ps = fw.ParameterSet(upper, lower)
+def _density_digits(oracle, fw, ps, checks, grid) -> float:
     ev = fw.MeasureEvaluator(ps)
-    truth = _oracle_density(oracle, upper, lower)
-    points = ev.rho * grid[family["checks"]]
+    truth = _oracle_density(oracle, ps.upper, ps.lower)
+    points = ev.rho * grid[checks]
     got = ev.density(points)
     worst = 16.0
     for t, value in zip(points.tolist(), got.tolist()):
@@ -249,33 +269,47 @@ def _digits(oracle, fw, family, grid) -> float:
     return worst
 
 
-def _set_caches() -> list:
-    """foxwright's memoized functions of one parameter set: the bounded
-    caches.  The unbounded ones hold tables a process builds once."""
-    caches = []
-    for name, mod in list(sys.modules.items()):
-        if name == "foxwright" or name.startswith("foxwright."):
-            for value in vars(mod).values():
-                info = getattr(value, "cache_info", None)
-                if info is not None and info().maxsize is not None and value not in caches:
-                    caches.append(value)
-    return caches
+def _timed(fn) -> Callable:
+    """The work of a batch that is one call of ``fn``: its raw seconds."""
+    def work(r):
+        t0 = time.perf_counter()
+        fn()
+        return (time.perf_counter() - t0,)
+    return work
 
 
-def _scaled_s(worker, probe, work) -> float:
-    """Seconds ``work()`` takes, scaled by the worker's nominal probe time
-    over the mean of ``probe`` (best of two) just before and just after."""
-    before = min(probe() for _ in range(2))
-    t0 = time.perf_counter()
-    work()
-    spent = time.perf_counter() - t0
-    after = min(probe() for _ in range(2))
-    return spent * worker.REF_NOMINAL_S / (0.5 * (before + after))
+def _cold(code: str, src: Path, worker) -> Callable:
+    """The work of an L6 batch: ``code`` in a new process, with its own probes."""
+    def work(r):
+        out = subprocess.run([sys.executable, "-c", code, str(src), worker.__file__],
+                             check=True, capture_output=True, text=True).stdout
+        raw, before, after = map(float, out.split())
+        return (raw,), before, after
+    return work
 
 
-def _quartiles(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+def _time(worker, entries: list[Entry], repeats: int) -> None:
+    """Repeat one batch of each entry in turn, and keep its raw seconds
+    scaled by the worker's nominal probe time over the mean of the probe
+    minima just before and just after it, per ``unit``."""
+    for r in range(repeats):
+        for (probe, work), group in itertools.groupby(entries, key=lambda e: (e.probe, e.work)):
+            if probe is None:
+                raws, before, after = work(r)
+            else:
+                before = min(probe() for _ in range(2))
+                raws = work(r)
+                after = min(probe() for _ in range(2))
+            for entry, raw in zip(group, raws, strict=True):
+                per_s = PER_S[entry.unit.split()[0]] / (entry.per or entry.calls)
+                entry.times.append(raw * worker.REF_NOMINAL_S / (0.5 * (before + after)) * per_s)
+
+
+def _row(entry: Entry, repeats: int) -> dict:
+    q1, median, q3 = statistics.quantiles(entry.times, n=4, method="inclusive")
+    return {"layer": entry.layer, "what": entry.what, "family": entry.family,
+            "calls": repeats * entry.calls, "unit": entry.unit,
+            "median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "digits": entry.digits}
 
 
 def main(argv=None) -> int:
@@ -289,124 +323,64 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(src))
     import foxwright as fw
     import numpy as np
+    from foxwright.special import _log_gamma_taylor
 
     if Path(fw.__file__).resolve().parent != src / "foxwright":
         raise SystemExit(f"foxwright imported from {fw.__file__}, not from {src}")
 
     inputs, oracle, worker = _load("inputs"), _load("oracle"), _load("worker")
     repeats, batch = (3, 4) if args.quick else (25, 10)
-    families = _families(inputs, fw, repeats * batch)
-    grid = np.array(inputs.density_grid())
-    digits = {f["name"]: _digits(oracle, fw, f, grid) for f in families}
-    caches = _set_caches()
-    clock = time.perf_counter
+    density = _density_entries(inputs, oracle, worker, fw, np.array(inputs.density_grid()),
+                               repeats * batch, batch)
+    _time(worker, density, repeats)
 
-    build = {f["name"]: [] for f in families}
-    density = {f["name"]: [] for f in families}
-    for r in range(repeats):
-        for family in families:
-            sets = [fw.ParameterSet(u, l) for u, l in family["rows"][r * batch : (r + 1) * batch]]
-            before = min(worker.reference_array_s() for _ in range(2))
-            built, evs = 0.0, []
-            for ps in sets:
-                # each build meets its set as new, even a catalog set again
-                for cache in caches:
-                    cache.cache_clear()
-                t0 = clock()
-                evs.append(fw.MeasureEvaluator(ps))
-                built += clock() - t0
-            points = [ev.rho * grid for ev in evs]
-            t0 = clock()
-            for ev, t in zip(evs, points):
-                ev.density(t)
-            dense = clock() - t0
-            after = min(worker.reference_array_s() for _ in range(2))
-            scale = worker.REF_NOMINAL_S / (0.5 * (before + after)) * 1e3 / len(sets)
-            build[family["name"]].append(built * scale)
-            density[family["name"]].append(dense * scale * 1000.0 / grid.size)
-
-    # L5 after the builds, whose cache clearing would make its evaluators cold
-    slots = _laplace_slots(inputs)
-    for slot in slots:
-        slot["family"] = f"identity-cli-{SEED}/{slot['name']}[lam={slot['lam']:g}]"
-        slot["digits"] = _laplace_digits(oracle, fw, slot)  # also warms the evaluator
-    lift = {slot["family"]: [] for slot in slots}
-    for r in range(repeats):
-        for slot in slots:
-            ps, lam, zs = fw.NAMED_SETS[slot["name"]], slot["lam"], slot["zs"]
-            spent = _scaled_s(worker, worker.reference_mixed_s,
-                              lambda: [fw.laplace_lift_check(ps, lam, zs) for _ in range(batch)])
-            lift[slot["family"]].append(spent * 1e3 / batch)
-
-    # L0 and L1 after the builds too; the L1 digits warm the series' per-set caches
-    from foxwright.special import _log_gamma_taylor
+    # L5 after the builds, whose cache clearing would leave its evaluators cold
+    lift = [Entry("L5", "laplace_lift_check on the slot's grid",
+                  f"identity-cli-{SEED}/{name}[lam={lam:g}]", "ms per call", batch,
+                  worker.reference_mixed_s, _timed(lambda ps=ps, lam=lam, zs=zs: [
+                      fw.laplace_lift_check(ps, lam, zs) for _ in range(batch)]),
+                  _laplace_digits(oracle, fw, ps, lam, zs))  # which also warms the evaluator
+            for name, ps, lam, zs in _laplace_slots(inputs, fw)]
+    _time(worker, lift, repeats)
 
     xs = np.array(GAMMA_XS)
-    gamma_digits = _gamma_digits(oracle, _log_gamma_taylor)
-    gamma = {"lgamma": [], "taylor": []}
-    for r in range(repeats):
-        spent = _scaled_s(worker, worker.reference_s, lambda: [
-            list(map(math.lgamma, GAMMA_XS)) for _ in range(batch * LGAMMA_PASSES)])
-        gamma["lgamma"].append(spent * 1e9 / (batch * LGAMMA_PASSES * len(GAMMA_XS)))
-        spent = _scaled_s(worker, worker.reference_s,
-                          lambda: [_log_gamma_taylor(xs, TAYLOR_TERMS) for _ in range(batch)])
-        gamma["taylor"].append(spent * 1e6 / batch)
-    cold = {code: [] for code in (COLD_SETUP, COLD_EVAL)}
-    for r in range(repeats):
-        for code, times in cold.items():
-            times.append(float(subprocess.run(
-                [sys.executable, "-c", code, str(src), str(ROOT / "perfbench" / "worker.py")],
-                check=True, capture_output=True, text=True).stdout) * 1e3)
-    series = {name: [] for name in fw.NAMED_SETS}
-    series_digits = {name: _series_digits(oracle, fw, ps) for name, ps in fw.NAMED_SETS.items()}
-    for r in range(repeats):
-        for name, ps in fw.NAMED_SETS.items():
-            spent = _scaled_s(worker, worker.reference_s,
-                              lambda: [fw.fox_wright(ps, z) for _ in range(batch) for z in SERIES_ZS])
-            series[name].append(spent * 1e6 / (batch * len(SERIES_ZS)))
-
-    rows = [
-        {"layer": "L0", "what": "math.lgamma per call at x = 0.5, 1.25, .., 23.75",
-         "family": "lgamma", "calls": repeats * batch * LGAMMA_PASSES * len(GAMMA_XS),
-         "unit": "ns per call", **_quartiles(gamma["lgamma"]), "digits": gamma_digits[0]},
-        {"layer": "L0", "what": f"special._log_gamma_taylor on a {len(GAMMA_XS)} x "
-                                f"{TAYLOR_TERMS} block at the same x",
-         "family": "log-gamma-taylor", "calls": repeats * batch, "unit": "us per block",
-         **_quartiles(gamma["taylor"]), "digits": gamma_digits[1]},
+    lgamma_digits, taylor_digits = _gamma_digits(oracle, _log_gamma_taylor, xs)
+    gamma = [
+        Entry("L0", "math.lgamma per call at x = 0.5, 1.25, .., 23.75", "lgamma", "ns per call",
+              batch * LGAMMA_PASSES * len(GAMMA_XS), worker.reference_s, _timed(lambda: [
+                  list(map(math.lgamma, GAMMA_XS)) for _ in range(batch * LGAMMA_PASSES)]),
+              lgamma_digits),
+        Entry("L0", f"special._log_gamma_taylor on a {len(GAMMA_XS)} x {TAYLOR_TERMS} block "
+                    "at the same x", "log-gamma-taylor", "us per block", batch, worker.reference_s,
+              _timed(lambda: [_log_gamma_taylor(xs, TAYLOR_TERMS) for _ in range(batch)]),
+              taylor_digits),
     ]
-    rows += [{"layer": "L1", "what": "fox_wright per point on z = linspace(-2, 5, 8)",
-              "family": name, "calls": repeats * batch * len(SERIES_ZS), "unit": "us per point",
-              **_quartiles(series[name]), "digits": series_digits[name]}
-             for name in fw.NAMED_SETS]
-    for layer, what, unit, times in (
-        ("L2", "MeasureEvaluator build", "ms per build", build),
-        ("L3", "AUTO density on the 1,000 band t", "ms per 1k points", density),
-    ):
-        for family in families:
-            name = family["name"]
-            rows.append({"layer": layer, "what": what, "family": name,
-                         "calls": len(family["rows"]), "unit": unit,
-                         **_quartiles(times[name]), "digits": digits[name]})
-    for slot in slots:
-        rows.append({"layer": "L5", "what": "laplace_lift_check on the slot's grid",
-                     "family": slot["family"], "calls": repeats * batch,
-                     "unit": "ms per call", **_quartiles(lift[slot["family"]]),
-                     "digits": slot["digits"]})
-    rows.append({"layer": "L6", "what": "identity-cli setup in a new process: import foxwright "
-                                        "and foxwright.cli, build the four catalog evaluators",
-                 "family": "cold-setup", "calls": repeats, "unit": "ms per setup",
-                 **_quartiles(cold[COLD_SETUP]),
-                 "digits": min(digits[name] for name in fw.NAMED_SETS)})
-    rows.append({"layer": "L6", "what": "a series eval in a new process: import foxwright.cli, "
-                                        "cli.main eval --params identity --z 0,1",
-                 "family": "cold-eval", "calls": repeats, "unit": "ms per eval",
-                 **_quartiles(cold[COLD_EVAL]), "digits": series_digits["identity"]})
+    _time(worker, gamma, repeats)
+
+    # the L1 digits warm the series' per-set caches; L1 is timed after L6
+    series = [Entry("L1", "fox_wright per point on z = linspace(-2, 5, 8)", name, "us per point",
+                    batch * len(SERIES_ZS), worker.reference_s, _timed(lambda ps=ps: [
+                        fw.fox_wright(ps, z) for _ in range(batch) for z in SERIES_ZS]),
+                    _series_digits(oracle, fw, ps))
+              for name, ps in fw.NAMED_SETS.items()]
+    cold = [
+        Entry("L6", "identity-cli setup in a new process: import foxwright and foxwright.cli, "
+                    "build the four catalog evaluators", "cold-setup", "ms per setup", 1, None,
+              _cold(COLD_SETUP, src, worker),
+              min(e.digits for e in density if e.family in fw.NAMED_SETS)),
+        Entry("L6", "a series eval in a new process: import foxwright.cli, "
+                    "cli.main eval --params identity --z 0,1", "cold-eval", "ms per eval", 1, None,
+              _cold(COLD_EVAL, src, worker),
+              next(e.digits for e in series if e.family == "identity")),
+    ]
+    _time(worker, cold, repeats)
+    _time(worker, series, repeats)
+
+    entries = sorted(density + lift + gamma + series + cold, key=lambda e: e.layer)
+    rows = [_row(entry, repeats) for entry in entries]
     report = {
-        "label": args.label,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
-        "repeats": repeats,
+        "label": args.label, "python": platform.python_version(), "numpy": np.__version__,
+        "machine": platform.machine(), "repeats": repeats,
         "probe": "perfbench/worker.py reference_s (L0, L1, L6), reference_array_s (L2, L3) "
                  f"and reference_mixed_s (L5), scaled to {worker.REF_NOMINAL_S * 1e3:g} ms",
         "rows": rows,

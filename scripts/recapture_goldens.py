@@ -55,15 +55,16 @@ def capture_readme_cli() -> str:
     return json.dumps(entries, indent=1) + "\n"
 
 
-def capture_verify_all() -> str:
+def capture_verify_all() -> tuple[int, str]:
+    """``scripts/verify_all.py``'s exit status and output."""
     path = ROOT / "scripts" / "verify_all.py"
     spec = importlib.util.spec_from_file_location("verify_all", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        module.main()
-    return out.getvalue()
+        status = module.main()
+    return status, out.getvalue()
 
 
 def _lines(name: str, text: str) -> list[tuple[str, str]]:
@@ -107,7 +108,7 @@ def changes(name: str, old: str, new: str) -> list[str]:
 
 def main() -> int:
     for name, capture in (("readme_cli.json", capture_readme_cli),
-                          ("verify_all.txt", capture_verify_all)):
+                          ("verify_all.txt", lambda: capture_verify_all()[1])):
         path = GOLDEN / name
         old, new = path.read_text(), capture()
         if old == new:

@@ -375,8 +375,10 @@ def _ratio_at_pole(params: ParameterSet, k: float) -> tuple[float, float]:
 
 
 def gamma_ratio(params: ParameterSet, k: float) -> float:
-    """The coefficient ratio at real index k, as an ordinary float;
+    """The coefficient ratio at finite real index k, as an ordinary float;
     DomainError where it overflows a double."""
+    if not math.isfinite(k):
+        raise ParameterError(f"the gamma ratio's index must be finite, got {k}")
     log_abs, sign = gamma_ratio_log_signed(params, k)
     if log_abs == -math.inf:
         return 0.0

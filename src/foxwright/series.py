@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .errors import DomainError, NonConvergentError, OutsideDomainError
+from .errors import DomainError, NonConvergentError, OutsideDomainError, ParameterError
 from .params import (
     ParameterSet,
     _converges,
@@ -288,8 +288,11 @@ def four_param_wright(
     Its domain follows the row series' rule with that set's constants:
     balance mu1 + nu1 - 1, radius |mu1|^mu1 * |nu1|^nu1 and mu = a + b - 3/2.
     So it is entire for mu1 + nu1 > 0, a disk for mu1 + nu1 == 0 (edge
-    included when a + b > 2), and only z = 0 otherwise.
+    included when a + b > 2), and only z = 0 otherwise.  A non-finite mu1,
+    a, nu1 or b raises ParameterError, as a parameter row does.
     """
+    if not all(math.isfinite(v) for v in (mu1, a, nu1, b)):
+        raise ParameterError(f"four-parameter form ({mu1}, {a}, {nu1}, {b}) is not finite")
     # |mu1|^mu1 * |nu1|^nu1 from logs: one factor alone may overflow, while
     # the product is near 1 wherever mu1 + nu1 == 0 makes it the radius
     log_radius = sum(s * math.log(abs(s)) for s in (mu1, nu1) if s)

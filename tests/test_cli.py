@@ -1,11 +1,11 @@
 """CLI surface: parsing, dispatch, report formats, exit codes, determinism."""
 
 import argparse
+import importlib.util
 import json
 import math
 import os
 import re
-import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -40,16 +40,19 @@ def json_rows(out):
     return [json.loads(line) for line in out.strip().splitlines()]
 
 
-def readme_cli_examples():
-    """Every ``foxwright ...`` line of the README's CLI code block, as argv."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = text.split("\n## CLI\n", 1)[1]
-    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
-    lines = [line.split("#", 1)[0].strip() for line in block.splitlines()]
-    return [shlex.split(line)[1:] for line in lines if line.startswith("foxwright ")]
+def _recapture_goldens():
+    """``scripts/recapture_goldens.py``, which writes the goldens, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "recapture_goldens.py"
+    spec = importlib.util.spec_from_file_location("recapture_goldens", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-@pytest.mark.parametrize("argv", readme_cli_examples(), ids=" ".join)
+RECAPTURE = _recapture_goldens()
+
+
+@pytest.mark.parametrize("argv", RECAPTURE.readme_cli_argvs(), ids=" ".join)
 def test_readme_example_exits_0(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
@@ -60,7 +63,13 @@ GOLDEN = json.loads((Path(__file__).parent / "golden" / "readme_cli.json").read_
 
 
 def test_golden_argvs_are_the_readme_lines():
-    assert [entry["argv"] for entry in GOLDEN] == readme_cli_examples()
+    assert [entry["argv"] for entry in GOLDEN] == RECAPTURE.readme_cli_argvs()
+
+
+def test_recapture_leaves_the_readme_golden_unchanged():
+    """The text the recapture script would write is the golden's, byte for byte."""
+    golden = (Path(__file__).parent / "golden" / "readme_cli.json").read_text()
+    assert RECAPTURE.capture_readme_cli() == golden
 
 
 @pytest.mark.parametrize("entry", GOLDEN, ids=lambda entry: " ".join(entry["argv"]))
@@ -72,7 +81,7 @@ def test_readme_example_matches_golden(capsys, entry):
 
 
 def test_readme_examples_cover_every_command():
-    commands = {argv[0] for argv in readme_cli_examples()}
+    commands = {argv[0] for argv in RECAPTURE.readme_cli_argvs()}
     assert commands == {
         "eval", "hfun", "moments", "verify-representation", "verify-stieltjes",
         "verify-laplace", "bounds", "cm-check", "ratio-scan",
@@ -550,7 +559,7 @@ class TestParserReuse:
             texts.append(capsys.readouterr().out)
         assert texts[0] == texts[1] and texts[0].startswith("usage: foxwright")
 
-    @pytest.mark.parametrize("argv", readme_cli_examples(), ids=" ".join)
+    @pytest.mark.parametrize("argv", RECAPTURE.readme_cli_argvs(), ids=" ".join)
     def test_readme_example_same_bytes_reused_and_fresh(self, capsys, argv):
         first = run_cli(capsys, *argv)
         assert run_cli(capsys, *argv) == first == run_fresh(*argv)
@@ -782,7 +791,7 @@ class TestNonFiniteRows:
             assert out.splitlines()[1:] == [
                 "hfun,0427ae0a7ebdbf5c,0.5,,,,fail", "hfun,0427ae0a7ebdbf5c,0.6,,,,fail"]
 
-    @pytest.mark.parametrize("argv", readme_cli_examples(), ids=" ".join)
+    @pytest.mark.parametrize("argv", RECAPTURE.readme_cli_argvs(), ids=" ".join)
     def test_readme_rows_are_strict_json(self, capsys, argv):
         _, out, _ = run_cli(capsys, *argv)
         assert strict_json_rows(out)

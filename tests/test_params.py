@@ -16,7 +16,7 @@ from foxwright import (
     in_domain,
     shift_parameters,
 )
-from foxwright.catalog import DOUBLE_POLE, EXP_COLLAPSE, IDENTITY, TWIN_QUARTER
+from foxwright.catalog import DOUBLE_POLE, EXP_COLLAPSE, IDENTITY, NAMED_SETS, TWIN_QUARTER
 from foxwright.errors import DomainError, ParameterError, PoleError
 from foxwright.params import _q_sequence, _set_record, gamma_ratio_log_signed
 from foxwright.special import _bernoulli_matrix, _bernoulli_pair
@@ -387,3 +387,11 @@ class TestGammaRatio:
         # log|ratio(1e10)| ~ 1e10 ln rho: math.exp raised an OverflowError
         with pytest.raises(DomainError, match="overflows a double"):
             gamma_ratio(params, 1e10)
+
+    @pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", sorted(NAMED_SETS))
+    def test_non_finite_index_raises(self, name, k):
+        # +inf gave nan from lgamma(inf) - lgamma(inf), -inf a bare
+        # OverflowError and nan a bare ValueError from math.floor
+        with pytest.raises(ParameterError, match="must be finite"):
+            gamma_ratio(NAMED_SETS[name], k)

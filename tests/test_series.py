@@ -24,7 +24,7 @@ from foxwright import (
     gamma_ratio,
 )
 from foxwright.catalog import DOUBLE_POLE, EXP_COLLAPSE, IDENTITY, TWIN_QUARTER
-from foxwright.errors import DomainError, NonConvergentError, OutsideDomainError
+from foxwright.errors import DomainError, NonConvergentError, OutsideDomainError, ParameterError
 from foxwright.params import _LOG_MAX, correction_coeffs
 
 # a balanced p = 3 set with mu = -2: an atom and two derivative atoms
@@ -186,6 +186,15 @@ class TestDomainGates:
             fox_wright_value(IDENTITY, 30.0)
         monkeypatch.undo()
         assert fox_wright(IDENTITY, 30.0).status is SeriesStatus.CONVERGED
+
+    @pytest.mark.parametrize("args", [(math.inf, 1.0, 0.5, 1.0), (0.5, 1.0, 0.5, math.nan),
+                                      (0.5, math.inf, 0.5, 1.0), (math.nan, 1.0, 0.5, 1.0),
+                                      (0.5, 1.0, -math.inf, 1.0)])
+    def test_four_param_non_finite_parameter_raises(self, args):
+        # these raised a bare ValueError from round(nan), summed to 0.0 with
+        # status CONVERGED, or read OUTSIDE_DOMAIN
+        with pytest.raises(ParameterError, match="not finite"):
+            four_param_wright(*args, 0.5)
 
     @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, complex(0.5, math.nan),
                                    complex(math.inf, 0.0)])

@@ -1,9 +1,7 @@
 """scripts/verify_all.py, run in-process once: every check it prints must
 pass, and its output is the bytes captured in ``tests/golden/verify_all.txt``."""
 
-import contextlib
 import importlib.util
-import io
 from pathlib import Path
 
 import pytest
@@ -13,15 +11,13 @@ TESTS = Path(__file__).resolve().parent
 
 @pytest.fixture(scope="module")
 def verify_all_run():
+    """Status and output of the run ``scripts/recapture_goldens.py`` captures."""
     pytest.importorskip("mpmath")
-    path = TESTS.parent / "scripts" / "verify_all.py"
-    spec = importlib.util.spec_from_file_location("verify_all", path)
+    path = TESTS.parent / "scripts" / "recapture_goldens.py"
+    spec = importlib.util.spec_from_file_location("recapture_goldens", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        status = module.main()
-    return status, out.getvalue()
+    return module.capture_verify_all()
 
 
 def test_verify_all_exits_zero(verify_all_run):
