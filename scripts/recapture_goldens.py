@@ -29,7 +29,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
-sys.path.insert(0, str(ROOT / "src"))
 
 _NUMBER = re.compile(r"(-?\d+\.?\d*(?:[eE][-+]?\d+)?)")
 
@@ -121,4 +120,7 @@ def main() -> int:
 
 
 if __name__ == "__main__":
+    # only as a script: the tests load this file by path and must keep
+    # importing the foxwright they were started with, installed or not
+    sys.path.insert(0, str(ROOT / "src"))
     sys.exit(main())

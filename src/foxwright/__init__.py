@@ -2,7 +2,8 @@
 
 The package is organised in layers:
 
-* :mod:`foxwright.special` - scalar/vector log-gamma, Bernoulli, Stirling.
+* :mod:`foxwright.special` - a signed real log-gamma and its Taylor rows,
+  integer Bernoulli tables, Stirling rows.
 * :mod:`foxwright.params` - parameter rows, derived constants, domains.
 * :mod:`foxwright.series` - direct summation, the four-parameter form, and
   the two result types: :class:`EvalResult` for a value and

@@ -202,11 +202,12 @@ def test_import_leaves_numpy_unloaded():
 
 
 def test_library_checks_leave_hashlib_unloaded():
-    """A record carries no hash of its set: the checks, bounds and scans
-    load no ``hashlib``, and the CLI's first report row does."""
+    """A record carries no hash of its set: ``import foxwright.cli`` and the
+    checks, bounds and scans load no ``hashlib``, and the CLI's first report
+    row does."""
     _run_fresh("""
         import contextlib, io, sys
-        import foxwright
+        import foxwright, foxwright.cli
         dp = foxwright.NAMED_SETS["double-pole"]
         assert all(r.ok() for r in foxwright.verify_representation(dp, [-1.0, 0.5]))
         foxwright.exp_kernel_bounds(dp, [0.5])
@@ -214,7 +215,6 @@ def test_library_checks_leave_hashlib_unloaded():
         foxwright.cm_check(dp, [0.5])
         foxwright.hfun_nonneg_scan(dp)
         assert not {"hashlib", "_hashlib"} & set(sys.modules)
-        import foxwright.cli
         with contextlib.redirect_stdout(io.StringIO()):
             assert foxwright.cli.main(["eval", "--params", "identity", "--z", "0"]) == 0
         assert "hashlib" in sys.modules

@@ -40,6 +40,25 @@ def json_rows(out):
     return [json.loads(line) for line in out.strip().splitlines()]
 
 
+# parameter files read by name from the test's directory: the paper's
+# four-parameter form with m = 2 (a + b = -1/2, mu1 = nu1 = 1/2), whose atoms
+# take the kernels' second derivatives, and an m = 0 row set whose density
+# scans negative, its Jensen barycentre psi1/psi0 = -0.634 outside the
+# support [0, 1.24]
+ROW_FILES = {
+    "m2.json": {"upper": [[1, 1]], "lower": [[0.3, 0.5], [-0.8, 0.5]]},
+    "signed.json": {"upper": [[0.25, 1], [0.5, 0.25]], "lower": [[0.5, 0.5], [0.25, 0.75]]},
+}
+
+
+@pytest.fixture
+def row_files(tmp_path, monkeypatch):
+    """Run the test in a directory that holds the ``ROW_FILES``."""
+    for name, rows in ROW_FILES.items():
+        (tmp_path / name).write_text(json.dumps(rows))
+    monkeypatch.chdir(tmp_path)
+
+
 def _recapture_goldens():
     """``scripts/recapture_goldens.py``, which writes the goldens, loaded by path."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "recapture_goldens.py"
@@ -50,6 +69,14 @@ def _recapture_goldens():
 
 
 RECAPTURE = _recapture_goldens()
+
+
+def test_loading_the_recapture_script_leaves_sys_path_alone():
+    # the golden tests load the script by path: a src put on sys.path there
+    # would run the checkout's package in place of the one under test
+    before = list(sys.path)
+    _recapture_goldens()
+    assert sys.path == before
 
 
 @pytest.mark.parametrize("argv", RECAPTURE.readme_cli_argvs(), ids=" ".join)
@@ -230,7 +257,8 @@ class TestUsageErrors:
         path.write_text(text)
         code, out, err = run_cli(capsys, "eval", "--params", str(path), "--z", "1")
         assert (code, out) == (1, "")
-        assert "could not parse parameter file" in err
+        assert err.startswith(f"error: could not parse parameter file {path}: ")
+        assert err.count("\n") == 1
 
 
 class TestMoments:
@@ -284,12 +312,12 @@ class TestUnbalancedSetErrorRows:
 
 
 class TestVerifyCommands:
-    def test_representation_pass(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify-representation", "--params", "double-pole", "--z=-1,0,1"
-        )
+    @pytest.mark.parametrize("params, grid", [("double-pole", "--z=-1,0,1"),
+                                              ("m2.json", "--z=-1,0.5,2")])
+    def test_representation_pass(self, capsys, row_files, params, grid):
+        code, out, _ = run_cli(capsys, "verify-representation", "--params", params, grid)
         assert code == 0
-        assert all(r["value_or_verdict"] == "pass" for r in json_rows(out))
+        assert [r["value_or_verdict"] for r in json_rows(out)] == ["pass"] * 3
 
     def test_stieltjes_pass(self, capsys):
         code, out, _ = run_cli(
@@ -308,14 +336,16 @@ class TestVerifyCommands:
         rows = json_rows(out)
         assert rows[0]["status"].startswith("error:")
 
-    def test_laplace_beyond_the_disk_passes(self, capsys):
-        # rho |z| = 2 on exp-collapse: the measure route, not the series
-        code, out, _ = run_cli(
-            capsys, "verify-laplace", "--params", "exp-collapse", "--lift", "1.5", "--z=-1"
-        )
+    @pytest.mark.parametrize("params, grid", [("exp-collapse", "-1"), ("m2.json", "-0.5,0.3")])
+    def test_laplace_beyond_the_disk_passes(self, capsys, row_files, params, grid):
+        # rho |z| = 2 on exp-collapse: the measure route, not the series;
+        # a grid prints the rows of its one-point runs
+        argv = ("verify-laplace", "--params", params, "--lift", "1.5")
+        points = grid.split(",")
+        code, out, _ = run_cli(capsys, *argv, f"--z={grid}")
         assert code == 0
-        rows = json_rows(out)
-        assert [r["value_or_verdict"] for r in rows] == ["pass"]
+        assert [r["value_or_verdict"] for r in json_rows(out)] == ["pass"] * len(points)
+        assert out == "".join(run_cli(capsys, *argv, f"--z={z}")[1] for z in points)
 
     def test_laplace_without_continuation_is_typed_error(self, capsys, tmp_path):
         # mu = -1/2: a set without a measure has no lifted value past the disk
@@ -327,13 +357,14 @@ class TestVerifyCommands:
         assert code == 2
         assert json_rows(out)[0]["status"] == "error:OutsideDomainError"
 
-    def test_laplace_past_the_disk_on_a_linear_atom_set(self, capsys):
+    @pytest.mark.parametrize("grid", ["-1", "-0.2975,0.1501"])
+    def test_laplace_past_the_disk_on_a_linear_atom_set(self, capsys, grid):
         # twin-quarter (m = 1): the kernel continuation carries its atoms too
         code, out, _ = run_cli(
-            capsys, "verify-laplace", "--params", "twin-quarter", "--lift", "2", "--z=-1"
+            capsys, "verify-laplace", "--params", "twin-quarter", "--lift", "2", f"--z={grid}"
         )
         assert code == 0
-        assert [r["status"] for r in json_rows(out)] == ["pass"]
+        assert [r["status"] for r in json_rows(out)] == ["pass"] * len(grid.split(","))
 
     def test_stieltjes_on_a_linear_atom_set(self, capsys):
         code, out, _ = run_cli(
@@ -625,8 +656,14 @@ class TestDoubleRange:
          "QuadratureFailure"),
         (("ratio-scan", "--params", "double-pole", "--sigma", "150", "--delta", "1",
           "--z=-0.9999999,-0.5"), "QuadratureFailure"),
+        # the m = 2 atoms on (1 + tz)^(-2) at rho z = 2e200
+        (("verify-stieltjes", "--params", "m2.json", "--sigma", "2", "--z=1e200"),
+         "DomainError"),
+        # (1 + tz)^(-1.5) at the barycentre outside the support: a negative
+        # base, so no real bound
+        (("bounds", "--params", "signed.json", "--lift", "1.5", "--z=2"), "DomainError"),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
-    def test_error_row(self, capsys, argv, status):
+    def test_error_row(self, capsys, row_files, argv, status):
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (2, "")
         (row,) = strict_json_rows(out)
@@ -656,21 +693,15 @@ _SWEEP_FORMS = [
 _SWEEP_VALUES = ["-1e300", "-1e10", "-800", "-400", "-354.95", "-100", "-1e-300", "0",
                  "1e-300", "0.4999", "0.5", "0.99", "1", "1.99", "2", "100", "354.95", "400",
                  "800", "1e10", "1e200", "1e300"]
-# an m = 2 row set, whose atoms take the kernels' second derivatives
-_M2_ROWS = {"upper": [[1, 1]], "lower": [[0.3, 0.5], [-0.8, 0.5]]}
-# an m = 0 row set whose density scans negative: its Jensen barycentre
-# psi1/psi0 = -0.634 lies outside the support [0, 1.24]
-_SIGNED_ROWS = {"upper": [[0.25, 1], [0.5, 0.25]], "lower": [[0.5, 0.5], [0.25, 0.75]]}
 
 
 @pytest.mark.parametrize("form", _SWEEP_FORMS, ids=" ".join)
-def test_sweep_gives_typed_rows_only(capsys, tmp_path, form):
+def test_sweep_gives_typed_rows_only(capsys, row_files, form):
     """Across the double range every run exits 0 or 2 and prints strict JSON
     with nothing on stderr: no traceback, and no warning, which the test
     configuration turns into an error.  The scans take the non-negative
     values, ratio-scan as the second point of a two-point grid.  The sets
-    are the catalog's and, each from a file, an m = 2 row set and a signed
-    m = 0 row set."""
+    are the catalog's and the ``ROW_FILES``."""
     command, *flags = form
     if command == "cm-check":
         grids = [f"--z={v}" for v in _SWEEP_VALUES if float(v) >= 0]
@@ -678,11 +709,8 @@ def test_sweep_gives_typed_rows_only(capsys, tmp_path, form):
         grids = [f"--z=0.5,{v}" for v in _SWEEP_VALUES if float(v) >= 0]
     else:
         grids = [f"--{'k' if command == 'moments' else 'z'}={v}" for v in _SWEEP_VALUES]
-    files = {tmp_path / "m2.json": _M2_ROWS, tmp_path / "signed.json": _SIGNED_ROWS}
-    for path, rows in files.items():
-        path.write_text(json.dumps(rows))
     failures = []
-    for name in [*sorted(NAMED_SETS), *map(str, files)]:
+    for name in [*sorted(NAMED_SETS), *ROW_FILES]:
         for grid in grids:
             argv = [command, "--params", name, *flags, grid]
             try:
