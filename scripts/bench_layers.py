@@ -60,13 +60,16 @@ The L6 rows each time a new process per repeat.  ``cold-setup`` is
 identity-cli's setup: ``import foxwright`` and ``foxwright.cli``, then the
 four catalog evaluators built.  ``cold-eval`` is ``import foxwright.cli``
 and one ``cli.main(["eval", "--params", "identity", "--z", "0,1"])``, its
-report discarded.  The process inherits this one's environment, so it
+report discarded.  ``cold-import`` is ``import foxwright`` and one
+``fox_wright`` on ``identity`` at z = 0.5, what series-sweep's setup pays
+before its first call.  The process inherits this one's environment, so it
 reads or compiles bytecode as the benchmark's worker does, and prints its
 raw seconds and its own probes, taken as the worker takes them for
 ``setup_s``: the best of three ``reference_s`` just before and just after.
 ``cold-setup``'s ``digits`` is the worst of the catalog L2 rows', whose
-oracle checks those evaluators' density; ``cold-eval``'s is the identity
-L1 row's, whose oracle checks the series it sums.
+oracle checks those evaluators' density; ``cold-eval``'s and
+``cold-import``'s are the identity L1 row's, whose oracle checks the series
+they sum.
 
 ``perfbench/inputs.py``, ``oracle.py`` and ``worker.py`` are loaded by
 path and only read.
@@ -97,9 +100,10 @@ TAYLOR_TERMS = 8  # the L0 block is len(GAMMA_XS) x TAYLOR_TERMS coefficients
 LGAMMA_PASSES = 100  # L0 lgamma passes over GAMMA_XS per L1 pass over SERIES_ZS
 PER_S = {"ns": 1e9, "us": 1e6, "ms": 1e3}  # a unit's first word, per second
 
-# An L6 process, its timed code put in for {work}: identity-cli's setup, or
-# one series eval with its report discarded.  argv is the src directory and
-# the worker's path; it prints the raw seconds of that code and its probes.
+# An L6 process, its timed code put in for {work}: identity-cli's setup, one
+# series eval with its report discarded, or the import and one series sum.
+# argv is the src directory and the worker's path; it prints the raw seconds
+# of that code and its probes.
 COLD = """
 import contextlib, importlib.util, io, sys, time
 src, path = sys.argv[1:]
@@ -124,6 +128,9 @@ COLD_EVAL = COLD.format(work="""\
 import foxwright.cli
 with contextlib.redirect_stdout(io.StringIO()):
     foxwright.cli.main(["eval", "--params", "identity", "--z", "0,1"])""")
+COLD_IMPORT = COLD.format(work="""\
+import foxwright as fw
+fw.fox_wright(fw.NAMED_SETS["identity"], 0.5)""")
 
 
 @dataclass
@@ -363,6 +370,7 @@ def main(argv=None) -> int:
                         fw.fox_wright(ps, z) for _ in range(batch) for z in SERIES_ZS]),
                     _series_digits(oracle, fw, ps))
               for name, ps in fw.NAMED_SETS.items()]
+    identity_digits = next(e.digits for e in series if e.family == "identity")
     cold = [
         Entry("L6", "identity-cli setup in a new process: import foxwright and foxwright.cli, "
                     "build the four catalog evaluators", "cold-setup", "ms per setup", 1, None,
@@ -370,8 +378,10 @@ def main(argv=None) -> int:
               min(e.digits for e in density if e.family in fw.NAMED_SETS)),
         Entry("L6", "a series eval in a new process: import foxwright.cli, "
                     "cli.main eval --params identity --z 0,1", "cold-eval", "ms per eval", 1, None,
-              _cold(COLD_EVAL, src, worker),
-              next(e.digits for e in series if e.family == "identity")),
+              _cold(COLD_EVAL, src, worker), identity_digits),
+        Entry("L6", "series-sweep's setup in a new process: import foxwright, "
+                    "fox_wright on identity at z = 0.5", "cold-import", "ms per import", 1, None,
+              _cold(COLD_IMPORT, src, worker), identity_digits),
     ]
     _time(worker, cold, repeats)
     _time(worker, series, repeats)

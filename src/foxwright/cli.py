@@ -33,9 +33,8 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import foxwright as fw
 
@@ -275,8 +274,7 @@ _FLAGS = {
 }
 
 
-@dataclass(frozen=True)
-class _Command:
+class _Command(NamedTuple):
     """One subcommand.  ``flags`` maps each extra flag to its default.
     ``run`` takes the whole grid and returns its rows; ``grid`` names the
     option the grid is read from (``z`` or ``k``).  A scan

@@ -23,13 +23,11 @@ Keeping both as named fields avoids a whole class of sign errors.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from functools import lru_cache, wraps
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, ParameterError, PoleError
 from .special import _bernoulli_all, log_abs_gamma_signed
@@ -83,14 +81,19 @@ def _pair(row: Sequence[float]) -> Pair:
     return float(a) + 0.0, float(s)
 
 
-@dataclass(frozen=True)
 class ParameterSet:
     """Immutable pair of gamma rows, validated on construction.
 
     ``upper`` are the numerator pairs (a_i, A_i), ``lower`` the denominator
     pairs (b_j, B_j).  Scales must be positive; numerator pairs must not put
     a gamma pole on any series index k = 0, 1, 2, ...
+
+    A set is a value: two sets with equal rows are equal and hash alike (the
+    hash is computed once, here), so they share one record.  Assigning or
+    deleting an attribute raises ``AttributeError``.
     """
+
+    __slots__ = ("upper", "lower", "_hash")
 
     upper: tuple[Pair, ...]
     lower: tuple[Pair, ...]
@@ -98,11 +101,13 @@ class ParameterSet:
     def __init__(self, upper: Sequence[Sequence[float]], lower: Sequence[Sequence[float]]):
         # a row that is not two real numbers is a ParameterError too
         try:
-            object.__setattr__(self, "upper", tuple(map(_pair, upper)))
-            object.__setattr__(self, "lower", tuple(map(_pair, lower)))
+            rows = tuple(map(_pair, upper)), tuple(map(_pair, lower))
         except (TypeError, ValueError) as exc:
             raise ParameterError(f"malformed parameter rows: {exc}") from exc
+        _UPPER(self, rows[0])
+        _LOWER(self, rows[1])
         self._validate()
+        _HASH(self, hash(rows))
 
     def _validate(self) -> None:
         if not self.upper and not self.lower:
@@ -123,6 +128,28 @@ class ParameterSet:
                     raise ParameterError(
                         f"upper pair ({shift}, {scale}) hits a gamma pole at term k={k}"
                     )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.upper == other.upper and self.lower == other.lower
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(upper={self.upper!r}, lower={self.lower!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild the set through __init__: their default
+        # path assigns the slots, which __setattr__ refuses
+        return type(self), (self.upper, self.lower)
 
     @property
     def p(self) -> int:
@@ -148,10 +175,14 @@ class ParameterSet:
             raise ParameterError(f"malformed parameter dict: {exc}") from exc
 
     def to_json(self) -> str:
+        import json  # here, not at module level: ``import foxwright`` loads no json
+
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "ParameterSet":
+        import json
+
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -166,8 +197,11 @@ class ParameterSet:
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
+# the slots' own setters, which the frozen ``__setattr__`` leaves to ``__init__``
+_UPPER, _LOWER, _HASH = (vars(ParameterSet)[name].__set__ for name in ParameterSet.__slots__)
+
+
+class DerivedConstants(NamedTuple):
     """Scalar invariants of a parameter set.
 
     delta           scale balance sum(B) - sum(A); sign decides the domain

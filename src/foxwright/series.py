@@ -31,8 +31,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, NonConvergentError, OutsideDomainError, ParameterError
 from .params import (
@@ -68,9 +67,9 @@ class SeriesStatus(enum.Enum):
     OUTSIDE_DOMAIN = "outside-domain"
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    """Outcome of a series summation.
+class EvalResult(NamedTuple):
+    """Outcome of a series summation, a named tuple: it unpacks as
+    ``value, terms_used, trunc_estimate, status``.
 
     ``trunc_estimate`` is the magnitude of the last computed term relative
     to the accumulated value, i.e. an a-posteriori bound stand-in, not a
@@ -93,9 +92,9 @@ class EvalResult:
 _OUTSIDE = EvalResult(complex("nan"), 0, math.inf, SeriesStatus.OUTSIDE_DOMAIN)
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
-    """One comparison ``lhs <relation> rhs`` at one point, with the verdict.
+class IdentityRecord(NamedTuple):
+    """One comparison ``lhs <relation> rhs`` at one point, with the verdict:
+    a named tuple of the eight fields below, in their order.
 
     ``relation`` is ``==``, ``<=`` or ``>=``.  ``abs_err`` is |lhs - rhs| and
     ``rel_err`` is abs_err / (1 + max(|lhs|, |rhs|)).  ``verdict`` is

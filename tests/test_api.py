@@ -23,9 +23,7 @@ tests that sets it, and so are the library names the benchmark reads.
 """
 
 import ast
-import dataclasses
 import importlib
-import importlib.util
 import inspect
 import math
 import os
@@ -38,6 +36,7 @@ import typing
 from pathlib import Path
 
 import pytest
+from conftest import load_file
 
 import foxwright
 from foxwright import IdentityRecord, cli, hfun, series
@@ -185,12 +184,14 @@ def _run_fresh(code):
 
 def test_import_leaves_numpy_unloaded():
     """``import foxwright`` and a series evaluation load no numpy, and no
-    ``hashlib`` or ``fractions`` either; the first report row loads
-    ``hashlib`` and the first measure-layer name loads its module."""
+    ``hashlib``, ``fractions``, ``dataclasses``, ``inspect`` or ``json``
+    either; the first report row loads ``hashlib`` and the first
+    measure-layer name loads its module."""
     _run_fresh("""
         import sys
         import foxwright
-        deferred = {"numpy", "hashlib", "_hashlib", "fractions"}
+        deferred = {"numpy", "hashlib", "_hashlib", "fractions", "dataclasses", "inspect",
+                    "json"}
         assert not deferred & set(sys.modules)
         assert foxwright.fox_wright(foxwright.NAMED_SETS["double-pole"], 0.5).ok()
         assert not deferred & set(sys.modules) and "foxwright.hfun" not in sys.modules
@@ -247,17 +248,17 @@ def test_evaluators_and_cli_leave_fractions_unloaded():
 
 def test_cli_goes_through_the_lazy_front_door():
     """``import foxwright.cli`` and an ``eval`` on a comma-list grid load no
-    numpy and no measure module; ``moments`` loads the modules it calls and
-    no others."""
+    numpy, no measure module and no ``dataclasses`` or ``inspect``;
+    ``moments`` loads the modules it calls and no others."""
     _run_fresh("""
         import contextlib, io, sys
         import foxwright.cli
-        measure = {"numpy", "foxwright.hfun", "foxwright.quadrature",
-                   "foxwright.representations", "foxwright.bounds"}
-        assert not measure & set(sys.modules)
+        deferred = {"numpy", "foxwright.hfun", "foxwright.quadrature",
+                    "foxwright.representations", "foxwright.bounds", "dataclasses", "inspect"}
+        assert not deferred & set(sys.modules)
         with contextlib.redirect_stdout(io.StringIO()):
             assert foxwright.cli.main(["eval", "--params", "identity", "--z", "0,1"]) == 0
-        assert not measure & set(sys.modules)
+        assert not deferred & set(sys.modules)
         with contextlib.redirect_stdout(io.StringIO()):
             assert foxwright.cli.main(["moments", "--params", "double-pole", "--k", "0..3"]) == 0
         assert {"foxwright.hfun", "foxwright.representations"} <= set(sys.modules)
@@ -328,10 +329,7 @@ def test_benchmark_reads_resolve():
     checks the residue series alone against its oracle."""
     import numpy as np
 
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
-    spec = importlib.util.spec_from_file_location("perfbench_worker", path)
-    worker = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(worker)
+    worker = load_file("perfbench/worker.py")
     double_pole = foxwright.NAMED_SETS["double-pole"]
     ev = foxwright.get_evaluator(double_pole)
     worker._forget_sets()
@@ -407,8 +405,9 @@ def test_two_result_types():
         for name in MODULES
         for attr in getattr(importlib.import_module(name), "__all__", ())
     }
+    # the named tuples: the record types, which import no dataclasses
     results = {attr for attr, obj in exported.items()
-               if inspect.isclass(obj) and dataclasses.is_dataclass(obj)}
+               if inspect.isclass(obj) and issubclass(obj, tuple) and hasattr(obj, "_fields")}
     assert results - PARAMETER_TYPES == {"EvalResult", "IdentityRecord"}
     assert foxwright.IdentityRecord is series.IdentityRecord
     assert "IdentityRecord" in foxwright.__all__
@@ -527,7 +526,7 @@ class TestRecordVerdicts:
 
     def test_fields(self):
         rec = _record("t", 2, 3.0, 1.0, 0.5, "<=")
-        assert [f.name for f in dataclasses.fields(rec)] == [
+        assert list(rec._fields) == [
             "identity", "z", "lhs", "relation", "rhs", "abs_err", "rel_err", "verdict"]
         assert (rec.z, rec.lhs, rec.relation, rec.rhs) == (2.0, 3.0, "<=", 1.0)
         assert (rec.abs_err, rec.rel_err) == (2.0, 0.5)

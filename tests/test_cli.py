@@ -1,7 +1,6 @@
 """CLI surface: parsing, dispatch, report formats, exit codes, determinism."""
 
 import argparse
-import importlib.util
 import json
 import math
 import os
@@ -12,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import load_file
 
 import foxwright
 from foxwright import cli, series
@@ -59,23 +59,15 @@ def row_files(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
 
 
-def _recapture_goldens():
-    """``scripts/recapture_goldens.py``, which writes the goldens, loaded by path."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / "recapture_goldens.py"
-    spec = importlib.util.spec_from_file_location("recapture_goldens", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-RECAPTURE = _recapture_goldens()
+# the script that writes the goldens
+RECAPTURE = load_file("scripts/recapture_goldens.py")
 
 
 def test_loading_the_recapture_script_leaves_sys_path_alone():
     # the golden tests load the script by path: a src put on sys.path there
     # would run the checkout's package in place of the one under test
     before = list(sys.path)
-    _recapture_goldens()
+    load_file.__wrapped__("scripts/recapture_goldens.py")  # a fresh load, not the kept one
     assert sys.path == before
 
 

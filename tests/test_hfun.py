@@ -1,14 +1,13 @@
 """The representing density: residue route, endpoint series, moments, atoms."""
 
 import functools
-import importlib.util
 import itertools
 import math
 import operator
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import load_file
 
 from foxwright import (
     HfunMethod,
@@ -622,10 +621,7 @@ def _density_cold_sets(seed, calls=7):
     ``seed``, call i on class i mod 7, so the first seven take one set per
     class: ``perfbench/inputs.py``, which imports no foxwright, loaded by
     path."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
+    inputs = load_file("perfbench/inputs.py")
     cold = inputs.density_cold(seed)
     bases = cold["bases"]
     return [ParameterSet(inputs.shifted_rows(bases[i % len(bases)]["upper"], delta),

@@ -7,12 +7,11 @@ Every scale in these sets is 1/2 or 1, so each gamma factor steps from k to
 k + 2 by a rising factorial and the terms come from two exact recurrences.
 """
 
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import load_file
 
 from foxwright import (
     ParameterSet,
@@ -85,21 +84,13 @@ def test_power_kernel_route_matches_lifted_series_oracle(params, sigma, w):
     assert abs(got - want) <= 1e-13 * abs(want)
 
 
-def _benchmark_module(name):
-    """``perfbench/<name>.py``, which imports no foxwright, loaded by path."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("name", sorted(NAMED_SETS))
 def test_cm_table_from_the_measure_matches_series_oracle(name):
     """The table cm-check reads for a represented set, one measure pass per
     grid, against perfbench's 60-digit series oracle at the benchmark's
     cm-check grids."""
-    oracle, inputs = _benchmark_module("oracle"), _benchmark_module("inputs")
+    # perfbench's modules, which import no foxwright
+    oracle, inputs = load_file("perfbench/oracle.py"), load_file("perfbench/inputs.py")
     params = NAMED_SETS[name]
     series = oracle.SeriesOracle(*inputs.CATALOG[name])
     grids = [inv["grid"] for inv in inputs.identity_cli(4)["invocations"]

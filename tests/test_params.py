@@ -256,6 +256,53 @@ class TestSerialization:
         assert math.copysign(1.0, signed.lower[0][0]) == 1.0
 
 
+class TestValueSemantics:
+    """A set is a value: equal rows make equal sets with one hash and one
+    record, and nothing can be assigned to or deleted from it."""
+
+    ROWS = ([(1, 1)], [(0.5, 0.5), (-0.0, 2)])
+
+    def test_equal_rows_equal_sets(self):
+        a, b = ParameterSet(*self.ROWS), ParameterSet([(1.0, 1.0)], [(0.5, 0.5), (0.0, 2.0)])
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert a is not b and {a: 1}[b] == 1
+        assert a != ParameterSet([(1.0, 1.0)], [(0.5, 0.5), (0.0, 2.5)])
+
+    def test_unequal_to_its_rows_and_other_types(self):
+        ps = ParameterSet(*self.ROWS)
+        assert ps != (ps.upper, ps.lower) and (ps.upper, ps.lower) != ps
+        for other in (ps.upper, ps.to_dict(), ps.to_json(), None, 0):
+            assert ps != other
+
+    @pytest.mark.parametrize("name", ["upper", "lower", "_hash", "other"])
+    def test_assignment_and_deletion_raise(self, name):
+        ps = ParameterSet(*self.ROWS)
+        with pytest.raises(AttributeError):
+            setattr(ps, name, ())
+        with pytest.raises(AttributeError):
+            delattr(ps, name)
+        assert ps == ParameterSet(*self.ROWS)
+
+    def test_repr(self):
+        assert repr(ParameterSet(*self.ROWS)) == (
+            "ParameterSet(upper=((1.0, 1.0),), lower=((0.5, 0.5), (0.0, 2.0)))")
+
+    def test_pickle_and_copy_round_trip(self):
+        import copy
+        import pickle
+
+        ps = ParameterSet(*self.ROWS)
+        for back in (pickle.loads(pickle.dumps(ps)), copy.copy(ps), copy.deepcopy(ps)):
+            assert back == ps and hash(back) == hash(ps) and type(back) is ParameterSet
+
+    def test_equal_sets_share_one_record(self):
+        _set_record.cache_clear()
+        a, b = ParameterSet(*self.ROWS), ParameterSet(*self.ROWS)
+        assert derive_constants(a) is derive_constants(b)
+        assert _set_record(a) is _set_record(b)
+        assert _set_record.cache_info().currsize == 1
+
+
 class TestConvergence:
     """delta > -1: entire; delta == -1: the disk |z| < conv_radius, with its
     edge when mu > 1/2; delta < -1: z = 0 only."""

@@ -5,12 +5,11 @@ the Mittag-Leffler function E_{alpha,beta} has rows [(1,1)] / [(beta,alpha)]
 and the Wright function rows [] / [(beta,alpha)]."""
 
 import cmath
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import load_file
 
 from foxwright import series
 from foxwright import (
@@ -312,15 +311,6 @@ class TestCorrectionSeries:
         assert got == correction_series(TWIN_QUARTER, np.array([z]))[0]
 
 
-def _perfbench_inputs():
-    """``perfbench/inputs.py``, which imports no foxwright, loaded by path."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _same(got, want):
     """Two series results bit for bit: the value's repr, terms, estimate, status."""
     return ((repr(got.value), got.terms_used, repr(got.trunc_estimate), got.status)
@@ -329,7 +319,7 @@ def _same(got, want):
 
 def _series_sweep_grids():
     """Each series-sweep set of seeds 1-3 with the z the benchmark draws for it."""
-    inputs = _perfbench_inputs()
+    inputs = load_file("perfbench/inputs.py")  # imports no foxwright
     for seed in (1, 2, 3):
         spec = inputs.series_sweep(seed)
         grids = {}

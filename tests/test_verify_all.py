@@ -1,10 +1,10 @@
 """scripts/verify_all.py, run in-process once: every check it prints must
 pass, and its output is the bytes captured in ``tests/golden/verify_all.txt``."""
 
-import importlib.util
 from pathlib import Path
 
 import pytest
+from conftest import load_file
 
 TESTS = Path(__file__).resolve().parent
 
@@ -13,11 +13,7 @@ TESTS = Path(__file__).resolve().parent
 def verify_all_run():
     """Status and output of the run ``scripts/recapture_goldens.py`` captures."""
     pytest.importorskip("mpmath")
-    path = TESTS.parent / "scripts" / "recapture_goldens.py"
-    spec = importlib.util.spec_from_file_location("recapture_goldens", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.capture_verify_all()
+    return load_file("scripts/recapture_goldens.py").capture_verify_all()
 
 
 def test_verify_all_exits_zero(verify_all_run):
